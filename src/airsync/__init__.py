@@ -1,72 +1,3 @@
 """Deterministic simulator of over-the-air device-level time synchronization."""
 
 __version__ = "0.1.0"
-
-from .clocks import (
-    ClockParams,
-    ClockState,
-    apply_offset_correction,
-    apply_skew_correction,
-    clock_error,
-    estimate_skew,
-    ideal_clock,
-    local_time,
-    stamp,
-)
-from .engine import Event, RngStream, Simulator, derive_seed, derive_stream
-from .metrics import (
-    BUILTIN_PRESETS,
-    MetricsReport,
-    RequirementPreset,
-    build_report,
-    check_requirements,
-    fault_location_estimate,
-    jitter_stats,
-    localization_uncertainty,
-    pairwise_offset_stats,
-)
-from .protocols import (
-    ExchangeRecord,
-    RibsMode,
-    SibConfig,
-    StampMode,
-    TaCommand,
-    TaKind,
-    TaTimerConfig,
-    apply_ta_command,
-    compute_ta_initial,
-    compute_ta_update,
-    delay_estimate_from_index,
-    gw_relay_sync,
-    measure_rtt,
-    one_way_delay_estimate,
-    quantize_broadcast_time,
-    ribs_align,
-    sib16_sync_cycle,
-    twoway_exchange,
-    twoway_offset,
-)
-from .scenario import (
-    Enabler,
-    Node,
-    RawTrace,
-    Role,
-    Scenario,
-    SyncPlan,
-    Workload,
-    build_scenario,
-    pmu_fault_event,
-    run_scenario,
-)
-from .timebase import (
-    HALF_TA_STEP_TICKS,
-    TA_STEP_TICKS,
-    TICKS_PER_MS,
-    TICKS_PER_SECOND,
-    TICKS_PER_US,
-    TS_TICKS,
-    parse_ticks,
-    propagation_ticks,
-    ticks_to_ns,
-    ticks_to_seconds,
-)

@@ -2,27 +2,31 @@
 
 YAML/JSON in, validated ScenarioConfig out. Time quantities carry unit
 suffixes and must land exactly on the tick grid (rejected otherwise, never
-rounded); unknown keys are rejected with full field paths. The resolved
-dictionary (defaults filled in) is kept alongside the typed config so
-reports can embed it and sweeps can rewrite any field by path.
+rounded); unknown keys are rejected with full field paths. Every check
+lives here, the rules of the node graph included, so a config that
+validates also builds and runs. The resolved dictionary (defaults filled
+in) is kept alongside the typed config so reports can embed it and sweeps
+can rewrite any field by path.
 """
 
 from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import yaml
 
 from .clocks import ClockParams, MAX_ABS_SKEW
 from .engine import RngStream
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, TickOverflowError
 from .metrics import BUILTIN_PRESETS, RequirementPreset
 from .protocols import RibsMode, SibConfig, StampMode, TaTimerConfig
 from .scenario import (
+    ATTACHED_ROLES,
+    DEVICE_ROLES,
     BsAlignment,
     BsAlignmentMode,
     DelayDistribution,
@@ -38,12 +42,7 @@ from .timebase import parse_ticks
 SCHEMA_VERSION = 1
 
 _DIST_KEYS = {"dist", "low", "high", "mean", "sigma"}
-
-
-def _mapping(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InvalidConfigError(path, f"expected a mapping, got {type(value).__name__}")
-    return value
+_REQUIRED = object()   # table default of a key that must be present
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
@@ -56,11 +55,50 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
         )
 
 
+class _Section:
+    """One config mapping, read through its table ``{key: (default, parser)}``.
+
+    Construction rejects a non-mapping and unknown keys. ``section[key]``
+    parses one field: a missing key reads as the table's default, and the
+    parser gets the value and the field's full path. Fields are read in the
+    order a section asks for them, so cross-field rules sit between reads.
+    """
+
+    def __init__(self, raw: Any, path: str, table: dict[str, tuple[Any, Callable]]):
+        if not isinstance(raw, dict):
+            raise InvalidConfigError(path, f"expected a mapping, got {type(raw).__name__}")
+        _check_keys(raw, set(table), path)
+        self.raw = raw
+        self.path = path
+        self.table = table
+
+    def __getitem__(self, key: str) -> Any:
+        default, parse = self.table[key]
+        path = f"{self.path}.{key}" if self.path else key
+        if default is _REQUIRED and key not in self.raw:
+            raise InvalidConfigError(path, "required")
+        return parse(self.raw.get(key, default), path)
+
+    def read(self) -> dict[str, Any]:
+        """Every field, parsed in table order."""
+        return {key: self[key] for key in self.table}
+
+
+# --- field parsers: (value, path) -> parsed value ---------------------------------
+
+
 def _time(value: Any, path: str, *, allow_negative: bool = False) -> int:
     try:
         return parse_ticks(value, allow_negative=allow_negative)
-    except ValueError as exc:
+    except (ValueError, TickOverflowError) as exc:
         raise InvalidConfigError(path, str(exc)) from None
+
+
+def _positive_time(value: Any, path: str) -> int:
+    ticks = _time(value, path)
+    if ticks <= 0:
+        raise InvalidConfigError(path, "must be > 0")
+    return ticks
 
 
 def _sigma(value: Any, path: str) -> float:
@@ -92,6 +130,50 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _optional(parse: Callable) -> Callable:
+    """A parser that lets an absent (None) optional field through."""
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _raw(value: Any, path: str) -> Any:
+    return value
+
+
+def _choice(options: dict[str, Any], what: str, *, listed: bool = True) -> Callable:
+    """A parser for one of the named ``options``."""
+
+    def parse(value: Any, path: str) -> Any:
+        if isinstance(value, str) and value in options:
+            return options[value]
+        allowed = f" (allowed: {sorted(options)})" if listed else ""
+        raise InvalidConfigError(path, f"unknown {what} {value!r}{allowed}")
+
+    return parse
+
+
+def _by_value(enum) -> dict[str, Any]:
+    return {member.value: member for member in enum}
+
+
+def _check(ok: Callable[[Any], bool], message: str, convert: Callable = lambda v: v) -> Callable:
+    """A parser that keeps any value ``ok`` accepts, after ``convert``."""
+
+    def parse(value: Any, path: str) -> Any:
+        if not ok(value):
+            raise InvalidConfigError(path, message)
+        return convert(value)
+
+    return parse
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
 # --- clock parameter specs ----------------------------------------------------
 
 
@@ -113,8 +195,12 @@ class ScalarOrDist:
         return rng.uniform(self.low, self.high)
 
 
-def _scalar_or_dist(raw: Any, path: str, parse, *, integer: bool = False) -> ScalarOrDist:
-    if isinstance(raw, dict):
+def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
+    """A parser for a value that may also be given as a uniform range."""
+
+    def parse_field(raw: Any, path: str) -> ScalarOrDist:
+        if not isinstance(raw, dict):
+            return ScalarOrDist(value=parse(raw, path), integer=integer)
         _check_keys(raw, _DIST_KEYS, path)
         kind = raw.get("dist")
         if kind != "uniform":
@@ -126,7 +212,8 @@ def _scalar_or_dist(raw: Any, path: str, parse, *, integer: bool = False) -> Sca
         if high < low:
             raise InvalidConfigError(path, "uniform range needs high >= low")
         return ScalarOrDist(low=low, high=high, uniform=True, integer=integer)
-    return ScalarOrDist(value=parse(raw, path), integer=integer)
+
+    return parse_field
 
 
 @dataclass(frozen=True)
@@ -145,34 +232,51 @@ class ClockSpec:
         )
 
 
-_CLOCK_KEYS = {"theta0", "skew_ppm", "drift_per_s", "stamp_noise"}
+def _phase_offset(value: Any, path: str) -> float:
+    return float(_time(value, path, allow_negative=True))
+
+
+def _ppm(value: Any, path: str) -> float:
+    skew = _number(value, path) * 1e-6
+    if abs(skew) >= MAX_ABS_SKEW:
+        raise InvalidConfigError(path, f"|skew| must stay below {MAX_ABS_SKEW * 1e6:.0f} ppm")
+    return skew
+
+
+_CLOCK = {
+    "theta0": (0, _scalar_or_dist(_phase_offset, integer=True)),
+    "skew_ppm": (0.0, _scalar_or_dist(_ppm)),
+    "drift_per_s": (0.0, _scalar_or_dist(_number)),
+    "stamp_noise": (0, _sigma),
+}
 
 
 def _parse_clock(raw: Any, path: str) -> ClockSpec:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _CLOCK_KEYS, path)
-
-    def time_signed(v, p):
-        return float(_time(v, p, allow_negative=True))
-
-    def ppm(v, p):
-        value = _number(v, p) * 1e-6
-        if abs(value) >= MAX_ABS_SKEW:
-            raise InvalidConfigError(p, f"|skew| must stay below {MAX_ABS_SKEW * 1e6:.0f} ppm")
-        return value
-
-    theta0 = _scalar_or_dist(mapping.get("theta0", 0), f"{path}.theta0", time_signed, integer=True)
-    skew = _scalar_or_dist(mapping.get("skew_ppm", 0.0), f"{path}.skew_ppm", ppm)
-    drift = _scalar_or_dist(mapping.get("drift_per_s", 0.0), f"{path}.drift_per_s", _number)
-    sigma = _sigma(mapping.get("stamp_noise", 0), f"{path}.stamp_noise")
-    return ClockSpec(theta0=theta0, skew_y=skew, drift_a=drift, stamp_noise_sigma=sigma)
+    s = _Section(raw, path, _CLOCK)
+    return ClockSpec(
+        theta0=s["theta0"],
+        skew_y=s["skew_ppm"],
+        drift_a=s["drift_per_s"],
+        stamp_noise_sigma=s["stamp_noise"],
+    )
 
 
-# --- node / link / plan / workload ---------------------------------------------
+_ROLES = _by_value(Role)
+_CLOCK_DEFAULTS = {role: (None, _parse_clock) for role in _ROLES}
+
+
+def _parse_clock_defaults(raw: Any, path: str) -> dict[str, ClockSpec]:
+    s = _Section(raw, path, _CLOCK_DEFAULTS)
+    return {role: s[role] for role in s.raw}  # validated eagerly, in input order
+
+
+# --- nodes ------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class NodeSpec:
+class Node:
+    """One node of the scenario graph; its clock parameters are drawn at build."""
+
     id: str
     role: Role
     position: Optional[tuple[float, float]] = None
@@ -180,212 +284,235 @@ class NodeSpec:
     clock: ClockSpec = ClockSpec()
 
 
-_NODE_KEYS = {"id", "role", "position", "attach_to", "clock"}
-_ROLES = {r.value: r for r in Role}
+def _position(value: Any, path: str) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidConfigError(path, "expected [x, y] in meters")
+    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _parse_node(raw: Any, path: str, defaults: dict[str, Any]) -> NodeSpec:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _NODE_KEYS, path)
-    node_id = mapping.get("id")
-    if not isinstance(node_id, str) or not node_id:
-        raise InvalidConfigError(f"{path}.id", "node id must be a non-empty string")
-    role_raw = mapping.get("role")
-    if role_raw not in _ROLES:
+_NODE = {
+    "id": (None, _check(lambda v: isinstance(v, str) and v != "",
+                        "node id must be a non-empty string")),
+    "role": (None, _choice(_ROLES, "role")),
+    "position": (None, _optional(_position)),
+    "attach_to": (None, _optional(_check(lambda v: isinstance(v, str),
+                                         "expected a node id string"))),
+    "clock": (None, _optional(_parse_clock)),
+}
+
+
+def _parse_node(raw: Any, path: str, default_clocks: dict[str, ClockSpec]) -> Node:
+    fields = _Section(raw, path, _NODE).read()
+    if fields["clock"] is None:
+        fields["clock"] = default_clocks.get(fields["role"].value, ClockSpec())
+    return Node(**fields)
+
+
+def _parse_nodes(raw: Any, path: str, default_clocks: dict[str, ClockSpec]) -> list[Node]:
+    if not isinstance(raw, list) or not raw:
+        raise InvalidConfigError(path, "expected a non-empty list of nodes")
+    return [_parse_node(node, f"{path}[{i}]", default_clocks) for i, node in enumerate(raw)]
+
+
+def _index_nodes(nodes: list[Node]) -> dict[str, Node]:
+    """Nodes by id, once the graph holds together: one reference, and every
+    device attached to a parent of the right role, with the positions
+    propagation needs."""
+    by_id: dict[str, Node] = {}
+    for i, node in enumerate(nodes):
+        if node.id in by_id:
+            raise InvalidConfigError(f"nodes[{i}].id", f"duplicate node id {node.id!r}")
+        by_id[node.id] = node
+
+    references = sum(node.role is Role.REFERENCE for node in nodes)
+    if references != 1:
         raise InvalidConfigError(
-            f"{path}.role", f"unknown role {role_raw!r} (allowed: {sorted(_ROLES)})"
+            "nodes", f"exactly one reference node required, found {references}"
         )
-    role = _ROLES[role_raw]
-    position = None
-    if mapping.get("position") is not None:
-        pos = mapping["position"]
-        if not isinstance(pos, (list, tuple)) or len(pos) != 2:
-            raise InvalidConfigError(f"{path}.position", "expected [x, y] in meters")
-        position = (_number(pos[0], f"{path}.position[0]"), _number(pos[1], f"{path}.position[1]"))
-    attach_to = mapping.get("attach_to")
-    if attach_to is not None and not isinstance(attach_to, str):
-        raise InvalidConfigError(f"{path}.attach_to", "expected a node id string")
-    if mapping.get("clock") is not None:
-        clock_raw = mapping["clock"]
-    else:
-        clock_raw = defaults.get(role_raw, {})
-    return NodeSpec(
-        id=node_id,
-        role=role,
-        position=position,
-        attach_to=attach_to,
-        clock=_parse_clock(clock_raw, f"{path}.clock"),
-    )
+
+    for i, node in enumerate(nodes):
+        path = f"nodes[{i}]"
+        if node.attach_to is None:
+            if node.role in (Role.UE, Role.GATEWAY):
+                raise InvalidConfigError(
+                    f"{path}.attach_to",
+                    f"{node.role.value} {node.id!r} must attach to a base station",
+                )
+            if node.role is Role.LEGACY:
+                raise InvalidConfigError(
+                    f"{path}.attach_to", f"legacy device {node.id!r} must attach to a gateway"
+                )
+        elif node.role in (Role.REFERENCE, Role.BASE_STATION):
+            raise InvalidConfigError(f"{path}.attach_to", f"{node.role.value} nodes do not attach")
+        else:
+            parent = by_id.get(node.attach_to)
+            if parent is None:
+                raise InvalidConfigError(f"{path}.attach_to", f"unknown node {node.attach_to!r}")
+            wanted = Role.GATEWAY if node.role is Role.LEGACY else Role.BASE_STATION
+            if parent.role is not wanted:
+                raise InvalidConfigError(
+                    f"{path}.attach_to",
+                    f"{node.role.value} must attach to a {wanted.value}, "
+                    f"{node.attach_to!r} is a {parent.role.value}",
+                )
+        # an unattached PMU is its own timing source and needs no position
+        attached = node.role in ATTACHED_ROLES and node.attach_to is not None
+        if (node.role is Role.BASE_STATION or attached) and node.position is None:
+            raise InvalidConfigError(
+                f"{path}.position", f"{node.role.value} {node.id!r} needs a position"
+            )
+    return by_id
+
+
+# --- link / plan / workload / fault probe -------------------------------------------
+
+
+_DELAY = {
+    "dist": ("none", _choice({k: k for k in ("none", "uniform", "normal")},
+                             "distribution", listed=False)),
+    "low": (0, _time),
+    "high": (0, _time),
+    "mean": (0, _sigma),
+    "sigma": (0, _sigma),
+}
 
 
 def _parse_delay_dist(raw: Any, path: str) -> DelayDistribution:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _DIST_KEYS, path)
-    kind = mapping.get("dist", "none")
-    if kind == "none":
-        return DelayDistribution()
+    s = _Section(raw, path, _DELAY)
+    kind = s["dist"]
     if kind == "uniform":
-        return DelayDistribution(
-            kind="uniform",
-            low=_time(mapping.get("low", 0), f"{path}.low"),
-            high=_time(mapping.get("high", 0), f"{path}.high"),
-        )
+        low, high = s["low"], s["high"]
+        if high < low:
+            raise InvalidConfigError(path, "uniform range needs high >= low")
+        return DelayDistribution(kind, low=low, high=high)
     if kind == "normal":
-        return DelayDistribution(
-            kind="normal",
-            mean=_sigma(mapping.get("mean", 0), f"{path}.mean"),
-            sigma=_sigma(mapping.get("sigma", 0), f"{path}.sigma"),
-        )
-    raise InvalidConfigError(f"{path}.dist", f"unknown distribution {kind!r}")
+        return DelayDistribution(kind, mean=s["mean"], sigma=s["sigma"])
+    return DelayDistribution()
 
 
-_LINK_KEYS = {"extra_delay", "loss_prob"}
+_LINK = {
+    "extra_delay": ({"dist": "none"}, _parse_delay_dist),
+    "loss_prob": (0.0, _probability),
+}
 
 
 def _parse_link(raw: Any, path: str) -> LinkModel:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _LINK_KEYS, path)
-    extra = _parse_delay_dist(mapping.get("extra_delay", {"dist": "none"}), f"{path}.extra_delay")
-    return LinkModel(extra_delay=extra, loss_prob=_probability(mapping.get("loss_prob", 0.0), f"{path}.loss_prob"))
+    return LinkModel(**_Section(raw, path, _LINK).read())
 
 
-_SIB_KEYS = {"granularity", "periodicity", "si_window", "stamp_mode"}
-_STAMP_MODES = {m.value: m for m in StampMode}
+_SIB = {
+    "stamp_mode": (StampMode.AT_TRANSMIT.value, _choice(_by_value(StampMode), "mode")),
+    "granularity": ("10 ms", _time),
+    "periodicity": ("80 ms", _time),
+    "si_window": ("40 ms", _time),
+}
 
 
 def _parse_sib(raw: Any, path: str) -> SibConfig:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _SIB_KEYS, path)
-    mode_raw = mapping.get("stamp_mode", StampMode.AT_TRANSMIT.value)
-    if mode_raw not in _STAMP_MODES:
-        raise InvalidConfigError(
-            f"{path}.stamp_mode", f"unknown mode {mode_raw!r} (allowed: {sorted(_STAMP_MODES)})"
-        )
+    fields = _Section(raw, path, _SIB).read()
     try:
-        return SibConfig(
-            granularity=_time(mapping.get("granularity", "10 ms"), f"{path}.granularity"),
-            periodicity=_time(mapping.get("periodicity", "80 ms"), f"{path}.periodicity"),
-            si_window=_time(mapping.get("si_window", "40 ms"), f"{path}.si_window"),
-            stamp_mode=_STAMP_MODES[mode_raw],
-        )
+        return SibConfig(**fields)
     except ValueError as exc:
         raise InvalidConfigError(path, str(exc)) from None
 
 
-_ALIGN_KEYS = {"mode", "error", "ribs_mode", "realign_period"}
-_ALIGN_MODES = {m.value: m for m in BsAlignmentMode}
-_RIBS_MODES = {m.value: m for m in RibsMode}
+_ALIGN = {
+    "mode": ("perfect", _choice(_by_value(BsAlignmentMode), "mode", listed=False)),
+    "error": (0, lambda value, path: _time(value, path, allow_negative=True)),
+    "ribs_mode": ("two_way", _choice(_by_value(RibsMode), "RIBS mode", listed=False)),
+    "realign_period": (None, _optional(_time)),
+}
 
 
 def _parse_alignment(raw: Any, path: str) -> BsAlignment:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _ALIGN_KEYS, path)
-    mode_raw = mapping.get("mode", "perfect")
-    if mode_raw not in _ALIGN_MODES:
-        raise InvalidConfigError(f"{path}.mode", f"unknown mode {mode_raw!r}")
-    mode = _ALIGN_MODES[mode_raw]
-    error = _time(mapping.get("error", 0), f"{path}.error", allow_negative=True)
-    ribs_mode = None
-    if mode is BsAlignmentMode.RIBS:
-        ribs_raw = mapping.get("ribs_mode", "two_way")
-        if ribs_raw not in _RIBS_MODES:
-            raise InvalidConfigError(f"{path}.ribs_mode", f"unknown RIBS mode {ribs_raw!r}")
-        ribs_mode = _RIBS_MODES[ribs_raw]
-    realign = mapping.get("realign_period")
-    realign_period = _time(realign, f"{path}.realign_period") if realign is not None else None
-    return BsAlignment(mode=mode, error=error, ribs_mode=ribs_mode, realign_period=realign_period)
+    s = _Section(raw, path, _ALIGN)
+    mode = s["mode"]
+    return BsAlignment(
+        mode=mode,
+        error=s["error"],
+        ribs_mode=s["ribs_mode"] if mode is BsAlignmentMode.RIBS else None,
+        realign_period=s["realign_period"],
+    )
 
 
-_PLAN_KEYS = {
-    "enabler", "resync_period", "ta_timer_ms", "ta_noise_sigma",
-    "ta_wrong_bin_prob", "sib", "bs_alignment", "gw_relay_sigma",
+def _ta_timer(value: Any, path: str) -> TaTimerConfig:
+    try:
+        return TaTimerConfig(period_ms=value)
+    except (ValueError, TypeError) as exc:
+        raise InvalidConfigError(path, str(exc)) from None
+
+
+_PLAN = {
+    "enabler": (Enabler.TA_SIB16.value, _choice(_by_value(Enabler), "enabler")),
+    "ta_timer_ms": (10240, _ta_timer),
+    "resync_period": ("80 ms", _positive_time),
+    "ta_noise_sigma": (0, _sigma),
+    "ta_wrong_bin_prob": (0.0, _probability),
+    "sib": ({}, _parse_sib),
+    "bs_alignment": ({}, _parse_alignment),
+    "gw_relay_sigma": (0, _sigma),
 }
-_ENABLERS = {e.value: e for e in Enabler}
 
 
 def _parse_plan(raw: Any, path: str) -> SyncPlan:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _PLAN_KEYS, path)
-    enabler_raw = mapping.get("enabler", Enabler.TA_SIB16.value)
-    if enabler_raw not in _ENABLERS:
-        raise InvalidConfigError(
-            f"{path}.enabler", f"unknown enabler {enabler_raw!r} (allowed: {sorted(_ENABLERS)})"
-        )
-    timer_raw = mapping.get("ta_timer_ms", 10240)
-    try:
-        ta_timer = TaTimerConfig(period_ms=timer_raw)
-    except (ValueError, TypeError) as exc:
-        raise InvalidConfigError(f"{path}.ta_timer_ms", str(exc)) from None
-    resync = _time(mapping.get("resync_period", "80 ms"), f"{path}.resync_period")
-    if resync <= 0:
-        raise InvalidConfigError(f"{path}.resync_period", "must be > 0")
-    return SyncPlan(
-        enabler=_ENABLERS[enabler_raw],
-        resync_period=resync,
-        ta_timer=ta_timer,
-        ta_noise_sigma=_sigma(mapping.get("ta_noise_sigma", 0), f"{path}.ta_noise_sigma"),
-        ta_wrong_bin_prob=_probability(mapping.get("ta_wrong_bin_prob", 0.0), f"{path}.ta_wrong_bin_prob"),
-        sib=_parse_sib(mapping.get("sib", {}), f"{path}.sib"),
-        bs_alignment=_parse_alignment(mapping.get("bs_alignment", {}), f"{path}.bs_alignment"),
-        gw_relay_sigma=_sigma(mapping.get("gw_relay_sigma", 0), f"{path}.gw_relay_sigma"),
-    )
+    fields = _Section(raw, path, _PLAN).read()
+    fields["ta_timer"] = fields.pop("ta_timer_ms")
+    return SyncPlan(**fields)
 
 
-_WORKLOAD_KEYS = {"command_period", "targets", "grid_phase", "phase_mode"}
+_WORKLOAD = {
+    "command_period": ("1 ms", _positive_time),
+    "targets": (None, _check(
+        lambda v: _str_list(v) and v != [], "expected a non-empty list of node ids", tuple
+    )),
+    "phase_mode": ("median", _check(lambda v: v in ("median", "fixed"),
+                                    "must be 'median' or 'fixed'")),
+    "grid_phase": (0, _time),
+}
 
 
 def _parse_workload(raw: Any, path: str) -> Workload:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _WORKLOAD_KEYS, path)
-    period = _time(mapping.get("command_period", "1 ms"), f"{path}.command_period")
-    if period <= 0:
-        raise InvalidConfigError(f"{path}.command_period", "must be > 0")
-    targets = mapping.get("targets")
-    if not isinstance(targets, list) or not targets or not all(isinstance(t, str) for t in targets):
-        raise InvalidConfigError(f"{path}.targets", "expected a non-empty list of node ids")
-    phase_mode = mapping.get("phase_mode", "median")
-    if phase_mode not in ("median", "fixed"):
-        raise InvalidConfigError(f"{path}.phase_mode", "must be 'median' or 'fixed'")
-    return Workload(
-        command_period=period,
-        targets=tuple(targets),
-        grid_phase=_time(mapping.get("grid_phase", 0), f"{path}.grid_phase"),
-        phase_mode=phase_mode,
-    )
+    return Workload(**_Section(raw, path, _WORKLOAD).read())
 
 
-_PROBE_KEYS = {
-    "line_length_m", "fault_position_m", "wave_speed_mps",
-    "sync_error_bound", "at", "pmu",
+_PROBE = {
+    "line_length_m": (None, _number),
+    "fault_position_m": (None, _number),
+    "wave_speed_mps": (3.0e8, _number),
+    "sync_error_bound": (None, _optional(_time)),
+    "at": (None, _optional(_time)),
+    "pmu": (None, _optional(
+        _check(lambda v: _str_list(v) and len(v) == 2, "expected exactly two PMU node ids", tuple)
+    )),
 }
 
 
 def _parse_probe(raw: Any, path: str) -> FaultProbe:
-    mapping = _mapping(raw, path)
-    _check_keys(mapping, _PROBE_KEYS, path)
-    length = _number(mapping.get("line_length_m"), f"{path}.line_length_m")
-    position = _number(mapping.get("fault_position_m"), f"{path}.fault_position_m")
-    speed = _number(mapping.get("wave_speed_mps", 3.0e8), f"{path}.wave_speed_mps")
+    s = _Section(raw, path, _PROBE)
+    length, position, speed = s["line_length_m"], s["fault_position_m"], s["wave_speed_mps"]
     if length <= 0 or speed <= 0 or not 0 <= position <= length:
-        raise InvalidConfigError(path, "need 0 <= fault_position_m <= line_length_m and positive speed")
-    bound_raw = mapping.get("sync_error_bound")
-    bound = _time(bound_raw, f"{path}.sync_error_bound") if bound_raw is not None else None
-    at_raw = mapping.get("at")
-    at = _time(at_raw, f"{path}.at") if at_raw is not None else None
-    pmu = mapping.get("pmu")
-    pmu_ids = None
-    if pmu is not None:
-        if not isinstance(pmu, list) or len(pmu) != 2 or not all(isinstance(p, str) for p in pmu):
-            raise InvalidConfigError(f"{path}.pmu", "expected exactly two PMU node ids")
-        pmu_ids = (pmu[0], pmu[1])
+        raise InvalidConfigError(
+            path, "need 0 <= fault_position_m <= line_length_m and positive speed"
+        )
     return FaultProbe(
         line_length_m=length,
         fault_position_m=position,
         wave_speed_mps=speed,
-        sync_error_bound=bound,
-        at=at,
-        pmu_ids=pmu_ids,
+        sync_error_bound=s["sync_error_bound"],
+        at=s["at"],
+        pmu_ids=s["pmu"],
     )
+
+
+def _resolve_pmus(probe: FaultProbe, nodes: dict[str, Node]) -> FaultProbe:
+    """The probe with its two PMUs named: as given, else the graph's only two."""
+    pmu_ids = probe.pmu_ids or tuple(n.id for n in nodes.values() if n.role is Role.PMU)
+    if len(pmu_ids) != 2:
+        raise InvalidConfigError("fault_probe", f"need exactly two PMU nodes, found {len(pmu_ids)}")
+    for pmu in pmu_ids:
+        if pmu not in nodes or nodes[pmu].role is not Role.PMU:
+            raise InvalidConfigError("fault_probe.pmu", f"{pmu!r} is not a PMU node")
+    return replace(probe, pmu_ids=pmu_ids)
 
 
 # --- top level ------------------------------------------------------------------
@@ -393,7 +520,9 @@ def _parse_probe(raw: Any, path: str) -> FaultProbe:
 
 @dataclass
 class ScenarioConfig:
-    nodes: list[NodeSpec]
+    """A validated scenario: everything a run needs except the drawn clocks."""
+
+    nodes: dict[str, Node]
     link: LinkModel
     sync_plan: SyncPlan
     workload: Optional[Workload]
@@ -405,92 +534,89 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-_TOP_KEYS = {
-    "schema_version", "seed", "duration", "sampling_grid", "nodes",
-    "clock_defaults", "link", "sync_plan", "workload", "presets", "fault_probe",
-}
+def _schema_version(value: Any, path: str) -> int:
+    if value != SCHEMA_VERSION:
+        raise InvalidConfigError(path, f"expected {SCHEMA_VERSION}, got {value!r}")
+    return value
 
-_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "sampling_grid": "1 ms",
-    "clock_defaults": {},
-    "link": {},
-    "sync_plan": {},
-    "workload": None,
-    "presets": [],
-    "fault_probe": None,
+
+def _seed(value: Any, path: str) -> int:
+    if not _is_int(value):
+        raise InvalidConfigError(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _presets(value: Any, path: str) -> list[RequirementPreset]:
+    if not isinstance(value, list):
+        raise InvalidConfigError(path, "expected a list of preset names")
+    for i, name in enumerate(value):
+        if not isinstance(name, str) or name not in BUILTIN_PRESETS:
+            raise InvalidConfigError(
+                f"{path}[{i}]", f"unknown preset {name!r} (see 'airsync presets')"
+            )
+    return [BUILTIN_PRESETS[name] for name in value]
+
+
+_TOP = {
+    "schema_version": (None, _schema_version),
+    "duration": (_REQUIRED, _positive_time),
+    "sampling_grid": ("1 ms", _positive_time),
+    "seed": (0, _seed),
+    "clock_defaults": ({}, _parse_clock_defaults),
+    "nodes": (None, _raw),
+    "presets": ([], _presets),
+    "workload": (None, _optional(_parse_workload)),
+    "fault_probe": (None, _optional(_parse_probe)),
+    "link": ({}, _parse_link),
+    "sync_plan": ({}, _parse_plan),
 }
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw mapping into a ScenarioConfig (strict, path-diagnosed)."""
-    mapping = _mapping(raw, "")
-    _check_keys(mapping, _TOP_KEYS, "")
-    if mapping.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidConfigError(
-            "schema_version", f"expected {SCHEMA_VERSION}, got {mapping.get('schema_version')!r}"
-        )
-    resolved = copy.deepcopy(mapping)
-    for key, default in _DEFAULTS.items():
-        resolved.setdefault(key, copy.deepcopy(default))
+    """Validate a raw mapping into a ScenarioConfig (strict, path-diagnosed).
 
-    if "duration" not in resolved:
-        raise InvalidConfigError("duration", "required")
-    duration = _time(resolved["duration"], "duration")
-    if duration <= 0:
-        raise InvalidConfigError("duration", "must be > 0")
-    sampling = _time(resolved["sampling_grid"], "sampling_grid")
-    if sampling <= 0:
-        raise InvalidConfigError("sampling_grid", "must be > 0")
-    seed = resolved["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidConfigError("seed", f"expected an integer, got {seed!r}")
+    This is the only place a config is checked: field rules first, then the
+    rules of the node graph, each naming the offending field path.
+    """
+    top = _Section(copy.deepcopy(raw), "", _TOP)
+    top["schema_version"]
+    # reports embed this resolved mapping: the input plus top-level defaults
+    for key, (default, _parse) in _TOP.items():
+        if default is not _REQUIRED:
+            top.raw.setdefault(key, copy.deepcopy(default))
 
-    defaults_raw = _mapping(resolved["clock_defaults"], "clock_defaults")
-    _check_keys(defaults_raw, set(_ROLES), "clock_defaults")
-    for role_key, clock_raw in defaults_raw.items():
-        _parse_clock(clock_raw, f"clock_defaults.{role_key}")  # validate eagerly
+    duration = top["duration"]
+    sampling_grid = top["sampling_grid"]
+    seed = top["seed"]
+    default_clocks = top["clock_defaults"]
+    nodes = _parse_nodes(top["nodes"], "nodes", default_clocks)
+    presets = top["presets"]
+    workload = top["workload"]
+    fault_probe = top["fault_probe"]
+    if fault_probe is not None and fault_probe.at is not None and fault_probe.at > duration:
+        raise InvalidConfigError("fault_probe.at", "must be within the run duration")
+    link = top["link"]
+    sync_plan = top["sync_plan"]
 
-    nodes_raw = resolved.get("nodes")
-    if not isinstance(nodes_raw, list) or not nodes_raw:
-        raise InvalidConfigError("nodes", "expected a non-empty list of nodes")
-    nodes = [
-        _parse_node(node_raw, f"nodes[{i}]", defaults_raw)
-        for i, node_raw in enumerate(nodes_raw)
-    ]
-
-    presets_raw = resolved["presets"]
-    if not isinstance(presets_raw, list):
-        raise InvalidConfigError("presets", "expected a list of preset names")
-    presets = []
-    for i, name in enumerate(presets_raw):
-        if name not in BUILTIN_PRESETS:
-            raise InvalidConfigError(
-                f"presets[{i}]", f"unknown preset {name!r} (see 'airsync presets')"
-            )
-        presets.append(BUILTIN_PRESETS[name])
-
-    workload = None
-    if resolved["workload"] is not None:
-        workload = _parse_workload(resolved["workload"], "workload")
-
-    fault_probe = None
-    if resolved["fault_probe"] is not None:
-        fault_probe = _parse_probe(resolved["fault_probe"], "fault_probe")
-        if fault_probe.at is not None and fault_probe.at > duration:
-            raise InvalidConfigError("fault_probe.at", "must be within the run duration")
+    by_id = _index_nodes(nodes)
+    if workload is not None:
+        for target in workload.targets:
+            if target not in by_id or by_id[target].role not in DEVICE_ROLES:
+                raise InvalidConfigError("workload.targets", f"{target!r} is not a device node")
+    if fault_probe is not None:
+        fault_probe = _resolve_pmus(fault_probe, by_id)
 
     return ScenarioConfig(
-        nodes=nodes,
-        link=_parse_link(resolved["link"], "link"),
-        sync_plan=_parse_plan(resolved["sync_plan"], "sync_plan"),
+        nodes=by_id,
+        link=link,
+        sync_plan=sync_plan,
         workload=workload,
         presets=presets,
         duration=duration,
-        sampling_grid=sampling,
+        sampling_grid=sampling_grid,
         seed=seed,
         fault_probe=fault_probe,
-        raw=resolved,
+        raw=top.raw,
     )
 
 
@@ -560,23 +686,24 @@ class SweepSpec:
     repetitions: int = 1
 
 
-_SWEEP_KEYS = {"path", "values", "repetitions"}
+def _sweep_path(value: Any, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise InvalidConfigError(path, "required parameter path string")
+    _split_path(value)
+    return value
+
+
+_SWEEP = {
+    "path": (None, _sweep_path),
+    "values": (None, _check(
+        lambda v: isinstance(v, list) and v != [], "expected a non-empty list of values", tuple
+    )),
+    "repetitions": (1, _check(lambda v: _is_int(v) and v >= 1, "expected an integer >= 1")),
+}
 
 
 def parse_sweep_spec(raw: Any) -> SweepSpec:
-    mapping = _mapping(raw, "sweep")
-    _check_keys(mapping, _SWEEP_KEYS, "sweep")
-    path = mapping.get("path")
-    if not isinstance(path, str) or not path:
-        raise InvalidConfigError("sweep.path", "required parameter path string")
-    _split_path(path)
-    values = mapping.get("values")
-    if not isinstance(values, list) or not values:
-        raise InvalidConfigError("sweep.values", "expected a non-empty list of values")
-    reps = mapping.get("repetitions", 1)
-    if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
-        raise InvalidConfigError("sweep.repetitions", "expected an integer >= 1")
-    return SweepSpec(path=path, values=tuple(values), repetitions=reps)
+    return SweepSpec(**_Section(raw, "sweep", _SWEEP).read())
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:

@@ -23,9 +23,7 @@ from .timebase import UINT64_MAX
 class Event:
     """A scheduled occurrence on the simulated timeline.
 
-    ``sequence`` is assigned by the scheduler and doubles as the event id;
-    ``cancelled`` is a tombstone flag (cancelled events are skipped, not
-    removed from the queue).
+    ``sequence`` is assigned by the scheduler and doubles as the event id.
     """
 
     fire_at: int
@@ -34,18 +32,15 @@ class Event:
     callback: Optional[Callable[["Simulator", "Event"], None]] = None
     payload: Any = None
     sequence: int = -1
-    cancelled: bool = False
 
 
 class Simulator:
     """Event loop with FIFO tie-breaking and a monotone integer clock."""
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self._now = 0
         self._next_seq = 0
         self._heap: list[tuple[int, int, Event]] = []
-        self._events: dict[int, Event] = {}
-        self.trace: list[tuple[int, int, str, str]] | None = [] if trace else None
 
     @property
     def now(self) -> int:
@@ -61,7 +56,6 @@ class Simulator:
         event.sequence = self._next_seq
         self._next_seq += 1
         heapq.heappush(self._heap, (event.fire_at, event.sequence, event))
-        self._events[event.sequence] = event
         return event.sequence
 
     def at(
@@ -77,24 +71,14 @@ class Simulator:
             Event(fire_at=fire_at, target=target, kind=kind, callback=callback, payload=payload)
         )
 
-    def cancel(self, event_id: int) -> None:
-        event = self._events.get(event_id)
-        if event is not None:
-            event.cancelled = True
-
     def run_until(self, t_end: int) -> int:
         """Dispatch every event with fire_at <= t_end; leaves now() at t_end."""
         if t_end < self._now:
             raise PastEventError(f"t_end {t_end} is before now {self._now}")
         dispatched = 0
         while self._heap and self._heap[0][0] <= t_end:
-            fire_at, seq, event = heapq.heappop(self._heap)
-            self._events.pop(seq, None)
-            if event.cancelled:
-                continue
+            fire_at, _seq, event = heapq.heappop(self._heap)
             self._now = fire_at
-            if self.trace is not None:
-                self.trace.append((fire_at, seq, event.kind, event.target))
             if event.callback is not None:
                 event.callback(self, event)
             dispatched += 1
@@ -102,10 +86,14 @@ class Simulator:
         return dispatched
 
 
+def _label_digest(root_seed: int, label: str) -> bytes:
+    """SHA-256 of "root_seed/label": the source of every derived seed."""
+    return hashlib.sha256(f"{root_seed}/{label}".encode()).digest()
+
+
 def derive_seed(root_seed: int, label: str) -> int:
     """Stable 64-bit sub-seed for (root_seed, label), platform independent."""
-    digest = hashlib.sha256(f"{root_seed}/{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "little")
+    return int.from_bytes(_label_digest(root_seed, label)[:8], "little")
 
 
 @dataclass
@@ -121,7 +109,7 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        digest = hashlib.sha256(f"{self.root_seed}/{self.label}".encode()).digest()
+        digest = _label_digest(self.root_seed, self.label)
         words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
         self._gen = np.random.default_rng(np.random.SeedSequence(words))
 

@@ -1,9 +1,11 @@
 """Scenario assembly and execution.
 
-Builds node graphs (reference source, base stations, UEs, gateways, legacy
-devices, PMUs), wires link models and synchronization plans, and drives the
-event loop: inter-BS alignment, periodic per-device OTA sync, gateway relay
-into the wired domain, isochronous command deliveries, and offset sampling.
+A validated config (config.py) already holds the node graph (reference
+source, base stations, UEs, gateways, legacy devices, PMUs), the link model
+and the synchronization plan. Building a scenario only draws each node's
+initial clock; running it drives the event loop: inter-BS alignment,
+periodic per-device OTA sync, gateway relay into the wired domain,
+isochronous command deliveries, and offset sampling.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .clocks import ClockState, apply_offset_correction, clock_error, stamp
 from .engine import Event, RngStream, Simulator, derive_stream
-from .errors import InvalidConfigError, InvalidGeometryError
+from .errors import InvalidGeometryError
 from .protocols import (
     RibsMode,
     SibConfig,
@@ -33,7 +35,7 @@ from .protocols import (
 from .timebase import TA_STEP_TICKS, TICKS_PER_MS, TICKS_PER_SECOND, propagation_ticks
 
 if TYPE_CHECKING:
-    from .config import ScenarioConfig
+    from .config import Node, ScenarioConfig
 
 
 class Role(Enum):
@@ -49,15 +51,6 @@ DEVICE_ROLES = (Role.UE, Role.GATEWAY, Role.LEGACY, Role.PMU)
 ATTACHED_ROLES = (Role.UE, Role.GATEWAY, Role.PMU)
 
 
-@dataclass
-class Node:
-    id: str
-    role: Role
-    position: Optional[tuple[float, float]] = None
-    attach_to: Optional[str] = None
-    clock: ClockState = field(default_factory=ClockState)
-
-
 @dataclass(frozen=True)
 class DelayDistribution:
     """Extra (scheduling/queueing) delay on top of propagation, in ticks."""
@@ -67,12 +60,6 @@ class DelayDistribution:
     high: int = 0
     mean: float = 0.0
     sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "uniform", "normal"):
-            raise ValueError(f"unknown delay distribution {self.kind!r}")
-        if self.kind == "uniform" and self.high < self.low:
-            raise ValueError("uniform delay needs high >= low")
 
     def draw(self, rng: RngStream) -> int:
         if self.kind == "none":
@@ -86,10 +73,6 @@ class DelayDistribution:
 class LinkModel:
     extra_delay: DelayDistribution = DelayDistribution()
     loss_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError("loss_prob must be in [0, 1]")
 
 
 class Enabler(Enum):
@@ -124,10 +107,6 @@ class SyncPlan:
     gw_relay_sigma: float = 0.0
     turnaround: int = TICKS_PER_MS
 
-    def __post_init__(self):
-        if self.resync_period <= 0:
-            raise ValueError("resync_period must be > 0")
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -137,12 +116,6 @@ class Workload:
     targets: tuple[str, ...]
     grid_phase: int = 0
     phase_mode: str = "median"   # median | fixed
-
-    def __post_init__(self):
-        if self.command_period <= 0:
-            raise ValueError("command_period must be > 0")
-        if self.phase_mode not in ("median", "fixed"):
-            raise ValueError("phase_mode must be 'median' or 'fixed'")
 
 
 @dataclass(frozen=True)
@@ -157,13 +130,12 @@ class FaultProbe:
 
 @dataclass
 class Scenario:
-    nodes: dict[str, Node]
-    link: LinkModel
-    plan: SyncPlan
-    workload: Optional[Workload]
-    sampling_grid: int
+    """A validated config plus what building adds: the root seed and each
+    node's initial clock state."""
+
+    config: "ScenarioConfig"
     seed: int
-    fault_probe: Optional[FaultProbe] = None
+    clocks: dict[str, ClockState]
 
 
 # --- trace records -----------------------------------------------------------
@@ -230,96 +202,17 @@ def link_propagation(a: Node, b: Node) -> int:
 
 
 def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) -> Scenario:
-    """Instantiate the node graph; clock parameters are drawn once, here.
+    """Draw every node's clock parameters, once, from its labeled stream.
 
-    Construction is pure: the same (config, seed) always produces an
-    identical initial state.
+    The config is already validated, graph included. Construction is pure:
+    the same (config, seed) always produces an identical initial state.
     """
     seed = config.seed if root_seed is None else root_seed
-    nodes: dict[str, Node] = {}
-    for i, spec in enumerate(config.nodes):
-        path = f"nodes[{i}]"
-        if spec.id in nodes:
-            raise InvalidConfigError(f"{path}.id", f"duplicate node id {spec.id!r}")
-        params = spec.clock.draw(derive_stream(seed, f"init/{spec.id}"))
-        nodes[spec.id] = Node(
-            id=spec.id,
-            role=spec.role,
-            position=spec.position,
-            attach_to=spec.attach_to,
-            clock=ClockState(params=params),
-        )
-
-    references = [n for n in nodes.values() if n.role is Role.REFERENCE]
-    if len(references) != 1:
-        raise InvalidConfigError(
-            "nodes", f"exactly one reference node required, found {len(references)}"
-        )
-
-    index = {node_id: i for i, node_id in enumerate(nodes)}
-    for node in nodes.values():
-        path = f"nodes[{index[node.id]}]"
-        if node.role in (Role.UE, Role.GATEWAY):
-            if node.attach_to is None:
-                raise InvalidConfigError(
-                    f"{path}.attach_to", f"{node.role.value} {node.id!r} must attach to a base station"
-                )
-        if node.role is Role.LEGACY and node.attach_to is None:
-            raise InvalidConfigError(
-                f"{path}.attach_to", f"legacy device {node.id!r} must attach to a gateway"
-            )
-        if node.role in (Role.REFERENCE, Role.BASE_STATION) and node.attach_to is not None:
-            raise InvalidConfigError(
-                f"{path}.attach_to", f"{node.role.value} nodes do not attach"
-            )
-        if node.attach_to is not None:
-            parent = nodes.get(node.attach_to)
-            if parent is None:
-                raise InvalidConfigError(
-                    f"{path}.attach_to", f"unknown node {node.attach_to!r}"
-                )
-            wanted = Role.GATEWAY if node.role is Role.LEGACY else Role.BASE_STATION
-            if parent.role is not wanted:
-                raise InvalidConfigError(
-                    f"{path}.attach_to",
-                    f"{node.role.value} must attach to a {wanted.value}, "
-                    f"{node.attach_to!r} is a {parent.role.value}",
-                )
-        if node.role in (Role.BASE_STATION,) + ATTACHED_ROLES and node.position is None:
-            if not (node.role is Role.PMU and node.attach_to is None):
-                raise InvalidConfigError(
-                    f"{path}.position", f"{node.role.value} {node.id!r} needs a position"
-                )
-
-    if config.workload is not None:
-        for target in config.workload.targets:
-            if target not in nodes or nodes[target].role not in DEVICE_ROLES:
-                raise InvalidConfigError(
-                    "workload.targets", f"{target!r} is not a device node"
-                )
-
-    if config.fault_probe is not None:
-        probe = config.fault_probe
-        pmu_ids = probe.pmu_ids or tuple(
-            n.id for n in nodes.values() if n.role is Role.PMU
-        )
-        if len(pmu_ids) != 2:
-            raise InvalidConfigError(
-                "fault_probe", f"need exactly two PMU nodes, found {len(pmu_ids)}"
-            )
-        for pmu in pmu_ids:
-            if pmu not in nodes or nodes[pmu].role is not Role.PMU:
-                raise InvalidConfigError("fault_probe.pmu", f"{pmu!r} is not a PMU node")
-
-    return Scenario(
-        nodes=nodes,
-        link=config.link,
-        plan=config.sync_plan,
-        workload=config.workload,
-        sampling_grid=config.sampling_grid,
-        seed=seed,
-        fault_probe=config.fault_probe,
-    )
+    clocks = {
+        node_id: ClockState(params=node.clock.draw(derive_stream(seed, f"init/{node_id}")))
+        for node_id, node in config.nodes.items()
+    }
+    return Scenario(config=config, seed=seed, clocks=clocks)
 
 
 # --- execution -------------------------------------------------------------------
@@ -329,24 +222,22 @@ class _Runner:
     """One scenario run; owns mutable clock/TA state and the trace."""
 
     def __init__(self, scenario: Scenario, duration: int, root_seed: int):
-        self.scenario = scenario
+        self.config = scenario.config
         self.duration = duration
         self.seed = root_seed
         self.sim = Simulator()
-        self.plan = scenario.plan
-        self.nodes = scenario.nodes
-        self.clocks: dict[str, ClockState] = {
-            node_id: node.clock for node_id, node in scenario.nodes.items()
-        }
+        self.plan = self.config.sync_plan
+        self.nodes = self.config.nodes
+        self.clocks: dict[str, ClockState] = dict(scenario.clocks)
         self.ta_index: dict[str, Optional[int]] = {}
-        self.trace = RawTrace(roles={n.id: n.role for n in scenario.nodes.values()})
-        self.base_stations = [n.id for n in scenario.nodes.values() if n.role is Role.BASE_STATION]
+        self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
+        self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
-        for node in scenario.nodes.values():
+        for node in self.nodes.values():
             if node.role in ATTACHED_ROLES and node.attach_to in self.attached:
                 self.attached[node.attach_to].append(node.id)
         self.gw_children: dict[str, list[str]] = {}
-        for node in scenario.nodes.values():
+        for node in self.nodes.values():
             if node.role is Role.LEGACY:
                 self.gw_children.setdefault(node.attach_to, []).append(node.id)
         self.prop_cache: dict[tuple[str, str], int] = {}
@@ -448,7 +339,7 @@ class _Runner:
         bs = event.target
         round_no = event.payload
         for device in self.attached[bs]:
-            if self.scenario.link.loss_prob > 0 and self.loss_rng[device].random() < self.scenario.link.loss_prob:
+            if self.config.link.loss_prob > 0 and self.loss_rng[device].random() < self.config.link.loss_prob:
                 self.trace.lost_sync += 1
                 continue
             if self.plan.enabler is Enabler.TA_SIB16:
@@ -486,8 +377,8 @@ class _Runner:
         if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
             # dynamically scheduled signaling: an independent queueing draw in
             # each direction, which is exactly what makes the path asymmetric
-            delay_forward = prop + self.scenario.link.extra_delay.draw(rng)
-            delay_back = prop + self.scenario.link.extra_delay.draw(rng)
+            delay_forward = prop + self.config.link.extra_delay.draw(rng)
+            delay_back = prop + self.config.link.extra_delay.draw(rng)
         else:
             delay_forward = delay_back = prop
         record = twoway_exchange(
@@ -529,7 +420,7 @@ class _Runner:
             self.trace.samples.append(
                 OffsetSample(sim.now, node_id, clock_error(self.clocks[node_id], sim.now))
             )
-        next_at = sim.now + self.scenario.sampling_grid
+        next_at = sim.now + self.config.sampling_grid
         if next_at <= self.duration:
             sim.at(next_at, self.sample_offsets, kind="sample")
 
@@ -542,10 +433,8 @@ class _Runner:
         )
 
     def run_fault_probe(self, sim: Simulator, _event: Event) -> None:
-        probe = self.scenario.fault_probe
-        pmu_a, pmu_b = probe.pmu_ids or tuple(
-            n.id for n in self.nodes.values() if n.role is Role.PMU
-        )[:2]
+        probe = self.config.fault_probe
+        pmu_a, pmu_b = probe.pmu_ids
         stamp_a, stamp_b = fault_wave_stamps(
             self.clocks[pmu_a], self.clocks[pmu_b],
             probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps,
@@ -572,7 +461,7 @@ class _Runner:
                 sim.at(period, self.refresh_ta, kind="ta_refresh", target=device)
         sim.at(0, self.sample_offsets, kind="sample")
 
-        workload = self.scenario.workload
+        workload = self.config.workload
         if workload is not None:
             for target in workload.targets:
                 self.delivery_stamp_rng[target] = self.stream(f"delivery_stamp/{target}")
@@ -584,14 +473,14 @@ class _Runner:
                     grid_point = workload.grid_phase + k * workload.command_period
                     if grid_point > self.duration:
                         break
-                    arrival = grid_point + prop + self.scenario.link.extra_delay.draw(extra_rng)
+                    arrival = grid_point + prop + self.config.link.extra_delay.draw(extra_rng)
                     if arrival <= self.duration:
                         sim.at(arrival, self.deliver_command, kind="delivery",
                                target=target, payload=(k, grid_point))
                     k += 1
 
-        if self.scenario.fault_probe is not None:
-            probe_at = self.scenario.fault_probe.at
+        if self.config.fault_probe is not None:
+            probe_at = self.config.fault_probe.at
             sim.at(self.duration if probe_at is None else probe_at,
                    self.run_fault_probe, kind="fault_probe")
 
@@ -634,28 +523,3 @@ def fault_wave_stamps(
     rng_b = rng_b or derive_stream(0, "fault/b")
     return stamp(clock_a, arrival_a, rng_a), stamp(clock_b, arrival_b, rng_b)
 
-
-def pmu_fault_event(
-    scenario: Scenario,
-    fault_position: float,
-    line_length: float,
-    wave_speed: float,
-    at: int = 0,
-) -> tuple[int, int]:
-    """Stamp a line fault with the scenario's two PMUs (current clock states)."""
-    pmus = [n.id for n in scenario.nodes.values() if n.role is Role.PMU]
-    if scenario.fault_probe is not None and scenario.fault_probe.pmu_ids:
-        pmus = list(scenario.fault_probe.pmu_ids)
-    if len(pmus) < 2:
-        raise InvalidGeometryError("scenario needs two PMU nodes for a fault event")
-    pmu_a, pmu_b = pmus[0], pmus[1]
-    return fault_wave_stamps(
-        scenario.nodes[pmu_a].clock,
-        scenario.nodes[pmu_b].clock,
-        fault_position,
-        line_length,
-        wave_speed,
-        at=at,
-        rng_a=derive_stream(scenario.seed, f"fault/{pmu_a}"),
-        rng_b=derive_stream(scenario.seed, f"fault/{pmu_b}"),
-    )

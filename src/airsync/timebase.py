@@ -48,14 +48,6 @@ def ticks_to_ns(ticks: int | float) -> float:
     return ticks * 1e9 / TICKS_PER_SECOND
 
 
-def seconds_to_ticks(seconds: float | Fraction) -> int:
-    """Exact conversion; raises ValueError if not an integer tick count."""
-    value = Fraction(seconds) * TICKS_PER_SECOND
-    if value.denominator != 1:
-        raise ValueError(f"{seconds} s is not an integer number of ticks")
-    return int(value)
-
-
 def parse_ticks(value: int | float | str, *, allow_negative: bool = False) -> int:
     """Parse a time quantity into exact integer ticks.
 
@@ -112,8 +104,3 @@ def propagation_ticks(distance_m: float, speed_mps: float = LIGHT_SPEED_MPS) -> 
     if speed_mps <= 0:
         raise ValueError("propagation speed must be positive")
     return round(distance_m * TICKS_PER_SECOND / speed_mps)
-
-
-def format_ticks(ticks: int) -> str:
-    """Human-readable rendering used in diagnostics (ticks plus ns)."""
-    return f"{ticks} ticks ({ticks_to_ns(ticks):.3f} ns)"

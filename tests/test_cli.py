@@ -63,6 +63,14 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     assert "sync_plan.resink" in capsys.readouterr().err
 
 
+def test_run_reversed_delay_range_exits_2(tmp_path, capsys):
+    link = {"extra_delay": {"dist": "uniform", "low": "5 ms", "high": "1 ms"}}
+    config = write_yaml(tmp_path / "bad.yaml", small_config(link=link))
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "link.extra_delay" in capsys.readouterr().err
+
+
 def test_run_missing_config_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "o")]) == 2
 

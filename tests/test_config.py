@@ -99,9 +99,11 @@ def test_bad_role_names_path():
 
 
 def test_off_grid_duration_names_field():
-    with pytest.raises(InvalidConfigError) as info:
-        validate_config(minimal(duration="1 ns"))
-    assert info.value.path == "duration"
+    # off the tick grid, and beyond the 64-bit tick range
+    for duration in ["1 ns", "1e12 s"]:
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(minimal(duration=duration))
+        assert info.value.path == "duration"
 
 
 def test_skew_bound_enforced():
@@ -128,14 +130,64 @@ def test_unknown_preset_rejected():
 def test_clock_defaults_applied_by_role():
     raw = minimal(clock_defaults={"ue": {"skew_ppm": 3.0}})
     cfg = validate_config(raw)
-    ue_spec = next(n for n in cfg.nodes if n.id == "ue")
-    assert ue_spec.clock.skew_y.value == pytest.approx(3e-6)
+    assert cfg.nodes["ue"].clock.skew_y.value == pytest.approx(3e-6)
 
 
 def test_resolved_raw_contains_defaults():
     cfg = validate_config(minimal())
     assert cfg.raw["sampling_grid"] == "1 ms"
     assert cfg.raw["seed"] == 0
+
+
+PROBE = {"line_length_m": 600, "fault_position_m": 300}
+
+
+@pytest.mark.parametrize("edit, path, message", [
+    pytest.param(lambda raw: raw["nodes"].append({"id": "ue", "role": "ue", "attach_to": "bs", "position": [1, 0]}),
+                 "nodes[3].id", "duplicate node id 'ue'", id="duplicate-id"),
+    pytest.param(lambda raw: raw["nodes"].append({"id": "ref2", "role": "reference"}),
+                 "nodes", "exactly one reference node required, found 2", id="two-references"),
+    pytest.param(lambda raw: raw["nodes"][0].update(role="pmu"),
+                 "nodes", "exactly one reference node required, found 0", id="no-reference"),
+    pytest.param(lambda raw: raw["nodes"][2].pop("attach_to"),
+                 "nodes[2].attach_to", "ue 'ue' must attach to a base station", id="ue-unattached"),
+    pytest.param(lambda raw: raw["nodes"].append({"id": "ld", "role": "legacy_device"}),
+                 "nodes[3].attach_to", "legacy device 'ld' must attach to a gateway", id="legacy-unattached"),
+    pytest.param(lambda raw: raw["nodes"][1].update(attach_to="ref"),
+                 "nodes[1].attach_to", "base_station nodes do not attach", id="bs-attaches"),
+    pytest.param(lambda raw: raw["nodes"][2].update(attach_to="bs9"),
+                 "nodes[2].attach_to", "unknown node 'bs9'", id="unknown-parent"),
+    pytest.param(lambda raw: raw["nodes"][2].update(attach_to="ref"),
+                 "nodes[2].attach_to", "ue must attach to a base_station, 'ref' is a reference",
+                 id="ue-under-reference"),
+    pytest.param(lambda raw: raw["nodes"].append({"id": "ld", "role": "legacy_device", "attach_to": "bs"}),
+                 "nodes[3].attach_to", "legacy_device must attach to a gateway, 'bs' is a base_station",
+                 id="legacy-under-bs"),
+    pytest.param(lambda raw: raw["nodes"][1].pop("position"),
+                 "nodes[1].position", "base_station 'bs' needs a position", id="bs-position"),
+    pytest.param(lambda raw: raw["nodes"].append({"id": "pmu", "role": "pmu", "attach_to": "bs"}),
+                 "nodes[3].position", "pmu 'pmu' needs a position", id="attached-pmu-position"),
+    pytest.param(lambda raw: raw.update(workload={"targets": ["ue", "bs"]}),
+                 "workload.targets", "'bs' is not a device node", id="target-not-device"),
+    pytest.param(lambda raw: raw.update(workload={"targets": ["ghost"]}),
+                 "workload.targets", "'ghost' is not a device node", id="target-unknown"),
+    pytest.param(lambda raw: raw.update(fault_probe=PROBE),
+                 "fault_probe", "need exactly two PMU nodes, found 0", id="probe-pmu-count"),
+    pytest.param(lambda raw: raw.update(fault_probe={**PROBE, "pmu": ["ue", "ref"]}),
+                 "fault_probe.pmu", "'ue' is not a PMU node", id="probe-pmu-role"),
+])
+def test_graph_rules_rejected_at_validation(edit, path, message):
+    raw = minimal()
+    edit(raw)
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert (info.value.path, info.value.message) == (path, message)
+
+
+def test_fault_probe_pmus_resolved_once():
+    raw = minimal(fault_probe=PROBE)
+    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
+    assert validate_config(raw).fault_probe.pmu_ids == ("pa", "pb")
 
 
 # --- parameter paths and sweeps ---------------------------------------------------

@@ -77,27 +77,19 @@ def test_event_ids_monotonically_increase():
     assert ids == sorted(ids) and len(set(ids)) == 10
 
 
-def test_cancelled_event_is_skipped():
-    sim = Simulator()
-    log = []
-    eid = sim.schedule(Event(fire_at=5, callback=_collect(log), payload="x"))
-    sim.cancel(eid)
-    assert sim.run_until(10) == 0
-    assert log == []
-
-
 def test_dispatch_times_never_decrease():
-    sim = Simulator(trace=True)
+    sim = Simulator()
     rng = derive_stream(99, "order-test")
+    times = []
 
     def reschedule(sim, event):
+        times.append(sim.now)
         if sim.now < 10_000:
             sim.schedule(Event(fire_at=sim.now + rng.integers(0, 50), callback=reschedule))
 
     for _ in range(20):
         sim.schedule(Event(fire_at=rng.integers(0, 100), callback=reschedule))
     sim.run_until(20_000)
-    times = [t for t, *_ in sim.trace]
     assert times == sorted(times)
 
 

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 from airsync.config import load_config, validate_config
+from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
 from airsync.scenario import (
     Role,
     build_scenario,
-    pmu_fault_event,
+    fault_wave_stamps,
     run_scenario,
 )
 from airsync.timebase import (
@@ -52,8 +53,8 @@ def base_config(**overrides):
 
 def test_build_simple_scenario():
     scenario = build_scenario(validate_config(base_config()))
-    assert len(scenario.nodes) == 4  # reference + BS + 2 UEs
-    assert scenario.nodes["ue1"].role is Role.UE
+    assert len(scenario.clocks) == 4  # reference + BS + 2 UEs
+    assert scenario.config.nodes["ue1"].role is Role.UE
 
 
 def test_build_is_pure():
@@ -86,8 +87,8 @@ def test_exactly_one_reference_required():
 
 def test_heterogeneous_preset_is_eight_nodes():
     scenario = build_scenario(load_config(CONFIG_DIR / "heterogeneous.yaml"))
-    assert len(scenario.nodes) == 8
-    roles = [n.role for n in scenario.nodes.values()]
+    assert len(scenario.clocks) == 8
+    roles = [n.role for n in scenario.config.nodes.values()]
     assert roles.count(Role.BASE_STATION) == 2
     assert roles.count(Role.LEGACY) == 2
     assert roles.count(Role.GATEWAY) == 1
@@ -238,7 +239,8 @@ def test_gateway_relay_and_legacy_corrections():
 # --- PMU fault probe -------------------------------------------------------------
 
 
-def pmu_scenario(theta_b: int = 0):
+def pmu_stamps(fault_position, line_length, wave_speed, theta_b: int = 0):
+    """Stamp a line fault with the initial clocks of a two-PMU scenario."""
     raw = {
         "schema_version": 1,
         "seed": 3,
@@ -249,31 +251,40 @@ def pmu_scenario(theta_b: int = 0):
             {"id": "pmu_b", "role": "pmu", "clock": {"theta0": theta_b}},
         ],
     }
-    return build_scenario(validate_config(raw))
+    scenario = build_scenario(validate_config(raw))
+    return fault_wave_stamps(
+        scenario.clocks["pmu_a"],
+        scenario.clocks["pmu_b"],
+        fault_position,
+        line_length,
+        wave_speed,
+        rng_a=derive_stream(scenario.seed, "fault/pmu_a"),
+        rng_b=derive_stream(scenario.seed, "fault/pmu_b"),
+    )
 
 
 def test_fault_at_middle_with_perfect_clocks():
-    t_a, t_b = pmu_fault_event(pmu_scenario(), 300.0, 600.0, 3.0e8)
+    t_a, t_b = pmu_stamps(300.0, 600.0, 3.0e8)
     assert t_a == t_b
 
 
 def test_fault_at_line_end():
-    t_a, t_b = pmu_fault_event(pmu_scenario(), 0.0, 600.0, 3.0e8)
+    t_a, t_b = pmu_stamps(0.0, 600.0, 3.0e8)
     assert t_a == 0
     assert t_b == round(600.0 / 3.0e8 * TICKS_PER_SECOND)  # 2 us
 
 
 def test_pmu_offset_passes_through():
     offset = TICKS_PER_US
-    t_a, t_b = pmu_fault_event(pmu_scenario(theta_b=offset), 300.0, 600.0, 3.0e8)
+    t_a, t_b = pmu_stamps(300.0, 600.0, 3.0e8, theta_b=offset)
     assert t_b - t_a == offset
 
 
 def test_fault_geometry_validation():
     with pytest.raises(InvalidGeometryError):
-        pmu_fault_event(pmu_scenario(), 700.0, 600.0, 3.0e8)
+        pmu_stamps(700.0, 600.0, 3.0e8)
     with pytest.raises(InvalidGeometryError):
-        pmu_fault_event(pmu_scenario(), 100.0, 600.0, -1.0)
+        pmu_stamps(100.0, 600.0, -1.0)
 
 
 def test_in_run_fault_probe_recorded():
