@@ -3,11 +3,10 @@
 A node's reading of its own clock is a pure function of the true time and
 the clock state. The deterministic part is quadratic,
 
-    local(t) = theta0 + correction + (1 + y - y_c) * t + (a/2) * t_s * t
+    local(t) = theta0 + correction + (1 + y) * t + (a/2) * t_s * t
 
 with t in ticks, t_s the same instant in seconds, y the fractional frequency
-offset, y_c any applied frequency adjustment, and a the aging rate per
-second. The integer true-time term is kept exact; only the small skew/drift
+offset and a the aging rate per second. The integer true-time term is kept exact; only the small skew/drift
 perturbation is evaluated in double precision and rounded to a tick (error
 below one tick for horizons up to ~1e4 s). Timestamp noise enters solely
 through stamp().
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import RngStream
-from .errors import InsufficientSamplesError, TickOverflowError
+from .errors import TickOverflowError
 from .timebase import INT64_MAX, INT64_MIN, TICKS_PER_SECOND
 
 MAX_ABS_SKEW = 1e-3
@@ -48,7 +47,6 @@ class ClockState:
 
     params: ClockParams = ClockParams()
     correction: int = 0
-    skew_correction: float = 0.0
     last_sync_at: Optional[int] = None
 
 
@@ -56,21 +54,24 @@ def ideal_clock() -> ClockState:
     return ClockState()
 
 
-def local_time(state: ClockState, t_true: int) -> int:
-    """Deterministic local reading (ticks, signed) at true time t_true."""
-    p = state.params
-    residual_skew = p.skew_y - state.skew_correction
-    t_seconds = t_true / TICKS_PER_SECOND
-    perturbation = residual_skew * t_true + 0.5 * p.drift_a * t_seconds * t_true
-    local = p.theta0 + state.correction + t_true + round(perturbation)
+def _in_tick_range(local: int) -> int:
     if not (INT64_MIN <= local <= INT64_MAX):
         raise TickOverflowError(f"local timestamp {local} outside signed 64-bit range")
     return local
 
 
+def local_time(state: ClockState, t_true: int) -> int:
+    """Deterministic local reading (ticks, signed) at true time t_true."""
+    p = state.params
+    t_seconds = t_true / TICKS_PER_SECOND
+    perturbation = p.skew_y * t_true + 0.5 * p.drift_a * t_seconds * t_true
+    return _in_tick_range(p.theta0 + state.correction + t_true + round(perturbation))
+
+
 def stamp(state: ClockState, t_true: int, rng: RngStream) -> int:
     """Local reading with Gaussian timestamping noise, rounded to a tick."""
-    return local_time(state, t_true) + rng.gauss_ticks(state.params.stamp_noise_sigma)
+    local = local_time(state, t_true) + rng.gauss_ticks(state.params.stamp_noise_sigma)
+    return _in_tick_range(local)
 
 
 def clock_error(state: ClockState, t_true: int) -> int:
@@ -87,26 +88,3 @@ def apply_offset_correction(
         correction=state.correction - delta,
         last_sync_at=at if at is not None else state.last_sync_at,
     )
-
-
-def apply_skew_correction(state: ClockState, skew_estimate: float) -> ClockState:
-    """Frequency discipline: cancel an estimated fractional skew."""
-    return dataclasses.replace(
-        state, skew_correction=state.skew_correction + skew_estimate
-    )
-
-
-def estimate_skew(samples: list[tuple[int, int]]) -> float:
-    """Least-squares slope of measured offset vs local sync time.
-
-    ``samples`` are (local time, measured offset) pairs in ticks; the slope
-    is the dimensionless fractional skew.
-    """
-    if len(samples) < 2 or len({t for t, _ in samples}) < 2:
-        raise InsufficientSamplesError("skew estimation needs >=2 distinct-time samples")
-    n = len(samples)
-    mean_t = sum(t for t, _ in samples) / n
-    mean_o = sum(o for _, o in samples) / n
-    cov = sum((t - mean_t) * (o - mean_o) for t, o in samples)
-    var = sum((t - mean_t) ** 2 for t, _ in samples)
-    return cov / var

@@ -12,6 +12,7 @@ can rewrite any field by path.
 from __future__ import annotations
 
 import copy
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -106,9 +107,10 @@ def _sigma(value: Any, path: str) -> float:
     if isinstance(value, bool):
         raise InvalidConfigError(path, "expected a number or time quantity")
     if isinstance(value, (int, float)):
-        if value < 0:
+        sigma = _number(value, path)
+        if sigma < 0:
             raise InvalidConfigError(path, "must be >= 0")
-        return float(value)
+        return sigma
     return float(_time(value, path))
 
 
@@ -119,15 +121,16 @@ def _probability(value: Any, path: str) -> float:
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, str):
-        # YAML 1.1 reads "3.0e8" as a string (it wants e+8); be forgiving
-        try:
-            return float(value)
-        except ValueError:
-            raise InvalidConfigError(path, f"expected a number, got {value!r}") from None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise InvalidConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        # YAML 1.1 reads "3.0e8" as a string (it wants e+8); be forgiving
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise InvalidConfigError(path, f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise InvalidConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _optional(parse: Callable) -> Callable:
@@ -587,6 +590,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     duration = top["duration"]
     sampling_grid = top["sampling_grid"]
+    if sampling_grid > duration:
+        raise InvalidConfigError("sampling_grid", "must not exceed duration")
     seed = top["seed"]
     default_clocks = top["clock_defaults"]
     nodes = _parse_nodes(top["nodes"], "nodes", default_clocks)

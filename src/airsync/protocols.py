@@ -106,6 +106,22 @@ class ExchangeRecord:
     t4: int
 
 
+@dataclass(frozen=True)
+class SyncResult:
+    """A clock stepped by one enabler."""
+
+    clock: ClockState
+    correction: int   # delta removed from the reading
+    error: int        # post-correction error vs reference at applied_at
+    applied_at: int   # true instant the correction takes effect
+
+
+def _step_clock(clock: ClockState, delta: int, at: int) -> SyncResult:
+    """Step ``clock`` by ``delta`` at true time ``at``."""
+    corrected = apply_offset_correction(clock, delta, at=at)
+    return SyncResult(clock=corrected, correction=delta, error=clock_error(corrected, at), applied_at=at)
+
+
 # --- timing advance ---------------------------------------------------------
 
 
@@ -193,49 +209,42 @@ def quantize_broadcast_time(t: int, granularity: int) -> int:
 
 
 @dataclass(frozen=True)
-class SibSyncResult:
-    ue_clock: ClockState
-    correction: int   # delta removed from the UE reading
-    error: int        # post-correction UE error vs reference at applied_at
-    applied_at: int   # true arrival time of the broadcast
+class Broadcast:
+    """One SIB16-style broadcast of a cell: heard alike by every attached UE."""
+
+    sent_at: int      # true transmission instant
+    value: int        # BS time carried by the message, before quantization
+
+
+def sib16_broadcast(bs_clock: ClockState, sib: SibConfig, rng: RngStream, at: int) -> Broadcast:
+    """The broadcast scheduled at ``at``: transmitted after a uniform draw in
+    [0, si_window]. AT_SCHEDULE stamps the BS clock at creation time (the
+    scheduling delay becomes error), AT_TRANSMIT at the transmission instant.
+    """
+    sched_delay = rng.integers(0, sib.si_window + 1) if sib.si_window > 0 else 0
+    t_tx = at + sched_delay
+    stamped_at = at if sib.stamp_mode is StampMode.AT_SCHEDULE else t_tx
+    return Broadcast(sent_at=t_tx, value=stamp(bs_clock, stamped_at, rng))
 
 
 def sib16_sync_cycle(
-    bs_clock: ClockState,
+    broadcast: Broadcast,
     ue_clock: ClockState,
     sib: SibConfig,
     ta_index: Optional[int],
     link_delay: int,
-    rng: RngStream,
-    at: int = 0,
-) -> SibSyncResult:
-    """One broadcast-time sync: UE adopts quantized BS time plus TA estimate.
+) -> SyncResult:
+    """One UE adopts a broadcast: quantized BS time plus its TA estimate.
 
-    The broadcast scheduled at ``at`` transmits after a uniform draw in
-    [0, si_window]. AT_SCHEDULE stamps the BS clock at creation time (the
-    scheduling delay becomes error), AT_TRANSMIT stamps at the actual
-    transmission instant. The UE sets its clock so that its reading at the
-    arrival instant equals quantize(stamp) + TA one-way estimate; the UE's
-    own adjustment is noiseless (noise models message timestamping only).
+    The UE sets its clock so that its reading at the arrival instant equals
+    quantize(stamp) + TA one-way estimate; the UE's own adjustment is
+    noiseless (noise models message timestamping only).
     """
     if ta_index is None:
         raise NoTaStateError("SIB16 sync requires a current TA state")
-    sched_delay = rng.integers(0, sib.si_window + 1) if sib.si_window > 0 else 0
-    t_tx = at + sched_delay
-    if sib.stamp_mode is StampMode.AT_SCHEDULE:
-        broadcast_value = stamp(bs_clock, at, rng)
-    else:
-        broadcast_value = stamp(bs_clock, t_tx, rng)
-    arrival = t_tx + link_delay
-    target = quantize_broadcast_time(broadcast_value, sib.granularity) + delay_estimate_from_index(ta_index)
-    delta = local_time(ue_clock, arrival) - target
-    corrected = apply_offset_correction(ue_clock, delta, at=arrival)
-    return SibSyncResult(
-        ue_clock=corrected,
-        correction=delta,
-        error=clock_error(corrected, arrival),
-        applied_at=arrival,
-    )
+    arrival = broadcast.sent_at + link_delay
+    target = quantize_broadcast_time(broadcast.value, sib.granularity) + delay_estimate_from_index(ta_index)
+    return _step_clock(ue_clock, local_time(ue_clock, arrival) - target, arrival)
 
 
 # --- two-way exchange --------------------------------------------------------
@@ -307,14 +316,6 @@ class RibsMode(Enum):
     TWO_WAY = "two_way"
 
 
-@dataclass(frozen=True)
-class RibsResult:
-    bs_b_clock: ClockState
-    correction: int
-    error: int       # post-alignment BS-B error vs reference
-    applied_at: int
-
-
 def ribs_align(
     mode: RibsMode,
     bs_a_clock: ClockState,
@@ -324,7 +325,7 @@ def ribs_align(
     helper_ta_index: Optional[int] = None,
     at: int = 0,
     turnaround: int = TICKS_PER_MS,
-) -> RibsResult:
+) -> SyncResult:
     """Align BS-B to BS-A over the radio interface.
 
     LISTEN_ONLY adopts BS-A's stamped signal as-is, leaving the inter-BS
@@ -358,23 +359,10 @@ def ribs_align(
             target = reference_stamp + delay_estimate_from_index(helper_ta_index)
         delta = local_time(bs_b_clock, applied_at) - target
 
-    corrected = apply_offset_correction(bs_b_clock, delta, at=applied_at)
-    return RibsResult(
-        bs_b_clock=corrected,
-        correction=delta,
-        error=clock_error(corrected, applied_at),
-        applied_at=applied_at,
-    )
+    return _step_clock(bs_b_clock, delta, applied_at)
 
 
 # --- gateway relay -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelayResult:
-    device_clock: ClockState
-    correction: int
-    error: int
 
 
 def gw_relay_sync(
@@ -383,7 +371,7 @@ def gw_relay_sync(
     local_domain_error_sigma: float,
     rng: RngStream,
     at: int = 0,
-) -> RelayResult:
+) -> SyncResult:
     """Gateway redistributes its (OTA-synced) time into the wired domain.
 
     The legacy device ends up at the gateway's own error plus a Gaussian
@@ -392,10 +380,4 @@ def gw_relay_sync(
     if gw_clock.last_sync_at is None:
         raise GwNotSyncedError("gateway has not completed an OTA sync")
     target = local_time(gw_clock, at) + rng.gauss_ticks(local_domain_error_sigma)
-    delta = local_time(device_clock, at) - target
-    corrected = apply_offset_correction(device_clock, delta, at=at)
-    return RelayResult(
-        device_clock=corrected,
-        correction=delta,
-        error=clock_error(corrected, at),
-    )
+    return _step_clock(device_clock, local_time(device_clock, at) - target, at)

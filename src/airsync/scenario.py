@@ -19,6 +19,7 @@ from .clocks import ClockState, apply_offset_correction, clock_error, stamp
 from .engine import Event, RngStream, Simulator, derive_stream
 from .errors import InvalidGeometryError
 from .protocols import (
+    Broadcast,
     RibsMode,
     SibConfig,
     TaTimerConfig,
@@ -28,6 +29,7 @@ from .protocols import (
     gw_relay_sync,
     measure_rtt,
     ribs_align,
+    sib16_broadcast,
     sib16_sync_cycle,
     twoway_exchange,
     twoway_offset,
@@ -184,7 +186,6 @@ class RawTrace:
     lost_sync: int = 0
     fault: Optional[FaultStamps] = None
     roles: dict[str, Role] = field(default_factory=dict)
-    final_clocks: dict[str, ClockState] = field(default_factory=dict)
     dispatched: int = 0
 
 
@@ -219,7 +220,14 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
 
 
 class _Runner:
-    """One scenario run; owns mutable clock/TA state and the trace."""
+    """One scenario run; owns mutable clock/TA state and the trace.
+
+    Each stream label is derived at most once per run. Persistent labels
+    (``ta/``, ``loss/``, ``exchange/``, ``relay/``, ``delivery_stamp/``) come
+    from :meth:`rng` and keep drawing for the whole run; one-shot labels (a
+    round's broadcast or alignment, a target's delivery delays, the fault
+    probe) are derived where they are used and dropped.
+    """
 
     def __init__(self, scenario: Scenario, duration: int, root_seed: int):
         self.config = scenario.config
@@ -229,7 +237,8 @@ class _Runner:
         self.plan = self.config.sync_plan
         self.nodes = self.config.nodes
         self.clocks: dict[str, ClockState] = dict(scenario.clocks)
-        self.ta_index: dict[str, Optional[int]] = {}
+        self.ta_index: dict[str, int] = {}
+        self.streams: dict[str, RngStream] = {}
         self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
@@ -241,18 +250,13 @@ class _Runner:
             if node.role is Role.LEGACY:
                 self.gw_children.setdefault(node.attach_to, []).append(node.id)
         self.prop_cache: dict[tuple[str, str], int] = {}
-        # persistent per-purpose streams so successive rounds see fresh draws
-        self.ta_rng = {d: self.stream(f"ta/{d}") for bs in self.base_stations for d in self.attached[bs]}
-        self.loss_rng = {d: self.stream(f"loss/{d}") for d in self.ta_rng}
-        self.exchange_rng = {d: self.stream(f"exchange/{d}") for d in self.ta_rng}
-        self.relay_rng: dict[str, RngStream] = {}
-        for children in self.gw_children.values():
-            for child in children:
-                self.relay_rng[child] = self.stream(f"relay/{child}")
-        self.delivery_stamp_rng: dict[str, RngStream] = {}
 
-    def stream(self, label: str) -> RngStream:
-        return derive_stream(self.seed, label)
+    def rng(self, label: str) -> RngStream:
+        """The run's persistent stream for ``label``, derived on first use."""
+        stream = self.streams.get(label)
+        if stream is None:
+            stream = self.streams[label] = derive_stream(self.seed, label)
+        return stream
 
     def prop(self, a: str, b: str) -> int:
         key = (a, b)
@@ -260,11 +264,25 @@ class _Runner:
             self.prop_cache[key] = link_propagation(self.nodes[a], self.nodes[b])
         return self.prop_cache[key]
 
+    def set_clock(self, node: str, kind: str, clock: ClockState, delta: int, at: int) -> None:
+        """Install ``node``'s new clock: the only clock change after build.
+
+        Logs the correction as of ``at`` and relays a gateway's new time
+        into its wired domain.
+        """
+        self.clocks[node] = clock
+        self.trace.corrections.append(CorrectionEvent(at, node, delta, kind, clock_error(clock, at)))
+        for child in self.gw_children.get(node, ()):  # only gateways have children
+            relay = gw_relay_sync(
+                clock, self.clocks[child], self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
+            )
+            self.set_clock(child, "gw_relay", relay.clock, relay.correction, at)
+
     # -- alignment --
 
     def align_base_stations(self, sim: Simulator, event: Event) -> None:
         align = self.plan.bs_alignment
-        round_no = event.payload or 0
+        round_no = event.payload
         for i, bs in enumerate(self.base_stations):
             clock = self.clocks[bs]
             if align.mode is BsAlignmentMode.RIBS and i > 0:
@@ -275,7 +293,7 @@ class _Runner:
                         self.prop(anchor, bs),
                         self.plan.ta_noise_sigma,
                         self.plan.ta_wrong_bin_prob,
-                        self.stream(f"ribs_helper/{bs}/{round_no}"),
+                        derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
                     )
                     helper_index = compute_ta_initial(rtt).value
                 result = ribs_align(
@@ -283,21 +301,19 @@ class _Runner:
                     self.clocks[anchor],
                     clock,
                     self.prop(anchor, bs),
-                    self.stream(f"ribs/{bs}/{round_no}"),
+                    derive_stream(self.seed, f"ribs/{bs}/{round_no}"),
                     helper_ta_index=helper_index,
                     at=sim.now,
                     turnaround=self.plan.turnaround,
                 )
-                self.clocks[bs] = result.bs_b_clock
-                self.record_correction(result.applied_at, bs, result.correction, "bs_align", result.error)
+                self.set_clock(bs, "bs_align", result.clock, result.correction, result.applied_at)
                 continue
             # anchor BS (and every BS under PERFECT/FIXED_ERROR) is steered directly
             target_error = 0
             if align.mode is BsAlignmentMode.FIXED_ERROR and i > 0:
                 target_error = align.error
             delta = clock_error(clock, sim.now) - target_error
-            self.clocks[bs] = apply_offset_correction(clock, delta, at=sim.now)
-            self.record_correction(sim.now, bs, delta, "bs_align", target_error)
+            self.set_clock(bs, "bs_align", apply_offset_correction(clock, delta, at=sim.now), delta, sim.now)
         if align.realign_period:
             next_at = sim.now + align.realign_period
             if next_at <= self.duration:
@@ -305,74 +321,62 @@ class _Runner:
 
     # -- timing advance maintenance --
 
-    def attach_device(self, sim: Simulator, event: Event) -> None:
+    def ta_step(self, sim: Simulator, event: Event) -> None:
+        """Initial TA command on attach, an update at every timer expiry."""
         device = event.target
-        bs = self.nodes[device].attach_to
         rtt = measure_rtt(
-            self.prop(bs, device),
+            self.prop(self.nodes[device].attach_to, device),
             self.plan.ta_noise_sigma,
             self.plan.ta_wrong_bin_prob,
-            self.ta_rng[device],
+            self.rng(f"ta/{device}"),
         )
-        self.ta_index[device] = apply_ta_command(None, compute_ta_initial(rtt))
-
-    def refresh_ta(self, sim: Simulator, event: Event) -> None:
-        device = event.target
         current = self.ta_index.get(device)
-        if current is not None:
-            bs = self.nodes[device].attach_to
-            rtt = measure_rtt(
-                self.prop(bs, device),
-                self.plan.ta_noise_sigma,
-                self.plan.ta_wrong_bin_prob,
-                self.ta_rng[device],
-            )
-            misalignment = rtt - current * TA_STEP_TICKS
-            self.ta_index[device] = apply_ta_command(current, compute_ta_update(misalignment))
+        if current is None:
+            command = compute_ta_initial(rtt)
+        else:
+            command = compute_ta_update(rtt - current * TA_STEP_TICKS)
+        self.ta_index[device] = apply_ta_command(current, command)
         next_at = sim.now + self.plan.ta_timer.period_ticks
         if next_at <= self.duration:
-            sim.at(next_at, self.refresh_ta, kind="ta_refresh", target=device)
+            sim.at(next_at, self.ta_step, kind="ta_refresh", target=device)
 
     # -- per-round OTA sync --
 
     def sync_round(self, sim: Simulator, event: Event) -> None:
         bs = event.target
         round_no = event.payload
+        link = self.config.link
+        broadcast = None
+        if self.plan.enabler is Enabler.TA_SIB16:
+            # one broadcast per (BS, round), heard by every attached device
+            broadcast = sib16_broadcast(
+                self.clocks[bs], self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
+            )
         for device in self.attached[bs]:
-            if self.config.link.loss_prob > 0 and self.loss_rng[device].random() < self.config.link.loss_prob:
+            if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
                 self.trace.lost_sync += 1
                 continue
-            if self.plan.enabler is Enabler.TA_SIB16:
-                self.sib_sync(sim, bs, device, round_no)
-            else:
+            if broadcast is None:
                 self.twoway_sync(sim, bs, device)
+            else:
+                self.sib_sync(sim, bs, device, broadcast)
         next_at = sim.now + self.plan.resync_period
         if next_at <= self.duration:
             sim.at(next_at, self.sync_round, kind="sync_round", target=bs, payload=round_no + 1)
 
-    def sib_sync(self, sim: Simulator, bs: str, device: str, round_no: int) -> None:
-        # one broadcast per (BS, round): re-deriving the same labeled stream
-        # for every attached device reproduces the same scheduling draw and
-        # BS stamp, i.e. true broadcast semantics
+    def sib_sync(self, sim: Simulator, bs: str, device: str, broadcast: Broadcast) -> None:
+        # the clock is computed now, from the broadcast, and installed on arrival
         result = sib16_sync_cycle(
-            self.clocks[bs],
-            self.clocks[device],
-            self.plan.sib,
-            self.ta_index.get(device),
-            self.prop(bs, device),
-            self.stream(f"sib/{bs}/{round_no}"),
-            at=sim.now,
+            broadcast, self.clocks[device], self.plan.sib, self.ta_index.get(device), self.prop(bs, device)
         )
 
-        def apply(sim: Simulator, _event: Event, device=device, result=result) -> None:
-            self.clocks[device] = result.ue_clock
-            self.record_correction(sim.now, device, result.correction, "sib16", result.error)
-            self.relay_to_domain(sim, device)
+        def apply(sim: Simulator, _event: Event) -> None:
+            self.set_clock(device, "sib16", result.clock, result.correction, sim.now)
 
         sim.at(result.applied_at, apply, kind="apply_sync", target=device)
 
     def twoway_sync(self, sim: Simulator, bs: str, device: str) -> None:
-        rng = self.exchange_rng[device]
+        rng = self.rng(f"exchange/{device}")
         prop = self.prop(bs, device)
         if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
             # dynamically scheduled signaling: an independent queueing draw in
@@ -388,30 +392,14 @@ class _Runner:
         delta = twoway_offset(record).offset
         applied_at = sim.now + delay_forward + self.plan.turnaround + delay_back + prop
 
-        def apply(sim: Simulator, _event: Event, device=device, delta=delta) -> None:
+        def apply(sim: Simulator, _event: Event) -> None:
+            # the measured delta steps the clock as it reads on arrival
             corrected = apply_offset_correction(self.clocks[device], delta, at=sim.now)
-            self.clocks[device] = corrected
-            self.record_correction(sim.now, device, delta, "two_way", clock_error(corrected, sim.now))
-            self.relay_to_domain(sim, device)
+            self.set_clock(device, "two_way", corrected, delta, sim.now)
 
         sim.at(applied_at, apply, kind="apply_sync", target=device)
 
-    def relay_to_domain(self, sim: Simulator, device: str) -> None:
-        for child in self.gw_children.get(device, ()):  # only gateways have children
-            result = gw_relay_sync(
-                self.clocks[device],
-                self.clocks[child],
-                self.plan.gw_relay_sigma,
-                self.relay_rng[child],
-                at=sim.now,
-            )
-            self.clocks[child] = result.device_clock
-            self.record_correction(sim.now, child, result.correction, "gw_relay", result.error)
-
     # -- observation --
-
-    def record_correction(self, t: int, node: str, delta: int, kind: str, error_after: int) -> None:
-        self.trace.corrections.append(CorrectionEvent(t, node, delta, kind, error_after))
 
     def sample_offsets(self, sim: Simulator, _event: Event) -> None:
         for node_id, node in self.nodes.items():
@@ -427,7 +415,7 @@ class _Runner:
     def deliver_command(self, sim: Simulator, event: Event) -> None:
         target = event.target
         grid_index, grid_point = event.payload
-        local = stamp(self.clocks[target], sim.now, self.delivery_stamp_rng[target])
+        local = stamp(self.clocks[target], sim.now, self.rng(f"delivery_stamp/{target}"))
         self.trace.deliveries.append(
             Delivery(target, grid_index, grid_point, sim.now, local)
         )
@@ -439,8 +427,8 @@ class _Runner:
             self.clocks[pmu_a], self.clocks[pmu_b],
             probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps,
             at=sim.now,
-            rng_a=self.stream(f"fault/{pmu_a}"),
-            rng_b=self.stream(f"fault/{pmu_b}"),
+            rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
+            rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
         )
         self.trace.fault = FaultStamps(sim.now, pmu_a, pmu_b, stamp_a, stamp_b)
 
@@ -451,21 +439,16 @@ class _Runner:
         sim.at(0, self.align_base_stations, kind="bs_align", payload=0)
         for bs in self.base_stations:
             for device in self.attached[bs]:
-                sim.at(0, self.attach_device, kind="attach", target=device)
+                sim.at(0, self.ta_step, kind="attach", target=device)
         for bs in self.base_stations:
             if self.attached[bs]:
                 sim.at(0, self.sync_round, kind="sync_round", target=bs, payload=0)
-        for device in self.ta_rng:
-            period = self.plan.ta_timer.period_ticks
-            if period <= self.duration:
-                sim.at(period, self.refresh_ta, kind="ta_refresh", target=device)
         sim.at(0, self.sample_offsets, kind="sample")
 
         workload = self.config.workload
         if workload is not None:
             for target in workload.targets:
-                self.delivery_stamp_rng[target] = self.stream(f"delivery_stamp/{target}")
-                extra_rng = self.stream(f"delivery/{target}")
+                extra_rng = derive_stream(self.seed, f"delivery/{target}")
                 parent = self.nodes[target].attach_to
                 prop = self.prop(parent, target) if parent else 0
                 k = 0
@@ -485,8 +468,7 @@ class _Runner:
                    self.run_fault_probe, kind="fault_probe")
 
         self.trace.dispatched = sim.run_until(self.duration)
-        self.trace.ta_index = {d: i for d, i in self.ta_index.items() if i is not None}
-        self.trace.final_clocks = dict(self.clocks)
+        self.trace.ta_index = self.ta_index
         return self.trace
 
 
@@ -507,9 +489,9 @@ def fault_wave_stamps(
     fault_position: float,
     line_length: float,
     wave_speed: float,
+    rng_a: RngStream,
+    rng_b: RngStream,
     at: int = 0,
-    rng_a: Optional[RngStream] = None,
-    rng_b: Optional[RngStream] = None,
 ) -> tuple[int, int]:
     """True wave arrivals at the two line ends, stamped by each PMU's clock."""
     if line_length <= 0 or not 0 <= fault_position <= line_length or wave_speed <= 0:
@@ -519,7 +501,5 @@ def fault_wave_stamps(
         )
     arrival_a = at + round(fault_position / wave_speed * TICKS_PER_SECOND)
     arrival_b = at + round((line_length - fault_position) / wave_speed * TICKS_PER_SECOND)
-    rng_a = rng_a or derive_stream(0, "fault/a")
-    rng_b = rng_b or derive_stream(0, "fault/b")
     return stamp(clock_a, arrival_a, rng_a), stamp(clock_b, arrival_b, rng_b)
 

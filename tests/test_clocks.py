@@ -1,4 +1,4 @@
-"""Clock model: deterministic reads, noise, corrections, skew estimation."""
+"""Clock model: deterministic reads, noise, corrections, the tick range."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,13 @@ from airsync.clocks import (
     ClockParams,
     ClockState,
     apply_offset_correction,
-    apply_skew_correction,
     clock_error,
-    estimate_skew,
     ideal_clock,
     local_time,
     stamp,
 )
 from airsync.engine import derive_stream
-from airsync.errors import InsufficientSamplesError, TickOverflowError
+from airsync.errors import TickOverflowError
 from airsync.timebase import TICKS_PER_SECOND, TICKS_PER_US
 
 
@@ -121,43 +119,17 @@ def test_local_time_strictly_increasing():
             previous = value
 
 
-def test_skew_correction_cancels_skew():
-    clock = ClockState(params=ClockParams(skew_y=5e-6))
-    disciplined = apply_skew_correction(clock, 5e-6)
-    assert local_time(disciplined, TICKS_PER_SECOND) == TICKS_PER_SECOND
-
-
-def test_estimate_skew_two_point_slope():
-    samples = [(0, 0), (TICKS_PER_SECOND, 30720)]
-    assert estimate_skew(samples) == pytest.approx(1e-6, rel=1e-9)
-
-
-def test_estimate_skew_constant_offsets():
-    samples = [(0, 50), (1000, 50), (2000, 50)]
-    assert estimate_skew(samples) == 0
-
-
-def test_estimate_skew_regression_recovers_noisy_slope():
-    y = 4e-6
-    rng = derive_stream(5, "skewfit")
-    samples = []
-    for k in range(50):
-        t = k * TICKS_PER_SECOND // 10
-        samples.append((t, round(y * t) + rng.gauss_ticks(20)))
-    assert estimate_skew(samples) == pytest.approx(y, rel=0.01)
-
-
-def test_estimate_skew_needs_two_distinct_times():
-    with pytest.raises(InsufficientSamplesError):
-        estimate_skew([(100, 5)])
-    with pytest.raises(InsufficientSamplesError):
-        estimate_skew([(100, 5), (100, 9)])
-
-
 def test_local_time_overflow_raises():
     clock = ClockState(params=ClockParams(theta0=0), correction=-(2**63) - 1000)
     with pytest.raises(TickOverflowError):
         local_time(clock, 10)
+
+
+def test_stamp_overflow_raises():
+    # the reading is in range, the noise added to it is not
+    clock = ClockState(params=ClockParams(stamp_noise_sigma=1e30))
+    with pytest.raises(TickOverflowError):
+        stamp(clock, 10, derive_stream(0, "stamp-overflow"))
 
 
 def test_params_validation():

@@ -99,11 +99,12 @@ def test_bad_role_names_path():
 
 
 def test_off_grid_duration_names_field():
-    # off the tick grid, and beyond the 64-bit tick range
-    for duration in ["1 ns", "1e12 s"]:
+    # off the tick grid, beyond the 64-bit tick range, or a sampling grid
+    # longer than the run
+    for key, value in [("duration", "1 ns"), ("duration", "1e12 s"), ("sampling_grid", "2 s")]:
         with pytest.raises(InvalidConfigError) as info:
-            validate_config(minimal(duration=duration))
-        assert info.value.path == "duration"
+            validate_config(minimal(**{key: value}))
+        assert info.value.path == key
 
 
 def test_skew_bound_enforced():
@@ -188,6 +189,26 @@ def test_fault_probe_pmus_resolved_once():
     raw = minimal(fault_probe=PROBE)
     raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
     assert validate_config(raw).fault_probe.pmu_ids == ("pa", "pb")
+
+
+@pytest.mark.parametrize("path, value", [
+    ("nodes[2].clock.stamp_noise", float("inf")),
+    ("nodes[2].clock.drift_per_s", float("-inf")),
+    ("nodes[2].clock.skew_ppm", float("nan")),
+    ("nodes[2].position[0]", float("inf")),
+    ("sync_plan.ta_noise_sigma", float("nan")),
+    ("fault_probe.wave_speed_mps", float("nan")),
+    ("fault_probe.line_length_m", "inf"),
+    pytest.param("sync_plan.gw_relay_sigma", 10**400, id="sync_plan.gw_relay_sigma-huge-int"),
+])
+def test_non_finite_numbers_rejected(path, value):
+    raw = minimal(fault_probe=dict(PROBE), sync_plan={})
+    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
+    raw["nodes"][2]["clock"] = {}
+    set_config_value(raw, path, value)
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert info.value.path == path
 
 
 # --- parameter paths and sweeps ---------------------------------------------------

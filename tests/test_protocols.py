@@ -29,6 +29,7 @@ from airsync.protocols import (
     one_way_delay_estimate,
     quantize_broadcast_time,
     ribs_align,
+    sib16_broadcast,
     sib16_sync_cycle,
     twoway_exchange,
     twoway_offset,
@@ -197,22 +198,27 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
                      si_window=si_window, stamp_mode=mode)
 
 
+def _sib_cycle(bs_clock, ue_clock, sib, ta_index, link_delay, rng, at=0):
+    """One broadcast, adopted by one UE."""
+    return sib16_sync_cycle(sib16_broadcast(bs_clock, sib, rng, at), ue_clock, sib, ta_index, link_delay)
+
+
 def test_sib_cycle_ideal_is_exact():
     # no quantization, stamp at transmit, delay exactly on the 8*Ts grid
     tau = 3 * HALF_TA_STEP_TICKS * 2  # 3 full TA steps
     index = compute_ta_initial(2 * tau).value
-    result = sib16_sync_cycle(
+    result = _sib_cycle(
         ideal_clock(), ClockState(params=ClockParams(theta0=5000)),
         _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS,
     )
     assert result.error == 0
-    assert clock_error(result.ue_clock, result.applied_at) == 0
+    assert clock_error(result.clock, result.applied_at) == 0
 
 
 def test_sib_cycle_requires_ta_state():
     with pytest.raises(NoTaStateError):
-        sib16_sync_cycle(ideal_clock(), ideal_clock(), _sib(), None, 0,
-                         derive_stream(0, "sib-nota"))
+        _sib_cycle(ideal_clock(), ideal_clock(), _sib(), None, 0,
+                   derive_stream(0, "sib-nota"))
 
 
 def test_sib_cycle_quantization_mean_half_granularity():
@@ -222,7 +228,7 @@ def test_sib_cycle_quantization_mean_half_granularity():
     errors = []
     for k in range(200):
         at = 100 * MS + k * (g // 200)
-        result = sib16_sync_cycle(
+        result = _sib_cycle(
             ideal_clock(), ideal_clock(), _sib(granularity=g), 0, 0,
             derive_stream(0, "sib-quant"), at=at,
         )
@@ -238,7 +244,7 @@ def test_sib_cycle_granularity_plus_ta_bound_exhaustive():
     at = 987_654_321
     for tau in range(0, TA_STEP_TICKS, 97):
         index = compute_ta_initial(2 * tau).value
-        result = sib16_sync_cycle(
+        result = _sib_cycle(
             ideal_clock(), ideal_clock(), _sib(granularity=g), index, tau,
             derive_stream(0, "sib-bound"), at=at,
         )
@@ -253,14 +259,14 @@ def test_sib_cycle_error_decomposition():
 
     # quantization only
     g = US
-    result = sib16_sync_cycle(ideal_clock(), ideal_clock(), _sib(granularity=g),
-                              0, 0, derive_stream(0, "d1"), at=at)
+    result = _sib_cycle(ideal_clock(), ideal_clock(), _sib(granularity=g),
+                        0, 0, derive_stream(0, "d1"), at=at)
     assert result.error == -(at % g)
 
     # scheduling only (stamp at schedule time, window > 0)
     window = 7 * MS
     seed_label = (9, "d2")
-    result = sib16_sync_cycle(
+    result = _sib_cycle(
         ideal_clock(), ideal_clock(),
         _sib(si_window=window, mode=StampMode.AT_SCHEDULE),
         0, 0, derive_stream(*seed_label), at=at,
@@ -271,21 +277,21 @@ def test_sib_cycle_error_decomposition():
     # TA residual only
     tau = 5 * TA_STEP_TICKS + 3000
     index = compute_ta_initial(2 * tau).value
-    result = sib16_sync_cycle(ideal_clock(), ideal_clock(), _sib(), index, tau,
-                              derive_stream(0, "d3"), at=at)
+    result = _sib_cycle(ideal_clock(), ideal_clock(), _sib(), index, tau,
+                        derive_stream(0, "d3"), at=at)
     assert result.error == -(tau - delay_estimate_from_index(index))
 
     # stamp noise only
     seed_label = (11, "d4")
     bs = ClockState(params=ClockParams(stamp_noise_sigma=bs_sigma))
-    result = sib16_sync_cycle(bs, ideal_clock(), _sib(), 0, 0,
-                              derive_stream(*seed_label), at=at)
+    result = _sib_cycle(bs, ideal_clock(), _sib(), 0, 0,
+                        derive_stream(*seed_label), at=at)
     noise = derive_stream(*seed_label).gauss_ticks(bs_sigma)
     assert result.error == noise
 
     # all sources together (AT_SCHEDULE): error = noise - sched - quant - residual
     seed_label = (13, "d5")
-    result = sib16_sync_cycle(
+    result = _sib_cycle(
         bs, ideal_clock(),
         _sib(granularity=g, si_window=window, mode=StampMode.AT_SCHEDULE),
         index, tau, derive_stream(*seed_label), at=at,

@@ -1,9 +1,11 @@
 """Scenario construction, end-to-end runs, and the PMU fault probe."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from airsync import scenario as scenario_module
 from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
@@ -227,6 +229,32 @@ def test_ribs_alignment_modes_align_second_bs():
             assert abs(aligns[0].error_after) < HALF_TA_STEP_TICKS
         else:
             assert aligns[0].error_after == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(lambda: validate_config(base_config(
+        link={"loss_prob": 0.2},
+        sync_plan={"resync_period": "50 ms", "ta_timer_ms": 500,
+                   "sib": {"granularity": "1 us", "si_window": "5 ms"}},
+        workload={"command_period": "10 ms", "targets": ["ue1", "ue2"]},
+    )), id="sib-two-ues"),
+    pytest.param(lambda: load_config(CONFIG_DIR / "heterogeneous.yaml"), id="heterogeneous"),
+    pytest.param(lambda: load_config(CONFIG_DIR / "two-bs.yaml"), id="two-bs"),
+])
+def test_each_stream_label_derived_once_per_run(cfg, monkeypatch):
+    cfg = cfg()
+    scenario = build_scenario(cfg)
+    labels = Counter()
+    derive = scenario_module.derive_stream
+
+    def counting(root_seed, label):
+        labels[label] += 1
+        return derive(root_seed, label)
+
+    monkeypatch.setattr(scenario_module, "derive_stream", counting)
+    run_scenario(scenario, cfg.duration)
+    assert labels
+    assert [label for label, n in labels.items() if n > 1] == []
 
 
 def test_gateway_relay_and_legacy_corrections():
