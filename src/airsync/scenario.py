@@ -3,16 +3,21 @@
 A validated config (config.py) already holds the node graph (reference
 source, base stations, UEs, gateways, legacy devices, PMUs), the link model
 and the synchronization plan. Building a scenario only draws each node's
-initial clock; running it drives the event loop: inter-BS alignment,
-periodic per-device OTA sync, gateway relay into the wired domain,
-isochronous command deliveries, and offset sampling.
+initial clock. Running it has two phases: an event loop that only changes
+clocks (inter-BS alignment, TA maintenance, periodic per-device OTA sync,
+gateway relay into the wired domain), then one observation pass that reads
+each node's clock history (offset samples, isochronous command deliveries,
+the fault probe). An observation at true time t reads the last clock
+installed at or before t.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .clocks import ClockState, apply_offset_correction, clock_error, stamp
@@ -220,7 +225,12 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
 
 
 class _Runner:
-    """One scenario run; owns mutable clock/TA state and the trace.
+    """One scenario run; owns each node's clock history, TA state and the trace.
+
+    A node's history lists ``(installed_at, ClockState)`` in install order,
+    starting with its built clock at t=0; the last entry is its current
+    clock. Only state-changing events go through the simulator; observations
+    are read from the histories after the loop ends.
 
     Each stream label is derived at most once per run. Persistent labels
     (``ta/``, ``loss/``, ``exchange/``, ``relay/``, ``delivery_stamp/``) come
@@ -236,7 +246,9 @@ class _Runner:
         self.sim = Simulator()
         self.plan = self.config.sync_plan
         self.nodes = self.config.nodes
-        self.clocks: dict[str, ClockState] = dict(scenario.clocks)
+        self.history: dict[str, list[tuple[int, ClockState]]] = {
+            node: [(0, clock)] for node, clock in scenario.clocks.items()
+        }
         self.ta_index: dict[str, int] = {}
         self.streams: dict[str, RngStream] = {}
         self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
@@ -264,17 +276,26 @@ class _Runner:
             self.prop_cache[key] = link_propagation(self.nodes[a], self.nodes[b])
         return self.prop_cache[key]
 
+    def clock(self, node: str) -> ClockState:
+        """``node``'s current clock: the last one installed."""
+        return self.history[node][-1][1]
+
+    def clock_at(self, node: str, t: int) -> ClockState:
+        """The clock ``node`` read at true time ``t``: the last installed at or before ``t``."""
+        history = self.history[node]
+        return history[bisect_right(history, t, key=itemgetter(0)) - 1][1]
+
     def set_clock(self, node: str, kind: str, clock: ClockState, delta: int, at: int) -> None:
         """Install ``node``'s new clock: the only clock change after build.
 
         Logs the correction as of ``at`` and relays a gateway's new time
         into its wired domain.
         """
-        self.clocks[node] = clock
+        self.history[node].append((self.sim.now, clock))
         self.trace.corrections.append(CorrectionEvent(at, node, delta, kind, clock_error(clock, at)))
         for child in self.gw_children.get(node, ()):  # only gateways have children
             relay = gw_relay_sync(
-                clock, self.clocks[child], self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
+                clock, self.clock(child), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
             )
             self.set_clock(child, "gw_relay", relay.clock, relay.correction, at)
 
@@ -284,7 +305,7 @@ class _Runner:
         align = self.plan.bs_alignment
         round_no = event.payload
         for i, bs in enumerate(self.base_stations):
-            clock = self.clocks[bs]
+            clock = self.clock(bs)
             if align.mode is BsAlignmentMode.RIBS and i > 0:
                 anchor = self.base_stations[0]
                 helper_index = None
@@ -298,7 +319,7 @@ class _Runner:
                     helper_index = compute_ta_initial(rtt).value
                 result = ribs_align(
                     align.ribs_mode,
-                    self.clocks[anchor],
+                    self.clock(anchor),
                     clock,
                     self.prop(anchor, bs),
                     derive_stream(self.seed, f"ribs/{bs}/{round_no}"),
@@ -350,7 +371,7 @@ class _Runner:
         if self.plan.enabler is Enabler.TA_SIB16:
             # one broadcast per (BS, round), heard by every attached device
             broadcast = sib16_broadcast(
-                self.clocks[bs], self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
+                self.clock(bs), self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
             )
         for device in self.attached[bs]:
             if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
@@ -367,7 +388,7 @@ class _Runner:
     def sib_sync(self, sim: Simulator, bs: str, device: str, broadcast: Broadcast) -> None:
         # the clock is computed now, from the broadcast, and installed on arrival
         result = sib16_sync_cycle(
-            broadcast, self.clocks[device], self.plan.sib, self.ta_index.get(device), self.prop(bs, device)
+            broadcast, self.clock(device), self.plan.sib, self.ta_index.get(device), self.prop(bs, device)
         )
 
         def apply(sim: Simulator, _event: Event) -> None:
@@ -386,7 +407,7 @@ class _Runner:
         else:
             delay_forward = delay_back = prop
         record = twoway_exchange(
-            self.clocks[bs], self.clocks[device], sim.now,
+            self.clock(bs), self.clock(device), sim.now,
             delay_forward, delay_back, self.plan.turnaround, rng, rng,
         )
         delta = twoway_offset(record).offset
@@ -394,43 +415,10 @@ class _Runner:
 
         def apply(sim: Simulator, _event: Event) -> None:
             # the measured delta steps the clock as it reads on arrival
-            corrected = apply_offset_correction(self.clocks[device], delta, at=sim.now)
+            corrected = apply_offset_correction(self.clock(device), delta, at=sim.now)
             self.set_clock(device, "two_way", corrected, delta, sim.now)
 
         sim.at(applied_at, apply, kind="apply_sync", target=device)
-
-    # -- observation --
-
-    def sample_offsets(self, sim: Simulator, _event: Event) -> None:
-        for node_id, node in self.nodes.items():
-            if node.role is Role.REFERENCE:
-                continue
-            self.trace.samples.append(
-                OffsetSample(sim.now, node_id, clock_error(self.clocks[node_id], sim.now))
-            )
-        next_at = sim.now + self.config.sampling_grid
-        if next_at <= self.duration:
-            sim.at(next_at, self.sample_offsets, kind="sample")
-
-    def deliver_command(self, sim: Simulator, event: Event) -> None:
-        target = event.target
-        grid_index, grid_point = event.payload
-        local = stamp(self.clocks[target], sim.now, self.rng(f"delivery_stamp/{target}"))
-        self.trace.deliveries.append(
-            Delivery(target, grid_index, grid_point, sim.now, local)
-        )
-
-    def run_fault_probe(self, sim: Simulator, _event: Event) -> None:
-        probe = self.config.fault_probe
-        pmu_a, pmu_b = probe.pmu_ids
-        stamp_a, stamp_b = fault_wave_stamps(
-            self.clocks[pmu_a], self.clocks[pmu_b],
-            probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps,
-            at=sim.now,
-            rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
-            rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
-        )
-        self.trace.fault = FaultStamps(sim.now, pmu_a, pmu_b, stamp_a, stamp_b)
 
     # -- assembly --
 
@@ -443,33 +431,52 @@ class _Runner:
         for bs in self.base_stations:
             if self.attached[bs]:
                 sim.at(0, self.sync_round, kind="sync_round", target=bs, payload=0)
-        sim.at(0, self.sample_offsets, kind="sample")
+        self.trace.dispatched = sim.run_until(self.duration)
+        self.trace.ta_index = self.ta_index
+        self.observe()
+        return self.trace
+
+    # -- observation, after the run --
+
+    def observe(self) -> None:
+        """Offset samples, command deliveries and the fault probe, read from
+        the clock histories."""
+        observed = [node_id for node_id, node in self.nodes.items() if node.role is not Role.REFERENCE]
+        self.trace.samples = [
+            OffsetSample(t, node, clock_error(self.clock_at(node, t), t))
+            for t in range(0, self.duration + 1, self.config.sampling_grid)
+            for node in observed
+        ]
 
         workload = self.config.workload
         if workload is not None:
-            for target in workload.targets:
+            arrivals = []   # (arrival, target index, grid index, grid point)
+            for index, target in enumerate(workload.targets):
                 extra_rng = derive_stream(self.seed, f"delivery/{target}")
                 parent = self.nodes[target].attach_to
                 prop = self.prop(parent, target) if parent else 0
-                k = 0
-                while True:
-                    grid_point = workload.grid_phase + k * workload.command_period
-                    if grid_point > self.duration:
-                        break
+                for k, grid_point in enumerate(range(workload.grid_phase, self.duration + 1,
+                                                     workload.command_period)):
                     arrival = grid_point + prop + self.config.link.extra_delay.draw(extra_rng)
                     if arrival <= self.duration:
-                        sim.at(arrival, self.deliver_command, kind="delivery",
-                               target=target, payload=(k, grid_point))
-                    k += 1
+                        arrivals.append((arrival, index, k, grid_point))
+            for arrival, index, k, grid_point in sorted(arrivals):
+                target = workload.targets[index]
+                local = stamp(self.clock_at(target, arrival), arrival, self.rng(f"delivery_stamp/{target}"))
+                self.trace.deliveries.append(Delivery(target, k, grid_point, arrival, local))
 
-        if self.config.fault_probe is not None:
-            probe_at = self.config.fault_probe.at
-            sim.at(self.duration if probe_at is None else probe_at,
-                   self.run_fault_probe, kind="fault_probe")
-
-        self.trace.dispatched = sim.run_until(self.duration)
-        self.trace.ta_index = self.ta_index
-        return self.trace
+        probe = self.config.fault_probe
+        if probe is not None:
+            probe_at = self.duration if probe.at is None else probe.at
+            pmu_a, pmu_b = probe.pmu_ids
+            stamp_a, stamp_b = fault_wave_stamps(
+                self.clock_at(pmu_a, probe_at), self.clock_at(pmu_b, probe_at),
+                probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps,
+                at=probe_at,
+                rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
+                rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
+            )
+            self.trace.fault = FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
 
 
 def run_scenario(scenario: Scenario, duration: int, root_seed: Optional[int] = None) -> RawTrace:
