@@ -285,19 +285,29 @@ class _Runner:
         history = self.history[node]
         return history[bisect_right(history, t, key=itemgetter(0)) - 1][1]
 
-    def set_clock(self, node: str, kind: str, clock: ClockState, delta: int, at: int) -> None:
-        """Install ``node``'s new clock: the only clock change after build.
+    def set_clock(self, node: str, kind: str, clock: ClockState, delta: int) -> None:
+        """Install ``node``'s new clock now: the only clock change after build.
 
-        Logs the correction as of ``at`` and relays a gateway's new time
-        into its wired domain.
+        Logs the correction and relays a gateway's new time into its wired
+        domain.
         """
-        self.history[node].append((self.sim.now, clock))
+        at = self.sim.now
+        self.history[node].append((at, clock))
         self.trace.corrections.append(CorrectionEvent(at, node, delta, kind, clock_error(clock, at)))
         for child in self.gw_children.get(node, ()):  # only gateways have children
             relay = gw_relay_sync(
                 clock, self.clock(child), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
             )
-            self.set_clock(child, "gw_relay", relay.clock, relay.correction, at)
+            self.set_clock(child, "gw_relay", relay.clock, relay.correction)
+
+    def step_on_arrival(self, node: str, kind: str, delta: int, applied_at: int) -> None:
+        """Step ``node`` by a measured ``delta`` when the exchange completes,
+        applied to the clock as it reads at ``applied_at``."""
+
+        def apply(sim: Simulator, _event: Event) -> None:
+            self.set_clock(node, kind, apply_offset_correction(self.clock(node), delta, at=sim.now), delta)
+
+        self.sim.at(applied_at, apply, kind="apply_sync", target=node)
 
     # -- alignment --
 
@@ -327,14 +337,14 @@ class _Runner:
                     at=sim.now,
                     turnaround=self.plan.turnaround,
                 )
-                self.set_clock(bs, "bs_align", result.clock, result.correction, result.applied_at)
+                self.step_on_arrival(bs, "bs_align", result.correction, result.applied_at)
                 continue
             # anchor BS (and every BS under PERFECT/FIXED_ERROR) is steered directly
             target_error = 0
             if align.mode is BsAlignmentMode.FIXED_ERROR and i > 0:
                 target_error = align.error
             delta = clock_error(clock, sim.now) - target_error
-            self.set_clock(bs, "bs_align", apply_offset_correction(clock, delta, at=sim.now), delta, sim.now)
+            self.set_clock(bs, "bs_align", apply_offset_correction(clock, delta, at=sim.now), delta)
         if align.realign_period:
             next_at = sim.now + align.realign_period
             if next_at <= self.duration:
@@ -392,7 +402,7 @@ class _Runner:
         )
 
         def apply(sim: Simulator, _event: Event) -> None:
-            self.set_clock(device, "sib16", result.clock, result.correction, sim.now)
+            self.set_clock(device, "sib16", result.clock, result.correction)
 
         sim.at(result.applied_at, apply, kind="apply_sync", target=device)
 
@@ -410,15 +420,8 @@ class _Runner:
             self.clock(bs), self.clock(device), sim.now,
             delay_forward, delay_back, self.plan.turnaround, rng, rng,
         )
-        delta = twoway_offset(record).offset
         applied_at = sim.now + delay_forward + self.plan.turnaround + delay_back + prop
-
-        def apply(sim: Simulator, _event: Event) -> None:
-            # the measured delta steps the clock as it reads on arrival
-            corrected = apply_offset_correction(self.clock(device), delta, at=sim.now)
-            self.set_clock(device, "two_way", corrected, delta, sim.now)
-
-        sim.at(applied_at, apply, kind="apply_sync", target=device)
+        self.step_on_arrival(device, "two_way", twoway_offset(record).offset, applied_at)
 
     # -- assembly --
 
