@@ -3,8 +3,8 @@
 Pure functions over immutable traces. Per-node statistics are percentiles of
 absolute error; pairwise statistics take, at each sampling instant, the
 worst spread between any two device nodes (common-mode error cancels by
-construction). Jitter is the variation of delivery instants around the ideal
-grid, never the constant offset.
+construction). Jitter is the variation of delivery stamps around the
+commanded grid points, never the constant offset.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def jitter_stats(
     deliveries: Sequence[Delivery],
     workload: Workload,
 ) -> dict:
-    """Deviation of delivery stamps from the nearest ideal grid position.
+    """Deviation of each delivery stamp from its commanded grid point.
 
     Deviations are centered per target node on that node's median deviation
     (robust grid-phase estimate, absorbing constant path offsets) unless the
@@ -137,12 +137,9 @@ def jitter_stats(
     """
     if len(deliveries) < 2:
         raise InsufficientSamplesError("jitter statistics need >=2 deliveries")
-    period = workload.command_period
-    half = period // 2
     by_node: dict[str, list[int]] = {}
     for d in deliveries:
-        r = (d.local_stamp - workload.grid_phase) % period
-        by_node.setdefault(d.node, []).append(r - period if r > half else r)
+        by_node.setdefault(d.node, []).append(d.local_stamp - d.grid_point)
     centered = []
     for node in sorted(by_node):
         arr = np.asarray(by_node[node], dtype=float)
