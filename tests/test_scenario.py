@@ -231,6 +231,57 @@ def test_ribs_alignment_modes_align_second_bs():
             assert aligns[0].error_after == 0
 
 
+def test_ribs_step_lands_when_the_exchange_completes():
+    # two-way RIBS over 300 m: BS-B keeps its 1 us offset until the reply
+    # arrives, about 1 ms after the alignment round starts
+    raw = base_config(sampling_grid="1 ms")
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [300, 0],
+                            "clock": {"theta0": "1 us"}})
+    raw["sync_plan"]["bs_alignment"] = {"mode": "ribs", "ribs_mode": "two_way"}
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    (align,) = [c for c in trace.corrections if c.node == "bs2"]
+    assert MS < align.t_true < 2 * MS
+    assert align.delta == TICKS_PER_US and align.error_after == 0
+    bs2 = {s.t_true: s.error for s in trace.samples if s.node == "bs2"}
+    assert bs2[0] == bs2[MS] == TICKS_PER_US
+    assert bs2[2 * MS] == 0
+
+
+def same_tick_trace():
+    """UE at the BS with 1 ppm skew and no SI window: every SIB correction
+    lands exactly on a sampling and a delivery instant."""
+    raw = base_config(workload={"command_period": "10 ms", "targets": ["ue1"]})
+    raw["nodes"][2].update(position=[0, 0], clock={"skew_ppm": 1.0})
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    corrections = [c for c in trace.corrections if c.node == "ue1"]
+    assert len(corrections) == 6 and all(c.delta != 0 for c in corrections[1:])
+    return trace, corrections
+
+
+def test_sample_at_correction_tick_reads_corrected_clock():
+    trace, corrections = same_tick_trace()
+    ue1 = {s.t_true: s.error for s in trace.samples if s.node == "ue1"}
+    assert [ue1[c.t_true] for c in corrections] == [c.error_after for c in corrections]
+
+
+def test_delivery_at_correction_tick_reads_corrected_clock():
+    trace, corrections = same_tick_trace()
+    offset = {d.true_arrival: d.local_stamp - d.true_arrival for d in trace.deliveries}
+    assert [offset[c.t_true] for c in corrections] == [c.error_after for c in corrections]
+
+
+def test_observations_dispatch_no_events():
+    plain = validate_config(base_config())
+    observed = validate_config(base_config(
+        sampling_grid="1 ms",
+        workload={"command_period": "1 ms", "targets": ["ue1", "ue2"]},
+    ))
+    dispatched = [run_scenario(build_scenario(cfg), cfg.duration).dispatched for cfg in (plain, observed)]
+    assert dispatched[0] == dispatched[1]
+
+
 @pytest.mark.parametrize("cfg", [
     pytest.param(lambda: validate_config(base_config(
         link={"loss_prob": 0.2},
