@@ -3,12 +3,9 @@
 A validated config (config.py) already holds the node graph (reference
 source, base stations, UEs, gateways, legacy devices, PMUs), the link model
 and the synchronization plan. Building a scenario only draws each node's
-initial clock. Running it has two phases: an event loop that only changes
-clocks (inter-BS alignment, TA maintenance, periodic per-device OTA sync,
-gateway relay into the wired domain), then one observation pass that reads
-each node's clock history (offset samples, isochronous command deliveries,
-the fault probe). An observation at true time t reads the last clock
-installed at or before t.
+initial clock. Running it drives an event loop that only changes clocks
+(inter-BS alignment, TA upkeep, per-device OTA sync, gateway relay), then
+reads samples, deliveries and the fault probe from each node's clock history.
 """
 
 from __future__ import annotations
@@ -227,10 +224,8 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
 class _Runner:
     """One scenario run; owns each node's clock history, TA state and the trace.
 
-    A node's history lists ``(installed_at, ClockState)`` in install order,
-    starting with its built clock at t=0; the last entry is its current
-    clock. Only state-changing events go through the simulator; observations
-    are read from the histories after the loop ends.
+    A node's history lists ``(installed_at, ClockState)`` from its built clock
+    at t=0. Only clock changes are events; observations read the histories.
 
     Each stream label is derived at most once per run. Persistent labels
     (``ta/``, ``loss/``, ``exchange/``, ``relay/``, ``delivery_stamp/``) come
@@ -276,12 +271,8 @@ class _Runner:
             self.prop_cache[key] = link_propagation(self.nodes[a], self.nodes[b])
         return self.prop_cache[key]
 
-    def clock(self, node: str) -> ClockState:
-        """``node``'s current clock: the last one installed."""
-        return self.history[node][-1][1]
-
     def clock_at(self, node: str, t: int) -> ClockState:
-        """The clock ``node`` read at true time ``t``: the last installed at or before ``t``."""
+        """The last clock ``node`` installed at or before true time ``t``."""
         history = self.history[node]
         return history[bisect_right(history, t, key=itemgetter(0)) - 1][1]
 
@@ -296,16 +287,16 @@ class _Runner:
         self.trace.corrections.append(CorrectionEvent(at, node, delta, kind, clock_error(clock, at)))
         for child in self.gw_children.get(node, ()):  # only gateways have children
             relay = gw_relay_sync(
-                clock, self.clock(child), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
+                clock, self.clock_at(child, at), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
             )
             self.set_clock(child, "gw_relay", relay.clock, relay.correction)
 
     def step_on_arrival(self, node: str, kind: str, delta: int, applied_at: int) -> None:
-        """Step ``node`` by a measured ``delta`` when the exchange completes,
-        applied to the clock as it reads at ``applied_at``."""
+        """Step the clock ``node`` reads at ``applied_at`` by a measured ``delta``."""
 
         def apply(sim: Simulator, _event: Event) -> None:
-            self.set_clock(node, kind, apply_offset_correction(self.clock(node), delta, at=sim.now), delta)
+            corrected = apply_offset_correction(self.clock_at(node, sim.now), delta, at=sim.now)
+            self.set_clock(node, kind, corrected, delta)
 
         self.sim.at(applied_at, apply, kind="apply_sync", target=node)
 
@@ -315,7 +306,7 @@ class _Runner:
         align = self.plan.bs_alignment
         round_no = event.payload
         for i, bs in enumerate(self.base_stations):
-            clock = self.clock(bs)
+            clock = self.clock_at(bs, sim.now)
             if align.mode is BsAlignmentMode.RIBS and i > 0:
                 anchor = self.base_stations[0]
                 helper_index = None
@@ -329,7 +320,7 @@ class _Runner:
                     helper_index = compute_ta_initial(rtt).value
                 result = ribs_align(
                     align.ribs_mode,
-                    self.clock(anchor),
+                    self.clock_at(anchor, sim.now),
                     clock,
                     self.prop(anchor, bs),
                     derive_stream(self.seed, f"ribs/{bs}/{round_no}"),
@@ -381,7 +372,7 @@ class _Runner:
         if self.plan.enabler is Enabler.TA_SIB16:
             # one broadcast per (BS, round), heard by every attached device
             broadcast = sib16_broadcast(
-                self.clock(bs), self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
+                self.clock_at(bs, sim.now), self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
             )
         for device in self.attached[bs]:
             if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
@@ -398,7 +389,8 @@ class _Runner:
     def sib_sync(self, sim: Simulator, bs: str, device: str, broadcast: Broadcast) -> None:
         # the clock is computed now, from the broadcast, and installed on arrival
         result = sib16_sync_cycle(
-            broadcast, self.clock(device), self.plan.sib, self.ta_index.get(device), self.prop(bs, device)
+            broadcast, self.clock_at(device, sim.now), self.plan.sib,
+            self.ta_index.get(device), self.prop(bs, device),
         )
 
         def apply(sim: Simulator, _event: Event) -> None:
@@ -417,7 +409,7 @@ class _Runner:
         else:
             delay_forward = delay_back = prop
         record = twoway_exchange(
-            self.clock(bs), self.clock(device), sim.now,
+            self.clock_at(bs, sim.now), self.clock_at(device, sim.now), sim.now,
             delay_forward, delay_back, self.plan.turnaround, rng, rng,
         )
         applied_at = sim.now + delay_forward + self.plan.turnaround + delay_back + prop
@@ -442,8 +434,7 @@ class _Runner:
     # -- observation, after the run --
 
     def observe(self) -> None:
-        """Offset samples, command deliveries and the fault probe, read from
-        the clock histories."""
+        """Samples, deliveries and the fault probe, read from the clock histories."""
         observed = [node_id for node_id, node in self.nodes.items() if node.role is not Role.REFERENCE]
         self.trace.samples = [
             OffsetSample(t, node, clock_error(self.clock_at(node, t), t))
@@ -453,13 +444,13 @@ class _Runner:
 
         workload = self.config.workload
         if workload is not None:
-            arrivals = []   # (arrival, target index, grid index, grid point)
+            grid = range(workload.grid_phase, self.duration + 1, workload.command_period)
+            arrivals = []   # (arrival, target index, grid index, grid point): stamped in this order
             for index, target in enumerate(workload.targets):
                 extra_rng = derive_stream(self.seed, f"delivery/{target}")
                 parent = self.nodes[target].attach_to
                 prop = self.prop(parent, target) if parent else 0
-                for k, grid_point in enumerate(range(workload.grid_phase, self.duration + 1,
-                                                     workload.command_period)):
+                for k, grid_point in enumerate(grid):
                     arrival = grid_point + prop + self.config.link.extra_delay.draw(extra_rng)
                     if arrival <= self.duration:
                         arrivals.append((arrival, index, k, grid_point))
