@@ -372,7 +372,8 @@ class _Runner:
         if self.plan.enabler is Enabler.TA_SIB16:
             # one broadcast per (BS, round), heard by every attached device
             broadcast = sib16_broadcast(
-                self.clock_at(bs, sim.now), self.plan.sib, derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now
+                self.clock_at(bs, sim.now), self.plan.sib,
+                derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now,
             )
         for device in self.attached[bs]:
             if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
