@@ -140,7 +140,7 @@ def _metric_summary(report: MetricsReport) -> dict:
 
 def _execute(config: ScenarioConfig, seed: int):
     scenario = build_scenario(config, root_seed=seed)
-    trace = run_scenario(scenario, config.duration, root_seed=seed)
+    trace = run_scenario(scenario, config.duration)
     report = build_report(
         trace,
         workload=config.workload,

@@ -42,7 +42,7 @@ from .timebase import parse_ticks
 
 SCHEMA_VERSION = 1
 
-_DIST_KEYS = {"dist", "low", "high", "mean", "sigma"}
+_DIST_KEYS = {"dist", "low", "high"}   # a clock parameter's range: only uniform exists
 _REQUIRED = object()   # table default of a key that must be present
 
 
@@ -83,6 +83,12 @@ class _Section:
     def read(self) -> dict[str, Any]:
         """Every field, parsed in table order."""
         return {key: self[key] for key in self.table}
+
+    def only_with(self, used: bool, keys: tuple[str, ...], what: str) -> None:
+        """Reject any of ``keys`` given where the model would ignore it (``used`` false)."""
+        for key in keys:
+            if not used and key in self.raw:
+                raise InvalidConfigError(f"{self.path}.{key}", f"only used with {what}")
 
 
 # --- field parsers: (value, path) -> parsed value ---------------------------------
@@ -383,6 +389,8 @@ _DELAY = {
 def _parse_delay_dist(raw: Any, path: str) -> DelayDistribution:
     s = _Section(raw, path, _DELAY)
     kind = s["dist"]
+    s.only_with(kind == "uniform", ("low", "high"), "dist: uniform")
+    s.only_with(kind == "normal", ("mean", "sigma"), "dist: normal")
     if kind == "uniform":
         low, high = s["low"], s["high"]
         if high < low:
@@ -430,6 +438,8 @@ _ALIGN = {
 def _parse_alignment(raw: Any, path: str) -> BsAlignment:
     s = _Section(raw, path, _ALIGN)
     mode = s["mode"]
+    s.only_with(mode is BsAlignmentMode.FIXED_ERROR, ("error",), "mode: fixed_error")
+    s.only_with(mode is BsAlignmentMode.RIBS, ("ribs_mode",), "mode: ribs")
     return BsAlignment(
         mode=mode,
         error=s["error"],

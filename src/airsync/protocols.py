@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .clocks import ClockState, apply_offset_correction, clock_error, local_time, stamp
 from .engine import RngStream
@@ -33,6 +33,13 @@ TA_INITIAL_MAX = 1282
 TA_UPDATE_MAX = 63
 TA_UPDATE_NOOP = 31
 TA_TIMER_PERIODS_MS = (500, 750, 1280, 1920, 2560, 5120, 10240)
+
+Clock = Union[ClockState, Callable[[int], ClockState]]
+
+
+def clock_lookup(clock: Clock) -> Callable[[int], ClockState]:
+    """``clock`` as a lookup t -> the ClockState it reads at t (a ClockState holds throughout)."""
+    return clock if callable(clock) else lambda _t: clock
 
 
 class TaKind(Enum):
@@ -116,7 +123,7 @@ class SyncResult:
     applied_at: int   # true instant the correction takes effect
 
 
-def _step_clock(clock: ClockState, delta: int, at: int) -> SyncResult:
+def step_clock(clock: ClockState, delta: int, at: int) -> SyncResult:
     """Step ``clock`` by ``delta`` at true time ``at``."""
     corrected = apply_offset_correction(clock, delta, at=at)
     return SyncResult(clock=corrected, correction=delta, error=clock_error(corrected, at), applied_at=at)
@@ -213,22 +220,22 @@ class Broadcast:
     """One SIB16-style broadcast of a cell: heard alike by every attached UE."""
 
     sent_at: int      # true transmission instant
-    value: int        # BS time carried by the message, before quantization
+    stamped_at: int   # true instant the BS clock is stamped into the message
 
 
-def sib16_broadcast(bs_clock: ClockState, sib: SibConfig, rng: RngStream, at: int) -> Broadcast:
+def sib16_broadcast(sib: SibConfig, rng: RngStream, at: int) -> Broadcast:
     """The broadcast scheduled at ``at``: transmitted after a uniform draw in
     [0, si_window]. AT_SCHEDULE stamps the BS clock at creation time (the
     scheduling delay becomes error), AT_TRANSMIT at the transmission instant.
     """
     sched_delay = rng.integers(0, sib.si_window + 1) if sib.si_window > 0 else 0
     t_tx = at + sched_delay
-    stamped_at = at if sib.stamp_mode is StampMode.AT_SCHEDULE else t_tx
-    return Broadcast(sent_at=t_tx, value=stamp(bs_clock, stamped_at, rng))
+    return Broadcast(sent_at=t_tx, stamped_at=at if sib.stamp_mode is StampMode.AT_SCHEDULE else t_tx)
 
 
 def sib16_sync_cycle(
     broadcast: Broadcast,
+    bs_value: int,
     ue_clock: ClockState,
     sib: SibConfig,
     ta_index: Optional[int],
@@ -236,15 +243,15 @@ def sib16_sync_cycle(
 ) -> SyncResult:
     """One UE adopts a broadcast: quantized BS time plus its TA estimate.
 
-    The UE sets its clock so that its reading at the arrival instant equals
-    quantize(stamp) + TA one-way estimate; the UE's own adjustment is
-    noiseless (noise models message timestamping only).
+    The UE, with ``ue_clock`` and ``ta_index`` as they stand at arrival, sets
+    its clock so its reading then equals quantize(bs_value) + TA one-way
+    estimate; its own adjustment is noiseless (noise models timestamping only).
     """
     if ta_index is None:
         raise NoTaStateError("SIB16 sync requires a current TA state")
     arrival = broadcast.sent_at + link_delay
-    target = quantize_broadcast_time(broadcast.value, sib.granularity) + delay_estimate_from_index(ta_index)
-    return _step_clock(ue_clock, local_time(ue_clock, arrival) - target, arrival)
+    target = quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index)
+    return step_clock(ue_clock, local_time(ue_clock, arrival) - target, arrival)
 
 
 # --- two-way exchange --------------------------------------------------------
@@ -285,25 +292,24 @@ def twoway_offset(rec: ExchangeRecord) -> TwowayResult:
 
 
 def twoway_exchange(
-    initiator_clock: ClockState,
-    responder_clock: ClockState,
+    initiator_clock: Clock,
+    responder_clock: Clock,
     at: int,
     delay_forward: int,
     delay_back: int,
     turnaround: int,
-    rng_initiator: RngStream,
-    rng_responder: RngStream,
+    rng: RngStream,
 ) -> ExchangeRecord:
-    """Forward-simulate a two-way transfer; each side stamps with its own clock."""
-    t_send = at
+    """Forward-simulate a two-way transfer; each stamp reads its side's clock at its instant."""
+    initiator, responder = clock_lookup(initiator_clock), clock_lookup(responder_clock)
     t_recv = at + delay_forward
     t_reply = t_recv + turnaround
     t_back = t_reply + delay_back
     return ExchangeRecord(
-        t1=stamp(initiator_clock, t_send, rng_initiator),
-        t2=stamp(responder_clock, t_recv, rng_responder),
-        t3=stamp(responder_clock, t_reply, rng_responder),
-        t4=stamp(initiator_clock, t_back, rng_initiator),
+        t1=stamp(initiator(at), at, rng),
+        t2=stamp(responder(t_recv), t_recv, rng),
+        t3=stamp(responder(t_reply), t_reply, rng),
+        t4=stamp(initiator(t_back), t_back, rng),
     )
 
 
@@ -316,10 +322,15 @@ class RibsMode(Enum):
     TWO_WAY = "two_way"
 
 
+def ribs_landing(mode: RibsMode, at: int, delay_forward: int, delay_back: int, turnaround: int) -> int:
+    """When BS-B's step lands: the reply's return (TWO_WAY) or BS-A's signal's arrival."""
+    return at + delay_forward + (turnaround + delay_back if mode is RibsMode.TWO_WAY else 0)
+
+
 def ribs_align(
     mode: RibsMode,
-    bs_a_clock: ClockState,
-    bs_b_clock: ClockState,
+    bs_a_clock: Clock,
+    bs_b_clock: Clock,
     inter_bs_delay: Union[int, tuple[int, int]],
     rng: RngStream,
     helper_ta_index: Optional[int] = None,
@@ -339,16 +350,14 @@ def ribs_align(
         delay_forward, delay_back = inter_bs_delay
     else:
         delay_forward = delay_back = inter_bs_delay
+    bs_a, bs_b = clock_lookup(bs_a_clock), clock_lookup(bs_b_clock)
+    applied_at = ribs_landing(mode, at, delay_forward, delay_back, turnaround)
 
     if mode is RibsMode.TWO_WAY:
-        rec = twoway_exchange(
-            bs_a_clock, bs_b_clock, at, delay_forward, delay_back, turnaround, rng, rng
-        )
+        rec = twoway_exchange(bs_a, bs_b, at, delay_forward, delay_back, turnaround, rng)
         delta = twoway_offset(rec).offset
-        applied_at = at + delay_forward + turnaround + delay_back
     else:
-        reference_stamp = stamp(bs_a_clock, at, rng)
-        applied_at = at + delay_forward
+        reference_stamp = stamp(bs_a(at), at, rng)
         if mode is RibsMode.LISTEN_ONLY:
             target = reference_stamp
         else:
@@ -357,9 +366,9 @@ def ribs_align(
                     "listen-with-TA alignment requires a helper-UE TA state"
                 )
             target = reference_stamp + delay_estimate_from_index(helper_ta_index)
-        delta = local_time(bs_b_clock, applied_at) - target
+        delta = local_time(bs_b(applied_at), applied_at) - target
 
-    return _step_clock(bs_b_clock, delta, applied_at)
+    return step_clock(bs_b(applied_at), delta, applied_at)
 
 
 # --- gateway relay -------------------------------------------------------------
@@ -380,4 +389,4 @@ def gw_relay_sync(
     if gw_clock.last_sync_at is None:
         raise GwNotSyncedError("gateway has not completed an OTA sync")
     target = local_time(gw_clock, at) + rng.gauss_ticks(local_domain_error_sigma)
-    return _step_clock(device_clock, local_time(device_clock, at) - target, at)
+    return step_clock(device_clock, local_time(device_clock, at) - target, at)

@@ -14,25 +14,31 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .clocks import ClockState, apply_offset_correction, clock_error, stamp
+from .clocks import ClockState, clock_error, stamp
 from .engine import Event, RngStream, Simulator, derive_stream
 from .errors import InvalidGeometryError
 from .protocols import (
     Broadcast,
+    Clock,
     RibsMode,
     SibConfig,
+    SyncResult,
     TaTimerConfig,
     apply_ta_command,
+    clock_lookup,
     compute_ta_initial,
     compute_ta_update,
     gw_relay_sync,
     measure_rtt,
     ribs_align,
+    ribs_landing,
     sib16_broadcast,
     sib16_sync_cycle,
+    step_clock,
     twoway_exchange,
     twoway_offset,
 )
@@ -194,14 +200,10 @@ class RawTrace:
 # --- construction --------------------------------------------------------------
 
 
-def node_distance(a: Node, b: Node) -> float:
-    if a.position is None or b.position is None:
-        return 0.0
-    return math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-
-
 def link_propagation(a: Node, b: Node) -> int:
-    return propagation_ticks(node_distance(a, b))
+    if a.position is None or b.position is None:
+        return 0
+    return propagation_ticks(math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1]))
 
 
 def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) -> Scenario:
@@ -234,10 +236,10 @@ class _Runner:
     probe) are derived where they are used and dropped.
     """
 
-    def __init__(self, scenario: Scenario, duration: int, root_seed: int):
+    def __init__(self, scenario: Scenario, duration: int):
         self.config = scenario.config
         self.duration = duration
-        self.seed = root_seed
+        self.seed = scenario.seed
         self.sim = Simulator()
         self.plan = self.config.sync_plan
         self.nodes = self.config.nodes
@@ -249,14 +251,14 @@ class _Runner:
         self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
+        self.gw_children: dict[str, list[str]] = {}
         for node in self.nodes.values():
             if node.role in ATTACHED_ROLES and node.attach_to in self.attached:
                 self.attached[node.attach_to].append(node.id)
-        self.gw_children: dict[str, list[str]] = {}
-        for node in self.nodes.values():
-            if node.role is Role.LEGACY:
+            elif node.role is Role.LEGACY:
                 self.gw_children.setdefault(node.attach_to, []).append(node.id)
-        self.prop_cache: dict[tuple[str, str], int] = {}
+        nodes = self.nodes   # closing over self instead would hold the runner in a reference cycle
+        self.prop = cache(lambda a, b: link_propagation(nodes[a], nodes[b]))
 
     def rng(self, label: str) -> RngStream:
         """The run's persistent stream for ``label``, derived on first use."""
@@ -265,40 +267,33 @@ class _Runner:
             stream = self.streams[label] = derive_stream(self.seed, label)
         return stream
 
-    def prop(self, a: str, b: str) -> int:
-        key = (a, b)
-        if key not in self.prop_cache:
-            self.prop_cache[key] = link_propagation(self.nodes[a], self.nodes[b])
-        return self.prop_cache[key]
-
     def clock_at(self, node: str, t: int) -> ClockState:
         """The last clock ``node`` installed at or before true time ``t``."""
         history = self.history[node]
         return history[bisect_right(history, t, key=itemgetter(0)) - 1][1]
 
-    def set_clock(self, node: str, kind: str, clock: ClockState, delta: int) -> None:
-        """Install ``node``'s new clock now: the only clock change after build.
+    def set_clock(self, node: str, kind: str, result: SyncResult) -> None:
+        """Install ``node``'s clock as ``result`` stepped it now: the only clock change after build.
 
         Logs the correction and relays a gateway's new time into its wired
         domain.
         """
-        at = self.sim.now
+        at, clock = self.sim.now, result.clock
         self.history[node].append((at, clock))
-        self.trace.corrections.append(CorrectionEvent(at, node, delta, kind, clock_error(clock, at)))
+        self.trace.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
         for child in self.gw_children.get(node, ()):  # only gateways have children
-            relay = gw_relay_sync(
+            self.set_clock(child, "gw_relay", gw_relay_sync(
                 clock, self.clock_at(child, at), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
-            )
-            self.set_clock(child, "gw_relay", relay.clock, relay.correction)
+            ))
 
-    def step_on_arrival(self, node: str, kind: str, delta: int, applied_at: int) -> None:
-        """Step the clock ``node`` reads at ``applied_at`` by a measured ``delta``."""
+    def land(self, node: str, kind: str, at: int, measure: Callable[[], SyncResult]) -> None:
+        """Schedule a sync landing on ``node`` at ``at``: ``measure`` then reads each stamp from
+        a clock history at its own instant and steps the clock ``node`` reads by the delta."""
 
         def apply(sim: Simulator, _event: Event) -> None:
-            corrected = apply_offset_correction(self.clock_at(node, sim.now), delta, at=sim.now)
-            self.set_clock(node, kind, corrected, delta)
+            self.set_clock(node, kind, measure())
 
-        self.sim.at(applied_at, apply, kind="apply_sync", target=node)
+        self.sim.at(at, apply, kind="apply_sync", target=node)
 
     # -- alignment --
 
@@ -306,40 +301,32 @@ class _Runner:
         align = self.plan.bs_alignment
         round_no = event.payload
         for i, bs in enumerate(self.base_stations):
-            clock = self.clock_at(bs, sim.now)
             if align.mode is BsAlignmentMode.RIBS and i > 0:
-                anchor = self.base_stations[0]
-                helper_index = None
-                if align.ribs_mode is RibsMode.LISTEN_TA:
-                    rtt = measure_rtt(
-                        self.prop(anchor, bs),
-                        self.plan.ta_noise_sigma,
-                        self.plan.ta_wrong_bin_prob,
-                        derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
-                    )
-                    helper_index = compute_ta_initial(rtt).value
-                result = ribs_align(
-                    align.ribs_mode,
-                    self.clock_at(anchor, sim.now),
-                    clock,
-                    self.prop(anchor, bs),
-                    derive_stream(self.seed, f"ribs/{bs}/{round_no}"),
-                    helper_ta_index=helper_index,
-                    at=sim.now,
-                    turnaround=self.plan.turnaround,
-                )
-                self.step_on_arrival(bs, "bs_align", result.correction, result.applied_at)
-                continue
-            # anchor BS (and every BS under PERFECT/FIXED_ERROR) is steered directly
-            target_error = 0
-            if align.mode is BsAlignmentMode.FIXED_ERROR and i > 0:
-                target_error = align.error
-            delta = clock_error(clock, sim.now) - target_error
-            self.set_clock(bs, "bs_align", apply_offset_correction(clock, delta, at=sim.now), delta)
+                self.ribs_sync(self.base_stations[0], bs, round_no, sim.now)
+            else:  # steered directly: the anchor to 0, others to their offset (0 unless FIXED_ERROR)
+                clock = self.clock_at(bs, sim.now)
+                delta = clock_error(clock, sim.now) - (align.error if i > 0 else 0)
+                self.set_clock(bs, "bs_align", step_clock(clock, delta, sim.now))
         if align.realign_period:
             next_at = sim.now + align.realign_period
             if next_at <= self.duration:
                 sim.at(next_at, self.align_base_stations, kind="bs_align", payload=round_no + 1)
+
+    def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
+        mode = self.plan.bs_alignment.ribs_mode
+        prop = self.prop(anchor, bs)
+        helper_index = None
+        if mode is RibsMode.LISTEN_TA:
+            rtt = measure_rtt(
+                prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob,
+                derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
+            )
+            helper_index = compute_ta_initial(rtt).value
+        self.land(bs, "bs_align", ribs_landing(mode, at, prop, prop, self.plan.turnaround), partial(
+            ribs_align, mode, partial(self.clock_at, anchor), partial(self.clock_at, bs), prop,
+            derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
+            at=at, turnaround=self.plan.turnaround,
+        ))
 
     # -- timing advance maintenance --
 
@@ -368,38 +355,38 @@ class _Runner:
         bs = event.target
         round_no = event.payload
         link = self.config.link
-        broadcast = None
-        if self.plan.enabler is Enabler.TA_SIB16:
+        sib = self.plan.enabler is Enabler.TA_SIB16
+        if sib:
             # one broadcast per (BS, round), heard by every attached device
-            broadcast = sib16_broadcast(
-                self.clock_at(bs, sim.now), self.plan.sib,
-                derive_stream(self.seed, f"sib/{bs}/{round_no}"), sim.now,
-            )
+            rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
+            broadcast = sib16_broadcast(self.plan.sib, rng, sim.now)
+            bs_value: list[int] = []
         for device in self.attached[bs]:
             if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
                 self.trace.lost_sync += 1
                 continue
-            if broadcast is None:
-                self.twoway_sync(sim, bs, device)
+            if sib:
+                self.sib_sync(bs, device, broadcast, rng, bs_value)
             else:
-                self.sib_sync(sim, bs, device, broadcast)
+                self.twoway_sync(bs, device, sim.now)
         next_at = sim.now + self.plan.resync_period
         if next_at <= self.duration:
             sim.at(next_at, self.sync_round, kind="sync_round", target=bs, payload=round_no + 1)
 
-    def sib_sync(self, sim: Simulator, bs: str, device: str, broadcast: Broadcast) -> None:
-        # the clock is computed now, from the broadcast, and installed on arrival
-        result = sib16_sync_cycle(
-            broadcast, self.clock_at(device, sim.now), self.plan.sib,
-            self.ta_index.get(device), self.prop(bs, device),
-        )
+    def sib_sync(self, bs: str, device: str, broadcast: Broadcast, rng: RngStream, value: list[int]) -> None:
+        prop = self.prop(bs, device)
 
-        def apply(sim: Simulator, _event: Event) -> None:
-            self.set_clock(device, "sib16", result.clock, result.correction)
+        def measure() -> SyncResult:
+            if not value:   # the BS stamps once, at the round's first landing (each follows stamped_at)
+                value.append(stamp(self.clock_at(bs, broadcast.stamped_at), broadcast.stamped_at, rng))
+            return sib16_sync_cycle(
+                broadcast, value[0], self.clock_at(device, self.sim.now), self.plan.sib,
+                self.ta_index.get(device), prop,
+            )
 
-        sim.at(result.applied_at, apply, kind="apply_sync", target=device)
+        self.land(device, "sib16", broadcast.sent_at + prop, measure)
 
-    def twoway_sync(self, sim: Simulator, bs: str, device: str) -> None:
+    def twoway_sync(self, bs: str, device: str, at: int) -> None:
         rng = self.rng(f"exchange/{device}")
         prop = self.prop(bs, device)
         if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
@@ -409,12 +396,15 @@ class _Runner:
             delay_back = prop + self.config.link.extra_delay.draw(rng)
         else:
             delay_forward = delay_back = prop
-        record = twoway_exchange(
-            self.clock_at(bs, sim.now), self.clock_at(device, sim.now), sim.now,
-            delay_forward, delay_back, self.plan.turnaround, rng, rng,
-        )
-        applied_at = sim.now + delay_forward + self.plan.turnaround + delay_back + prop
-        self.step_on_arrival(device, "two_way", twoway_offset(record).offset, applied_at)
+
+        def measure() -> SyncResult:
+            offset = twoway_offset(twoway_exchange(
+                partial(self.clock_at, bs), partial(self.clock_at, device), at,
+                delay_forward, delay_back, self.plan.turnaround, rng,
+            )).offset
+            return step_clock(self.clock_at(device, self.sim.now), offset, self.sim.now)
+
+        self.land(device, "two_way", at + delay_forward + self.plan.turnaround + delay_back + prop, measure)
 
     # -- assembly --
 
@@ -465,29 +455,28 @@ class _Runner:
             probe_at = self.duration if probe.at is None else probe.at
             pmu_a, pmu_b = probe.pmu_ids
             stamp_a, stamp_b = fault_wave_stamps(
-                self.clock_at(pmu_a, probe_at), self.clock_at(pmu_b, probe_at),
-                probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps,
-                at=probe_at,
+                partial(self.clock_at, pmu_a), partial(self.clock_at, pmu_b),
+                probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps, at=probe_at,
                 rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
                 rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
             )
             self.trace.fault = FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
 
 
-def run_scenario(scenario: Scenario, duration: int, root_seed: Optional[int] = None) -> RawTrace:
-    """Execute one scenario for ``duration`` ticks and return the raw trace."""
+def run_scenario(scenario: Scenario, duration: int) -> RawTrace:
+    """Execute one scenario for ``duration`` ticks, with its own seed, and
+    return the raw trace."""
     if duration <= 0:
         raise ValueError("duration must be > 0")
-    seed = scenario.seed if root_seed is None else root_seed
-    return _Runner(scenario, duration, seed).run()
+    return _Runner(scenario, duration).run()
 
 
 # --- fault probe -------------------------------------------------------------------
 
 
 def fault_wave_stamps(
-    clock_a: ClockState,
-    clock_b: ClockState,
+    clock_a: Clock,
+    clock_b: Clock,
     fault_position: float,
     line_length: float,
     wave_speed: float,
@@ -495,7 +484,7 @@ def fault_wave_stamps(
     rng_b: RngStream,
     at: int = 0,
 ) -> tuple[int, int]:
-    """True wave arrivals at the two line ends, stamped by each PMU's clock."""
+    """True wave arrivals at the two line ends, each stamped by its PMU's clock as it reads then."""
     if line_length <= 0 or not 0 <= fault_position <= line_length or wave_speed <= 0:
         raise InvalidGeometryError(
             f"fault at {fault_position} m on a {line_length} m line "
@@ -503,5 +492,6 @@ def fault_wave_stamps(
         )
     arrival_a = at + round(fault_position / wave_speed * TICKS_PER_SECOND)
     arrival_b = at + round((line_length - fault_position) / wave_speed * TICKS_PER_SECOND)
-    return stamp(clock_a, arrival_a, rng_a), stamp(clock_b, arrival_b, rng_b)
+    return (stamp(clock_lookup(clock_a)(arrival_a), arrival_a, rng_a),
+            stamp(clock_lookup(clock_b)(arrival_b), arrival_b, rng_b))
 

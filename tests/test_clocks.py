@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airsync.clocks import (
     ClockParams,
@@ -85,6 +87,19 @@ def test_corrections_are_additive():
     via_two = apply_offset_correction(apply_offset_correction(clock, 30), 12)
     via_one = apply_offset_correction(clock, 42)
     assert via_two.correction == via_one.correction
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-(2**40), 2**40),
+    st.floats(-9.99e-4, 9.99e-4),
+    st.floats(-1e-6, 1e-6),
+    st.integers(-(2**40), 2**40),
+    st.integers(0, 10**4 * TICKS_PER_SECOND),
+)
+def test_correction_lowers_reading_by_delta_at_any_instant(theta0, skew, drift, delta, t):
+    clock = ClockState(params=ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
+    assert local_time(apply_offset_correction(clock, delta), t) == local_time(clock, t) - delta
 
 
 def test_single_correction_permanent_without_skew_or_drift():

@@ -185,6 +185,33 @@ def test_graph_rules_rejected_at_validation(edit, path, message):
     assert (info.value.path, info.value.message) == (path, message)
 
 
+@pytest.mark.parametrize("section, field, path", [
+    pytest.param({"sync_plan": {"bs_alignment": {"mode": "ribs", "error": "1 us"}}}, None,
+                 "sync_plan.bs_alignment.error", id="error-without-fixed-error"),
+    pytest.param({"sync_plan": {"bs_alignment": {"mode": "fixed_error", "ribs_mode": "two_way"}}}, None,
+                 "sync_plan.bs_alignment.ribs_mode", id="ribs-mode-without-ribs"),
+    pytest.param({"link": {"extra_delay": {"dist": "normal", "low": 0}}}, None,
+                 "link.extra_delay.low", id="low-without-uniform"),
+    pytest.param({"link": {"extra_delay": {"dist": "none", "high": "1 ms"}}}, None,
+                 "link.extra_delay.high", id="high-without-uniform"),
+    pytest.param({"link": {"extra_delay": {"dist": "uniform", "high": "1 ms", "mean": 5}}}, None,
+                 "link.extra_delay.mean", id="mean-without-normal"),
+    pytest.param({"link": {"extra_delay": {"sigma": 5}}}, None,
+                 "link.extra_delay.sigma", id="sigma-without-normal"),
+    pytest.param({}, {"skew_ppm": {"dist": "uniform", "low": -1, "high": 1, "mean": 0}},
+                 "nodes[2].clock.skew_ppm.mean", id="clock-range-mean"),
+    pytest.param({}, {"theta0": {"dist": "uniform", "low": 0, "high": 9, "sigma": 1}},
+                 "nodes[2].clock.theta0.sigma", id="clock-range-sigma"),
+])
+def test_fields_the_mode_ignores_rejected(section, field, path):
+    raw = minimal(**section)
+    if field is not None:
+        raw["nodes"][2]["clock"] = field
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert info.value.path == path
+
+
 def test_fault_probe_pmus_resolved_once():
     raw = minimal(fault_probe=PROBE)
     raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]

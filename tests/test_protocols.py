@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock
+from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, stamp
 from airsync.engine import derive_stream
 from airsync.errors import (
     CausalityViolationError,
@@ -17,6 +19,7 @@ from airsync.protocols import (
     RibsMode,
     SibConfig,
     StampMode,
+    TA_INITIAL_MAX,
     TaCommand,
     TaKind,
     TaTimerConfig,
@@ -45,6 +48,8 @@ from airsync.timebase import (
 
 US = TICKS_PER_US
 MS = TICKS_PER_MS
+PROPERTY = settings(max_examples=100, deadline=None)
+TICKS = st.integers(-(2**40), 2**40)
 
 
 # --- timing advance -----------------------------------------------------------
@@ -145,6 +150,15 @@ def test_ta_quantization_bound_exhaustive():
         assert 0 <= tau - estimate < HALF_TA_STEP_TICKS
 
 
+@PROPERTY
+@given(st.integers(0, TA_INITIAL_MAX * HALF_TA_STEP_TICKS))
+def test_ta_initial_residual_within_half_step(one_way):
+    # exact round trip inside the 11-bit range: the estimate never overshoots
+    # and misses by less than 8*Ts
+    index = compute_ta_initial(2 * one_way).value
+    assert 0 <= one_way - delay_estimate_from_index(index) < HALF_TA_STEP_TICKS
+
+
 def test_measure_rtt_noiseless():
     rng = derive_stream(0, "rtt")
     assert measure_rtt(1234, 0.0, 0.0, rng) == 2468
@@ -199,8 +213,10 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
 
 
 def _sib_cycle(bs_clock, ue_clock, sib, ta_index, link_delay, rng, at=0):
-    """One broadcast, adopted by one UE."""
-    return sib16_sync_cycle(sib16_broadcast(bs_clock, sib, rng, at), ue_clock, sib, ta_index, link_delay)
+    """One broadcast, stamped by the BS and adopted by one UE."""
+    broadcast = sib16_broadcast(sib, rng, at)
+    bs_value = stamp(bs_clock, broadcast.stamped_at, rng)
+    return sib16_sync_cycle(broadcast, bs_value, ue_clock, sib, ta_index, link_delay)
 
 
 def test_sib_cycle_ideal_is_exact():
@@ -387,12 +403,34 @@ def test_twoway_asymmetric_randomized_exactness():
             assert reconstructed == numerator
 
 
+@PROPERTY
+@given(TICKS, TICKS, st.integers(0, 2**40), st.integers(0, 2**40))
+def test_twoway_offset_reconstructs_the_numerator(t1, t2, turnaround, span):
+    record = ExchangeRecord(t1=t1, t2=t2, t3=t2 + turnaround, t4=t1 + span)
+    numerator = (record.t2 - record.t1) - (record.t4 - record.t3)
+    result = twoway_offset(record)
+    # truncation toward zero keeps the numerator's sign; the flag carries the dropped half
+    sign = 1 if numerator > 0 else -1
+    assert 2 * result.offset + sign * result.offset_half_tick == numerator
+    assert result.offset * numerator >= 0
+
+
+@PROPERTY
+@given(TICKS, TICKS, st.integers(0, 2**40), st.integers(0, 2**30), st.integers(0, 2**30))
+def test_twoway_exchange_gives_responder_minus_initiator_error(theta_i, theta_r, at, delay, turnaround):
+    initiator = ClockState(params=ClockParams(theta0=theta_i))
+    responder = ClockState(params=ClockParams(theta0=theta_r))
+    record = twoway_exchange(initiator, responder, at, delay, delay, turnaround, derive_stream(0, "prop"))
+    result = twoway_offset(record)
+    assert result.offset == clock_error(responder, at) - clock_error(initiator, at)
+    assert not result.offset_half_tick
+
+
 def test_twoway_exchange_forward_sim_recovers_offset():
     responder = ClockState(params=ClockParams(theta0=987_654))
     record = twoway_exchange(
         ideal_clock(), responder, at=10_000, delay_forward=5000, delay_back=5000,
-        turnaround=777, rng_initiator=derive_stream(0, "xa"),
-        rng_responder=derive_stream(0, "xb"),
+        turnaround=777, rng=derive_stream(0, "xa"),
     )
     result = twoway_offset(record)
     assert result.offset == 987_654

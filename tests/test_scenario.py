@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from airsync import scenario as scenario_module
+from airsync.clocks import apply_offset_correction, clock_error, local_time
 from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
+from airsync.protocols import ExchangeRecord, twoway_offset
 from airsync.scenario import (
     Role,
     build_scenario,
@@ -162,8 +164,8 @@ def test_seed_changes_noisy_run():
     raw = base_config()
     raw["nodes"][1]["clock"] = {"stamp_noise": 300}
     cfg = validate_config(raw)
-    t1 = run_scenario(build_scenario(cfg, root_seed=1), cfg.duration, root_seed=1)
-    t2 = run_scenario(build_scenario(cfg, root_seed=2), cfg.duration, root_seed=2)
+    t1 = run_scenario(build_scenario(cfg, root_seed=1), cfg.duration)
+    t2 = run_scenario(build_scenario(cfg, root_seed=2), cfg.duration)
     assert t1.samples != t2.samples
 
 
@@ -246,6 +248,100 @@ def test_ribs_step_lands_when_the_exchange_completes():
     bs2 = {s.t_true: s.error for s in trace.samples if s.node == "bs2"}
     assert bs2[0] == bs2[MS] == TICKS_PER_US
     assert bs2[2 * MS] == 0
+
+
+def test_ribs_step_inside_a_device_exchange_reaches_only_later_stamps():
+    # bs2 (1 us off) aligns by two-way RIBS over 300 m while its UE, 600 m
+    # away, runs its first exchange: the step lands between t1 and t4
+    raw = base_config()
+    raw["nodes"][2:] = [
+        {"id": "bs2", "role": "base_station", "position": [300, 0], "clock": {"theta0": "1 us"}},
+        {"id": "ue1", "role": "ue", "attach_to": "bs2", "position": [900, 0]},
+    ]
+    raw["sync_plan"] = {"enabler": "ribs_ue", "resync_period": "100 ms",
+                        "bs_alignment": {"mode": "ribs", "ribs_mode": "two_way"}}
+    cfg = validate_config(raw)
+    scenario = build_scenario(cfg)
+    trace = run_scenario(scenario, cfg.duration)
+    (step,) = [c for c in trace.corrections if c.node == "bs2"]
+    sync = next(c for c in trace.corrections if c.node == "ue1")
+    prop = propagation_ticks(600.0)
+    t_back = 2 * prop + MS
+    assert 0 < step.t_true < t_back and step.delta == TICKS_PER_US
+    before, ue = scenario.clocks["bs2"], scenario.clocks["ue1"]
+    record = ExchangeRecord(
+        t1=local_time(before, 0),
+        t2=local_time(ue, prop),
+        t3=local_time(ue, prop + MS),
+        t4=local_time(apply_offset_correction(before, step.delta), t_back),
+    )
+    assert sync.delta == twoway_offset(record).offset == -TICKS_PER_US // 2
+
+
+def test_sib_stamp_reads_a_bs_realigned_inside_the_window():
+    # the BS drifts 5 ppm and is realigned every 10 ms; the UE sits at the BS
+    # (no delay, TA index 0, no quantization), so each UE correction must
+    # leave it at the BS error at transmission, counted from the last
+    # realignment before it, not from the one at the round's start
+    raw = base_config()
+    raw["nodes"][1]["clock"] = {"skew_ppm": 5.0}
+    raw["nodes"][2]["position"] = [0, 0]
+    raw["sync_plan"].update(
+        sib={"granularity": 0, "si_window": "80 ms", "stamp_mode": "at_transmit"},
+        bs_alignment={"mode": "perfect", "realign_period": "10 ms"},
+    )
+    cfg = validate_config(raw)
+    scenario = build_scenario(cfg)
+    trace = run_scenario(scenario, cfg.duration)
+    bs = scenario.clocks["bs1"]
+    realigned = [c.t_true for c in trace.corrections if c.node == "bs1"]
+    syncs = [c for c in trace.corrections if c.node == "ue1"]
+    for sync in syncs:
+        last = max(t for t in realigned if t < sync.t_true)
+        assert sync.error_after == clock_error(bs, sync.t_true) - clock_error(bs, last)
+    round_starts = range(0, cfg.duration + 1, 100 * MS)
+    assert any(sync.t_true - max(r for r in round_starts if r <= sync.t_true) > 10 * MS for sync in syncs)
+
+
+def test_sib_uses_the_ta_index_held_at_arrival():
+    # 125 m: the initial TA index floors 1.6 steps to 1, the 500 ms refresh
+    # rounds the remaining 0.6 step up to index 2. A round starting 6,400
+    # ticks before the refresh lands 6,400 ticks after it
+    tau = propagation_ticks(125.0)
+    assert 2 * tau == 8 * TA_STEP_TICKS // 5
+    period = (500 * MS - tau // 2) // 5
+    raw = base_config(duration="600 ms")
+    raw["nodes"][2:] = [{"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [125, 0]}]
+    raw["sync_plan"].update(ta_timer_ms=500, resync_period=f"{period} ticks")
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    assert trace.ta_index["ue1"] == 2
+    errors = {c.t_true: c.error_after for c in trace.corrections if c.node == "ue1"}
+    assert errors[5 * period + tau] == 2 * HALF_TA_STEP_TICKS - tau
+    assert errors[4 * period + tau] == HALF_TA_STEP_TICKS - tau
+
+
+def test_overlapping_sib_rounds_each_land_their_own_broadcast():
+    # 5 ms rounds with a 40 ms SI window: a round often lands after later
+    # rounds have started. Each landing sets the UE to its own broadcast (BS
+    # stamp noise only, on-grid TA), and steps the clock the UE reads then
+    raw = base_config()
+    raw["nodes"][1]["clock"] = {"stamp_noise": 300}
+    raw["sync_plan"].update(resync_period="5 ms",
+                            sib={"granularity": 0, "si_window": "40 ms", "stamp_mode": "at_transmit"})
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    landings = {}
+    for k in range(cfg.duration // (5 * MS) + 1):
+        rng = derive_stream(cfg.seed, f"sib/bs1/{k}")   # replay: scheduling delay, then stamp noise
+        landing = k * 5 * MS + rng.integers(0, 40 * MS + 1) + TA_STEP_TICKS
+        landings[landing] = (k, rng.gauss_ticks(300))
+    syncs = [c for c in trace.corrections if c.node == "ue1"]
+    assert [c.t_true for c in syncs] == sorted(t for t in landings if t <= cfg.duration)
+    assert [c.error_after for c in syncs] == [landings[c.t_true][1] for c in syncs]
+    assert [c.delta for c in syncs[1:]] == [a.error_after - b.error_after for a, b in zip(syncs, syncs[1:])]
+    rounds = [landings[c.t_true][0] for c in syncs]
+    assert rounds != sorted(rounds)   # some round lands after a later one
 
 
 def same_tick_trace():
@@ -364,6 +460,33 @@ def test_fault_geometry_validation():
         pmu_stamps(700.0, 600.0, 3.0e8)
     with pytest.raises(InvalidGeometryError):
         pmu_stamps(100.0, 600.0, -1.0)
+
+
+def test_fault_stamps_read_each_pmu_clock_when_the_wave_arrives():
+    # both PMUs sit 500 m from the BS, so their first SIB corrections land
+    # together; the probe fires 10 ticks earlier and its waves arrive 1 us later
+    raw = {
+        "schema_version": 1,
+        "seed": 3,
+        "duration": "10 ms",
+        "nodes": [
+            {"id": "ref", "role": "reference"},
+            {"id": "bs1", "role": "base_station", "position": [300, 400]},
+            {"id": "pmu_a", "role": "pmu", "attach_to": "bs1", "position": [0, 0]},
+            {"id": "pmu_b", "role": "pmu", "attach_to": "bs1", "position": [600, 0],
+             "clock": {"theta0": "1 us"}},
+        ],
+        "sync_plan": {"resync_period": "10 ms", "sib": {"granularity": 0, "si_window": 0}},
+        "fault_probe": {"line_length_m": 600, "fault_position_m": 300,
+                        "at": f"{propagation_ticks(500.0) - 10} ticks"},
+    }
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    after = {c.node: c.error_after for c in trace.corrections if c.t_true == propagation_ticks(500.0)}
+    arrival = trace.fault.t_fault + propagation_ticks(300.0)
+    assert after["pmu_b"] != TICKS_PER_US   # the correction changes pmu_b's clock
+    assert trace.fault.stamp_a - arrival == after["pmu_a"]
+    assert trace.fault.stamp_b - arrival == after["pmu_b"]
 
 
 def test_in_run_fault_probe_recorded():
