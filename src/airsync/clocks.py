@@ -1,22 +1,22 @@
 """Imperfect local clocks: phase offset, fractional skew, aging drift, noise.
 
-A node's reading of its own clock is a pure function of the true time and
-the clock state. The deterministic part is quadratic,
+A node's clock is one trajectory over the run: its drawn parameters plus the
+steps it took. Its reading at true time t is a pure function of t,
 
-    local(t) = theta0 + correction + (1 + y) * t + (a/2) * t_s * t
+    local(t) = theta0 + correction(t) + (1 + y) * t + (a/2) * t_s * t
 
 with t in ticks, t_s the same instant in seconds, y the fractional frequency
-offset and a the aging rate per second. The integer true-time term is kept exact; only the small skew/drift
-perturbation is evaluated in double precision and rounded to a tick (error
-below one tick for horizons up to ~1e4 s). Timestamp noise enters solely
-through stamp().
+offset, a the aging rate per second and correction(t) the total of the steps
+installed at or before t. The integer terms are kept exact; only the small
+skew/drift perturbation is evaluated in double precision and rounded to a
+tick (error below one tick for horizons up to ~1e4 s). Timestamp noise
+enters solely through stamp().
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Optional
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 from .engine import RngStream
 from .errors import TickOverflowError
@@ -41,20 +41,33 @@ class ClockParams:
             raise ValueError("stamp_noise_sigma must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClockState:
-    """Clock parameters plus accumulated corrections; value data, never mutated."""
+    """One node's clock trajectory: its parameters plus every step it took.
+
+    ``installed_at[i]`` is the true instant of step i (non-decreasing) and
+    ``correction[i]`` the total correction in force from then on. A clock
+    with no steps holds its drawn phase throughout.
+    """
 
     params: ClockParams = ClockParams()
-    correction: int = 0
-    last_sync_at: Optional[int] = None
+    installed_at: list[int] = field(default_factory=list, init=False)
+    correction: list[int] = field(default_factory=list, init=False)
+
+    def step(self, at: int, delta: int) -> None:
+        """From true time ``at`` on, every reading drops by a further ``delta``."""
+        if self.installed_at and at < self.installed_at[-1]:
+            raise ValueError(f"step at {at} before the last step at {self.installed_at[-1]}")
+        self.installed_at.append(at)
+        self.correction.append((self.correction[-1] if self.correction else 0) - delta)
 
 
 def ideal_clock() -> ClockState:
     return ClockState()
 
 
-def _in_tick_range(local: int) -> int:
+def in_tick_range(local: int) -> int:
+    """``local``, if it fits a signed 64-bit timestamp."""
     if not (INT64_MIN <= local <= INT64_MAX):
         raise TickOverflowError(f"local timestamp {local} outside signed 64-bit range")
     return local
@@ -63,28 +76,19 @@ def _in_tick_range(local: int) -> int:
 def local_time(state: ClockState, t_true: int) -> int:
     """Deterministic local reading (ticks, signed) at true time t_true."""
     p = state.params
+    steps = bisect_right(state.installed_at, t_true)
+    correction = state.correction[steps - 1] if steps else 0
     t_seconds = t_true / TICKS_PER_SECOND
     perturbation = p.skew_y * t_true + 0.5 * p.drift_a * t_seconds * t_true
-    return _in_tick_range(p.theta0 + state.correction + t_true + round(perturbation))
+    return in_tick_range(p.theta0 + correction + t_true + round(perturbation))
 
 
 def stamp(state: ClockState, t_true: int, rng: RngStream) -> int:
     """Local reading with Gaussian timestamping noise, rounded to a tick."""
     local = local_time(state, t_true) + rng.gauss_ticks(state.params.stamp_noise_sigma)
-    return _in_tick_range(local)
+    return in_tick_range(local)
 
 
 def clock_error(state: ClockState, t_true: int) -> int:
     """Signed error of the local clock against the reference (local - true)."""
     return local_time(state, t_true) - t_true
-
-
-def apply_offset_correction(
-    state: ClockState, delta: int, at: Optional[int] = None
-) -> ClockState:
-    """Step correction: subsequent readings at the same instant drop by delta."""
-    return dataclasses.replace(
-        state,
-        correction=state.correction - delta,
-        last_sync_at=at if at is not None else state.last_sync_at,
-    )

@@ -194,13 +194,13 @@ class ScalarOrDist:
     low: float = 0.0
     high: float = 0.0
     uniform: bool = False
-    integer: bool = False
+    integer: bool = False   # values stay Python ints: never rounded through a float
 
     def draw(self, rng: RngStream) -> float:
         if not self.uniform:
             return self.value
         if self.integer:
-            return float(rng.integers(int(self.low), int(self.high) + 1))
+            return rng.integers(self.low, self.high + 1)
         return rng.uniform(self.low, self.high)
 
 
@@ -227,22 +227,22 @@ def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
 
 @dataclass(frozen=True)
 class ClockSpec:
-    theta0: ScalarOrDist = ScalarOrDist(integer=True)
+    theta0: ScalarOrDist = ScalarOrDist(value=0, integer=True)
     skew_y: ScalarOrDist = ScalarOrDist()
     drift_a: ScalarOrDist = ScalarOrDist()
     stamp_noise_sigma: float = 0.0
 
     def draw(self, rng: RngStream) -> ClockParams:
         return ClockParams(
-            theta0=int(self.theta0.draw(rng)),
+            theta0=self.theta0.draw(rng),
             skew_y=self.skew_y.draw(rng),
             drift_a=self.drift_a.draw(rng),
             stamp_noise_sigma=self.stamp_noise_sigma,
         )
 
 
-def _phase_offset(value: Any, path: str) -> float:
-    return float(_time(value, path, allow_negative=True))
+def _phase_offset(value: Any, path: str) -> int:
+    return _time(value, path, allow_negative=True)
 
 
 def _ppm(value: Any, path: str) -> float:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .clocks import ClockState, apply_offset_correction, clock_error, local_time, stamp
+from .clocks import ClockState, in_tick_range, local_time, stamp
 from .engine import RngStream
 from .errors import (
     CausalityViolationError,
@@ -33,14 +33,6 @@ TA_INITIAL_MAX = 1282
 TA_UPDATE_MAX = 63
 TA_UPDATE_NOOP = 31
 TA_TIMER_PERIODS_MS = (500, 750, 1280, 1920, 2560, 5120, 10240)
-
-Clock = Union[ClockState, Callable[[int], ClockState]]
-
-
-def clock_lookup(clock: Clock) -> Callable[[int], ClockState]:
-    """``clock`` as a lookup t -> the ClockState it reads at t (a ClockState holds throughout)."""
-    return clock if callable(clock) else lambda _t: clock
-
 
 class TaKind(Enum):
     INITIAL = "initial"
@@ -115,18 +107,17 @@ class ExchangeRecord:
 
 @dataclass(frozen=True)
 class SyncResult:
-    """A clock stepped by one enabler."""
+    """One enabler's step of a clock."""
 
-    clock: ClockState
     correction: int   # delta removed from the reading
     error: int        # post-correction error vs reference at applied_at
     applied_at: int   # true instant the correction takes effect
 
 
 def step_clock(clock: ClockState, delta: int, at: int) -> SyncResult:
-    """Step ``clock`` by ``delta`` at true time ``at``."""
-    corrected = apply_offset_correction(clock, delta, at=at)
-    return SyncResult(clock=corrected, correction=delta, error=clock_error(corrected, at), applied_at=at)
+    """A step of ``clock`` by ``delta`` at true time ``at``, with the error it leaves then."""
+    error = in_tick_range(local_time(clock, at) - delta) - at
+    return SyncResult(correction=delta, error=error, applied_at=at)
 
 
 # --- timing advance ---------------------------------------------------------
@@ -243,8 +234,8 @@ def sib16_sync_cycle(
 ) -> SyncResult:
     """One UE adopts a broadcast: quantized BS time plus its TA estimate.
 
-    The UE, with ``ue_clock`` and ``ta_index`` as they stand at arrival, sets
-    its clock so its reading then equals quantize(bs_value) + TA one-way
+    The UE, reading ``ue_clock`` at arrival with the ``ta_index`` it holds
+    then, steps its clock so its reading equals quantize(bs_value) + TA one-way
     estimate; its own adjustment is noiseless (noise models timestamping only).
     """
     if ta_index is None:
@@ -292,8 +283,8 @@ def twoway_offset(rec: ExchangeRecord) -> TwowayResult:
 
 
 def twoway_exchange(
-    initiator_clock: Clock,
-    responder_clock: Clock,
+    initiator: ClockState,
+    responder: ClockState,
     at: int,
     delay_forward: int,
     delay_back: int,
@@ -301,15 +292,14 @@ def twoway_exchange(
     rng: RngStream,
 ) -> ExchangeRecord:
     """Forward-simulate a two-way transfer; each stamp reads its side's clock at its instant."""
-    initiator, responder = clock_lookup(initiator_clock), clock_lookup(responder_clock)
     t_recv = at + delay_forward
     t_reply = t_recv + turnaround
     t_back = t_reply + delay_back
     return ExchangeRecord(
-        t1=stamp(initiator(at), at, rng),
-        t2=stamp(responder(t_recv), t_recv, rng),
-        t3=stamp(responder(t_reply), t_reply, rng),
-        t4=stamp(initiator(t_back), t_back, rng),
+        t1=stamp(initiator, at, rng),
+        t2=stamp(responder, t_recv, rng),
+        t3=stamp(responder, t_reply, rng),
+        t4=stamp(initiator, t_back, rng),
     )
 
 
@@ -329,8 +319,8 @@ def ribs_landing(mode: RibsMode, at: int, delay_forward: int, delay_back: int, t
 
 def ribs_align(
     mode: RibsMode,
-    bs_a_clock: Clock,
-    bs_b_clock: Clock,
+    bs_a: ClockState,
+    bs_b: ClockState,
     inter_bs_delay: Union[int, tuple[int, int]],
     rng: RngStream,
     helper_ta_index: Optional[int] = None,
@@ -350,14 +340,13 @@ def ribs_align(
         delay_forward, delay_back = inter_bs_delay
     else:
         delay_forward = delay_back = inter_bs_delay
-    bs_a, bs_b = clock_lookup(bs_a_clock), clock_lookup(bs_b_clock)
     applied_at = ribs_landing(mode, at, delay_forward, delay_back, turnaround)
 
     if mode is RibsMode.TWO_WAY:
         rec = twoway_exchange(bs_a, bs_b, at, delay_forward, delay_back, turnaround, rng)
         delta = twoway_offset(rec).offset
     else:
-        reference_stamp = stamp(bs_a(at), at, rng)
+        reference_stamp = stamp(bs_a, at, rng)
         if mode is RibsMode.LISTEN_ONLY:
             target = reference_stamp
         else:
@@ -366,9 +355,9 @@ def ribs_align(
                     "listen-with-TA alignment requires a helper-UE TA state"
                 )
             target = reference_stamp + delay_estimate_from_index(helper_ta_index)
-        delta = local_time(bs_b(applied_at), applied_at) - target
+        delta = local_time(bs_b, applied_at) - target
 
-    return step_clock(bs_b(applied_at), delta, applied_at)
+    return step_clock(bs_b, delta, applied_at)
 
 
 # --- gateway relay -------------------------------------------------------------
@@ -386,7 +375,7 @@ def gw_relay_sync(
     The legacy device ends up at the gateway's own error plus a Gaussian
     local-domain term; the gateway must have completed at least one OTA sync.
     """
-    if gw_clock.last_sync_at is None:
+    if not gw_clock.installed_at:
         raise GwNotSyncedError("gateway has not completed an OTA sync")
     target = local_time(gw_clock, at) + rng.gauss_ticks(local_domain_error_sigma)
     return step_clock(device_clock, local_time(device_clock, at) - target, at)

@@ -3,33 +3,29 @@
 A validated config (config.py) already holds the node graph (reference
 source, base stations, UEs, gateways, legacy devices, PMUs), the link model
 and the synchronization plan. Building a scenario only draws each node's
-initial clock. Running it drives an event loop that only changes clocks
-(inter-BS alignment, TA upkeep, per-device OTA sync, gateway relay), then
-reads samples, deliveries and the fault probe from each node's clock history.
+clock parameters. Running it gives each node one clock, drives an event loop
+that only steps clocks (inter-BS alignment, TA upkeep, per-device OTA sync,
+gateway relay), then reads samples, deliveries and the fault probe from them.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .clocks import ClockState, clock_error, stamp
+from .clocks import ClockParams, ClockState, clock_error, stamp
 from .engine import Event, RngStream, Simulator, derive_stream
 from .errors import InvalidGeometryError
 from .protocols import (
     Broadcast,
-    Clock,
     RibsMode,
     SibConfig,
     SyncResult,
     TaTimerConfig,
     apply_ta_command,
-    clock_lookup,
     compute_ta_initial,
     compute_ta_update,
     gw_relay_sync,
@@ -141,11 +137,11 @@ class FaultProbe:
 @dataclass
 class Scenario:
     """A validated config plus what building adds: the root seed and each
-    node's initial clock state."""
+    node's drawn clock parameters."""
 
     config: "ScenarioConfig"
     seed: int
-    clocks: dict[str, ClockState]
+    clocks: dict[str, ClockParams]
 
 
 # --- trace records -----------------------------------------------------------
@@ -214,7 +210,7 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
     """
     seed = config.seed if root_seed is None else root_seed
     clocks = {
-        node_id: ClockState(params=node.clock.draw(derive_stream(seed, f"init/{node_id}")))
+        node_id: node.clock.draw(derive_stream(seed, f"init/{node_id}"))
         for node_id, node in config.nodes.items()
     }
     return Scenario(config=config, seed=seed, clocks=clocks)
@@ -224,10 +220,10 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
 
 
 class _Runner:
-    """One scenario run; owns each node's clock history, TA state and the trace.
+    """One scenario run; owns each node's clock, TA state and the trace.
 
-    A node's history lists ``(installed_at, ClockState)`` from its built clock
-    at t=0. Only clock changes are events; observations read the histories.
+    Each node has one ClockState for the whole run, started from its drawn
+    parameters. Only clock steps are events; observations read the clocks.
 
     Each stream label is derived at most once per run. Persistent labels
     (``ta/``, ``loss/``, ``exchange/``, ``relay/``, ``delivery_stamp/``) come
@@ -243,9 +239,7 @@ class _Runner:
         self.sim = Simulator()
         self.plan = self.config.sync_plan
         self.nodes = self.config.nodes
-        self.history: dict[str, list[tuple[int, ClockState]]] = {
-            node: [(0, clock)] for node, clock in scenario.clocks.items()
-        }
+        self.clocks = {node: ClockState(params) for node, params in scenario.clocks.items()}
         self.ta_index: dict[str, int] = {}
         self.streams: dict[str, RngStream] = {}
         self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
@@ -267,28 +261,23 @@ class _Runner:
             stream = self.streams[label] = derive_stream(self.seed, label)
         return stream
 
-    def clock_at(self, node: str, t: int) -> ClockState:
-        """The last clock ``node`` installed at or before true time ``t``."""
-        history = self.history[node]
-        return history[bisect_right(history, t, key=itemgetter(0)) - 1][1]
-
     def set_clock(self, node: str, kind: str, result: SyncResult) -> None:
-        """Install ``node``'s clock as ``result`` stepped it now: the only clock change after build.
+        """Step ``node``'s clock now by ``result``: the only clock change in a run.
 
         Logs the correction and relays a gateway's new time into its wired
         domain.
         """
-        at, clock = self.sim.now, result.clock
-        self.history[node].append((at, clock))
+        at = self.sim.now
+        self.clocks[node].step(at, result.correction)
         self.trace.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
         for child in self.gw_children.get(node, ()):  # only gateways have children
             self.set_clock(child, "gw_relay", gw_relay_sync(
-                clock, self.clock_at(child, at), self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
+                self.clocks[node], self.clocks[child], self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
             ))
 
     def land(self, node: str, kind: str, at: int, measure: Callable[[], SyncResult]) -> None:
         """Schedule a sync landing on ``node`` at ``at``: ``measure`` then reads each stamp from
-        a clock history at its own instant and steps the clock ``node`` reads by the delta."""
+        a clock at its own instant, and ``node``'s clock steps by the delta."""
 
         def apply(sim: Simulator, _event: Event) -> None:
             self.set_clock(node, kind, measure())
@@ -304,7 +293,7 @@ class _Runner:
             if align.mode is BsAlignmentMode.RIBS and i > 0:
                 self.ribs_sync(self.base_stations[0], bs, round_no, sim.now)
             else:  # steered directly: the anchor to 0, others to their offset (0 unless FIXED_ERROR)
-                clock = self.clock_at(bs, sim.now)
+                clock = self.clocks[bs]
                 delta = clock_error(clock, sim.now) - (align.error if i > 0 else 0)
                 self.set_clock(bs, "bs_align", step_clock(clock, delta, sim.now))
         if align.realign_period:
@@ -323,7 +312,7 @@ class _Runner:
             )
             helper_index = compute_ta_initial(rtt).value
         self.land(bs, "bs_align", ribs_landing(mode, at, prop, prop, self.plan.turnaround), partial(
-            ribs_align, mode, partial(self.clock_at, anchor), partial(self.clock_at, bs), prop,
+            ribs_align, mode, self.clocks[anchor], self.clocks[bs], prop,
             derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
             at=at, turnaround=self.plan.turnaround,
         ))
@@ -378,9 +367,9 @@ class _Runner:
 
         def measure() -> SyncResult:
             if not value:   # the BS stamps once, at the round's first landing (each follows stamped_at)
-                value.append(stamp(self.clock_at(bs, broadcast.stamped_at), broadcast.stamped_at, rng))
+                value.append(stamp(self.clocks[bs], broadcast.stamped_at, rng))
             return sib16_sync_cycle(
-                broadcast, value[0], self.clock_at(device, self.sim.now), self.plan.sib,
+                broadcast, value[0], self.clocks[device], self.plan.sib,
                 self.ta_index.get(device), prop,
             )
 
@@ -399,10 +388,9 @@ class _Runner:
 
         def measure() -> SyncResult:
             offset = twoway_offset(twoway_exchange(
-                partial(self.clock_at, bs), partial(self.clock_at, device), at,
-                delay_forward, delay_back, self.plan.turnaround, rng,
+                self.clocks[bs], self.clocks[device], at, delay_forward, delay_back, self.plan.turnaround, rng,
             )).offset
-            return step_clock(self.clock_at(device, self.sim.now), offset, self.sim.now)
+            return step_clock(self.clocks[device], offset, self.sim.now)
 
         self.land(device, "two_way", at + delay_forward + self.plan.turnaround + delay_back + prop, measure)
 
@@ -425,12 +413,13 @@ class _Runner:
     # -- observation, after the run --
 
     def observe(self) -> None:
-        """Samples, deliveries and the fault probe, read from the clock histories."""
-        observed = [node_id for node_id, node in self.nodes.items() if node.role is not Role.REFERENCE]
+        """Samples, deliveries and the fault probe, read from the clocks."""
+        observed = [(node_id, self.clocks[node_id]) for node_id, node in self.nodes.items()
+                    if node.role is not Role.REFERENCE]
         self.trace.samples = [
-            OffsetSample(t, node, clock_error(self.clock_at(node, t), t))
+            OffsetSample(t, node, clock_error(clock, t))
             for t in range(0, self.duration + 1, self.config.sampling_grid)
-            for node in observed
+            for node, clock in observed
         ]
 
         workload = self.config.workload
@@ -447,7 +436,7 @@ class _Runner:
                         arrivals.append((arrival, index, k, grid_point))
             for arrival, index, k, grid_point in sorted(arrivals):
                 target = workload.targets[index]
-                local = stamp(self.clock_at(target, arrival), arrival, self.rng(f"delivery_stamp/{target}"))
+                local = stamp(self.clocks[target], arrival, self.rng(f"delivery_stamp/{target}"))
                 self.trace.deliveries.append(Delivery(target, k, grid_point, arrival, local))
 
         probe = self.config.fault_probe
@@ -455,7 +444,7 @@ class _Runner:
             probe_at = self.duration if probe.at is None else probe.at
             pmu_a, pmu_b = probe.pmu_ids
             stamp_a, stamp_b = fault_wave_stamps(
-                partial(self.clock_at, pmu_a), partial(self.clock_at, pmu_b),
+                self.clocks[pmu_a], self.clocks[pmu_b],
                 probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps, at=probe_at,
                 rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
                 rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
@@ -475,8 +464,8 @@ def run_scenario(scenario: Scenario, duration: int) -> RawTrace:
 
 
 def fault_wave_stamps(
-    clock_a: Clock,
-    clock_b: Clock,
+    clock_a: ClockState,
+    clock_b: ClockState,
     fault_position: float,
     line_length: float,
     wave_speed: float,
@@ -492,6 +481,5 @@ def fault_wave_stamps(
         )
     arrival_a = at + round(fault_position / wave_speed * TICKS_PER_SECOND)
     arrival_b = at + round((line_length - fault_position) / wave_speed * TICKS_PER_SECOND)
-    return (stamp(clock_lookup(clock_a)(arrival_a), arrival_a, rng_a),
-            stamp(clock_lookup(clock_b)(arrival_b), arrival_b, rng_b))
+    return stamp(clock_a, arrival_a, rng_a), stamp(clock_b, arrival_b, rng_b)
 

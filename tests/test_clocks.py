@@ -1,5 +1,7 @@
 """Clock model: deterministic reads, noise, corrections, the tick range."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 from airsync.clocks import (
     ClockParams,
     ClockState,
-    apply_offset_correction,
     clock_error,
     ideal_clock,
     local_time,
@@ -69,24 +70,44 @@ def test_two_noisy_stamps_generally_differ():
     assert stamp(clock, 0, rng) != stamp(clock, 0, rng)
 
 
+def stepped(params: ClockParams, *steps: tuple[int, int]) -> ClockState:
+    """A clock with ``params`` that took each (at, delta) step in turn."""
+    clock = ClockState(params=params)
+    for at, delta in steps:
+        clock.step(at, delta)
+    return clock
+
+
 def test_offset_correction_fixed_point():
     clock = ClockState(params=ClockParams(theta0=777))
     offset = clock_error(clock, 5000)
-    corrected = apply_offset_correction(clock, offset, at=5000)
-    assert clock_error(corrected, 5000) == 0
-    assert corrected.last_sync_at == 5000
+    clock.step(5000, offset)
+    assert clock_error(clock, 5000) == 0
+    assert clock.installed_at == [5000]
 
 
 def test_zero_correction_is_identity():
     clock = ClockState(params=ClockParams(theta0=5))
-    assert apply_offset_correction(clock, 0).correction == clock.correction
+    readings = [local_time(clock, t) for t in (0, 10, TICKS_PER_SECOND)]
+    clock.step(0, 0)
+    assert [local_time(clock, t) for t in (0, 10, TICKS_PER_SECOND)] == readings
 
 
 def test_corrections_are_additive():
-    clock = ideal_clock()
-    via_two = apply_offset_correction(apply_offset_correction(clock, 30), 12)
-    via_one = apply_offset_correction(clock, 42)
-    assert via_two.correction == via_one.correction
+    via_two = stepped(ClockParams(), (0, 30), (0, 12))
+    via_one = stepped(ClockParams(), (0, 42))
+    assert via_two.correction[-1] == via_one.correction[-1]
+
+
+def test_step_reaches_only_later_readings():
+    clock = stepped(ClockParams(theta0=100), (50, 30), (50, 12), (90, -2))
+    assert [local_time(clock, t) - t for t in (0, 49, 50, 89, 90)] == [100, 100, 58, 58, 60]
+
+
+def test_step_before_the_last_step_rejected():
+    clock = stepped(ClockParams(), (100, 1))
+    with pytest.raises(ValueError):
+        clock.step(99, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,15 +119,36 @@ def test_corrections_are_additive():
     st.integers(0, 10**4 * TICKS_PER_SECOND),
 )
 def test_correction_lowers_reading_by_delta_at_any_instant(theta0, skew, drift, delta, t):
-    clock = ClockState(params=ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
-    assert local_time(apply_offset_correction(clock, delta), t) == local_time(clock, t) - delta
+    params = ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)
+    assert local_time(stepped(params, (0, delta)), t) == local_time(ClockState(params), t) - delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-(2**60), 2**60),
+    st.floats(-1e-3, 1e-3, exclude_min=True, exclude_max=True),
+    st.floats(-1e-6, 1e-6),
+    st.lists(st.tuples(st.integers(0, 10**4 * TICKS_PER_SECOND), st.integers(-(2**40), 2**40)),
+             max_size=8),
+    st.lists(st.integers(0, 10**4 * TICKS_PER_SECOND), max_size=8),
+)
+def test_local_time_within_a_tick_of_the_exact_polynomial(theta0, skew, drift, steps, instants):
+    # exact reference: theta0 + correction + t + y*t + a/2 * (t / TICKS_PER_SECOND) * t,
+    # in rationals, with the correction summed from the steps installed at or before t
+    steps.sort(key=lambda s: s[0])
+    clock = stepped(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift), *steps)
+    y, a = Fraction(skew), Fraction(drift)
+    for t in instants + [at + d for at, _ in steps for d in (-1, 0) if at + d >= 0]:
+        correction = -sum(delta for at, delta in steps if at <= t)
+        exact = theta0 + correction + t + y * t + a / 2 * Fraction(t, TICKS_PER_SECOND) * t
+        assert abs(local_time(clock, t) - exact) <= 1
 
 
 def test_single_correction_permanent_without_skew_or_drift():
     clock = ClockState(params=ClockParams(theta0=-340))
-    corrected = apply_offset_correction(clock, clock_error(clock, 100))
+    clock.step(100, clock_error(clock, 100))
     for t in [100, 1000, 10 * TICKS_PER_SECOND]:
-        assert clock_error(corrected, t) == 0
+        assert clock_error(clock, t) == 0
 
 
 def test_residual_after_correction_tracks_skew():
@@ -115,11 +157,11 @@ def test_residual_after_correction_tracks_skew():
     y = 2e-6
     clock = ClockState(params=ClockParams(skew_y=y, theta0=912))
     t0 = 3 * TICKS_PER_SECOND
-    corrected = apply_offset_correction(clock, clock_error(clock, t0))
+    clock.step(t0, clock_error(clock, t0))
     for tau_s in [0.01, 0.5, 2.0]:
         t1 = t0 + round(tau_s * TICKS_PER_SECOND)
         expected = y * (t1 - t0)
-        assert abs(clock_error(corrected, t1) - expected) <= 1
+        assert abs(clock_error(clock, t1) - expected) <= 1
 
 
 def test_local_time_strictly_increasing():
@@ -135,7 +177,7 @@ def test_local_time_strictly_increasing():
 
 
 def test_local_time_overflow_raises():
-    clock = ClockState(params=ClockParams(theta0=0), correction=-(2**63) - 1000)
+    clock = stepped(ClockParams(theta0=0), (0, 2**63 + 1000))
     with pytest.raises(TickOverflowError):
         local_time(clock, 10)
 

@@ -9,6 +9,7 @@ from airsync.config import (
     validate_config,
 )
 from airsync.errors import InvalidConfigError
+from airsync.scenario import build_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
 
@@ -132,6 +133,16 @@ def test_clock_defaults_applied_by_role():
     raw = minimal(clock_defaults={"ue": {"skew_ppm": 3.0}})
     cfg = validate_config(raw)
     assert cfg.nodes["ue"].clock.skew_y.value == pytest.approx(3e-6)
+
+
+@pytest.mark.parametrize("theta0", [
+    "9007199254740993 ticks",
+    {"dist": "uniform", "low": "9007199254740993 ticks", "high": "9007199254740993 ticks"},
+], ids=["fixed", "uniform"])
+def test_phase_offset_beyond_2_53_ticks_kept_exact(theta0):
+    raw = minimal()
+    raw["nodes"][2]["clock"] = {"theta0": theta0}
+    assert build_scenario(validate_config(raw)).clocks["ue"].theta0 == 2**53 + 1
 
 
 def test_resolved_raw_contains_defaults():

@@ -13,6 +13,7 @@ from airsync.errors import (
     MissingHelperError,
     NegativeTaStateError,
     NoTaStateError,
+    TickOverflowError,
 )
 from airsync.protocols import (
     ExchangeRecord,
@@ -34,6 +35,7 @@ from airsync.protocols import (
     ribs_align,
     sib16_broadcast,
     sib16_sync_cycle,
+    step_clock,
     twoway_exchange,
     twoway_offset,
 )
@@ -50,6 +52,21 @@ US = TICKS_PER_US
 MS = TICKS_PER_MS
 PROPERTY = settings(max_examples=100, deadline=None)
 TICKS = st.integers(-(2**40), 2**40)
+
+
+# --- clock steps ------------------------------------------------------------------
+
+
+def test_step_clock_reports_the_error_it_leaves_and_steps_nothing():
+    clock = ClockState(params=ClockParams(theta0=700))
+    result = step_clock(clock, 500, 10)
+    assert (result.correction, result.error, result.applied_at) == (500, 200, 10)
+    assert clock.installed_at == [] and clock_error(clock, 10) == 700
+
+
+def test_step_clock_checks_the_reading_right_after_the_step():
+    with pytest.raises(TickOverflowError):
+        step_clock(ideal_clock(), -(2**63), 10)
 
 
 # --- timing advance -----------------------------------------------------------
@@ -223,12 +240,11 @@ def test_sib_cycle_ideal_is_exact():
     # no quantization, stamp at transmit, delay exactly on the 8*Ts grid
     tau = 3 * HALF_TA_STEP_TICKS * 2  # 3 full TA steps
     index = compute_ta_initial(2 * tau).value
-    result = _sib_cycle(
-        ideal_clock(), ClockState(params=ClockParams(theta0=5000)),
-        _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS,
-    )
+    ue = ClockState(params=ClockParams(theta0=5000))
+    result = _sib_cycle(ideal_clock(), ue, _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS)
     assert result.error == 0
-    assert clock_error(result.clock, result.applied_at) == 0
+    ue.step(result.applied_at, result.correction)
+    assert clock_error(ue, result.applied_at) == 0
 
 
 def test_sib_cycle_requires_ta_state():
@@ -484,7 +500,9 @@ def test_ribs_listen_with_ta_requires_helper():
 
 
 def _synced_gw(error_ticks: int) -> ClockState:
-    return ClockState(params=ClockParams(theta0=error_ticks), last_sync_at=0)
+    gw = ClockState(params=ClockParams(theta0=error_ticks))
+    gw.step(0, 0)
+    return gw
 
 
 def test_gw_relay_passes_error_through():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from airsync import scenario as scenario_module
-from airsync.clocks import apply_offset_correction, clock_error, local_time
+from airsync.clocks import ClockState, clock_error, local_time
 from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
@@ -160,6 +160,19 @@ def test_run_is_deterministic():
     assert first.corrections == second.corrections
 
 
+def test_run_never_mutates_its_scenario():
+    # gateway relay, two-way exchanges and deliveries all read and step clocks
+    scenario = build_scenario(load_config(CONFIG_DIR / "heterogeneous.yaml"))
+    drawn = dict(scenario.clocks)
+    first = run_scenario(scenario, 300 * MS)
+    second = run_scenario(scenario, 300 * MS)
+    assert first.corrections and first.deliveries
+    assert first.samples == second.samples
+    assert first.deliveries == second.deliveries
+    assert first.corrections == second.corrections
+    assert scenario.clocks == drawn
+
+
 def test_seed_changes_noisy_run():
     raw = base_config()
     raw["nodes"][1]["clock"] = {"stamp_noise": 300}
@@ -268,12 +281,13 @@ def test_ribs_step_inside_a_device_exchange_reaches_only_later_stamps():
     prop = propagation_ticks(600.0)
     t_back = 2 * prop + MS
     assert 0 < step.t_true < t_back and step.delta == TICKS_PER_US
-    before, ue = scenario.clocks["bs2"], scenario.clocks["ue1"]
+    bs2, ue = ClockState(scenario.clocks["bs2"]), ClockState(scenario.clocks["ue1"])
+    bs2.step(step.t_true, step.delta)
     record = ExchangeRecord(
-        t1=local_time(before, 0),
+        t1=local_time(bs2, 0),
         t2=local_time(ue, prop),
         t3=local_time(ue, prop + MS),
-        t4=local_time(apply_offset_correction(before, step.delta), t_back),
+        t4=local_time(bs2, t_back),
     )
     assert sync.delta == twoway_offset(record).offset == -TICKS_PER_US // 2
 
@@ -293,7 +307,7 @@ def test_sib_stamp_reads_a_bs_realigned_inside_the_window():
     cfg = validate_config(raw)
     scenario = build_scenario(cfg)
     trace = run_scenario(scenario, cfg.duration)
-    bs = scenario.clocks["bs1"]
+    bs = ClockState(scenario.clocks["bs1"])
     realigned = [c.t_true for c in trace.corrections if c.node == "bs1"]
     syncs = [c for c in trace.corrections if c.node == "ue1"]
     for sync in syncs:
@@ -428,8 +442,8 @@ def pmu_stamps(fault_position, line_length, wave_speed, theta_b: int = 0):
     }
     scenario = build_scenario(validate_config(raw))
     return fault_wave_stamps(
-        scenario.clocks["pmu_a"],
-        scenario.clocks["pmu_b"],
+        ClockState(scenario.clocks["pmu_a"]),
+        ClockState(scenario.clocks["pmu_b"]),
         fault_position,
         line_length,
         wave_speed,
