@@ -173,11 +173,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     written = _write_outputs(out_dir, "report", payload, args.format, "run")
     if args.trace:
         trace_payload = {
-            "samples": [[s.t_true, s.node, s.error] for s in trace.samples],
-            "deliveries": [
-                [d.node, d.grid_index, d.grid_point, d.true_arrival, d.local_stamp]
-                for d in trace.deliveries
-            ],
+            "samples": trace.samples.tolist(),
+            "deliveries": trace.deliveries.tolist(),
             "corrections": [
                 [c.t_true, c.node, c.delta, c.kind, c.error_after]
                 for c in trace.corrections

@@ -38,7 +38,7 @@ from .scenario import (
     SyncPlan,
     Workload,
 )
-from .timebase import parse_ticks
+from .timebase import INT64_MAX, parse_ticks
 
 SCHEMA_VERSION = 1
 
@@ -600,11 +600,19 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     duration = top["duration"]
     sampling_grid = top["sampling_grid"]
+    if duration > INT64_MAX // 2:
+        raise InvalidConfigError("duration", "must not exceed INT64_MAX // 2 ticks (about 4.75 years)")
     if sampling_grid > duration:
         raise InvalidConfigError("sampling_grid", "must not exceed duration")
     seed = top["seed"]
     default_clocks = top["clock_defaults"]
     nodes = _parse_nodes(top["nodes"], "nodes", default_clocks)
+    limit = INT64_MAX - 2 * duration   # a phase within it keeps every reading of the run in int64
+    clocks = [(f"clock_defaults.{role}", spec) for role, spec in default_clocks.items()]
+    for path, clock in clocks + [(f"nodes[{i}].clock", node.clock) for i, node in enumerate(nodes)]:
+        theta0 = clock.theta0   # a fixed phase leaves low = high = 0, a range leaves value = 0
+        if max(abs(theta0.value), abs(theta0.low), abs(theta0.high)) > limit:
+            raise InvalidConfigError(f"{path}.theta0", f"|theta0| must be <= INT64_MAX - 2 * duration = {limit}")
     presets = top["presets"]
     workload = top["workload"]
     fault_probe = top["fault_probe"]
@@ -718,7 +726,11 @@ _SWEEP = {
 
 
 def parse_sweep_spec(raw: Any) -> SweepSpec:
-    return SweepSpec(**_Section(raw, "sweep", _SWEEP).read())
+    spec = SweepSpec(**_Section(raw, "sweep", _SWEEP).read())
+    for i, value in enumerate(spec.values):
+        if value in spec.values[:i]:   # a sweep groups its rows by ==: the two would merge into one
+            raise InvalidConfigError(f"sweep.values[{i}]", f"repeats an earlier value {value!r}")
+    return spec
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:

@@ -1,10 +1,12 @@
 """Post-run analysis: offset statistics, jitter, fault localization, verdicts.
 
-Pure functions over immutable traces. Per-node statistics are percentiles of
-absolute error; pairwise statistics take, at each sampling instant, the
-worst spread between any two device nodes (common-mode error cancels by
-construction). Jitter is the variation of delivery stamps around the
-commanded grid points, never the constant offset.
+Pure functions over a run's trace columns. The sampled errors are read once
+as an (instants x nodes) matrix: per-node statistics are percentiles of the
+absolute error in a node's column; pairwise statistics take, in each row
+(sampling instant), the worst spread between any two device columns, max
+minus min (common-mode error cancels by construction). Jitter is the
+variation of delivery stamps around the commanded grid points, never the
+constant offset.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientNodesError, InsufficientSamplesError
-from .scenario import DEVICE_ROLES, Delivery, OffsetSample, RawTrace, Workload
+from .scenario import RawTrace, Workload
 from .timebase import TICKS_PER_US, ticks_to_seconds
 
 US = TICKS_PER_US
@@ -110,24 +112,18 @@ def _percentiles(values: Sequence[float] | np.ndarray) -> dict:
     }
 
 
-def pairwise_offset_stats(samples: Sequence[OffsetSample]) -> dict:
-    """Worst pairwise device offset per instant, summarized over instants."""
-    nodes = {s.node for s in samples}
-    if len(nodes) < 2:
+def pairwise_offset_stats(errors: np.ndarray) -> dict:
+    """Worst pairwise offset per instant, summarized over instants.
+
+    ``errors`` is an (instants x nodes) matrix in ticks. A row's spread,
+    max - min, lies in [0, 2**64), so it is taken exactly in uint64.
+    """
+    if errors.shape[1] < 2:
         raise InsufficientNodesError("pairwise statistics need >=2 sampled nodes")
-    by_instant: dict[int, list[int]] = {}
-    for s in samples:
-        by_instant.setdefault(s.t_true, []).append(s.error)
-    spreads = [max(errs) - min(errs) for errs in by_instant.values() if len(errs) >= 2]
-    if not spreads:
-        raise InsufficientNodesError("no instant carries two or more node samples")
-    return _percentiles(spreads)
+    return _percentiles(errors.max(axis=1).astype(np.uint64) - errors.min(axis=1).astype(np.uint64))
 
 
-def jitter_stats(
-    deliveries: Sequence[Delivery],
-    workload: Workload,
-) -> dict:
+def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
     """Deviation of each delivery stamp from its commanded grid point.
 
     Deviations are centered per target node on that node's median deviation
@@ -137,18 +133,13 @@ def jitter_stats(
     """
     if len(deliveries) < 2:
         raise InsufficientSamplesError("jitter statistics need >=2 deliveries")
-    by_node: dict[str, list[int]] = {}
-    for d in deliveries:
-        by_node.setdefault(d.node, []).append(d.local_stamp - d.grid_point)
-    centered = []
-    for node in sorted(by_node):
-        arr = np.asarray(by_node[node], dtype=float)
-        if workload.phase_mode == "median":
-            arr = arr - np.median(arr)
-        centered.append(arr)
-    pooled = np.concatenate(centered)
-    stats = _percentiles(np.abs(pooled))
-    stats["peak_to_peak"] = float(pooled.max() - pooled.min())
+    deviation = (deliveries.local_stamp - deliveries.grid_point).astype(float)
+    if workload.phase_mode == "median":
+        for node in np.unique(deliveries.node):
+            mine = deliveries.node == node
+            deviation[mine] -= np.median(deviation[mine])
+    stats = _percentiles(np.abs(deviation))
+    stats["peak_to_peak"] = float(deviation.max() - deviation.min())
     return stats
 
 
@@ -214,25 +205,12 @@ def build_report(
     fault_probe=None,
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
-    per_node: dict[str, dict] = {}
-    by_node: dict[str, list[int]] = {}
-    for s in trace.samples:
-        by_node.setdefault(s.node, []).append(s.error)
-    for node in sorted(by_node):
-        per_node[node] = _percentiles(np.abs(np.asarray(by_node[node], dtype=float)))
-
-    device_samples = [
-        s for s in trace.samples if trace.roles.get(s.node) in DEVICE_ROLES
-    ]
-    device_error = None
-    if device_samples:
-        device_error = _percentiles(
-            np.abs(np.asarray([s.error for s in device_samples], dtype=float))
-        )
-
-    pairwise = None
-    if len({s.node for s in device_samples}) >= 2:
-        pairwise = pairwise_offset_stats(device_samples)
+    nodes = len(trace.sampled)
+    errors = trace.samples.error.reshape(len(trace.samples) // max(nodes, 1), nodes)
+    per_node = {node: _percentiles(np.abs(column)) for node, column in sorted(zip(trace.sampled, errors.T))}
+    device_errors = errors[:, np.array([node in trace.devices for node in trace.sampled], dtype=bool)]
+    device_error = _percentiles(np.abs(device_errors)) if device_errors.size else None
+    pairwise = pairwise_offset_stats(device_errors) if device_errors.shape[1] >= 2 else None
 
     jitter = None
     if workload is not None and len(trace.deliveries) >= 2:

@@ -11,10 +11,12 @@ gateway relay), then reads samples, deliveries and the fault probe from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Optional
+
+import numpy as np
 
 from .clocks import ClockParams, ClockState, clock_error, stamp
 from .engine import Event, RngStream, Simulator, derive_stream
@@ -148,22 +150,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class OffsetSample:
-    t_true: int
-    node: str
-    error: int    # local reading minus reference, ticks
-
-
-@dataclass(frozen=True)
-class Delivery:
-    node: str
-    grid_index: int
-    grid_point: int
-    true_arrival: int
-    local_stamp: int
-
-
-@dataclass(frozen=True)
 class CorrectionEvent:
     t_true: int
     node: str
@@ -183,14 +169,28 @@ class FaultStamps:
 
 @dataclass
 class RawTrace:
-    samples: list[OffsetSample] = field(default_factory=list)
-    deliveries: list[Delivery] = field(default_factory=list)
-    corrections: list[CorrectionEvent] = field(default_factory=list)
-    ta_index: dict[str, int] = field(default_factory=dict)
-    lost_sync: int = 0
-    fault: Optional[FaultStamps] = None
-    roles: dict[str, Role] = field(default_factory=dict)
-    dispatched: int = 0
+    """What one run leaves for analysis.
+
+    ``samples`` and ``deliveries`` are numpy record arrays, built column by
+    column. ``samples`` (t_true, node, error) is instant-major: row
+    ``i * len(sampled) + j`` is node ``sampled[j]`` (the non-reference nodes,
+    in config order) at the i-th sampling instant, so ``samples.error``
+    reshapes into an (instants x nodes) matrix; an error is the local reading
+    minus reference time, in ticks. ``deliveries`` (node, grid_index,
+    grid_point, true_arrival, local_stamp) has one row per delivered command,
+    in stamp order, and none without a workload. ``devices`` holds the
+    device node ids.
+    """
+
+    sampled: tuple[str, ...]
+    samples: np.recarray
+    deliveries: np.recarray
+    devices: frozenset[str]
+    corrections: list[CorrectionEvent]
+    ta_index: dict[str, int]
+    lost_sync: int
+    fault: Optional[FaultStamps]
+    dispatched: int
 
 
 # --- construction --------------------------------------------------------------
@@ -220,7 +220,7 @@ def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) ->
 
 
 class _Runner:
-    """One scenario run; owns each node's clock, TA state and the trace.
+    """One scenario run; owns each node's clock, TA state and correction log.
 
     Each node has one ClockState for the whole run, started from its drawn
     parameters. Only clock steps are events; observations read the clocks.
@@ -242,7 +242,8 @@ class _Runner:
         self.clocks = {node: ClockState(params) for node, params in scenario.clocks.items()}
         self.ta_index: dict[str, int] = {}
         self.streams: dict[str, RngStream] = {}
-        self.trace = RawTrace(roles={n.id: n.role for n in self.nodes.values()})
+        self.corrections: list[CorrectionEvent] = []
+        self.lost_sync = 0
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
         self.gw_children: dict[str, list[str]] = {}
@@ -269,7 +270,7 @@ class _Runner:
         """
         at = self.sim.now
         self.clocks[node].step(at, result.correction)
-        self.trace.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
+        self.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
         for child in self.gw_children.get(node, ()):  # only gateways have children
             self.set_clock(child, "gw_relay", gw_relay_sync(
                 self.clocks[node], self.clocks[child], self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
@@ -352,7 +353,7 @@ class _Runner:
             bs_value: list[int] = []
         for device in self.attached[bs]:
             if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
-                self.trace.lost_sync += 1
+                self.lost_sync += 1
                 continue
             if sib:
                 self.sib_sync(bs, device, broadcast, rng, bs_value)
@@ -405,51 +406,61 @@ class _Runner:
         for bs in self.base_stations:
             if self.attached[bs]:
                 sim.at(0, self.sync_round, kind="sync_round", target=bs, payload=0)
-        self.trace.dispatched = sim.run_until(self.duration)
-        self.trace.ta_index = self.ta_index
-        self.observe()
-        return self.trace
+        dispatched = sim.run_until(self.duration)
+        sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
+        return RawTrace(
+            sampled=sampled, samples=self.sample(sampled), deliveries=self.deliver(),
+            devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
+            corrections=self.corrections, ta_index=self.ta_index, lost_sync=self.lost_sync,
+            fault=self.probe_fault() if self.config.fault_probe is not None else None, dispatched=dispatched,
+        )
 
-    # -- observation, after the run --
+    # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --
 
-    def observe(self) -> None:
-        """Samples, deliveries and the fault probe, read from the clocks."""
-        observed = [(node_id, self.clocks[node_id]) for node_id, node in self.nodes.items()
-                    if node.role is not Role.REFERENCE]
-        self.trace.samples = [
-            OffsetSample(t, node, clock_error(clock, t))
-            for t in range(0, self.duration + 1, self.config.sampling_grid)
-            for node, clock in observed
-        ]
+    def sample(self, sampled: tuple[str, ...]) -> np.recarray:
+        """Each node of ``sampled`` at each sampling instant, instant-major."""
+        instants = range(0, self.duration + 1, self.config.sampling_grid)
+        return np.rec.fromarrays([
+            np.repeat(np.array(instants, dtype=np.int64), len(sampled)),
+            np.tile(np.array(sampled, dtype=str), len(instants)),
+            np.fromiter((clock_error(self.clocks[node], t) for t in instants for node in sampled),
+                        dtype=np.int64, count=len(instants) * len(sampled)),
+        ], names="t_true,node,error")
 
+    def deliver(self) -> np.recarray:
+        """Each workload command that arrives within the run, stamped by its
+        target's clock on arrival; ordered by arrival, target, grid index."""
         workload = self.config.workload
-        if workload is not None:
-            grid = range(workload.grid_phase, self.duration + 1, workload.command_period)
-            arrivals = []   # (arrival, target index, grid index, grid point): stamped in this order
-            for index, target in enumerate(workload.targets):
-                extra_rng = derive_stream(self.seed, f"delivery/{target}")
-                parent = self.nodes[target].attach_to
-                prop = self.prop(parent, target) if parent else 0
-                for k, grid_point in enumerate(grid):
-                    arrival = grid_point + prop + self.config.link.extra_delay.draw(extra_rng)
-                    if arrival <= self.duration:
-                        arrivals.append((arrival, index, k, grid_point))
-            for arrival, index, k, grid_point in sorted(arrivals):
-                target = workload.targets[index]
-                local = stamp(self.clocks[target], arrival, self.rng(f"delivery_stamp/{target}"))
-                self.trace.deliveries.append(Delivery(target, k, grid_point, arrival, local))
+        targets = workload.targets if workload is not None else ()
+        late = self.duration + 1   # a later arrival is not delivered
+        grid = range(workload.grid_phase, late, workload.command_period) if targets else range(0)
+        arrival = np.empty((len(targets), len(grid)), dtype=np.int64)
+        for i, target in enumerate(targets):
+            rng = derive_stream(self.seed, f"delivery/{target}")
+            parent = self.nodes[target].attach_to
+            prop = self.prop(parent, target) if parent else 0
+            arrival[i] = [min(point + prop + self.config.link.extra_delay.draw(rng), late) for point in grid]
+        index, k = np.nonzero(arrival < late)
+        order = np.lexsort((k, index, arrival[index, k]))
+        index, k = index[order], k[order]
+        arrival = arrival[index, k]
+        return np.rec.fromarrays([
+            np.array(targets, dtype=str)[index], k, np.array(grid, dtype=np.int64)[k], arrival,
+            np.fromiter((stamp(self.clocks[targets[i]], at, self.rng(f"delivery_stamp/{targets[i]}"))
+                         for i, at in zip(index.tolist(), arrival.tolist())), dtype=np.int64, count=len(k)),
+        ], names="node,grid_index,grid_point,true_arrival,local_stamp")
 
+    def probe_fault(self) -> FaultStamps:
         probe = self.config.fault_probe
-        if probe is not None:
-            probe_at = self.duration if probe.at is None else probe.at
-            pmu_a, pmu_b = probe.pmu_ids
-            stamp_a, stamp_b = fault_wave_stamps(
-                self.clocks[pmu_a], self.clocks[pmu_b],
-                probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps, at=probe_at,
-                rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
-                rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
-            )
-            self.trace.fault = FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
+        probe_at = self.duration if probe.at is None else probe.at
+        pmu_a, pmu_b = probe.pmu_ids
+        stamp_a, stamp_b = fault_wave_stamps(
+            self.clocks[pmu_a], self.clocks[pmu_b],
+            probe.fault_position_m, probe.line_length_m, probe.wave_speed_mps, at=probe_at,
+            rng_a=derive_stream(self.seed, f"fault/{pmu_a}"),
+            rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
+        )
+        return FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
 
 
 def run_scenario(scenario: Scenario, duration: int) -> RawTrace:

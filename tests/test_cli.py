@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from airsync.cli import main
-from airsync.timebase import TICKS_PER_US
+from airsync.timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_US
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,6 +69,35 @@ def test_run_reversed_delay_range_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "link.extra_delay" in capsys.readouterr().err
+
+
+PAST_THE_TICK_RANGE = "9223372036854775000 ticks"   # within the run's span of INT64_MAX
+
+
+@pytest.mark.parametrize("clock_defaults, clock, path", [
+    ({}, {"theta0": PAST_THE_TICK_RANGE}, "nodes[2].clock.theta0"),
+    ({}, {"theta0": {"dist": "uniform", "low": 0, "high": PAST_THE_TICK_RANGE}}, "nodes[2].clock.theta0"),
+    ({}, {"theta0": {"dist": "uniform", "low": f"-{PAST_THE_TICK_RANGE}", "high": 0}}, "nodes[2].clock.theta0"),
+    ({"ue": {"theta0": PAST_THE_TICK_RANGE}}, None, "clock_defaults.ue.theta0"),   # ue1 on the defaults
+], ids=["fixed", "uniform-high", "uniform-low", "clock-defaults"])
+def test_run_phase_that_would_leave_the_tick_range_exits_2(tmp_path, capsys, clock_defaults, clock, path):
+    raw = small_config(clock_defaults=clock_defaults)
+    raw["nodes"][2]["clock"] = clock
+    if clock is None:
+        del raw["nodes"][2]["clock"]
+    code = main(["run", "--config", str(write_yaml(tmp_path / "bad.yaml", raw)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{path}: |theta0| must be <=" in capsys.readouterr().err
+
+
+def test_run_phase_at_the_limit_runs(tmp_path):
+    # |theta0| = INT64_MAX - 2 * duration, both signs: every reading stays in range
+    limit = INT64_MAX - 2 * 300 * TICKS_PER_MS
+    raw = small_config()
+    raw["nodes"][2]["clock"] = {"theta0": f"{limit} ticks"}
+    raw["nodes"][3]["clock"] = {"theta0": f"{-limit} ticks"}
+    config = write_yaml(tmp_path / "edge.yaml", raw)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--trace"]) == 0
 
 
 def test_run_missing_config_exits_2(tmp_path):
@@ -167,6 +196,17 @@ def test_sweep_empty_values_exits_2(tmp_path, capsys):
     spec = write_yaml(tmp_path / "spec.yaml", {"path": "seed", "values": []})
     assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert "sweep.values" in capsys.readouterr().err
+
+
+def test_sweep_repeated_value_exits_2(tmp_path, capsys):
+    # equal values would be grouped into one aggregate claiming twice the repetitions
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    spec = write_yaml(tmp_path / "spec.yaml", {
+        "path": "sync_plan.sib.granularity", "values": ["1 us", "2 us", "1 us"], "repetitions": 2,
+    })
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "sweep.values[2]: repeats an earlier value '1 us'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_unresolvable_path_exits_2(tmp_path, capsys):

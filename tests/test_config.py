@@ -100,9 +100,10 @@ def test_bad_role_names_path():
 
 
 def test_off_grid_duration_names_field():
-    # off the tick grid, beyond the 64-bit tick range, or a sampling grid
-    # longer than the run
-    for key, value in [("duration", "1 ns"), ("duration", "1e12 s"), ("sampling_grid", "2 s")]:
+    # off the tick grid, beyond the 64-bit tick range, too long to leave clock
+    # phases room in it, or a sampling grid longer than the run
+    for key, value in [("duration", "1 ns"), ("duration", "1e12 s"), ("duration", f"{2**62} ticks"),
+                       ("sampling_grid", "2 s")]:
         with pytest.raises(InvalidConfigError) as info:
             validate_config(minimal(**{key: value}))
         assert info.value.path == key

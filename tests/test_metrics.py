@@ -1,20 +1,26 @@
 """Offset/jitter statistics, fault localization, requirement verdicts."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from airsync.clocks import ClockParams, ClockState, ideal_clock
+from airsync.config import validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InsufficientNodesError, InsufficientSamplesError
 from airsync.metrics import (
     BUILTIN_PRESETS,
+    _percentiles,
+    build_report,
     check_requirements,
     fault_location_estimate,
     jitter_stats,
     localization_uncertainty,
     pairwise_offset_stats,
 )
-from airsync.scenario import Delivery, OffsetSample, Workload, fault_wave_stamps
+from airsync.scenario import RawTrace, Workload, build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
@@ -22,11 +28,14 @@ US = TICKS_PER_US
 
 
 def _samples(errors_by_node: dict[str, int], instants=(0, 1000, 2000)):
-    return [
-        OffsetSample(t, node, err)
-        for t in instants
-        for node, err in errors_by_node.items()
-    ]
+    """The (instants x nodes) error matrix of nodes holding constant errors."""
+    return np.array([list(errors_by_node.values()) for _ in instants], dtype=np.int64)
+
+
+def _deliveries_of(rows):
+    """A deliveries record array from (node, grid_index, grid_point, true_arrival, local_stamp) rows."""
+    fields = ("grid_index", "grid_point", "true_arrival", "local_stamp")
+    return np.array(rows, dtype=[("node", "U8")] + [(name, np.int64) for name in fields]).view(np.recarray)
 
 
 # --- pairwise offsets -----------------------------------------------------------
@@ -68,9 +77,7 @@ def _workload(period=MS, phase=0, mode="median"):
 
 
 def _deliveries(stamps):
-    return [
-        Delivery("ue1", k, k * MS, stamp, stamp) for k, stamp in enumerate(stamps)
-    ]
+    return _deliveries_of([("ue1", k, k * MS, stamp, stamp) for k, stamp in enumerate(stamps)])
 
 
 def test_jitter_on_grid_is_zero():
@@ -106,9 +113,9 @@ def test_jitter_shift_invariance_with_median_phase():
 def test_jitter_absorbs_per_node_constant_paths():
     # two targets with different constant path delays: that spread is an
     # offset (visible in pairwise stats), not jitter
-    near = [Delivery("a", k, k * MS, k * MS + 100, k * MS + 100) for k in range(20)]
-    far = [Delivery("b", k, k * MS, k * MS + 9000, k * MS + 9000) for k in range(20)]
-    stats = jitter_stats(near + far, _workload())
+    near = [("a", k, k * MS, k * MS + 100, k * MS + 100) for k in range(20)]
+    far = [("b", k, k * MS, k * MS + 9000, k * MS + 9000) for k in range(20)]
+    stats = jitter_stats(_deliveries_of(near + far), _workload())
     assert stats["peak_to_peak"] == 0 and stats["max"] == 0
 
 
@@ -125,6 +132,124 @@ def test_jitter_fixed_phase_keeps_offset():
 def test_jitter_needs_two_deliveries():
     with pytest.raises(InsufficientSamplesError):
         jitter_stats(_deliveries([0]), _workload())
+
+
+# --- the report against the per-row grouping it replaced ---------------------------
+
+
+def _reference_report(rows, devices, deliveries, workload):
+    """per_node, device_error, pairwise and jitter, grouped row by row in dicts
+    from (t_true, node, error) sample rows and (node, grid_point, local_stamp)
+    delivery rows, as the report computed them before the trace was columnar."""
+    by_node: dict[str, list[int]] = {}
+    for _t, node, error in rows:
+        by_node.setdefault(node, []).append(error)
+    per_node = {
+        node: _percentiles(np.abs(np.asarray(by_node[node], dtype=float))) for node in sorted(by_node)
+    }
+    device_rows = [row for row in rows if row[1] in devices]
+    device_error = None
+    if device_rows:
+        device_error = _percentiles(np.abs(np.asarray([e for _t, _n, e in device_rows], dtype=float)))
+    pairwise = None
+    if len({node for _t, node, _e in device_rows}) >= 2:
+        by_instant: dict[int, list[int]] = {}
+        for t, _node, error in device_rows:
+            by_instant.setdefault(t, []).append(error)
+        pairwise = _percentiles([max(errs) - min(errs) for errs in by_instant.values()])
+    jitter = None
+    if len(deliveries) >= 2:
+        deviations: dict[str, list[int]] = {}
+        for node, grid_point, local_stamp in deliveries:
+            deviations.setdefault(node, []).append(local_stamp - grid_point)
+        centered = []
+        for node in sorted(deviations):
+            arr = np.asarray(deviations[node], dtype=float)
+            if workload.phase_mode == "median":
+                arr = arr - np.median(arr)
+            centered.append(arr)
+        pooled = np.concatenate(centered)
+        jitter = _percentiles(np.abs(pooled))
+        jitter["peak_to_peak"] = float(pooled.max() - pooled.min())
+    return per_node, device_error, pairwise, jitter
+
+
+_NAMES = ("ue2", "bs1", "ue10", "gw", "a", "ld1")   # config order is not sorted order
+_INT64 = st.integers(-(2**63) + 1, 2**63 - 1)
+
+
+@st.composite
+def _runs(draw):
+    sampled = tuple(draw(st.permutations(_NAMES))[:draw(st.integers(1, 6))])
+    instants = draw(st.integers(1, 5))
+    error = st.integers(-3, 3) | st.integers(-10**6, 10**6) | _INT64   # ties, and the int64 range
+    errors = draw(st.lists(st.lists(error, min_size=len(sampled), max_size=len(sampled)),
+                           min_size=instants, max_size=instants))
+    devices = frozenset(draw(st.sets(st.sampled_from(sampled))))
+    deliveries = draw(st.lists(st.tuples(
+        st.sampled_from(sampled), st.integers(0, 40), st.integers(-3, 3) | st.integers(-10**9, 10**9),
+    ), max_size=12))
+    return sampled, errors, devices, deliveries, draw(st.sampled_from(("median", "fixed")))
+
+
+@given(_runs())
+def test_report_equals_the_row_grouping_reference(run):
+    sampled, errors, devices, deliveries, phase_mode = run
+    instants = [1000 * i for i in range(len(errors))]
+    rows = [(t, node, e) for t, row in zip(instants, errors) for node, e in zip(sampled, row)]
+    delivery_rows = [(node, k, k * MS, k * MS, k * MS + dev) for node, k, dev in deliveries]
+    trace = RawTrace(
+        sampled=sampled,
+        samples=np.rec.fromarrays([
+            np.repeat(np.array(instants, dtype=np.int64), len(sampled)),
+            np.tile(np.array(sampled, dtype=str), len(instants)),
+            np.array(errors, dtype=np.int64).ravel(),
+        ], names="t_true,node,error"),
+        deliveries=_deliveries_of(delivery_rows),
+        devices=devices,
+        corrections=[], ta_index={}, lost_sync=0, fault=None, dispatched=0,
+    )
+    workload = Workload(command_period=MS, targets=sampled, phase_mode=phase_mode)
+    report = build_report(trace, workload)
+    per_node, device_error, pairwise, jitter = _reference_report(
+        rows, devices, [(node, gp, stamp) for node, _k, gp, _a, stamp in delivery_rows], workload,
+    )
+    assert report.per_node == per_node and list(report.per_node) == list(per_node)
+    assert report.device_error == device_error
+    assert report.pairwise == pairwise
+    assert report.jitter == jitter
+    if pairwise is not None:
+        worst = max(abs(row[i] - row[j]) for row in errors
+                    for i, j in combinations([k for k, node in enumerate(sampled) if node in devices], 2))
+        assert report.pairwise["max"] == float(worst)
+
+
+_REF = {"id": "ref", "role": "reference"}
+_BS1 = {"id": "bs1", "role": "base_station", "position": [0, 0],
+        "clock": {"theta0": "50 ticks", "skew_ppm": 0.2}}
+
+
+def _summary(stats):
+    return None if stats is None else (stats["p50"], stats["max"], stats["n"])
+
+
+@pytest.mark.parametrize("nodes, samples, per_node, device_error", [
+    ([_REF], 0, {}, None),
+    ([_REF, _BS1, {"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [300, 0],
+                   "clock": {"theta0": "-70000 ticks", "skew_ppm": -3.0}}],
+     42, {"bs1": (61.0, 123.0, 21), "ue1": (70922.0, 71843.0, 21)}, (70922.0, 71843.0, 21)),
+    ([_REF, _BS1, {"id": "bs2", "role": "base_station", "position": [900, 0],
+                   "clock": {"theta0": "2000 ticks", "skew_ppm": 1.5}}],
+     42, {"bs1": (61.0, 123.0, 21), "bs2": (461.0, 922.0, 21)}, None),
+], ids=["reference-only", "single-device", "no-devices"])
+def test_report_on_degenerate_graphs(nodes, samples, per_node, device_error):
+    cfg = validate_config({"schema_version": 1, "seed": 3, "duration": "20 ms", "nodes": nodes})
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    report = build_report(trace)
+    assert len(trace.samples) == samples
+    assert {node: _summary(stats) for node, stats in report.per_node.items()} == per_node
+    assert _summary(report.device_error) == device_error
+    assert report.pairwise is None
 
 
 # --- fault localization ---------------------------------------------------------------
