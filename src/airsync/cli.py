@@ -19,7 +19,9 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -33,7 +35,7 @@ from .config import (
 from .engine import derive_seed
 from .errors import AirsyncError, InvalidConfigError
 from .metrics import BUILTIN_PRESETS, MetricsReport, build_report
-from .scenario import build_scenario, run_scenario
+from .scenario import RawTrace, build_scenario, run_scenario
 from .timebase import parse_ticks, ticks_to_ns
 
 SEED_ENV_VAR = "AIRSYNC_SEED"
@@ -80,6 +82,40 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
 
 def _dump_json(obj: Any) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+
+
+TRACE_CHUNK_ROWS = 4096   # rows rendered at a time: bounds the trace writer's memory
+
+
+def _json_cells(column: list) -> list:
+    """A trace column's cells as JSON text: ints as themselves, each distinct
+    string encoded once."""
+    if column and isinstance(column[0], str):
+        encoded = {value: json.dumps(value) for value in set(column)}
+        return [encoded[value] for value in column]
+    return column
+
+
+def _trace_json(trace: RawTrace) -> Iterator[str]:
+    """trace.json in pieces, rendered straight from the trace's columns: the
+    text of ``_dump_json`` of {"samples", "deliveries", "corrections"}, each a
+    list of rows, without building the rows as Python lists first."""
+    tables = {
+        "corrections": [np.array([getattr(c, f) for c in trace.corrections], dtype=object)
+                        for f in ("t_true", "node", "delta", "kind", "error_after")],
+        "deliveries": [trace.deliveries[f] for f in trace.deliveries.dtype.names],
+        "samples": [trace.samples[f] for f in trace.samples.dtype.names],
+    }
+    yield "{\n"
+    for i, (name, columns) in enumerate(tables.items()):
+        yield (",\n" if i else "") + f'  "{name}": ['
+        row = "    [\n" + ",\n".join("      {}" for _ in columns) + "\n    ]"
+        rows = len(columns[0])
+        for start in range(0, rows, TRACE_CHUNK_ROWS):
+            cells = (_json_cells(c[start:start + TRACE_CHUNK_ROWS].tolist()) for c in columns)
+            yield (",\n" if start else "\n") + ",\n".join(map(row.format, *cells))
+        yield "\n  ]" if rows else "]"
+    yield "\n}\n"
 
 
 def _dump_csv(obj: Any) -> str:
@@ -172,15 +208,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     written = _write_outputs(out_dir, "report", payload, args.format, "run")
     if args.trace:
-        trace_payload = {
-            "samples": trace.samples.tolist(),
-            "deliveries": trace.deliveries.tolist(),
-            "corrections": [
-                [c.t_true, c.node, c.delta, c.kind, c.error_after]
-                for c in trace.corrections
-            ],
-        }
-        (out_dir / "trace.json").write_text(_dump_json(trace_payload), encoding="utf-8")
+        with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
+            handle.writelines(_trace_json(trace))
         written.append("trace.json")
     for verdict in report.verdicts:
         status = {True: "PASS", False: "FAIL", None: "n/a"}[verdict.passed]

@@ -11,12 +11,18 @@ installed at or before t. The integer terms are kept exact; only the small
 skew/drift perturbation is evaluated in double precision and rounded to a
 tick (error below one tick for horizons up to ~1e4 s). Timestamp noise
 enters solely through stamp().
+
+local_times() and stamps() are the bulk readers: over an int64 array of
+instants they give exactly what local_time() and successive stamp() calls
+give, in one numpy pass, and raise TickOverflowError on the same inputs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .engine import RngStream
 from .errors import TickOverflowError
@@ -92,3 +98,50 @@ def stamp(state: ClockState, t_true: int, rng: RngStream) -> int:
 def clock_error(state: ClockState, t_true: int) -> int:
     """Signed error of the local clock against the reference (local - true)."""
     return local_time(state, t_true) - t_true
+
+
+def _wrapped(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """+1 or -1 where the int64 sum ``total = a + b`` wrapped past INT64_MAX or
+    INT64_MIN (numpy wraps silently), else 0."""
+    return np.where((a ^ total) & (b ^ total) < 0, np.where(a < 0, -1, 1), 0)
+
+
+def _castable(x: np.ndarray) -> bool:
+    """Whether every whole-number float of ``x`` converts to int64 exactly."""
+    return bool(np.all(np.abs(x) < 2.0**63))
+
+
+def local_times(state: ClockState, t_true: np.ndarray) -> np.ndarray:
+    """local_time at each instant of an int64 array, in one pass: the same
+    float operations in the same order, and the same range check."""
+    p = state.params
+    t = np.asarray(t_true, dtype=np.int64)
+    t_seconds = t / TICKS_PER_SECOND
+    wide = (t > 2**53) | (t < -(2**53))
+    if wide.any():   # Python divides such an int exactly; numpy rounds it to a double first
+        t_seconds[wide] = [x / TICKS_PER_SECOND for x in t[wide].tolist()]
+    perturbation = np.rint(p.skew_y * t + 0.5 * p.drift_a * t_seconds * t)
+    held = [p.theta0, *(p.theta0 + c for c in state.correction)]
+    if not (_castable(perturbation) and INT64_MIN <= min(held) and max(held) <= INT64_MAX):
+        return np.array([local_time(state, x) for x in t.tolist()], dtype=np.int64)
+    base = np.array(held, dtype=np.int64)[np.searchsorted(np.array(state.installed_at, dtype=np.int64), t, "right")]
+    rounded = perturbation.astype(np.int64)
+    partial = base + t
+    local = partial + rounded
+    if np.any(_wrapped(base, t, partial) + _wrapped(partial, rounded, local)):
+        raise TickOverflowError("a local timestamp falls outside the signed 64-bit range")
+    return local
+
+
+def stamps(state: ClockState, t_true: np.ndarray, rng: RngStream) -> np.ndarray:
+    """stamp at each instant of an int64 array, in order: the same values and
+    the same draws from ``rng`` as one stamp call per instant."""
+    local = local_times(state, t_true)
+    noise = rng.gauss_ticks(state.params.stamp_noise_sigma, len(local))
+    if not _castable(noise):
+        return np.array([in_tick_range(x + int(n)) for x, n in zip(local.tolist(), noise.tolist())], dtype=np.int64)
+    noise = noise.astype(np.int64)
+    stamped = local + noise
+    if np.any(_wrapped(local, noise, stamped)):
+        raise TickOverflowError("a timestamp falls outside the signed 64-bit range")
+    return stamped

@@ -220,6 +220,8 @@ def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
         high = parse(raw["high"], f"{path}.high")
         if high < low:
             raise InvalidConfigError(path, "uniform range needs high >= low")
+        if high >= INT64_MAX:   # drawn as integers(low, high + 1), whose bound must fit int64
+            raise InvalidConfigError(f"{path}.high", f"must be below INT64_MAX = {INT64_MAX} ticks")
         return ScalarOrDist(low=low, high=high, uniform=True, integer=integer)
 
     return parse_field
@@ -395,6 +397,8 @@ def _parse_delay_dist(raw: Any, path: str) -> DelayDistribution:
         low, high = s["low"], s["high"]
         if high < low:
             raise InvalidConfigError(path, "uniform range needs high >= low")
+        if high >= INT64_MAX:   # drawn as integers(low, high + 1), whose bound must fit int64
+            raise InvalidConfigError(f"{path}.high", f"must be below INT64_MAX = {INT64_MAX} ticks")
         return DelayDistribution(kind, low=low, high=high)
     if kind == "normal":
         return DelayDistribution(kind, mean=s["mean"], sigma=s["sigma"])

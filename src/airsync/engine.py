@@ -119,15 +119,22 @@ class RngStream:
     def uniform(self, low: float, high: float) -> float:
         return float(self._gen.uniform(low, high))
 
-    def normal(self, mean: float, sigma: float) -> float:
-        return float(self._gen.normal(mean, sigma))
+    def normal(self, mean: float, sigma: float, size: Optional[int] = None):
+        """One draw as a float, or a float64 array of ``size`` successive draws."""
+        draw = self._gen.normal(mean, sigma, size)
+        return draw if size is not None else float(draw)
 
-    def integers(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high) as a plain Python int."""
-        return int(self._gen.integers(low, high))
+    def integers(self, low: int, high: int, size: Optional[int] = None):
+        """Uniform integer in [low, high) as a plain Python int, or an int64
+        array of ``size`` successive draws."""
+        draw = self._gen.integers(low, high, size)
+        return draw if size is not None else int(draw)
 
-    def gauss_ticks(self, sigma: float) -> int:
-        """Zero-mean Gaussian draw rounded to the nearest tick."""
+    def gauss_ticks(self, sigma: float, size: Optional[int] = None):
+        """Zero-mean Gaussian draw rounded to the nearest tick, or a float64
+        array of ``size`` successive ones (whole numbers). σ = 0 draws nothing."""
+        if size is not None:
+            return np.zeros(size) if sigma == 0 else np.rint(self._gen.normal(0.0, sigma, size))
         if sigma == 0:
             return 0
         return round(float(self._gen.normal(0.0, sigma)))

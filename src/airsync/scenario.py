@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, clock_error, stamp
+from .clocks import ClockParams, ClockState, clock_error, local_times, stamp, stamps
 from .engine import Event, RngStream, Simulator, derive_stream
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, TickOverflowError
 from .protocols import (
     Broadcast,
     RibsMode,
@@ -69,12 +69,14 @@ class DelayDistribution:
     mean: float = 0.0
     sigma: float = 0.0
 
-    def draw(self, rng: RngStream) -> int:
-        if self.kind == "none":
-            return 0
+    def draw(self, rng: RngStream, size: int) -> np.ndarray:
+        """``size`` successive delays in ticks: int64, or for normal float64
+        whole numbers, which may lie past the int64 range."""
         if self.kind == "uniform":
-            return rng.integers(self.low, self.high + 1)
-        return max(0, round(rng.normal(self.mean, self.sigma)))
+            return rng.integers(self.low, self.high + 1, size)
+        if self.kind == "normal":
+            return np.maximum(0.0, np.rint(rng.normal(self.mean, self.sigma, size)))
+        return np.zeros(size, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,10 @@ class _Runner:
     parameters. Only clock steps are events; observations read the clocks.
 
     Each stream label is derived at most once per run. Persistent labels
-    (``ta/``, ``loss/``, ``exchange/``, ``relay/``, ``delivery_stamp/``) come
-    from :meth:`rng` and keep drawing for the whole run; one-shot labels (a
-    round's broadcast or alignment, a target's delivery delays, the fault
-    probe) are derived where they are used and dropped.
+    (``ta/``, ``loss/``, ``exchange/``, ``relay/``) come from :meth:`rng` and
+    keep drawing for the whole run; one-shot labels (a round's broadcast or
+    alignment, a target's delivery delays and stamps, the fault probe) are
+    derived where they are used and dropped.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
@@ -382,8 +384,7 @@ class _Runner:
         if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
             # dynamically scheduled signaling: an independent queueing draw in
             # each direction, which is exactly what makes the path asymmetric
-            delay_forward = prop + self.config.link.extra_delay.draw(rng)
-            delay_back = prop + self.config.link.extra_delay.draw(rng)
+            delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
         else:
             delay_forward = delay_back = prop
 
@@ -419,36 +420,60 @@ class _Runner:
 
     def sample(self, sampled: tuple[str, ...]) -> np.recarray:
         """Each node of ``sampled`` at each sampling instant, instant-major."""
-        instants = range(0, self.duration + 1, self.config.sampling_grid)
-        return np.rec.fromarrays([
-            np.repeat(np.array(instants, dtype=np.int64), len(sampled)),
-            np.tile(np.array(sampled, dtype=str), len(instants)),
-            np.fromiter((clock_error(self.clocks[node], t) for t in instants for node in sampled),
-                        dtype=np.int64, count=len(instants) * len(sampled)),
-        ], names="t_true,node,error")
+        instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
+        samples = np.recarray((len(instants), len(sampled)), dtype=[
+            ("t_true", np.int64), ("node", np.array(sampled, dtype=str).dtype), ("error", np.int64),
+        ])
+        samples.t_true = instants[:, None]
+        samples.node = sampled
+        for j, node in enumerate(sampled):
+            local = local_times(self.clocks[node], instants)
+            samples.error[:, j] = local - instants
+            if np.any(samples.error[:, j] > local):   # local - t wrapped below INT64_MIN
+                raise TickOverflowError(f"clock error of {node!r} outside the signed 64-bit range")
+        return samples.ravel()
 
     def deliver(self) -> np.recarray:
         """Each workload command that arrives within the run, stamped by its
-        target's clock on arrival; ordered by arrival, target, grid index."""
+        target's clock on arrival; ordered by arrival, target, grid index.
+
+        Each target's delays come from its own stream in grid order, and its
+        stamps from its own stream in its own arrival order."""
         workload = self.config.workload
         targets = workload.targets if workload is not None else ()
         late = self.duration + 1   # a later arrival is not delivered
-        grid = range(workload.grid_phase, late, workload.command_period) if targets else range(0)
-        arrival = np.empty((len(targets), len(grid)), dtype=np.int64)
+        grid = (np.arange(workload.grid_phase, late, workload.command_period, dtype=np.int64) if targets
+                else np.empty(0, dtype=np.int64))
+        arrival = np.full((len(targets), len(grid)), late, dtype=np.int64)
+        local_stamp = np.empty_like(arrival)
         for i, target in enumerate(targets):
-            rng = derive_stream(self.seed, f"delivery/{target}")
             parent = self.nodes[target].attach_to
-            prop = self.prop(parent, target) if parent else 0
-            arrival[i] = [min(point + prop + self.config.link.extra_delay.draw(rng), late) for point in grid]
+            delay = self.config.link.extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid))
+            # the propagation delay is clipped at the run's end and the extra delay at
+            # 2**62 ticks (past any duration validate_config admits), then compared with
+            # the room left rather than added, so no int64 sum or cast can wrap
+            lead = min(self.prop(parent, target) if parent else 0, late)
+            delay = np.minimum(delay, 2**62).astype(np.int64)
+            arrives = np.flatnonzero(delay <= self.duration - lead - grid)
+            arrival[i, arrives] = grid[arrives] + lead + delay[arrives]
+            arrives = arrives[np.argsort(arrival[i, arrives], kind="stable")]
+            if len(arrives):
+                local_stamp[i, arrives] = stamps(self.clocks[target], arrival[i, arrives],
+                                                 derive_stream(self.seed, f"delivery_stamp/{target}"))
         index, k = np.nonzero(arrival < late)
         order = np.lexsort((k, index, arrival[index, k]))
         index, k = index[order], k[order]
-        arrival = arrival[index, k]
-        return np.rec.fromarrays([
-            np.array(targets, dtype=str)[index], k, np.array(grid, dtype=np.int64)[k], arrival,
-            np.fromiter((stamp(self.clocks[targets[i]], at, self.rng(f"delivery_stamp/{targets[i]}"))
-                         for i, at in zip(index.tolist(), arrival.tolist())), dtype=np.int64, count=len(k)),
-        ], names="node,grid_index,grid_point,true_arrival,local_stamp")
+        names = np.array(targets, dtype=str)
+        deliveries = np.recarray(len(k), dtype=[
+            ("node", names.dtype), ("grid_index", np.int64), ("grid_point", np.int64),
+            ("true_arrival", np.int64), ("local_stamp", np.int64),
+        ])
+        deliveries.node = names[index]   # one column at a time: a single temporary is alive
+        deliveries.grid_index = k
+        deliveries.grid_point = grid[k]
+        deliveries.true_arrival = arrival[index, k]
+        deliveries.local_stamp = local_stamp[index, k]
+        return deliveries
 
     def probe_fault(self) -> FaultStamps:
         probe = self.config.fault_probe

@@ -1,14 +1,18 @@
 """CLI exit codes, report formats, determinism, sweeps, presets."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from airsync.cli import main
-from airsync.timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_US
+from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
+from airsync.config import load_config
+from airsync.scenario import CorrectionEvent, RawTrace, build_scenario, run_scenario
+from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,6 +73,120 @@ def test_run_reversed_delay_range_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "link.extra_delay" in capsys.readouterr().err
+
+
+def test_run_uniform_delay_past_the_int64_draw_exits_2(tmp_path, capsys):
+    # integers(low, high + 1) cannot take a bound past INT64_MAX
+    raw = yaml.safe_load((CONFIG_DIR / "single-bs.yaml").read_text())
+    raw.update(duration="300 ms", link={"extra_delay": {"dist": "uniform", "low": 0, "high": "5e8 s"}})
+    code = main(["run", "--config", str(write_yaml(tmp_path / "bad.yaml", raw)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "link.extra_delay.high: must be below INT64_MAX" in capsys.readouterr().err
+
+
+MANIFEST_SHA256 = "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8"
+NO_DELIVERY_TRACE_SHA256 = "2892cf3b787c359ad3fbaa59da8ae6c89f5b558b81b5f1579cc8ea6db6fa76f8"
+
+# single-bs.yaml under an extra delay: the digests are those of the files
+# written when every delay and stamp was drawn one at a time
+DELAYED = {
+    # no command survives these; an int64 wrap or float cast in the arrivals
+    # would count them as delivered
+    "uniform-int64": ({"dist": "uniform", "low": 0, "high": f"{INT64_MAX - 1} ticks"}, {
+        "report.csv": "d8e4ad506d1951fffde505ef39506e1d8d77f35aa27b8b0c7f4254512f36f806",
+        "report.json": "50ce59a323cbae65cc9f1ab194a5e5bcc7498c2d5b0a7f74b2c9a198873678c5",
+        "trace.json": NO_DELIVERY_TRACE_SHA256,
+    }),
+    "normal-1e19": ({"dist": "normal", "mean": 1e19, "sigma": 10}, {
+        "report.csv": "70dae5768b7ef4ec2a8be12e78f5218dccae5ca3f352b8127beabee1991b0532",
+        "report.json": "bf76fb35056b22014757c4cda283df0460b20231546a3ca97e7be1a8ca5f5552",
+        "trace.json": NO_DELIVERY_TRACE_SHA256,
+    }),
+    # delays wider than the command period reorder each target's arrivals, and
+    # some land past the run's end; stamps follow each target's arrival order
+    "uniform-reordering": ({"dist": "uniform", "low": "10 ms", "high": "400 ms"}, {
+        "report.csv": "ef39f5d4b9a66d60c2f5c73ff172388a38cb7a75625de4f8fd35f957b71f98f0",
+        "report.json": "8cc9f686d4b7462cc87a0e34cf193ddfb06c4783d5be06b5027897124571ce7a",
+        "trace.json": "e285a55b0b8c25735c019bcd3fbaff106ad97500ff26062c2adc6a95e7b9b79a",
+    }),
+    "normal-reordering": ({"dist": "normal", "mean": "3 ms", "sigma": "2 ms"}, {
+        "report.csv": "4f0e31f21dae61e6f62bb6ddec6034d931046f4d39c7a424ff984db638c6a877",
+        "report.json": "d29ca6aa3c46df9a3d87b9fdcbef522a68ce9bb1025faac976f9461951148f7a",
+        "trace.json": "004b1c61db5a6a9fdfbe974bc00fe5f87e9799a0a44d4d53a5446b86be7cada7",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", DELAYED)
+def test_delayed_commands_keep_their_outputs(tmp_path, case):
+    extra_delay, digests = DELAYED[case]
+    raw = yaml.safe_load((CONFIG_DIR / "single-bs.yaml").read_text())
+    raw["link"] = {"extra_delay": extra_delay}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out), "--trace"]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert written == dict(digests, **{"manifest.json": MANIFEST_SHA256})
+
+
+def _reference_trace_json(trace: RawTrace) -> str:
+    """trace.json as the generic JSON dump of the rows writes it."""
+    payload = {
+        "samples": trace.samples.tolist(),
+        "deliveries": trace.deliveries.tolist(),
+        "corrections": [[c.t_true, c.node, c.delta, c.kind, c.error_after] for c in trace.corrections],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _table(rows, names, kinds):
+    columns = list(zip(*rows)) if rows else [() for _ in kinds]
+    return np.rec.fromarrays([np.array(c, dtype=k) for c, k in zip(columns, kinds)], names=names)
+
+
+def _trace(samples, deliveries, corrections) -> RawTrace:
+    return RawTrace(
+        sampled=(), devices=frozenset(), ta_index={}, lost_sync=0, fault=None, dispatched=0,
+        samples=_table(samples, "t_true,node,error", (np.int64, str, np.int64)),
+        deliveries=_table(deliveries, "node,grid_index,grid_point,true_arrival,local_stamp",
+                          (str, np.int64, np.int64, np.int64, np.int64)),
+        corrections=[CorrectionEvent(*c) for c in corrections],
+    )
+
+
+ODD_IDS = ('say "hi"', "back\\slash", "Zürich-ü€😀", "tab\there")
+TRACES = {
+    "no-workload": ([(0, "ue1", 5), (0, "ue2", -7), (10, "ue1", 3), (10, "ue2", 0)], [],
+                    [(0, "ue1", 12, "sib16", -1), (4, "ue2", -3, "two_way", 2)]),
+    "no-corrections": ([(0, "ue1", 1)], [("ue1", 0, 0, 11, 13), ("ue1", 1, 10, 20, 21)], []),
+    "nothing": ([], [], []),
+    "escaped-ids": ([(0, n, i) for i, n in enumerate(ODD_IDS)], [(n, 0, 0, 1, 2) for n in ODD_IDS],
+                    [(0, n, 1, kind, 0) for n, kind in zip(ODD_IDS, ("sib16", 'k"ind', "\\", "é"))]),
+    "chunks": ([(t, n, t - 7) for t in range(TRACE_CHUNK_ROWS + 1) for n in ("ue1", "ue2")],
+               [("ue1", k, k, k + 1, k + 2) for k in range(TRACE_CHUNK_ROWS)], []),
+    "int64-extremes": ([(0, "a", INT64_MIN), (0, "b", INT64_MAX), (INT64_MAX, "a", -1)],
+                       [("a", 0, INT64_MIN, INT64_MAX, INT64_MIN)],
+                       [(INT64_MAX, "a", INT64_MIN, "bs_align", INT64_MAX)]),
+}
+
+
+@pytest.mark.parametrize("case", TRACES)
+def test_trace_writer_matches_the_reference_dump(case):
+    trace = _trace(*TRACES[case])
+    assert "".join(_trace_json(trace)) == _reference_trace_json(trace)
+
+
+def test_trace_json_of_odd_node_ids_matches_the_reference_dump(tmp_path):
+    raw = small_config(workload=None)
+    bs, ue1, ue2 = raw["nodes"][1:]
+    bs["id"] = ue1["attach_to"] = ue2["attach_to"] = ODD_IDS[2]
+    ue1["id"], ue2["id"] = ODD_IDS[0], ODD_IDS[1]
+    config_path = write_yaml(tmp_path / "cfg.yaml", raw)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--trace"]) == 0
+    config = load_config(config_path)
+    trace = run_scenario(build_scenario(config), config.duration)
+    assert len(trace.corrections) and not len(trace.deliveries)
+    assert (out / "trace.json").read_text(encoding="utf-8") == _reference_trace_json(trace)
 
 
 PAST_THE_TICK_RANGE = "9223372036854775000 ticks"   # within the run's span of INT64_MAX

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airsync.clocks import (
@@ -13,11 +13,13 @@ from airsync.clocks import (
     clock_error,
     ideal_clock,
     local_time,
+    local_times,
     stamp,
+    stamps,
 )
 from airsync.engine import derive_stream
 from airsync.errors import TickOverflowError
-from airsync.timebase import TICKS_PER_SECOND, TICKS_PER_US
+from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_SECOND, TICKS_PER_US
 
 
 def test_ideal_clock_is_identity():
@@ -142,6 +144,64 @@ def test_local_time_within_a_tick_of_the_exact_polynomial(theta0, skew, drift, s
         correction = -sum(delta for at, delta in steps if at <= t)
         exact = theta0 + correction + t + y * t + a / 2 * Fraction(t, TICKS_PER_SECOND) * t
         assert abs(local_time(clock, t) - exact) <= 1
+
+
+def _scalar_readings(read, instants):
+    """[read(t) for t in instants], or None if any reading overflows."""
+    try:
+        return [read(t) for t in instants]
+    except TickOverflowError:
+        return None
+
+
+_PHASE = (st.integers(-(2**40), 2**40) | st.integers(INT64_MAX - 2**41, INT64_MAX)
+          | st.integers(INT64_MIN, INT64_MIN + 2**41) | st.integers(-(2**64), 2**64))
+_INSTANT = st.integers(0, 2**41) | st.integers(0, 10**4 * TICKS_PER_SECOND) | st.integers(INT64_MIN, INT64_MAX)
+_SKEW = st.floats(-1e-3, 1e-3, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _PHASE,
+    _SKEW,
+    st.just(0.0) | st.floats(-1e-3, 1e-3),
+    st.lists(st.tuples(_INSTANT, st.integers(-(2**40), 2**40) | st.integers(-(2**64), 2**64)), max_size=6),
+    st.lists(_INSTANT, max_size=8),
+)
+# theta0 + t wraps past INT64_MAX, but the negative skew term brings the reading back in range
+@example(INT64_MAX - 10**6, -9e-4, 0.0, [], [1_000_500])
+# past 2**53 ticks, t / TICKS_PER_SECOND must divide the exact int, as Python does
+@example(0, 0.0, 1e-9, [], [36_361_359_135_263_771])
+def test_bulk_reader_equals_local_time(theta0, skew, drift, steps, instants):
+    steps.sort(key=lambda s: s[0])
+    clock = stepped(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift), *steps)
+    instants += [at + d for at, _ in steps for d in (-1, 0) if at + d >= INT64_MIN]
+    expected = _scalar_readings(lambda t: local_time(clock, t), instants)
+    if expected is None:
+        with pytest.raises(TickOverflowError):
+            local_times(clock, np.array(instants, dtype=np.int64))
+    else:
+        assert local_times(clock, np.array(instants, dtype=np.int64)).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _PHASE,
+    _SKEW,
+    st.sampled_from([0.0, 0.4, 308.0]) | st.floats(0, 1e30),
+    st.lists(_INSTANT, max_size=12),
+    st.integers(0, 2**32),
+)
+def test_bulk_stamps_equal_successive_stamp_calls(theta0, skew, sigma, instants, seed):
+    clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, stamp_noise_sigma=sigma))
+    one_by_one, bulk = derive_stream(seed, "stamps"), derive_stream(seed, "stamps")
+    expected = _scalar_readings(lambda t: stamp(clock, t, one_by_one), instants)
+    if expected is None:
+        with pytest.raises(TickOverflowError):
+            stamps(clock, np.array(instants, dtype=np.int64), bulk)
+    else:
+        assert stamps(clock, np.array(instants, dtype=np.int64), bulk).tolist() == expected
+        assert bulk.random() == one_by_one.random()   # the same number of draws, none at sigma 0
 
 
 def test_single_correction_permanent_without_skew_or_drift():

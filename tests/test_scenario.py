@@ -13,6 +13,7 @@ from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
 from airsync.protocols import ExchangeRecord, twoway_offset
 from airsync.scenario import (
+    DelayDistribution,
     Role,
     build_scenario,
     fault_wave_stamps,
@@ -20,6 +21,7 @@ from airsync.scenario import (
 )
 from airsync.timebase import (
     HALF_TA_STEP_TICKS,
+    INT64_MAX,
     TA_STEP_TICKS,
     TICKS_PER_MS,
     TICKS_PER_SECOND,
@@ -148,6 +150,23 @@ def test_deliveries_follow_grid_plus_propagation():
     # zero extra delay and ideal clocks: the jitter is exactly zero
     from airsync.metrics import jitter_stats
     assert jitter_stats(trace.deliveries, cfg.workload)["peak_to_peak"] == 0
+
+
+@pytest.mark.parametrize("dist", [
+    DelayDistribution(),
+    DelayDistribution("uniform", low=3, high=5 * MS),
+    DelayDistribution("uniform", low=0, high=INT64_MAX - 1),
+    DelayDistribution("normal", mean=2 * MS, sigma=MS),
+    DelayDistribution("normal", mean=1e19, sigma=10),
+], ids=["none", "uniform", "uniform-int64", "normal", "normal-1e19"])
+def test_delays_drawn_in_bulk_follow_the_one_at_a_time_rule(dist):
+    bulk, one = derive_stream(5, "delays"), derive_stream(5, "delays")
+    next_delay = {
+        "none": lambda: 0,
+        "uniform": lambda: one.integers(dist.low, dist.high + 1),
+        "normal": lambda: max(0, round(one.normal(dist.mean, dist.sigma))),
+    }[dist.kind]
+    assert [int(d) for d in dist.draw(bulk, 50)] == [next_delay() for _ in range(50)]
 
 
 def test_run_is_deterministic():
