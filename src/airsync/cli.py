@@ -235,16 +235,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base_seed = _resolve_seed(args.seed, base.seed)
     out_dir = _prepare_out_dir(args.out)
 
+    # seeds depend only on the repetition, so every swept value sees
+    # identical draws and points stay comparable
+    seeds = ([derive_seed(base_seed, f"rep/{rep}") for rep in range(spec.repetitions)]
+             if spec.repetitions > 1 else [base_seed])
     rows = []
     ordered = sorted(spec.values, key=_sweep_sort_key)
     for value in ordered:
-        for rep in range(spec.repetitions):
-            raw = copy.deepcopy(base.raw)
-            set_config_value(raw, spec.path, value)
-            config = validate_config(raw)
-            # seeds depend only on the repetition, so every swept value sees
-            # identical draws and points stay comparable
-            seed = derive_seed(base_seed, f"rep/{rep}") if spec.repetitions > 1 else base_seed
+        raw = copy.deepcopy(base.raw)
+        set_config_value(raw, spec.path, value)
+        config = validate_config(raw)   # once per value: its repetitions share it
+        for rep, seed in enumerate(seeds):
             report, _trace = _execute(config, seed)
             row = {"value": value, "repetition": rep, "seed": seed}
             row.update(_metric_summary(report))

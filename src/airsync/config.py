@@ -42,6 +42,9 @@ from .timebase import INT64_MAX, parse_ticks
 
 SCHEMA_VERSION = 1
 
+# libyaml's loader where PyYAML was built with it: the same mappings, parsed in C
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _DIST_KEYS = {"dist", "low", "high"}   # a clock parameter's range: only uniform exists
 _REQUIRED = object()   # table default of a key that must be present
 
@@ -535,9 +538,12 @@ def _resolve_pmus(probe: FaultProbe, nodes: dict[str, Node]) -> FaultProbe:
 # --- top level ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario: everything a run needs except the drawn clocks."""
+    """A validated scenario: everything a run needs except the drawn clocks.
+
+    Frozen, so the runs of a sweep point can share one.
+    """
 
     nodes: dict[str, Node]
     link: LinkModel
@@ -650,7 +656,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InvalidConfigError("", f"cannot parse {path}: {exc}") from None
     if not isinstance(raw, dict):
@@ -740,7 +746,7 @@ def parse_sweep_spec(raw: Any) -> SweepSpec:
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise InvalidConfigError("sweep", f"cannot parse {path}: {exc}") from None
     return parse_sweep_spec(raw)

@@ -109,9 +109,10 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        digest = _label_digest(self.root_seed, self.label)
-        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
-        self._gen = np.random.default_rng(np.random.SeedSequence(words))
+        # the digest's eight little-endian uint32 words are the SeedSequence
+        # entropy; handing them over as one array skips numpy's per-int coercion
+        words = np.frombuffer(_label_digest(self.root_seed, self.label), "<u4")
+        self._gen = np.random.default_rng(np.random.SeedSequence(words.astype(np.uint32, copy=False)))
 
     def random(self) -> float:
         return float(self._gen.random())

@@ -11,6 +11,7 @@ constant offset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -100,16 +101,39 @@ class MetricsReport:
     verdicts: list[Verdict]
 
 
+_QUANTILES = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
+
+
 def _percentiles(values: Sequence[float] | np.ndarray) -> dict:
-    arr = np.asarray(values, dtype=float)
-    p50, p95, p99 = np.percentile(arr, [50, 95, 99])
-    return {
-        "p50": float(p50),
-        "p95": float(p95),
-        "p99": float(p99),
-        "max": float(arr.max()),
-        "n": int(arr.size),
-    }
+    """p50/p95/p99, max and count of ``values`` (flattened).
+
+    The percentiles follow numpy's default ``linear`` rule (Hyndman-Fan type
+    7) and equal ``np.percentile(values, [50, 95, 99])`` bit for bit: the
+    virtual index is vi = (n-1)*q, the two order statistics around it come
+    from one partial sort, and they are interpolated in the same float
+    operations as numpy's ``_lerp``.
+    """
+    arr = np.array(values, dtype=float).reshape(-1)
+    last = arr.size - 1
+    brackets = {}
+    for key, q in _QUANTILES.items():
+        vi = last * q
+        below = math.floor(vi)
+        # numpy reads the top order statistic at the top end, with its
+        # weight measured from index -1
+        brackets[key] = (last, last, vi + 1) if vi >= last else (below, below + 1, vi - below)
+    # numpy's own kth set (0 and the top included), so that keys that compare
+    # equal but differ in sign (0.0, -0.0) land where numpy's partition puts them
+    kth = sorted({0, last}.union(*(b[:2] for b in brackets.values())))
+    arr.partition(kth)
+    order = dict(zip(kth, arr[kth].tolist()))
+    stats = {}
+    for key, (below, above, g) in brackets.items():
+        a, b = order[below], order[above]
+        stats[key] = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+    stats["max"] = order[last]
+    stats["n"] = last + 1
+    return stats
 
 
 def pairwise_offset_stats(errors: np.ndarray) -> dict:
@@ -135,9 +159,19 @@ def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
         raise InsufficientSamplesError("jitter statistics need >=2 deliveries")
     deviation = (deliveries.local_stamp - deliveries.grid_point).astype(float)
     if workload.phase_mode == "median":
-        for node in np.unique(deliveries.node):
-            mine = deliveries.node == node
-            deviation[mine] -= np.median(deviation[mine])
+        # every target's median in one pass: sort by (target, deviation) and
+        # read each group's middle order statistics; an even group takes
+        # (lo + hi) / 2, as np.median does. searchsorted instead of
+        # np.unique's return_inverse, and dropping the permutation early,
+        # each keep a column's worth of memory off the report's peak.
+        group = np.searchsorted(np.unique(deliveries.node), deliveries.node)
+        counts = np.bincount(group)
+        starts = np.cumsum(counts) - counts
+        order = np.lexsort((deviation, group))
+        lo = deviation[order[starts + (counts - 1) // 2]]
+        hi = deviation[order[starts + counts // 2]]
+        del order
+        deviation -= ((lo + hi) / 2)[group]
     stats = _percentiles(np.abs(deviation))
     stats["peak_to_peak"] = float(deviation.max() - deviation.min())
     return stats

@@ -1,6 +1,7 @@
 """CLI exit codes, report formats, determinism, sweeps, presets."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -65,6 +66,17 @@ def test_run_malformed_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "sync_plan.resink" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unparsable_yaml_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("duration: [1 s\nnodes: {", encoding="utf-8")
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    args = (["run", "--config", str(bad)] if command == "run"
+            else ["sweep", "--config", str(config), "--sweep", str(bad)])
+    assert main([*args, "--out", str(tmp_path / "o")]) == 2
+    assert f"cannot parse {bad}" in capsys.readouterr().err
 
 
 def test_run_reversed_delay_range_exits_2(tmp_path, capsys):
@@ -307,6 +319,44 @@ def test_sweep_granularity_dominance_same_seed(tmp_path):
     assert {row["seed"] for row in payload["rows"]} == {123}
     p99 = [by_value[v]["device_error_p99_ticks"] for v in ["10 ms", "1 us", "31 ticks"]]
     assert p99[0] >= p99[1] >= p99[2]
+
+
+# sweep row key -> (report.json metrics section, field)
+_ROW_METRICS = {
+    "device_error_p99_ticks": ("device_error", "p99"),
+    "device_error_max_ticks": ("device_error", "max"),
+    "pairwise_max_ticks": ("pairwise", "max"),
+    "pairwise_p99_ticks": ("pairwise", "p99"),
+    "jitter_peak_to_peak_ticks": ("jitter", "peak_to_peak"),
+}
+
+
+def test_sweep_rows_equal_separate_runs_and_leave_the_base_config_alone(tmp_path):
+    """The repetitions of a value share one validated config, so it must be
+    frozen, the base mapping must stay as loaded, and every row must be what
+    a separate run of that point gives."""
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    base = load_config(config)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        base.seed = 1
+    spec = write_yaml(tmp_path / "spec.yaml", {
+        "path": "sync_plan.sib.granularity", "values": ["10 ms", "31 ticks"], "repetitions": 2,
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["config"] == json.loads(json.dumps(base.raw))
+    assert len(payload["rows"]) == 4 and len({row["seed"] for row in payload["rows"]}) == 2
+    for i, row in enumerate(payload["rows"]):
+        raw = small_config()
+        raw["sync_plan"]["sib"]["granularity"] = row["value"]
+        point = write_yaml(tmp_path / f"point{i}.yaml", raw)
+        run_out = tmp_path / f"run{i}"
+        assert main(["run", "--config", str(point), "--seed", str(row["seed"]), "--out", str(run_out)]) == 0
+        metrics = json.loads((run_out / "report.json").read_text())["metrics"]
+        assert set(row) - {"value", "repetition", "seed"} == set(_ROW_METRICS)
+        for key, (section, field) in _ROW_METRICS.items():
+            assert row[key] == metrics[section][field], (row["value"], row["repetition"], key)
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):

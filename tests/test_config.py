@@ -1,8 +1,12 @@
 """Config parsing: exact tick units, strict keys, path diagnostics, sweeps."""
 
+from pathlib import Path
+
 import pytest
+import yaml
 
 from airsync.config import (
+    _YAML_LOADER,
     get_config_value,
     parse_sweep_spec,
     set_config_value,
@@ -11,6 +15,8 @@ from airsync.config import (
 from airsync.errors import InvalidConfigError
 from airsync.scenario import build_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def minimal(**overrides):
@@ -278,3 +284,13 @@ def test_sweep_spec_validation():
         parse_sweep_spec({"values": [1]})
     with pytest.raises(InvalidConfigError):
         parse_sweep_spec({"path": "a.b", "values": [1], "repetitions": 0})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.rglob("*.yaml")),
+                         ids=lambda p: str(p.relative_to(CONFIG_DIR)))
+def test_bundled_files_parse_to_the_safe_load_mapping(path):
+    """Configs and sweep specs load through one module-level loader (libyaml's
+    where PyYAML has it); it must give exactly yaml.safe_load's mapping, types
+    included."""
+    text = path.read_text(encoding="utf-8")
+    assert repr(yaml.load(text, Loader=_YAML_LOADER)) == repr(yaml.safe_load(text))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from airsync.clocks import ClockParams, ClockState, ideal_clock
 from airsync.config import validate_config
@@ -36,6 +36,32 @@ def _deliveries_of(rows):
     """A deliveries record array from (node, grid_index, grid_point, true_arrival, local_stamp) rows."""
     fields = ("grid_index", "grid_point", "true_arrival", "local_stamp")
     return np.array(rows, dtype=[("node", "U8")] + [(name, np.int64) for name in fields]).view(np.recarray)
+
+
+# --- percentiles ---------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=60),
+    st.lists(st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=60),
+))
+@example([7.0])
+@example([-(2**63), 2**63 - 1])
+def test_percentiles_equal_numpy_bit_for_bit(values):
+    """Singletons, ties, signed zeros, negatives and int64-scale magnitudes."""
+    x = np.array(values)
+    stats = _percentiles(x)
+    expected = np.percentile(np.asarray(x, dtype=float), [50, 95, 99])
+    assert np.array([stats["p50"], stats["p95"], stats["p99"]]).tobytes() == expected.tobytes()
+    assert stats["max"] == float(x.max()) and stats["n"] == x.size
+
+
+def test_percentiles_of_a_matrix_are_over_every_entry():
+    x = np.arange(12, dtype=np.int64).reshape(4, 3)
+    assert _percentiles(x) == _percentiles(x.ravel())
+    assert _percentiles(x)["p50"] == 5.5
 
 
 # --- pairwise offsets -----------------------------------------------------------
@@ -127,6 +153,38 @@ def test_jitter_fixed_phase_keeps_offset():
             _deliveries([k * MS + offset for k in range(10)]), _workload(mode="fixed")
         )
         assert stats["max"] == offset and stats["peak_to_peak"] == 0
+
+
+def _jitter_by_node_loop(deliveries, workload):
+    """Reference jitter: one target at a time, centered on np.median of its mask."""
+    deviation = (deliveries.local_stamp - deliveries.grid_point).astype(float)
+    if workload.phase_mode == "median":
+        for node in np.unique(deliveries.node):
+            mine = deliveries.node == node
+            deviation[mine] -= np.median(deviation[mine])
+    stats = _percentiles(np.abs(deviation))
+    stats["peak_to_peak"] = float(deviation.max() - deviation.min())
+    return stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=9),
+                    min_size=1, max_size=6),
+    mode=st.sampled_from(["median", "fixed"]),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(groups=[[5], [1, 2], [3, 9, 4], [0, 0, 7, -7]], mode="median", shuffle=None)
+def test_grouped_jitter_equals_the_per_node_median_loop(groups, mode, shuffle):
+    """Odd, even and single-delivery groups, interleaved in any order."""
+    rows = [(f"n{i}", k, k * MS, 0, k * MS + deviation)
+            for i, group in enumerate(groups) for k, deviation in enumerate(group)]
+    if len(rows) < 2:
+        return
+    if shuffle is not None:
+        shuffle.shuffle(rows)
+    deliveries = _deliveries_of(rows)
+    assert jitter_stats(deliveries, _workload(mode=mode)) == _jitter_by_node_loop(deliveries, _workload(mode=mode))
 
 
 def test_jitter_needs_two_deliveries():
