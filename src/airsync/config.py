@@ -1,6 +1,9 @@
-"""Declarative scenario configuration.
+"""Declarative scenario configuration: the whole config schema.
 
-YAML/JSON in, validated ScenarioConfig out. Time quantities carry unit
+YAML/JSON in, validated ScenarioConfig out. This module owns every config
+type (node roles, link, sync plan, workload, fault probe), every default and
+every rule. Each section's table ``{key: (default, parser)}`` is the only
+place a default is stated; the types carry none. Time quantities carry unit
 suffixes and must land exactly on the tick grid (rejected otherwise, never
 rounded); unknown keys are rejected with full field paths. Every check
 lives here, the rules of the node graph included, so a config that
@@ -15,30 +18,19 @@ import copy
 import math
 import re
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy as np
 import yaml
 
 from .clocks import ClockParams, MAX_ABS_SKEW
 from .engine import RngStream
 from .errors import InvalidConfigError, TickOverflowError
 from .metrics import BUILTIN_PRESETS, RequirementPreset
-from .protocols import RibsMode, SibConfig, StampMode, TaTimerConfig
-from .scenario import (
-    ATTACHED_ROLES,
-    DEVICE_ROLES,
-    BsAlignment,
-    BsAlignmentMode,
-    DelayDistribution,
-    Enabler,
-    FaultProbe,
-    LinkModel,
-    Role,
-    SyncPlan,
-    Workload,
-)
-from .timebase import INT64_MAX, parse_ticks
+from .protocols import RibsMode, SibConfig, StampMode
+from .timebase import INT64_MAX, TICKS_PER_MS, parse_ticks
 
 SCHEMA_VERSION = 1
 
@@ -186,6 +178,31 @@ def _str_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+def _check_uniform(low: Any, high: Any, path: str) -> None:
+    """A uniform range's bounds, drawn as integers(low, high + 1): that bound must fit int64."""
+    if high < low:
+        raise InvalidConfigError(path, "uniform range needs high >= low")
+    if high >= INT64_MAX:
+        raise InvalidConfigError(f"{path}.high", f"must be below INT64_MAX = {INT64_MAX} ticks")
+
+
+# --- node roles -------------------------------------------------------------------
+
+
+class Role(Enum):
+    REFERENCE = "reference"
+    BASE_STATION = "base_station"
+    UE = "ue"
+    GATEWAY = "gateway"
+    LEGACY = "legacy_device"
+    PMU = "pmu"
+
+
+DEVICE_ROLES = (Role.UE, Role.GATEWAY, Role.LEGACY, Role.PMU)
+ATTACHED_ROLES = (Role.UE, Role.GATEWAY, Role.PMU)
+_ROLES = _by_value(Role)
+
+
 # --- clock parameter specs ----------------------------------------------------
 
 
@@ -221,10 +238,7 @@ def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
             raise InvalidConfigError(path, "uniform distribution needs 'low' and 'high'")
         low = parse(raw["low"], f"{path}.low")
         high = parse(raw["high"], f"{path}.high")
-        if high < low:
-            raise InvalidConfigError(path, "uniform range needs high >= low")
-        if high >= INT64_MAX:   # drawn as integers(low, high + 1), whose bound must fit int64
-            raise InvalidConfigError(f"{path}.high", f"must be below INT64_MAX = {INT64_MAX} ticks")
+        _check_uniform(low, high, path)
         return ScalarOrDist(low=low, high=high, uniform=True, integer=integer)
 
     return parse_field
@@ -232,10 +246,10 @@ def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
 
 @dataclass(frozen=True)
 class ClockSpec:
-    theta0: ScalarOrDist = ScalarOrDist(value=0, integer=True)
-    skew_y: ScalarOrDist = ScalarOrDist()
-    drift_a: ScalarOrDist = ScalarOrDist()
-    stamp_noise_sigma: float = 0.0
+    theta0: ScalarOrDist
+    skew_y: ScalarOrDist
+    drift_a: ScalarOrDist
+    stamp_noise_sigma: float
 
     def draw(self, rng: RngStream) -> ClockParams:
         return ClockParams(
@@ -275,8 +289,9 @@ def _parse_clock(raw: Any, path: str) -> ClockSpec:
     )
 
 
-_ROLES = _by_value(Role)
-_CLOCK_DEFAULTS = {role: (None, _parse_clock) for role in _ROLES}
+_DEFAULT_CLOCK = _parse_clock({}, "clock")   # every _CLOCK default: a node with no clock given
+# the reference is true time: it has no clock to give defaults to
+_CLOCK_DEFAULTS = {role: (None, _parse_clock) for role in _ROLES if role != Role.REFERENCE.value}
 
 
 def _parse_clock_defaults(raw: Any, path: str) -> dict[str, ClockSpec]:
@@ -293,9 +308,9 @@ class Node:
 
     id: str
     role: Role
-    position: Optional[tuple[float, float]] = None
-    attach_to: Optional[str] = None
-    clock: ClockSpec = ClockSpec()
+    position: Optional[tuple[float, float]]
+    attach_to: Optional[str]
+    clock: ClockSpec
 
 
 def _position(value: Any, path: str) -> tuple[float, float]:
@@ -316,9 +331,12 @@ _NODE = {
 
 
 def _parse_node(raw: Any, path: str, default_clocks: dict[str, ClockSpec]) -> Node:
-    fields = _Section(raw, path, _NODE).read()
+    s = _Section(raw, path, _NODE)
+    fields = s.read()
+    s.only_with(fields["role"] is not Role.REFERENCE, ("position", "clock"),
+                "non-reference nodes (the reference is true time)")
     if fields["clock"] is None:
-        fields["clock"] = default_clocks.get(fields["role"].value, ClockSpec())
+        fields["clock"] = default_clocks.get(fields["role"].value, _DEFAULT_CLOCK)
     return Node(**fields)
 
 
@@ -381,6 +399,26 @@ def _index_nodes(nodes: list[Node]) -> dict[str, Node]:
 # --- link / plan / workload / fault probe -------------------------------------------
 
 
+@dataclass(frozen=True)
+class DelayDistribution:
+    """Extra (scheduling/queueing) delay on top of propagation, in ticks."""
+
+    kind: str      # none | uniform | normal
+    low: int
+    high: int
+    mean: float
+    sigma: float
+
+    def draw(self, rng: RngStream, size: int) -> np.ndarray:
+        """``size`` successive delays in ticks: int64, or for normal float64
+        whole numbers, which may lie past the int64 range."""
+        if self.kind == "uniform":
+            return rng.integers(self.low, self.high + 1, size)
+        if self.kind == "normal":
+            return np.maximum(0.0, np.rint(rng.normal(self.mean, self.sigma, size)))
+        return np.zeros(size, dtype=np.int64)
+
+
 _DELAY = {
     "dist": ("none", _choice({k: k for k in ("none", "uniform", "normal")},
                              "distribution", listed=False)),
@@ -396,16 +434,15 @@ def _parse_delay_dist(raw: Any, path: str) -> DelayDistribution:
     kind = s["dist"]
     s.only_with(kind == "uniform", ("low", "high"), "dist: uniform")
     s.only_with(kind == "normal", ("mean", "sigma"), "dist: normal")
-    if kind == "uniform":
-        low, high = s["low"], s["high"]
-        if high < low:
-            raise InvalidConfigError(path, "uniform range needs high >= low")
-        if high >= INT64_MAX:   # drawn as integers(low, high + 1), whose bound must fit int64
-            raise InvalidConfigError(f"{path}.high", f"must be below INT64_MAX = {INT64_MAX} ticks")
-        return DelayDistribution(kind, low=low, high=high)
-    if kind == "normal":
-        return DelayDistribution(kind, mean=s["mean"], sigma=s["sigma"])
-    return DelayDistribution()
+    low, high = s["low"], s["high"]   # both 0 unless dist: uniform
+    _check_uniform(low, high, path)
+    return DelayDistribution(kind, low=low, high=high, mean=s["mean"], sigma=s["sigma"])
+
+
+@dataclass(frozen=True)
+class LinkModel:
+    extra_delay: DelayDistribution
+    loss_prob: float
 
 
 _LINK = {
@@ -427,11 +464,24 @@ _SIB = {
 
 
 def _parse_sib(raw: Any, path: str) -> SibConfig:
-    fields = _Section(raw, path, _SIB).read()
-    try:
-        return SibConfig(**fields)
-    except ValueError as exc:
-        raise InvalidConfigError(path, str(exc)) from None
+    sib = SibConfig(**_Section(raw, path, _SIB).read())
+    if sib.si_window > sib.periodicity:
+        raise InvalidConfigError(f"{path}.si_window", "must not exceed periodicity")
+    return sib
+
+
+class BsAlignmentMode(Enum):
+    PERFECT = "perfect"
+    FIXED_ERROR = "fixed_error"
+    RIBS = "ribs"
+
+
+@dataclass(frozen=True)
+class BsAlignment:
+    mode: BsAlignmentMode
+    error: int
+    ribs_mode: Optional[RibsMode]
+    realign_period: Optional[int]
 
 
 _ALIGN = {
@@ -455,16 +505,34 @@ def _parse_alignment(raw: Any, path: str) -> BsAlignment:
     )
 
 
-def _ta_timer(value: Any, path: str) -> TaTimerConfig:
-    try:
-        return TaTimerConfig(period_ms=value)
-    except (ValueError, TypeError) as exc:
-        raise InvalidConfigError(path, str(exc)) from None
+class Enabler(Enum):
+    TA_SIB16 = "ta_sib16"
+    RIBS_UE = "ribs_ue"
+    DEDICATED_TWO_WAY = "dedicated_two_way"
 
+
+@dataclass(frozen=True)
+class SyncPlan:
+    enabler: Enabler
+    ta_timer_period: int   # ticks
+    resync_period: int
+    ta_noise_sigma: float
+    ta_wrong_bin_prob: float
+    sib: SibConfig
+    bs_alignment: BsAlignment
+    gw_relay_sigma: float
+    turnaround: int = TICKS_PER_MS   # a model constant, not a config field
+
+
+TA_TIMER_PERIODS_MS = (500, 750, 1280, 1920, 2560, 5120, 10240)   # the standard TA timer set
 
 _PLAN = {
     "enabler": (Enabler.TA_SIB16.value, _choice(_by_value(Enabler), "enabler")),
-    "ta_timer_ms": (10240, _ta_timer),
+    "ta_timer_ms": (10240, _check(
+        lambda v: _is_int(v) and v in TA_TIMER_PERIODS_MS,
+        f"expected an integer number of ms from {TA_TIMER_PERIODS_MS}",
+        lambda v: v * TICKS_PER_MS,
+    )),
     "resync_period": ("80 ms", _positive_time),
     "ta_noise_sigma": (0, _sigma),
     "ta_wrong_bin_prob": (0.0, _probability),
@@ -476,8 +544,18 @@ _PLAN = {
 
 def _parse_plan(raw: Any, path: str) -> SyncPlan:
     fields = _Section(raw, path, _PLAN).read()
-    fields["ta_timer"] = fields.pop("ta_timer_ms")
+    fields["ta_timer_period"] = fields.pop("ta_timer_ms")
     return SyncPlan(**fields)
+
+
+@dataclass(frozen=True)
+class Workload:
+    """Isochronous command deliveries on an ideal grid."""
+
+    command_period: int
+    targets: tuple[str, ...]
+    grid_phase: int
+    phase_mode: str   # median | fixed
 
 
 _WORKLOAD = {
@@ -493,6 +571,16 @@ _WORKLOAD = {
 
 def _parse_workload(raw: Any, path: str) -> Workload:
     return Workload(**_Section(raw, path, _WORKLOAD).read())
+
+
+@dataclass(frozen=True)
+class FaultProbe:
+    line_length_m: float
+    fault_position_m: float
+    wave_speed_mps: float
+    sync_error_bound: Optional[int]
+    at: Optional[int]
+    pmu_ids: Optional[tuple[str, str]]
 
 
 _PROBE = {
@@ -553,8 +641,8 @@ class ScenarioConfig:
     duration: int
     sampling_grid: int
     seed: int
-    fault_probe: Optional[FaultProbe] = None
-    raw: dict = field(default_factory=dict, repr=False, compare=False)
+    fault_probe: Optional[FaultProbe]
+    raw: dict = field(repr=False, compare=False)
 
 
 def _schema_version(value: Any, path: str) -> int:
@@ -716,7 +804,7 @@ def set_config_value(raw: dict, path: str, value: Any) -> None:
 class SweepSpec:
     path: str
     values: tuple
-    repetitions: int = 1
+    repetitions: int
 
 
 def _sweep_path(value: Any, path: str) -> str:

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientNodesError, InsufficientSamplesError
-from .scenario import RawTrace, Workload
 from .timebase import TICKS_PER_US, ticks_to_seconds
+
+if TYPE_CHECKING:   # annotations only: config imports this module, scenario imports config
+    from .config import Workload
+    from .scenario import RawTrace
 
 US = TICKS_PER_US
 

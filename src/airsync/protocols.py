@@ -32,7 +32,6 @@ from .timebase import TA_STEP_TICKS, TICKS_PER_MS
 TA_INITIAL_MAX = 1282
 TA_UPDATE_MAX = 63
 TA_UPDATE_NOOP = 31
-TA_TIMER_PERIODS_MS = (500, 750, 1280, 1920, 2560, 5120, 10240)
 
 class TaKind(Enum):
     INITIAL = "initial"
@@ -57,23 +56,6 @@ class TaCommand:
             raise ValueError(f"{self.kind.value} TA value {self.value} outside [0, {limit}]")
 
 
-@dataclass(frozen=True)
-class TaTimerConfig:
-    """Periodic TA maintenance timer; values are the standard set, in ms."""
-
-    period_ms: int = 10240
-
-    def __post_init__(self):
-        if self.period_ms not in TA_TIMER_PERIODS_MS:
-            raise ValueError(
-                f"TA timer {self.period_ms} ms not in {TA_TIMER_PERIODS_MS}"
-            )
-
-    @property
-    def period_ticks(self) -> int:
-        return self.period_ms * TICKS_PER_MS
-
-
 class StampMode(Enum):
     AT_SCHEDULE = "at_schedule"
     AT_TRANSMIT = "at_transmit"
@@ -83,16 +65,10 @@ class StampMode(Enum):
 class SibConfig:
     """Broadcast-time configuration: quantization step, cadence, window."""
 
-    granularity: int = 10 * TICKS_PER_MS
-    periodicity: int = 80 * TICKS_PER_MS
-    si_window: int = 40 * TICKS_PER_MS
-    stamp_mode: StampMode = StampMode.AT_TRANSMIT
-
-    def __post_init__(self):
-        if self.granularity < 0:
-            raise ValueError("granularity must be >= 0")
-        if self.si_window > self.periodicity:
-            raise ValueError("si_window must not exceed periodicity")
+    granularity: int
+    periodicity: int
+    si_window: int
+    stamp_mode: StampMode
 
 
 @dataclass(frozen=True)

@@ -1,32 +1,32 @@
-"""Scenario assembly and execution.
+"""Scenario execution.
 
-A validated config (config.py) already holds the node graph (reference
-source, base stations, UEs, gateways, legacy devices, PMUs), the link model
-and the synchronization plan. Building a scenario only draws each node's
-clock parameters. Running it gives each node one clock, drives an event loop
-that only steps clocks (inter-BS alignment, TA upkeep, per-device OTA sync,
-gateway relay), then reads samples, deliveries and the fault probe from them.
+This module only runs configs; config.py owns their types, defaults and
+rules. A validated config already holds the node graph (reference source,
+base stations, UEs, gateways, legacy devices, PMUs), the link model and the
+synchronization plan. Building a scenario only draws each node's clock
+parameters. Running it gives each node one clock, drives an event loop that
+only steps clocks (inter-BS alignment, TA upkeep, per-device OTA sync,
+gateway relay), then reads samples, deliveries and the fault probe from them
+into the trace records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .clocks import ClockParams, ClockState, clock_error, local_times, stamp, stamps
+from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig
 from .engine import Event, RngStream, Simulator, derive_stream
 from .errors import InvalidGeometryError, TickOverflowError
 from .protocols import (
     Broadcast,
     RibsMode,
-    SibConfig,
     SyncResult,
-    TaTimerConfig,
     apply_ta_command,
     compute_ta_initial,
     compute_ta_update,
@@ -40,102 +40,7 @@ from .protocols import (
     twoway_exchange,
     twoway_offset,
 )
-from .timebase import TA_STEP_TICKS, TICKS_PER_MS, TICKS_PER_SECOND, propagation_ticks
-
-if TYPE_CHECKING:
-    from .config import Node, ScenarioConfig
-
-
-class Role(Enum):
-    REFERENCE = "reference"
-    BASE_STATION = "base_station"
-    UE = "ue"
-    GATEWAY = "gateway"
-    LEGACY = "legacy_device"
-    PMU = "pmu"
-
-
-DEVICE_ROLES = (Role.UE, Role.GATEWAY, Role.LEGACY, Role.PMU)
-ATTACHED_ROLES = (Role.UE, Role.GATEWAY, Role.PMU)
-
-
-@dataclass(frozen=True)
-class DelayDistribution:
-    """Extra (scheduling/queueing) delay on top of propagation, in ticks."""
-
-    kind: str = "none"      # none | uniform | normal
-    low: int = 0
-    high: int = 0
-    mean: float = 0.0
-    sigma: float = 0.0
-
-    def draw(self, rng: RngStream, size: int) -> np.ndarray:
-        """``size`` successive delays in ticks: int64, or for normal float64
-        whole numbers, which may lie past the int64 range."""
-        if self.kind == "uniform":
-            return rng.integers(self.low, self.high + 1, size)
-        if self.kind == "normal":
-            return np.maximum(0.0, np.rint(rng.normal(self.mean, self.sigma, size)))
-        return np.zeros(size, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class LinkModel:
-    extra_delay: DelayDistribution = DelayDistribution()
-    loss_prob: float = 0.0
-
-
-class Enabler(Enum):
-    TA_SIB16 = "ta_sib16"
-    RIBS_UE = "ribs_ue"
-    DEDICATED_TWO_WAY = "dedicated_two_way"
-
-
-class BsAlignmentMode(Enum):
-    PERFECT = "perfect"
-    FIXED_ERROR = "fixed_error"
-    RIBS = "ribs"
-
-
-@dataclass(frozen=True)
-class BsAlignment:
-    mode: BsAlignmentMode = BsAlignmentMode.PERFECT
-    error: int = 0
-    ribs_mode: Optional[RibsMode] = None
-    realign_period: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class SyncPlan:
-    enabler: Enabler = Enabler.TA_SIB16
-    resync_period: int = 80 * TICKS_PER_MS
-    ta_timer: TaTimerConfig = TaTimerConfig()
-    ta_noise_sigma: float = 0.0
-    ta_wrong_bin_prob: float = 0.0
-    sib: SibConfig = SibConfig()
-    bs_alignment: BsAlignment = BsAlignment()
-    gw_relay_sigma: float = 0.0
-    turnaround: int = TICKS_PER_MS
-
-
-@dataclass(frozen=True)
-class Workload:
-    """Isochronous command deliveries on an ideal grid."""
-
-    command_period: int
-    targets: tuple[str, ...]
-    grid_phase: int = 0
-    phase_mode: str = "median"   # median | fixed
-
-
-@dataclass(frozen=True)
-class FaultProbe:
-    line_length_m: float
-    fault_position_m: float
-    wave_speed_mps: float = 3.0e8
-    sync_error_bound: Optional[int] = None
-    at: Optional[int] = None
-    pmu_ids: Optional[tuple[str, str]] = None
+from .timebase import TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
 @dataclass
@@ -143,7 +48,7 @@ class Scenario:
     """A validated config plus what building adds: the root seed and each
     node's drawn clock parameters."""
 
-    config: "ScenarioConfig"
+    config: ScenarioConfig
     seed: int
     clocks: dict[str, ClockParams]
 
@@ -204,7 +109,7 @@ def link_propagation(a: Node, b: Node) -> int:
     return propagation_ticks(math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1]))
 
 
-def build_scenario(config: "ScenarioConfig", root_seed: Optional[int] = None) -> Scenario:
+def build_scenario(config: ScenarioConfig, root_seed: Optional[int] = None) -> Scenario:
     """Draw every node's clock parameters, once, from its labeled stream.
 
     The config is already validated, graph included. Construction is pure:
@@ -337,7 +242,7 @@ class _Runner:
         else:
             command = compute_ta_update(rtt - current * TA_STEP_TICKS)
         self.ta_index[device] = apply_ta_command(current, command)
-        next_at = sim.now + self.plan.ta_timer.period_ticks
+        next_at = sim.now + self.plan.ta_timer_period
         if next_at <= self.duration:
             sim.at(next_at, self.ta_step, kind="ta_refresh", target=device)
 

@@ -1,5 +1,9 @@
 """Config parsing: exact tick units, strict keys, path diagnostics, sweeps."""
 
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -13,10 +17,12 @@ from airsync.config import (
     validate_config,
 )
 from airsync.errors import InvalidConfigError
+from airsync.protocols import StampMode
 from airsync.scenario import build_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MS = TICKS_PER_MS
 
 
 def minimal(**overrides):
@@ -123,11 +129,26 @@ def test_skew_bound_enforced():
     assert "skew" in str(info.value)
 
 
+def test_ta_timer_values():
+    for period_ms in (500, 750, 1280, 1920, 2560, 5120, 10240):
+        cfg = validate_config(minimal(sync_plan={"ta_timer_ms": period_ms}))
+        assert cfg.sync_plan.ta_timer_period == period_ms * MS
+
+
 def test_ta_timer_must_be_standard_value():
-    raw = minimal(sync_plan={"ta_timer_ms": 1000})
-    with pytest.raises(InvalidConfigError) as info:
-        validate_config(raw)
-    assert "ta_timer_ms" in str(info.value)
+    # a float would put the timer's expiries off the integer tick timeline
+    for value in (1000, 500.0, True, "500"):
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(minimal(sync_plan={"ta_timer_ms": value}))
+        assert info.value.path == "sync_plan.ta_timer_ms"
+
+
+def test_sib_config_validation():
+    for sib, path in [({"si_window": "81 ms", "periodicity": "80 ms"}, "sync_plan.sib.si_window"),
+                      ({"granularity": -1}, "sync_plan.sib.granularity")]:
+        with pytest.raises(InvalidConfigError) as info:
+            validate_config(minimal(sync_plan={"sib": sib}))
+        assert info.value.path == path
 
 
 def test_unknown_preset_rejected():
@@ -140,6 +161,21 @@ def test_clock_defaults_applied_by_role():
     raw = minimal(clock_defaults={"ue": {"skew_ppm": 3.0}})
     cfg = validate_config(raw)
     assert cfg.nodes["ue"].clock.skew_y.value == pytest.approx(3e-6)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda raw: raw["nodes"][0].update(clock={"theta0": "5 ms", "skew_ppm": 50, "stamp_noise": 1000}),
+     "nodes[0].clock"),
+    (lambda raw: raw["nodes"][0].update(position=[0, 0]), "nodes[0].position"),
+    (lambda raw: raw.update(clock_defaults={"reference": {"skew_ppm": 50}}), "clock_defaults.reference"),
+], ids=["clock", "position", "clock-defaults"])
+def test_reference_takes_no_clock_or_position(edit, path):
+    # the reference is true time: none of these would change any result
+    raw = minimal()
+    edit(raw)
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("theta0", [
@@ -159,6 +195,27 @@ def test_resolved_raw_contains_defaults():
 
 
 PROBE = {"line_length_m": 600, "fault_position_m": 300}
+
+
+def test_every_default_resolved():
+    raw = minimal(workload={"targets": ["ue"]}, fault_probe=PROBE)
+    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
+    cfg = validate_config(raw)
+    plan = cfg.sync_plan
+    assert (plan.enabler.value, plan.resync_period, plan.ta_timer_period) == ("ta_sib16", 80 * MS, 10240 * MS)
+    assert (plan.ta_noise_sigma, plan.ta_wrong_bin_prob, plan.gw_relay_sigma, plan.turnaround) == (0, 0, 0, MS)
+    assert asdict(plan.sib) == {
+        "granularity": 10 * MS, "periodicity": 80 * MS, "si_window": 40 * MS, "stamp_mode": StampMode.AT_TRANSMIT,
+    }
+    align = plan.bs_alignment
+    assert (align.mode.value, align.error, align.ribs_mode, align.realign_period) == ("perfect", 0, None, None)
+    assert asdict(cfg.link) == {
+        "extra_delay": {"kind": "none", "low": 0, "high": 0, "mean": 0, "sigma": 0}, "loss_prob": 0,
+    }
+    workload = cfg.workload
+    assert (workload.targets, workload.command_period, workload.grid_phase, workload.phase_mode) == (
+        ("ue",), MS, 0, "median")
+    assert cfg.fault_probe.wave_speed_mps == 3.0e8
 
 
 @pytest.mark.parametrize("edit, path, message", [
@@ -254,6 +311,19 @@ def test_non_finite_numbers_rejected(path, value):
     with pytest.raises(InvalidConfigError) as info:
         validate_config(raw)
     assert info.value.path == path
+
+
+@pytest.mark.parametrize("module, not_loaded", [
+    ("airsync.metrics", ("airsync.scenario", "airsync.config")),
+    ("airsync.config", ("airsync.scenario",)),
+], ids=["metrics", "config"])
+def test_layering(module, not_loaded):
+    """metrics <- config <- scenario: importing a lower layer loads no higher one."""
+    code = f"import sys, {module}; print([m for m in {not_loaded!r} if m in sys.modules])"
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 # --- parameter paths and sweeps ---------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from airsync.clocks import ClockParams, ClockState, ideal_clock
-from airsync.config import validate_config
+from airsync.config import Workload, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InsufficientNodesError, InsufficientSamplesError
 from airsync.metrics import (
@@ -20,7 +20,7 @@ from airsync.metrics import (
     localization_uncertainty,
     pairwise_offset_stats,
 )
-from airsync.scenario import RawTrace, Workload, build_scenario, fault_wave_stamps, run_scenario
+from airsync.scenario import RawTrace, build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
@@ -267,7 +267,7 @@ def test_report_equals_the_row_grouping_reference(run):
         devices=devices,
         corrections=[], ta_index={}, lost_sync=0, fault=None, dispatched=0,
     )
-    workload = Workload(command_period=MS, targets=sampled, phase_mode=phase_mode)
+    workload = Workload(command_period=MS, targets=sampled, grid_phase=0, phase_mode=phase_mode)
     report = build_report(trace, workload)
     per_node, device_error, pairwise, jitter = _reference_report(
         rows, devices, [(node, gp, stamp) for node, _k, gp, _a, stamp in delivery_rows], workload,

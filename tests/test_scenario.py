@@ -8,17 +8,11 @@ import pytest
 
 from airsync import scenario as scenario_module
 from airsync.clocks import ClockState, clock_error, local_time
-from airsync.config import load_config, validate_config
+from airsync.config import DelayDistribution, Role, load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, InvalidGeometryError
 from airsync.protocols import ExchangeRecord, twoway_offset
-from airsync.scenario import (
-    DelayDistribution,
-    Role,
-    build_scenario,
-    fault_wave_stamps,
-    run_scenario,
-)
+from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import (
     HALF_TA_STEP_TICKS,
     INT64_MAX,
@@ -153,11 +147,11 @@ def test_deliveries_follow_grid_plus_propagation():
 
 
 @pytest.mark.parametrize("dist", [
-    DelayDistribution(),
-    DelayDistribution("uniform", low=3, high=5 * MS),
-    DelayDistribution("uniform", low=0, high=INT64_MAX - 1),
-    DelayDistribution("normal", mean=2 * MS, sigma=MS),
-    DelayDistribution("normal", mean=1e19, sigma=10),
+    DelayDistribution("none", low=0, high=0, mean=0.0, sigma=0.0),
+    DelayDistribution("uniform", low=3, high=5 * MS, mean=0.0, sigma=0.0),
+    DelayDistribution("uniform", low=0, high=INT64_MAX - 1, mean=0.0, sigma=0.0),
+    DelayDistribution("normal", low=0, high=0, mean=2 * MS, sigma=MS),
+    DelayDistribution("normal", low=0, high=0, mean=1e19, sigma=10),
 ], ids=["none", "uniform", "uniform-int64", "normal", "normal-1e19"])
 def test_delays_drawn_in_bulk_follow_the_one_at_a_time_rule(dist):
     bulk, one = derive_stream(5, "delays"), derive_stream(5, "delays")
