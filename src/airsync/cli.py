@@ -302,7 +302,7 @@ def cmd_presets(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airsync",
-        description="Discrete-event simulator of over-the-air device-level time synchronization",
+        description="Deterministic simulator of over-the-air device-level time synchronization",
     )
     parser.add_argument("--version", action="version", version=f"airsync {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

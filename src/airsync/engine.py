@@ -1,89 +1,17 @@
-"""Deterministic discrete-event core.
+"""Labeled, seed-derived random streams.
 
-Single-threaded scheduler over the integer tick timeline plus labeled,
-seed-derived random streams. Events that fire at the same tick dispatch in
-insertion order, and the same (root_seed, label) pair always reproduces the
-same draw sequence, so a full run is a pure function of (config, seed).
+Every random draw of a run comes from a stream named by a label, and the
+same (root_seed, label) pair always reproduces the same draw sequence, so a
+full run is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
 import numpy as np
-
-from .errors import PastEventError, TickOverflowError
-from .timebase import UINT64_MAX
-
-
-@dataclass
-class Event:
-    """A scheduled occurrence on the simulated timeline.
-
-    ``sequence`` is assigned by the scheduler and doubles as the event id.
-    """
-
-    fire_at: int
-    target: str = ""
-    kind: str = ""
-    callback: Optional[Callable[["Simulator", "Event"], None]] = None
-    payload: Any = None
-    sequence: int = -1
-
-
-class Simulator:
-    """Event loop with FIFO tie-breaking and a monotone integer clock."""
-
-    def __init__(self):
-        self._now = 0
-        self._next_seq = 0
-        self._heap: list[tuple[int, int, Event]] = []
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def schedule(self, event: Event) -> int:
-        if event.fire_at < self._now:
-            raise PastEventError(
-                f"cannot schedule at {event.fire_at} (now is {self._now})"
-            )
-        if event.fire_at > UINT64_MAX:
-            raise TickOverflowError("event time exceeds the 64-bit tick counter")
-        event.sequence = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.sequence, event))
-        return event.sequence
-
-    def at(
-        self,
-        fire_at: int,
-        callback: Callable[["Simulator", "Event"], None],
-        kind: str = "",
-        target: str = "",
-        payload: Any = None,
-    ) -> int:
-        """Convenience wrapper around :meth:`schedule`."""
-        return self.schedule(
-            Event(fire_at=fire_at, target=target, kind=kind, callback=callback, payload=payload)
-        )
-
-    def run_until(self, t_end: int) -> int:
-        """Dispatch every event with fire_at <= t_end; leaves now() at t_end."""
-        if t_end < self._now:
-            raise PastEventError(f"t_end {t_end} is before now {self._now}")
-        dispatched = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            fire_at, _seq, event = heapq.heappop(self._heap)
-            self._now = fire_at
-            if event.callback is not None:
-                event.callback(self, event)
-            dispatched += 1
-        self._now = t_end
-        return dispatched
 
 
 def _label_digest(root_seed: int, label: str) -> bytes:

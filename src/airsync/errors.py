@@ -16,10 +16,6 @@ class InvalidConfigError(AirsyncError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class PastEventError(AirsyncError):
-    """Attempt to schedule an event before the current simulation time."""
-
-
 class TickOverflowError(AirsyncError):
     """Tick arithmetic left the representable 64-bit range."""
 

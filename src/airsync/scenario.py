@@ -4,27 +4,31 @@ This module only runs configs; config.py owns their types, defaults and
 rules. A validated config already holds the node graph (reference source,
 base stations, UEs, gateways, legacy devices, PMUs), the link model and the
 synchronization plan. Building a scenario only draws each node's clock
-parameters. Running it gives each node one clock, drives an event loop that
-only steps clocks (inter-BS alignment, TA upkeep, per-device OTA sync,
-gateway relay), then reads samples, deliveries and the fault probe from them
-into the trace records.
+parameters. Running it gives each node one clock and steps the clocks down
+the sync tree, parent first: the anchor BS, the other BSs (steered or
+RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, or
+two-way), each gateway relaying into its legacy devices as it steps. A read
+at instant t sees every step installed at or before t. Samples, deliveries
+and the fault probe are then read from the finished clocks into the trace
+records.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Optional
+from functools import cache
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
 from .clocks import ClockParams, ClockState, clock_error, local_times, stamp, stamps
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig
-from .engine import Event, RngStream, Simulator, derive_stream
+from .engine import RngStream, derive_stream
 from .errors import InvalidGeometryError, TickOverflowError
 from .protocols import (
-    Broadcast,
     RibsMode,
     SyncResult,
     apply_ta_command,
@@ -86,7 +90,9 @@ class RawTrace:
     minus reference time, in ticks. ``deliveries`` (node, grid_index,
     grid_point, true_arrival, local_stamp) has one row per delivered command,
     in stamp order, and none without a workload. ``devices`` holds the
-    device node ids.
+    device node ids. ``corrections`` is ordered by t_true; steps at one tick
+    keep the evaluation order (BSs before devices, a gateway before its
+    legacy devices). ``ta_index`` holds each SIB16 device's final TA index.
     """
 
     sampled: tuple[str, ...]
@@ -97,7 +103,6 @@ class RawTrace:
     ta_index: dict[str, int]
     lost_sync: int
     fault: Optional[FaultStamps]
-    dispatched: int
 
 
 # --- construction --------------------------------------------------------------
@@ -130,88 +135,78 @@ class _Runner:
     """One scenario run; owns each node's clock, TA state and correction log.
 
     Each node has one ClockState for the whole run, started from its drawn
-    parameters. Only clock steps are events; observations read the clocks.
+    parameters. The run walks the sync tree parent-first (the BSs, then each
+    BS's devices, each gateway's legacy devices inside its steps), so every
+    node's steps are computed in time order from its parent's finished
+    trajectory. Observations then read the clocks.
 
-    Each stream label is derived at most once per run. Persistent labels
-    (``ta/``, ``loss/``, ``exchange/``, ``relay/``) come from :meth:`rng` and
-    keep drawing for the whole run; one-shot labels (a round's broadcast or
-    alignment, a target's delivery delays and stamps, the fault probe) are
-    derived where they are used and dropped.
+    Each stream label is derived at most once per run: a node's ``ta/``,
+    ``loss/`` and ``exchange/`` streams where its steps are computed, a legacy
+    device's ``relay/`` stream up front, and one-shot labels (a round's
+    broadcast or alignment, a target's delivery delays and stamps, the fault
+    probe) where they are used.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
         self.config = scenario.config
         self.duration = duration
         self.seed = scenario.seed
-        self.sim = Simulator()
         self.plan = self.config.sync_plan
         self.nodes = self.config.nodes
         self.clocks = {node: ClockState(params) for node, params in scenario.clocks.items()}
         self.ta_index: dict[str, int] = {}
-        self.streams: dict[str, RngStream] = {}
         self.corrections: list[CorrectionEvent] = []
         self.lost_sync = 0
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
-        self.gw_children: dict[str, list[str]] = {}
+        self.relays: dict[str, list[tuple[str, RngStream]]] = {}   # a gateway's legacy devices
         for node in self.nodes.values():
             if node.role in ATTACHED_ROLES and node.attach_to in self.attached:
                 self.attached[node.attach_to].append(node.id)
             elif node.role is Role.LEGACY:
-                self.gw_children.setdefault(node.attach_to, []).append(node.id)
+                self.relays.setdefault(node.attach_to, []).append(
+                    (node.id, derive_stream(self.seed, f"relay/{node.id}")))
         nodes = self.nodes   # closing over self instead would hold the runner in a reference cycle
         self.prop = cache(lambda a, b: link_propagation(nodes[a], nodes[b]))
 
-    def rng(self, label: str) -> RngStream:
-        """The run's persistent stream for ``label``, derived on first use."""
-        stream = self.streams.get(label)
-        if stream is None:
-            stream = self.streams[label] = derive_stream(self.seed, label)
-        return stream
+    def rounds(self, period: int) -> range:
+        """The start of every round of a ``period`` cadence within the run."""
+        return range(0, self.duration + 1, period)
 
     def set_clock(self, node: str, kind: str, result: SyncResult) -> None:
-        """Step ``node``'s clock now by ``result``: the only clock change in a run.
-
-        Logs the correction and relays a gateway's new time into its wired
-        domain.
-        """
-        at = self.sim.now
+        """Step ``node``'s clock by ``result`` when it applies: the only clock
+        change in a run. Logs the correction and relays a gateway's new time
+        into its wired domain."""
+        at = result.applied_at
         self.clocks[node].step(at, result.correction)
         self.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
-        for child in self.gw_children.get(node, ()):  # only gateways have children
+        for child, rng in self.relays.get(node, ()):  # only gateways have children
             self.set_clock(child, "gw_relay", gw_relay_sync(
-                self.clocks[node], self.clocks[child], self.plan.gw_relay_sigma, self.rng(f"relay/{child}"), at=at
+                self.clocks[node], self.clocks[child], self.plan.gw_relay_sigma, rng, at=at
             ))
-
-    def land(self, node: str, kind: str, at: int, measure: Callable[[], SyncResult]) -> None:
-        """Schedule a sync landing on ``node`` at ``at``: ``measure`` then reads each stamp from
-        a clock at its own instant, and ``node``'s clock steps by the delta."""
-
-        def apply(sim: Simulator, _event: Event) -> None:
-            self.set_clock(node, kind, measure())
-
-        self.sim.at(at, apply, kind="apply_sync", target=node)
 
     # -- alignment --
 
-    def align_base_stations(self, sim: Simulator, event: Event) -> None:
+    def align_base_stations(self) -> None:
+        """Each alignment round steps the anchor (the first BS) to 0 and each
+        other BS to its offset (0 unless FIXED_ERROR), or RIBS-aligns it to the
+        anchor; the anchor goes first, since RIBS reads it."""
         align = self.plan.bs_alignment
-        round_no = event.payload
+        rounds = self.rounds(align.realign_period) if align.realign_period else range(1)
         for i, bs in enumerate(self.base_stations):
-            if align.mode is BsAlignmentMode.RIBS and i > 0:
-                self.ribs_sync(self.base_stations[0], bs, round_no, sim.now)
-            else:  # steered directly: the anchor to 0, others to their offset (0 unless FIXED_ERROR)
-                clock = self.clocks[bs]
-                delta = clock_error(clock, sim.now) - (align.error if i > 0 else 0)
-                self.set_clock(bs, "bs_align", step_clock(clock, delta, sim.now))
-        if align.realign_period:
-            next_at = sim.now + align.realign_period
-            if next_at <= self.duration:
-                sim.at(next_at, self.align_base_stations, kind="bs_align", payload=round_no + 1)
+            clock = self.clocks[bs]
+            for round_no, at in enumerate(rounds):
+                if align.mode is BsAlignmentMode.RIBS and i > 0:
+                    self.ribs_sync(self.base_stations[0], bs, round_no, at)
+                else:
+                    delta = clock_error(clock, at) - (align.error if i > 0 else 0)
+                    self.set_clock(bs, "bs_align", step_clock(clock, delta, at))
 
     def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
         mode = self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
+        if ribs_landing(mode, at, prop, prop, self.plan.turnaround) > self.duration:
+            return
         helper_index = None
         if mode is RibsMode.LISTEN_TA:
             rtt = measure_rtt(
@@ -219,106 +214,118 @@ class _Runner:
                 derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
             )
             helper_index = compute_ta_initial(rtt).value
-        self.land(bs, "bs_align", ribs_landing(mode, at, prop, prop, self.plan.turnaround), partial(
-            ribs_align, mode, self.clocks[anchor], self.clocks[bs], prop,
+        self.set_clock(bs, "bs_align", ribs_align(
+            mode, self.clocks[anchor], self.clocks[bs], prop,
             derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
             at=at, turnaround=self.plan.turnaround,
         ))
 
-    # -- timing advance maintenance --
+    # -- per-device OTA sync --
 
-    def ta_step(self, sim: Simulator, event: Event) -> None:
-        """Initial TA command on attach, an update at every timer expiry."""
-        device = event.target
-        rtt = measure_rtt(
-            self.prop(self.nodes[device].attach_to, device),
-            self.plan.ta_noise_sigma,
-            self.plan.ta_wrong_bin_prob,
-            self.rng(f"ta/{device}"),
-        )
-        current = self.ta_index.get(device)
-        if current is None:
-            command = compute_ta_initial(rtt)
-        else:
-            command = compute_ta_update(rtt - current * TA_STEP_TICKS)
-        self.ta_index[device] = apply_ta_command(current, command)
-        next_at = sim.now + self.plan.ta_timer_period
-        if next_at <= self.duration:
-            sim.at(next_at, self.ta_step, kind="ta_refresh", target=device)
+    def heard(self, device: str, rounds: int) -> list[int]:
+        """The rounds whose sync reaches ``device``; each round draws its loss, in round order."""
+        loss_prob = self.config.link.loss_prob
+        if loss_prob == 0:
+            return list(range(rounds))
+        rng = derive_stream(self.seed, f"loss/{device}")
+        heard = [round_no for round_no in range(rounds) if rng.random() >= loss_prob]
+        self.lost_sync += rounds - len(heard)
+        return heard
 
-    # -- per-round OTA sync --
-
-    def sync_round(self, sim: Simulator, event: Event) -> None:
-        bs = event.target
-        round_no = event.payload
-        link = self.config.link
-        sib = self.plan.enabler is Enabler.TA_SIB16
-        if sib:
-            # one broadcast per (BS, round), heard by every attached device
-            rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
-            broadcast = sib16_broadcast(self.plan.sib, rng, sim.now)
-            bs_value: list[int] = []
-        for device in self.attached[bs]:
-            if link.loss_prob > 0 and self.rng(f"loss/{device}").random() < link.loss_prob:
-                self.lost_sync += 1
-                continue
-            if sib:
-                self.sib_sync(bs, device, broadcast, rng, bs_value)
+    def ta_indices(self, device: str) -> list[int]:
+        """``device``'s TA index from each TA timer expiry on: the initial
+        command on attach, then an update at every expiry within the run."""
+        rng = derive_stream(self.seed, f"ta/{device}")
+        prop = self.prop(self.nodes[device].attach_to, device)
+        indices: list[int] = []
+        current = None
+        for _ in self.rounds(self.plan.ta_timer_period):
+            rtt = measure_rtt(prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob, rng)
+            if current is None:
+                command = compute_ta_initial(rtt)
             else:
-                self.twoway_sync(bs, device, sim.now)
-        next_at = sim.now + self.plan.resync_period
-        if next_at <= self.duration:
-            sim.at(next_at, self.sync_round, kind="sync_round", target=bs, payload=round_no + 1)
+                command = compute_ta_update(rtt - current * TA_STEP_TICKS)
+            current = apply_ta_command(current, command)
+            indices.append(current)
+        return indices
 
-    def sib_sync(self, bs: str, device: str, broadcast: Broadcast, rng: RngStream, value: list[int]) -> None:
+    def sib_syncs(self, bs: str) -> None:
+        """Every device of ``bs`` adopts each broadcast it hears and receives
+        within the run, in (arrival, round) order, with the TA index in force
+        at arrival. A round's broadcast is drawn once for the cell, and the BS
+        stamps it once, when a device first lands it."""
+        if not self.attached[bs]:
+            return
+        broadcasts = []
+        for round_no, at in enumerate(self.rounds(self.plan.resync_period)):
+            rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
+            broadcasts.append((sib16_broadcast(self.plan.sib, rng, at), rng))
+        stamped: dict[int, int] = {}
+        for device in self.attached[bs]:
+            ta = self.ta_indices(device)
+            self.ta_index[device] = ta[-1]
+            prop = self.prop(bs, device)
+            landings = sorted((broadcasts[r][0].sent_at + prop, r) for r in self.heard(device, len(broadcasts)))
+            for arrival, round_no in landings:
+                if arrival > self.duration:
+                    break
+                broadcast, rng = broadcasts[round_no]
+                if round_no not in stamped:
+                    stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
+                self.set_clock(device, "sib16", sib16_sync_cycle(
+                    broadcast, stamped[round_no], self.clocks[device], self.plan.sib,
+                    ta[arrival // self.plan.ta_timer_period], prop,
+                ))
+
+    def twoway_syncs(self, bs: str, device: str) -> None:
+        """``device``'s exchanges with ``bs``, one per heard round. Each lands
+        (its stamps read, the device stepped) in (landing, round) order, and an
+        exchange landing at or before a round's start draws its stamp noise
+        before that round draws its delays."""
+        rng = derive_stream(self.seed, f"exchange/{device}")
         prop = self.prop(bs, device)
+        rounds = self.rounds(self.plan.resync_period)
+        in_flight: list[tuple[int, int, int, int, int]] = []   # (landing, round, start, forward, back)
+        for round_no in self.heard(device, len(rounds)):
+            at = rounds[round_no]
+            self.land_exchanges(bs, device, rng, in_flight, until=at)
+            if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
+                # dynamically scheduled signaling: an independent queueing draw in
+                # each direction, which is exactly what makes the path asymmetric
+                delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
+            else:
+                delay_forward = delay_back = prop
+            landing = at + delay_forward + self.plan.turnaround + delay_back + prop
+            if landing <= self.duration:
+                heapq.heappush(in_flight, (landing, round_no, at, delay_forward, delay_back))
+        self.land_exchanges(bs, device, rng, in_flight, until=self.duration)
 
-        def measure() -> SyncResult:
-            if not value:   # the BS stamps once, at the round's first landing (each follows stamped_at)
-                value.append(stamp(self.clocks[bs], broadcast.stamped_at, rng))
-            return sib16_sync_cycle(
-                broadcast, value[0], self.clocks[device], self.plan.sib,
-                self.ta_index.get(device), prop,
-            )
-
-        self.land(device, "sib16", broadcast.sent_at + prop, measure)
-
-    def twoway_sync(self, bs: str, device: str, at: int) -> None:
-        rng = self.rng(f"exchange/{device}")
-        prop = self.prop(bs, device)
-        if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
-            # dynamically scheduled signaling: an independent queueing draw in
-            # each direction, which is exactly what makes the path asymmetric
-            delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
-        else:
-            delay_forward = delay_back = prop
-
-        def measure() -> SyncResult:
+    def land_exchanges(self, bs: str, device: str, rng: RngStream, in_flight: list, until: int) -> None:
+        """Land each exchange of ``in_flight`` due by ``until``, earliest first."""
+        while in_flight and in_flight[0][0] <= until:
+            landing, _, at, delay_forward, delay_back = heapq.heappop(in_flight)
             offset = twoway_offset(twoway_exchange(
                 self.clocks[bs], self.clocks[device], at, delay_forward, delay_back, self.plan.turnaround, rng,
             )).offset
-            return step_clock(self.clocks[device], offset, self.sim.now)
-
-        self.land(device, "two_way", at + delay_forward + self.plan.turnaround + delay_back + prop, measure)
+            self.set_clock(device, "two_way", step_clock(self.clocks[device], offset, landing))
 
     # -- assembly --
 
     def run(self) -> RawTrace:
-        sim = self.sim
-        sim.at(0, self.align_base_stations, kind="bs_align", payload=0)
+        self.align_base_stations()
         for bs in self.base_stations:
-            for device in self.attached[bs]:
-                sim.at(0, self.ta_step, kind="attach", target=device)
-        for bs in self.base_stations:
-            if self.attached[bs]:
-                sim.at(0, self.sync_round, kind="sync_round", target=bs, payload=0)
-        dispatched = sim.run_until(self.duration)
+            if self.plan.enabler is Enabler.TA_SIB16:
+                self.sib_syncs(bs)
+            else:
+                for device in self.attached[bs]:
+                    self.twoway_syncs(bs, device)
+        self.corrections.sort(key=attrgetter("t_true"))   # stable: same-tick steps keep evaluation order
         sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
         return RawTrace(
             sampled=sampled, samples=self.sample(sampled), deliveries=self.deliver(),
             devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
             corrections=self.corrections, ta_index=self.ta_index, lost_sync=self.lost_sync,
-            fault=self.probe_fault() if self.config.fault_probe is not None else None, dispatched=dispatched,
+            fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --

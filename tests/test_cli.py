@@ -140,6 +140,18 @@ def test_delayed_commands_keep_their_outputs(tmp_path, case):
     assert written == dict(digests, **{"manifest.json": MANIFEST_SHA256})
 
 
+def test_exchanges_past_the_tick_counter_never_land(tmp_path):
+    # a 1e19-tick delay each way puts every two-way exchange past the 64-bit
+    # tick counter; like the commands under it, they are dropped, not an error
+    raw = yaml.safe_load((CONFIG_DIR / "heterogeneous.yaml").read_text())
+    raw.update(duration="300 ms", link={"extra_delay": {"dist": "normal", "mean": 1e19, "sigma": 1}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out), "--trace"]) == 0
+    trace = json.loads((out / "trace.json").read_text())
+    assert trace["corrections"] and {c[3] for c in trace["corrections"]} == {"bs_align"}
+    assert trace["deliveries"] == []
+
+
 def _reference_trace_json(trace: RawTrace) -> str:
     """trace.json as the generic JSON dump of the rows writes it."""
     payload = {
@@ -157,7 +169,7 @@ def _table(rows, names, kinds):
 
 def _trace(samples, deliveries, corrections) -> RawTrace:
     return RawTrace(
-        sampled=(), devices=frozenset(), ta_index={}, lost_sync=0, fault=None, dispatched=0,
+        sampled=(), devices=frozenset(), ta_index={}, lost_sync=0, fault=None,
         samples=_table(samples, "t_true,node,error", (np.int64, str, np.int64)),
         deliveries=_table(deliveries, "node,grid_index,grid_point,true_arrival,local_stamp",
                           (str, np.int64, np.int64, np.int64, np.int64)),

@@ -265,7 +265,7 @@ def test_report_equals_the_row_grouping_reference(run):
         ], names="t_true,node,error"),
         deliveries=_deliveries_of(delivery_rows),
         devices=devices,
-        corrections=[], ta_index={}, lost_sync=0, fault=None, dispatched=0,
+        corrections=[], ta_index={}, lost_sync=0, fault=None,
     )
     workload = Workload(command_period=MS, targets=sampled, grid_phase=0, phase_mode=phase_mode)
     report = build_report(trace, workload)

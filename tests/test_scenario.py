@@ -349,6 +349,22 @@ def test_sib_uses_the_ta_index_held_at_arrival():
     assert errors[4 * period + tau] == HALF_TA_STEP_TICKS - tau
 
 
+def test_a_ta_command_is_in_force_for_a_landing_at_its_tick():
+    # as above, with round 4 starting one propagation delay before the 500 ms
+    # TA refresh: it lands at the refresh, and adopts the refreshed index 2
+    tau = propagation_ticks(125.0)
+    period = (500 * MS - tau) // 4
+    assert 4 * period + tau == 500 * MS
+    raw = base_config(duration="600 ms")
+    raw["nodes"][2:] = [{"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [125, 0]}]
+    raw["sync_plan"].update(ta_timer_ms=500, resync_period=f"{period} ticks")
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    errors = {c.t_true: c.error_after for c in trace.corrections if c.node == "ue1"}
+    assert errors[3 * period + tau] == HALF_TA_STEP_TICKS - tau
+    assert errors[500 * MS] == 2 * HALF_TA_STEP_TICKS - tau
+
+
 def test_overlapping_sib_rounds_each_land_their_own_broadcast():
     # 5 ms rounds with a 40 ms SI window: a round often lands after later
     # rounds have started. Each landing sets the UE to its own broadcast (BS
@@ -396,16 +412,6 @@ def test_delivery_at_correction_tick_reads_corrected_clock():
     assert [offset[c.t_true] for c in corrections] == [c.error_after for c in corrections]
 
 
-def test_observations_dispatch_no_events():
-    plain = validate_config(base_config())
-    observed = validate_config(base_config(
-        sampling_grid="1 ms",
-        workload={"command_period": "1 ms", "targets": ["ue1", "ue2"]},
-    ))
-    dispatched = [run_scenario(build_scenario(cfg), cfg.duration).dispatched for cfg in (plain, observed)]
-    assert dispatched[0] == dispatched[1]
-
-
 @pytest.mark.parametrize("cfg", [
     pytest.param(lambda: validate_config(base_config(
         link={"loss_prob": 0.2},
@@ -430,6 +436,25 @@ def test_each_stream_label_derived_once_per_run(cfg, monkeypatch):
     run_scenario(scenario, cfg.duration)
     assert labels
     assert [label for label, n in labels.items() if n > 1] == []
+
+
+def test_two_way_enablers_keep_no_ta_state(monkeypatch):
+    # heterogeneous.yaml runs dedicated two-way with a 500 ms TA timer, which
+    # nothing reads: no TA stream is derived and no TA index is kept
+    cfg = load_config(CONFIG_DIR / "heterogeneous.yaml")
+    scenario = build_scenario(cfg)
+    labels = []
+    derive = scenario_module.derive_stream
+
+    def recording(root_seed, label):
+        labels.append(label)
+        return derive(root_seed, label)
+
+    monkeypatch.setattr(scenario_module, "derive_stream", recording)
+    trace = run_scenario(scenario, cfg.duration)
+    assert any(label.startswith("exchange/") for label in labels)
+    assert [label for label in labels if label.startswith("ta/")] == []
+    assert trace.ta_index == {}
 
 
 def test_gateway_relay_and_legacy_corrections():
