@@ -67,6 +67,13 @@ class ClockState:
         self.installed_at.append(at)
         self.correction.append((self.correction[-1] if self.correction else 0) - delta)
 
+    def set(self, at: int, reading: int) -> int:
+        """Step the clock so that it reads ``reading`` at true time ``at``, and
+        return the step taken (the old reading then minus ``reading``)."""
+        delta = local_time(self, at) - in_tick_range(reading)
+        self.step(at, delta)
+        return delta
+
 
 def ideal_clock() -> ClockState:
     return ClockState()

@@ -543,7 +543,9 @@ _PLAN = {
 
 
 def _parse_plan(raw: Any, path: str) -> SyncPlan:
-    fields = _Section(raw, path, _PLAN).read()
+    section = _Section(raw, path, _PLAN)
+    fields = section.read()
+    section.only_with(fields["enabler"] is Enabler.TA_SIB16, ("sib",), "enabler: ta_sib16")
     fields["ta_timer_period"] = fields.pop("ta_timer_ms")
     return SyncPlan(**fields)
 

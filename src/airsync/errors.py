@@ -44,9 +44,5 @@ class MissingHelperError(AirsyncError):
     """Inter-BS alignment mode requires a helper-UE TA state."""
 
 
-class GwNotSyncedError(AirsyncError):
-    """Gateway relay attempted before the gateway completed an OTA sync."""
-
-
 class InvalidGeometryError(AirsyncError):
     """Fault-probe geometry is inconsistent (position outside the line, bad speed)."""

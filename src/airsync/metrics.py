@@ -166,8 +166,15 @@ def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
         # read each group's middle order statistics; an even group takes
         # (lo + hi) / 2, as np.median does. searchsorted instead of
         # np.unique's return_inverse, and dropping the permutation early,
-        # each keep a column's worth of memory off the report's peak.
-        group = np.searchsorted(np.unique(deliveries.node), deliveries.node)
+        # each keep a column's worth of memory off the report's peak. The
+        # distinct targets are read off a sorted copy, not from np.unique,
+        # whose first call imports numpy.ma (about 15 ms in every process
+        # that writes a report), nor from a set of the names, whose list of
+        # one str per delivery raised the fleet input's peak by 1.1 MB.
+        ordered = np.sort(deliveries.node)
+        targets = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        del ordered
+        group = np.searchsorted(targets, deliveries.node)
         counts = np.bincount(group)
         starts = np.cumsum(counts) - counts
         order = np.lexsort((deviation, group))

@@ -8,8 +8,8 @@ exchanging reference signals, and the gateway relay into a wired local
 domain.
 
 Sign convention throughout: a clock's error is local reading minus the
-reference at the same true instant, and a correction delta reduces the local
-reading by exactly delta.
+reference at the same true instant. Each enabler gives the reading its node
+adopts, and when; ClockState.set takes the step.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .clocks import ClockState, in_tick_range, local_time, stamp
+from .clocks import ClockState, local_time, stamp
 from .engine import RngStream
 from .errors import (
     CausalityViolationError,
-    GwNotSyncedError,
     MissingHelperError,
     NegativeTaStateError,
     NoTaStateError,
@@ -79,21 +78,6 @@ class ExchangeRecord:
     t2: int
     t3: int
     t4: int
-
-
-@dataclass(frozen=True)
-class SyncResult:
-    """One enabler's step of a clock."""
-
-    correction: int   # delta removed from the reading
-    error: int        # post-correction error vs reference at applied_at
-    applied_at: int   # true instant the correction takes effect
-
-
-def step_clock(clock: ClockState, delta: int, at: int) -> SyncResult:
-    """A step of ``clock`` by ``delta`` at true time ``at``, with the error it leaves then."""
-    error = in_tick_range(local_time(clock, at) - delta) - at
-    return SyncResult(correction=delta, error=error, applied_at=at)
 
 
 # --- timing advance ---------------------------------------------------------
@@ -203,22 +187,20 @@ def sib16_broadcast(sib: SibConfig, rng: RngStream, at: int) -> Broadcast:
 def sib16_sync_cycle(
     broadcast: Broadcast,
     bs_value: int,
-    ue_clock: ClockState,
     sib: SibConfig,
     ta_index: Optional[int],
     link_delay: int,
-) -> SyncResult:
-    """One UE adopts a broadcast: quantized BS time plus its TA estimate.
+) -> tuple[int, int]:
+    """When a UE adopts a broadcast, and the reading it adopts then.
 
-    The UE, reading ``ue_clock`` at arrival with the ``ta_index`` it holds
-    then, steps its clock so its reading equals quantize(bs_value) + TA one-way
-    estimate; its own adjustment is noiseless (noise models timestamping only).
+    The UE, holding ``ta_index`` at arrival, reads quantize(bs_value) + TA
+    one-way estimate; its own adjustment is noiseless (noise models
+    timestamping only).
     """
     if ta_index is None:
         raise NoTaStateError("SIB16 sync requires a current TA state")
-    arrival = broadcast.sent_at + link_delay
-    target = quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index)
-    return step_clock(ue_clock, local_time(ue_clock, arrival) - target, arrival)
+    reading = quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index)
+    return broadcast.sent_at + link_delay, reading
 
 
 # --- two-way exchange --------------------------------------------------------
@@ -302,8 +284,9 @@ def ribs_align(
     helper_ta_index: Optional[int] = None,
     at: int = 0,
     turnaround: int = TICKS_PER_MS,
-) -> SyncResult:
-    """Align BS-B to BS-A over the radio interface.
+) -> tuple[int, int]:
+    """When BS-B aligns to BS-A over the radio interface, and the reading it
+    adopts then.
 
     LISTEN_ONLY adopts BS-A's stamped signal as-is, leaving the inter-BS
     propagation delay as residual error. LISTEN_TA additionally compensates
@@ -320,38 +303,20 @@ def ribs_align(
 
     if mode is RibsMode.TWO_WAY:
         rec = twoway_exchange(bs_a, bs_b, at, delay_forward, delay_back, turnaround, rng)
-        delta = twoway_offset(rec).offset
-    else:
-        reference_stamp = stamp(bs_a, at, rng)
-        if mode is RibsMode.LISTEN_ONLY:
-            target = reference_stamp
-        else:
-            if helper_ta_index is None:
-                raise MissingHelperError(
-                    "listen-with-TA alignment requires a helper-UE TA state"
-                )
-            target = reference_stamp + delay_estimate_from_index(helper_ta_index)
-        delta = local_time(bs_b, applied_at) - target
-
-    return step_clock(bs_b, delta, applied_at)
+        return applied_at, local_time(bs_b, applied_at) - twoway_offset(rec).offset
+    reference_stamp = stamp(bs_a, at, rng)
+    if mode is RibsMode.LISTEN_ONLY:
+        return applied_at, reference_stamp
+    if helper_ta_index is None:
+        raise MissingHelperError("listen-with-TA alignment requires a helper-UE TA state")
+    return applied_at, reference_stamp + delay_estimate_from_index(helper_ta_index)
 
 
 # --- gateway relay -------------------------------------------------------------
 
 
-def gw_relay_sync(
-    gw_clock: ClockState,
-    device_clock: ClockState,
-    local_domain_error_sigma: float,
-    rng: RngStream,
-    at: int = 0,
-) -> SyncResult:
-    """Gateway redistributes its (OTA-synced) time into the wired domain.
-
-    The legacy device ends up at the gateway's own error plus a Gaussian
-    local-domain term; the gateway must have completed at least one OTA sync.
-    """
-    if not gw_clock.installed_at:
-        raise GwNotSyncedError("gateway has not completed an OTA sync")
-    target = local_time(gw_clock, at) + rng.gauss_ticks(local_domain_error_sigma)
-    return step_clock(device_clock, local_time(device_clock, at) - target, at)
+def gw_relay_sync(gw_reading: int, local_domain_error_sigma: float, rng: RngStream) -> int:
+    """The reading a legacy device adopts when its gateway, just synced over
+    the air to read ``gw_reading``, relays its time into the wired domain:
+    the gateway's own error plus a Gaussian local-domain term."""
+    return gw_reading + rng.gauss_ticks(local_domain_error_sigma)

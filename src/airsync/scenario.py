@@ -15,7 +15,6 @@ records.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -24,13 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, clock_error, local_times, stamp, stamps
+from .clocks import ClockParams, ClockState, local_time, local_times, stamp, stamps
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig
 from .engine import RngStream, derive_stream
-from .errors import InvalidGeometryError, TickOverflowError
+from .errors import CausalityViolationError, InvalidGeometryError, TickOverflowError
 from .protocols import (
     RibsMode,
-    SyncResult,
     apply_ta_command,
     compute_ta_initial,
     compute_ta_update,
@@ -40,7 +38,6 @@ from .protocols import (
     ribs_landing,
     sib16_broadcast,
     sib16_sync_cycle,
-    step_clock,
     twoway_exchange,
     twoway_offset,
 )
@@ -173,17 +170,14 @@ class _Runner:
         """The start of every round of a ``period`` cadence within the run."""
         return range(0, self.duration + 1, period)
 
-    def set_clock(self, node: str, kind: str, result: SyncResult) -> None:
-        """Step ``node``'s clock by ``result`` when it applies: the only clock
-        change in a run. Logs the correction and relays a gateway's new time
-        into its wired domain."""
-        at = result.applied_at
-        self.clocks[node].step(at, result.correction)
-        self.corrections.append(CorrectionEvent(at, node, result.correction, kind, result.error))
+    def set_clock(self, node: str, kind: str, at: int, reading: int) -> None:
+        """Set ``node``'s clock to ``reading`` at true time ``at``: the only
+        clock change in a run. Logs the correction and relays a gateway's new
+        reading into its wired domain."""
+        delta = self.clocks[node].set(at, reading)
+        self.corrections.append(CorrectionEvent(at, node, delta, kind, reading - at))
         for child, rng in self.relays.get(node, ()):  # only gateways have children
-            self.set_clock(child, "gw_relay", gw_relay_sync(
-                self.clocks[node], self.clocks[child], self.plan.gw_relay_sigma, rng, at=at
-            ))
+            self.set_clock(child, "gw_relay", at, gw_relay_sync(reading, self.plan.gw_relay_sigma, rng))
 
     # -- alignment --
 
@@ -194,13 +188,11 @@ class _Runner:
         align = self.plan.bs_alignment
         rounds = self.rounds(align.realign_period) if align.realign_period else range(1)
         for i, bs in enumerate(self.base_stations):
-            clock = self.clocks[bs]
             for round_no, at in enumerate(rounds):
                 if align.mode is BsAlignmentMode.RIBS and i > 0:
                     self.ribs_sync(self.base_stations[0], bs, round_no, at)
                 else:
-                    delta = clock_error(clock, at) - (align.error if i > 0 else 0)
-                    self.set_clock(bs, "bs_align", step_clock(clock, delta, at))
+                    self.set_clock(bs, "bs_align", at, at + (align.error if i > 0 else 0))
 
     def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
         mode = self.plan.bs_alignment.ribs_mode
@@ -214,7 +206,7 @@ class _Runner:
                 derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
             )
             helper_index = compute_ta_initial(rtt).value
-        self.set_clock(bs, "bs_align", ribs_align(
+        self.set_clock(bs, "bs_align", *ribs_align(
             mode, self.clocks[anchor], self.clocks[bs], prop,
             derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
             at=at, turnaround=self.plan.turnaround,
@@ -272,23 +264,25 @@ class _Runner:
                 broadcast, rng = broadcasts[round_no]
                 if round_no not in stamped:
                     stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
-                self.set_clock(device, "sib16", sib16_sync_cycle(
-                    broadcast, stamped[round_no], self.clocks[device], self.plan.sib,
-                    ta[arrival // self.plan.ta_timer_period], prop,
+                self.set_clock(device, "sib16", *sib16_sync_cycle(
+                    broadcast, stamped[round_no], self.plan.sib, ta[arrival // self.plan.ta_timer_period], prop,
                 ))
 
     def twoway_syncs(self, bs: str, device: str) -> None:
-        """``device``'s exchanges with ``bs``, one per heard round. Each lands
-        (its stamps read, the device stepped) in (landing, round) order, and an
-        exchange landing at or before a round's start draws its stamp noise
-        before that round draws its delays."""
+        """``device``'s exchanges with ``bs``, at most one in flight: a heard
+        round sends one unless it starts before the previous exchange lands
+        (or the run ends first). An exchange draws its delays, then its stamp
+        noise, and steps the device when it lands; one whose stamps are out of
+        order (a BS step inside it) steps nothing and counts as a lost sync."""
         rng = derive_stream(self.seed, f"exchange/{device}")
         prop = self.prop(bs, device)
         rounds = self.rounds(self.plan.resync_period)
-        in_flight: list[tuple[int, int, int, int, int]] = []   # (landing, round, start, forward, back)
+        clock = self.clocks[device]
+        landing = 0   # of the last exchange sent
         for round_no in self.heard(device, len(rounds)):
             at = rounds[round_no]
-            self.land_exchanges(bs, device, rng, in_flight, until=at)
+            if at < landing:
+                continue
             if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
                 # dynamically scheduled signaling: an independent queueing draw in
                 # each direction, which is exactly what makes the path asymmetric
@@ -296,18 +290,15 @@ class _Runner:
             else:
                 delay_forward = delay_back = prop
             landing = at + delay_forward + self.plan.turnaround + delay_back + prop
-            if landing <= self.duration:
-                heapq.heappush(in_flight, (landing, round_no, at, delay_forward, delay_back))
-        self.land_exchanges(bs, device, rng, in_flight, until=self.duration)
-
-    def land_exchanges(self, bs: str, device: str, rng: RngStream, in_flight: list, until: int) -> None:
-        """Land each exchange of ``in_flight`` due by ``until``, earliest first."""
-        while in_flight and in_flight[0][0] <= until:
-            landing, _, at, delay_forward, delay_back = heapq.heappop(in_flight)
-            offset = twoway_offset(twoway_exchange(
-                self.clocks[bs], self.clocks[device], at, delay_forward, delay_back, self.plan.turnaround, rng,
-            )).offset
-            self.set_clock(device, "two_way", step_clock(self.clocks[device], offset, landing))
+            if landing > self.duration:
+                return
+            record = twoway_exchange(self.clocks[bs], clock, at, delay_forward, delay_back, self.plan.turnaround, rng)
+            try:
+                offset = twoway_offset(record).offset
+            except CausalityViolationError:
+                self.lost_sync += 1
+                continue
+            self.set_clock(device, "two_way", landing, local_time(clock, landing) - offset)
 
     # -- assembly --
 

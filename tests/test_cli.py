@@ -152,6 +152,35 @@ def test_exchanges_past_the_tick_counter_never_land(tmp_path):
     assert trace["deliveries"] == []
 
 
+def test_overlapping_exchanges_keep_one_in_flight(tmp_path):
+    # 5 ms rounds and 0-5 ms of scheduling delay each way: most exchanges are
+    # still in flight when the next round starts, which then sends nothing.
+    # Each landing removes the offset it measured, so no device over-corrects:
+    # its error stays within half the delay spread, plus stamp noise
+    raw = yaml.safe_load((CONFIG_DIR / "single-bs.yaml").read_text())
+    del raw["sync_plan"]["sib"]
+    raw["sync_plan"].update(enabler="dedicated_two_way", resync_period="5 ms")
+    raw["link"] = {"extra_delay": {"dist": "uniform", "low": 0, "high": "5 ms"}}
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out), "--trace"]) == 0
+    two_way = [c for c in json.loads((out / "trace.json").read_text())["corrections"] if c[3] == "two_way"]
+    assert len(two_way) > 100
+    assert max(abs(c[4]) for c in two_way) <= 5 * TICKS_PER_MS // 2 + TICKS_PER_US
+
+
+def test_an_exchange_with_reversed_stamps_is_a_lost_sync(tmp_path):
+    # bs2 starts 1.1 ms off and is RIBS-aligned about 1 ms in, inside ue2's
+    # first exchange, so that exchange reads t4 < t1: it steps nothing
+    raw = yaml.safe_load((CONFIG_DIR / "two-bs.yaml").read_text())
+    del raw["sync_plan"]["sib"]
+    raw["sync_plan"]["enabler"] = "ribs_ue"
+    raw["nodes"][2]["clock"] = {"theta0": "1.1 ms"}
+    raw["nodes"][4]["position"] = [2100, 0]
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["metrics"]["lost_sync"] >= 1
+
+
 def _reference_trace_json(trace: RawTrace) -> str:
     """trace.json as the generic JSON dump of the rows writes it."""
     payload = {

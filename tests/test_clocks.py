@@ -88,6 +88,47 @@ def test_offset_correction_fixed_point():
     assert clock.installed_at == [5000]
 
 
+def test_set_reports_the_step_it_takes():
+    clock = ClockState(params=ClockParams(theta0=700))
+    assert clock.set(10, 210) == 500
+    assert clock.installed_at == [10] and clock_error(clock, 10) == 200
+
+
+@pytest.mark.parametrize("reading", [INT64_MAX + 1, INT64_MIN - 1], ids=["above", "below"])
+def test_set_checks_the_reading_it_sets(reading):
+    clock = ideal_clock()
+    with pytest.raises(TickOverflowError):
+        clock.set(10, reading)
+    assert clock.installed_at == []
+
+
+def test_set_before_the_last_step_rejected():
+    clock = ideal_clock()
+    clock.set(100, 0)
+    with pytest.raises(ValueError):
+        clock.set(99, 0)
+    assert clock.installed_at == [100]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(2**40), 2**40),
+    st.floats(-9e-4, 9e-4),
+    st.lists(st.tuples(st.integers(0, 2**40), st.integers(-(2**40), 2**40)), max_size=3),
+    st.integers(0, 2**40),
+    st.integers(-(2**41), 2**41),
+    st.lists(st.integers(0, 2**41), max_size=5),
+)
+def test_set_reads_its_reading_from_then_on(theta0, skew, steps, after, reading, probes):
+    clock = stepped(ClockParams(theta0=theta0, skew_y=skew), *sorted(steps))
+    at = (clock.installed_at[-1] if clock.installed_at else 0) + after
+    earlier = [t % (at + 1) - 1 for t in probes]   # instants before the new step
+    before = [local_time(clock, t) for t in [at, *earlier]]
+    assert clock.set(at, reading) == before[0] - reading
+    assert local_time(clock, at) == reading
+    assert [local_time(clock, t) for t in earlier] == before[1:]
+
+
 def test_zero_correction_is_identity():
     clock = ClockState(params=ClockParams(theta0=5))
     readings = [local_time(clock, t) for t in (0, 10, TICKS_PER_SECOND)]

@@ -265,6 +265,10 @@ def test_graph_rules_rejected_at_validation(edit, path, message):
                  "sync_plan.bs_alignment.error", id="error-without-fixed-error"),
     pytest.param({"sync_plan": {"bs_alignment": {"mode": "fixed_error", "ribs_mode": "two_way"}}}, None,
                  "sync_plan.bs_alignment.ribs_mode", id="ribs-mode-without-ribs"),
+    pytest.param({"sync_plan": {"enabler": "dedicated_two_way", "sib": {"granularity": "1 us"}}}, None,
+                 "sync_plan.sib", id="sib-under-dedicated-two-way"),
+    pytest.param({"sync_plan": {"enabler": "ribs_ue", "sib": {}}}, None,
+                 "sync_plan.sib", id="sib-under-ribs-ue"),
     pytest.param({"link": {"extra_delay": {"dist": "normal", "low": 0}}}, None,
                  "link.extra_delay.low", id="low-without-uniform"),
     pytest.param({"link": {"extra_delay": {"dist": "none", "high": "1 ms"}}}, None,

@@ -9,11 +9,9 @@ from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, st
 from airsync.engine import derive_stream
 from airsync.errors import (
     CausalityViolationError,
-    GwNotSyncedError,
     MissingHelperError,
     NegativeTaStateError,
     NoTaStateError,
-    TickOverflowError,
 )
 from airsync.protocols import (
     ExchangeRecord,
@@ -34,7 +32,6 @@ from airsync.protocols import (
     ribs_align,
     sib16_broadcast,
     sib16_sync_cycle,
-    step_clock,
     twoway_exchange,
     twoway_offset,
 )
@@ -53,19 +50,10 @@ PROPERTY = settings(max_examples=100, deadline=None)
 TICKS = st.integers(-(2**40), 2**40)
 
 
-# --- clock steps ------------------------------------------------------------------
-
-
-def test_step_clock_reports_the_error_it_leaves_and_steps_nothing():
-    clock = ClockState(params=ClockParams(theta0=700))
-    result = step_clock(clock, 500, 10)
-    assert (result.correction, result.error, result.applied_at) == (500, 200, 10)
-    assert clock.installed_at == [] and clock_error(clock, 10) == 700
-
-
-def test_step_clock_checks_the_reading_right_after_the_step():
-    with pytest.raises(TickOverflowError):
-        step_clock(ideal_clock(), -(2**63), 10)
+def error_after(landing: tuple[int, int]) -> int:
+    """The error an enabler's (instant, reading) leaves: the reading minus the instant."""
+    at, reading = landing
+    return reading - at
 
 
 # --- timing advance -----------------------------------------------------------
@@ -222,11 +210,11 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
                      si_window=si_window, stamp_mode=mode)
 
 
-def _sib_cycle(bs_clock, ue_clock, sib, ta_index, link_delay, rng, at=0):
-    """One broadcast, stamped by the BS and adopted by one UE."""
+def _sib_cycle(bs_clock, sib, ta_index, link_delay, rng, at=0):
+    """One broadcast, stamped by the BS: when a UE adopts it, and its reading then."""
     broadcast = sib16_broadcast(sib, rng, at)
     bs_value = stamp(bs_clock, broadcast.stamped_at, rng)
-    return sib16_sync_cycle(broadcast, bs_value, ue_clock, sib, ta_index, link_delay)
+    return sib16_sync_cycle(broadcast, bs_value, sib, ta_index, link_delay)
 
 
 def test_sib_cycle_ideal_is_exact():
@@ -234,16 +222,15 @@ def test_sib_cycle_ideal_is_exact():
     tau = 3 * HALF_TA_STEP_TICKS * 2  # 3 full TA steps
     index = compute_ta_initial(2 * tau).value
     ue = ClockState(params=ClockParams(theta0=5000))
-    result = _sib_cycle(ideal_clock(), ue, _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS)
-    assert result.error == 0
-    ue.step(result.applied_at, result.correction)
-    assert clock_error(ue, result.applied_at) == 0
+    arrival, reading = _sib_cycle(ideal_clock(), _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS)
+    assert (arrival, reading) == (10 * MS + tau, 10 * MS + tau)
+    assert ue.set(arrival, reading) == 5000
+    assert clock_error(ue, arrival) == 0
 
 
 def test_sib_cycle_requires_ta_state():
     with pytest.raises(NoTaStateError):
-        _sib_cycle(ideal_clock(), ideal_clock(), _sib(), None, 0,
-                   derive_stream(0, "sib-nota"))
+        _sib_cycle(ideal_clock(), _sib(), None, 0, derive_stream(0, "sib-nota"))
 
 
 def test_sib_cycle_quantization_mean_half_granularity():
@@ -253,11 +240,8 @@ def test_sib_cycle_quantization_mean_half_granularity():
     errors = []
     for k in range(200):
         at = 100 * MS + k * (g // 200)
-        result = _sib_cycle(
-            ideal_clock(), ideal_clock(), _sib(granularity=g), 0, 0,
-            derive_stream(0, "sib-quant"), at=at,
-        )
-        errors.append(-result.error)
+        result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 0, derive_stream(0, "sib-quant"), at=at)
+        errors.append(-error_after(result))
     assert all(0 <= e < g for e in errors)
     assert abs(np.mean(errors) - g / 2) / (g / 2) < 0.02
 
@@ -269,11 +253,8 @@ def test_sib_cycle_granularity_plus_ta_bound_exhaustive():
     at = 987_654_321
     for tau in range(0, TA_STEP_TICKS, 97):
         index = compute_ta_initial(2 * tau).value
-        result = _sib_cycle(
-            ideal_clock(), ideal_clock(), _sib(granularity=g), index, tau,
-            derive_stream(0, "sib-bound"), at=at,
-        )
-        assert abs(result.error) < bound
+        result = _sib_cycle(ideal_clock(), _sib(granularity=g), index, tau, derive_stream(0, "sib-bound"), at=at)
+        assert abs(error_after(result)) < bound
 
 
 def test_sib_cycle_error_decomposition():
@@ -284,41 +265,35 @@ def test_sib_cycle_error_decomposition():
 
     # quantization only
     g = US
-    result = _sib_cycle(ideal_clock(), ideal_clock(), _sib(granularity=g),
-                        0, 0, derive_stream(0, "d1"), at=at)
-    assert result.error == -(at % g)
+    result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 0, derive_stream(0, "d1"), at=at)
+    assert error_after(result) == -(at % g)
 
     # scheduling only (stamp at schedule time, window > 0)
     window = 7 * MS
     seed_label = (9, "d2")
     result = _sib_cycle(
-        ideal_clock(), ideal_clock(),
-        _sib(si_window=window, mode=StampMode.AT_SCHEDULE),
-        0, 0, derive_stream(*seed_label), at=at,
+        ideal_clock(), _sib(si_window=window, mode=StampMode.AT_SCHEDULE), 0, 0, derive_stream(*seed_label), at=at,
     )
     sched = derive_stream(*seed_label).integers(0, window + 1)  # replay the draw
-    assert result.error == -sched
+    assert error_after(result) == -sched
 
     # TA residual only
     tau = 5 * TA_STEP_TICKS + 3000
     index = compute_ta_initial(2 * tau).value
-    result = _sib_cycle(ideal_clock(), ideal_clock(), _sib(), index, tau,
-                        derive_stream(0, "d3"), at=at)
-    assert result.error == -(tau - delay_estimate_from_index(index))
+    result = _sib_cycle(ideal_clock(), _sib(), index, tau, derive_stream(0, "d3"), at=at)
+    assert error_after(result) == -(tau - delay_estimate_from_index(index))
 
     # stamp noise only
     seed_label = (11, "d4")
     bs = ClockState(params=ClockParams(stamp_noise_sigma=bs_sigma))
-    result = _sib_cycle(bs, ideal_clock(), _sib(), 0, 0,
-                        derive_stream(*seed_label), at=at)
+    result = _sib_cycle(bs, _sib(), 0, 0, derive_stream(*seed_label), at=at)
     noise = derive_stream(*seed_label).gauss_ticks(bs_sigma)
-    assert result.error == noise
+    assert error_after(result) == noise
 
     # all sources together (AT_SCHEDULE): error = noise - sched - quant - residual
     seed_label = (13, "d5")
     result = _sib_cycle(
-        bs, ideal_clock(),
-        _sib(granularity=g, si_window=window, mode=StampMode.AT_SCHEDULE),
+        bs, _sib(granularity=g, si_window=window, mode=StampMode.AT_SCHEDULE),
         index, tau, derive_stream(*seed_label), at=at,
     )
     replay = derive_stream(*seed_label)
@@ -326,7 +301,7 @@ def test_sib_cycle_error_decomposition():
     noise = replay.gauss_ticks(bs_sigma)
     stamped = at + noise
     expected = noise - (stamped % g) - sched - (tau - delay_estimate_from_index(index))
-    assert result.error == expected
+    assert error_after(result) == expected
 
 
 # --- two-way exchange --------------------------------------------------------------
@@ -449,21 +424,21 @@ def test_ribs_listen_only_residual_is_propagation_delay():
     result = ribs_align(RibsMode.LISTEN_ONLY, ideal_clock(),
                         ClockState(params=ClockParams(theta0=5555)),
                         delay, derive_stream(0, "ribs1"))
-    assert abs(result.error) == delay
+    assert abs(error_after(result)) == delay
 
 
 def test_ribs_two_way_symmetric_exact():
     result = ribs_align(RibsMode.TWO_WAY, ideal_clock(),
                         ClockState(params=ClockParams(theta0=-431)),
                         propagation_ticks(500.0), derive_stream(0, "ribs2"))
-    assert result.error == 0
+    assert error_after(result) == 0
 
 
 def test_ribs_two_way_asymmetric_residual():
     # measured offset overshoots by (dl-ul)/2, so BS-B lands at minus that
     result = ribs_align(RibsMode.TWO_WAY, ideal_clock(), ideal_clock(),
                         (4000, 2000), derive_stream(0, "ribs3"))
-    assert result.error == -(4000 - 2000) // 2
+    assert error_after(result) == -(4000 - 2000) // 2
 
 
 def test_ribs_listen_with_ta_bound():
@@ -473,7 +448,7 @@ def test_ribs_listen_with_ta_bound():
     result = ribs_align(RibsMode.LISTEN_TA, ideal_clock(), ideal_clock(),
                         delay, derive_stream(0, "ribs4"),
                         helper_ta_index=helper_index)
-    assert 0 <= -result.error < HALF_TA_STEP_TICKS
+    assert 0 <= -error_after(result) < HALF_TA_STEP_TICKS
 
 
 def test_ribs_listen_with_ta_requires_helper():
@@ -485,27 +460,15 @@ def test_ribs_listen_with_ta_requires_helper():
 # --- gateway relay ----------------------------------------------------------------------
 
 
-def _synced_gw(error_ticks: int) -> ClockState:
-    gw = ClockState(params=ClockParams(theta0=error_ticks))
-    gw.step(0, 0)
-    return gw
-
-
 def test_gw_relay_passes_error_through():
-    result = gw_relay_sync(_synced_gw(4321), ideal_clock(), 0.0,
-                           derive_stream(0, "gw1"), at=1000)
-    assert result.error == 4321
+    # the gateway reads 4321 ticks ahead at 1000 ticks
+    assert gw_relay_sync(1000 + 4321, 0.0, derive_stream(0, "gw1")) - 1000 == 4321
 
 
 def test_gw_relay_zero_error_zero_sigma():
-    result = gw_relay_sync(_synced_gw(0), ClockState(params=ClockParams(theta0=9)),
-                           0.0, derive_stream(0, "gw2"), at=0)
-    assert result.error == 0
-
-
-def test_gw_relay_requires_synced_gateway():
-    with pytest.raises(GwNotSyncedError):
-        gw_relay_sync(ideal_clock(), ideal_clock(), 0.0, derive_stream(0, "gw3"))
+    device = ClockState(params=ClockParams(theta0=9))
+    device.set(0, gw_relay_sync(0, 0.0, derive_stream(0, "gw2")))
+    assert clock_error(device, 0) == 0
 
 
 def test_gw_relay_error_statistics():
@@ -513,10 +476,6 @@ def test_gw_relay_error_statistics():
     gw_error = 6144
     sigma = 922.0
     rng = derive_stream(21, "gw4")
-    gw = _synced_gw(gw_error)
-    errors = np.array([
-        gw_relay_sync(gw, ideal_clock(), sigma, rng, at=0).error
-        for _ in range(10_000)
-    ])
+    errors = np.array([gw_relay_sync(gw_error, sigma, rng) for _ in range(10_000)])
     assert abs(errors.mean() - gw_error) < 3 * sigma / 100
     assert abs(errors.std() - sigma) / sigma < 0.05
