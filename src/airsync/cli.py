@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ScenarioConfig,
@@ -87,34 +85,46 @@ def _dump_json(obj: Any) -> str:
 TRACE_CHUNK_ROWS = 4096   # rows rendered at a time: bounds the trace writer's memory
 
 
-def _json_cells(column: list) -> list:
-    """A trace column's cells as JSON text: ints as themselves, each distinct
-    string encoded once."""
-    if column and isinstance(column[0], str):
-        encoded = {value: json.dumps(value) for value in set(column)}
-        return [encoded[value] for value in column]
-    return column
+def _json_strings(column: list) -> list:
+    """A string column's cells as JSON text, each distinct string encoded once."""
+    encoded = {value: json.dumps(value) for value in set(column)}
+    return [encoded[value] for value in column]
 
 
 def _trace_json(trace: RawTrace) -> Iterator[str]:
     """trace.json in pieces, rendered straight from the trace's columns: the
     text of ``_dump_json`` of {"samples", "deliveries", "corrections"}, each a
-    list of rows, without building the rows as Python lists first."""
-    tables = {
-        "corrections": [np.array([getattr(c, f) for c in trace.corrections], dtype=object)
-                        for f in ("t_true", "node", "delta", "kind", "error_after")],
-        "deliveries": [trace.deliveries[f] for f in trace.deliveries.dtype.names],
-        "samples": [trace.samples[f] for f in trace.samples.dtype.names],
-    }
+    list of rows, without building the rows as Python lists first.
+
+    A chunk's cells, ints or JSON text, are interleaved into one flat list and
+    filled into one ``%`` template, so a cell's text is never parsed. Sample
+    node cells come from the instant-major layout of ``RawTrace`` (row
+    ``i * len(sampled) + j`` is ``sampled[j]``), so a samples chunk holds
+    whole instants, one at least."""
+    nodes = [json.dumps(node) for node in trace.sampled]
+    per_instant = max(len(nodes), 1)
+    tables = (
+        ("corrections", trace.corrections, TRACE_CHUNK_ROWS, lambda chunk: [
+            [c.t_true for c in chunk], _json_strings([c.node for c in chunk]), [c.delta for c in chunk],
+            _json_strings([c.kind for c in chunk]), [c.error_after for c in chunk]]),
+        ("deliveries", trace.deliveries, TRACE_CHUNK_ROWS, lambda chunk: [
+            _json_strings(chunk["node"].tolist()),
+            *(chunk[f].tolist() for f in ("grid_index", "grid_point", "true_arrival", "local_stamp"))]),
+        ("samples", trace.samples, max(TRACE_CHUNK_ROWS // per_instant, 1) * per_instant, lambda chunk: [
+            chunk["t_true"].tolist(), nodes * (len(chunk) // per_instant), chunk["error"].tolist()]),
+    )
     yield "{\n"
-    for i, (name, columns) in enumerate(tables.items()):
+    for i, (name, table, step, cells) in enumerate(tables):
         yield (",\n" if i else "") + f'  "{name}": ['
-        row = "    [\n" + ",\n".join("      {}" for _ in columns) + "\n    ]"
-        rows = len(columns[0])
-        for start in range(0, rows, TRACE_CHUNK_ROWS):
-            cells = (_json_cells(c[start:start + TRACE_CHUNK_ROWS].tolist()) for c in columns)
-            yield (",\n" if start else "\n") + ",\n".join(map(row.format, *cells))
-        yield "\n  ]" if rows else "]"
+        for start in range(0, len(table), step):
+            columns = cells(table[start:start + step])
+            width, rows = len(columns), len(columns[0])
+            flat = [None] * (width * rows)
+            for j, column in enumerate(columns):
+                flat[j::width] = column
+            row = "    [\n" + ",\n".join(["      %s"] * width) + "\n    ]"
+            yield (",\n" if start else "\n") + ",\n".join([row] * rows) % tuple(flat)
+        yield "\n  ]" if len(table) else "]"
     yield "\n}\n"
 
 
@@ -137,7 +147,7 @@ def _prepare_out_dir(out: str) -> Path:
     return out_dir
 
 
-def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str, command: str) -> list[str]:
+def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str) -> list[str]:
     written = []
     if fmt in ("json", "both"):
         (out_dir / f"{name}.json").write_text(_dump_json(payload), encoding="utf-8")
@@ -145,6 +155,12 @@ def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str, command: s
     if fmt in ("csv", "both"):
         (out_dir / f"{name}.csv").write_text(_dump_csv(payload), encoding="utf-8")
         written.append(f"{name}.csv")
+    return written
+
+
+def _write_manifest(out_dir: Path, command: str, written: list[str]) -> None:
+    """Written last, once every output is: a manifest marks ``out_dir`` as
+    complete, and ``_prepare_out_dir`` refuses to write over it."""
     manifest = {
         "schema_version": 1,
         "tool": {"name": "airsync", "version": __version__},
@@ -152,7 +168,6 @@ def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str, command: s
         "outputs": sorted(written + ["manifest.json"]),
     }
     (out_dir / "manifest.json").write_text(_dump_json(manifest), encoding="utf-8")
-    return written
 
 
 def _metric_summary(report: MetricsReport) -> dict:
@@ -206,11 +221,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "verdicts": report.verdicts,
     }
-    written = _write_outputs(out_dir, "report", payload, args.format, "run")
+    written = _write_outputs(out_dir, "report", payload, args.format)
     if args.trace:
         with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
             handle.writelines(_trace_json(trace))
         written.append("trace.json")
+    _write_manifest(out_dir, "run", written)
     for verdict in report.verdicts:
         status = {True: "PASS", False: "FAIL", None: "n/a"}[verdict.passed]
         print(f"{verdict.preset}: {status}")
@@ -272,7 +288,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "rows": rows,
         "aggregates": aggregates,
     }
-    written = _write_outputs(out_dir, "sweep", payload, args.format, "sweep")
+    written = _write_outputs(out_dir, "sweep", payload, args.format)
+    _write_manifest(out_dir, "sweep", written)
     print(f"{len(rows)} runs over {len(ordered)} values; wrote {', '.join(written)} to {out_dir}")
     return 0
 

@@ -24,25 +24,25 @@ RUNS = {
 
 SHA256 = {
     "run-single-bs": {
-        "manifest.json": "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8",
+        "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
         "report.csv": "36c9939539154f81b750020de50f795e2445bfe8710f7242049b508e8f37f096",
         "report.json": "802041b154a81772b253b8ffaa95a55af7e66e921c318482e9f23ee53d346f54",
         "trace.json": "3d4e16217aad9af8113aab3c8f73b9b960862077b91f18120d3ecd90180747d0",
     },
     "run-two-bs": {
-        "manifest.json": "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8",
+        "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
         "report.csv": "d66122ac7972472f32a924e3672e8a9fce46f1e208d5633762d7490fe4ad003a",
         "report.json": "aae1e36fa43be15404f9daea42532c42b43a146f8cf03d5c4a9ad557f02a3012",
         "trace.json": "b55af5516c9b86ba299c247cc497c332c392230e0ffc6c6c3789cf6a0381a1a3",
     },
     "run-pmu-fault": {
-        "manifest.json": "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8",
+        "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
         "report.csv": "994a3a0de24f27c2d506bd3606c7107f6eac8048720806bad1b471c4686d54ca",
         "report.json": "2d64358425dea12eed76f76ca85b62322d6481251e20941d1545b6c6d5a3329c",
         "trace.json": "56a2930b152e6e55a487f1925c93c8f36b1a6b2df0dfc745531953b651485ed9",
     },
     "run-heterogeneous": {
-        "manifest.json": "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8",
+        "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
         "report.csv": "5b67ed56f772843b6b5e0c391e9a60c1237f7f149f678ccf287d71364ad9278b",
         "report.json": "ec08810aedbb68d0e90d19742272fdce39bd543acccb87a291e9209e1108a04e",
         "trace.json": "a61e41d8979e820a4f72f24c28a40215929f320200d6aa8d43b6932e1dee6b87",

@@ -5,11 +5,15 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airsync import cli
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
 from airsync.config import load_config
 from airsync.scenario import CorrectionEvent, RawTrace, build_scenario, run_scenario
@@ -96,7 +100,7 @@ def test_run_uniform_delay_past_the_int64_draw_exits_2(tmp_path, capsys):
     assert "link.extra_delay.high: must be below INT64_MAX" in capsys.readouterr().err
 
 
-MANIFEST_SHA256 = "21c920466263a89aed849202e8cf9c9571da92ba7b5a5d06f0a33c4fd74080d8"
+MANIFEST_SHA256 = "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b"
 NO_DELIVERY_TRACE_SHA256 = "2892cf3b787c359ad3fbaa59da8ae6c89f5b558b81b5f1579cc8ea6db6fa76f8"
 
 # single-bs.yaml under an extra delay: the digests are those of the files
@@ -197,8 +201,12 @@ def _table(rows, names, kinds):
 
 
 def _trace(samples, deliveries, corrections) -> RawTrace:
+    """A trace of these rows; ``sampled`` is read off the first instant, and
+    the sample rows must follow the instant-major layout of ``RawTrace``."""
+    sampled = tuple(dict.fromkeys(node for _, node, _ in samples))
+    assert [node for _, node, _ in samples] == list(sampled) * (len(samples) // max(len(sampled), 1))
     return RawTrace(
-        sampled=(), devices=frozenset(), ta_index={}, lost_sync=0, fault=None,
+        sampled=sampled, devices=frozenset(), ta_index={}, lost_sync=0, fault=None,
         samples=_table(samples, "t_true,node,error", (np.int64, str, np.int64)),
         deliveries=_table(deliveries, "node,grid_index,grid_point,true_arrival,local_stamp",
                           (str, np.int64, np.int64, np.int64, np.int64)),
@@ -206,17 +214,19 @@ def _trace(samples, deliveries, corrections) -> RawTrace:
     )
 
 
-ODD_IDS = ('say "hi"', "back\\slash", "Zürich-ü€😀", "tab\there")
+ODD_IDS = ('say "hi"', "back\\slash", "Zürich-ü€😀", "tab\there", "100%", "%s", "%%", "{}")
+ODD_KINDS = ("sib16", 'k"ind', "\\", "é", "%d", "%(kind)s", "%%s", "{0}")
 TRACES = {
     "no-workload": ([(0, "ue1", 5), (0, "ue2", -7), (10, "ue1", 3), (10, "ue2", 0)], [],
                     [(0, "ue1", 12, "sib16", -1), (4, "ue2", -3, "two_way", 2)]),
     "no-corrections": ([(0, "ue1", 1)], [("ue1", 0, 0, 11, 13), ("ue1", 1, 10, 20, 21)], []),
     "nothing": ([], [], []),
     "escaped-ids": ([(0, n, i) for i, n in enumerate(ODD_IDS)], [(n, 0, 0, 1, 2) for n in ODD_IDS],
-                    [(0, n, 1, kind, 0) for n, kind in zip(ODD_IDS, ("sib16", 'k"ind', "\\", "é"))]),
+                    [(0, n, 1, kind, 0) for n, kind in zip(ODD_IDS, ODD_KINDS)]),
     "chunks": ([(t, n, t - 7) for t in range(TRACE_CHUNK_ROWS + 1) for n in ("ue1", "ue2")],
                [("ue1", k, k, k + 1, k + 2) for k in range(TRACE_CHUNK_ROWS)], []),
-    "int64-extremes": ([(0, "a", INT64_MIN), (0, "b", INT64_MAX), (INT64_MAX, "a", -1)],
+    "int64-extremes": ([(0, "a", INT64_MIN), (0, "b", INT64_MAX),
+                        (INT64_MAX, "a", -1), (INT64_MAX, "b", INT64_MIN)],
                        [("a", 0, INT64_MIN, INT64_MAX, INT64_MIN)],
                        [(INT64_MAX, "a", INT64_MIN, "bs_align", INT64_MAX)]),
 }
@@ -226,6 +236,48 @@ TRACES = {
 def test_trace_writer_matches_the_reference_dump(case):
     trace = _trace(*TRACES[case])
     assert "".join(_trace_json(trace)) == _reference_trace_json(trace)
+
+
+def _layout_trace(nodes: int, instants: int, deliveries: int, corrections: int) -> RawTrace:
+    ids = [f"n{j}" for j in range(nodes)]
+    return _trace([(10 * t, node, t - j) for t in range(instants) for j, node in enumerate(ids)],
+                  [(ids[k % nodes], k, 10 * k, 10 * k + 3, 10 * k + 4) for k in range(deliveries)],
+                  [(k, ids[k % nodes], -k, "sib16", k) for k in range(corrections)])
+
+
+@pytest.mark.parametrize("sizes", [(4, 7, 6), (0, 7, 6), (4, 0, 6), (4, 7, 0)],
+                         ids=["all-tables", "no-samples", "no-deliveries", "no-corrections"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("nodes", range(1, 8))
+def test_trace_writer_chunk_edges(monkeypatch, sizes, chunk_rows, nodes):
+    # chunks that end mid-instant, and instants wider than a chunk: a samples
+    # chunk then holds one whole instant, any other chunk at most chunk_rows rows
+    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", chunk_rows)
+    trace = _layout_trace(nodes, *sizes)
+    pieces = list(_trace_json(trace))
+    assert "".join(pieces) == _reference_trace_json(trace)
+    assert max(piece.count("    [\n") for piece in pieces) <= max(chunk_rows, nodes)
+
+
+INT64 = st.integers(INT64_MIN, INT64_MAX)
+# numpy's fixed-width strings drop trailing NULs, so no record column holds such an id
+TEXT = (st.text() | st.sampled_from(ODD_IDS + ODD_KINDS)).filter(lambda text: not text.endswith("\0"))
+
+
+@st.composite
+def _layout_traces(draw) -> RawTrace:
+    sampled = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
+    instants = draw(st.lists(INT64, max_size=8))
+    return _trace([(t, node, draw(INT64)) for t in instants for node in sampled],
+                  draw(st.lists(st.tuples(TEXT, INT64, INT64, INT64, INT64), max_size=8)),
+                  draw(st.lists(st.tuples(INT64, TEXT, INT64, TEXT, INT64), max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=_layout_traces(), chunk_rows=st.integers(1, 9))
+def test_trace_writer_matches_the_reference_dump_on_random_traces(trace, chunk_rows):
+    with mock.patch.object(cli, "TRACE_CHUNK_ROWS", chunk_rows):
+        assert "".join(_trace_json(trace)) == _reference_trace_json(trace)
 
 
 def test_trace_json_of_odd_node_ids_matches_the_reference_dump(tmp_path):
@@ -308,6 +360,31 @@ def test_csv_and_json_reports_carry_identical_values(tmp_path):
     assert rows[0] == ["key", "value"]
     from_csv = {key: json.loads(value) for key, value in rows[1:]}
     assert from_csv == expected
+
+
+@pytest.mark.parametrize("args", [[], ["--trace"], ["--format", "csv", "--trace"]],
+                         ids=["report", "trace", "csv-trace"])
+def test_manifest_lists_every_output(tmp_path, args):
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), *args]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(path.name for path in out.iterdir())
+
+
+def test_a_failed_trace_write_leaves_no_manifest(tmp_path, monkeypatch):
+    def failing_trace_json(trace):
+        yield "{\n"
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_trace_json", failing_trace_json)
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    out = tmp_path / "out"
+    with pytest.raises(OSError):
+        main(["run", "--config", str(config), "--out", str(out), "--trace"])
+    assert (out / "report.json").exists() and not (out / "manifest.json").exists()
+    monkeypatch.undo()
+    assert main(["run", "--config", str(config), "--out", str(out), "--trace"]) == 0   # not marked complete
 
 
 def test_refuses_to_overwrite_results(tmp_path):
