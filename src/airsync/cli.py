@@ -33,7 +33,7 @@ from .config import (
 from .engine import derive_seed
 from .errors import AirsyncError, InvalidConfigError
 from .metrics import BUILTIN_PRESETS, MetricsReport, build_report
-from .scenario import RawTrace, build_scenario, run_scenario
+from .scenario import CORRECTION_KINDS, RawTrace, build_scenario, run_scenario
 from .timebase import parse_ticks, ticks_to_ns
 
 SEED_ENV_VAR = "AIRSYNC_SEED"
@@ -85,46 +85,46 @@ def _dump_json(obj: Any) -> str:
 TRACE_CHUNK_ROWS = 4096   # rows rendered at a time: bounds the trace writer's memory
 
 
-def _json_strings(column: list) -> list:
-    """A string column's cells as JSON text, each distinct string encoded once."""
-    encoded = {value: json.dumps(value) for value in set(column)}
-    return [encoded[value] for value in column]
-
-
 def _trace_json(trace: RawTrace) -> Iterator[str]:
     """trace.json in pieces, rendered straight from the trace's columns: the
     text of ``_dump_json`` of {"samples", "deliveries", "corrections"}, each a
     list of rows, without building the rows as Python lists first.
 
     A chunk's cells, ints or JSON text, are interleaved into one flat list and
-    filled into one ``%`` template, so a cell's text is never parsed. Sample
-    node cells come from the instant-major layout of ``RawTrace`` (row
-    ``i * len(sampled) + j`` is ``sampled[j]``), so a samples chunk holds
+    filled into one ``%`` template, so a cell's text is never parsed. An id or
+    a kind is JSON-encoded once, and its index column picks the text. A
+    samples row is an instant and a sampled node, so a samples chunk holds
     whole instants, one at least."""
-    nodes = [json.dumps(node) for node in trace.sampled]
-    per_instant = max(len(nodes), 1)
-    tables = (
-        ("corrections", trace.corrections, TRACE_CHUNK_ROWS, lambda chunk: [
-            [c.t_true for c in chunk], _json_strings([c.node for c in chunk]), [c.delta for c in chunk],
-            _json_strings([c.kind for c in chunk]), [c.error_after for c in chunk]]),
-        ("deliveries", trace.deliveries, TRACE_CHUNK_ROWS, lambda chunk: [
-            _json_strings(chunk["node"].tolist()),
-            *(chunk[f].tolist() for f in ("grid_index", "grid_point", "true_arrival", "local_stamp"))]),
-        ("samples", trace.samples, max(TRACE_CHUNK_ROWS // per_instant, 1) * per_instant, lambda chunk: [
-            chunk["t_true"].tolist(), nodes * (len(chunk) // per_instant), chunk["error"].tolist()]),
+    workload = trace.workload
+    sampled, targets, kinds = ([json.dumps(name) for name in names] for names in (
+        trace.sampled, workload.targets if workload is not None else (), CORRECTION_KINDS))
+    log, deliveries, errors = trace.correction_log, trace.deliveries, trace.errors
+    per_instant = max(len(sampled), 1)
+    tables = (   # name, length and chunk size (in rows, or instants for samples), a chunk's cell columns
+        ("corrections", len(log), TRACE_CHUNK_ROWS, lambda chunk: [
+            log["t_true"][chunk].tolist(), [sampled[i] for i in log["node"][chunk].tolist()],
+            log["delta"][chunk].tolist(), [kinds[i] for i in log["kind"][chunk].tolist()],
+            log["error_after"][chunk].tolist()]),
+        ("deliveries", len(deliveries), TRACE_CHUNK_ROWS, lambda chunk: [
+            [targets[i] for i in deliveries.node[chunk].tolist()], deliveries.grid_index[chunk].tolist(),
+            workload.grid_point(deliveries.grid_index[chunk]).tolist(), deliveries.true_arrival[chunk].tolist(),
+            deliveries.local_stamp[chunk].tolist()]),
+        ("samples", len(errors) if sampled else 0, max(TRACE_CHUNK_ROWS // per_instant, 1), lambda chunk: [
+            trace.instants[chunk].repeat(per_instant).tolist(), sampled * len(errors[chunk]),
+            errors[chunk].ravel().tolist()]),
     )
     yield "{\n"
-    for i, (name, table, step, cells) in enumerate(tables):
+    for i, (name, length, step, cells) in enumerate(tables):
         yield (",\n" if i else "") + f'  "{name}": ['
-        for start in range(0, len(table), step):
-            columns = cells(table[start:start + step])
+        for start in range(0, length, step):
+            columns = cells(slice(start, start + step))
             width, rows = len(columns), len(columns[0])
             flat = [None] * (width * rows)
             for j, column in enumerate(columns):
                 flat[j::width] = column
             row = "    [\n" + ",\n".join(["      %s"] * width) + "\n    ]"
             yield (",\n" if start else "\n") + ",\n".join([row] * rows) % tuple(flat)
-        yield "\n  ]" if len(table) else "]"
+        yield "\n  ]" if length else "]"
     yield "\n}\n"
 
 
@@ -217,7 +217,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "jitter": report.jitter,
             "fault": report.fault,
             "lost_sync": trace.lost_sync,
-            "samples": len(trace.samples),
+            "samples": trace.errors.size,
         },
         "verdicts": report.verdicts,
     }

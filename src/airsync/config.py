@@ -559,6 +559,10 @@ class Workload:
     grid_phase: int
     phase_mode: str   # median | fixed
 
+    def grid_point(self, grid_index):
+        """The commanded instant of command ``grid_index`` (an int or an int64 array)."""
+        return self.grid_phase + grid_index * self.command_period
+
 
 _WORKLOAD = {
     "command_period": ("1 ms", _positive_time),

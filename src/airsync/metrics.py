@@ -108,7 +108,13 @@ _QUANTILES = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
 
 
 def _percentiles(values: Sequence[float] | np.ndarray) -> dict:
-    """p50/p95/p99, max and count of ``values`` (flattened).
+    """p50/p95/p99, max and count of ``values`` (flattened), from a float copy."""
+    return _percentiles_in_place(np.array(values, dtype=float))
+
+
+def _percentiles_in_place(arr: np.ndarray) -> dict:
+    """``_percentiles`` of a float64 array that it reorders: pass a buffer that
+    no caller keeps.
 
     The percentiles follow numpy's default ``linear`` rule (Hyndman-Fan type
     7) and equal ``np.percentile(values, [50, 95, 99])`` bit for bit: the
@@ -116,7 +122,7 @@ def _percentiles(values: Sequence[float] | np.ndarray) -> dict:
     from one partial sort, and they are interpolated in the same float
     operations as numpy's ``_lerp``.
     """
-    arr = np.array(values, dtype=float).reshape(-1)
+    arr = arr.reshape(-1)
     last = arr.size - 1
     brackets = {}
     for key, q in _QUANTILES.items():
@@ -153,6 +159,9 @@ def pairwise_offset_stats(errors: np.ndarray) -> dict:
 def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
     """Deviation of each delivery stamp from its commanded grid point.
 
+    ``deliveries`` holds a run's delivery columns (``RawTrace.deliveries``):
+    ``node`` indexes ``workload.targets``.
+
     Deviations are centered per target node on that node's median deviation
     (robust grid-phase estimate, absorbing constant path offsets) unless the
     workload pins the phase; percentiles are of absolute centered deviation,
@@ -160,21 +169,15 @@ def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
     """
     if len(deliveries) < 2:
         raise InsufficientSamplesError("jitter statistics need >=2 deliveries")
-    deviation = (deliveries.local_stamp - deliveries.grid_point).astype(float)
+    deviation = workload.grid_point(deliveries.grid_index)
+    np.subtract(deliveries.local_stamp, deviation, out=deviation)
+    deviation = deviation.astype(float)
     if workload.phase_mode == "median":
         # every target's median in one pass: sort by (target, deviation) and
         # read each group's middle order statistics; an even group takes
-        # (lo + hi) / 2, as np.median does. searchsorted instead of
-        # np.unique's return_inverse, and dropping the permutation early,
-        # each keep a column's worth of memory off the report's peak. The
-        # distinct targets are read off a sorted copy, not from np.unique,
-        # whose first call imports numpy.ma (about 15 ms in every process
-        # that writes a report), nor from a set of the names, whose list of
-        # one str per delivery raised the fleet input's peak by 1.1 MB.
-        ordered = np.sort(deliveries.node)
-        targets = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        del ordered
-        group = np.searchsorted(targets, deliveries.node)
+        # (lo + hi) / 2, as np.median does. A target with no delivery reads
+        # some other group's values, which no delivery then uses.
+        group = deliveries.node
         counts = np.bincount(group)
         starts = np.cumsum(counts) - counts
         order = np.lexsort((deviation, group))
@@ -182,7 +185,7 @@ def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
         hi = deviation[order[starts + counts // 2]]
         del order
         deviation -= ((lo + hi) / 2)[group]
-    stats = _percentiles(np.abs(deviation))
+    stats = _percentiles_in_place(np.abs(deviation))
     stats["peak_to_peak"] = float(deviation.max() - deviation.min())
     return stats
 
@@ -249,11 +252,12 @@ def build_report(
     fault_probe=None,
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
-    nodes = len(trace.sampled)
-    errors = trace.samples.error.reshape(len(trace.samples) // max(nodes, 1), nodes)
-    per_node = {node: _percentiles(np.abs(column)) for node, column in sorted(zip(trace.sampled, errors.T))}
+    errors = trace.errors
+    # |error| goes straight into one float64 buffer, which is then partitioned
+    per_node = {node: _percentiles_in_place(np.abs(column, dtype=float))
+                for node, column in sorted(zip(trace.sampled, errors.T))}
     device_errors = errors[:, np.array([node in trace.devices for node in trace.sampled], dtype=bool)]
-    device_error = _percentiles(np.abs(device_errors)) if device_errors.size else None
+    device_error = _percentiles_in_place(np.abs(device_errors, dtype=float)) if device_errors.size else None
     pairwise = pairwise_offset_stats(device_errors) if device_errors.shape[1] >= 2 else None
 
     jitter = None

@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .clocks import ClockParams, ClockState, local_time, local_times, stamp, stamps
-from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig
+from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, InvalidGeometryError, TickOverflowError
 from .protocols import (
@@ -56,9 +55,22 @@ class Scenario:
 
 # --- trace records -----------------------------------------------------------
 
+CORRECTION_KINDS = ("sib16", "two_way", "gw_relay", "bs_align")
+SIB16, TWO_WAY, GW_RELAY, BS_ALIGN = range(len(CORRECTION_KINDS))   # a correction's kind index
+
+# packed: 28 bytes a delivery, 29 a correction
+DELIVERY_DTYPE = np.dtype([
+    ("node", np.int32), ("grid_index", np.int64), ("true_arrival", np.int64), ("local_stamp", np.int64),
+])
+CORRECTION_DTYPE = np.dtype([
+    ("t_true", np.int64), ("node", np.int32), ("delta", np.int64), ("kind", np.int8), ("error_after", np.int64),
+])
+
 
 @dataclass(frozen=True)
 class CorrectionEvent:
+    """One row of ``RawTrace.corrections``."""
+
     t_true: int
     node: str
     delta: int
@@ -77,29 +89,52 @@ class FaultStamps:
 
 @dataclass
 class RawTrace:
-    """What one run leaves for analysis.
+    """What one run leaves for analysis, as integer columns: no row holds a
+    string or a Python object.
 
-    ``samples`` and ``deliveries`` are numpy record arrays, built column by
-    column. ``samples`` (t_true, node, error) is instant-major: row
-    ``i * len(sampled) + j`` is node ``sampled[j]`` (the non-reference nodes,
-    in config order) at the i-th sampling instant, so ``samples.error``
-    reshapes into an (instants x nodes) matrix; an error is the local reading
-    minus reference time, in ticks. ``deliveries`` (node, grid_index,
-    grid_point, true_arrival, local_stamp) has one row per delivered command,
-    in stamp order, and none without a workload. ``devices`` holds the
-    device node ids. ``corrections`` is ordered by t_true; steps at one tick
-    keep the evaluation order (BSs before devices, a gateway before its
-    legacy devices). ``ta_index`` holds each SIB16 device's final TA index.
+    ``errors[i, j]`` is node ``sampled[j]`` (the non-reference nodes, in
+    config order) at sampling instant ``instants[i]``: its local reading
+    minus reference time, in ticks. ``deliveries`` has one row per delivered
+    command, in stamp order, and none without a workload: ``node`` indexes
+    ``workload.targets``, and the command's grid point is
+    ``workload.grid_point(grid_index)``. ``correction_log`` has one row per
+    clock step, ordered by ``t_true``, steps at one tick in evaluation order
+    (BSs before devices, a gateway before its legacy devices); its ``node``
+    indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS.
+    ``devices`` holds the device node ids and ``ta_index`` each SIB16
+    device's final TA index.
+
+    ``samples`` and ``corrections`` are row views of the same data, built on
+    each access, with ids as Python strings.
     """
 
     sampled: tuple[str, ...]
-    samples: np.recarray
-    deliveries: np.recarray
+    instants: np.ndarray        # int64
+    errors: np.ndarray          # int64, instants x sampled
+    workload: Optional[Workload]
+    deliveries: np.recarray     # DELIVERY_DTYPE
+    correction_log: np.ndarray  # CORRECTION_DTYPE
     devices: frozenset[str]
-    corrections: list[CorrectionEvent]
     ta_index: dict[str, int]
     lost_sync: int
     fault: Optional[FaultStamps]
+
+    @property
+    def samples(self) -> np.recarray:
+        """(t_true, node, error) rows, instant-major: row ``i * len(sampled) + j``
+        is ``errors[i, j]``."""
+        rows = np.recarray(self.errors.shape, dtype=[("t_true", np.int64), ("node", object), ("error", np.int64)])
+        rows.t_true = self.instants[:, None]
+        rows.node = np.array(self.sampled, dtype=object)
+        rows.error = self.errors
+        return rows.ravel()
+
+    @property
+    def corrections(self) -> list[CorrectionEvent]:
+        """``correction_log`` as one CorrectionEvent a row."""
+        log = self.correction_log
+        return [CorrectionEvent(t, self.sampled[node], delta, CORRECTION_KINDS[kind], error)
+                for t, node, delta, kind, error in zip(*(log[name].tolist() for name in log.dtype.names))]
 
 
 # --- construction --------------------------------------------------------------
@@ -152,7 +187,9 @@ class _Runner:
         self.nodes = self.config.nodes
         self.clocks = {node: ClockState(params) for node, params in scenario.clocks.items()}
         self.ta_index: dict[str, int] = {}
-        self.corrections: list[CorrectionEvent] = []
+        self.sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
+        self.node_index = {node: i for i, node in enumerate(self.sampled)}
+        self.log: list[int] = []   # the corrections, one CORRECTION_DTYPE row of ints after another
         self.lost_sync = 0
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
@@ -170,14 +207,15 @@ class _Runner:
         """The start of every round of a ``period`` cadence within the run."""
         return range(0, self.duration + 1, period)
 
-    def set_clock(self, node: str, kind: str, at: int, reading: int) -> None:
+    def set_clock(self, node: str, kind: int, at: int, reading: int) -> None:
         """Set ``node``'s clock to ``reading`` at true time ``at``: the only
-        clock change in a run. Logs the correction and relays a gateway's new
-        reading into its wired domain."""
+        clock change in a run. Logs the correction (``kind`` indexes
+        CORRECTION_KINDS) and relays a gateway's new reading into its wired
+        domain."""
         delta = self.clocks[node].set(at, reading)
-        self.corrections.append(CorrectionEvent(at, node, delta, kind, reading - at))
+        self.log.extend((at, self.node_index[node], delta, kind, reading - at))
         for child, rng in self.relays.get(node, ()):  # only gateways have children
-            self.set_clock(child, "gw_relay", at, gw_relay_sync(reading, self.plan.gw_relay_sigma, rng))
+            self.set_clock(child, GW_RELAY, at, gw_relay_sync(reading, self.plan.gw_relay_sigma, rng))
 
     # -- alignment --
 
@@ -192,7 +230,7 @@ class _Runner:
                 if align.mode is BsAlignmentMode.RIBS and i > 0:
                     self.ribs_sync(self.base_stations[0], bs, round_no, at)
                 else:
-                    self.set_clock(bs, "bs_align", at, at + (align.error if i > 0 else 0))
+                    self.set_clock(bs, BS_ALIGN, at, at + (align.error if i > 0 else 0))
 
     def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
         mode = self.plan.bs_alignment.ribs_mode
@@ -206,7 +244,7 @@ class _Runner:
                 derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
             )
             helper_index = compute_ta_initial(rtt).value
-        self.set_clock(bs, "bs_align", *ribs_align(
+        self.set_clock(bs, BS_ALIGN, *ribs_align(
             mode, self.clocks[anchor], self.clocks[bs], prop,
             derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
             at=at, turnaround=self.plan.turnaround,
@@ -264,7 +302,7 @@ class _Runner:
                 broadcast, rng = broadcasts[round_no]
                 if round_no not in stamped:
                     stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
-                self.set_clock(device, "sib16", *sib16_sync_cycle(
+                self.set_clock(device, SIB16, *sib16_sync_cycle(
                     broadcast, stamped[round_no], self.plan.sib, ta[arrival // self.plan.ta_timer_period], prop,
                 ))
 
@@ -298,7 +336,7 @@ class _Runner:
             except CausalityViolationError:
                 self.lost_sync += 1
                 continue
-            self.set_clock(device, "two_way", landing, local_time(clock, landing) - offset)
+            self.set_clock(device, TWO_WAY, landing, local_time(clock, landing) - offset)
 
     # -- assembly --
 
@@ -310,31 +348,41 @@ class _Runner:
             else:
                 for device in self.attached[bs]:
                     self.twoway_syncs(bs, device)
-        self.corrections.sort(key=attrgetter("t_true"))   # stable: same-tick steps keep evaluation order
-        sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
+        correction_log = self.correction_log()
+        instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
         return RawTrace(
-            sampled=sampled, samples=self.sample(sampled), deliveries=self.deliver(),
+            sampled=self.sampled, instants=instants, errors=self.sample(instants),
+            workload=self.config.workload, deliveries=self.deliver(), correction_log=correction_log,
             devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
-            corrections=self.corrections, ta_index=self.ta_index, lost_sync=self.lost_sync,
+            ta_index=self.ta_index, lost_sync=self.lost_sync,
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
+    def correction_log(self) -> np.ndarray:
+        """The logged corrections as CORRECTION_DTYPE rows, stable-sorted by
+        t_true, so same-tick steps keep their evaluation order."""
+        width = len(CORRECTION_DTYPE.names)
+        log = np.empty(len(self.log) // width, dtype=CORRECTION_DTYPE)
+        for i, name in enumerate(CORRECTION_DTYPE.names):
+            try:
+                log[name] = self.log[i::width]
+            except OverflowError:   # a step or an error past the 64-bit tick range
+                raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range") from None
+        self.log = []   # its ints go before the observation pass allocates
+        return log[np.argsort(log["t_true"], kind="stable")]
+
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --
 
-    def sample(self, sampled: tuple[str, ...]) -> np.recarray:
-        """Each node of ``sampled`` at each sampling instant, instant-major."""
-        instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
-        samples = np.recarray((len(instants), len(sampled)), dtype=[
-            ("t_true", np.int64), ("node", np.array(sampled, dtype=str).dtype), ("error", np.int64),
-        ])
-        samples.t_true = instants[:, None]
-        samples.node = sampled
-        for j, node in enumerate(sampled):
+    def sample(self, instants: np.ndarray) -> np.ndarray:
+        """The (instants x sampled) error matrix: each sampled node's reading
+        minus true time at each instant."""
+        errors = np.empty((len(instants), len(self.sampled)), dtype=np.int64)
+        for j, node in enumerate(self.sampled):
             local = local_times(self.clocks[node], instants)
-            samples.error[:, j] = local - instants
-            if np.any(samples.error[:, j] > local):   # local - t wrapped below INT64_MIN
+            error = np.subtract(local, instants, out=errors[:, j])
+            if np.any(error > local):   # local - t wrapped below INT64_MIN
                 raise TickOverflowError(f"clock error of {node!r} outside the signed 64-bit range")
-        return samples.ravel()
+        return errors
 
     def deliver(self) -> np.recarray:
         """Each workload command that arrives within the run, stamped by its
@@ -366,14 +414,9 @@ class _Runner:
         index, k = np.nonzero(arrival < late)
         order = np.lexsort((k, index, arrival[index, k]))
         index, k = index[order], k[order]
-        names = np.array(targets, dtype=str)
-        deliveries = np.recarray(len(k), dtype=[
-            ("node", names.dtype), ("grid_index", np.int64), ("grid_point", np.int64),
-            ("true_arrival", np.int64), ("local_stamp", np.int64),
-        ])
-        deliveries.node = names[index]   # one column at a time: a single temporary is alive
+        deliveries = np.recarray(len(k), dtype=DELIVERY_DTYPE)
+        deliveries.node = index   # one column at a time: a single temporary is alive
         deliveries.grid_index = k
-        deliveries.grid_point = grid[k]
         deliveries.true_arrival = arrival[index, k]
         deliveries.local_stamp = local_stamp[index, k]
         return deliveries

@@ -20,7 +20,7 @@ from airsync.metrics import (
     localization_uncertainty,
     pairwise_offset_stats,
 )
-from airsync.scenario import RawTrace, build_scenario, fault_wave_stamps, run_scenario
+from airsync.scenario import CORRECTION_DTYPE, DELIVERY_DTYPE, RawTrace, build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
@@ -32,10 +32,11 @@ def _samples(errors_by_node: dict[str, int], instants=(0, 1000, 2000)):
     return np.array([list(errors_by_node.values()) for _ in instants], dtype=np.int64)
 
 
-def _deliveries_of(rows):
-    """A deliveries record array from (node, grid_index, grid_point, true_arrival, local_stamp) rows."""
-    fields = ("grid_index", "grid_point", "true_arrival", "local_stamp")
-    return np.array(rows, dtype=[("node", "U8")] + [(name, np.int64) for name in fields]).view(np.recarray)
+def _deliveries_of(rows, targets=("ue1",)):
+    """Delivery columns from (node, grid_index, true_arrival, local_stamp) rows,
+    each node an id of ``targets``."""
+    rows = [(targets.index(node), *rest) for node, *rest in rows]
+    return np.array(rows, dtype=DELIVERY_DTYPE).view(np.recarray)
 
 
 # --- percentiles ---------------------------------------------------------------
@@ -98,12 +99,12 @@ def test_pairwise_needs_two_nodes():
 # --- jitter ------------------------------------------------------------------------
 
 
-def _workload(period=MS, phase=0, mode="median"):
-    return Workload(command_period=period, targets=("ue1",), grid_phase=phase, phase_mode=mode)
+def _workload(period=MS, phase=0, mode="median", targets=("ue1",)):
+    return Workload(command_period=period, targets=targets, grid_phase=phase, phase_mode=mode)
 
 
 def _deliveries(stamps):
-    return _deliveries_of([("ue1", k, k * MS, stamp, stamp) for k, stamp in enumerate(stamps)])
+    return _deliveries_of([("ue1", k, stamp, stamp) for k, stamp in enumerate(stamps)])
 
 
 def test_jitter_on_grid_is_zero():
@@ -139,9 +140,9 @@ def test_jitter_shift_invariance_with_median_phase():
 def test_jitter_absorbs_per_node_constant_paths():
     # two targets with different constant path delays: that spread is an
     # offset (visible in pairwise stats), not jitter
-    near = [("a", k, k * MS, k * MS + 100, k * MS + 100) for k in range(20)]
-    far = [("b", k, k * MS, k * MS + 9000, k * MS + 9000) for k in range(20)]
-    stats = jitter_stats(_deliveries_of(near + far), _workload())
+    near = [("a", k, k * MS + 100, k * MS + 100) for k in range(20)]
+    far = [("b", k, k * MS + 9000, k * MS + 9000) for k in range(20)]
+    stats = jitter_stats(_deliveries_of(near + far, ("a", "b")), _workload(targets=("a", "b")))
     assert stats["peak_to_peak"] == 0 and stats["max"] == 0
 
 
@@ -157,7 +158,8 @@ def test_jitter_fixed_phase_keeps_offset():
 
 def _jitter_by_node_loop(deliveries, workload):
     """Reference jitter: one target at a time, centered on np.median of its mask."""
-    deviation = (deliveries.local_stamp - deliveries.grid_point).astype(float)
+    grid_point = np.array([workload.grid_phase + k * workload.command_period for k in deliveries.grid_index.tolist()])
+    deviation = (deliveries.local_stamp - grid_point).astype(float)
     if workload.phase_mode == "median":
         for node in np.unique(deliveries.node):
             mine = deliveries.node == node
@@ -177,14 +179,16 @@ def _jitter_by_node_loop(deliveries, workload):
 @example(groups=[[5], [1, 2], [3, 9, 4], [0, 0, 7, -7]], mode="median", shuffle=None)
 def test_grouped_jitter_equals_the_per_node_median_loop(groups, mode, shuffle):
     """Odd, even and single-delivery groups, interleaved in any order."""
-    rows = [(f"n{i}", k, k * MS, 0, k * MS + deviation)
+    targets = tuple(f"n{i}" for i in range(len(groups)))
+    rows = [(f"n{i}", k, 0, k * MS + deviation)
             for i, group in enumerate(groups) for k, deviation in enumerate(group)]
     if len(rows) < 2:
         return
     if shuffle is not None:
         shuffle.shuffle(rows)
-    deliveries = _deliveries_of(rows)
-    assert jitter_stats(deliveries, _workload(mode=mode)) == _jitter_by_node_loop(deliveries, _workload(mode=mode))
+    deliveries = _deliveries_of(rows, targets)
+    workload = _workload(mode=mode, targets=targets)
+    assert jitter_stats(deliveries, workload) == _jitter_by_node_loop(deliveries, workload)
 
 
 def test_jitter_needs_two_deliveries():
@@ -232,13 +236,14 @@ def _reference_report(rows, devices, deliveries, workload):
     return per_node, device_error, pairwise, jitter
 
 
-_NAMES = ("ue2", "bs1", "ue10", "gw", "a", "ld1")   # config order is not sorted order
+# config order is not sorted order; "ue2" and "ue2\0" are two nodes
+_NAMES = ("ue2", "bs1", "ue10", "gw", "a", "ld1", "ue2\0")
 _INT64 = st.integers(-(2**63) + 1, 2**63 - 1)
 
 
 @st.composite
 def _runs(draw):
-    sampled = tuple(draw(st.permutations(_NAMES))[:draw(st.integers(1, 6))])
+    sampled = tuple(draw(st.permutations(_NAMES))[:draw(st.integers(1, len(_NAMES)))])
     instants = draw(st.integers(1, 5))
     error = st.integers(-3, 3) | st.integers(-10**6, 10**6) | _INT64   # ties, and the int64 range
     errors = draw(st.lists(st.lists(error, min_size=len(sampled), max_size=len(sampled)),
@@ -255,22 +260,19 @@ def test_report_equals_the_row_grouping_reference(run):
     sampled, errors, devices, deliveries, phase_mode = run
     instants = [1000 * i for i in range(len(errors))]
     rows = [(t, node, e) for t, row in zip(instants, errors) for node, e in zip(sampled, row)]
-    delivery_rows = [(node, k, k * MS, k * MS, k * MS + dev) for node, k, dev in deliveries]
+    delivery_rows = [(node, k, k * MS, k * MS + dev) for node, k, dev in deliveries]
+    workload = Workload(command_period=MS, targets=sampled, grid_phase=0, phase_mode=phase_mode)
     trace = RawTrace(
         sampled=sampled,
-        samples=np.rec.fromarrays([
-            np.repeat(np.array(instants, dtype=np.int64), len(sampled)),
-            np.tile(np.array(sampled, dtype=str), len(instants)),
-            np.array(errors, dtype=np.int64).ravel(),
-        ], names="t_true,node,error"),
-        deliveries=_deliveries_of(delivery_rows),
-        devices=devices,
-        corrections=[], ta_index={}, lost_sync=0, fault=None,
+        instants=np.array(instants, dtype=np.int64),
+        errors=np.array(errors, dtype=np.int64).reshape(len(instants), len(sampled)),
+        workload=workload, deliveries=_deliveries_of(delivery_rows, sampled),
+        correction_log=np.empty(0, dtype=CORRECTION_DTYPE),
+        devices=devices, ta_index={}, lost_sync=0, fault=None,
     )
-    workload = Workload(command_period=MS, targets=sampled, grid_phase=0, phase_mode=phase_mode)
     report = build_report(trace, workload)
     per_node, device_error, pairwise, jitter = _reference_report(
-        rows, devices, [(node, gp, stamp) for node, _k, gp, _a, stamp in delivery_rows], workload,
+        rows, devices, [(node, k * MS, stamp) for node, k, _a, stamp in delivery_rows], workload,
     )
     assert report.per_node == per_node and list(report.per_node) == list(per_node)
     assert report.device_error == device_error

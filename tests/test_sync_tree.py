@@ -115,8 +115,10 @@ def corpus_summary(trace) -> bytes:
     """The run's values, free of how the trace stores or orders them: sample
     errors, delivery columns, the corrections sorted, lost syncs and the
     fault stamps."""
-    samples = trace.samples.error.tolist()
-    deliveries = [trace.deliveries[name].tolist() for name in trace.deliveries.dtype.names]
+    samples = trace.errors.ravel().tolist()
+    d, workload = trace.deliveries, trace.workload
+    deliveries = [[workload.targets[i] for i in d.node.tolist()], d.grid_index.tolist(),
+                  workload.grid_point(d.grid_index).tolist(), d.true_arrival.tolist(), d.local_stamp.tolist()]
     corrections = sorted((c.t_true, c.node, c.kind, c.delta, c.error_after) for c in trace.corrections)
     fault = trace.fault and (trace.fault.t_fault, trace.fault.stamp_a, trace.fault.stamp_b)
     return repr((samples, deliveries, corrections, trace.lost_sync, fault)).encode()
