@@ -28,8 +28,6 @@ from .engine import RngStream
 from .errors import TickOverflowError
 from .timebase import INT64_MAX, INT64_MIN, TICKS_PER_SECOND
 
-MAX_ABS_SKEW = 1e-3
-
 
 @dataclass(frozen=True)
 class ClockParams:
@@ -39,12 +37,6 @@ class ClockParams:
     skew_y: float = 0.0
     drift_a: float = 0.0           # fractional frequency change per second
     stamp_noise_sigma: float = 0.0  # ticks
-
-    def __post_init__(self):
-        if abs(self.skew_y) >= MAX_ABS_SKEW:
-            raise ValueError(f"|skew_y| must be < {MAX_ABS_SKEW}, got {self.skew_y}")
-        if self.stamp_noise_sigma < 0:
-            raise ValueError("stamp_noise_sigma must be >= 0")
 
 
 @dataclass(slots=True)

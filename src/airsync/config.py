@@ -25,12 +25,12 @@ from typing import Any, Callable, Optional
 import numpy as np
 import yaml
 
-from .clocks import ClockParams, MAX_ABS_SKEW
+from .clocks import ClockParams
 from .engine import RngStream
 from .errors import InvalidConfigError, TickOverflowError
 from .metrics import BUILTIN_PRESETS, RequirementPreset
 from .protocols import RibsMode, SibConfig, StampMode
-from .timebase import INT64_MAX, TICKS_PER_MS, parse_ticks
+from .timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_SECOND, parse_ticks
 
 SCHEMA_VERSION = 1
 
@@ -103,8 +103,20 @@ def _positive_time(value: Any, path: str) -> int:
     return ticks
 
 
-def _sigma(value: Any, path: str) -> float:
-    """Noise std dev: bare numbers are ticks (fractional ok), strings exact."""
+def _bounded(parse: Callable, bound: int, unit: str = "ticks") -> Callable:
+    """``parse``, rejecting a value of magnitude above ``bound``."""
+
+    def parse_bounded(value: Any, path: str) -> Any:
+        parsed = parse(value, path)
+        if abs(parsed) > bound:
+            raise InvalidConfigError(path, f"must be within ±{bound} {unit}")
+        return parsed
+
+    return parse_bounded
+
+
+def _nonnegative_ticks(value: Any, path: str) -> float:
+    """A mean or std dev: bare numbers are ticks (fractional ok), strings exact."""
     if isinstance(value, bool):
         raise InvalidConfigError(path, "expected a number or time quantity")
     if isinstance(value, (int, float)):
@@ -113,6 +125,9 @@ def _sigma(value: Any, path: str) -> float:
             raise InvalidConfigError(path, "must be >= 0")
         return sigma
     return float(_time(value, path))
+
+
+_sigma = _bounded(_nonnegative_ticks, INT64_MAX)   # a normal draw with such a std dev is finite, whatever its mean
 
 
 def _probability(value: Any, path: str) -> float:
@@ -264,6 +279,9 @@ def _phase_offset(value: Any, path: str) -> int:
     return _time(value, path, allow_negative=True)
 
 
+MAX_ABS_SKEW = 1e-3
+
+
 def _ppm(value: Any, path: str) -> float:
     skew = _number(value, path) * 1e-6
     if abs(skew) >= MAX_ABS_SKEW:
@@ -313,10 +331,14 @@ class Node:
     clock: ClockSpec
 
 
+# with |x|, |y| <= 1e15 m, two nodes are at most 2.9e17 ticks apart: an int64 delay
+_coordinate = _bounded(_number, 10**15, "m")
+
+
 def _position(value: Any, path: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InvalidConfigError(path, "expected [x, y] in meters")
-    return (_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    return (_coordinate(value[0], f"{path}[0]"), _coordinate(value[1], f"{path}[1]"))
 
 
 _NODE = {
@@ -424,7 +446,7 @@ _DELAY = {
                              "distribution", listed=False)),
     "low": (0, _time),
     "high": (0, _time),
-    "mean": (0, _sigma),
+    "mean": (0, _nonnegative_ticks),
     "sigma": (0, _sigma),
 }
 
@@ -459,7 +481,7 @@ _SIB = {
     "stamp_mode": (StampMode.AT_TRANSMIT.value, _choice(_by_value(StampMode), "mode")),
     "granularity": ("10 ms", _time),
     "periodicity": ("80 ms", _time),
-    "si_window": ("40 ms", _time),
+    "si_window": ("40 ms", _bounded(_time, INT64_MAX)),   # drawn as integers(0, si_window + 1)
 }
 
 
@@ -565,7 +587,7 @@ class Workload:
 
 
 _WORKLOAD = {
-    "command_period": ("1 ms", _positive_time),
+    "command_period": ("1 ms", _bounded(_positive_time, INT64_MAX)),
     "targets": (None, _check(
         lambda v: _str_list(v) and v != [], "expected a non-empty list of node ids", tuple
     )),
@@ -608,6 +630,10 @@ def _parse_probe(raw: Any, path: str) -> FaultProbe:
         raise InvalidConfigError(
             path, "need 0 <= fault_position_m <= line_length_m and positive speed"
         )
+    # the probe fires at or before duration <= INT64_MAX // 2, so each wave arrival fits int64
+    if length / speed * TICKS_PER_SECOND > INT64_MAX // 2:
+        raise InvalidConfigError(f"{path}.wave_speed_mps",
+                                 "crossing the line must take at most INT64_MAX // 2 ticks (about 4.75 years)")
     return FaultProbe(
         line_length_m=length,
         fault_position_m=position,
@@ -712,11 +738,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
     default_clocks = top["clock_defaults"]
     nodes = _parse_nodes(top["nodes"], "nodes", default_clocks)
     limit = INT64_MAX - 2 * duration   # a phase within it keeps every reading of the run in int64
+    # a drift within it keeps its term of a reading, a/2 * t_s * t, in int64 up to t = duration
+    drift_limit = 2 * INT64_MAX * TICKS_PER_SECOND / duration**2
     clocks = [(f"clock_defaults.{role}", spec) for role, spec in default_clocks.items()]
     for path, clock in clocks + [(f"nodes[{i}].clock", node.clock) for i, node in enumerate(nodes)]:
-        theta0 = clock.theta0   # a fixed phase leaves low = high = 0, a range leaves value = 0
+        theta0, drift = clock.theta0, clock.drift_a   # a fixed value leaves low = high = 0, a range leaves value = 0
         if max(abs(theta0.value), abs(theta0.low), abs(theta0.high)) > limit:
             raise InvalidConfigError(f"{path}.theta0", f"|theta0| must be <= INT64_MAX - 2 * duration = {limit}")
+        if max(abs(drift.value), abs(drift.low), abs(drift.high)) > drift_limit:
+            raise InvalidConfigError(f"{path}.drift_per_s", "|drift_per_s| must be <= 2 * INT64_MAX * "
+                                     f"TICKS_PER_SECOND / duration**2 = {drift_limit:.6g}")
     presets = top["presets"]
     workload = top["workload"]
     fault_probe = top["fault_probe"]

@@ -38,11 +38,3 @@ class NoTaStateError(AirsyncError):
 
 class CausalityViolationError(AirsyncError):
     """Two-way exchange timestamps are not causally ordered."""
-
-
-class MissingHelperError(AirsyncError):
-    """Inter-BS alignment mode requires a helper-UE TA state."""
-
-
-class InvalidGeometryError(AirsyncError):
-    """Fault-probe geometry is inconsistent (position outside the line, bad speed)."""

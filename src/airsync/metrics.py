@@ -198,8 +198,6 @@ def fault_location_estimate(
     x = (L - v * (tB - tA)) / 2, clamped to [0, L]; the flag reports when the
     raw estimate fell outside the line.
     """
-    if line_length_m <= 0 or wave_speed_mps <= 0:
-        raise ValueError("line length and wave speed must be positive")
     dt_seconds = ticks_to_seconds(stamp_b - stamp_a)
     raw = (line_length_m - wave_speed_mps * dt_seconds) / 2.0
     clamped = min(max(raw, 0.0), line_length_m)
@@ -208,8 +206,6 @@ def fault_location_estimate(
 
 def localization_uncertainty(sync_error_bound: int, wave_speed_mps: float) -> float:
     """Full width (meters) of the location interval for offsets in [-b, +b]."""
-    if sync_error_bound < 0 or wave_speed_mps <= 0:
-        raise ValueError("bound must be >= 0 and wave speed positive")
     return wave_speed_mps * ticks_to_seconds(sync_error_bound)
 
 

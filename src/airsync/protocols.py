@@ -20,12 +20,7 @@ from typing import Optional, Union
 
 from .clocks import ClockState, local_time, stamp
 from .engine import RngStream
-from .errors import (
-    CausalityViolationError,
-    MissingHelperError,
-    NegativeTaStateError,
-    NoTaStateError,
-)
+from .errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from .timebase import TA_STEP_TICKS, TICKS_PER_MS
 
 TA_INITIAL_MAX = 1282
@@ -85,8 +80,6 @@ class ExchangeRecord:
 
 def compute_ta_initial(rtt_measured: int) -> TaCommand:
     """Initial TA from a measured round trip: floor to the 16*Ts grid, clamp."""
-    if rtt_measured < 0:
-        raise ValueError("measured RTT must be >= 0")
     return TaCommand(TaKind.INITIAL, min(rtt_measured // TA_STEP_TICKS, TA_INITIAL_MAX))
 
 
@@ -144,10 +137,6 @@ def measure_rtt(
     With probability ``wrong_bin_prob`` the result lands one full TA step
     (16*Ts) off, sign equiprobable; the result never goes below zero.
     """
-    if true_one_way < 0:
-        raise ValueError("true one-way delay must be >= 0")
-    if not 0.0 <= wrong_bin_prob <= 1.0:
-        raise ValueError("wrong_bin_prob must be in [0, 1]")
     rtt = 2 * true_one_way + rng.gauss_ticks(noise_sigma)
     if wrong_bin_prob > 0 and rng.random() < wrong_bin_prob:
         rtt += TA_STEP_TICKS if rng.random() < 0.5 else -TA_STEP_TICKS
@@ -159,8 +148,6 @@ def measure_rtt(
 
 def quantize_broadcast_time(t: int, granularity: int) -> int:
     """Truncate a time value to the broadcast granularity grid (0 = exact)."""
-    if granularity < 0:
-        raise ValueError("granularity must be >= 0")
     if granularity == 0:
         return t
     return (t // granularity) * granularity
@@ -188,7 +175,7 @@ def sib16_sync_cycle(
     broadcast: Broadcast,
     bs_value: int,
     sib: SibConfig,
-    ta_index: Optional[int],
+    ta_index: int,
     link_delay: int,
 ) -> tuple[int, int]:
     """When a UE adopts a broadcast, and the reading it adopts then.
@@ -197,8 +184,6 @@ def sib16_sync_cycle(
     one-way estimate; its own adjustment is noiseless (noise models
     timestamping only).
     """
-    if ta_index is None:
-        raise NoTaStateError("SIB16 sync requires a current TA state")
     reading = quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index)
     return broadcast.sent_at + link_delay, reading
 
@@ -307,8 +292,6 @@ def ribs_align(
     reference_stamp = stamp(bs_a, at, rng)
     if mode is RibsMode.LISTEN_ONLY:
         return applied_at, reference_stamp
-    if helper_ta_index is None:
-        raise MissingHelperError("listen-with-TA alignment requires a helper-UE TA state")
     return applied_at, reference_stamp + delay_estimate_from_index(helper_ta_index)
 
 

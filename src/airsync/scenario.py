@@ -25,7 +25,7 @@ import numpy as np
 from .clocks import ClockParams, ClockState, local_time, local_times, stamp, stamps
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
-from .errors import CausalityViolationError, InvalidGeometryError, TickOverflowError
+from .errors import CausalityViolationError, TickOverflowError
 from .protocols import (
     RibsMode,
     apply_ta_command,
@@ -456,11 +456,6 @@ def fault_wave_stamps(
     at: int = 0,
 ) -> tuple[int, int]:
     """True wave arrivals at the two line ends, each stamped by its PMU's clock as it reads then."""
-    if line_length <= 0 or not 0 <= fault_position <= line_length or wave_speed <= 0:
-        raise InvalidGeometryError(
-            f"fault at {fault_position} m on a {line_length} m line "
-            f"(wave speed {wave_speed} m/s)"
-        )
     arrival_a = at + round(fault_position / wave_speed * TICKS_PER_SECOND)
     arrival_b = at + round((line_length - fault_position) / wave_speed * TICKS_PER_SECOND)
     return stamp(clock_a, arrival_a, rng_a), stamp(clock_b, arrival_b, rng_b)

@@ -99,8 +99,6 @@ def parse_ticks(value: int | float | str, *, allow_negative: bool = False) -> in
     return ticks
 
 
-def propagation_ticks(distance_m: float, speed_mps: float = LIGHT_SPEED_MPS) -> int:
-    """Distance-dependent propagation delay, rounded to the nearest tick."""
-    if speed_mps <= 0:
-        raise ValueError("propagation speed must be positive")
-    return round(distance_m * TICKS_PER_SECOND / speed_mps)
+def propagation_ticks(distance_m: float) -> int:
+    """Line-of-sight propagation delay over ``distance_m``, rounded to the nearest tick."""
+    return round(distance_m * TICKS_PER_SECOND / LIGHT_SPEED_MPS)

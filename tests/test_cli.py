@@ -100,6 +100,54 @@ def test_run_uniform_delay_past_the_int64_draw_exits_2(tmp_path, capsys):
     assert "link.extra_delay.high: must be below INT64_MAX" in capsys.readouterr().err
 
 
+def _bundled(name: str, **overrides) -> dict:
+    raw = yaml.safe_load((CONFIG_DIR / name).read_text())
+    raw.update(overrides)
+    return raw
+
+
+def _sib(raw, window):
+    raw["sync_plan"]["sib"].update(si_window=window, periodicity=window)
+
+
+def _unread_drift(raw):
+    """ld1 drifting at 1e300 per s, first read at the 500 ms sample: no relay steps it, no command reaches it."""
+    raw["nodes"][6]["clock"] = {"drift_per_s": 1e300}
+    raw["link"]["loss_prob"] = 1
+    del raw["workload"]
+
+
+# each of these validated and then died in the run with a raw traceback, not an AirsyncError
+@pytest.mark.parametrize("name, edit, path", [
+    ("single-bs.yaml", lambda raw: _sib(raw, f"{2**63} ticks"), "sync_plan.sib.si_window"),
+    ("single-bs.yaml", lambda raw: raw["workload"].update(command_period="9223372036854775813 ticks"),
+     "workload.command_period"),
+    ("single-bs.yaml", lambda raw: raw["nodes"][3].update(position=[480, 1e300]), "nodes[3].position[1]"),
+    ("heterogeneous.yaml", _unread_drift, "nodes[6].clock.drift_per_s"),
+    ("heterogeneous.yaml", lambda raw: raw["link"].update(extra_delay={"dist": "normal", "sigma": 1.7976931348623157e308}),
+     "link.extra_delay.sigma"),
+    ("pmu-fault.yaml", lambda raw: raw["fault_probe"].update(wave_speed_mps=1e-300), "fault_probe.wave_speed_mps"),
+], ids=["si-window", "command-period", "position", "drift", "delay-sigma", "wave-speed"])
+def test_run_config_past_the_model_range_exits_2(tmp_path, capsys, name, edit, path):
+    raw = _bundled(name, duration="1500 ms", sampling_grid="500 ms")
+    edit(raw)
+    code = main(["run", "--config", str(write_yaml(tmp_path / "bad.yaml", raw)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: _sib(raw, f"{INT64_MAX} ticks"),
+    lambda raw: raw["workload"].update(command_period=f"{INT64_MAX} ticks"),
+    lambda raw: raw["nodes"][3].update(position=[1e15, -1e15]),
+], ids=["si-window", "command-period", "position"])
+def test_run_at_the_edge_of_the_model_range_runs(tmp_path, edit):
+    raw = _bundled("single-bs.yaml", duration="300 ms")
+    edit(raw)
+    config = write_yaml(tmp_path / "edge.yaml", raw)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--trace"]) == 0
+
+
 MANIFEST_SHA256 = "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b"
 NO_DELIVERY_TRACE_SHA256 = "2892cf3b787c359ad3fbaa59da8ae6c89f5b558b81b5f1579cc8ea6db6fa76f8"
 

@@ -290,12 +290,5 @@ def test_stamp_overflow_raises():
         stamp(clock, 10, derive_stream(0, "stamp-overflow"))
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ClockParams(skew_y=2e-3)
-    with pytest.raises(ValueError):
-        ClockParams(stamp_noise_sigma=-1)
-
-
 def test_microsecond_constant_sanity():
     assert TICKS_PER_US == 30720

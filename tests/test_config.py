@@ -1,5 +1,7 @@
 """Config parsing: exact tick units, strict keys, path diagnostics, sweeps."""
 
+import ast
+import copy
 import os
 import subprocess
 import sys
@@ -8,16 +10,22 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airsync import cli, errors
 from airsync.config import (
     _YAML_LOADER,
+    TA_TIMER_PERIODS_MS,
+    BsAlignmentMode,
+    Enabler,
     get_config_value,
     parse_sweep_spec,
     set_config_value,
     validate_config,
 )
-from airsync.errors import InvalidConfigError
-from airsync.protocols import StampMode
+from airsync.errors import AirsyncError, InvalidConfigError
+from airsync.protocols import RibsMode, StampMode
 from airsync.scenario import build_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
@@ -297,6 +305,13 @@ def test_fault_probe_pmus_resolved_once():
     assert validate_config(raw).fault_probe.pmu_ids == ("pa", "pb")
 
 
+def _with_probe_and_clock() -> dict:
+    raw = minimal(fault_probe=dict(PROBE), sync_plan={})
+    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
+    raw["nodes"][2]["clock"] = {}
+    return raw
+
+
 @pytest.mark.parametrize("path, value", [
     ("nodes[2].clock.stamp_noise", float("inf")),
     ("nodes[2].clock.drift_per_s", float("-inf")),
@@ -308,13 +323,31 @@ def test_fault_probe_pmus_resolved_once():
     pytest.param("sync_plan.gw_relay_sigma", 10**400, id="sync_plan.gw_relay_sigma-huge-int"),
 ])
 def test_non_finite_numbers_rejected(path, value):
-    raw = minimal(fault_probe=dict(PROBE), sync_plan={})
-    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
-    raw["nodes"][2]["clock"] = {}
+    raw = _with_probe_and_clock()
     set_config_value(raw, path, value)
     with pytest.raises(InvalidConfigError) as info:
         validate_config(raw)
     assert info.value.path == path
+
+
+# the model takes these values as given: ClockParams, fault_wave_stamps,
+# measure_rtt and the fault metrics no longer check them
+@pytest.mark.parametrize("path, value, rejected_at", [
+    ("nodes[2].clock.skew_ppm", -1000, "nodes[2].clock.skew_ppm"),
+    ("nodes[2].clock.stamp_noise", -1, "nodes[2].clock.stamp_noise"),
+    ("fault_probe.fault_position_m", 700, "fault_probe"),
+    ("fault_probe.fault_position_m", -1, "fault_probe"),
+    ("fault_probe.line_length_m", 0, "fault_probe"),
+    ("fault_probe.wave_speed_mps", -1.0, "fault_probe"),
+    ("fault_probe.sync_error_bound", "-1 us", "fault_probe.sync_error_bound"),
+    ("sync_plan.ta_wrong_bin_prob", 1.5, "sync_plan.ta_wrong_bin_prob"),
+])
+def test_values_the_model_takes_as_given_rejected(path, value, rejected_at):
+    raw = _with_probe_and_clock()
+    set_config_value(raw, path, value)
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert info.value.path == rejected_at
 
 
 @pytest.mark.parametrize("module, not_loaded", [
@@ -328,6 +361,132 @@ def test_layering(module, not_loaded):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_every_error_type_is_raised():
+    """An error type is raised somewhere under src/airsync/, or is the base of
+    one that is (AirsyncError, which the CLI catches): none is dead."""
+    src = Path(__file__).resolve().parent.parent / "src" / "airsync"
+    raised = set()
+    for module in src.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    types = [t for t in vars(errors).values() if isinstance(t, type) and t.__module__ == errors.__name__]
+    live = {t.__name__ for t in types if t.__name__ in raised}
+    live |= {base.__name__ for t in types if t.__name__ in live for base in t.__mro__[1:]}
+    assert {t.__name__ for t in types} - live == set()
+
+
+# --- every config that validates runs ----------------------------------------------
+
+BUNDLED = {path.name: yaml.safe_load(path.read_text(encoding="utf-8"))
+           for path in sorted(CONFIG_DIR.glob("*.yaml"))}
+
+
+def _ticks(low: int = 0):
+    """Tick counts in [low, 2**64 - 1], the int64 and uint64 edges drawn often."""
+    return st.sampled_from([low, 2**62, 2**63 - 1, 2**63, 2**64 - 1]) | st.integers(low, 2**64 - 1)
+
+
+TICKS = _ticks()
+SIGNED_TICKS = st.tuples(TICKS, st.booleans()).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
+PERIODS = _ticks(MS)   # a 1-tick resync_period alone would enumerate ~10**10 rounds
+HUGE = st.sampled_from([0.0, 1e300, -1e300, sys.float_info.max, -sys.float_info.max]) | st.floats(-1e300, 1e300)
+SIGMAS = st.sampled_from([0.0, 1e300, sys.float_info.max]) | st.floats(0, 1e300) | TICKS.map(lambda n: f"{n} ticks")
+PROBABILITIES = st.sampled_from([0, 0.5, 1])
+
+
+def _uniform(bounds):
+    return st.tuples(bounds, bounds).map(lambda b: {"dist": "uniform", "low": min(b), "high": max(b)})
+
+
+def _alignment(mode: BsAlignmentMode, **fields):
+    return st.fixed_dictionaries({"mode": st.just(mode.value), **fields}, optional={"realign_period": PERIODS})
+
+
+FIELDS = {
+    "sampling_grid": PERIODS,
+    "seed": st.integers(-(2**64), 2**64),
+    "sync_plan.enabler": st.sampled_from([e.value for e in Enabler]),
+    "sync_plan.resync_period": PERIODS,
+    "sync_plan.ta_timer_ms": st.sampled_from(TA_TIMER_PERIODS_MS),
+    "sync_plan.ta_noise_sigma": SIGMAS,
+    "sync_plan.ta_wrong_bin_prob": PROBABILITIES,
+    "sync_plan.gw_relay_sigma": SIGMAS,
+    # si_window <= periodicity: a drawn window meets its own bound, not the periodicity rule
+    "sync_plan.sib": st.builds(
+        lambda granularity, edges, mode: {"granularity": granularity, "si_window": min(edges),
+                                          "periodicity": max(edges), "stamp_mode": mode},
+        TICKS, st.tuples(TICKS, TICKS), st.sampled_from([m.value for m in StampMode])),
+    "sync_plan.bs_alignment": (_alignment(BsAlignmentMode.PERFECT)
+                               | _alignment(BsAlignmentMode.FIXED_ERROR, error=SIGNED_TICKS)
+                               | _alignment(BsAlignmentMode.RIBS, ribs_mode=st.sampled_from([m.value for m in RibsMode]))),
+    "link.loss_prob": PROBABILITIES,
+    "link.extra_delay": (st.just({"dist": "none"}) | _uniform(TICKS)
+                         | st.fixed_dictionaries({"dist": st.just("normal"), "mean": SIGMAS, "sigma": SIGMAS})),
+    "workload.command_period": PERIODS,
+    "workload.grid_phase": TICKS,
+    "workload.phase_mode": st.sampled_from(["median", "fixed"]),
+    "fault_probe.line_length_m": HUGE,
+    "fault_probe.fault_position_m": HUGE,
+    "fault_probe.wave_speed_mps": HUGE,
+    "fault_probe.at": TICKS,
+    "fault_probe.sync_error_bound": TICKS,
+}
+CLOCKS = st.fixed_dictionaries({}, optional={
+    "theta0": SIGNED_TICKS | _uniform(SIGNED_TICKS),
+    "skew_ppm": st.floats(-999.9, 999.9) | HUGE | _uniform(st.floats(-999.9, 999.9)),
+    "drift_per_s": HUGE | _uniform(HUGE),
+    "stamp_noise": SIGMAS,
+})
+NODE_FIELDS = st.fixed_dictionaries({}, optional={"position": st.lists(HUGE, min_size=2, max_size=2), "clock": CLOCKS})
+
+
+def _put(raw: dict, path: str, value) -> None:
+    """Set a dotted path in ``raw``, making each missing mapping on the way."""
+    *parents, last = path.split(".")
+    for key in parents:
+        raw = raw.setdefault(key, {})
+    raw[last] = value
+
+
+@st.composite
+def mutated_bundled_configs(draw) -> dict:
+    """A bundled config, cut to at most 300 ms, with extreme values in a few fields and nodes."""
+    raw = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    raw["duration"] = draw(st.integers(MS, 300 * MS))
+    fields = [path for path in FIELDS if not path.startswith("fault_probe.") or "fault_probe" in raw]
+    for path in draw(st.lists(st.sampled_from(fields), max_size=6, unique=True)):
+        if path.startswith("workload.") and "workload" not in raw:
+            raw["workload"] = {"targets": [next(node["id"] for node in raw["nodes"] if "attach_to" in node)]}
+        _put(raw, path, draw(FIELDS[path]))
+    nodes = raw["nodes"]   # nodes[0] is the reference in every bundled config
+    for i in draw(st.lists(st.integers(1, len(nodes) - 1), max_size=3)):
+        nodes[i].update(draw(NODE_FIELDS))
+    plan = raw.setdefault("sync_plan", {})
+    if plan.get("enabler", Enabler.TA_SIB16.value) != Enabler.TA_SIB16.value:
+        plan.pop("sib", None)   # only ta_sib16 takes one
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_bundled_configs())
+def test_every_config_that_validates_runs_to_the_end(raw):
+    """validate_config is the only gate: a config it accepts runs, reports and
+    writes its trace, or stops with an AirsyncError (a tick overflow, say),
+    never with another exception."""
+    try:
+        config = validate_config(raw)
+    except InvalidConfigError:
+        return
+    try:
+        _report, trace = cli._execute(config, config.seed)
+        for _chunk in cli._trace_json(trace):
+            pass
+    except AirsyncError:
+        pass
 
 
 # --- parameter paths and sweeps ---------------------------------------------------

@@ -10,7 +10,7 @@ from airsync import scenario as scenario_module
 from airsync.clocks import ClockState, clock_error, local_time
 from airsync.config import DelayDistribution, Role, load_config, validate_config
 from airsync.engine import derive_stream
-from airsync.errors import InvalidConfigError, InvalidGeometryError
+from airsync.errors import InvalidConfigError
 from airsync.protocols import ExchangeRecord, twoway_offset
 from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import (
@@ -506,13 +506,6 @@ def test_pmu_offset_passes_through():
     offset = TICKS_PER_US
     t_a, t_b = pmu_stamps(300.0, 600.0, 3.0e8, theta_b=offset)
     assert t_b - t_a == offset
-
-
-def test_fault_geometry_validation():
-    with pytest.raises(InvalidGeometryError):
-        pmu_stamps(700.0, 600.0, 3.0e8)
-    with pytest.raises(InvalidGeometryError):
-        pmu_stamps(100.0, 600.0, -1.0)
 
 
 def test_fault_stamps_read_each_pmu_clock_when_the_wave_arrives():
