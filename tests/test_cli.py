@@ -324,7 +324,8 @@ def _layout_traces(draw) -> RawTrace:
     sampled = draw(st.lists(TEXT, min_size=1, max_size=6, unique=True))
     instants = draw(st.lists(INT64, max_size=8))
     phase, step = draw(INT64), draw(st.integers(1, INT64_MAX))
-    last = (INT64_MAX - phase) // step   # the last grid index whose grid point fits int64
+    # the last grid index that fits the int64 column and whose grid point fits int64
+    last = min((INT64_MAX - phase) // step, INT64_MAX)
     kind = st.sampled_from(CORRECTION_KINDS)
     return _trace([(t, node, draw(INT64)) for t in instants for node in sampled],
                   draw(st.lists(st.tuples(TEXT, st.integers(0, last), INT64, INT64), max_size=8)),
