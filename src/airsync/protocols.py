@@ -3,9 +3,9 @@
 Covers the cellular timing-advance loop (initial 11-bit and 6-bit update
 commands on a 16*Ts grid), broadcast absolute-time distribution with limited
 granularity and a scheduling window (SIB16-style), the two-way timestamped
-exchange used by PTP-like signaling, inter-BS alignment by listening to or
-exchanging reference signals, and the gateway relay into a wired local
-domain.
+exchange (PTP-like device signaling, and RIBS inter-BS alignment in its
+two-way mode), RIBS alignment by listening to the anchor's reference
+signals, and the gateway relay into a wired local domain.
 
 Sign convention throughout: a clock's error is local reading minus the
 reference at the same true instant. Each enabler gives the reading its node
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
-from .clocks import ClockState, local_time, stamp
+from .clocks import ClockState, stamp
 from .engine import RngStream
 from .errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
-from .timebase import TA_STEP_TICKS, TICKS_PER_MS
+from .timebase import TA_STEP_TICKS
 
 TA_INITIAL_MAX = 1282
 TA_UPDATE_MAX = 63
@@ -255,44 +255,24 @@ class RibsMode(Enum):
     TWO_WAY = "two_way"
 
 
-def ribs_landing(mode: RibsMode, at: int, delay_forward: int, delay_back: int, turnaround: int) -> int:
-    """When BS-B's step lands: the reply's return (TWO_WAY) or BS-A's signal's arrival."""
-    return at + delay_forward + (turnaround + delay_back if mode is RibsMode.TWO_WAY else 0)
-
-
 def ribs_align(
-    mode: RibsMode,
     bs_a: ClockState,
-    bs_b: ClockState,
-    inter_bs_delay: Union[int, tuple[int, int]],
+    inter_bs_delay: int,
     rng: RngStream,
     helper_ta_index: Optional[int] = None,
     at: int = 0,
-    turnaround: int = TICKS_PER_MS,
 ) -> tuple[int, int]:
-    """When BS-B aligns to BS-A over the radio interface, and the reading it
-    adopts then.
-
-    LISTEN_ONLY adopts BS-A's stamped signal as-is, leaving the inter-BS
-    propagation delay as residual error. LISTEN_TA additionally compensates
-    with a helper UE's TA-derived delay estimate (helper assumed co-located
-    with BS-B). TWO_WAY runs a timestamped exchange, leaving only half of
-    any delay asymmetry. ``inter_bs_delay`` is a single delay or a
-    (forward, back) pair.
+    """When BS-B, listening to BS-A's reference signal stamped at ``at``,
+    aligns to it (on arrival, ``inter_bs_delay`` later), and the reading it
+    adopts then: the stamp as-is under LISTEN_ONLY (no helper index), which
+    leaves the delay as residual error, or plus a helper UE's TA-derived
+    delay estimate under LISTEN_TA (the helper co-located with BS-B). TWO_WAY
+    alignment is a two-way exchange (twoway_exchange, twoway_offset).
     """
-    if isinstance(inter_bs_delay, tuple):
-        delay_forward, delay_back = inter_bs_delay
-    else:
-        delay_forward = delay_back = inter_bs_delay
-    applied_at = ribs_landing(mode, at, delay_forward, delay_back, turnaround)
-
-    if mode is RibsMode.TWO_WAY:
-        rec = twoway_exchange(bs_a, bs_b, at, delay_forward, delay_back, turnaround, rng)
-        return applied_at, local_time(bs_b, applied_at) - twoway_offset(rec).offset
-    reference_stamp = stamp(bs_a, at, rng)
-    if mode is RibsMode.LISTEN_ONLY:
-        return applied_at, reference_stamp
-    return applied_at, reference_stamp + delay_estimate_from_index(helper_ta_index)
+    reading = stamp(bs_a, at, rng)
+    if helper_ta_index is not None:
+        reading += delay_estimate_from_index(helper_ta_index)
+    return at + inter_bs_delay, reading
 
 
 # --- gateway relay -------------------------------------------------------------

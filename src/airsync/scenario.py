@@ -34,7 +34,6 @@ from .protocols import (
     gw_relay_sync,
     measure_rtt,
     ribs_align,
-    ribs_landing,
     sib16_broadcast,
     sib16_sync_cycle,
     twoway_exchange,
@@ -233,9 +232,17 @@ class _Runner:
                     self.set_clock(bs, BS_ALIGN, at, at + (align.error if i > 0 else 0))
 
     def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
+        """``bs`` aligns to the anchor in the round starting at ``at``: by a
+        two-way exchange, stepped at t4, or by listening, stepped when the
+        anchor's signal arrives."""
         mode = self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
-        if ribs_landing(mode, at, prop, prop, self.plan.turnaround) > self.duration:
+        landing = at + prop + (self.plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)
+        if landing > self.duration:
+            return
+        rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
+        if mode is RibsMode.TWO_WAY:
+            self.twoway_step(anchor, bs, BS_ALIGN, at, prop, prop, rng, landing)
             return
         helper_index = None
         if mode is RibsMode.LISTEN_TA:
@@ -244,11 +251,23 @@ class _Runner:
                 derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
             )
             helper_index = compute_ta_initial(rtt).value
-        self.set_clock(bs, BS_ALIGN, *ribs_align(
-            mode, self.clocks[anchor], self.clocks[bs], prop,
-            derive_stream(self.seed, f"ribs/{bs}/{round_no}"), helper_ta_index=helper_index,
-            at=at, turnaround=self.plan.turnaround,
-        ))
+        self.set_clock(bs, BS_ALIGN, *ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
+
+    def twoway_step(self, initiator: str, node: str, kind: int, at: int, delay_forward: int, delay_back: int,
+                    rng: RngStream, landing: int) -> None:
+        """The two-way exchange ``initiator`` starts with ``node`` at ``at``:
+        ``node`` steps at ``landing`` by the offset it measured. One whose
+        stamps come out of order (a step inside it, or stamp noise) steps
+        nothing and counts as a lost sync."""
+        clock = self.clocks[node]
+        record = twoway_exchange(self.clocks[initiator], clock, at, delay_forward, delay_back,
+                                 self.plan.turnaround, rng)
+        try:
+            offset = twoway_offset(record).offset
+        except CausalityViolationError:
+            self.lost_sync += 1
+            return
+        self.set_clock(node, kind, landing, local_time(clock, landing) - offset)
 
     # -- per-device OTA sync --
 
@@ -310,12 +329,11 @@ class _Runner:
         """``device``'s exchanges with ``bs``, at most one in flight: a heard
         round sends one unless it starts before the previous exchange lands
         (or the run ends first). An exchange draws its delays, then its stamp
-        noise, and steps the device when it lands; one whose stamps are out of
-        order (a BS step inside it) steps nothing and counts as a lost sync."""
+        noise, and steps the device when the measured offset has travelled
+        back to it: one propagation delay after t4."""
         rng = derive_stream(self.seed, f"exchange/{device}")
         prop = self.prop(bs, device)
         rounds = self.rounds(self.plan.resync_period)
-        clock = self.clocks[device]
         landing = 0   # of the last exchange sent
         for round_no in self.heard(device, len(rounds)):
             at = rounds[round_no]
@@ -330,13 +348,7 @@ class _Runner:
             landing = at + delay_forward + self.plan.turnaround + delay_back + prop
             if landing > self.duration:
                 return
-            record = twoway_exchange(self.clocks[bs], clock, at, delay_forward, delay_back, self.plan.turnaround, rng)
-            try:
-                offset = twoway_offset(record).offset
-            except CausalityViolationError:
-                self.lost_sync += 1
-                continue
-            self.set_clock(device, TWO_WAY, landing, local_time(clock, landing) - offset)
+            self.twoway_step(bs, device, TWO_WAY, at, delay_forward, delay_back, rng, landing)
 
     # -- assembly --
 
@@ -411,8 +423,8 @@ class _Runner:
             if len(arrives):
                 local_stamp[i, arrives] = stamps(self.clocks[target], arrival[i, arrives],
                                                  derive_stream(self.seed, f"delivery_stamp/{target}"))
-        index, k = np.nonzero(arrival < late)
-        order = np.lexsort((k, index, arrival[index, k]))
+        index, k = np.nonzero(arrival < late)   # in (target, grid) order, which a stable sort keeps among ties
+        order = np.argsort(arrival[index, k], kind="stable")
         index, k = index[order], k[order]
         deliveries = np.recarray(len(k), dtype=DELIVERY_DTYPE)
         deliveries.node = index   # one column at a time: a single temporary is alive

@@ -233,6 +233,17 @@ def test_an_exchange_with_reversed_stamps_is_a_lost_sync(tmp_path):
     assert json.loads((out / "report.json").read_text())["metrics"]["lost_sync"] >= 1
 
 
+def test_a_ribs_exchange_with_reversed_stamps_is_a_lost_sync(tmp_path):
+    # 5 ms of BS stamp noise against a 1 ms turnaround: bs2's two-way RIBS
+    # exchange at t=0 reads its stamps out of order, so it steps nothing
+    raw = yaml.safe_load((CONFIG_DIR / "two-bs.yaml").read_text())
+    raw["duration"] = "300 ms"
+    raw["clock_defaults"]["base_station"]["stamp_noise"] = "5 ms"
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["metrics"]["lost_sync"] >= 1
+
+
 def _reference_trace_json(trace: RawTrace) -> str:
     """trace.json as the generic JSON dump of the rows writes it."""
     payload = {

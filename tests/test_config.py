@@ -24,7 +24,7 @@ from airsync.config import (
     set_config_value,
     validate_config,
 )
-from airsync.errors import AirsyncError, InvalidConfigError
+from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.protocols import RibsMode, StampMode
 from airsync.scenario import build_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
@@ -475,8 +475,9 @@ def mutated_bundled_configs(draw) -> dict:
 @given(mutated_bundled_configs())
 def test_every_config_that_validates_runs_to_the_end(raw):
     """validate_config is the only gate: a config it accepts runs, reports and
-    writes its trace, or stops with an AirsyncError (a tick overflow, say),
-    never with another exception."""
+    writes its trace, or stops with a TickOverflowError (a value past the
+    signed 64-bit range that no config rule can rule out), never with
+    another exception."""
     try:
         config = validate_config(raw)
     except InvalidConfigError:
@@ -485,7 +486,7 @@ def test_every_config_that_validates_runs_to_the_end(raw):
         _report, trace = cli._execute(config, config.seed)
         for _chunk in cli._trace_json(trace):
             pass
-    except AirsyncError:
+    except TickOverflowError:
         pass
 
 

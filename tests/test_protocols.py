@@ -10,7 +10,6 @@ from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from airsync.protocols import (
     ExchangeRecord,
-    RibsMode,
     SibConfig,
     StampMode,
     TA_INITIAL_MAX,
@@ -411,33 +410,15 @@ def test_ribs_listen_only_residual_is_propagation_delay():
     # 300 m between BSs -> 1 us residual
     delay = propagation_ticks(300.0)
     assert delay == US
-    result = ribs_align(RibsMode.LISTEN_ONLY, ideal_clock(),
-                        ClockState(params=ClockParams(theta0=5555)),
-                        delay, derive_stream(0, "ribs1"))
+    result = ribs_align(ideal_clock(), delay, derive_stream(0, "ribs1"))
     assert abs(error_after(result)) == delay
-
-
-def test_ribs_two_way_symmetric_exact():
-    result = ribs_align(RibsMode.TWO_WAY, ideal_clock(),
-                        ClockState(params=ClockParams(theta0=-431)),
-                        propagation_ticks(500.0), derive_stream(0, "ribs2"))
-    assert error_after(result) == 0
-
-
-def test_ribs_two_way_asymmetric_residual():
-    # measured offset overshoots by (dl-ul)/2, so BS-B lands at minus that
-    result = ribs_align(RibsMode.TWO_WAY, ideal_clock(), ideal_clock(),
-                        (4000, 2000), derive_stream(0, "ribs3"))
-    assert error_after(result) == -(4000 - 2000) // 2
 
 
 def test_ribs_listen_with_ta_bound():
     # helper co-located with BS-B, exact TA: residual within one half TA step
     delay = propagation_ticks(731.0)
     helper_index = compute_ta_initial(2 * delay).value
-    result = ribs_align(RibsMode.LISTEN_TA, ideal_clock(), ideal_clock(),
-                        delay, derive_stream(0, "ribs4"),
-                        helper_ta_index=helper_index)
+    result = ribs_align(ideal_clock(), delay, derive_stream(0, "ribs4"), helper_ta_index=helper_index)
     assert 0 <= -error_after(result) < HALF_TA_STEP_TICKS
 
 

@@ -224,3 +224,29 @@ def test_a_round_that_starts_while_an_exchange_is_in_flight_sends_nothing():
     assert skipped >= len(landed) >= 2
     assert [c.t_true for c in trace.corrections if c.node == "ue1"] == landed
     assert trace.lost_sync == 0
+
+
+def test_a_ribs_exchange_with_reversed_stamps_steps_nothing_and_the_next_round_still_steps():
+    # bs2 sits at bs1 and realigns by two-way RIBS every 4 ms. Both BSs read
+    # exactly true time plus their phase, so a round's stamps are out of order
+    # only by its stamp noise: t4 - t1 = 1 ms + n4 - n1, t3 - t2 = 1 ms + n3 - n2.
+    # With 5 ms of noise many rounds are; each steps nothing and is a lost sync,
+    # and the rounds after it still step bs2 when their exchange completes
+    raw = one_cell({"stamp_noise": "5 ms"}, {}, sync_plan={"enabler": "ta_sib16", "bs_alignment": {
+        "mode": "ribs", "ribs_mode": "two_way", "realign_period": "4 ms"}})
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [0, 0],
+                            "clock": {"theta0": "3 us", "stamp_noise": "5 ms"}})
+    cfg = validate_config(raw)
+    scenario = build_scenario(cfg)
+    trace = run_scenario(scenario, cfg.duration)
+    sigma = scenario.clocks["bs2"].stamp_noise_sigma
+    starts = range(0, cfg.duration - MS + 1, 4 * MS)
+    in_order = []
+    for round_no in range(len(starts)):
+        rng = derive_stream(cfg.seed, f"ribs/bs2/{round_no}")
+        n1, n2, n3, n4 = (rng.gauss_ticks(sigma) for _ in range(4))
+        in_order.append(MS + n4 - n1 >= 0 and MS + n3 - n2 >= 0)
+    assert any(not this and following for this, following in zip(in_order, in_order[1:]))
+    steps = [c for c in trace.corrections if c.node == "bs2"]
+    assert [c.t_true for c in steps] == [at + MS for at, ok in zip(starts, in_order) if ok]
+    assert trace.lost_sync == in_order.count(False)
