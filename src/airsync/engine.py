@@ -42,8 +42,10 @@ class RngStream:
         words = np.frombuffer(_label_digest(self.root_seed, self.label), "<u4")
         self._gen = np.random.default_rng(np.random.SeedSequence(words.astype(np.uint32, copy=False)))
 
-    def random(self) -> float:
-        return float(self._gen.random())
+    def random(self, size: Optional[int] = None):
+        """One uniform draw in [0, 1) as a float, or a float64 array of ``size`` successive draws."""
+        draw = self._gen.random(size)
+        return draw if size is not None else float(draw)
 
     def uniform(self, low: float, high: float) -> float:
         return float(self._gen.uniform(low, high))

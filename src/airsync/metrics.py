@@ -145,15 +145,23 @@ def _percentiles_in_place(arr: np.ndarray) -> dict:
     return stats
 
 
-def pairwise_offset_stats(errors: np.ndarray) -> dict:
+def pairwise_offset_stats(errors: np.ndarray, columns: Optional[Sequence[int]] = None) -> dict:
     """Worst pairwise offset per instant, summarized over instants.
 
-    ``errors`` is an (instants x nodes) matrix in ticks. A row's spread,
-    max - min, lies in [0, 2**64), so it is taken exactly in uint64.
+    ``errors`` is an (instants x nodes) matrix in ticks, of which the nodes
+    ``columns`` (default: all) take part. A row's spread, max - min, lies in
+    [0, 2**64), so it is taken exactly in uint64; the row max and min are
+    folded in column by column, so the matrix is never copied.
     """
-    if errors.shape[1] < 2:
+    columns = range(errors.shape[1]) if columns is None else columns
+    if len(columns) < 2:
         raise InsufficientNodesError("pairwise statistics need >=2 sampled nodes")
-    return _percentiles(errors.max(axis=1).astype(np.uint64) - errors.min(axis=1).astype(np.uint64))
+    high = errors[:, columns[0]].copy()
+    low = high.copy()
+    for j in columns[1:]:
+        np.maximum(high, errors[:, j], out=high)
+        np.minimum(low, errors[:, j], out=low)
+    return _percentiles(high.astype(np.uint64) - low.astype(np.uint64))
 
 
 def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
@@ -252,9 +260,16 @@ def build_report(
     # |error| goes straight into one float64 buffer, which is then partitioned
     per_node = {node: _percentiles_in_place(np.abs(column, dtype=float))
                 for node, column in sorted(zip(trace.sampled, errors.T))}
-    device_errors = errors[:, np.array([node in trace.devices for node in trace.sampled], dtype=bool)]
-    device_error = _percentiles_in_place(np.abs(device_errors, dtype=float)) if device_errors.size else None
-    pairwise = pairwise_offset_stats(device_errors) if device_errors.shape[1] >= 2 else None
+    devices = [j for j, node in enumerate(trace.sampled) if node in trace.devices]
+    device_error = None
+    if devices and errors.size:
+        # the device columns' |error|, filled one by one into a single float buffer
+        magnitude = np.empty((len(devices), len(errors)))
+        for row, j in zip(magnitude, devices):
+            np.abs(errors[:, j], out=row, dtype=float)
+        device_error = _percentiles_in_place(magnitude)
+        del magnitude
+    pairwise = pairwise_offset_stats(errors, devices) if len(devices) >= 2 else None
 
     jitter = None
     if workload is not None and len(trace.deliveries) >= 2:

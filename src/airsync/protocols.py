@@ -9,7 +9,9 @@ signals, and the gateway relay into a wired local domain.
 
 Sign convention throughout: a clock's error is local reading minus the
 reference at the same true instant. Each enabler gives the reading its node
-adopts, and when; ClockState.set takes the step.
+adopts, and when; ClockState.set takes the step. A SIB16 device adopts the
+quantized BS stamp plus its TA one-way estimate at arrival; scenario.py
+computes that for a whole cell at once and clocks.set_readings takes the steps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .clocks import ClockState, stamp
 from .engine import RngStream
@@ -101,10 +105,11 @@ def apply_ta_command(current_index: Optional[int], command: TaCommand) -> int:
     return max(0, current_index + command.value - TA_UPDATE_NOOP)
 
 
-def delay_estimate_from_index(ta_index: int) -> int:
-    """One-way propagation estimate from a cumulative TA index: N * 8*Ts."""
-    if ta_index < 0:
-        raise NegativeTaStateError(f"cumulative TA index {ta_index} < 0")
+def delay_estimate_from_index(ta_index):
+    """One-way propagation estimate from a cumulative TA index (an int, or an
+    int64 array of them): N * 8*Ts."""
+    if np.min(ta_index) < 0:
+        raise NegativeTaStateError(f"cumulative TA index {np.min(ta_index)} < 0")
     return ta_index * TA_STEP_TICKS // 2
 
 
@@ -169,23 +174,6 @@ def sib16_broadcast(sib: SibConfig, rng: RngStream, at: int) -> Broadcast:
     sched_delay = rng.integers(0, sib.si_window + 1) if sib.si_window > 0 else 0
     t_tx = at + sched_delay
     return Broadcast(sent_at=t_tx, stamped_at=at if sib.stamp_mode is StampMode.AT_SCHEDULE else t_tx)
-
-
-def sib16_sync_cycle(
-    broadcast: Broadcast,
-    bs_value: int,
-    sib: SibConfig,
-    ta_index: int,
-    link_delay: int,
-) -> tuple[int, int]:
-    """When a UE adopts a broadcast, and the reading it adopts then.
-
-    The UE, holding ``ta_index`` at arrival, reads quantize(bs_value) + TA
-    one-way estimate; its own adjustment is noiseless (noise models
-    timestamping only).
-    """
-    reading = quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index)
-    return broadcast.sent_at + link_delay, reading
 
 
 # --- two-way exchange --------------------------------------------------------

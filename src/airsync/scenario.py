@@ -6,11 +6,12 @@ base stations, UEs, gateways, legacy devices, PMUs), the link model and the
 synchronization plan. Building a scenario only draws each node's clock
 parameters. Running it gives each node one clock and steps the clocks down
 the sync tree, parent first: the anchor BS, the other BSs (steered or
-RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, or
-two-way), each gateway relaying into its legacy devices as it steps. A read
-at instant t sees every step installed at or before t. Samples, deliveries
-and the fault probe are then read from the finished clocks into the trace
-records.
+RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
+whole cell in one array pass, or two-way, one exchange at a time), each
+gateway relaying into its legacy devices as it steps. A read at instant t
+sees every step installed at or before t. Samples, deliveries and the fault
+probe are then read from the finished clocks, all nodes at once, into the
+trace records.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, local_time, local_times, stamp, stamps
+from .clocks import ClockParams, ClockState, local_time, local_times, set_readings, stamp, stamps
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, TickOverflowError
@@ -31,15 +32,16 @@ from .protocols import (
     apply_ta_command,
     compute_ta_initial,
     compute_ta_update,
+    delay_estimate_from_index,
     gw_relay_sync,
     measure_rtt,
+    quantize_broadcast_time,
     ribs_align,
     sib16_broadcast,
-    sib16_sync_cycle,
     twoway_exchange,
     twoway_offset,
 )
-from .timebase import TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
+from .timebase import INT64_MIN, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
 @dataclass
@@ -175,7 +177,8 @@ class _Runner:
     ``loss/`` and ``exchange/`` streams where its steps are computed, a legacy
     device's ``relay/`` stream up front, and one-shot labels (a round's
     broadcast or alignment, a target's delivery delays and stamps, the fault
-    probe) where they are used.
+    probe) where they are used; a ``loss/``, ``delivery/`` or
+    ``delivery_stamp/`` stream that would draw nothing is not derived.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
@@ -188,7 +191,8 @@ class _Runner:
         self.ta_index: dict[str, int] = {}
         self.sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
         self.node_index = {node: i for i, node in enumerate(self.sampled)}
-        self.log: list[int] = []   # the corrections, one CORRECTION_DTYPE row of ints after another
+        self.log: list[tuple] = []   # the corrections as blocks of CORRECTION_DTYPE columns, in evaluation order
+        self.rows: list[int] = []    # single corrections not yet in a block, one row of ints after another
         self.lost_sync = 0
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
@@ -207,12 +211,12 @@ class _Runner:
         return range(0, self.duration + 1, period)
 
     def set_clock(self, node: str, kind: int, at: int, reading: int) -> None:
-        """Set ``node``'s clock to ``reading`` at true time ``at``: the only
-        clock change in a run. Logs the correction (``kind`` indexes
-        CORRECTION_KINDS) and relays a gateway's new reading into its wired
-        domain."""
+        """Set ``node``'s clock to ``reading`` at true time ``at``: the one
+        clock change of a run outside the SIB16 cell pass (sib_syncs). Logs
+        the correction (``kind`` indexes CORRECTION_KINDS) and relays a
+        gateway's new reading into its wired domain."""
         delta = self.clocks[node].set(at, reading)
-        self.log.extend((at, self.node_index[node], delta, kind, reading - at))
+        self.rows.extend((at, self.node_index[node], delta, kind, reading - at))
         for child, rng in self.relays.get(node, ()):  # only gateways have children
             self.set_clock(child, GW_RELAY, at, gw_relay_sync(reading, self.plan.gw_relay_sigma, rng))
 
@@ -271,14 +275,14 @@ class _Runner:
 
     # -- per-device OTA sync --
 
-    def heard(self, device: str, rounds: int) -> list[int]:
-        """The rounds whose sync reaches ``device``; each round draws its loss, in round order."""
+    def heard(self, device: str, rounds: int) -> np.ndarray:
+        """Which of ``rounds`` rounds reach ``device``, as a mask; each round
+        draws its loss, in round order."""
         loss_prob = self.config.link.loss_prob
         if loss_prob == 0:
-            return list(range(rounds))
-        rng = derive_stream(self.seed, f"loss/{device}")
-        heard = [round_no for round_no in range(rounds) if rng.random() >= loss_prob]
-        self.lost_sync += rounds - len(heard)
+            return np.ones(rounds, dtype=bool)
+        heard = derive_stream(self.seed, f"loss/{device}").random(rounds) >= loss_prob
+        self.lost_sync += rounds - int(np.count_nonzero(heard))
         return heard
 
     def ta_indices(self, device: str) -> list[int]:
@@ -301,29 +305,61 @@ class _Runner:
     def sib_syncs(self, bs: str) -> None:
         """Every device of ``bs`` adopts each broadcast it hears and receives
         within the run, in (arrival, round) order, with the TA index in force
-        at arrival. A round's broadcast is drawn once for the cell, and the BS
-        stamps it once, when a device first lands it."""
-        if not self.attached[bs]:
+        at arrival; a gateway relays each reading it adopts into its legacy
+        devices. A round's broadcast is drawn once for the cell, and the BS
+        stamps it once, if some device lands it.
+
+        The cell is one pass over (landing slot x device) arrays: each device
+        lands the rounds in the same (sent_at, round) order, shifted by its own
+        propagation delay, so slot k is the k-th round of that order for all
+        of them."""
+        devices = self.attached[bs]
+        if not devices:
             return
-        broadcasts = []
-        for round_no, at in enumerate(self.rounds(self.plan.resync_period)):
-            rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
-            broadcasts.append((sib16_broadcast(self.plan.sib, rng, at), rng))
-        stamped: dict[int, int] = {}
-        for device in self.attached[bs]:
-            ta = self.ta_indices(device)
-            self.ta_index[device] = ta[-1]
-            prop = self.prop(bs, device)
-            landings = sorted((broadcasts[r][0].sent_at + prop, r) for r in self.heard(device, len(broadcasts)))
-            for arrival, round_no in landings:
-                if arrival > self.duration:
-                    break
-                broadcast, rng = broadcasts[round_no]
-                if round_no not in stamped:
-                    stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
-                self.set_clock(device, SIB16, *sib16_sync_cycle(
-                    broadcast, stamped[round_no], self.plan.sib, ta[arrival // self.plan.ta_timer_period], prop,
-                ))
+        plan, late = self.plan, self.duration + 1
+        rounds = self.rounds(plan.resync_period)
+        streams = [derive_stream(self.seed, f"sib/{bs}/{round_no}") for round_no in range(len(rounds))]
+        broadcasts = [sib16_broadcast(plan.sib, rng, at) for rng, at in zip(streams, rounds)]
+        # a send or a delay past the run is clipped to its end: that landing is past it either way
+        sent = np.array([min(broadcast.sent_at, late) for broadcast in broadcasts], dtype=np.int64)
+        order = np.argsort(sent, kind="stable")
+        prop = np.array([min(self.prop(bs, device), late) for device in devices], dtype=np.int64)
+        arrival = sent[order, None] + prop
+        lands = np.stack([self.heard(device, len(rounds)) for device in devices], axis=1)[order]
+        lands &= arrival <= self.duration
+        ta = [self.ta_indices(device) for device in devices]
+        self.ta_index.update((device, indices[-1]) for device, indices in zip(devices, ta))
+        quantized = [0] * len(rounds)   # by slot: the BS stamp of each landed round, quantized
+        for slot in np.flatnonzero(lands.any(axis=1)).tolist():
+            round_no = int(order[slot])
+            value = stamp(self.clocks[bs], broadcasts[round_no].stamped_at, streams[round_no])
+            quantized[slot] = quantize_broadcast_time(value, plan.sib.granularity)
+
+        device, slot = np.nonzero(lands.T)   # device-major: each device's landings in order
+        at = arrival[slot, device]
+        reading = _whole(np.array(quantized, dtype=object))[slot]
+        reading += delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // plan.ta_timer_period]
+        # then each gateway's relays into its legacy devices, one draw per landing
+        nodes, which, ats, readings, kinds = list(devices), [device], [at], [reading], [SIB16]
+        parents = [np.arange(len(at))]
+        for index, gateway in enumerate(devices):
+            landed = np.flatnonzero(device == index) if gateway in self.relays else ()
+            for child, rng in self.relays.get(gateway, ()):
+                which.append(np.full(len(landed), len(nodes)))
+                nodes.append(child)
+                ats.append(at[landed])
+                readings.append(reading[landed] + _whole(rng.gauss_ticks(plan.gw_relay_sigma, len(landed))))
+                parents.append(landed)
+                kinds.append(GW_RELAY)
+        which, at, reading = np.concatenate(which), np.concatenate(ats), np.concatenate(readings)
+        delta = set_readings([self.clocks[node] for node in nodes], which, at, reading)
+        kind = np.repeat(np.array(kinds, dtype=np.int8), [len(p) for p in parents])
+        node = np.array([self.node_index[node] for node in nodes], dtype=np.int32)[which]
+        columns = (at, node, delta, kind, reading - at)
+        if len(nodes) > len(devices):   # evaluation order: a gateway's landing, then its relays, in relay order
+            evaluated = np.lexsort((np.arange(len(at)), np.concatenate(parents)))
+            columns = tuple(column[evaluated] for column in columns)
+        self.log_block(columns)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
         """``device``'s exchanges with ``bs``, at most one in flight: a heard
@@ -335,7 +371,7 @@ class _Runner:
         prop = self.prop(bs, device)
         rounds = self.rounds(self.plan.resync_period)
         landing = 0   # of the last exchange sent
-        for round_no in self.heard(device, len(rounds)):
+        for round_no in np.flatnonzero(self.heard(device, len(rounds))).tolist():
             at = rounds[round_no]
             if at < landing:
                 continue
@@ -370,17 +406,27 @@ class _Runner:
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
+    def log_block(self, columns: tuple = ()) -> None:
+        """Log a block of corrections, one array per CORRECTION_DTYPE column,
+        after the single ones logged before it."""
+        if self.rows:
+            width = len(CORRECTION_DTYPE.names)
+            self.log.append(tuple(self.rows[i::width] for i in range(width)))
+            self.rows = []
+        if columns:
+            self.log.append(columns)
+
     def correction_log(self) -> np.ndarray:
         """The logged corrections as CORRECTION_DTYPE rows, stable-sorted by
         t_true, so same-tick steps keep their evaluation order."""
-        width = len(CORRECTION_DTYPE.names)
-        log = np.empty(len(self.log) // width, dtype=CORRECTION_DTYPE)
-        for i, name in enumerate(CORRECTION_DTYPE.names):
+        self.log_block()
+        blocks, self.log = self.log, []   # their ints go before the observation pass allocates
+        log = np.empty(sum(len(block[0]) for block in blocks), dtype=CORRECTION_DTYPE)
+        for i, name in enumerate(CORRECTION_DTYPE.names if blocks else ()):
             try:
-                log[name] = self.log[i::width]
+                log[name] = np.concatenate([np.asarray(block[i], dtype=np.int64) for block in blocks])
             except OverflowError:   # a step or an error past the 64-bit tick range
                 raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range") from None
-        self.log = []   # its ints go before the observation pass allocates
         return log[np.argsort(log["t_true"], kind="stable")]
 
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --
@@ -388,49 +434,60 @@ class _Runner:
     def sample(self, instants: np.ndarray) -> np.ndarray:
         """The (instants x sampled) error matrix: each sampled node's reading
         minus true time at each instant."""
-        errors = np.empty((len(instants), len(self.sampled)), dtype=np.int64)
-        for j, node in enumerate(self.sampled):
-            local = local_times(self.clocks[node], instants)
-            error = np.subtract(local, instants, out=errors[:, j])
-            if np.any(error > local):   # local - t wrapped below INT64_MIN
-                raise TickOverflowError(f"clock error of {node!r} outside the signed 64-bit range")
-        return errors
+        errors = local_times([self.clocks[node] for node in self.sampled], instants[:, None])
+        wrapped = np.flatnonzero(np.any(errors < INT64_MIN + instants[:, None], axis=0))   # local - t < INT64_MIN
+        if len(wrapped):
+            raise TickOverflowError(f"clock error of {self.sampled[wrapped[0]]!r} outside the signed 64-bit range")
+        return np.subtract(errors, instants[:, None], out=errors)
 
     def deliver(self) -> np.recarray:
         """Each workload command that arrives within the run, stamped by its
         target's clock on arrival; ordered by arrival, target, grid index.
 
         Each target's delays come from its own stream in grid order, and its
-        stamps from its own stream in its own arrival order."""
+        stamps from its own stream in its own arrival order. The targets are
+        the columns of (grid x target) arrays."""
         workload = self.config.workload
-        targets = workload.targets if workload is not None else ()
+        if workload is None:
+            return np.recarray(0, dtype=DELIVERY_DTYPE)
+        targets, extra_delay = workload.targets, self.config.link.extra_delay
         late = self.duration + 1   # a later arrival is not delivered
-        grid = (np.arange(workload.grid_phase, late, workload.command_period, dtype=np.int64) if targets
-                else np.empty(0, dtype=np.int64))
-        arrival = np.full((len(targets), len(grid)), late, dtype=np.int64)
-        local_stamp = np.empty_like(arrival)
-        for i, target in enumerate(targets):
-            parent = self.nodes[target].attach_to
-            delay = self.config.link.extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid))
-            # the propagation delay is clipped at the run's end and the extra delay at
-            # 2**62 ticks (past any duration validate_config admits), then compared with
-            # the room left rather than added, so no int64 sum or cast can wrap
-            lead = min(self.prop(parent, target) if parent else 0, late)
-            delay = np.minimum(delay, 2**62).astype(np.int64)
-            arrives = np.flatnonzero(delay <= self.duration - lead - grid)
-            arrival[i, arrives] = grid[arrives] + lead + delay[arrives]
-            arrives = arrives[np.argsort(arrival[i, arrives], kind="stable")]
-            if len(arrives):
-                local_stamp[i, arrives] = stamps(self.clocks[target], arrival[i, arrives],
-                                                 derive_stream(self.seed, f"delivery_stamp/{target}"))
-        index, k = np.nonzero(arrival < late)   # in (target, grid) order, which a stable sort keeps among ties
-        order = np.argsort(arrival[index, k], kind="stable")
-        index, k = index[order], k[order]
-        deliveries = np.recarray(len(k), dtype=DELIVERY_DTYPE)
-        deliveries.node = index   # one column at a time: a single temporary is alive
-        deliveries.grid_index = k
-        deliveries.true_arrival = arrival[index, k]
-        deliveries.local_stamp = local_stamp[index, k]
+        grid = np.arange(workload.grid_phase, late, workload.command_period, dtype=np.int64)[:, None]
+        lead = np.array([min(self.prop(self.nodes[target].attach_to, target) if self.nodes[target].attach_to else 0,
+                             late) for target in targets], dtype=np.int64)
+        delay = 0
+        if extra_delay.kind != "none":   # otherwise a delivery/ stream would draw nothing
+            delay = np.empty((len(grid), len(targets)), dtype=np.int64)
+            for j, target in enumerate(targets):
+                delay[:, j] = np.minimum(extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid)),
+                                         2**62)
+        # the propagation delay is clipped at the run's end and the extra delay at
+        # 2**62 ticks (past any duration validate_config admits), then at the room
+        # left, so a command arriving after the run lands at `late` and no int64 sum
+        # or cast can wrap
+        arrival = grid + lead + np.minimum(delay, self.duration - lead - grid + 1)
+        del delay
+        count = np.count_nonzero(arrival < late, axis=0)
+        # each target's arrivals first in its column, in arrival order, ties in grid order
+        order = None
+        if np.any(arrival[1:] < arrival[:-1]):   # some delay reorders a target's commands
+            order = np.argsort(arrival, axis=0, kind="stable")
+            arrival = np.take_along_axis(arrival, order, axis=0)
+        stamped = np.arange(len(grid))[:, None] < count
+        clocks = [self.clocks[target] for target in targets]
+        rngs = [derive_stream(self.seed, f"delivery_stamp/{target}") if n and clock.params.stamp_noise_sigma else None
+                for target, clock, n in zip(targets, clocks, count.tolist())]
+        local_stamp = stamps(clocks, arrival, rngs, where=stamped)
+        index, k = np.nonzero(stamped.T)   # in (target, arrival) order, which a stable sort keeps among ties
+        del stamped
+        cell = k * len(targets) + index   # flat index into the (grid x target) arrays
+        del index, k
+        cell = cell[np.argsort(arrival.ravel()[cell], kind="stable")]
+        deliveries = np.recarray(len(cell), dtype=DELIVERY_DTYPE)
+        deliveries.node = cell % len(targets)   # one column at a time: a single temporary is alive
+        deliveries.grid_index = cell // len(targets) if order is None else order.ravel()[cell]
+        deliveries.true_arrival = arrival.ravel()[cell]
+        deliveries.local_stamp = local_stamp.ravel()[cell]
         return deliveries
 
     def probe_fault(self) -> FaultStamps:
@@ -444,6 +501,15 @@ class _Runner:
             rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
         )
         return FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
+
+
+def _whole(values: np.ndarray) -> np.ndarray:
+    """Whole numbers (Python ints or whole floats) as int64 while each is below
+    2**58 in magnitude, so that set_readings' sums of a few stay exact, else as
+    exact Python ints in an object array."""
+    if np.all(np.abs(values) < 2**58):
+        return values.astype(np.int64)
+    return np.frompyfunc(int, 1, 1)(values)
 
 
 def run_scenario(scenario: Scenario, duration: int) -> RawTrace:

@@ -201,48 +201,83 @@ _INSTANT = st.integers(0, 2**41) | st.integers(0, 10**4 * TICKS_PER_SECOND) | st
 _SKEW = st.floats(-1e-3, 1e-3, exclude_min=True, exclude_max=True)
 
 
+_STEPS = st.lists(st.tuples(_INSTANT, st.integers(-(2**40), 2**40) | st.integers(-(2**64), 2**64)), max_size=6)
+_CLOCK = st.builds(lambda theta0, skew, drift, steps: stepped(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift),
+                                                               *sorted(steps, key=lambda s: s[0])),
+                   _PHASE, _SKEW, st.just(0.0) | st.floats(-1e-3, 1e-3), _STEPS)
+
+
+def _column_readings(read, clocks, t, where):
+    """The scalar reading of every marked entry of ``t`` (column j read by
+    ``read(clocks[j], instant)``, down each column), or None if any overflows."""
+    readings = {}
+    try:
+        for j, clock in enumerate(clocks):
+            for i in range(len(t)):
+                if where[i][j]:
+                    readings[i, j] = read(clock, t[i][j], j)
+    except TickOverflowError:
+        return None
+    return readings
+
+
+def _rows(width: int, max_size: int):
+    """Rows of ``width`` (instant, marked) cells: one instant per clock."""
+    return st.lists(st.lists(st.tuples(_INSTANT, st.booleans()), min_size=width, max_size=width), max_size=max_size)
+
+
+def _matrix(rows: list, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The instants and the marks of ``rows`` as (rows x width) matrices."""
+    return (np.array([[t for t, _ in row] for row in rows], dtype=np.int64).reshape(-1, width),
+            np.array([[marked for _, marked in row] for row in rows], dtype=bool).reshape(-1, width))
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    _PHASE,
-    _SKEW,
-    st.just(0.0) | st.floats(-1e-3, 1e-3),
-    st.lists(st.tuples(_INSTANT, st.integers(-(2**40), 2**40) | st.integers(-(2**64), 2**64)), max_size=6),
-    st.lists(_INSTANT, max_size=8),
-)
+@given(st.lists(_CLOCK, min_size=1, max_size=4).flatmap(lambda c: st.tuples(st.just(c), _rows(len(c), 8))),
+       st.lists(_INSTANT, max_size=8))
 # theta0 + t wraps past INT64_MAX, but the negative skew term brings the reading back in range
-@example(INT64_MAX - 10**6, -9e-4, 0.0, [], [1_000_500])
+@example(([ClockState(ClockParams(theta0=INT64_MAX - 10**6, skew_y=-9e-4))], []), [1_000_500])
 # past 2**53 ticks, t / TICKS_PER_SECOND must divide the exact int, as Python does
-@example(0, 0.0, 1e-9, [], [36_361_359_135_263_771])
-def test_bulk_reader_equals_local_time(theta0, skew, drift, steps, instants):
-    steps.sort(key=lambda s: s[0])
-    clock = stepped(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift), *steps)
-    instants += [at + d for at, _ in steps for d in (-1, 0) if at + d >= INT64_MIN]
-    expected = _scalar_readings(lambda t: local_time(clock, t), instants)
-    if expected is None:
-        with pytest.raises(TickOverflowError):
-            local_times(clock, np.array(instants, dtype=np.int64))
-    else:
-        assert local_times(clock, np.array(instants, dtype=np.int64)).tolist() == expected
+@example(([ClockState(ClockParams(drift_a=1e-9))], []), [36_361_359_135_263_771])
+def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
+    # many clocks read together: every clock at shared instants (around each
+    # one's steps too), then each at its own instants, only the marked ones
+    clocks, rows = clocks_and_rows
+    shared = instants + [at + d for clock in clocks for at in clock.installed_at for d in (-1, 0)
+                         if at + d >= INT64_MIN]
+    for t, where in [(np.array(shared, dtype=np.int64).reshape(-1, 1), None), _matrix(rows, len(clocks))]:
+        marks = np.ones((len(t), len(clocks)), dtype=bool) if where is None else where
+        expected = _column_readings(lambda clock, x, _: local_time(clock, x),
+                                    clocks, np.broadcast_to(t, marks.shape).tolist(), marks.tolist())
+        if expected is None:
+            with pytest.raises(TickOverflowError):
+                local_times(clocks, t, where)
+        else:
+            local = local_times(clocks, t, where)
+            assert {(i, j): local[i, j] for i, j in expected} == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    _PHASE,
-    _SKEW,
-    st.sampled_from([0.0, 0.4, 308.0]) | st.floats(0, 1e30),
-    st.lists(_INSTANT, max_size=12),
+    st.lists(st.tuples(_PHASE, _SKEW, st.sampled_from([0.0, 0.4, 308.0]) | st.floats(0, 1e30)), min_size=1, max_size=3),
     st.integers(0, 2**32),
+    st.data(),
 )
-def test_bulk_stamps_equal_successive_stamp_calls(theta0, skew, sigma, instants, seed):
-    clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, stamp_noise_sigma=sigma))
-    one_by_one, bulk = derive_stream(seed, "stamps"), derive_stream(seed, "stamps")
-    expected = _scalar_readings(lambda t: stamp(clock, t, one_by_one), instants)
+def test_bulk_stamps_equal_successive_stamp_calls(params, seed, data):
+    clocks = [ClockState(ClockParams(theta0=theta0, skew_y=skew, stamp_noise_sigma=sigma))
+              for theta0, skew, sigma in params]
+    t, where = _matrix(data.draw(_rows(len(clocks), 12)), len(clocks))
+    one_by_one = [derive_stream(seed, f"stamps/{j}") for j in range(len(clocks))]
+    bulk = [derive_stream(seed, f"stamps/{j}") for j in range(len(clocks))]
+    expected = _column_readings(lambda clock, x, j: stamp(clock, x, one_by_one[j]), clocks, t.tolist(), where.tolist())
     if expected is None:
         with pytest.raises(TickOverflowError):
-            stamps(clock, np.array(instants, dtype=np.int64), bulk)
+            stamps(clocks, t, bulk, where)
     else:
-        assert stamps(clock, np.array(instants, dtype=np.int64), bulk).tolist() == expected
-        assert bulk.random() == one_by_one.random()   # the same number of draws, none at sigma 0
+        stamped = stamps(clocks, t, bulk, where)
+        assert {(i, j): stamped[i, j] for i, j in expected} == expected
+        # the same number of draws from each stream, none at sigma 0
+        assert [rng.random() for rng in bulk] == [rng.random() for rng in one_by_one]
 
 
 def test_single_correction_permanent_without_skew_or_drift():

@@ -25,7 +25,6 @@ from airsync.protocols import (
     quantize_broadcast_time,
     ribs_align,
     sib16_broadcast,
-    sib16_sync_cycle,
     twoway_exchange,
     twoway_offset,
 )
@@ -205,10 +204,12 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
 
 
 def _sib_cycle(bs_clock, sib, ta_index, link_delay, rng, at=0):
-    """One broadcast, stamped by the BS: when a UE adopts it, and its reading then."""
+    """One broadcast, stamped by the BS: when a UE adopts it, and its reading
+    then, the quantized stamp plus the TA one-way estimate."""
     broadcast = sib16_broadcast(sib, rng, at)
     bs_value = stamp(bs_clock, broadcast.stamped_at, rng)
-    return sib16_sync_cycle(broadcast, bs_value, sib, ta_index, link_delay)
+    return (broadcast.sent_at + link_delay,
+            quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index))
 
 
 def test_sib_cycle_ideal_is_exact():
