@@ -11,7 +11,6 @@ files.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
 import io
@@ -27,7 +26,7 @@ from .config import (
     get_config_value,
     load_config,
     load_sweep_spec,
-    set_config_value,
+    replace_config_value,
     validate_config,
 )
 from .engine import derive_seed
@@ -258,9 +257,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     ordered = sorted(spec.values, key=_sweep_sort_key)
     for value in ordered:
-        raw = copy.deepcopy(base.raw)
-        set_config_value(raw, spec.path, value)
-        config = validate_config(raw)   # once per value: its repetitions share it
+        # once per value: its repetitions share it
+        config = validate_config(replace_config_value(base.raw, spec.path, value))
         for rep, seed in enumerate(seeds):
             report, _trace = _execute(config, seed)
             row = {"value": value, "repetition": rep, "seed": seed}

@@ -837,6 +837,25 @@ def set_config_value(raw: dict, path: str, value: Any) -> None:
         raise InvalidConfigError("sweep.path", f"cannot set {path!r}")
 
 
+def replace_config_value(raw: dict, path: str, value: Any) -> dict:
+    """A copy of ``raw`` with ``path`` set to ``value``, leaving ``raw`` as it
+    is. Only the dicts and lists along the path are copied; the copy shares
+    the rest with ``raw``, which ``validate_config`` copies whole anyway."""
+    tokens = _split_path(path)
+    top = current = dict(raw)
+    for token in tokens[:-1]:
+        try:
+            child = current[token]
+        except (KeyError, IndexError, TypeError):
+            break   # set_config_value names the path
+        if not isinstance(child, (dict, list)):
+            break
+        current[token] = copy.copy(child)
+        current = current[token]
+    set_config_value(top, path, value)
+    return top
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     path: str

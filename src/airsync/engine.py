@@ -2,11 +2,22 @@
 
 Every random draw of a run comes from a stream named by a label, and the
 same (root_seed, label) pair always reproduces the same draw sequence, so a
-full run is a pure function of (config, seed).
+full run is a pure function of (config, seed). The derivation: the SHA-256
+digest of "{root_seed}/{label}" is read as eight little-endian uint32 words,
+which are the entropy of a numpy ``SeedSequence``; the four uint64 words it
+generates seed a ``PCG64`` generator.
+
+Those four words are computed once per (root_seed, label) per process and
+kept in a bounded cache, so a sweep, which derives the same labels for every
+point, runs ``SeedSequence`` once per pair. Each stream still gets its own
+generator, seeded from exactly the words ``SeedSequence`` would hand it, so
+the cache changes no draw. ``numpy.random`` is imported on the first
+derivation, not with this module.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +35,42 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(_label_digest(root_seed, label)[:8], "little")
 
 
+_SEED_WORDS_CACHE_SIZE = 4096   # (root_seed, label) pairs whose PCG64 seed words are kept
+
+
+# typed: a bool or float seed prints differently from the int it equals
+@functools.lru_cache(maxsize=_SEED_WORDS_CACHE_SIZE, typed=True)
+def _pcg64_seed_words(root_seed: int, label: str) -> np.ndarray:
+    """The four uint64 words that seed the PCG64 of (root_seed, label): what
+    the SeedSequence of the label digest's words generates. Read-only, since
+    every stream of the pair shares them."""
+    # the digest's eight little-endian uint32 words are the SeedSequence
+    # entropy; handing them over as one array skips numpy's per-int coercion
+    words = np.frombuffer(_label_digest(root_seed, label), "<u4")
+    state = np.random.SeedSequence(words.astype(np.uint32, copy=False)).generate_state(4, np.uint64)
+    state.flags.writeable = False
+    return state
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A numpy ``ISeedSequence`` that hands PCG64 precomputed seed words.
+    Built on first use: importing ``numpy.random.bit_generator`` with this
+    module would load ``numpy.random`` on every ``import airsync``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words   # PCG64 asks for exactly these: four uint64 words
+
+    return SeedWords
+
+
 @dataclass
 class RngStream:
     """Labeled random stream derived from a root seed.
@@ -37,10 +84,8 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the digest's eight little-endian uint32 words are the SeedSequence
-        # entropy; handing them over as one array skips numpy's per-int coercion
-        words = np.frombuffer(_label_digest(self.root_seed, self.label), "<u4")
-        self._gen = np.random.default_rng(np.random.SeedSequence(words.astype(np.uint32, copy=False)))
+        seed_words = _seed_words_type()(_pcg64_seed_words(self.root_seed, self.label))
+        self._gen = np.random.Generator(np.random.PCG64(seed_words))
 
     def random(self, size: Optional[int] = None):
         """One uniform draw in [0, 1) as a float, or a float64 array of ``size`` successive draws."""

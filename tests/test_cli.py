@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsync import cli
+from airsync import cli, engine, scenario
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
 from airsync.config import Workload, load_config
 from airsync.scenario import CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, build_scenario, run_scenario
@@ -546,6 +546,51 @@ def test_sweep_rows_equal_separate_runs_and_leave_the_base_config_alone(tmp_path
         assert set(row) - {"value", "repetition", "seed"} == set(_ROW_METRICS)
         for key, (section, field) in _ROW_METRICS.items():
             assert row[key] == metrics[section][field], (row["value"], row["repetition"], key)
+
+
+def test_sweep_through_a_list_leaves_the_base_config_alone(tmp_path):
+    """A point copies only the containers along the swept path; a path
+    through the node list must not write into the loaded base mapping."""
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "nodes[2].clock.skew_ppm", "values": [-7.5, 9.0]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(out)]) == 0
+    payload = json.loads((out / "sweep.json").read_text())
+    assert payload["config"] == json.loads(json.dumps(load_config(config).raw))
+    assert payload["config"]["nodes"][2]["clock"] == {"skew_ppm": 2.0}
+    for i, row in enumerate(payload["rows"]):
+        raw = small_config()
+        raw["nodes"][2]["clock"]["skew_ppm"] = row["value"]
+        run_out = tmp_path / f"run{i}"
+        assert main(["run", "--config", str(write_yaml(tmp_path / f"point{i}.yaml", raw)),
+                     "--out", str(run_out)]) == 0
+        metrics = json.loads((run_out / "report.json").read_text())["metrics"]
+        assert row["pairwise_max_ticks"] == metrics["pairwise"]["max"], row["value"]
+
+
+def test_sweep_runs_seed_sequence_once_per_seed_and_label(tmp_path, monkeypatch):
+    """Every point of a sweep derives the same labels; their PCG64 seed words
+    are computed once per (seed, label) in a process. A warm second sweep
+    computes none and writes the same bytes as the cold first one."""
+    engine._pcg64_seed_words.cache_clear()
+    constructed, derived = [], []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: constructed.append(a) or seed_sequence(*a, **k))
+    derive_stream = scenario.derive_stream
+    monkeypatch.setattr(scenario, "derive_stream", lambda seed, label: derived.append((seed, label)) or
+                        derive_stream(seed, label))
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    spec = write_yaml(tmp_path / "spec.yaml", {
+        "path": "sync_plan.sib.granularity", "values": ["10 ms", "31 ticks"], "repetitions": 2,
+    })
+    outputs = []
+    for name in ("cold", "warm"):
+        assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "sweep.json").read_bytes())
+    pairs = set(derived)
+    assert len(derived) == 4 * len(pairs)   # two sweeps × two values, each deriving its repetitions' labels
+    assert len(constructed) == len(pairs)
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):

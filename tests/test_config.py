@@ -21,6 +21,7 @@ from airsync.config import (
     Enabler,
     get_config_value,
     parse_sweep_spec,
+    replace_config_value,
     set_config_value,
     validate_config,
 )
@@ -353,9 +354,12 @@ def test_values_the_model_takes_as_given_rejected(path, value, rejected_at):
 @pytest.mark.parametrize("module, not_loaded", [
     ("airsync.metrics", ("airsync.scenario", "airsync.config")),
     ("airsync.config", ("airsync.scenario",)),
-], ids=["metrics", "config"])
+    ("airsync.cli", ("numpy.random",)),
+], ids=["metrics", "config", "cli-numpy-random"])
 def test_layering(module, not_loaded):
-    """metrics <- config <- scenario: importing a lower layer loads no higher one."""
+    """metrics <- config <- scenario: importing a lower layer loads no higher one.
+    Nor does importing the CLI load numpy.random, which adds to every
+    invocation's peak memory: the first stream derivation loads it."""
     code = f"import sys, {module}; print([m for m in {not_loaded!r} if m in sys.modules])"
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -499,6 +503,18 @@ def test_get_and_set_by_path():
     set_config_value(cfg.raw, "sync_plan.sib.granularity", "1 us")
     assert validate_config(cfg.raw).sync_plan.sib.granularity == TICKS_PER_US
     assert get_config_value(cfg.raw, "nodes[2].id") == "ue"
+
+
+def test_replace_copies_only_the_containers_along_the_path():
+    raw = minimal(sync_plan={"sib": {"granularity": "10 ms"}})
+    loaded = copy.deepcopy(raw)
+    point = replace_config_value(raw, "nodes[2].position[0]", 7)
+    assert raw == loaded and point["nodes"][2]["position"][0] == 7
+    assert point["nodes"][1] is raw["nodes"][1] and point["sync_plan"] is raw["sync_plan"]
+    assert point["nodes"] is not raw["nodes"] and point["nodes"][2] is not raw["nodes"][2]
+    with pytest.raises(InvalidConfigError):
+        replace_config_value(raw, "duration[0]", 7)
+    assert raw == loaded
 
 
 def test_path_that_does_not_resolve():

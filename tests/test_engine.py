@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from airsync import engine
 from airsync.engine import derive_seed, derive_stream
 
 
@@ -47,3 +48,35 @@ def test_stream_derivation_equals_the_list_entropy_rule(seed, label):
     reference = _list_entropy_generator(seed, label)
     assert stream.integers(0, 2**62, 8).tolist() == reference.integers(0, 2**62, 8).tolist()
     assert stream.normal(0.0, 1.0, 8).tobytes() == reference.normal(0.0, 1.0, 8).tobytes()
+
+
+def _draws(stream_or_generator, i):
+    """Draw i of an interleaving: a few kinds, so a shared state would show."""
+    return (stream_or_generator.integers(0, 2**62, 3).tolist() if i % 2
+            else stream_or_generator.normal(0.0, 1.0, 3).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), label=st.text(max_size=12), rounds=st.integers(1, 6))
+def test_streams_of_one_label_are_independent_generators(seed, label, rounds):
+    """The seed words of a (seed, label) pair are cached, the generator is
+    not: two streams of the pair, derived one after the other and drawn in
+    turn, each give the reference's whole sequence."""
+    first, second = derive_stream(seed, label), derive_stream(seed, label)
+    reference_first, reference_second = _list_entropy_generator(seed, label), _list_entropy_generator(seed, label)
+    for i in range(rounds):
+        assert _draws(first, i) == _draws(reference_first, i)
+        assert _draws(second, i) == _draws(reference_second, i)
+
+
+def test_a_label_derived_again_after_eviction_matches_the_reference():
+    cache = engine._pcg64_seed_words
+    cache.cache_clear()
+    derive_stream(5, "ue1/ta")
+    for i in range(cache.cache_info().maxsize):
+        derive_stream(5, f"filler/{i}")
+    assert cache.cache_info().currsize == cache.cache_info().maxsize
+    misses = cache.cache_info().misses
+    for i in range(2):   # evicted, so derived from the digest again; then a hit
+        assert _draws(derive_stream(5, "ue1/ta"), i) == _draws(_list_entropy_generator(5, "ue1/ta"), i)
+    assert cache.cache_info().misses == misses + 1
