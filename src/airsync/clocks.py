@@ -16,6 +16,10 @@ local_times() and stamps() are the bulk readers: they read many clocks at
 once, each at its own int64 instants, and give exactly what local_time() and
 successive stamp() calls give, raising TickOverflowError on the same inputs.
 set_readings() is ClockState.set for many steps of fresh clocks at once.
+Their arithmetic follows one rule: int64 while every term is small enough
+that no sum of a few can wrap, and exact Python ints in object arrays
+otherwise (whole() makes that choice), with the signed 64-bit range checked
+on the exact sums only.
 """
 
 from __future__ import annotations
@@ -73,21 +77,14 @@ class ClockState:
         self.step(at, delta)
         return delta
 
-    def arrays(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """The trajectory as int64 arrays, built once: the step instants, and
-        the reading's base (theta0 plus the correction in force) before the
-        first step and from each step on. The base is None when one of its
-        values leaves int64; the bulk readers then read the clock one instant
-        at a time."""
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trajectory as arrays, built once: the step instants (int64),
+        and the reading's base (theta0 plus the correction in force) before
+        the first step and from each step on, as whole() gives it: int64
+        while every value fits, else exact Python ints."""
         if self._arrays is None:
-            theta0, held = self.params.theta0, [0, *self.correction]
-            base = None
-            if INT64_MIN <= theta0 + min(held) and theta0 + max(held) <= INT64_MAX:
-                try:
-                    base = np.array(held, dtype=np.int64) + theta0
-                except OverflowError:   # a correction past int64 that theta0 brings back
-                    base = (np.array(held, dtype=object) + theta0).astype(np.int64)
-            self._arrays = (np.array(self.installed_at, dtype=np.int64), base)
+            base = np.array([0, *self.correction], dtype=object) + self.params.theta0
+            self._arrays = (np.array(self.installed_at, dtype=np.int64), whole(base, 2.0**63))
         return self._arrays
 
 
@@ -126,10 +123,29 @@ def clock_error(state: ClockState, t_true: int) -> int:
 # --- bulk: many clocks, many instants, one numpy pass ----------------------------------
 
 
-def _wrapped(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """+1 or -1 where the int64 sum ``total = a + b`` wrapped past INT64_MAX or
-    INT64_MIN (numpy wraps silently), else 0."""
-    return np.where((a ^ total) & (b ^ total) < 0, np.where(a < 0, -1, 1), 0)
+_exact = np.frompyfunc(int, 1, 1)   # whole numbers as exact Python ints, in an object array
+
+
+def whole(values: np.ndarray, bound: float = _SMALL) -> np.ndarray:
+    """Whole numbers (ints or whole floats, in any array) as int64 while every
+    one lies strictly within +-``bound``, else as exact Python ints in an
+    object array. A sum of a few such arrays is exact either way: int64
+    cannot wrap on terms this small, and one exact term makes the sum exact."""
+    return values.astype(np.int64) if _within(bound, values) else _exact(values)
+
+
+def _in_range(total: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """An exact sum ``total``, raising TickOverflowError if an entry that
+    ``where`` marks (any entry, without it) falls outside the signed 64-bit
+    range; unmarked entries become 0. An int64 ``total`` is in range and
+    comes back as it is."""
+    if total.dtype != object:
+        return total
+    if where is not None:
+        total = np.where(where, total, 0)
+    if np.any((total < INT64_MIN) | (total > INT64_MAX)):
+        raise TickOverflowError("a local timestamp falls outside the signed 64-bit range")
+    return total
 
 
 def _perturbation(skew: np.ndarray, half_drift: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -157,11 +173,6 @@ def _within(bound: float, *arrays: np.ndarray) -> bool:
     return all(not x.size or (-bound < x.min() and x.max() < bound) for x in arrays)
 
 
-def _columns(where: Optional[np.ndarray], j: int):
-    """The rows of column j that a bulk read takes: all, or the marked ones."""
-    return slice(None) if where is None else where[:, j]
-
-
 def local_times(clocks: Sequence[ClockState], t_true: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
     """local_time of many clocks at once: column j of the int64 (instants x
     clocks) matrix ``t_true`` is read by ``clocks[j]``; an (instants x 1)
@@ -170,43 +181,29 @@ def local_times(clocks: Sequence[ClockState], t_true: np.ndarray, where: Optiona
 
     With ``where`` (a boolean matrix of the result's shape) only the marked
     instants are read and checked; the other entries are left undefined.
-    Temporaries are bounded by evaluating _BLOCK elements at a time.
+    _BLOCK elements are evaluated at a time, which bounds the temporaries:
+    a block sums base, instant and perturbation in int64 when every term is
+    below 2**61, so that no sum wraps, and in exact ints otherwise.
     """
     t = np.asarray(t_true, dtype=np.int64)
-    local = np.empty((len(t), len(clocks)), dtype=np.int64)
-    exact = np.ones(len(clocks), dtype=bool)   # columns read in int64; the others one instant at a time
-    for j, clock in enumerate(clocks):   # the base in force at each instant, straight into the result
-        installed_at, base = clock.arrays()
-        if base is None:
-            exact[j] = False
-            local[:, j] = 0
-        else:
-            local[:, j] = base[np.searchsorted(installed_at, t[:, j if t.shape[1] > 1 else 0], "right")]
+    trajectories = [clock.arrays() for clock in clocks]
+    exact = any(base.dtype == object for _, base in trajectories)
+    local = np.empty((len(t), len(clocks)), dtype=object if exact else np.int64)
+    for j, (installed_at, base) in enumerate(trajectories):   # the base in force at each instant, into the result
+        local[:, j] = base[np.searchsorted(installed_at, t[:, j if t.shape[1] > 1 else 0], "right")]
     skew, half_drift = _rates(clocks)
     rows = max(1, _BLOCK // max(1, len(clocks)))
     for start in range(0, len(t), rows):
         block = slice(start, start + rows)
         tb, base = t[block], local[block]
-        marked = None if where is None else where[block]
         perturbation = _perturbation(skew, half_drift, tb)
-        if not _within(2.0**63, perturbation):   # some term does not convert to int64
-            castable = np.abs(perturbation) < 2.0**63
-            exact &= np.all(castable if marked is None else castable | ~marked, axis=0)
-            perturbation = np.where(castable, perturbation, 0.0)
-        rounded = perturbation.astype(np.int64)
-        read = base + tb
-        read += rounded
-        if not _within(2.0**61, base, tb, perturbation):   # the int64 sums may have wrapped
-            partial = base + tb
-            wrapped = (_wrapped(base, tb, partial) + _wrapped(partial, rounded, read) != 0) & exact
-            if np.any(wrapped if marked is None else wrapped & marked):
-                raise TickOverflowError("a local timestamp falls outside the signed 64-bit range")
+        if _within(2.0**61, base, tb, perturbation):
+            read = base + tb
+            read += perturbation.astype(np.int64)
+        else:
+            read = _in_range(_exact(base) + _exact(tb) + _exact(perturbation), None if where is None else where[block])
         local[block] = read
-    for j in np.flatnonzero(~exact).tolist():
-        rows_j = _columns(where, j)
-        instants = (t[:, j] if t.shape[1] > 1 else t[:, 0])[rows_j]
-        local[rows_j, j] = [local_time(clocks[j], x) for x in instants.tolist()]
-    return local
+    return local.astype(np.int64, copy=False)
 
 
 def stamps(clocks: Sequence[ClockState], t_true: np.ndarray, rngs: Sequence[Optional[RngStream]],
@@ -215,29 +212,18 @@ def stamps(clocks: Sequence[ClockState], t_true: np.ndarray, rngs: Sequence[Opti
     noise of ``clocks[j]``, drawn from ``rngs[j]`` one instant after another
     down the column (only the marked ones under ``where``). The same values
     and the same draws as successive stamp calls; a column that draws nothing
-    (no instant, or no stamp noise) may have no stream."""
+    (no instant, or no stamp noise) may have no stream. The noise is added in
+    int64 when every term is below 2**62, and in exact ints otherwise."""
     local = local_times(clocks, t_true, where)
-    counts = [len(local)] * len(clocks) if where is None else np.count_nonzero(where, axis=0).tolist()
+    marked = np.ones(local.shape, dtype=bool) if where is None else where
     noise = np.zeros(local.shape)
-    for j, (clock, rng, count) in enumerate(zip(clocks, rngs, counts)):
+    for j, (clock, rng, count) in enumerate(zip(clocks, rngs, np.count_nonzero(marked, axis=0).tolist())):
         if clock.params.stamp_noise_sigma and count:
-            noise[_columns(where, j), j] = rng.gauss_ticks(clock.params.stamp_noise_sigma, count)
-    exact = np.ones(len(clocks), dtype=bool)   # columns whose noise converts to int64
-    if not _within(2.0**63, noise):
-        exact = np.all(np.abs(noise) < 2.0**63, axis=0)
-    whole = (noise if exact.all() else np.where(exact, noise, 0.0)).astype(np.int64)
-    if _within(2.0**62, local, whole):   # no int64 sum can wrap
-        stamped = np.add(local, whole, out=whole)
-    else:
-        stamped = local + whole
-        wrapped = (_wrapped(local, whole, stamped) != 0) & exact
-        if np.any(wrapped if where is None else wrapped & where):
-            raise TickOverflowError("a timestamp falls outside the signed 64-bit range")
-    for j in np.flatnonzero(~exact).tolist():
-        rows_j = _columns(where, j)
-        stamped[rows_j, j] = [in_tick_range(x + int(n))
-                              for x, n in zip(local[rows_j, j].tolist(), noise[rows_j, j].tolist())]
-    return stamped
+            noise[marked[:, j], j] = rng.gauss_ticks(clock.params.stamp_noise_sigma, count)
+    if _within(2.0**62, local, noise):
+        noise = noise.astype(np.int64)
+        return np.add(local, noise, out=noise)
+    return _in_range(_exact(local) + _exact(noise), where).astype(np.int64)
 
 
 def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray, reading: np.ndarray) -> np.ndarray:
@@ -249,29 +235,22 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
     With u_i the clock's unstepped reading at ``at[i]``, the correction after
     step i is c_i = reading_i - u_i, so step i is c_{i-1} - c_i (c = 0 before
     the first step): a same-tick step reads what the previous one installed.
-    The arithmetic is int64 while every term is small, else exact Python
-    ints in object arrays, and so is the result.
+    Each term goes through whole(): int64 while below 2**59, so that no sum
+    of the few here wraps, else exact ints, and so does every sum with it,
+    the result included.
     """
     if not len(which):
         return np.empty(0, dtype=np.int64)
     skew, half_drift = _rates(clocks)
-    rounded = _perturbation(skew[which], half_drift[which], at)
-    theta0 = [clock.params.theta0 for clock in clocks]
-    small = (reading.dtype != object and _within(_SMALL, reading, at, rounded)
-             and max(map(abs, theta0)) < _SMALL)
-    if small:
-        theta0, rounded = np.array(theta0, dtype=np.int64)[which], rounded.astype(np.int64)
-    else:
-        theta0, rounded = np.array(theta0, dtype=object)[which], np.frompyfunc(int, 1, 1)(rounded)
-        at, reading = at.astype(object), reading.astype(object)
+    rounded = whole(_perturbation(skew[which], half_drift[which], at))
+    theta0 = whole(np.array([clock.params.theta0 for clock in clocks], dtype=object))[which]
+    at, reading = whole(at), whole(reading)
     unstepped = theta0 + at + rounded
     correction = reading - unstepped
     first = np.ones(len(which), dtype=bool)
     first[1:] = which[1:] != which[:-1]
-    before = unstepped + np.where(first, 0, np.roll(correction, 1))   # each step's read of the clock
-    outside = (before < INT64_MIN) | (before > INT64_MAX) | (reading < INT64_MIN) | (reading > INT64_MAX)
-    if not small and np.any(outside):
-        raise TickOverflowError("a local timestamp falls outside the signed 64-bit range")
+    before = _in_range(unstepped + np.where(first, 0, np.roll(correction, 1)))   # each step's read of the clock
+    _in_range(reading)
     starts = np.flatnonzero(first).tolist()
     for start, stop in zip(starts, starts[1:] + [len(which)]):
         clock = clocks[which[start]]

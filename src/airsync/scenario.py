@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, local_time, local_times, set_readings, stamp, stamps
+from .clocks import ClockParams, ClockState, local_time, local_times, set_readings, stamp, stamps, whole
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, TickOverflowError
@@ -337,7 +337,7 @@ class _Runner:
 
         device, slot = np.nonzero(lands.T)   # device-major: each device's landings in order
         at = arrival[slot, device]
-        reading = _whole(np.array(quantized, dtype=object))[slot]
+        reading = whole(np.array(quantized, dtype=object))[slot]
         reading += delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // plan.ta_timer_period]
         # then each gateway's relays into its legacy devices, one draw per landing
         nodes, which, ats, readings, kinds = list(devices), [device], [at], [reading], [SIB16]
@@ -348,7 +348,7 @@ class _Runner:
                 which.append(np.full(len(landed), len(nodes)))
                 nodes.append(child)
                 ats.append(at[landed])
-                readings.append(reading[landed] + _whole(rng.gauss_ticks(plan.gw_relay_sigma, len(landed))))
+                readings.append(reading[landed] + whole(rng.gauss_ticks(plan.gw_relay_sigma, len(landed))))
                 parents.append(landed)
                 kinds.append(GW_RELAY)
         which, at, reading = np.concatenate(which), np.concatenate(ats), np.concatenate(readings)
@@ -501,15 +501,6 @@ class _Runner:
             rng_b=derive_stream(self.seed, f"fault/{pmu_b}"),
         )
         return FaultStamps(probe_at, pmu_a, pmu_b, stamp_a, stamp_b)
-
-
-def _whole(values: np.ndarray) -> np.ndarray:
-    """Whole numbers (Python ints or whole floats) as int64 while each is below
-    2**58 in magnitude, so that set_readings' sums of a few stay exact, else as
-    exact Python ints in an object array."""
-    if np.all(np.abs(values) < 2**58):
-        return values.astype(np.int64)
-    return np.frompyfunc(int, 1, 1)(values)
 
 
 def run_scenario(scenario: Scenario, duration: int) -> RawTrace:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from airsync import cli, engine, scenario
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
+from airsync.clocks import ClockState, local_time
 from airsync.config import Workload, load_config
 from airsync.scenario import CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, build_scenario, run_scenario
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
@@ -388,10 +389,19 @@ def test_run_phase_at_the_limit_runs(tmp_path):
     # |theta0| = INT64_MAX - 2 * duration, both signs: every reading stays in range
     limit = INT64_MAX - 2 * 300 * TICKS_PER_MS
     raw = small_config()
-    raw["nodes"][2]["clock"] = {"theta0": f"{limit} ticks"}
-    raw["nodes"][3]["clock"] = {"theta0": f"{-limit} ticks"}
+    raw["nodes"][2]["clock"]["theta0"] = f"{limit} ticks"
+    raw["nodes"][3]["clock"]["theta0"] = f"{-limit} ticks"
     config = write_yaml(tmp_path / "edge.yaml", raw)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--trace"]) == 0
+    # and every sampled error is the scalar reading of the clock replayed from the correction log
+    scenario_config = load_config(config)
+    built = build_scenario(scenario_config)
+    trace = run_scenario(built, scenario_config.duration)
+    clocks = {node: ClockState(params) for node, params in built.clocks.items()}
+    for c in trace.corrections:
+        clocks[c.node].step(c.t_true, c.delta)
+    assert trace.errors.tolist() == [[local_time(clocks[node], t) - t for node in trace.sampled]
+                                     for t in trace.instants.tolist()]
 
 
 def test_run_missing_config_exits_2(tmp_path):

@@ -239,6 +239,12 @@ def _matrix(rows: list, width: int) -> tuple[np.ndarray, np.ndarray]:
 @example(([ClockState(ClockParams(theta0=INT64_MAX - 10**6, skew_y=-9e-4))], []), [1_000_500])
 # past 2**53 ticks, t / TICKS_PER_SECOND must divide the exact int, as Python does
 @example(([ClockState(ClockParams(drift_a=1e-9))], []), [36_361_359_135_263_771])
+# in one block with an ordinary clock, a clock whose base leaves int64 (theta0 + 10
+# after its step) while every reading, at a negative instant, stays in range
+@example(([ClockState(ClockParams(theta0=5, skew_y=1e-6)), stepped(ClockParams(theta0=INT64_MAX), (-100, -10))],
+          [[(-50, True), (-20, True)], [(-(10**6), True), (-(10**6), True)]]), [-(10**6)])
+# an unmarked instant whose reading would overflow, beside a marked one that does not
+@example(([ClockState(ClockParams(theta0=INT64_MAX - 10))], [[(5, True)], [(100, False)]]), [])
 def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
     # many clocks read together: every clock at shared instants (around each
     # one's steps too), then each at its own instants, only the marked ones
@@ -257,12 +263,24 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
             assert {(i, j): local[i, j] for i, j in expected} == expected
 
 
+class _Drawn:
+    """Stands in for st.data() in an @example: every draw gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(_PHASE, _SKEW, st.sampled_from([0.0, 0.4, 308.0]) | st.floats(0, 1e30)), min_size=1, max_size=3),
     st.integers(0, 2**32),
     st.data(),
 )
+# noise alone past 2**62 (seed 5 draws +0.84 sigma), the stamp back in range
+@example([(INT64_MIN + 10**6, 0.0, 2.0**63)], 5, _Drawn([[(0, True)]]))
 def test_bulk_stamps_equal_successive_stamp_calls(params, seed, data):
     clocks = [ClockState(ClockParams(theta0=theta0, skew_y=skew, stamp_noise_sigma=sigma))
               for theta0, skew, sigma in params]

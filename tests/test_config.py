@@ -383,6 +383,19 @@ def test_every_error_type_is_raised():
     assert {t.__name__ for t in types} - live == set()
 
 
+def test_only_clocks_converts_to_exact_ints():
+    """The int64-or-exact-ints decision lives in clocks.py: no other module
+    under src/airsync/ builds its own np.frompyfunc(int, ...) converter."""
+    src = Path(__file__).resolve().parent.parent / "src" / "airsync"
+    converting = set()
+    for module in src.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "frompyfunc"
+                    and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "int"):
+                converting.add(module.name)
+    assert converting == {"clocks.py"}
+
+
 # --- every config that validates runs ----------------------------------------------
 
 BUNDLED = {path.name: yaml.safe_load(path.read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airsync import clocks as clocks_module
 from airsync import scenario as scenario_module
 from airsync.clocks import ClockState, clock_error, local_time
 from airsync.config import DelayDistribution, Role, load_config, validate_config
@@ -436,6 +437,29 @@ def test_each_stream_label_derived_once_per_run(cfg, monkeypatch):
     run_scenario(scenario, cfg.duration)
     assert labels
     assert [label for label, n in labels.items() if n > 1] == []
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch):
+    # exact Python ints are for clocks near the int64 edge: a bundled run never
+    # converts to them, and every trajectory base it leaves is int64
+    runners = []
+
+    class Kept(scenario_module._Runner):
+        def run(self):
+            runners.append(self)
+            return super().run()
+
+    def exact(values):
+        raise AssertionError(f"a bulk sum left int64 for exact ints: {values!r}")
+
+    monkeypatch.setattr(scenario_module, "_Runner", Kept)
+    monkeypatch.setattr(clocks_module, "_exact", exact)
+    cfg = load_config(path)
+    run_scenario(build_scenario(cfg), cfg.duration)
+    (runner,) = runners
+    assert {node: clock.arrays()[1].dtype for node, clock in runner.clocks.items()} == \
+        dict.fromkeys(runner.clocks, np.dtype(np.int64))
 
 
 def test_two_way_enablers_keep_no_ta_state(monkeypatch):
