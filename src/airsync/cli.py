@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -81,7 +80,7 @@ def _dump_json(obj: Any) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-TRACE_CHUNK_ROWS = 4096   # rows rendered at a time: bounds the trace writer's memory
+TRACE_CHUNK_ROWS = 1024   # rows rendered at a time: bounds the trace writer's memory
 
 
 def _trace_json(trace: RawTrace) -> Iterator[str]:
@@ -93,27 +92,35 @@ def _trace_json(trace: RawTrace) -> Iterator[str]:
     filled into one ``%`` template, so a cell's text is never parsed. An id or
     a kind is JSON-encoded once, and its index column picks the text. A
     samples row is an instant and a sampled node, so a samples chunk holds
-    whole instants, one at least."""
+    whole instants, one at least: its template holds one instant's rows with
+    the node ids written in (``%`` escaped), and each instant is formatted
+    once, its text shared by the instant's rows."""
     workload = trace.workload
     sampled, targets, kinds = ([json.dumps(name) for name in names] for names in (
         trace.sampled, workload.targets if workload is not None else (), CORRECTION_KINDS))
     log, deliveries, errors = trace.correction_log, trace.deliveries, trace.errors
-    per_instant = max(len(sampled), 1)
-    tables = (   # name, length and chunk size (in rows, or instants for samples), a chunk's cell columns
-        ("corrections", len(log), TRACE_CHUNK_ROWS, lambda chunk: [
+    row = "    [\n" + ",\n".join(["      %s"] * 5) + "\n    ]"
+    instant = ",\n".join("    [\n      %s,\n      " + node.replace("%", "%%") + ",\n      %s\n    ]"
+                         for node in sampled)
+
+    def sample_cells(chunk: slice) -> list[list]:
+        times = [str(t) for t in trace.instants[chunk].tolist()]
+        return [cells for column in errors[chunk].T.tolist() for cells in (times, column)]
+
+    tables = (   # name, length and chunk size (in rows, or instants for samples), template, a chunk's cell columns
+        ("corrections", len(log), TRACE_CHUNK_ROWS, row, lambda chunk: [
             log["t_true"][chunk].tolist(), [sampled[i] for i in log["node"][chunk].tolist()],
             log["delta"][chunk].tolist(), [kinds[i] for i in log["kind"][chunk].tolist()],
             log["error_after"][chunk].tolist()]),
-        ("deliveries", len(deliveries), TRACE_CHUNK_ROWS, lambda chunk: [
+        ("deliveries", len(deliveries), TRACE_CHUNK_ROWS, row, lambda chunk: [
             [targets[i] for i in deliveries.node[chunk].tolist()], deliveries.grid_index[chunk].tolist(),
             workload.grid_point(deliveries.grid_index[chunk]).tolist(), deliveries.true_arrival[chunk].tolist(),
             deliveries.local_stamp[chunk].tolist()]),
-        ("samples", len(errors) if sampled else 0, max(TRACE_CHUNK_ROWS // per_instant, 1), lambda chunk: [
-            trace.instants[chunk].repeat(per_instant).tolist(), sampled * len(errors[chunk]),
-            errors[chunk].ravel().tolist()]),
+        ("samples", len(errors) if sampled else 0, max(TRACE_CHUNK_ROWS // max(len(sampled), 1), 1),
+         instant, sample_cells),
     )
     yield "{\n"
-    for i, (name, length, step, cells) in enumerate(tables):
+    for i, (name, length, step, template, cells) in enumerate(tables):
         yield (",\n" if i else "") + f'  "{name}": ['
         for start in range(0, length, step):
             columns = cells(slice(start, start + step))
@@ -121,19 +128,18 @@ def _trace_json(trace: RawTrace) -> Iterator[str]:
             flat = [None] * (width * rows)
             for j, column in enumerate(columns):
                 flat[j::width] = column
-            row = "    [\n" + ",\n".join(["      %s"] * width) + "\n    ]"
-            yield (",\n" if start else "\n") + ",\n".join([row] * rows) % tuple(flat)
+            yield (",\n" if start else "\n") + ",\n".join([template] * rows) % tuple(flat)
         yield "\n  ]" if length else "]"
     yield "\n}\n"
 
 
-def _dump_csv(obj: Any) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def _write_csv(obj: Any, handle) -> None:
+    """``obj`` as (flattened key path, JSON value) rows. A leaf of ``_flatten``
+    is always a scalar (an empty dict or list gives no row), so plain
+    ``json.dumps`` writes it as a key-sorted dump would."""
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in sorted(_flatten(_jsonable(obj))):
-        writer.writerow([key, json.dumps(value, sort_keys=True)])
-    return buffer.getvalue()
+    writer.writerows([key, json.dumps(value)] for key, value in sorted(_flatten(_jsonable(obj))))
 
 
 def _prepare_out_dir(out: str) -> Path:
@@ -147,12 +153,17 @@ def _prepare_out_dir(out: str) -> Path:
 
 
 def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str) -> list[str]:
+    """Writes ``payload`` as ``name``.json and/or ``name``.csv. Both renderings
+    are streamed to their files: neither text is ever held whole."""
     written = []
     if fmt in ("json", "both"):
-        (out_dir / f"{name}.json").write_text(_dump_json(payload), encoding="utf-8")
+        with open(out_dir / f"{name}.json", "w", encoding="utf-8") as handle:
+            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+            handle.write("\n")
         written.append(f"{name}.json")
     if fmt in ("csv", "both"):
-        (out_dir / f"{name}.csv").write_text(_dump_csv(payload), encoding="utf-8")
+        with open(out_dir / f"{name}.csv", "w", encoding="utf-8") as handle:
+            _write_csv(payload, handle)
         written.append(f"{name}.csv")
     return written
 

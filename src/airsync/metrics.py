@@ -151,7 +151,9 @@ def pairwise_offset_stats(errors: np.ndarray, columns: Optional[Sequence[int]] =
     ``errors`` is an (instants x nodes) matrix in ticks, of which the nodes
     ``columns`` (default: all) take part. A row's spread, max - min, lies in
     [0, 2**64), so it is taken exactly in uint64; the row max and min are
-    folded in column by column, so the matrix is never copied.
+    folded in column by column, so the matrix is never copied. The spread
+    overwrites the max, and its float copy the min: two column-sized buffers
+    in all.
     """
     columns = range(errors.shape[1]) if columns is None else columns
     if len(columns) < 2:
@@ -161,7 +163,10 @@ def pairwise_offset_stats(errors: np.ndarray, columns: Optional[Sequence[int]] =
     for j in columns[1:]:
         np.maximum(high, errors[:, j], out=high)
         np.minimum(low, errors[:, j], out=low)
-    return _percentiles(high.astype(np.uint64) - low.astype(np.uint64))
+    spread = np.subtract(high.view(np.uint64), low.view(np.uint64), out=high.view(np.uint64))
+    magnitude = low.view(float)
+    magnitude[...] = spread
+    return _percentiles_in_place(magnitude)
 
 
 def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
@@ -257,18 +262,18 @@ def build_report(
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
     errors = trace.errors
-    # |error| goes straight into one float64 buffer, which is then partitioned
-    per_node = {node: _percentiles_in_place(np.abs(column, dtype=float))
-                for node, column in sorted(zip(trace.sampled, errors.T))}
     devices = [j for j, node in enumerate(trace.sampled) if node in trace.devices]
+    # the report's one float64 buffer: |error| of each node's column goes into
+    # its first row to be partitioned, then the device columns' into its rows
+    magnitude = np.empty((max(len(devices), 1), len(errors)))
+    per_node = {node: _percentiles_in_place(np.abs(column, out=magnitude[0], dtype=float))
+                for node, column in sorted(zip(trace.sampled, errors.T))}
     device_error = None
     if devices and errors.size:
-        # the device columns' |error|, filled one by one into a single float buffer
-        magnitude = np.empty((len(devices), len(errors)))
-        for row, j in zip(magnitude, devices):
-            np.abs(errors[:, j], out=row, dtype=float)
+        for row, j in enumerate(devices):   # an index: a row view left bound would keep the buffer
+            np.abs(errors[:, j], out=magnitude[row], dtype=float)
         device_error = _percentiles_in_place(magnitude)
-        del magnitude
+    del magnitude
     pairwise = pairwise_offset_stats(errors, devices) if len(devices) >= 2 else None
 
     jitter = None

@@ -1,0 +1,25 @@
+"""Fixtures shared by the test modules."""
+
+import tracemalloc
+
+import pytest
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(work)`` calls ``work()`` and returns the most bytes it held
+    at once beyond what was allocated before it, as tracemalloc counts them
+    (numpy's array buffers included)."""
+    def measure(work) -> int:
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            work()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure

@@ -327,6 +327,22 @@ def test_trace_writer_chunk_edges(monkeypatch, sizes, chunk_rows, nodes):
     assert max(piece.count("    [\n") for piece in pieces) <= max(chunk_rows, nodes)
 
 
+def test_trace_writer_working_set_does_not_grow_with_the_trace(traced_peak):
+    # 100,000 instants x 4 nodes, about 6 MB of text: rendering it holds one
+    # chunk's cells and text at a time, under a bound set for any length
+    instants, sampled = 100_000, ("ue1", "ue2", "ue3", "ue4")
+    trace = RawTrace(
+        sampled=sampled, instants=np.arange(instants, dtype=np.int64) * TICKS_PER_MS,
+        errors=engine.derive_stream(5, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
+        workload=None, deliveries=np.empty(0, dtype=DELIVERY_DTYPE).view(np.recarray),
+        correction_log=np.empty(0, dtype=CORRECTION_DTYPE), devices=frozenset(sampled),
+        ta_index={}, lost_sync=0, fault=None,
+    )
+    written = []
+    assert traced_peak(lambda: written.extend(len(piece) for piece in _trace_json(trace))) <= 2**19
+    assert sum(written) > 6 * 10**6
+
+
 INT64 = st.integers(INT64_MIN, INT64_MAX)
 TEXT = st.text() | st.sampled_from(ODD_IDS)
 

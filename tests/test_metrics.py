@@ -21,7 +21,7 @@ from airsync.metrics import (
     pairwise_offset_stats,
 )
 from airsync.scenario import CORRECTION_DTYPE, DELIVERY_DTYPE, RawTrace, build_scenario, fault_wave_stamps, run_scenario
-from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
+from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
 US = TICKS_PER_US
@@ -94,6 +94,16 @@ def test_pairwise_common_mode_rejection():
 def test_pairwise_needs_two_nodes():
     with pytest.raises(InsufficientNodesError):
         pairwise_offset_stats(_samples({"only": 5}))
+
+
+def test_pairwise_spread_at_the_int64_edges_is_exact():
+    # spreads of 2**64 - 1 and of 1 at both ends of int64; taken in floats,
+    # the spreads of 1 would read 0. Column 1 takes no part.
+    errors = np.array([[INT64_MIN, 0, INT64_MAX], [INT64_MAX, 0, INT64_MIN], [INT64_MAX - 1, 0, INT64_MAX],
+                       [INT64_MIN + 1, 0, INT64_MIN], [5, 0, 5]], dtype=np.int64)
+    stats = pairwise_offset_stats(errors, [0, 2])
+    assert stats == _percentiles([float(2**64 - 1), float(2**64 - 1), 1.0, 1.0, 0.0])
+    assert stats["max"] == float(2**64 - 1) and stats["p50"] == 1.0
 
 
 # --- jitter ------------------------------------------------------------------------
@@ -282,6 +292,20 @@ def test_report_equals_the_row_grouping_reference(run):
         worst = max(abs(row[i] - row[j]) for row in errors
                     for i, j in combinations([k for k, node in enumerate(sampled) if node in devices], 2))
         assert report.pairwise["max"] == float(worst)
+
+
+def test_the_report_holds_one_float_buffer_of_the_device_columns(traced_peak):
+    # 2 device columns of 5: beyond the trace, the report holds one float64
+    # buffer of the device columns and a constant (numpy's cast buffer among
+    # it); the pairwise pass's two int64 columns fit in the same room
+    instants, sampled, devices = 100_000, ("bs1", "ue1", "gw", "ld1", "ue2"), frozenset(("ue1", "ue2"))
+    trace = RawTrace(
+        sampled=sampled, instants=np.arange(instants, dtype=np.int64) * MS,
+        errors=derive_stream(3, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
+        workload=None, deliveries=_deliveries_of([]), correction_log=np.empty(0, dtype=CORRECTION_DTYPE),
+        devices=devices, ta_index={}, lost_sync=0, fault=None,
+    )
+    assert traced_peak(lambda: build_report(trace)) <= len(devices) * instants * 8 + 2**17
 
 
 _REF = {"id": "ref", "role": "reference"}
