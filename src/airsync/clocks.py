@@ -15,11 +15,11 @@ enters solely through stamp().
 local_times() and stamps() are the bulk readers: they read many clocks at
 once, each at its own int64 instants, and give exactly what local_time() and
 successive stamp() calls give, raising TickOverflowError on the same inputs.
-set_readings() is ClockState.set for many steps of fresh clocks at once.
-Their arithmetic follows one rule: int64 while every term is small enough
-that no sum of a few can wrap, and exact Python ints in object arrays
-otherwise (whole() makes that choice), with the signed 64-bit range checked
-on the exact sums only.
+set_readings() is ClockState.set for many steps of fresh clocks at once, and
+read_steps() its inverse. Their arithmetic follows one rule: int64 while
+every term is small enough that no sum of a few can wrap, and exact Python
+ints in object arrays otherwise (whole() makes that choice), with the signed
+64-bit range checked on the exact sums only.
 """
 
 from __future__ import annotations
@@ -226,21 +226,19 @@ def stamps(clocks: Sequence[ClockState], t_true: np.ndarray, rngs: Sequence[Opti
     return _in_range(_exact(local) + _exact(noise), where).astype(np.int64)
 
 
-def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray, reading: np.ndarray) -> np.ndarray:
+def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray, reading: np.ndarray) -> None:
     """ClockState.set for many steps of clocks that have taken none yet: step
     i sets ``clocks[which[i]]`` to read ``reading[i]`` at true time ``at[i]``.
-    Each clock's steps are contiguous and in time order. Installs them and
-    returns the step each one takes, with set's range checks.
+    Each clock's steps are contiguous and in time order. Installs them, with
+    set's range checks on each step's read and reading.
 
     With u_i the clock's unstepped reading at ``at[i]``, the correction after
-    step i is c_i = reading_i - u_i, so step i is c_{i-1} - c_i (c = 0 before
-    the first step): a same-tick step reads what the previous one installed.
-    Each term goes through whole(): int64 while below 2**59, so that no sum
-    of the few here wraps, else exact ints, and so does every sum with it,
-    the result included.
+    step i is c_i = reading_i - u_i, and step i reads u_i + c_{i-1} (c = 0
+    before the first step). Each term goes through whole(): int64 while
+    below 2**59, so that no sum of the few here wraps, else exact ints.
     """
     if not len(which):
-        return np.empty(0, dtype=np.int64)
+        return
     skew, half_drift = _rates(clocks)
     rounded = whole(_perturbation(skew[which], half_drift[which], at))
     theta0 = whole(np.array([clock.params.theta0 for clock in clocks], dtype=object))[which]
@@ -249,7 +247,7 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
     correction = reading - unstepped
     first = np.ones(len(which), dtype=bool)
     first[1:] = which[1:] != which[:-1]
-    before = _in_range(unstepped + np.where(first, 0, np.roll(correction, 1)))   # each step's read of the clock
+    _in_range(unstepped + np.where(first, 0, np.roll(correction, 1)))   # each step's read of the clock
     _in_range(reading)
     starts = np.flatnonzero(first).tolist()
     for start, stop in zip(starts, starts[1:] + [len(which)]):
@@ -258,4 +256,21 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
             raise ValueError("set_readings steps only clocks that have taken no step")
         clock.installed_at, clock.correction = at[start:stop].tolist(), correction[start:stop].tolist()
         clock._arrays = None
-    return before - reading
+
+
+def read_steps(clocks: Sequence[ClockState]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """set_readings inverted: every step of ``clocks``, clock by clock, as
+    (which, at, delta, error). Step i took ``clocks[which[i]]``'s reading
+    down by ``delta[i]`` (the arrays() base before it minus the base after)
+    at true time ``at[i]``, to ``at[i] + error[i]`` (the base after plus the
+    rounded perturbation). By whole()'s rule; not range-checked."""
+    trajectories = [clock.arrays() for clock in clocks]
+    which = np.repeat(np.arange(len(clocks)), [len(installed_at) for installed_at, _ in trajectories])
+    if not len(which):
+        return which, *(np.empty(0, dtype=np.int64),) * 3
+    at = np.concatenate([installed_at for installed_at, _ in trajectories])
+    base = whole(np.concatenate([base for _, base in trajectories]))
+    after = np.arange(len(which)) + which + 1   # a clock's bases are one more than its steps
+    skew, half_drift = _rates(clocks)
+    error = base[after] + whole(_perturbation(skew[which], half_drift[which], at))
+    return which, at, base[after - 1] - base[after], error

@@ -721,7 +721,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
     This is the only place a config is checked: field rules first, then the
     rules of the node graph, each naming the offending field path.
     """
-    top = _Section(copy.deepcopy(raw), "", _TOP)
+    top = _Section(copy.copy(raw), "", _TOP)   # only the top level takes writes (the defaults)
     top["schema_version"]
     # reports embed this resolved mapping: the input plus top-level defaults
     for key, (default, _parse) in _TOP.items():
@@ -840,7 +840,7 @@ def set_config_value(raw: dict, path: str, value: Any) -> None:
 def replace_config_value(raw: dict, path: str, value: Any) -> dict:
     """A copy of ``raw`` with ``path`` set to ``value``, leaving ``raw`` as it
     is. Only the dicts and lists along the path are copied; the copy shares
-    the rest with ``raw``, which ``validate_config`` copies whole anyway."""
+    the rest with ``raw``, which ``validate_config`` only reads."""
     tokens = _split_path(path)
     top = current = dict(raw)
     for token in tokens[:-1]:

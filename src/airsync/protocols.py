@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import ClockState, stamp
+from .clocks import ClockState, stamp, whole
 from .engine import RngStream
 from .errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from .timebase import TA_STEP_TICKS
@@ -266,8 +266,9 @@ def ribs_align(
 # --- gateway relay -------------------------------------------------------------
 
 
-def gw_relay_sync(gw_reading: int, local_domain_error_sigma: float, rng: RngStream) -> int:
-    """The reading a legacy device adopts when its gateway, just synced over
-    the air to read ``gw_reading``, relays its time into the wired domain:
-    the gateway's own error plus a Gaussian local-domain term."""
-    return gw_reading + rng.gauss_ticks(local_domain_error_sigma)
+def gw_relay_sync(gw_readings: np.ndarray, local_domain_error_sigma: float, rng: RngStream) -> np.ndarray:
+    """The readings a legacy device adopts as its gateway, just synced over
+    the air to read each of ``gw_readings`` (as whole() gives them) in turn,
+    relays its time into the wired domain: the gateway's own error plus a
+    Gaussian local-domain term, one draw after another from ``rng``."""
+    return gw_readings + whole(rng.gauss_ticks(local_domain_error_sigma, len(gw_readings)))

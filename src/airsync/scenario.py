@@ -7,11 +7,10 @@ synchronization plan. Building a scenario only draws each node's clock
 parameters. Running it gives each node one clock and steps the clocks down
 the sync tree, parent first: the anchor BS, the other BSs (steered or
 RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
-whole cell in one array pass, or two-way, one exchange at a time), each
-gateway relaying into its legacy devices as it steps. A read at instant t
-sees every step installed at or before t. Samples, deliveries and the fault
-probe are then read from the finished clocks, all nodes at once, into the
-trace records.
+whole cell in one array pass, or two-way, one exchange at a time), then each
+gateway's legacy devices. A read at instant t sees every step installed at
+or before t. The correction log, samples, deliveries and the fault probe are
+then read from the finished clocks, all nodes at once, into the trace records.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, local_time, local_times, set_readings, stamp, stamps, whole
+from .clocks import ClockParams, ClockState, local_time, local_times, read_steps, set_readings, stamp, stamps, whole
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, TickOverflowError
@@ -99,8 +98,8 @@ class RawTrace:
     command, in stamp order, and none without a workload: ``node`` indexes
     ``workload.targets``, and the command's grid point is
     ``workload.grid_point(grid_index)``. ``correction_log`` has one row per
-    clock step, ordered by ``t_true``, steps at one tick in evaluation order
-    (BSs before devices, a gateway before its legacy devices); its ``node``
+    clock step, ordered by ``t_true``, steps at one tick as computed (BSs,
+    then devices, a gateway's step just before its relays of it); its ``node``
     indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS.
     ``devices`` holds the device node ids and ``ta_index`` each SIB16
     device's final TA index.
@@ -165,20 +164,20 @@ def build_scenario(config: ScenarioConfig, root_seed: Optional[int] = None) -> S
 
 
 class _Runner:
-    """One scenario run; owns each node's clock, TA state and correction log.
+    """One scenario run; owns each node's clock and TA state.
 
     Each node has one ClockState for the whole run, started from its drawn
-    parameters. The run walks the sync tree parent-first (the BSs, then each
-    BS's devices, each gateway's legacy devices inside its steps), so every
-    node's steps are computed in time order from its parent's finished
-    trajectory. Observations then read the clocks.
+    parameters: the run's one record of its steps. The run walks the sync
+    tree parent-first (the BSs, each BS's devices, each gateway's legacy
+    devices), so every node's steps are computed in time order from its
+    parent's finished trajectory. The log and observations read the clocks.
 
     Each stream label is derived at most once per run: a node's ``ta/``,
-    ``loss/`` and ``exchange/`` streams where its steps are computed, a legacy
-    device's ``relay/`` stream up front, and one-shot labels (a round's
-    broadcast or alignment, a target's delivery delays and stamps, the fault
-    probe) where they are used; a ``loss/``, ``delivery/`` or
-    ``delivery_stamp/`` stream that would draw nothing is not derived.
+    ``loss/``, ``exchange/`` and ``relay/`` streams where its steps are
+    computed, and one-shot labels (a round's broadcast or alignment, a
+    target's delivery delays and stamps, the fault probe) where they are
+    used; a ``loss/``, ``delivery/`` or ``delivery_stamp/`` stream that
+    would draw nothing is not derived.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
@@ -191,34 +190,21 @@ class _Runner:
         self.ta_index: dict[str, int] = {}
         self.sampled = tuple(n.id for n in self.nodes.values() if n.role is not Role.REFERENCE)
         self.node_index = {node: i for i, node in enumerate(self.sampled)}
-        self.log: list[tuple] = []   # the corrections as blocks of CORRECTION_DTYPE columns, in evaluation order
-        self.rows: list[int] = []    # single corrections not yet in a block, one row of ints after another
         self.lost_sync = 0
         self.base_stations = [n.id for n in self.nodes.values() if n.role is Role.BASE_STATION]
         self.attached: dict[str, list[str]] = {bs: [] for bs in self.base_stations}
-        self.relays: dict[str, list[tuple[str, RngStream]]] = {}   # a gateway's legacy devices
+        self.relays: dict[str, list[str]] = {}   # a gateway's legacy devices
         for node in self.nodes.values():
             if node.role in ATTACHED_ROLES and node.attach_to in self.attached:
                 self.attached[node.attach_to].append(node.id)
             elif node.role is Role.LEGACY:
-                self.relays.setdefault(node.attach_to, []).append(
-                    (node.id, derive_stream(self.seed, f"relay/{node.id}")))
+                self.relays.setdefault(node.attach_to, []).append(node.id)
         nodes = self.nodes   # closing over self instead would hold the runner in a reference cycle
         self.prop = cache(lambda a, b: link_propagation(nodes[a], nodes[b]))
 
     def rounds(self, period: int) -> range:
         """The start of every round of a ``period`` cadence within the run."""
         return range(0, self.duration + 1, period)
-
-    def set_clock(self, node: str, kind: int, at: int, reading: int) -> None:
-        """Set ``node``'s clock to ``reading`` at true time ``at``: the one
-        clock change of a run outside the SIB16 cell pass (sib_syncs). Logs
-        the correction (``kind`` indexes CORRECTION_KINDS) and relays a
-        gateway's new reading into its wired domain."""
-        delta = self.clocks[node].set(at, reading)
-        self.rows.extend((at, self.node_index[node], delta, kind, reading - at))
-        for child, rng in self.relays.get(node, ()):  # only gateways have children
-            self.set_clock(child, GW_RELAY, at, gw_relay_sync(reading, self.plan.gw_relay_sigma, rng))
 
     # -- alignment --
 
@@ -233,7 +219,7 @@ class _Runner:
                 if align.mode is BsAlignmentMode.RIBS and i > 0:
                     self.ribs_sync(self.base_stations[0], bs, round_no, at)
                 else:
-                    self.set_clock(bs, BS_ALIGN, at, at + (align.error if i > 0 else 0))
+                    self.clocks[bs].set(at, at + (align.error if i > 0 else 0))
 
     def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
         """``bs`` aligns to the anchor in the round starting at ``at``: by a
@@ -246,7 +232,7 @@ class _Runner:
             return
         rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
         if mode is RibsMode.TWO_WAY:
-            self.twoway_step(anchor, bs, BS_ALIGN, at, prop, prop, rng, landing)
+            self.twoway_step(anchor, bs, at, prop, prop, rng, landing)
             return
         helper_index = None
         if mode is RibsMode.LISTEN_TA:
@@ -255,9 +241,9 @@ class _Runner:
                 derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
             )
             helper_index = compute_ta_initial(rtt).value
-        self.set_clock(bs, BS_ALIGN, *ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
+        self.clocks[bs].set(*ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
 
-    def twoway_step(self, initiator: str, node: str, kind: int, at: int, delay_forward: int, delay_back: int,
+    def twoway_step(self, initiator: str, node: str, at: int, delay_forward: int, delay_back: int,
                     rng: RngStream, landing: int) -> None:
         """The two-way exchange ``initiator`` starts with ``node`` at ``at``:
         ``node`` steps at ``landing`` by the offset it measured. One whose
@@ -271,7 +257,7 @@ class _Runner:
         except CausalityViolationError:
             self.lost_sync += 1
             return
-        self.set_clock(node, kind, landing, local_time(clock, landing) - offset)
+        clock.set(landing, local_time(clock, landing) - offset)
 
     # -- per-device OTA sync --
 
@@ -305,8 +291,7 @@ class _Runner:
     def sib_syncs(self, bs: str) -> None:
         """Every device of ``bs`` adopts each broadcast it hears and receives
         within the run, in (arrival, round) order, with the TA index in force
-        at arrival; a gateway relays each reading it adopts into its legacy
-        devices. A round's broadcast is drawn once for the cell, and the BS
+        at arrival. A round's broadcast is drawn once for the cell, and the BS
         stamps it once, if some device lands it.
 
         The cell is one pass over (landing slot x device) arrays: each device
@@ -339,27 +324,7 @@ class _Runner:
         at = arrival[slot, device]
         reading = whole(np.array(quantized, dtype=object))[slot]
         reading += delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // plan.ta_timer_period]
-        # then each gateway's relays into its legacy devices, one draw per landing
-        nodes, which, ats, readings, kinds = list(devices), [device], [at], [reading], [SIB16]
-        parents = [np.arange(len(at))]
-        for index, gateway in enumerate(devices):
-            landed = np.flatnonzero(device == index) if gateway in self.relays else ()
-            for child, rng in self.relays.get(gateway, ()):
-                which.append(np.full(len(landed), len(nodes)))
-                nodes.append(child)
-                ats.append(at[landed])
-                readings.append(reading[landed] + whole(rng.gauss_ticks(plan.gw_relay_sigma, len(landed))))
-                parents.append(landed)
-                kinds.append(GW_RELAY)
-        which, at, reading = np.concatenate(which), np.concatenate(ats), np.concatenate(readings)
-        delta = set_readings([self.clocks[node] for node in nodes], which, at, reading)
-        kind = np.repeat(np.array(kinds, dtype=np.int8), [len(p) for p in parents])
-        node = np.array([self.node_index[node] for node in nodes], dtype=np.int32)[which]
-        columns = (at, node, delta, kind, reading - at)
-        if len(nodes) > len(devices):   # evaluation order: a gateway's landing, then its relays, in relay order
-            evaluated = np.lexsort((np.arange(len(at)), np.concatenate(parents)))
-            columns = tuple(column[evaluated] for column in columns)
-        self.log_block(columns)
+        set_readings([self.clocks[node] for node in devices], device, at, reading)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
         """``device``'s exchanges with ``bs``, at most one in flight: a heard
@@ -384,7 +349,20 @@ class _Runner:
             landing = at + delay_forward + self.plan.turnaround + delay_back + prop
             if landing > self.duration:
                 return
-            self.twoway_step(bs, device, TWO_WAY, at, delay_forward, delay_back, rng, landing)
+            self.twoway_step(bs, device, at, delay_forward, delay_back, rng, landing)
+
+    def relay(self, gateway: str) -> None:
+        """Each legacy device of ``gateway`` adopts every reading the gateway
+        adopted, when it did, plus one draw of its ``relay/`` noise per step."""
+        children = self.relays.get(gateway)
+        if not children:
+            return
+        _, at, _, error = read_steps([self.clocks[gateway]])
+        reading = whole(at) + error
+        relayed = [gw_relay_sync(reading, self.plan.gw_relay_sigma, derive_stream(self.seed, f"relay/{child}"))
+                   for child in children]
+        set_readings([self.clocks[child] for child in children], np.repeat(np.arange(len(children)), len(at)),
+                     np.tile(at, len(children)), np.concatenate(relayed))
 
     # -- assembly --
 
@@ -396,6 +374,8 @@ class _Runner:
             else:
                 for device in self.attached[bs]:
                     self.twoway_syncs(bs, device)
+            for device in self.attached[bs]:
+                self.relay(device)
         correction_log = self.correction_log()
         instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
         return RawTrace(
@@ -406,28 +386,30 @@ class _Runner:
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
-    def log_block(self, columns: tuple = ()) -> None:
-        """Log a block of corrections, one array per CORRECTION_DTYPE column,
-        after the single ones logged before it."""
-        if self.rows:
-            width = len(CORRECTION_DTYPE.names)
-            self.log.append(tuple(self.rows[i::width] for i in range(width)))
-            self.rows = []
-        if columns:
-            self.log.append(columns)
-
     def correction_log(self) -> np.ndarray:
-        """The logged corrections as CORRECTION_DTYPE rows, stable-sorted by
-        t_true, so same-tick steps keep their evaluation order."""
-        self.log_block()
-        blocks, self.log = self.log, []   # their ints go before the observation pass allocates
-        log = np.empty(sum(len(block[0]) for block in blocks), dtype=CORRECTION_DTYPE)
-        for i, name in enumerate(CORRECTION_DTYPE.names if blocks else ()):
+        """Every clock step as a CORRECTION_DTYPE row, read off the finished
+        clocks in one pass, ordered by (t_true, group, step, member): a group
+        is a BS or a device then its legacy devices, in evaluation order."""
+        device_kind = SIB16 if self.plan.enabler is Enabler.TA_SIB16 else TWO_WAY
+        nodes = list(self.base_stations)
+        keys = [(group, 0, BS_ALIGN) for group in range(len(nodes))]   # (group, member, kind) of each node
+        devices = [device for bs in self.base_stations for device in self.attached[bs]]
+        for group, device in enumerate(devices, len(nodes)):
+            members = [device, *self.relays.get(device, ())]
+            nodes += members
+            keys += [(group, member, GW_RELAY if member else device_kind) for member in range(len(members))]
+        which, at, delta, error = read_steps([self.clocks[node] for node in nodes])
+        group, member, kind = np.array(keys, dtype=np.int64).reshape(-1, 3)[which].T
+        step = np.arange(len(which)) - np.searchsorted(which, which)   # each node's steps are contiguous
+        order = np.lexsort((member, step, group, at))   # a legacy device's k-th step relays its gateway's k-th
+        node = np.array([self.node_index[node] for node in nodes], dtype=np.int64)[which]
+        log = np.empty(len(which), dtype=CORRECTION_DTYPE)
+        for name, column in zip(CORRECTION_DTYPE.names, (at, node, delta, kind, error)):
             try:
-                log[name] = np.concatenate([np.asarray(block[i], dtype=np.int64) for block in blocks])
+                log[name] = np.asarray(column[order], dtype=np.int64)
             except OverflowError:   # a step or an error past the 64-bit tick range
                 raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range") from None
-        return log[np.argsort(log["t_true"], kind="stable")]
+        return log
 
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --
 

@@ -1,24 +1,59 @@
 """The cell-wide passes against one-at-a-time references: SIB16 landings
-against ClockState.set landing by landing, and command deliveries against
-one delay draw and one stamp call per command."""
+and their relays against ClockState.set landing by landing, the correction
+log read off the finished clocks against the steps logged as they were set,
+and command deliveries against one delay draw and one stamp call per
+command."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from airsync.clocks import stamp
-from airsync.config import validate_config
+from airsync.clocks import ClockState, stamp
+from airsync.config import Role, validate_config
 from airsync.engine import derive_stream
-from airsync.protocols import delay_estimate_from_index, quantize_broadcast_time, sib16_broadcast
-from airsync.scenario import DELIVERY_DTYPE, SIB16, _Runner, build_scenario
+from airsync.protocols import delay_estimate_from_index, gw_relay_sync, quantize_broadcast_time, sib16_broadcast
+from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario
+
+
+class _Logged(ClockState):
+    """A clock that appends a CORRECTION_DTYPE row to ``log`` at each set, as
+    the step is taken."""
+
+    def __init__(self, params, node, kind, log):
+        super().__init__(params)
+        self.node, self.kind, self.log = node, kind, log
+
+    def set(self, at, reading):
+        delta = super().set(at, reading)
+        self.log.append((at, self.node, delta, self.kind, reading - at))
+        return delta
 
 
 class _LandingByLanding(_Runner):
     """A run whose SIB16 pass sets each landing on its own: each device in
     turn draws its losses one round at a time, then lands its rounds in
     (arrival, round) order with ClockState.set, and a gateway relays each
-    reading it adopts as it lands."""
+    reading it adopts as it lands, one relay draw at a time. Every clock
+    logs its own steps as they are set, so ``rows`` is the correction log
+    as the steps were taken, BS alignment included."""
+
+    def __init__(self, scenario, duration):
+        super().__init__(scenario, duration)
+        self.logged = []
+        kinds = {Role.BASE_STATION: BS_ALIGN, Role.LEGACY: GW_RELAY}
+        self.clocks = {node: _Logged(clock.params, self.node_index.get(node), kinds.get(self.nodes[node].role, SIB16),
+                                     self.logged) for node, clock in self.clocks.items()}
+        self.relay_streams = {child: derive_stream(self.seed, f"relay/{child}")
+                              for children in self.relays.values() for child in children}
+
+    @property
+    def rows(self):
+        """The logged steps, stable-sorted by t_true."""
+        return sorted(self.logged, key=lambda row: row[0])
+
+    def relay(self, gateway):
+        pass   # done landing by landing
 
     def sib_syncs(self, bs):
         if not self.attached[bs]:
@@ -46,7 +81,11 @@ class _LandingByLanding(_Runner):
                     stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
                 reading = (quantize_broadcast_time(stamped[round_no], self.plan.sib.granularity)
                            + delay_estimate_from_index(ta[arrival // self.plan.ta_timer_period]))
-                self.set_clock(device, SIB16, arrival, reading)
+                self.clocks[device].set(arrival, reading)
+                for child in self.relays.get(device, ()):
+                    relayed = gw_relay_sync(np.array([reading], dtype=object), self.plan.gw_relay_sigma,
+                                            self.relay_streams[child])
+                    self.clocks[child].set(arrival, relayed.item())
 
 
 def _clock(draw, noise):
@@ -111,7 +150,7 @@ def test_the_cell_pass_equals_landing_by_landing(raw):
     reference, expected = _run(_LandingByLanding, config)
     assert ({node: (c.installed_at, c.correction) for node, c in cell.clocks.items()}
             == {node: (c.installed_at, c.correction) for node, c in reference.clocks.items()})
-    assert trace.correction_log.tolist() == expected.correction_log.tolist()
+    assert trace.correction_log.tolist() == reference.rows
     assert trace.lost_sync == expected.lost_sync
     assert list(trace.ta_index.items()) == list(expected.ta_index.items())
     assert np.array_equal(trace.errors, expected.errors)

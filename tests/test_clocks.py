@@ -14,6 +14,7 @@ from airsync.clocks import (
     ideal_clock,
     local_time,
     local_times,
+    read_steps,
     stamp,
     stamps,
 )
@@ -261,6 +262,28 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
         else:
             local = local_times(clocks, t, where)
             assert {(i, j): local[i, j] for i, j in expected} == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PHASE, _SKEW, st.just(0.0) | st.floats(-1e-3, 1e-3),
+                          st.lists(st.tuples(_INSTANT, st.integers(INT64_MIN, INT64_MAX)), max_size=5)), max_size=4))
+# a step of 2**64 - 1: the base goes from INT64_MAX to INT64_MIN
+@example([(INT64_MAX, 0.0, 0.0, [(0, INT64_MIN)])])
+def test_read_steps_gives_back_what_each_set_took(clocks):
+    # clocks stepped by ClockState.set in time order: read_steps gives each
+    # step's instant, the delta set returned and the reading it set less the
+    # instant, clock by clock, as exact values (also past int64)
+    stepped_clocks, taken = [], []
+    for j, (theta0, skew, drift, sets) in enumerate(clocks):
+        clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
+        for at, reading in sorted(sets, key=lambda s: s[0]):
+            try:
+                taken.append((j, at, clock.set(at, reading), reading - at))
+            except TickOverflowError:   # the read before the step is out of range: no step
+                pass
+        stepped_clocks.append(clock)
+    which, at, delta, error = read_steps(stepped_clocks)
+    assert list(zip(which.tolist(), at.tolist(), delta.tolist(), error.tolist())) == taken
 
 
 class _Drawn:

@@ -507,6 +507,21 @@ def test_every_config_that_validates_runs_to_the_end(raw):
         pass
 
 
+@settings(max_examples=150, deadline=None)
+@given(mutated_bundled_configs())
+def test_validating_a_mapping_leaves_it_as_it_was(raw):
+    """validate_config copies only the top level, which takes the defaults,
+    and reads every nested container without writing it."""
+    before = copy.deepcopy(raw)
+    try:
+        config = validate_config(raw)
+    except InvalidConfigError:
+        config = None
+    assert raw == before
+    if config is not None:
+        assert config.raw is not raw and config.raw.keys() >= raw.keys()
+
+
 # --- parameter paths and sweeps ---------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, stamp
+from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, stamp, whole
 from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from airsync.protocols import (
@@ -30,6 +30,8 @@ from airsync.protocols import (
 )
 from airsync.timebase import (
     HALF_TA_STEP_TICKS,
+    INT64_MAX,
+    INT64_MIN,
     TA_STEP_TICKS,
     TICKS_PER_MS,
     TICKS_PER_US,
@@ -427,13 +429,15 @@ def test_ribs_listen_with_ta_bound():
 
 
 def test_gw_relay_passes_error_through():
-    # the gateway reads 4321 ticks ahead at 1000 ticks
-    assert gw_relay_sync(1000 + 4321, 0.0, derive_stream(0, "gw1")) - 1000 == 4321
+    # the gateway reads 4321 ticks ahead at 1000 ticks and at 2000 ticks
+    relayed = gw_relay_sync(np.array([1000 + 4321, 2000 + 4321]), 0.0, derive_stream(0, "gw1"))
+    assert (relayed - [1000, 2000]).tolist() == [4321, 4321]
 
 
 def test_gw_relay_zero_error_zero_sigma():
     device = ClockState(params=ClockParams(theta0=9))
-    device.set(0, gw_relay_sync(0, 0.0, derive_stream(0, "gw2")))
+    (reading,) = gw_relay_sync(np.array([0]), 0.0, derive_stream(0, "gw2")).tolist()
+    device.set(0, reading)
     assert clock_error(device, 0) == 0
 
 
@@ -441,7 +445,29 @@ def test_gw_relay_error_statistics():
     # GW error 200 ns (6144 ticks), wired-domain sigma ~30 ns (922 ticks)
     gw_error = 6144
     sigma = 922.0
-    rng = derive_stream(21, "gw4")
-    errors = np.array([gw_relay_sync(gw_error, sigma, rng) for _ in range(10_000)])
+    errors = gw_relay_sync(np.full(10_000, gw_error), sigma, derive_stream(21, "gw4"))
     assert abs(errors.mean() - gw_error) < 3 * sigma / 100
     assert abs(errors.std() - sigma) / sigma < 0.05
+
+
+def test_gw_relay_bulk_draws_equal_one_at_a_time():
+    # one relay stream holds a single distribution: relaying a gateway's
+    # readings at once draws what relaying them one landing at a time does
+    readings = np.arange(6144, 50 * TICKS_PER_MS, TICKS_PER_MS)
+    bulk = gw_relay_sync(readings, 922.0, derive_stream(5, "relay/ld1")).tolist()
+    rng = derive_stream(5, "relay/ld1")
+    assert bulk == [gw_relay_sync(readings[i:i + 1], 922.0, rng).item() for i in range(len(readings))]
+    rng = derive_stream(5, "relay/ld1")
+    assert bulk == [reading + rng.gauss_ticks(922.0) for reading in readings.tolist()]
+    assert len(set(b - r for b, r in zip(bulk, readings.tolist()))) > 40
+
+
+def test_gw_relay_of_exact_readings_stays_exact():
+    # readings at the int64 edge, as exact ints: a relayed reading past the
+    # range is exact, for set_readings to reject, rather than wrapped
+    readings = whole(np.array([INT64_MAX - 5, INT64_MIN + 5], dtype=object))
+    relayed = gw_relay_sync(readings, 922.0, derive_stream(3, "gw5")).tolist()
+    rng = derive_stream(3, "gw5")
+    noise = [rng.gauss_ticks(922.0) for _ in range(2)]
+    assert relayed == [INT64_MAX - 5 + noise[0], INT64_MIN + 5 + noise[1]]
+    assert relayed[0] > INT64_MAX or relayed[1] < INT64_MIN

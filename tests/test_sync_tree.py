@@ -1,20 +1,24 @@
 """The sync tree evaluated parent-first: a seeded corpus of runs pinned as
-data, and the rules that order clock steps which meet at one tick."""
+data, the rules that order clock steps which meet at one tick, and the
+correction log as a view of the finished clock trajectories."""
 
 import hashlib
 import random
 from collections import Counter, defaultdict
 
+from pathlib import Path
+
 import pytest
 
 from airsync.clocks import ClockState, local_time
-from airsync.config import validate_config
+from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.protocols import ExchangeRecord, twoway_offset
-from airsync.scenario import build_scenario, run_scenario
+from airsync.scenario import _Runner, build_scenario, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ENABLERS = ("ta_sib16", "dedicated_two_way", "ribs_ue")
 ALIGNMENTS = (
@@ -173,6 +177,74 @@ def test_steps_at_one_tick_are_logged_parent_first():
     shared = [nodes for nodes in at_tick.values() if len(nodes) == 3]
     assert len(shared) == 10
     assert all(nodes == ["bs1", "bs2", "ue1"] for nodes in shared)
+
+
+@pytest.mark.parametrize("enabler", ("ta_sib16", "ribs_ue"))
+def test_a_gateway_relays_before_a_later_device_steps_at_the_same_tick(enabler):
+    # gw1 and ue1 sit at bs1 and land every 1 ms round at one tick; the legacy
+    # devices come last in the config, yet each relay follows its gateway's
+    # step, before ue1, which comes after gw1 in the config
+    raw = one_cell({}, {"skew_ppm": -3}, sync_plan={"enabler": enabler, "resync_period": "1 ms",
+                                                    "gw_relay_sigma": 922, "sib": {"si_window": "1 ms"}})
+    if enabler != "ta_sib16":
+        del raw["sync_plan"]["sib"]
+    raw["nodes"][2:2] = [{"id": "gw1", "role": "gateway", "attach_to": "bs1", "position": [0, 0],
+                          "clock": {"skew_ppm": 5}}]
+    raw["nodes"] += [{"id": "ld1", "role": "legacy_device", "attach_to": "gw1", "clock": {"theta0": "1 us"}},
+                     {"id": "ld2", "role": "legacy_device", "attach_to": "gw1", "clock": {"theta0": "-1 us"}}]
+    at_tick = defaultdict(list)
+    for c in run_raw(raw).corrections:
+        at_tick[c.t_true].append(c.node)
+    assert Counter(map(tuple, at_tick.values())) == {("gw1", "ld1", "ld2", "ue1"): 20, ("bs1",): 1}
+
+
+def test_a_gateway_landing_two_rounds_at_one_tick_relays_each_in_turn():
+    # tick scale, as tests/test_cell_pass.py's sib_cells: 2-tick rounds sent
+    # up to 6 ticks late, so two rounds may reach gw1 (at bs1) at one tick.
+    # Each of gw1's steps comes just before its relays of it: with no
+    # wired-domain noise a relay reads what that step set. Seed 0 lands two
+    # rounds at one tick three times
+    raw = {"schema_version": 1, "seed": 0, "duration": "40 ticks", "sampling_grid": "1 ticks", "nodes": [
+        {"id": "ref", "role": "reference"},
+        {"id": "bs1", "role": "base_station", "position": [0, 0]},
+        {"id": "gw1", "role": "gateway", "attach_to": "bs1", "position": [0, 0], "clock": {"skew_ppm": 3.5}},
+        {"id": "ld1", "role": "legacy_device", "attach_to": "gw1", "clock": {"theta0": "7 ticks"}},
+        {"id": "ld2", "role": "legacy_device", "attach_to": "gw1", "clock": {"theta0": "-5 ticks"}},
+    ], "sync_plan": {"enabler": "ta_sib16", "resync_period": "2 ticks", "gw_relay_sigma": 0, "sib": {
+        "periodicity": "12 ticks", "si_window": "6 ticks", "granularity": 0, "stamp_mode": "at_schedule"}}}
+    at_tick = defaultdict(list)
+    for c in run_raw(raw).corrections:
+        at_tick[c.t_true].append((c.node, c.error_after))
+    twice = {tick: rows for tick, rows in at_tick.items() if len(rows) > 3}
+    assert twice == {
+        tick: [("gw1", first), ("ld1", first), ("ld2", first), ("gw1", second), ("ld1", second), ("ld2", second)]
+        for tick, first, second in ((2, -2, 0), (14, -2, 0), (31, -5, -1))
+    }
+
+
+def _replay_case(case: str):
+    return validate_config(corpus_config(int(case[7:]))) if case.startswith("corpus-") else \
+        load_config(CONFIG_DIR / f"{case}.yaml")
+
+
+@pytest.mark.parametrize("case", [f"corpus-{index}" for index in range(CORPUS_SIZE)]
+                         + sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")))
+def test_replaying_the_correction_log_rebuilds_every_trajectory(case):
+    # the log is a view of the finished clocks: stepping fresh clocks by its
+    # rows, in order, gives each node's trajectory exactly, and each row's
+    # error_after is the replayed clock's error just after its step
+    cfg = _replay_case(case)
+    scenario = build_scenario(cfg)
+    runner = _Runner(scenario, cfg.duration)
+    trace = runner.run()
+    replayed = {node: ClockState(params) for node, params in scenario.clocks.items()}
+    for t_true, node, delta, _, error_after in trace.correction_log.tolist():
+        clock = replayed[trace.sampled[node]]
+        clock.step(t_true, delta)
+        assert local_time(clock, t_true) - t_true == error_after
+    assert len(trace.correction_log) > 0
+    assert {node: (clock.installed_at, clock.correction) for node, clock in replayed.items()} == \
+        {node: (clock.installed_at, clock.correction) for node, clock in runner.clocks.items()}
 
 
 def test_an_exchange_reads_its_bs_as_stepped_at_the_same_tick():
