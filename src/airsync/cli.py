@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -50,8 +49,8 @@ def _resolve_seed(cli_seed: Optional[int], config_seed: int) -> int:
 
 
 def _jsonable(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):   # a record, before its tuple reading
+        return _jsonable(obj._asdict())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -134,12 +133,13 @@ def _trace_json(trace: RawTrace) -> Iterator[str]:
 
 
 def _write_csv(obj: Any, handle) -> None:
-    """``obj`` as (flattened key path, JSON value) rows. A leaf of ``_flatten``
-    is always a scalar (an empty dict or list gives no row), so plain
-    ``json.dumps`` writes it as a key-sorted dump would."""
+    """``obj``, as ``_jsonable`` gives it, as (flattened key path, JSON value)
+    rows. A leaf of ``_flatten`` is always a scalar (an empty dict or list
+    gives no row), so plain ``json.dumps`` writes it as a key-sorted dump
+    would."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["key", "value"])
-    writer.writerows([key, json.dumps(value)] for key, value in sorted(_flatten(_jsonable(obj))))
+    writer.writerows([key, json.dumps(value)] for key, value in sorted(_flatten(obj)))
 
 
 def _prepare_out_dir(out: str) -> Path:
@@ -155,10 +155,11 @@ def _prepare_out_dir(out: str) -> Path:
 def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str) -> list[str]:
     """Writes ``payload`` as ``name``.json and/or ``name``.csv. Both renderings
     are streamed to their files: neither text is ever held whole."""
+    payload = _jsonable(payload)
     written = []
     if fmt in ("json", "both"):
         with open(out_dir / f"{name}.json", "w", encoding="utf-8") as handle:
-            json.dump(_jsonable(payload), handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         written.append(f"{name}.json")
     if fmt in ("csv", "both"):
@@ -304,7 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_presets(args: argparse.Namespace) -> int:
-    presets = [dataclasses.asdict(p) for p in BUILTIN_PRESETS.values()]
+    presets = [p._asdict() for p in BUILTIN_PRESETS.values()]
     if args.json:
         print(_dump_json({"presets": presets}), end="")
         return 0

@@ -19,14 +19,15 @@ set_readings() is ClockState.set for many steps of fresh clocks at once, and
 read_steps() its inverse. Their arithmetic follows one rule: int64 while
 every term is small enough that no sum of a few can wrap, and exact Python
 ints in object arrays otherwise (whole() makes that choice), with the signed
-64-bit range checked on the exact sums only.
+64-bit range checked on the exact sums only. The bulk readers make that
+choice clock by clock: only the columns that hold a large term (every
+column, when the shared instants do) are summed in exact ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +39,7 @@ _BLOCK = 1 << 14   # elements a bulk read evaluates at once: bounds its float te
 _SMALL = 2**59     # int64 sums and differences of a few terms this small cannot wrap
 
 
-@dataclass(frozen=True)
-class ClockParams:
+class ClockParams(NamedTuple):
     """Oscillator quality: initial phase (ticks), skew, drift, stamp noise."""
 
     theta0: int = 0
@@ -48,7 +48,6 @@ class ClockParams:
     stamp_noise_sigma: float = 0.0  # ticks
 
 
-@dataclass(slots=True)
 class ClockState:
     """One node's clock trajectory: its parameters plus every step it took.
 
@@ -57,10 +56,16 @@ class ClockState:
     with no steps holds its drawn phase throughout.
     """
 
-    params: ClockParams = ClockParams()
-    installed_at: list[int] = field(default_factory=list, init=False)
-    correction: list[int] = field(default_factory=list, init=False)
-    _arrays: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("params", "installed_at", "correction", "_arrays")
+
+    def __init__(self, params: ClockParams = ClockParams()):
+        self.params = params
+        self.installed_at: list[int] = []
+        self.correction: list[int] = []
+        self._arrays: Optional[tuple] = None
+
+    def __repr__(self) -> str:
+        return f"ClockState(params={self.params!r}, installed_at={self.installed_at!r}, correction={self.correction!r})"
 
     def step(self, at: int, delta: int) -> None:
         """From true time ``at`` on, every reading drops by a further ``delta``."""
@@ -173,6 +178,42 @@ def _within(bound: float, *arrays: np.ndarray) -> bool:
     return all(not x.size or (-bound < x.min() and x.max() < bound) for x in arrays)
 
 
+def _wide(bound: float, *arrays: np.ndarray) -> np.ndarray:
+    """Per column of the (rows x columns) ``arrays``, at least one row each:
+    whether some value lies outside +-``bound`` (or is a NaN). A one-column
+    array counts for every column."""
+    small = True
+    for x in arrays:
+        small = small & (-bound < x.min(axis=0)) & (x.max(axis=0) < bound)
+    return ~small
+
+
+def _sum(bound: float, terms: Sequence[np.ndarray], where: Optional[np.ndarray]) -> np.ndarray:
+    """The sum of ``terms``, (rows x columns) arrays of whole numbers, as
+    int64; a one-column term after the first counts for every column. A
+    column is summed in int64 while each of its terms lies within
+    +-``bound``, else in exact ints, range-checked as _in_range does under
+    ``where``. May write into the first term."""
+    if _within(bound, *terms):
+        return _add(terms)
+    wide = _wide(bound, *terms)
+    total = np.empty(np.broadcast_shapes(*(term.shape for term in terms)), dtype=np.int64)
+    if not wide.all():
+        total[:, ~wide] = _add([term[:, ~wide] if term.shape[1] > 1 else term for term in terms])
+    exact = [_exact(term[:, wide] if term.shape[1] > 1 else term) for term in terms]
+    total[:, wide] = _in_range(sum(exact[1:], exact[0]), None if where is None else where[:, wide])
+    return total
+
+
+def _add(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """The int64 sum of ``terms``, each within int64 and small enough that
+    the sum cannot wrap; into the first term when that is int64."""
+    total = terms[0] if terms[0].dtype == np.int64 else terms[0].astype(np.int64)
+    for term in terms[1:]:
+        total += term.astype(np.int64, copy=False)
+    return total
+
+
 def local_times(clocks: Sequence[ClockState], t_true: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
     """local_time of many clocks at once: column j of the int64 (instants x
     clocks) matrix ``t_true`` is read by ``clocks[j]``; an (instants x 1)
@@ -182,8 +223,9 @@ def local_times(clocks: Sequence[ClockState], t_true: np.ndarray, where: Optiona
     With ``where`` (a boolean matrix of the result's shape) only the marked
     instants are read and checked; the other entries are left undefined.
     _BLOCK elements are evaluated at a time, which bounds the temporaries:
-    a block sums base, instant and perturbation in int64 when every term is
-    below 2**61, so that no sum wraps, and in exact ints otherwise.
+    a block sums base, instant and perturbation in int64 for the clocks
+    whose terms are all below 2**61, so that no sum wraps, and in exact ints
+    for the others.
     """
     t = np.asarray(t_true, dtype=np.int64)
     trajectories = [clock.arrays() for clock in clocks]
@@ -195,14 +237,9 @@ def local_times(clocks: Sequence[ClockState], t_true: np.ndarray, where: Optiona
     rows = max(1, _BLOCK // max(1, len(clocks)))
     for start in range(0, len(t), rows):
         block = slice(start, start + rows)
-        tb, base = t[block], local[block]
-        perturbation = _perturbation(skew, half_drift, tb)
-        if _within(2.0**61, base, tb, perturbation):
-            read = base + tb
-            read += perturbation.astype(np.int64)
-        else:
-            read = _in_range(_exact(base) + _exact(tb) + _exact(perturbation), None if where is None else where[block])
-        local[block] = read
+        tb = t[block]
+        local[block] = _sum(2.0**61, (local[block], tb, _perturbation(skew, half_drift, tb)),
+                            None if where is None else where[block])
     return local.astype(np.int64, copy=False)
 
 
@@ -213,17 +250,15 @@ def stamps(clocks: Sequence[ClockState], t_true: np.ndarray, rngs: Sequence[Opti
     down the column (only the marked ones under ``where``). The same values
     and the same draws as successive stamp calls; a column that draws nothing
     (no instant, or no stamp noise) may have no stream. The noise is added in
-    int64 when every term is below 2**62, and in exact ints otherwise."""
+    int64 for the clocks whose terms are all below 2**62, and in exact ints
+    for the others."""
     local = local_times(clocks, t_true, where)
     marked = np.ones(local.shape, dtype=bool) if where is None else where
     noise = np.zeros(local.shape)
     for j, (clock, rng, count) in enumerate(zip(clocks, rngs, np.count_nonzero(marked, axis=0).tolist())):
         if clock.params.stamp_noise_sigma and count:
             noise[marked[:, j], j] = rng.gauss_ticks(clock.params.stamp_noise_sigma, count)
-    if _within(2.0**62, local, noise):
-        noise = noise.astype(np.int64)
-        return np.add(local, noise, out=noise)
-    return _in_range(_exact(local) + _exact(noise), where).astype(np.int64)
+    return _sum(2.0**62, (local, noise), where)
 
 
 def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray, reading: np.ndarray) -> None:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 import yaml
@@ -221,8 +220,7 @@ _ROLES = _by_value(Role)
 # --- clock parameter specs ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarOrDist:
+class ScalarOrDist(NamedTuple):
     """Fixed value or a uniform range, drawn once per node at build time."""
 
     value: float = 0.0
@@ -259,8 +257,7 @@ def _scalar_or_dist(parse: Callable, *, integer: bool = False) -> Callable:
     return parse_field
 
 
-@dataclass(frozen=True)
-class ClockSpec:
+class ClockSpec(NamedTuple):
     theta0: ScalarOrDist
     skew_y: ScalarOrDist
     drift_a: ScalarOrDist
@@ -320,8 +317,7 @@ def _parse_clock_defaults(raw: Any, path: str) -> dict[str, ClockSpec]:
 # --- nodes ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One node of the scenario graph; its clock parameters are drawn at build."""
 
     id: str
@@ -421,8 +417,7 @@ def _index_nodes(nodes: list[Node]) -> dict[str, Node]:
 # --- link / plan / workload / fault probe -------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelayDistribution:
+class DelayDistribution(NamedTuple):
     """Extra (scheduling/queueing) delay on top of propagation, in ticks."""
 
     kind: str      # none | uniform | normal
@@ -461,8 +456,7 @@ def _parse_delay_dist(raw: Any, path: str) -> DelayDistribution:
     return DelayDistribution(kind, low=low, high=high, mean=s["mean"], sigma=s["sigma"])
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(NamedTuple):
     extra_delay: DelayDistribution
     loss_prob: float
 
@@ -498,8 +492,7 @@ class BsAlignmentMode(Enum):
     RIBS = "ribs"
 
 
-@dataclass(frozen=True)
-class BsAlignment:
+class BsAlignment(NamedTuple):
     mode: BsAlignmentMode
     error: int
     ribs_mode: Optional[RibsMode]
@@ -533,8 +526,7 @@ class Enabler(Enum):
     DEDICATED_TWO_WAY = "dedicated_two_way"
 
 
-@dataclass(frozen=True)
-class SyncPlan:
+class SyncPlan(NamedTuple):
     enabler: Enabler
     ta_timer_period: int   # ticks
     resync_period: int
@@ -572,8 +564,7 @@ def _parse_plan(raw: Any, path: str) -> SyncPlan:
     return SyncPlan(**fields)
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     """Isochronous command deliveries on an ideal grid."""
 
     command_period: int
@@ -601,8 +592,7 @@ def _parse_workload(raw: Any, path: str) -> Workload:
     return Workload(**_Section(raw, path, _WORKLOAD).read())
 
 
-@dataclass(frozen=True)
-class FaultProbe:
+class FaultProbe(NamedTuple):
     line_length_m: float
     fault_position_m: float
     wave_speed_mps: float
@@ -652,14 +642,13 @@ def _resolve_pmus(probe: FaultProbe, nodes: dict[str, Node]) -> FaultProbe:
     for pmu in pmu_ids:
         if pmu not in nodes or nodes[pmu].role is not Role.PMU:
             raise InvalidConfigError("fault_probe.pmu", f"{pmu!r} is not a PMU node")
-    return replace(probe, pmu_ids=pmu_ids)
+    return probe._replace(pmu_ids=pmu_ids)
 
 
 # --- top level ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """A validated scenario: everything a run needs except the drawn clocks.
 
     Frozen, so the runs of a sweep point can share one.
@@ -674,7 +663,7 @@ class ScenarioConfig:
     sampling_grid: int
     seed: int
     fault_probe: Optional[FaultProbe]
-    raw: dict = field(repr=False, compare=False)
+    raw: dict
 
 
 def _schema_version(value: Any, path: str) -> int:
@@ -856,8 +845,7 @@ def replace_config_value(raw: dict, path: str, value: Any) -> dict:
     return top
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     path: str
     values: tuple
     repetitions: int

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,7 +70,6 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-@dataclass
 class RngStream:
     """Labeled random stream derived from a root seed.
 
@@ -79,13 +77,14 @@ class RngStream:
     (root_seed, label) pair yields an identical sequence on every run.
     """
 
-    root_seed: int
-    label: str
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    __slots__ = ("root_seed", "label", "_gen")
 
-    def __post_init__(self):
-        seed_words = _seed_words_type()(_pcg64_seed_words(self.root_seed, self.label))
-        self._gen = np.random.Generator(np.random.PCG64(seed_words))
+    def __init__(self, root_seed: int, label: str):
+        self.root_seed, self.label = root_seed, label
+        self._gen = np.random.Generator(np.random.PCG64(_seed_words_type()(_pcg64_seed_words(root_seed, label))))
+
+    def __repr__(self) -> str:
+        return f"RngStream(root_seed={self.root_seed!r}, label={self.label!r})"
 
     def random(self, size: Optional[int] = None):
         """One uniform draw in [0, 1) as a float, or a float64 array of ``size`` successive draws."""

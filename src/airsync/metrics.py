@@ -12,8 +12,7 @@ constant offset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ if TYPE_CHECKING:   # annotations only: config imports this module, scenario imp
 US = TICKS_PER_US
 
 
-@dataclass(frozen=True)
-class RequirementPreset:
+class RequirementPreset(NamedTuple):
     """Application sync/jitter bounds; reliability/latency kept as notes only."""
 
     name: str
@@ -84,8 +82,7 @@ BUILTIN_PRESETS: dict[str, RequirementPreset] = {
 }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     preset: str
     passed: Optional[bool]          # None when a required measurement is missing
     measured_pairwise: Optional[int]
@@ -94,8 +91,7 @@ class Verdict:
     jitter_bound: Optional[int]
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     per_node: dict[str, dict]
     device_error: Optional[dict]
     pairwise: Optional[dict]

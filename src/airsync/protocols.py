@@ -16,9 +16,8 @@ computes that for a whole cell at once and clocks.set_readings takes the steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,8 +35,12 @@ class TaKind(Enum):
     UPDATE = "update"
 
 
-@dataclass(frozen=True)
-class TaCommand:
+class _TaFields(NamedTuple):
+    kind: TaKind
+    value: int
+
+
+class TaCommand(_TaFields):
     """Quantized timing-advance command.
 
     Initial commands carry an absolute index in [0, 1282] (advance =
@@ -45,13 +48,13 @@ class TaCommand:
     current timing by (value - 31) * 16*Ts.
     """
 
-    kind: TaKind
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        limit = TA_INITIAL_MAX if self.kind is TaKind.INITIAL else TA_UPDATE_MAX
-        if not 0 <= self.value <= limit:
-            raise ValueError(f"{self.kind.value} TA value {self.value} outside [0, {limit}]")
+    def __new__(cls, kind: TaKind, value: int):
+        limit = TA_INITIAL_MAX if kind is TaKind.INITIAL else TA_UPDATE_MAX
+        if not 0 <= value <= limit:
+            raise ValueError(f"{kind.value} TA value {value} outside [0, {limit}]")
+        return super().__new__(cls, kind, value)
 
 
 class StampMode(Enum):
@@ -59,8 +62,7 @@ class StampMode(Enum):
     AT_TRANSMIT = "at_transmit"
 
 
-@dataclass(frozen=True)
-class SibConfig:
+class SibConfig(NamedTuple):
     """Broadcast-time configuration: quantization step, cadence, window."""
 
     granularity: int
@@ -69,8 +71,7 @@ class SibConfig:
     stamp_mode: StampMode
 
 
-@dataclass(frozen=True)
-class ExchangeRecord:
+class ExchangeRecord(NamedTuple):
     """Four timestamps of a two-way transfer; t1/t4 on the initiator clock."""
 
     t1: int
@@ -158,8 +159,7 @@ def quantize_broadcast_time(t: int, granularity: int) -> int:
     return (t // granularity) * granularity
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     """One SIB16-style broadcast of a cell: heard alike by every attached UE."""
 
     sent_at: int      # true transmission instant
@@ -187,8 +187,7 @@ def _div2_trunc(value: int) -> tuple[int, bool]:
     return quotient, (value % 2 != 0)
 
 
-@dataclass(frozen=True)
-class TwowayResult:
+class TwowayResult(NamedTuple):
     offset: int                 # responder minus initiator clock offset
     mean_path_delay: int
     offset_half_tick: bool

@@ -16,9 +16,8 @@ then read from the finished clocks, all nodes at once, into the trace records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .protocols import (
 from .timebase import INT64_MIN, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """A validated config plus what building adds: the root seed and each
     node's drawn clock parameters."""
 
@@ -67,8 +65,7 @@ CORRECTION_DTYPE = np.dtype([
 ])
 
 
-@dataclass(frozen=True)
-class CorrectionEvent:
+class CorrectionEvent(NamedTuple):
     """One row of ``RawTrace.corrections``."""
 
     t_true: int
@@ -78,8 +75,7 @@ class CorrectionEvent:
     error_after: int
 
 
-@dataclass(frozen=True)
-class FaultStamps:
+class FaultStamps(NamedTuple):
     t_fault: int
     pmu_a: str
     pmu_b: str
@@ -87,8 +83,7 @@ class FaultStamps:
     stamp_b: int
 
 
-@dataclass
-class RawTrace:
+class RawTrace(NamedTuple):
     """What one run leaves for analysis, as integer columns: no row holds a
     string or a Python object.
 

@@ -1,12 +1,14 @@
 """Clock model: deterministic reads, noise, corrections, the tick range."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from airsync import clocks as clocks_module
 from airsync.clocks import (
     ClockParams,
     ClockState,
@@ -319,6 +321,52 @@ def test_bulk_stamps_equal_successive_stamp_calls(params, seed, data):
         assert {(i, j): stamped[i, j] for i, j in expected} == expected
         # the same number of draws from each stream, none at sigma 0
         assert [rng.random() for rng in bulk] == [rng.random() for rng in one_by_one]
+
+
+_EDGE_PHASE = (st.integers(2**61, INT64_MAX - 2**41) | st.integers(INT64_MIN + 2**41, -(2**61))
+               | st.integers(INT64_MAX - 2**41, INT64_MAX))   # the last may read past int64
+_ORDINARY_INSTANT = st.integers(0, 2**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(-(2**40), 2**40), _EDGE_PHASE, _SKEW,
+                          st.sampled_from([0.0, 0.4, 308.0])), min_size=1, max_size=5),
+       st.integers(0, 2**32), st.data())
+def test_mixed_blocks_sum_only_the_clocks_near_the_edge_in_exact_ints(specs, seed, data):
+    # ordinary clocks and clocks past 2**61 in one block, read at ordinary
+    # instants: local_times and stamps give what local_time and stamp give,
+    # and only the columns of the clocks near the edge leave int64
+    clocks = [ClockState(ClockParams(theta0=edge if near else phase, skew_y=skew, stamp_noise_sigma=sigma))
+              for near, phase, edge, skew, sigma in specs]
+    near_edge = sum(near for near, *_ in specs)
+    shared = np.array(data.draw(st.lists(_ORDINARY_INSTANT, max_size=8)), dtype=np.int64).reshape(-1, 1)
+    t, where = _matrix(data.draw(st.lists(st.lists(st.tuples(_ORDINARY_INSTANT, st.booleans()), min_size=len(clocks),
+                                                   max_size=len(clocks)), max_size=8)), len(clocks))
+    one_by_one = [derive_stream(seed, f"stamps/{j}") for j in range(len(clocks))]
+    bulk = [derive_stream(seed, f"stamps/{j}") for j in range(len(clocks))]
+    reads = [   # scalar read, bulk read, instants, marks
+        (lambda clock, x, _: local_time(clock, x), lambda: local_times(clocks, shared), shared, None),
+        (lambda clock, x, _: local_time(clock, x), lambda: local_times(clocks, t, where), t, where),
+        (lambda clock, x, j: stamp(clock, x, one_by_one[j]), lambda: stamps(clocks, t, bulk, where), t, where),
+    ]
+    widths = []   # columns of each matrix converted to exact ints
+    convert = clocks_module._exact
+
+    def exact(values):
+        widths.append(values.shape[1] if values.ndim == 2 else 0)
+        return convert(values)
+
+    with mock.patch.object(clocks_module, "_exact", exact):
+        for scalar, bulk_read, instants, marks in reads:
+            marks = np.ones((len(instants), len(clocks)), dtype=bool) if marks is None else marks
+            expected = _column_readings(scalar, clocks, np.broadcast_to(instants, marks.shape).tolist(), marks.tolist())
+            if expected is None:
+                with pytest.raises(TickOverflowError):
+                    bulk_read()
+            else:
+                read = bulk_read()
+                assert {(i, j): read[i, j] for i, j in expected} == expected
+    assert max(widths, default=0) <= near_edge
 
 
 def test_single_correction_permanent_without_skew_or_drift():

@@ -2,10 +2,10 @@
 
 import ast
 import copy
+import importlib
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airsync import cli, errors
+from airsync.clocks import ClockState
 from airsync.config import (
     _YAML_LOADER,
     TA_TIMER_PERIODS_MS,
@@ -25,9 +26,11 @@ from airsync.config import (
     set_config_value,
     validate_config,
 )
+from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, TickOverflowError
-from airsync.protocols import RibsMode, StampMode
-from airsync.scenario import build_scenario
+from airsync.metrics import build_report
+from airsync.protocols import RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_exchange, twoway_offset
+from airsync.scenario import build_scenario, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -213,12 +216,12 @@ def test_every_default_resolved():
     plan = cfg.sync_plan
     assert (plan.enabler.value, plan.resync_period, plan.ta_timer_period) == ("ta_sib16", 80 * MS, 10240 * MS)
     assert (plan.ta_noise_sigma, plan.ta_wrong_bin_prob, plan.gw_relay_sigma, plan.turnaround) == (0, 0, 0, MS)
-    assert asdict(plan.sib) == {
+    assert plan.sib._asdict() == {
         "granularity": 10 * MS, "periodicity": 80 * MS, "si_window": 40 * MS, "stamp_mode": StampMode.AT_TRANSMIT,
     }
     align = plan.bs_alignment
     assert (align.mode.value, align.error, align.ribs_mode, align.realign_period) == ("perfect", 0, None, None)
-    assert asdict(cfg.link) == {
+    assert {**cfg.link._asdict(), "extra_delay": cfg.link.extra_delay._asdict()} == {
         "extra_delay": {"kind": "none", "low": 0, "high": 0, "mean": 0, "sigma": 0}, "loss_prob": 0,
     }
     workload = cfg.workload
@@ -355,16 +358,58 @@ def test_values_the_model_takes_as_given_rejected(path, value, rejected_at):
     ("airsync.metrics", ("airsync.scenario", "airsync.config")),
     ("airsync.config", ("airsync.scenario",)),
     ("airsync.cli", ("numpy.random",)),
-], ids=["metrics", "config", "cli-numpy-random"])
+    ("airsync.cli", ("dataclasses",)),
+], ids=["metrics", "config", "cli-numpy-random", "cli-dataclasses"])
 def test_layering(module, not_loaded):
     """metrics <- config <- scenario: importing a lower layer loads no higher one.
     Nor does importing the CLI load numpy.random, which adds to every
-    invocation's peak memory: the first stream derivation loads it."""
+    invocation's peak memory: the first stream derivation loads it. Nor
+    dataclasses: a dataclass generates and compiles its methods at import,
+    which every invocation would pay again."""
     code = f"import sys, {module}; print([m for m in {not_loaded!r} if m in sys.modules])"
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "airsync"
+RECORD_TYPES = sorted(   # every NamedTuple under src/airsync/ but a private base
+    (t for path in _SRC.glob("[!_]*.py") for module in [importlib.import_module(f"airsync.{path.stem}")]
+     for t in vars(module).values() if isinstance(t, type) and issubclass(t, tuple)
+     and t.__module__ == module.__name__ and not t.__name__.startswith("_")),
+    key=lambda t: t.__name__)
+
+
+@pytest.fixture(scope="module")
+def one_record_of_each_type() -> dict:
+    """One instance of every record type, by name, mostly from one run that
+    makes them all."""
+    raw = minimal(workload={"targets": ["ue"]}, fault_probe=PROBE, presets=["tsn-factory"])
+    raw["nodes"] += [{"id": "pa", "role": "pmu"}, {"id": "pb", "role": "pmu"}]
+    cfg = validate_config(raw)
+    scenario = build_scenario(cfg)
+    trace = run_scenario(scenario, cfg.duration)
+    report = build_report(trace, cfg.workload, cfg.presets, cfg.fault_probe)
+    node, plan = cfg.nodes["ue"], cfg.sync_plan
+    exchange = twoway_exchange(ClockState(), ClockState(), 0, 10, 10, MS, derive_stream(0, "exchange"))
+    records = [
+        cfg, node, node.clock, node.clock.theta0, cfg.link, cfg.link.extra_delay, plan, plan.sib, plan.bs_alignment,
+        cfg.workload, cfg.fault_probe, parse_sweep_spec({"path": "seed", "values": [1]}), cfg.presets[0],
+        scenario, scenario.clocks["ue"], trace, trace.corrections[0], trace.fault, report, report.verdicts[0],
+        compute_ta_initial(100), exchange, twoway_offset(exchange), sib16_broadcast(plan.sib, derive_stream(0, "sib"), 0),
+    ]
+    return {type(record).__name__: record for record in records}
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_records_are_immutable(record_type, one_record_of_each_type):
+    record = one_record_of_each_type[record_type.__name__]
+    for name in record_type._fields:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        assert getattr(record, name) is before
 
 
 def test_every_error_type_is_raised():

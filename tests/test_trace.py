@@ -1,7 +1,6 @@
 """The trace as integer columns: what a run stores per observation, the row
 views built from it, and trace.json, checked against each other."""
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -63,7 +62,7 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     _, trace = run_raw(raw)
     assert trace.errors.dtype == np.int64 and trace.errors.nbytes == 8 * report["metrics"]["samples"]
     assert trace.deliveries.dtype.itemsize == 28 and len(trace.deliveries) == 6 * 100
-    columns = [value for value in vars(trace).values() if isinstance(value, np.ndarray)]
+    columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)]
     assert len(columns) == 4   # instants, errors, deliveries, correction_log
     for column in columns:
         fields = column.dtype.fields
@@ -187,7 +186,7 @@ def test_views_trace_json_and_clocks_agree(raw):
 
     assert report["metrics"]["samples"] == trace.errors.size == len(trace.samples)
     assert written["samples"] == [list(row) for row in trace.samples.tolist()]
-    assert written["corrections"] == [list(dataclasses.astuple(c)) for c in trace.corrections]
+    assert written["corrections"] == [list(c) for c in trace.corrections]
     assert len(trace.corrections) == len(trace.correction_log)
     workload = trace.workload   # no workload, no deliveries
     grid = range(workload.grid_phase, scenario.config.duration + 1, workload.command_period) if workload else ()
