@@ -259,6 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
     spec = load_sweep_spec(args.sweep)
     get_config_value(base.raw, spec.path)  # path must resolve before any run
+    if spec.path == "seed":   # a point runs the --seed or repetition seed, whatever its config says
+        raise InvalidConfigError("sweep.path", "the seed cannot be swept; use --seed or repetitions")
     base_seed = _resolve_seed(args.seed, base.seed)
     out_dir = _prepare_out_dir(args.out)
 
@@ -266,28 +268,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # identical draws and points stay comparable
     seeds = ([derive_seed(base_seed, f"rep/{rep}") for rep in range(spec.repetitions)]
              if spec.repetitions > 1 else [base_seed])
-    rows = []
+    rows, aggregates = [], []
     ordered = sorted(spec.values, key=_sweep_sort_key)
     for value in ordered:
         # once per value: its repetitions share it
         config = validate_config(replace_config_value(base.raw, spec.path, value))
+        group = []
         for rep, seed in enumerate(seeds):
             report, _trace = _execute(config, seed)
-            row = {"value": value, "repetition": rep, "seed": seed}
-            row.update(_metric_summary(report))
-            rows.append(row)
-
-    aggregates = []
-    for value in ordered:
-        group = [r for r in rows if r["value"] == value]
+            group.append({"value": value, "repetition": rep, "seed": seed, **_metric_summary(report)})
+        rows += group
         agg: dict[str, Any] = {"value": value, "repetitions": len(group)}
-        numeric_keys = sorted(
-            {k for r in group for k in r if k not in ("value", "repetition", "seed")}
-        )
-        for key in numeric_keys:
+        for key in sorted({k for r in group for k in r} - {"value", "repetition", "seed"}):
             values = [r[key] for r in group if key in r]
-            if values:
-                agg[f"mean_{key}"] = sum(values) / len(values)
+            agg[f"mean_{key}"] = sum(values) / len(values)
         aggregates.append(agg)
 
     payload = {

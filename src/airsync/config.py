@@ -229,7 +229,7 @@ class ScalarOrDist(NamedTuple):
     uniform: bool = False
     integer: bool = False   # values stay Python ints: never rounded through a float
 
-    def draw(self, rng: RngStream) -> float:
+    def draw(self, rng: Optional[RngStream]) -> float:
         if not self.uniform:
             return self.value
         if self.integer:
@@ -263,7 +263,12 @@ class ClockSpec(NamedTuple):
     drift_a: ScalarOrDist
     stamp_noise_sigma: float
 
-    def draw(self, rng: RngStream) -> ClockParams:
+    @property
+    def drawn(self) -> bool:
+        """Whether some field is a uniform range: only then does draw read its stream."""
+        return self.theta0.uniform or self.skew_y.uniform or self.drift_a.uniform
+
+    def draw(self, rng: Optional[RngStream]) -> ClockParams:
         return ClockParams(
             theta0=self.theta0.draw(rng),
             skew_y=self.skew_y.draw(rng),

@@ -11,22 +11,34 @@ whole cell in one array pass, or two-way, one exchange at a time), then each
 gateway's legacy devices. A read at instant t sees every step installed at
 or before t. The correction log, samples, deliveries and the fault probe are
 then read from the finished clocks, all nodes at once, into the trace records.
+
+A SIB16 cell's draws read no clock: which rounds each device hears and when
+they land, its TA indices, and each broadcast's scheduling delay and BS
+stamp noise. cell_schedule computes them from the seed and the few config
+values they depend on, and keeps the last few schedules per process, so the
+points of a sweep whose value leaves them unchanged (the granularity, say)
+share them. The run then only reads the BS clock at the stamp instants,
+quantizes, and installs the devices' readings. A cached schedule is what a
+fresh one would be, so the cache changes no draw and no output.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clocks import ClockParams, ClockState, local_time, local_times, read_steps, set_readings, stamp, stamps, whole
+from .clocks import (
+    ClockParams, ClockState, in_tick_range, local_time, local_times, read_steps, set_readings, stamp, stamps, whole,
+)
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, TickOverflowError
 from .protocols import (
     RibsMode,
+    StampMode,
     apply_ta_command,
     compute_ta_initial,
     compute_ta_update,
@@ -142,17 +154,116 @@ def link_propagation(a: Node, b: Node) -> int:
 
 
 def build_scenario(config: ScenarioConfig, root_seed: Optional[int] = None) -> Scenario:
-    """Draw every node's clock parameters, once, from its labeled stream.
+    """Draw every node's clock parameters, once, from its labeled stream
+    (``init/{node}``, derived only for a clock with a uniform range).
 
     The config is already validated, graph included. Construction is pure:
     the same (config, seed) always produces an identical initial state.
     """
     seed = config.seed if root_seed is None else root_seed
     clocks = {
-        node_id: node.clock.draw(derive_stream(seed, f"init/{node_id}"))
+        node_id: node.clock.draw(derive_stream(seed, f"init/{node_id}") if node.clock.drawn else None)
         for node_id, node in config.nodes.items()
     }
     return Scenario(config=config, seed=seed, clocks=clocks)
+
+
+# --- a SIB16 cell's schedule: its draws, which read no clock --------------------------
+
+
+def heard_rounds(seed: int, device: str, rounds: int, loss_prob: float) -> np.ndarray:
+    """Which of ``rounds`` rounds reach ``device``, as a mask; each round
+    draws its loss from ``loss/{device}``, in round order, unless
+    ``loss_prob`` is 0."""
+    if loss_prob == 0:
+        return np.ones(rounds, dtype=bool)
+    return derive_stream(seed, f"loss/{device}").random(rounds) >= loss_prob
+
+
+def ta_indices(seed: int, device: str, prop: int, duration: int, period: int, noise_sigma: float,
+               wrong_bin_prob: float) -> list[int]:
+    """``device``'s TA index from each TA timer expiry on: the initial
+    command on attach, then an update at every expiry within the run, each
+    from one RTT measurement drawn from ``ta/{device}``."""
+    rng = derive_stream(seed, f"ta/{device}")
+    indices: list[int] = []
+    current = None
+    for _ in range(0, duration + 1, period):
+        rtt = measure_rtt(prop, noise_sigma, wrong_bin_prob, rng)
+        command = compute_ta_initial(rtt) if current is None else compute_ta_update(rtt - current * TA_STEP_TICKS)
+        current = apply_ta_command(current, command)
+        indices.append(current)
+    return indices
+
+
+class CellSchedule(NamedTuple):
+    """What a SIB16 cell's run draws, before any clock is read: which device
+    lands which round when, with which TA estimate, and what the BS stamps.
+
+    Landings are device-major, each device's in (arrival, round) order; the
+    landed rounds, those some device lands, are in (sent_at, round) order.
+    Every array is read-only; the index columns take the smallest unsigned
+    type that holds them."""
+
+    lost_sync: int                # rounds lost, over the cell's devices
+    ta_index: tuple[int, ...]     # each device's final TA index
+    device: np.ndarray            # per landing: the device's index in the cell
+    at: np.ndarray                # int64: its true instant
+    ta_delay: np.ndarray          # int64: the device's TA one-way estimate then
+    landed: np.ndarray            # the index of its round among the landed rounds
+    stamped_at: np.ndarray        # int64, per landed round: the true instant the BS stamps it
+    noise: np.ndarray             # float64, whole: the BS stamp noise then (a draw may pass int64)
+
+
+_SCHEDULE_CACHE_SIZE = 64   # cell schedules kept per process (README, "Randomness")
+
+
+def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
+    array = array.astype(dtype)
+    array.flags.writeable = False
+    return array
+
+
+# typed: a float seed names other streams than the int it equals
+@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE, typed=True)
+def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int, ...], duration: int,
+                  resync_period: int, si_window: int, stamp_mode: StampMode, stamp_noise_sigma: float,
+                  loss_prob: float, ta_timer_period: int, ta_noise_sigma: float,
+                  ta_wrong_bin_prob: float) -> CellSchedule:
+    """The schedule of ``bs``'s cell, whose ``devices`` lie ``props`` ticks
+    away: a pure function of its arguments, kept for the last
+    _SCHEDULE_CACHE_SIZE cells a process asked for.
+
+    A round's broadcast is drawn once for the cell from ``sib/{bs}/{round}``:
+    its scheduling delay, then, if some device lands it, the BS stamp noise.
+    Each device lands the rounds in the same (sent_at, round) order, shifted
+    by its own propagation delay, so slot k of the (slot x device) arrays is
+    the k-th round of that order for all of them."""
+    late = duration + 1
+    rounds = range(0, late, resync_period)
+    streams = [derive_stream(seed, f"sib/{bs}/{round_no}") for round_no in range(len(rounds))]
+    broadcasts = [sib16_broadcast(si_window, stamp_mode, rng, at) for rng, at in zip(streams, rounds)]
+    # a send or a delay past the run is clipped to its end: that landing is past it either way
+    sent = np.array([min(broadcast.sent_at, late) for broadcast in broadcasts], dtype=np.int64)
+    order = np.argsort(sent, kind="stable")
+    arrival = sent[order, None] + np.array([min(prop, late) for prop in props], dtype=np.int64)
+    lands = np.stack([heard_rounds(seed, device, len(rounds), loss_prob) for device in devices], axis=1)
+    lost_sync = lands.size - int(np.count_nonzero(lands))
+    lands = lands[order] & (arrival <= duration)
+    ta = [ta_indices(seed, device, prop, duration, ta_timer_period, ta_noise_sigma, ta_wrong_bin_prob)
+          for device, prop in zip(devices, props)]
+    landed = lands.any(axis=1)   # the slots some device lands
+    stamped = order[landed].tolist()
+    device, slot = np.nonzero(lands.T)   # device-major: each device's landings in order
+    at = arrival[slot, device]
+    return CellSchedule(
+        lost_sync=lost_sync, ta_index=tuple(indices[-1] for indices in ta),
+        device=_frozen(device, np.min_scalar_type(len(devices) - 1)), at=_frozen(at),
+        ta_delay=_frozen(delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // ta_timer_period]),
+        landed=_frozen(np.cumsum(landed)[slot] - 1, np.min_scalar_type(max(len(stamped) - 1, 0))),
+        stamped_at=_frozen(np.array([broadcasts[r].stamped_at for r in stamped], dtype=np.int64)),
+        noise=_frozen(np.array([streams[r].gauss_ticks(stamp_noise_sigma) for r in stamped], dtype=float), float),
+    )
 
 
 # --- execution -------------------------------------------------------------------
@@ -167,12 +278,15 @@ class _Runner:
     devices), so every node's steps are computed in time order from its
     parent's finished trajectory. The log and observations read the clocks.
 
-    Each stream label is derived at most once per run: a node's ``ta/``,
-    ``loss/``, ``exchange/`` and ``relay/`` streams where its steps are
-    computed, and one-shot labels (a round's broadcast or alignment, a
-    target's delivery delays and stamps, the fault probe) where they are
-    used; a ``loss/``, ``delivery/`` or ``delivery_stamp/`` stream that
-    would draw nothing is not derived.
+    Each stream label is derived at most once per run: a node's ``loss/``,
+    ``exchange/`` and ``relay/`` streams where its steps are computed, and
+    one-shot labels (a round's alignment, a target's delivery delays and
+    stamps, the fault probe) where they are used; a ``loss/``, ``delivery/``
+    or ``delivery_stamp/`` stream that would draw nothing is not derived.
+    A SIB16 cell's labels (``sib/``, and its devices' ``loss/`` and ``ta/``)
+    are derived by cell_schedule, once per schedule in a process: a run
+    whose cell has the same schedule as an earlier run's, such as another
+    point of a sweep over the granularity, reuses it and derives none.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
@@ -256,70 +370,27 @@ class _Runner:
 
     # -- per-device OTA sync --
 
-    def heard(self, device: str, rounds: int) -> np.ndarray:
-        """Which of ``rounds`` rounds reach ``device``, as a mask; each round
-        draws its loss, in round order."""
-        loss_prob = self.config.link.loss_prob
-        if loss_prob == 0:
-            return np.ones(rounds, dtype=bool)
-        heard = derive_stream(self.seed, f"loss/{device}").random(rounds) >= loss_prob
-        self.lost_sync += rounds - int(np.count_nonzero(heard))
-        return heard
-
-    def ta_indices(self, device: str) -> list[int]:
-        """``device``'s TA index from each TA timer expiry on: the initial
-        command on attach, then an update at every expiry within the run."""
-        rng = derive_stream(self.seed, f"ta/{device}")
-        prop = self.prop(self.nodes[device].attach_to, device)
-        indices: list[int] = []
-        current = None
-        for _ in self.rounds(self.plan.ta_timer_period):
-            rtt = measure_rtt(prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob, rng)
-            if current is None:
-                command = compute_ta_initial(rtt)
-            else:
-                command = compute_ta_update(rtt - current * TA_STEP_TICKS)
-            current = apply_ta_command(current, command)
-            indices.append(current)
-        return indices
-
     def sib_syncs(self, bs: str) -> None:
         """Every device of ``bs`` adopts each broadcast it hears and receives
         within the run, in (arrival, round) order, with the TA index in force
-        at arrival. A round's broadcast is drawn once for the cell, and the BS
-        stamps it once, if some device lands it.
-
-        The cell is one pass over (landing slot x device) arrays: each device
-        lands the rounds in the same (sent_at, round) order, shifted by its own
-        propagation delay, so slot k is the k-th round of that order for all
-        of them."""
+        at arrival. Its cell's schedule (cell_schedule) says which, when and
+        with which TA estimate; the BS stamps each landed round once, and the
+        readings are the quantized stamps plus those estimates."""
         devices = self.attached[bs]
         if not devices:
             return
-        plan, late = self.plan, self.duration + 1
-        rounds = self.rounds(plan.resync_period)
-        streams = [derive_stream(self.seed, f"sib/{bs}/{round_no}") for round_no in range(len(rounds))]
-        broadcasts = [sib16_broadcast(plan.sib, rng, at) for rng, at in zip(streams, rounds)]
-        # a send or a delay past the run is clipped to its end: that landing is past it either way
-        sent = np.array([min(broadcast.sent_at, late) for broadcast in broadcasts], dtype=np.int64)
-        order = np.argsort(sent, kind="stable")
-        prop = np.array([min(self.prop(bs, device), late) for device in devices], dtype=np.int64)
-        arrival = sent[order, None] + prop
-        lands = np.stack([self.heard(device, len(rounds)) for device in devices], axis=1)[order]
-        lands &= arrival <= self.duration
-        ta = [self.ta_indices(device) for device in devices]
-        self.ta_index.update((device, indices[-1]) for device, indices in zip(devices, ta))
-        quantized = [0] * len(rounds)   # by slot: the BS stamp of each landed round, quantized
-        for slot in np.flatnonzero(lands.any(axis=1)).tolist():
-            round_no = int(order[slot])
-            value = stamp(self.clocks[bs], broadcasts[round_no].stamped_at, streams[round_no])
-            quantized[slot] = quantize_broadcast_time(value, plan.sib.granularity)
-
-        device, slot = np.nonzero(lands.T)   # device-major: each device's landings in order
-        at = arrival[slot, device]
-        reading = whole(np.array(quantized, dtype=object))[slot]
-        reading += delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // plan.ta_timer_period]
-        set_readings([self.clocks[node] for node in devices], device, at, reading)
+        plan, clock = self.plan, self.clocks[bs]
+        schedule = cell_schedule(
+            self.seed, bs, tuple(devices), tuple(self.prop(bs, device) for device in devices), self.duration,
+            plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode, clock.params.stamp_noise_sigma,
+            self.config.link.loss_prob, plan.ta_timer_period, plan.ta_noise_sigma, plan.ta_wrong_bin_prob,
+        )
+        self.lost_sync += schedule.lost_sync
+        self.ta_index.update(zip(devices, schedule.ta_index))
+        quantized = [quantize_broadcast_time(in_tick_range(local_time(clock, at) + int(noise)), plan.sib.granularity)
+                     for at, noise in zip(schedule.stamped_at.tolist(), schedule.noise.tolist())]
+        reading = whole(np.array(quantized, dtype=object))[schedule.landed] + schedule.ta_delay
+        set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
         """``device``'s exchanges with ``bs``, at most one in flight: a heard
@@ -330,8 +401,10 @@ class _Runner:
         rng = derive_stream(self.seed, f"exchange/{device}")
         prop = self.prop(bs, device)
         rounds = self.rounds(self.plan.resync_period)
+        heard = heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)
+        self.lost_sync += len(rounds) - int(np.count_nonzero(heard))
         landing = 0   # of the last exchange sent
-        for round_no in np.flatnonzero(self.heard(device, len(rounds))).tolist():
+        for round_no in np.flatnonzero(heard).tolist():
             at = rounds[round_no]
             if at < landing:
                 continue

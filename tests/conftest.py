@@ -23,3 +23,19 @@ def traced_peak():
             if not tracing:
                 tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empties the per-process caches of derived streams and cell schedules,
+    before the test and after it, so a test that counts derivations or
+    patches a draw sees every derivation and leaves no patched draw behind."""
+    from airsync import engine, scenario
+
+    def clear():
+        engine._pcg64_seed_words.cache_clear()
+        scenario.cell_schedule.cache_clear()
+
+    clear()
+    yield
+    clear()

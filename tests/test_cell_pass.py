@@ -13,7 +13,7 @@ from airsync.clocks import ClockState, stamp
 from airsync.config import Role, validate_config
 from airsync.engine import derive_stream
 from airsync.protocols import delay_estimate_from_index, gw_relay_sync, quantize_broadcast_time, sib16_broadcast
-from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario
+from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario, ta_indices
 
 
 class _Logged(ClockState):
@@ -61,11 +61,12 @@ class _LandingByLanding(_Runner):
         broadcasts = []
         for round_no, at in enumerate(self.rounds(self.plan.resync_period)):
             rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
-            broadcasts.append((sib16_broadcast(self.plan.sib, rng, at), rng))
+            broadcasts.append((sib16_broadcast(self.plan.sib.si_window, self.plan.sib.stamp_mode, rng, at), rng))
         stamped = {}
         loss_prob = self.config.link.loss_prob
         for device in self.attached[bs]:
-            ta = self.ta_indices(device)
+            ta = ta_indices(self.seed, device, self.prop(bs, device), self.duration, self.plan.ta_timer_period,
+                            self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob)
             self.ta_index[device] = ta[-1]
             heard = list(range(len(broadcasts)))
             if loss_prob:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from airsync import cli, engine, scenario
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
 from airsync.clocks import ClockState, local_time
-from airsync.config import Workload, load_config
+from airsync.config import Workload, load_config, replace_config_value, validate_config
 from airsync.scenario import CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, build_scenario, run_scenario
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
 
@@ -592,18 +593,21 @@ def test_sweep_through_a_list_leaves_the_base_config_alone(tmp_path):
         assert row["pairwise_max_ticks"] == metrics["pairwise"]["max"], row["value"]
 
 
-def test_sweep_runs_seed_sequence_once_per_seed_and_label(tmp_path, monkeypatch):
-    """Every point of a sweep derives the same labels; their PCG64 seed words
-    are computed once per (seed, label) in a process. A warm second sweep
-    computes none and writes the same bytes as the cold first one."""
-    engine._pcg64_seed_words.cache_clear()
+def test_sweep_runs_seed_sequence_once_per_seed_and_label(tmp_path, monkeypatch, fresh_caches):
+    """A cell's labels (sib/, loss/, ta/) are derived once per schedule in a
+    process, since the swept granularity leaves its schedule as it is; every
+    other label once per point. The PCG64 seed words of each (seed, label)
+    pair are computed once, and a warm second sweep writes the same bytes as
+    the cold first one."""
     constructed, derived = [], []
     seed_sequence = np.random.SeedSequence
     monkeypatch.setattr(np.random, "SeedSequence", lambda *a, **k: constructed.append(a) or seed_sequence(*a, **k))
     derive_stream = scenario.derive_stream
     monkeypatch.setattr(scenario, "derive_stream", lambda seed, label: derived.append((seed, label)) or
                         derive_stream(seed, label))
-    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    raw = small_config(link={"loss_prob": 0.1})
+    raw["nodes"][2]["clock"] = {"theta0": {"dist": "uniform", "low": "-1 us", "high": "1 us"}, "stamp_noise": 308}
+    config = write_yaml(tmp_path / "cfg.yaml", raw)
     spec = write_yaml(tmp_path / "spec.yaml", {
         "path": "sync_plan.sib.granularity", "values": ["10 ms", "31 ticks"], "repetitions": 2,
     })
@@ -611,10 +615,61 @@ def test_sweep_runs_seed_sequence_once_per_seed_and_label(tmp_path, monkeypatch)
     for name in ("cold", "warm"):
         assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / name)]) == 0
         outputs.append((tmp_path / name / "sweep.json").read_bytes())
-    pairs = set(derived)
-    assert len(derived) == 4 * len(pairs)   # two sweeps × two values, each deriving its repetitions' labels
-    assert len(constructed) == len(pairs)
+    counts = Counter(derived)
+    cell = [n for (_, label), n in counts.items() if label.startswith(("sib/", "loss/", "ta/"))]
+    assert cell == [1] * 22   # 2 seeds x (7 rounds' sib/, 2 loss/, 2 ta/): once per schedule
+    assert sorted(counts.values())[len(cell):] == [4] * 4   # 2 seeds x (init/ue1, delivery_stamp/ue1): once per point
+    assert len(constructed) == len(counts)
     assert outputs[0] == outputs[1]
+
+
+def guard_config() -> dict:
+    """A SIB16 cell in which every input of its schedule shows in the metrics."""
+    raw = small_config(duration="1200 ms", link={"loss_prob": 0.2}, workload={"targets": ["ue1"]}, sync_plan={
+        "resync_period": "20 ms", "ta_timer_ms": 500, "ta_noise_sigma": 2000, "ta_wrong_bin_prob": 0.1,
+        "sib": {"granularity": "4 ticks", "si_window": "5 ms", "stamp_mode": "at_transmit"},
+    })
+    raw["nodes"][1]["clock"] = {"stamp_noise": 31}
+    return raw
+
+
+SCHEDULE_INPUTS = {   # each input of a cell's schedule, and two values that give it different schedules
+    "sync_plan.resync_period": ["20 ms", "30 ms"],
+    "sync_plan.sib.si_window": ["0 ms", "5 ms"],
+    "sync_plan.sib.stamp_mode": ["at_schedule", "at_transmit"],
+    "link.loss_prob": [0.1, 0.3],
+    "sync_plan.ta_timer_ms": [500, 750],
+    "sync_plan.ta_noise_sigma": [0, 5000],
+    "sync_plan.ta_wrong_bin_prob": [0, 0.5],
+    "nodes[2].position": [[140, 60], [900, 10]],
+    "nodes[1].position": [[0, 0], [300, 0]],
+    "duration": ["1000 ms", "1200 ms"],
+    "nodes[1].clock.stamp_noise": [0, 5000],
+    "nodes[3].id": ["ue2", "ue7"],   # a device's id names its loss/ and ta/ streams
+    "nodes": [guard_config()["nodes"], [   # and the BS's its sib/ streams
+        dict(node, **{key: "bs0" for key in ("id", "attach_to") if node.get(key) == "bs1"})
+        for node in guard_config()["nodes"]]],
+    "sync_plan.sib.granularity": ["4 ticks", "1 us"],   # not an input: the second value reuses the schedules
+}
+
+
+@pytest.mark.parametrize("path", SCHEDULE_INPUTS)
+def test_a_sweep_through_a_schedule_input_equals_separate_runs(path, tmp_path, fresh_caches):
+    # the first value's schedules are still cached when the second value runs;
+    # a row must equal a run of its point on an empty cache
+    raw = guard_config()
+    config = write_yaml(tmp_path / "cfg.yaml", raw)
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": path, "values": SCHEDULE_INPUTS[path], "repetitions": 2})
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 0
+    rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
+    for row in rows:
+        scenario.cell_schedule.cache_clear()
+        report, _ = cli._execute(validate_config(replace_config_value(raw, path, row["value"])), row["seed"])
+        separate = {"value": row["value"], "repetition": row["repetition"], "seed": row["seed"],
+                    **cli._metric_summary(report)}
+        assert row == json.loads(json.dumps(separate))
+    metrics = [{k: v for k, v in row.items() if k != "value"} for row in rows]
+    assert metrics[:2] != metrics[2:]   # the two values differ, so a stale schedule would show
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):
@@ -622,6 +677,15 @@ def test_sweep_empty_values_exits_2(tmp_path, capsys):
     spec = write_yaml(tmp_path / "spec.yaml", {"path": "seed", "values": []})
     assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert "sweep.values" in capsys.readouterr().err
+
+
+def test_sweep_over_the_seed_exits_2(tmp_path, capsys):
+    # each point runs the --seed or repetition seed, so swept seeds would write identical rows
+    config = write_yaml(tmp_path / "cfg.yaml", small_config())
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "seed", "values": [1, 2, 3]})
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "sweep.path: the seed cannot be swept" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_repeated_value_exits_2(tmp_path, capsys):

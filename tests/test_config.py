@@ -30,7 +30,7 @@ from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.metrics import build_report
 from airsync.protocols import RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_exchange, twoway_offset
-from airsync.scenario import build_scenario, run_scenario
+from airsync.scenario import build_scenario, cell_schedule, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -397,7 +397,10 @@ def one_record_of_each_type() -> dict:
         cfg, node, node.clock, node.clock.theta0, cfg.link, cfg.link.extra_delay, plan, plan.sib, plan.bs_alignment,
         cfg.workload, cfg.fault_probe, parse_sweep_spec({"path": "seed", "values": [1]}), cfg.presets[0],
         scenario, scenario.clocks["ue"], trace, trace.corrections[0], trace.fault, report, report.verdicts[0],
-        compute_ta_initial(100), exchange, twoway_offset(exchange), sib16_broadcast(plan.sib, derive_stream(0, "sib"), 0),
+        compute_ta_initial(100), exchange, twoway_offset(exchange),
+        sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),
+        cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,
+                      0, 0, plan.ta_timer_period, 0, 0),
     ]
     return {type(record).__name__: record for record in records}
 

@@ -208,7 +208,7 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
 def _sib_cycle(bs_clock, sib, ta_index, link_delay, rng, at=0):
     """One broadcast, stamped by the BS: when a UE adopts it, and its reading
     then, the quantized stamp plus the TA one-way estimate."""
-    broadcast = sib16_broadcast(sib, rng, at)
+    broadcast = sib16_broadcast(sib.si_window, sib.stamp_mode, rng, at)
     bs_value = stamp(bs_clock, broadcast.stamped_at, rng)
     return (broadcast.sent_at + link_delay,
             quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index))

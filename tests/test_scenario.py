@@ -8,11 +8,11 @@ import pytest
 
 from airsync import clocks as clocks_module
 from airsync import scenario as scenario_module
-from airsync.clocks import ClockState, clock_error, local_time
+from airsync.clocks import ClockParams, ClockState, clock_error, local_time
 from airsync.config import DelayDistribution, Role, load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError
-from airsync.protocols import ExchangeRecord, twoway_offset
+from airsync.protocols import ExchangeRecord, StampMode, twoway_offset
 from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import (
     HALF_TA_STEP_TICKS,
@@ -423,7 +423,7 @@ def test_delivery_at_correction_tick_reads_corrected_clock():
     pytest.param(lambda: load_config(CONFIG_DIR / "heterogeneous.yaml"), id="heterogeneous"),
     pytest.param(lambda: load_config(CONFIG_DIR / "two-bs.yaml"), id="two-bs"),
 ])
-def test_each_stream_label_derived_once_per_run(cfg, monkeypatch):
+def test_each_stream_label_derived_once_per_run(cfg, monkeypatch, fresh_caches):
     cfg = cfg()
     scenario = build_scenario(cfg)
     labels = Counter()
@@ -437,6 +437,45 @@ def test_each_stream_label_derived_once_per_run(cfg, monkeypatch):
     run_scenario(scenario, cfg.duration)
     assert labels
     assert [label for label, n in labels.items() if n > 1] == []
+    # a second run reuses each cell's schedule: it derives every other label once more
+    first = Counter(labels)
+    run_scenario(scenario, cfg.duration)
+    cell = {label for label in first if label.startswith(("sib/", "loss/", "ta/"))}
+    assert labels == first + Counter(label for label in first if label not in cell)
+
+
+def test_init_streams_derived_only_for_a_clock_with_a_range(monkeypatch, fresh_caches):
+    raw = base_config()
+    raw["nodes"][2]["clock"] = {"theta0": "2 us", "skew_ppm": 3}
+    raw["nodes"][3]["clock"] = {"skew_ppm": {"dist": "uniform", "low": -5, "high": 5}}
+    cfg = validate_config(raw)
+    labels = []
+    derive = scenario_module.derive_stream
+    monkeypatch.setattr(scenario_module, "derive_stream", lambda seed, label: labels.append(label) or
+                        derive(seed, label))
+    scenario = build_scenario(cfg)
+    assert labels == ["init/ue2"]
+    assert scenario.clocks["ue1"] == ClockParams(theta0=2 * TICKS_PER_US, skew_y=3e-6)
+    assert scenario.clocks["ue2"].skew_y == cfg.nodes["ue2"].clock.draw(derive_stream(cfg.seed, "init/ue2")).skew_y
+
+
+def test_a_fleet_sized_cell_schedule_is_compact_and_read_only(traced_peak, fresh_caches):
+    # 100 devices hearing 41 rounds, the last sent too late to land: 4,000 landings
+    # of 18 bytes and 40 landed rounds of 16
+    props = tuple(propagation_ticks(50 + 15 * i) for i in range(100))
+    devices = tuple(f"ue{i:03d}" for i in range(100))
+    args = (1, "bs1", devices, props, 400 * MS, 10 * MS, 10 * MS, StampMode.AT_TRANSMIT, 31.0, 0.0, 500 * MS, 100.0, 0.0)
+    scenario_module.cell_schedule(*args)
+    scenario_module.cell_schedule.cache_clear()   # the seed words stay cached: the peak is the schedule's own
+    kept = []
+    peak = traced_peak(lambda: kept.append(scenario_module.cell_schedule(*args)))
+    (schedule,) = kept
+    arrays = [value for value in schedule if isinstance(value, np.ndarray)]
+    assert len(schedule.at) == 4000 and len(schedule.stamped_at) == 40
+    assert [array.dtype for array in arrays] == [np.uint8, np.int64, np.int64, np.uint8, np.int64, np.float64]
+    assert not any(array.flags.writeable for array in arrays)
+    assert sum(array.nbytes for array in arrays) == 4000 * 18 + 40 * 16
+    assert peak <= 2**19   # building it: its streams, TA lists and (slot x device) arrays
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
@@ -462,7 +501,7 @@ def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch):
         dict.fromkeys(runner.clocks, np.dtype(np.int64))
 
 
-def test_two_way_enablers_keep_no_ta_state(monkeypatch):
+def test_two_way_enablers_keep_no_ta_state(monkeypatch, fresh_caches):
     # heterogeneous.yaml runs dedicated two-way with a 500 ms TA timer, which
     # nothing reads: no TA stream is derived and no TA index is kept
     cfg = load_config(CONFIG_DIR / "heterogeneous.yaml")
