@@ -29,7 +29,7 @@ from .config import (
 )
 from .engine import derive_seed
 from .errors import AirsyncError, InvalidConfigError
-from .metrics import BUILTIN_PRESETS, MetricsReport, build_report
+from .metrics import BUILTIN_PRESETS, build_report, device_error_report, fault_report, jitter_report, pairwise_report
 from .scenario import CORRECTION_KINDS, RawTrace, build_scenario, run_scenario
 from .timebase import parse_ticks, ticks_to_ns
 
@@ -181,28 +181,33 @@ def _write_manifest(out_dir: Path, command: str, written: list[str]) -> None:
     (out_dir / "manifest.json").write_text(_dump_json(manifest), encoding="utf-8")
 
 
-def _metric_summary(report: MetricsReport) -> dict:
-    """Headline per-run values used in sweep rows."""
+def _metric_summary(device_error: Optional[dict], pairwise: Optional[dict], jitter: Optional[dict],
+                    fault: Optional[dict]) -> dict:
+    """Headline per-run values used in sweep rows, from the report sections
+    of those names."""
     summary: dict[str, Any] = {}
-    if report.device_error:
-        summary["device_error_p99_ticks"] = report.device_error["p99"]
-        summary["device_error_max_ticks"] = report.device_error["max"]
-    if report.pairwise:
-        summary["pairwise_max_ticks"] = report.pairwise["max"]
-        summary["pairwise_p99_ticks"] = report.pairwise["p99"]
-    if report.jitter:
-        summary["jitter_peak_to_peak_ticks"] = report.jitter["peak_to_peak"]
-    if report.fault:
-        summary["fault_estimate_m"] = report.fault["estimate_m"]
-        summary["fault_deviation_m"] = report.fault["deviation_m"]
-        if "uncertainty_m" in report.fault:
-            summary["fault_uncertainty_m"] = report.fault["uncertainty_m"]
+    if device_error:
+        summary["device_error_p99_ticks"] = device_error["p99"]
+        summary["device_error_max_ticks"] = device_error["max"]
+    if pairwise:
+        summary["pairwise_max_ticks"] = pairwise["max"]
+        summary["pairwise_p99_ticks"] = pairwise["p99"]
+    if jitter:
+        summary["jitter_peak_to_peak_ticks"] = jitter["peak_to_peak"]
+    if fault:
+        summary["fault_estimate_m"] = fault["estimate_m"]
+        summary["fault_deviation_m"] = fault["deviation_m"]
+        if "uncertainty_m" in fault:
+            summary["fault_uncertainty_m"] = fault["uncertainty_m"]
     return summary
 
 
+def _simulate(config: ScenarioConfig, seed: int) -> RawTrace:
+    return run_scenario(build_scenario(config, root_seed=seed), config.duration)
+
+
 def _execute(config: ScenarioConfig, seed: int):
-    scenario = build_scenario(config, root_seed=seed)
-    trace = run_scenario(scenario, config.duration)
+    trace = _simulate(config, seed)
     report = build_report(
         trace,
         workload=config.workload,
@@ -210,6 +215,14 @@ def _execute(config: ScenarioConfig, seed: int):
         fault_probe=config.fault_probe,
     )
     return report, trace
+
+
+def _sweep_row(config: ScenarioConfig, seed: int) -> dict:
+    """A sweep point's headline values: only the report sections that
+    _metric_summary reads, by the functions build_report composes."""
+    trace = _simulate(config, seed)
+    return _metric_summary(device_error_report(trace), pairwise_report(trace),
+                           jitter_report(trace, config.workload), fault_report(trace, config.fault_probe))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -275,8 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config = validate_config(replace_config_value(base.raw, spec.path, value))
         group = []
         for rep, seed in enumerate(seeds):
-            report, _trace = _execute(config, seed)
-            group.append({"value": value, "repetition": rep, "seed": seed, **_metric_summary(report)})
+            group.append({"value": value, "repetition": rep, "seed": seed, **_sweep_row(config, seed)})
         rows += group
         agg: dict[str, Any] = {"value": value, "repetitions": len(group)}
         for key in sorted({k for r in group for k in r} - {"value", "repetition", "seed"}):

@@ -16,10 +16,12 @@ local_times() and stamps() are the bulk readers: they read many clocks at
 once, each at its own int64 instants, and give exactly what local_time() and
 successive stamp() calls give, raising TickOverflowError on the same inputs.
 set_readings() is ClockState.set for many steps of fresh clocks at once, and
-read_steps() its inverse. Their arithmetic follows one rule: int64 while
-every term is small enough that no sum of a few can wrap, and exact Python
-ints in object arrays otherwise (whole() makes that choice), with the signed
-64-bit range checked on the exact sums only. The bulk readers make that
+read_steps() its inverse; like set, set_readings records in
+ClockState.overflow a step whose delta or error after it falls outside the
+signed 64-bit range. Their arithmetic follows one rule: int64 while every
+term is small enough that no sum of a few can wrap, and exact Python ints in
+object arrays otherwise (whole() makes that choice), with the signed 64-bit
+range checked on the exact sums only. The bulk readers make that
 choice clock by clock: only the columns that hold a large term (every
 column, when the shared instants do) are summed in exact ints.
 """
@@ -53,15 +55,18 @@ class ClockState:
 
     ``installed_at[i]`` is the true instant of step i (non-decreasing) and
     ``correction[i]`` the total correction in force from then on. A clock
-    with no steps holds its drawn phase throughout.
+    with no steps holds its drawn phase throughout. ``overflow`` names the
+    correction-log columns, "delta" and "error_after", that some step taken
+    by set or set_readings puts outside the signed 64-bit range.
     """
 
-    __slots__ = ("params", "installed_at", "correction", "_arrays")
+    __slots__ = ("params", "installed_at", "correction", "overflow", "_arrays")
 
     def __init__(self, params: ClockParams = ClockParams()):
         self.params = params
         self.installed_at: list[int] = []
         self.correction: list[int] = []
+        self.overflow: frozenset[str] = frozenset()
         self._arrays: Optional[tuple] = None
 
     def __repr__(self) -> str:
@@ -80,6 +85,10 @@ class ClockState:
         return the step taken (the old reading then minus ``reading``)."""
         delta = local_time(self, at) - in_tick_range(reading)
         self.step(at, delta)
+        if not INT64_MIN <= delta <= INT64_MAX:
+            self.overflow |= {"delta"}
+        if not INT64_MIN <= reading - at <= INT64_MAX:
+            self.overflow |= {"error_after"}
         return delta
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +167,10 @@ def _perturbation(skew: np.ndarray, half_drift: np.ndarray, t: np.ndarray) -> np
     ``skew`` and ``half_drift`` (0.5 * drift) broadcast against int64
     instants ``t``, in local_time's float operations and order. Without
     drift its term is a signed zero, which changes no rounded sum."""
-    if not np.any(half_drift):
+    if not half_drift.any():
         return np.rint(skew * t)
     t_seconds = t / TICKS_PER_SECOND
-    if t.size and (t.max() > 2**53 or t.min() < -(2**53)):
+    if not _within(2**53 + 1, t):
         wide = (t > 2**53) | (t < -(2**53))   # Python divides such an int exactly; numpy rounds it to a double first
         t_seconds[wide] = [x / TICKS_PER_SECOND for x in t[wide].tolist()]
     return np.rint(skew * t + half_drift * t_seconds * t)
@@ -174,8 +183,14 @@ def _rates(clocks: Sequence[ClockState]) -> tuple[np.ndarray, np.ndarray]:
 
 def _within(bound: float, *arrays: np.ndarray) -> bool:
     """Whether every value of ``arrays`` lies strictly within +-``bound``
-    (False for a NaN)."""
-    return all(not x.size or (-bound < x.min() and x.max() < bound) for x in arrays)
+    (False for a NaN). The extremes are compared as Python numbers, exactly
+    and faster than numpy scalars."""
+    for x in arrays:
+        if x.size:
+            low, high = (x.min(), x.max()) if x.dtype == object else (x.min().item(), x.max().item())
+            if not (-bound < low and high < bound):
+                return False
+    return True
 
 
 def _wide(bound: float, *arrays: np.ndarray) -> np.ndarray:
@@ -247,17 +262,24 @@ def stamps(clocks: Sequence[ClockState], t_true: np.ndarray, rngs: Sequence[Opti
            where: Optional[np.ndarray] = None) -> np.ndarray:
     """stamp of many clocks at once: local_times, plus for column j the stamp
     noise of ``clocks[j]``, drawn from ``rngs[j]`` one instant after another
-    down the column (only the marked ones under ``where``). The same values
-    and the same draws as successive stamp calls; a column that draws nothing
-    (no instant, or no stamp noise) may have no stream. The noise is added in
-    int64 for the clocks whose terms are all below 2**62, and in exact ints
-    for the others."""
+    down the column (only the marked ones under ``where``), added by
+    add_noise. The same values and the same draws as successive stamp calls;
+    a column that draws nothing (no instant, or no stamp noise) may have no
+    stream."""
     local = local_times(clocks, t_true, where)
     marked = np.ones(local.shape, dtype=bool) if where is None else where
     noise = np.zeros(local.shape)
     for j, (clock, rng, count) in enumerate(zip(clocks, rngs, np.count_nonzero(marked, axis=0).tolist())):
         if clock.params.stamp_noise_sigma and count:
             noise[marked[:, j], j] = rng.gauss_ticks(clock.params.stamp_noise_sigma, count)
+    return add_noise(local, noise, where)
+
+
+def add_noise(local: np.ndarray, noise: np.ndarray, where: Optional[np.ndarray] = None) -> np.ndarray:
+    """The readings ``local`` (int64, instants x clocks) plus the whole
+    float64 stamp ``noise``, with stamp's range check on each sum (only the
+    marked ones under ``where``): in int64 for the clocks whose terms are all
+    below 2**62, and in exact ints for the others. May write into ``local``."""
     return _sum(2.0**62, (local, noise), where)
 
 
@@ -265,7 +287,8 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
     """ClockState.set for many steps of clocks that have taken none yet: step
     i sets ``clocks[which[i]]`` to read ``reading[i]`` at true time ``at[i]``.
     Each clock's steps are contiguous and in time order. Installs them, with
-    set's range checks on each step's read and reading.
+    set's range checks on each step's read and reading, and records in
+    ``overflow`` what set records.
 
     With u_i the clock's unstepped reading at ``at[i]``, the correction after
     step i is c_i = reading_i - u_i, and step i reads u_i + c_{i-1} (c = 0
@@ -282,14 +305,22 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
     correction = reading - unstepped
     first = np.ones(len(which), dtype=bool)
     first[1:] = which[1:] != which[:-1]
-    _in_range(unstepped + np.where(first, 0, np.roll(correction, 1)))   # each step's read of the clock
+    previous = np.zeros_like(correction)   # the correction in force before each step
+    previous[1:] = correction[:-1]
+    previous[first] = 0
+    read = _in_range(unstepped + previous)   # each step's read of the clock
     _in_range(reading)
+    # in int64 every term is below 2**59, so the delta and the error after lie in range
+    wide = {name: (value < INT64_MIN) | (value > INT64_MAX)
+            for name, value in (("delta", read - reading), ("error_after", reading - at)) if value.dtype == object}
     starts = np.flatnonzero(first).tolist()
     for start, stop in zip(starts, starts[1:] + [len(which)]):
         clock = clocks[which[start]]
         if clock.installed_at:
             raise ValueError("set_readings steps only clocks that have taken no step")
         clock.installed_at, clock.correction = at[start:stop].tolist(), correction[start:stop].tolist()
+        if wide:
+            clock.overflow = frozenset(name for name, outside in wide.items() if outside[start:stop].any())
         clock._arrays = None
 
 

@@ -7,6 +7,12 @@ absolute error in a node's column; pairwise statistics take, in each row
 minus min (common-mode error cancels by construction). Jitter is the
 variation of delivery stamps around the commanded grid points, never the
 constant offset.
+
+The report is composed of one function per section: per_node_report,
+device_error_report, pairwise_report, jitter_report, fault_report and
+check_requirements. build_report calls them all; a caller that needs fewer
+sections (a sweep row) calls only those. Each allocates and frees its own
+float64 buffer, so one is alive at a time.
 """
 
 from __future__ import annotations
@@ -182,18 +188,21 @@ def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
     np.subtract(deliveries.local_stamp, deviation, out=deviation)
     deviation = deviation.astype(float)
     if workload.phase_mode == "median":
-        # every target's median in one pass: sort by (target, deviation) and
-        # read each group's middle order statistics; an even group takes
-        # (lo + hi) / 2, as np.median does. A target with no delivery reads
-        # some other group's values, which no delivery then uses.
-        group = deliveries.node
-        counts = np.bincount(group)
-        starts = np.cumsum(counts) - counts
-        order = np.lexsort((deviation, group))
-        lo = deviation[order[starts + (counts - 1) // 2]]
-        hi = deviation[order[starts + counts // 2]]
-        del order
-        deviation -= ((lo + hi) / 2)[group]
+        # the deviations grouped by target, which changes no statistic below
+        # (a stable sort of target indices this small is a radix sort); each
+        # group is centred on its middle order statistics, found by a partial
+        # sort of its own: an even group takes (lo + hi) / 2, as np.median does
+        counts = np.bincount(deliveries.node).tolist()
+        target = deliveries.node.astype(np.min_scalar_type(len(counts) - 1))
+        deviation = deviation[np.argsort(target, kind="stable")]
+        stop = 0
+        for count in counts:
+            group = deviation[stop:stop + count]
+            stop += count
+            if count:
+                lo, hi = (count - 1) // 2, count // 2
+                group.partition(sorted({lo, hi}))
+                group -= (group[lo] + group[hi]) / 2
     stats = _percentiles_in_place(np.abs(deviation))
     stats["peak_to_peak"] = float(deviation.max() - deviation.min())
     return stats
@@ -250,6 +259,71 @@ def check_requirements(
     return verdicts
 
 
+def _device_columns(trace: RawTrace) -> list[int]:
+    return [j for j, node in enumerate(trace.sampled) if node in trace.devices]
+
+
+def per_node_report(trace: RawTrace) -> dict[str, dict]:
+    """Percentiles of each sampled node's |error|, by node id; each column
+    goes through one float64 buffer of one column's length."""
+    magnitude = np.empty(len(trace.errors))
+    return {node: _percentiles_in_place(np.abs(column, out=magnitude, dtype=float))
+            for node, column in sorted(zip(trace.sampled, trace.errors.T))}
+
+
+def device_error_report(trace: RawTrace) -> Optional[dict]:
+    """Percentiles of |error| over every device sample, or None without one.
+    The device columns' magnitudes fill one float64 buffer to be partitioned."""
+    devices, errors = _device_columns(trace), trace.errors
+    if not devices or not errors.size:
+        return None
+    magnitude = np.empty((len(devices), len(errors)))
+    for row, j in enumerate(devices):   # an index: a row view left bound would keep the buffer
+        np.abs(errors[:, j], out=magnitude[row], dtype=float)
+    return _percentiles_in_place(magnitude)
+
+
+def pairwise_report(trace: RawTrace) -> Optional[dict]:
+    """pairwise_offset_stats over the device columns, or None below two devices."""
+    devices = _device_columns(trace)
+    return pairwise_offset_stats(trace.errors, devices) if len(devices) >= 2 else None
+
+
+def jitter_report(trace: RawTrace, workload: Optional[Workload]) -> Optional[dict]:
+    """jitter_stats of the run's deliveries, or None without a workload or
+    two deliveries."""
+    if workload is None or len(trace.deliveries) < 2:
+        return None
+    return jitter_stats(trace.deliveries, workload)
+
+
+def fault_report(trace: RawTrace, fault_probe) -> Optional[dict]:
+    """The fault probe's location estimate against the true position, or
+    None without a probe."""
+    if trace.fault is None or fault_probe is None:
+        return None
+    estimate, out_of_range = fault_location_estimate(
+        trace.fault.stamp_a,
+        trace.fault.stamp_b,
+        fault_probe.line_length_m,
+        fault_probe.wave_speed_mps,
+    )
+    fault = {
+        "pmu_a": trace.fault.pmu_a,
+        "pmu_b": trace.fault.pmu_b,
+        "stamp_a": trace.fault.stamp_a,
+        "stamp_b": trace.fault.stamp_b,
+        "estimate_m": estimate,
+        "true_position_m": fault_probe.fault_position_m,
+        "deviation_m": estimate - fault_probe.fault_position_m,
+        "out_of_range": out_of_range,
+    }
+    if fault_probe.sync_error_bound is not None:
+        fault["sync_error_bound_ticks"] = fault_probe.sync_error_bound
+        fault["uncertainty_m"] = localization_uncertainty(fault_probe.sync_error_bound, fault_probe.wave_speed_mps)
+    return fault
+
+
 def build_report(
     trace: RawTrace,
     workload: Optional[Workload] = None,
@@ -257,58 +331,14 @@ def build_report(
     fault_probe=None,
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
-    errors = trace.errors
-    devices = [j for j, node in enumerate(trace.sampled) if node in trace.devices]
-    # the report's one float64 buffer: |error| of each node's column goes into
-    # its first row to be partitioned, then the device columns' into its rows
-    magnitude = np.empty((max(len(devices), 1), len(errors)))
-    per_node = {node: _percentiles_in_place(np.abs(column, out=magnitude[0], dtype=float))
-                for node, column in sorted(zip(trace.sampled, errors.T))}
-    device_error = None
-    if devices and errors.size:
-        for row, j in enumerate(devices):   # an index: a row view left bound would keep the buffer
-            np.abs(errors[:, j], out=magnitude[row], dtype=float)
-        device_error = _percentiles_in_place(magnitude)
-    del magnitude
-    pairwise = pairwise_offset_stats(errors, devices) if len(devices) >= 2 else None
-
-    jitter = None
-    if workload is not None and len(trace.deliveries) >= 2:
-        jitter = jitter_stats(trace.deliveries, workload)
-
-    fault = None
-    if trace.fault is not None and fault_probe is not None:
-        estimate, out_of_range = fault_location_estimate(
-            trace.fault.stamp_a,
-            trace.fault.stamp_b,
-            fault_probe.line_length_m,
-            fault_probe.wave_speed_mps,
-        )
-        fault = {
-            "pmu_a": trace.fault.pmu_a,
-            "pmu_b": trace.fault.pmu_b,
-            "stamp_a": trace.fault.stamp_a,
-            "stamp_b": trace.fault.stamp_b,
-            "estimate_m": estimate,
-            "true_position_m": fault_probe.fault_position_m,
-            "deviation_m": estimate - fault_probe.fault_position_m,
-            "out_of_range": out_of_range,
-        }
-        if fault_probe.sync_error_bound is not None:
-            fault["sync_error_bound_ticks"] = fault_probe.sync_error_bound
-            fault["uncertainty_m"] = localization_uncertainty(
-                fault_probe.sync_error_bound, fault_probe.wave_speed_mps
-            )
-
-    measured_pairwise = int(pairwise["max"]) if pairwise else None
-    measured_jitter = int(jitter["peak_to_peak"]) if jitter else None
-    verdicts = check_requirements(measured_pairwise, measured_jitter, presets)
-
+    pairwise = pairwise_report(trace)
+    jitter = jitter_report(trace, workload)
     return MetricsReport(
-        per_node=per_node,
-        device_error=device_error,
+        per_node=per_node_report(trace),
+        device_error=device_error_report(trace),
         pairwise=pairwise,
         jitter=jitter,
-        fault=fault,
-        verdicts=verdicts,
+        fault=fault_report(trace, fault_probe),
+        verdicts=check_requirements(int(pairwise["max"]) if pairwise else None,
+                                    int(jitter["peak_to_peak"]) if jitter else None, presets),
     )

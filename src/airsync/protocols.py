@@ -152,8 +152,9 @@ def measure_rtt(
 # --- broadcast time (SIB16-style) -------------------------------------------
 
 
-def quantize_broadcast_time(t: int, granularity: int) -> int:
-    """Truncate a time value to the broadcast granularity grid (0 = exact)."""
+def quantize_broadcast_time(t, granularity: int):
+    """Truncate a time value, or an array of them, to the broadcast
+    granularity grid (0 = exact)."""
     if granularity == 0:
         return t
     return (t // granularity) * granularity

@@ -9,29 +9,34 @@ the sync tree, parent first: the anchor BS, the other BSs (steered or
 RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
 whole cell in one array pass, or two-way, one exchange at a time), then each
 gateway's legacy devices. A read at instant t sees every step installed at
-or before t. The correction log, samples, deliveries and the fault probe are
-then read from the finished clocks, all nodes at once, into the trace records.
+or before t. Samples, deliveries and the fault probe are then read from the
+finished clocks, all nodes at once, into the trace records. The trace keeps
+the finished clocks that stepped, and the correction log is read off them
+only when it is asked for (trace.json and tests ask; the report does not).
+A step whose delta or error after it passes the signed 64-bit range is
+recorded as the clock installs it and raised once the sync phase is over.
 
 A SIB16 cell's draws read no clock: which rounds each device hears and when
 they land, its TA indices, and each broadcast's scheduling delay and BS
 stamp noise. cell_schedule computes them from the seed and the few config
 values they depend on, and keeps the last few schedules per process, so the
 points of a sweep whose value leaves them unchanged (the granularity, say)
-share them. The run then only reads the BS clock at the stamp instants,
-quantizes, and installs the devices' readings. A cached schedule is what a
+share them. The run then only reads the BS clock at the stamp instants, in
+one bulk read, quantizes, and installs the devices' readings. A cached schedule is what a
 fresh one would be, so the cache changes no draw and no output.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from collections import OrderedDict
+from functools import cache, wraps
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .clocks import (
-    ClockParams, ClockState, in_tick_range, local_time, local_times, read_steps, set_readings, stamp, stamps, whole,
+    ClockParams, ClockState, add_noise, local_time, local_times, read_steps, set_readings, stamp, stamps, whole,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
@@ -87,6 +92,18 @@ class CorrectionEvent(NamedTuple):
     error_after: int
 
 
+class SteppedClock(NamedTuple):
+    """A clock that the run stepped, with the keys that place its steps in
+    the correction log: the node's index in ``sampled``, its group (a BS, or
+    a device with its legacy devices), its place in the group, its kind."""
+
+    clock: ClockState
+    node: int
+    group: int
+    member: int
+    kind: int
+
+
 class FaultStamps(NamedTuple):
     t_fault: int
     pmu_a: str
@@ -104,15 +121,13 @@ class RawTrace(NamedTuple):
     minus reference time, in ticks. ``deliveries`` has one row per delivered
     command, in stamp order, and none without a workload: ``node`` indexes
     ``workload.targets``, and the command's grid point is
-    ``workload.grid_point(grid_index)``. ``correction_log`` has one row per
-    clock step, ordered by ``t_true``, steps at one tick as computed (BSs,
-    then devices, a gateway's step just before its relays of it); its ``node``
-    indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS.
-    ``devices`` holds the device node ids and ``ta_index`` each SIB16
-    device's final TA index.
+    ``workload.grid_point(grid_index)``. ``stepped`` holds the finished
+    clocks that stepped, in log order. ``devices`` holds the device node ids
+    and ``ta_index`` each SIB16 device's final TA index.
 
-    ``samples`` and ``corrections`` are row views of the same data, built on
-    each access, with ids as Python strings.
+    ``correction_log`` is built on each access, from ``stepped``; the
+    statistics never read it. ``samples`` and ``corrections`` are row views
+    of the same data, built on each access, with ids as Python strings.
     """
 
     sampled: tuple[str, ...]
@@ -120,7 +135,7 @@ class RawTrace(NamedTuple):
     errors: np.ndarray          # int64, instants x sampled
     workload: Optional[Workload]
     deliveries: np.recarray     # DELIVERY_DTYPE
-    correction_log: np.ndarray  # CORRECTION_DTYPE
+    stepped: tuple[SteppedClock, ...]
     devices: frozenset[str]
     ta_index: dict[str, int]
     lost_sync: int
@@ -135,6 +150,22 @@ class RawTrace(NamedTuple):
         rows.node = np.array(self.sampled, dtype=object)
         rows.error = self.errors
         return rows.ravel()
+
+    @property
+    def correction_log(self) -> np.ndarray:
+        """Every clock step as a CORRECTION_DTYPE row, ordered by (t_true,
+        group, step, member): steps at one tick as computed (BSs, then
+        devices, a gateway's step just before its relays of it). Its ``node``
+        indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS."""
+        which, at, delta, error = read_steps([stepped.clock for stepped in self.stepped])
+        node, group, member, kind = np.array([stepped[1:] for stepped in self.stepped],
+                                             dtype=np.int64).reshape(-1, 4)[which].T
+        step = np.arange(len(which)) - np.searchsorted(which, which)   # each clock's steps are contiguous
+        order = np.lexsort((member, step, group, at))   # a legacy device's k-th step relays its gateway's k-th
+        log = np.empty(len(which), dtype=CORRECTION_DTYPE)
+        for name, column in zip(CORRECTION_DTYPE.names, (at, node, delta, kind, error)):
+            log[name] = column[order]   # in range: the run checked each step as the clock installed it
+        return log
 
     @property
     def corrections(self) -> list[CorrectionEvent]:
@@ -215,7 +246,8 @@ class CellSchedule(NamedTuple):
     noise: np.ndarray             # float64, whole: the BS stamp noise then (a draw may pass int64)
 
 
-_SCHEDULE_CACHE_SIZE = 64   # cell schedules kept per process (README, "Randomness")
+_SCHEDULE_CACHE_SIZE = 64         # cell schedules kept per process (README, "Randomness")
+_SCHEDULE_CACHE_BYTES = 1 << 18   # the largest schedule kept, in array bytes: 64 keep at most 16 MiB
 
 
 def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -224,15 +256,40 @@ def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
     return array
 
 
-# typed: a float seed names other streams than the int it equals
-@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE, typed=True)
+def _keep_small(draw):
+    """``draw``, memoized as ``lru_cache(_SCHEDULE_CACHE_SIZE, typed=True)``
+    would, except that a schedule whose arrays pass _SCHEDULE_CACHE_BYTES is
+    not kept. Typed: a float seed names other streams than the int it equals."""
+    kept: OrderedDict = OrderedDict()
+
+    @wraps(draw)
+    def cached(*args):
+        key = (*args, *map(type, args))
+        schedule = kept.get(key)
+        if schedule is not None:
+            kept.move_to_end(key)
+            return schedule
+        schedule = draw(*args)
+        if sum(column.nbytes for column in schedule if isinstance(column, np.ndarray)) <= _SCHEDULE_CACHE_BYTES:
+            kept[key] = schedule
+            if len(kept) > _SCHEDULE_CACHE_SIZE:
+                kept.popitem(last=False)
+        return schedule
+
+    cached.cache_clear = kept.clear
+    cached.kept = kept
+    return cached
+
+
+@_keep_small
 def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int, ...], duration: int,
                   resync_period: int, si_window: int, stamp_mode: StampMode, stamp_noise_sigma: float,
                   loss_prob: float, ta_timer_period: int, ta_noise_sigma: float,
                   ta_wrong_bin_prob: float) -> CellSchedule:
     """The schedule of ``bs``'s cell, whose ``devices`` lie ``props`` ticks
     away: a pure function of its arguments, kept for the last
-    _SCHEDULE_CACHE_SIZE cells a process asked for.
+    _SCHEDULE_CACHE_SIZE cells a process asked for whose arrays take at
+    most _SCHEDULE_CACHE_BYTES.
 
     A round's broadcast is drawn once for the cell from ``sib/{bs}/{round}``:
     its scheduling delay, then, if some device lands it, the BS stamp noise.
@@ -276,7 +333,11 @@ class _Runner:
     parameters: the run's one record of its steps. The run walks the sync
     tree parent-first (the BSs, each BS's devices, each gateway's legacy
     devices), so every node's steps are computed in time order from its
-    parent's finished trajectory. The log and observations read the clocks.
+    parent's finished trajectory. The observations read the clocks, and the
+    trace keeps the stepped ones for its correction log. A step site only
+    records a step past the 64-bit range (ClockState.overflow); run raises
+    it after the sync phase, a delta before an error after, as building the
+    log there would.
 
     Each stream label is derived at most once per run: a node's ``loss/``,
     ``exchange/`` and ``relay/`` streams where its steps are computed, and
@@ -387,9 +448,10 @@ class _Runner:
         )
         self.lost_sync += schedule.lost_sync
         self.ta_index.update(zip(devices, schedule.ta_index))
-        quantized = [quantize_broadcast_time(in_tick_range(local_time(clock, at) + int(noise)), plan.sib.granularity)
-                     for at, noise in zip(schedule.stamped_at.tolist(), schedule.noise.tolist())]
-        reading = whole(np.array(quantized, dtype=object))[schedule.landed] + schedule.ta_delay
+        stamped = add_noise(local_times([clock], schedule.stamped_at[:, None]), schedule.noise[:, None])[:, 0]
+        # int64 while no stamp's floor to the grid can pass INT64_MIN, else exact ints
+        stamped = whole(stamped, 2.0**62) if plan.sib.granularity < 2**62 else stamped.astype(object)
+        reading = whole(quantize_broadcast_time(stamped, plan.sib.granularity))[schedule.landed] + schedule.ta_delay
         set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
@@ -444,40 +506,28 @@ class _Runner:
                     self.twoway_syncs(bs, device)
             for device in self.attached[bs]:
                 self.relay(device)
-        correction_log = self.correction_log()
+        stepped = self.stepped()
+        for name in ("delta", "error_after"):
+            if any(name in clock.overflow for clock, *_ in stepped):
+                raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range")
         instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
         return RawTrace(
             sampled=self.sampled, instants=instants, errors=self.sample(instants),
-            workload=self.config.workload, deliveries=self.deliver(), correction_log=correction_log,
+            workload=self.config.workload, deliveries=self.deliver(), stepped=stepped,
             devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
             ta_index=self.ta_index, lost_sync=self.lost_sync,
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
-    def correction_log(self) -> np.ndarray:
-        """Every clock step as a CORRECTION_DTYPE row, read off the finished
-        clocks in one pass, ordered by (t_true, group, step, member): a group
-        is a BS or a device then its legacy devices, in evaluation order."""
+    def stepped(self) -> tuple[SteppedClock, ...]:
+        """The clocks that step, with their log keys, in evaluation order: a
+        group is a BS, or a device then its legacy devices."""
         device_kind = SIB16 if self.plan.enabler is Enabler.TA_SIB16 else TWO_WAY
-        nodes = list(self.base_stations)
-        keys = [(group, 0, BS_ALIGN) for group in range(len(nodes))]   # (group, member, kind) of each node
-        devices = [device for bs in self.base_stations for device in self.attached[bs]]
-        for group, device in enumerate(devices, len(nodes)):
-            members = [device, *self.relays.get(device, ())]
-            nodes += members
-            keys += [(group, member, GW_RELAY if member else device_kind) for member in range(len(members))]
-        which, at, delta, error = read_steps([self.clocks[node] for node in nodes])
-        group, member, kind = np.array(keys, dtype=np.int64).reshape(-1, 3)[which].T
-        step = np.arange(len(which)) - np.searchsorted(which, which)   # each node's steps are contiguous
-        order = np.lexsort((member, step, group, at))   # a legacy device's k-th step relays its gateway's k-th
-        node = np.array([self.node_index[node] for node in nodes], dtype=np.int64)[which]
-        log = np.empty(len(which), dtype=CORRECTION_DTYPE)
-        for name, column in zip(CORRECTION_DTYPE.names, (at, node, delta, kind, error)):
-            try:
-                log[name] = np.asarray(column[order], dtype=np.int64)
-            except OverflowError:   # a step or an error past the 64-bit tick range
-                raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range") from None
-        return log
+        groups = [[(bs, BS_ALIGN)] for bs in self.base_stations]
+        groups += [[(device, device_kind), *((legacy, GW_RELAY) for legacy in self.relays.get(device, ()))]
+                   for bs in self.base_stations for device in self.attached[bs]]
+        return tuple(SteppedClock(self.clocks[node], self.node_index[node], group, member, kind)
+                     for group, members in enumerate(groups) for member, (node, kind) in enumerate(members))
 
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --
 

@@ -10,6 +10,7 @@ seconds happen only at I/O boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import TickOverflowError
 
@@ -39,6 +40,8 @@ _UNIT_TICKS: dict[str, Fraction] = {
     "tick": Fraction(1),
 }
 
+_PARSE_CACHE_SIZE = 1024   # time strings whose tick value is kept per process
+
 
 def ticks_to_seconds(ticks: int | float) -> float:
     return ticks / TICKS_PER_SECOND
@@ -53,7 +56,8 @@ def parse_ticks(value: int | float | str, *, allow_negative: bool = False) -> in
 
     Accepts a bare integer (ticks) or a string with a unit suffix such as
     "80 ms", "0.5 us", "31 ticks". Quantities that are not an exact integer
-    number of ticks are rejected rather than rounded.
+    number of ticks are rejected rather than rounded. A string's ticks are
+    kept per process (_parse_text), keyed on the text alone.
     """
     if isinstance(value, bool):
         raise ValueError("expected a time quantity, got a boolean")
@@ -64,32 +68,7 @@ def parse_ticks(value: int | float | str, *, allow_negative: bool = False) -> in
             raise ValueError(f"{value} is not an integer number of ticks")
         ticks = int(value)
     elif isinstance(value, str):
-        text = value.strip()
-        parts = text.split()
-        if len(parts) == 2:
-            number, unit = parts
-        else:
-            # allow "80ms" without a space
-            idx = len(text)
-            while idx > 0 and (text[idx - 1].isalpha() or text[idx - 1] == "µ"):
-                idx -= 1
-            number, unit = text[:idx].strip(), text[idx:]
-        if not number or unit not in _UNIT_TICKS:
-            raise ValueError(
-                f"cannot parse time quantity {value!r}; expected '<number> "
-                f"<unit>' with unit in {sorted(set(_UNIT_TICKS) - {'tick'})}"
-            )
-        try:
-            quantity = Fraction(number)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad numeric value in {value!r}") from exc
-        scaled = quantity * _UNIT_TICKS[unit]
-        if scaled.denominator != 1:
-            raise ValueError(
-                f"{value!r} is not an integer number of ticks "
-                f"({float(scaled):.3f}); use an explicit 'ticks' value"
-            )
-        ticks = int(scaled)
+        ticks = _parse_text(value)
     else:
         raise ValueError(f"expected a time quantity, got {type(value).__name__}")
     if not allow_negative and ticks < 0:
@@ -97,6 +76,38 @@ def parse_ticks(value: int | float | str, *, allow_negative: bool = False) -> in
     if not (INT64_MIN <= ticks <= UINT64_MAX):
         raise TickOverflowError(f"{value!r} exceeds the 64-bit tick range")
     return ticks
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse_text(value: str) -> int:
+    """The exact ticks of a time string: its number as a Fraction times its
+    unit's ticks, which must be whole. Raises ValueError, never kept."""
+    text = value.strip()
+    parts = text.split()
+    if len(parts) == 2:
+        number, unit = parts
+    else:
+        # allow "80ms" without a space
+        idx = len(text)
+        while idx > 0 and (text[idx - 1].isalpha() or text[idx - 1] == "µ"):
+            idx -= 1
+        number, unit = text[:idx].strip(), text[idx:]
+    if not number or unit not in _UNIT_TICKS:
+        raise ValueError(
+            f"cannot parse time quantity {value!r}; expected '<number> "
+            f"<unit>' with unit in {sorted(set(_UNIT_TICKS) - {'tick'})}"
+        )
+    try:
+        quantity = Fraction(number)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad numeric value in {value!r}") from exc
+    scaled = quantity * _UNIT_TICKS[unit]
+    if scaled.denominator != 1:
+        raise ValueError(
+            f"{value!r} is not an integer number of ticks "
+            f"({float(scaled):.3f}); use an explicit 'ticks' value"
+        )
+    return int(scaled)
 
 
 def propagation_ticks(distance_m: float) -> int:

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from airsync import cli, engine, scenario
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
-from airsync.clocks import ClockState, local_time
-from airsync.config import Workload, load_config, replace_config_value, validate_config
-from airsync.scenario import CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, build_scenario, run_scenario
+from airsync.clocks import ClockParams, ClockState, local_time
+from airsync.config import Workload, load_config, load_sweep_spec, replace_config_value, validate_config
+from airsync.scenario import (
+    CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
+)
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -260,27 +262,42 @@ def _ids(names) -> tuple:
     return tuple(dict.fromkeys(names))
 
 
+def _stepped(sampled: tuple, corrections) -> tuple:
+    """Clocks whose correction log is ``corrections``, (t_true, node, delta,
+    kind, error_after) rows in t_true order: one unskewed clock a row, whose
+    phase, error_after + delta, one step of delta at t_true takes to
+    error_after. A row's group is its index, which keeps the rows' order."""
+    stepped = []
+    for group, (t, node, delta, kind, error) in enumerate(corrections):
+        clock = ClockState(ClockParams(theta0=error + delta))
+        clock.step(t, delta)
+        stepped.append(SteppedClock(clock, sampled.index(node), group, 0, CORRECTION_KINDS.index(kind)))
+    return tuple(stepped)
+
+
 def _trace(samples=(), deliveries=(), corrections=(), grid=range(0)) -> RawTrace:
     """A trace of these rows: samples (t_true, node, error), deliveries (node,
     grid_index, true_arrival, local_stamp) on the command ``grid``, and
-    corrections (t_true, node, delta, kind, error_after). ``sampled`` is read
-    off the first instant, then the correction nodes; the sample rows must
-    follow the instant-major layout of ``RawTrace``."""
+    corrections (t_true, node, delta, kind, error_after), by _stepped.
+    ``sampled`` is read off the first instant, then the correction nodes;
+    the sample rows must follow the instant-major layout of ``RawTrace``."""
     sampled = _ids([node for _, node, _ in samples] + [c[1] for c in corrections])
     instants = [t for t, _, _ in samples[::max(len(sampled), 1)]]
     assert [node for _, node, _ in samples] == list(sampled) * len(instants)
     targets = _ids(d[0] for d in deliveries)
-    return RawTrace(
+    trace = RawTrace(
         sampled=sampled, instants=np.array(instants, dtype=np.int64),
         errors=np.array([e for _, _, e in samples], dtype=np.int64).reshape(len(instants), len(sampled)),
         workload=Workload(command_period=grid.step, targets=targets, grid_phase=grid.start,
                           phase_mode="median") if targets else None,
         deliveries=np.array([(targets.index(node), *rest) for node, *rest in deliveries],
                             dtype=DELIVERY_DTYPE).view(np.recarray),
-        correction_log=np.array([(t, sampled.index(node), delta, CORRECTION_KINDS.index(kind), error)
-                                 for t, node, delta, kind, error in corrections], dtype=CORRECTION_DTYPE),
+        stepped=_stepped(sampled, corrections),
         devices=frozenset(), ta_index={}, lost_sync=0, fault=None,
     )
+    assert trace.correction_log.tolist() == [(t, sampled.index(node), delta, CORRECTION_KINDS.index(kind), error)
+                                             for t, node, delta, kind, error in corrections]
+    return trace
 
 
 ODD_IDS = ('say "hi"', "back\\slash", "Zürich-ü€😀", "tab\there", "100%", "%s", "%%", "{}", "ue1\0", "\0")
@@ -335,7 +352,7 @@ def test_trace_writer_working_set_does_not_grow_with_the_trace(traced_peak):
         sampled=sampled, instants=np.arange(instants, dtype=np.int64) * TICKS_PER_MS,
         errors=engine.derive_stream(5, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
         workload=None, deliveries=np.empty(0, dtype=DELIVERY_DTYPE).view(np.recarray),
-        correction_log=np.empty(0, dtype=CORRECTION_DTYPE), devices=frozenset(sampled),
+        stepped=(), devices=frozenset(sampled),
         ta_index={}, lost_sync=0, fault=None,
     )
     written = []
@@ -355,9 +372,10 @@ def _layout_traces(draw) -> RawTrace:
     # the last grid index that fits the int64 column and whose grid point fits int64
     last = min((INT64_MAX - phase) // step, INT64_MAX)
     kind = st.sampled_from(CORRECTION_KINDS)
+    corrections = draw(st.lists(st.tuples(INT64, st.sampled_from(sampled), INT64, kind, INT64), max_size=8))
     return _trace([(t, node, draw(INT64)) for t in instants for node in sampled],
                   draw(st.lists(st.tuples(TEXT, st.integers(0, last), INT64, INT64), max_size=8)),
-                  draw(st.lists(st.tuples(INT64, st.sampled_from(sampled), INT64, kind, INT64), max_size=8)),
+                  sorted(corrections, key=lambda c: c[0]),   # a correction log is in t_true order
                   range(phase, INT64_MAX, step))
 
 
@@ -573,6 +591,65 @@ def test_sweep_rows_equal_separate_runs_and_leave_the_base_config_alone(tmp_path
             assert row[key] == metrics[section][field], (row["value"], row["repetition"], key)
 
 
+# every sweep row key -> (report section, field)
+_SWEEP_ROW_KEYS = {
+    **_ROW_METRICS,
+    "fault_estimate_m": ("fault", "estimate_m"),
+    "fault_deviation_m": ("fault", "deviation_m"),
+    "fault_uncertainty_m": ("fault", "uncertainty_m"),
+}
+
+
+@pytest.mark.parametrize("config_name, spec_name", [("pmu-fault.yaml", "pmu-sync-bound.yaml"),
+                                                    ("single-bs.yaml", "sib-granularity.yaml")])
+def test_bundled_sweep_rows_equal_the_full_report_of_their_point(config_name, spec_name, tmp_path):
+    # a row computes only the sections it reports; they must read as the full report does
+    config, spec = CONFIG_DIR / config_name, CONFIG_DIR / "sweeps" / spec_name
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 0
+    rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
+    base, spec = load_config(config), load_sweep_spec(spec)
+    assert len(rows) == len(spec.values) * spec.repetitions
+    for row in rows:
+        report, _ = cli._execute(validate_config(replace_config_value(base.raw, spec.path, row["value"])), row["seed"])
+        sections = report._asdict()
+        expected = {key: sections[section][field] for key, (section, field) in _SWEEP_ROW_KEYS.items()
+                    if sections[section] and field in sections[section]}
+        assert {key: row[key] for key in row.keys() - {"value", "repetition", "seed"}} == expected
+
+
+def test_a_sweep_over_mappings_exits_0(tmp_path):
+    # a mapping is no time quantity: it sorts by its text, and the parse cache never sees it
+    config = write_yaml(tmp_path / "cfg.yaml", small_config(link={"extra_delay": {"dist": "none"}}))
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "link.extra_delay", "values": [
+        {"dist": "uniform", "low": 0, "high": "2 ms"}, {"dist": "uniform", "low": 0, "high": "1 ms"}]})
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 0
+    rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
+    assert [row["value"]["high"] for row in rows] == ["1 ms", "2 ms"]
+
+
+def test_the_schedule_cache_keeps_no_schedule_past_its_byte_cap(tmp_path, monkeypatch, fresh_caches):
+    # with the cap below some schedules, those are drawn again at each point,
+    # which changes no byte of the sweep, and what is kept stays under the cap
+    def nbytes(schedule) -> int:
+        return sum(column.nbytes for column in schedule if isinstance(column, np.ndarray))
+
+    config = write_yaml(tmp_path / "cfg.yaml", guard_config())
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "duration", "values": ["300 ms", "1200 ms"], "repetitions": 2})
+
+    def sweep(name: str) -> bytes:
+        assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "sweep.json").read_bytes()
+
+    full = sweep("full")
+    sizes = sorted(nbytes(schedule) for schedule in scenario.cell_schedule.kept.values())
+    assert len(sizes) == 4 and sizes[1] < sizes[2]   # two short-run schedules, two long-run ones
+    scenario.cell_schedule.cache_clear()
+    monkeypatch.setattr(scenario, "_SCHEDULE_CACHE_BYTES", sizes[1])
+    assert sweep("capped") == full
+    kept = [nbytes(schedule) for schedule in scenario.cell_schedule.kept.values()]
+    assert kept == sizes[:2] and sum(kept) <= scenario._SCHEDULE_CACHE_SIZE * sizes[1]
+
+
 def test_sweep_through_a_list_leaves_the_base_config_alone(tmp_path):
     """A point copies only the containers along the swept path; a path
     through the node list must not write into the loaded base mapping."""
@@ -666,7 +743,7 @@ def test_a_sweep_through_a_schedule_input_equals_separate_runs(path, tmp_path, f
         scenario.cell_schedule.cache_clear()
         report, _ = cli._execute(validate_config(replace_config_value(raw, path, row["value"])), row["seed"])
         separate = {"value": row["value"], "repetition": row["repetition"], "seed": row["seed"],
-                    **cli._metric_summary(report)}
+                    **cli._metric_summary(report.device_error, report.pairwise, report.jitter, report.fault)}
         assert row == json.loads(json.dumps(separate))
     metrics = [{k: v for k, v in row.items() if k != "value"} for row in rows]
     assert metrics[:2] != metrics[2:]   # the two values differ, so a stale schedule would show

@@ -17,6 +17,7 @@ from airsync.clocks import (
     local_time,
     local_times,
     read_steps,
+    set_readings,
     stamp,
     stamps,
 )
@@ -286,6 +287,52 @@ def test_read_steps_gives_back_what_each_set_took(clocks):
         stepped_clocks.append(clock)
     which, at, delta, error = read_steps(stepped_clocks)
     assert list(zip(which.tolist(), at.tolist(), delta.tolist(), error.tolist())) == taken
+
+
+@pytest.mark.parametrize("theta0, at, reading, overflow", [
+    (700, 10, 210, set()),
+    (INT64_MAX - 100, 0, -200, {"delta"}),   # reads INT64_MAX - 100: a step of INT64_MAX + 100
+    (INT64_MIN + 5, 10, INT64_MIN + 5, {"error_after"}),   # a step of 10, to 10 ticks below the range
+    (INT64_MAX - 30, 20, INT64_MIN + 5, {"delta", "error_after"}),
+], ids=["in-range", "delta", "error-after", "both"])
+def test_a_step_past_int64_is_recorded_as_it_is_installed(theta0, at, reading, overflow):
+    # delta is the read minus the reading and error_after the reading minus
+    # the instant: set and set_readings check both, record them, and install
+    # the step all the same
+    one, bulk = ClockState(ClockParams(theta0=theta0)), ClockState(ClockParams(theta0=theta0))
+    one.set(at, reading)
+    set_readings([bulk], np.zeros(1, dtype=np.int64), np.array([at]), np.array([reading]))
+    assert one.overflow == bulk.overflow == overflow
+    assert one.installed_at == bulk.installed_at == [at] and one.correction == bulk.correction
+    assert local_time(one, at) == local_time(bulk, at) == reading
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PHASE, _SKEW, st.lists(st.tuples(_INSTANT, st.integers(INT64_MIN, INT64_MAX)),
+                                                  min_size=1, max_size=4)), min_size=1, max_size=3))
+def test_set_readings_records_what_successive_sets_record(clocks):
+    # each step's delta and error after: exactly where one of them passes
+    # int64 does the clock record it, in bulk as one set after another
+    ones, bulks, which, at, reading = [], [], [], [], []
+    for j, (theta0, skew, sets) in enumerate(clocks):
+        ones.append(ClockState(ClockParams(theta0=theta0, skew_y=skew)))
+        bulks.append(ClockState(ClockParams(theta0=theta0, skew_y=skew)))
+        for t, value in sorted(sets, key=lambda s: s[0]):
+            which.append(j), at.append(t), reading.append(value)
+    try:
+        expected = []
+        for j, t, value in zip(which, at, reading):
+            delta = ones[j].set(t, value)
+            expected.append({name for name, x in (("delta", delta), ("error_after", value - t))
+                             if not INT64_MIN <= x <= INT64_MAX})
+    except TickOverflowError:   # some read before its step is out of range: set_readings takes no step
+        with pytest.raises(TickOverflowError):
+            set_readings(bulks, np.array(which), np.array(at, dtype=np.int64), np.array(reading, dtype=object))
+        return
+    set_readings(bulks, np.array(which), np.array(at, dtype=np.int64), np.array(reading, dtype=object))
+    for j, (one, bulk) in enumerate(zip(ones, bulks)):
+        assert one.overflow == bulk.overflow == set().union(*(e for i, e in zip(which, expected) if i == j))
+        assert (one.installed_at, one.correction) == (bulk.installed_at, bulk.correction)
 
 
 class _Drawn:

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsync import cli, errors
+from airsync import cli, errors, timebase
 from airsync.clocks import ClockState
 from airsync.config import (
     _YAML_LOADER,
@@ -76,6 +76,25 @@ def test_parse_ticks_rejects_garbage():
     for bad in ["", "fast", "10 parsecs", "ms", True, 1.5]:
         with pytest.raises(ValueError):
             parse_ticks(bad)
+
+
+def test_parse_ticks_keeps_a_strings_ticks_and_nothing_else(fresh_caches):
+    # the cache is keyed on the text alone: a value it cannot hash is still a
+    # ValueError, the sign and range checks still run on a kept string, and a
+    # rejected string is rejected again
+    for unhashable in ({"dist": "none"}, ["1 ms"]):
+        with pytest.raises(ValueError, match="expected a time quantity"):
+            parse_ticks(unhashable)
+    with pytest.raises(ValueError, match="boolean"):
+        parse_ticks(True)
+    assert parse_ticks("-5 ms", allow_negative=True) == parse_ticks("-5 ms", allow_negative=True) == -5 * TICKS_PER_MS
+    with pytest.raises(ValueError):
+        parse_ticks("-5 ms")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not an integer number of ticks"):
+            parse_ticks("1 ns")
+    info = timebase._parse_text.cache_info()
+    assert (info.hits, info.currsize) == (2, 1)
 
 
 def test_negative_times_only_where_allowed():
@@ -396,7 +415,7 @@ def one_record_of_each_type() -> dict:
     records = [
         cfg, node, node.clock, node.clock.theta0, cfg.link, cfg.link.extra_delay, plan, plan.sib, plan.bs_alignment,
         cfg.workload, cfg.fault_probe, parse_sweep_spec({"path": "seed", "values": [1]}), cfg.presets[0],
-        scenario, scenario.clocks["ue"], trace, trace.corrections[0], trace.fault, report, report.verdicts[0],
+        scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.corrections[0], trace.fault, report, report.verdicts[0],
         compute_ta_initial(100), exchange, twoway_offset(exchange),
         sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),
         cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,

@@ -20,7 +20,7 @@ from airsync.metrics import (
     localization_uncertainty,
     pairwise_offset_stats,
 )
-from airsync.scenario import CORRECTION_DTYPE, DELIVERY_DTYPE, RawTrace, build_scenario, fault_wave_stamps, run_scenario
+from airsync.scenario import DELIVERY_DTYPE, RawTrace, build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
 
 MS = TICKS_PER_MS
@@ -277,8 +277,7 @@ def test_report_equals_the_row_grouping_reference(run):
         instants=np.array(instants, dtype=np.int64),
         errors=np.array(errors, dtype=np.int64).reshape(len(instants), len(sampled)),
         workload=workload, deliveries=_deliveries_of(delivery_rows, sampled),
-        correction_log=np.empty(0, dtype=CORRECTION_DTYPE),
-        devices=devices, ta_index={}, lost_sync=0, fault=None,
+        stepped=(), devices=devices, ta_index={}, lost_sync=0, fault=None,
     )
     report = build_report(trace, workload)
     per_node, device_error, pairwise, jitter = _reference_report(
@@ -302,7 +301,7 @@ def test_the_report_holds_one_float_buffer_of_the_device_columns(traced_peak):
     trace = RawTrace(
         sampled=sampled, instants=np.arange(instants, dtype=np.int64) * MS,
         errors=derive_stream(3, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
-        workload=None, deliveries=_deliveries_of([]), correction_log=np.empty(0, dtype=CORRECTION_DTYPE),
+        workload=None, deliveries=_deliveries_of([]), stepped=(),
         devices=devices, ta_index={}, lost_sync=0, fault=None,
     )
     assert traced_peak(lambda: build_report(trace)) <= len(devices) * instants * 8 + 2**17

@@ -6,6 +6,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -63,7 +64,8 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     assert trace.errors.dtype == np.int64 and trace.errors.nbytes == 8 * report["metrics"]["samples"]
     assert trace.deliveries.dtype.itemsize == 28 and len(trace.deliveries) == 6 * 100
     columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)]
-    assert len(columns) == 4   # instants, errors, deliveries, correction_log
+    assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
+    assert all(type(key) is int for stepped in trace.stepped for key in stepped[1:])
     for column in columns:
         fields = column.dtype.fields
         kinds = {dtype.kind for dtype, *_ in fields.values()} if fields else {column.dtype.kind}
@@ -71,19 +73,27 @@ def test_a_run_stores_integer_columns_only(tmp_path):
 
 
 def test_run_and_sweep_never_build_the_row_views(tmp_path, monkeypatch):
+    # nor the correction log, but for trace.json, which builds it once
     def built(self):
         raise AssertionError("a row view was built")
 
+    logs = []
+    correction_log = RawTrace.correction_log
     monkeypatch.setattr(RawTrace, "samples", property(built))
     monkeypatch.setattr(RawTrace, "corrections", property(built))
+    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: logs.append(correction_log.fget(self))
+                                                             or logs[-1]))
     config = write_yaml(tmp_path / "cfg.yaml", fleet(3))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run"), "--trace"]) == 0
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     spec = write_yaml(tmp_path / "spec.yaml", {"path": "sync_plan.resync_period",
                                                "values": ["5 ms", "20 ms"], "repetitions": 2})
     assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 0
+    assert logs == []
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "traced"), "--trace"]) == 0
+    assert len(logs) == 1 and len(logs[0]) > 0
 
 
-def test_a_correction_delta_past_int64_exits_1(tmp_path, capsys):
+def delta_past_int64() -> dict:
     # bs2 is set 9e18 ticks behind the reference and ue2 starts 9e18 ahead, so
     # ue2's first SIB16 step is about -1.8e19 ticks: it fails, it does not wrap
     raw = yaml.safe_load((CONFIG_DIR / "two-bs.yaml").read_text())
@@ -91,8 +101,21 @@ def test_a_correction_delta_past_int64_exits_1(tmp_path, capsys):
     raw["sync_plan"]["bs_alignment"] = {"mode": "fixed_error", "error": "-9000000000000000000 ticks"}
     ue2 = next(node for node in raw["nodes"] if node["id"] == "ue2")
     ue2["clock"] = {"theta0": "9000000000000000000 ticks"}
-    config = write_yaml(tmp_path / "cfg.yaml", raw)
+    return raw
+
+
+def test_a_correction_delta_past_int64_exits_1(tmp_path, capsys):
+    config = write_yaml(tmp_path / "cfg.yaml", delta_past_int64())
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert "a correction's delta falls outside the signed 64-bit range" in capsys.readouterr().err
+
+
+def test_a_sweep_with_a_correction_delta_past_int64_exits_1(tmp_path, capsys, monkeypatch):
+    # the step site records it and the run raises it: no log is built to find it
+    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: pytest.fail("the log was built")))
+    config = write_yaml(tmp_path / "cfg.yaml", delta_past_int64())
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "sync_plan.sib.granularity", "values": ["1 us", "2 us"]})
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 1
     assert "a correction's delta falls outside the signed 64-bit range" in capsys.readouterr().err
 
 
