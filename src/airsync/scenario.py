@@ -158,8 +158,8 @@ class RawTrace(NamedTuple):
         devices, a gateway's step just before its relays of it). Its ``node``
         indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS."""
         which, at, delta, error = read_steps([stepped.clock for stepped in self.stepped])
-        node, group, member, kind = np.array([stepped[1:] for stepped in self.stepped],
-                                             dtype=np.int64).reshape(-1, 4)[which].T
+        keys = [(stepped.node, stepped.group, stepped.member, stepped.kind) for stepped in self.stepped]
+        node, group, member, kind = np.array(keys, dtype=np.int64).reshape(-1, 4)[which].T
         step = np.arange(len(which)) - np.searchsorted(which, which)   # each clock's steps are contiguous
         order = np.lexsort((member, step, group, at))   # a legacy device's k-th step relays its gateway's k-th
         log = np.empty(len(which), dtype=CORRECTION_DTYPE)
