@@ -329,7 +329,9 @@ def read_steps(clocks: Sequence[ClockState]) -> tuple[np.ndarray, np.ndarray, np
     (which, at, delta, error). Step i took ``clocks[which[i]]``'s reading
     down by ``delta[i]`` (the arrays() base before it minus the base after)
     at true time ``at[i]``, to ``at[i] + error[i]`` (the base after plus the
-    rounded perturbation). By whole()'s rule; not range-checked."""
+    rounded perturbation). By whole()'s rule; not range-checked. Reads only
+    each clock's arrays() and params, so a finished trajectory kept without
+    its clock (scenario.SteppedClock) reads the same."""
     trajectories = [clock.arrays() for clock in clocks]
     which = np.repeat(np.arange(len(clocks)), [len(installed_at) for installed_at, _ in trajectories])
     if not len(which):

@@ -331,11 +331,11 @@ def build_report(
     fault_probe=None,
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
-    pairwise = pairwise_report(trace)
-    jitter = jitter_report(trace, workload)
+    per_node, device_error = per_node_report(trace), device_error_report(trace)
+    pairwise, jitter = pairwise_report(trace), jitter_report(trace, workload)
     return MetricsReport(
-        per_node=per_node_report(trace),
-        device_error=device_error_report(trace),
+        per_node=per_node,
+        device_error=device_error,
         pairwise=pairwise,
         jitter=jitter,
         fault=fault_report(trace, fault_probe),

@@ -11,8 +11,8 @@ whole cell in one array pass, or two-way, one exchange at a time), then each
 gateway's legacy devices. A read at instant t sees every step installed at
 or before t. Samples, deliveries and the fault probe are then read from the
 finished clocks, all nodes at once, into the trace records. The trace keeps
-the finished clocks that stepped, and the correction log is read off them
-only when it is asked for (trace.json and tests ask; the report does not).
+the finished trajectories of the clocks that stepped, and the correction log
+is read off them only when it is asked for (trace.json and tests ask; the report does not).
 A step whose delta or error after it passes the signed 64-bit range is
 recorded as the clock installs it and raised once the sync phase is over.
 
@@ -93,15 +93,23 @@ class CorrectionEvent(NamedTuple):
 
 
 class SteppedClock(NamedTuple):
-    """A clock that the run stepped, with the keys that place its steps in
-    the correction log: the node's index in ``sampled``, its group (a BS, or
-    a device with its legacy devices), its place in the group, its kind."""
+    """The finished trajectory of a clock that the run stepped, as
+    ClockState.arrays() gives it, with its parameters: what read_steps reads
+    of a clock, without the clock's per-step lists. Then the keys that place
+    its steps in the correction log: the node's index in ``sampled``, its
+    group (a BS, or a device with its legacy devices), its place in the
+    group, its kind."""
 
-    clock: ClockState
+    installed_at: np.ndarray
+    base: np.ndarray
+    params: ClockParams
     node: int
     group: int
     member: int
     kind: int
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.installed_at, self.base
 
 
 class FaultStamps(NamedTuple):
@@ -122,7 +130,7 @@ class RawTrace(NamedTuple):
     command, in stamp order, and none without a workload: ``node`` indexes
     ``workload.targets``, and the command's grid point is
     ``workload.grid_point(grid_index)``. ``stepped`` holds the finished
-    clocks that stepped, in log order. ``devices`` holds the device node ids
+    trajectories of the clocks that stepped, in log order. ``devices`` holds the device node ids
     and ``ta_index`` each SIB16 device's final TA index.
 
     ``correction_log`` is built on each access, from ``stepped``; the
@@ -157,7 +165,7 @@ class RawTrace(NamedTuple):
         group, step, member): steps at one tick as computed (BSs, then
         devices, a gateway's step just before its relays of it). Its ``node``
         indexes ``sampled`` and its ``kind`` indexes CORRECTION_KINDS."""
-        which, at, delta, error = read_steps([stepped.clock for stepped in self.stepped])
+        which, at, delta, error = read_steps(self.stepped)
         keys = [(stepped.node, stepped.group, stepped.member, stepped.kind) for stepped in self.stepped]
         node, group, member, kind = np.array(keys, dtype=np.int64).reshape(-1, 4)[which].T
         step = np.arange(len(which)) - np.searchsorted(which, which)   # each clock's steps are contiguous
@@ -334,7 +342,7 @@ class _Runner:
     tree parent-first (the BSs, each BS's devices, each gateway's legacy
     devices), so every node's steps are computed in time order from its
     parent's finished trajectory. The observations read the clocks, and the
-    trace keeps the stepped ones for its correction log. A step site only
+    trace keeps the stepped ones' trajectories for its correction log. A step site only
     records a step past the 64-bit range (ClockState.overflow); run raises
     it after the sync phase, a delta before an error after, as building the
     log there would.
@@ -506,27 +514,28 @@ class _Runner:
                     self.twoway_syncs(bs, device)
             for device in self.attached[bs]:
                 self.relay(device)
-        stepped = self.stepped()
         for name in ("delta", "error_after"):
-            if any(name in clock.overflow for clock, *_ in stepped):
+            if any(name in clock.overflow for clock in self.clocks.values()):
                 raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range")
         instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
         return RawTrace(
             sampled=self.sampled, instants=instants, errors=self.sample(instants),
-            workload=self.config.workload, deliveries=self.deliver(), stepped=stepped,
+            workload=self.config.workload, deliveries=self.deliver(), stepped=self.stepped(),
             devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
             ta_index=self.ta_index, lost_sync=self.lost_sync,
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
         )
 
     def stepped(self) -> tuple[SteppedClock, ...]:
-        """The clocks that step, with their log keys, in evaluation order: a
-        group is a BS, or a device then its legacy devices."""
+        """The trajectories of the clocks that step, with their log keys, in
+        evaluation order: a group is a BS, or a device then its legacy
+        devices."""
         device_kind = SIB16 if self.plan.enabler is Enabler.TA_SIB16 else TWO_WAY
         groups = [[(bs, BS_ALIGN)] for bs in self.base_stations]
         groups += [[(device, device_kind), *((legacy, GW_RELAY) for legacy in self.relays.get(device, ()))]
                    for bs in self.base_stations for device in self.attached[bs]]
-        return tuple(SteppedClock(self.clocks[node], self.node_index[node], group, member, kind)
+        return tuple(SteppedClock(*self.clocks[node].arrays(), self.clocks[node].params, self.node_index[node],
+                                  group, member, kind)
                      for group, members in enumerate(groups) for member, (node, kind) in enumerate(members))
 
     # -- observation, after the run: samples, deliveries and the fault probe, read from the clocks --

@@ -271,7 +271,8 @@ def _stepped(sampled: tuple, corrections) -> tuple:
     for group, (t, node, delta, kind, error) in enumerate(corrections):
         clock = ClockState(ClockParams(theta0=error + delta))
         clock.step(t, delta)
-        stepped.append(SteppedClock(clock, sampled.index(node), group, 0, CORRECTION_KINDS.index(kind)))
+        stepped.append(SteppedClock(*clock.arrays(), clock.params, sampled.index(node), group, 0,
+                                    CORRECTION_KINDS.index(kind)))
     return tuple(stepped)
 
 

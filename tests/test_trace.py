@@ -65,7 +65,9 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     assert trace.deliveries.dtype.itemsize == 28 and len(trace.deliveries) == 6 * 100
     columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)]
     assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
-    assert all(type(key) is int for stepped in trace.stepped for key in stepped[1:])
+    for stepped in trace.stepped:   # the trajectories kept for the correction log
+        assert stepped.installed_at.dtype == stepped.base.dtype == np.int64
+        assert all(type(key) is int for key in stepped[3:])
     for column in columns:
         fields = column.dtype.fields
         kinds = {dtype.kind for dtype, *_ in fields.values()} if fields else {column.dtype.kind}
