@@ -331,7 +331,9 @@ def build_report(
     fault_probe=None,
 ) -> MetricsReport:
     """Assemble the full metrics report for one run."""
-    per_node, device_error = per_node_report(trace), device_error_report(trace)
+    # the device-sized buffer first: allocated in the other order, the two
+    # buffers leave the process a larger heap (longhaul's peak RSS, +0.3 MB)
+    device_error, per_node = device_error_report(trace), per_node_report(trace)
     pairwise, jitter = pairwise_report(trace), jitter_report(trace, workload)
     return MetricsReport(
         per_node=per_node,
