@@ -11,8 +11,9 @@ whole cell in one array pass, or two-way, one exchange at a time), then each
 gateway's legacy devices. A read at instant t sees every step installed at
 or before t. Samples, deliveries and the fault probe are then read from the
 finished clocks, all nodes at once, into the trace records. The trace keeps
-the finished trajectories of the clocks that stepped, and the correction log
-is read off them only when it is asked for (trace.json and tests ask; the report does not).
+the finished trajectories of the clocks the sync tree steps, and the
+correction log is read off them only when it is asked for (trace.json and
+tests ask; the report does not).
 A step whose delta or error after it passes the signed 64-bit range is
 recorded as the clock installs it and raised once the sync phase is over.
 
@@ -93,7 +94,7 @@ class CorrectionEvent(NamedTuple):
 
 
 class SteppedClock(NamedTuple):
-    """The finished trajectory of a clock that the run stepped, as
+    """The finished trajectory of a clock the sync tree steps, as
     ClockState.arrays() gives it, with its parameters: what read_steps reads
     of a clock, without the clock's per-step lists. Then the keys that place
     its steps in the correction log: the node's index in ``sampled``, its
@@ -130,8 +131,9 @@ class RawTrace(NamedTuple):
     command, in stamp order, and none without a workload: ``node`` indexes
     ``workload.targets``, and the command's grid point is
     ``workload.grid_point(grid_index)``. ``stepped`` holds the finished
-    trajectories of the clocks that stepped, in log order. ``devices`` holds the device node ids
-    and ``ta_index`` each SIB16 device's final TA index.
+    trajectories of the clocks the sync tree steps (every BS, device and
+    legacy device), in log order. ``devices`` holds the device node ids and
+    ``ta_index`` each SIB16 device's final TA index.
 
     ``correction_log`` is built on each access, from ``stepped``; the
     statistics never read it. ``samples`` and ``corrections`` are row views
