@@ -37,7 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import (
-    ClockParams, ClockState, add_noise, local_time, local_times, read_steps, set_readings, stamp, stamps, whole,
+    ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, local_time, read_steps, set_readings, stamp,
+    stamps, whole,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
@@ -57,7 +58,7 @@ from .protocols import (
     twoway_exchange,
     twoway_offset,
 )
-from .timebase import INT64_MIN, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
+from .timebase import TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
 class Scenario(NamedTuple):
@@ -78,6 +79,8 @@ SIB16, TWO_WAY, GW_RELAY, BS_ALIGN = range(len(CORRECTION_KINDS))   # a correcti
 DELIVERY_DTYPE = np.dtype([
     ("node", np.int32), ("grid_index", np.int64), ("true_arrival", np.int64), ("local_stamp", np.int64),
 ])
+NO_DELIVERIES = np.recarray(0, dtype=DELIVERY_DTYPE)   # every run without a workload shares it
+NO_DELIVERIES.flags.writeable = False
 CORRECTION_DTYPE = np.dtype([
     ("t_true", np.int64), ("node", np.int32), ("delta", np.int64), ("kind", np.int8), ("error_after", np.int64),
 ])
@@ -95,22 +98,23 @@ class CorrectionEvent(NamedTuple):
 
 class SteppedClock(NamedTuple):
     """The finished trajectory of a clock the sync tree steps, as
-    ClockState.arrays() gives it, with its parameters: what read_steps reads
-    of a clock, without the clock's per-step lists. Then the keys that place
-    its steps in the correction log: the node's index in ``sampled``, its
-    group (a BS, or a device with its legacy devices), its place in the
-    group, its kind."""
+    ClockState.arrays() gives it (step instants, bases and their reach),
+    with its parameters: what read_steps reads of a clock, without the
+    clock's per-step lists. Then the keys that place its steps in the
+    correction log: the node's index in ``sampled``, its group (a BS, or a
+    device with its legacy devices), its place in the group, its kind."""
 
     installed_at: np.ndarray
     base: np.ndarray
+    reach: int
     params: ClockParams
     node: int
     group: int
     member: int
     kind: int
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.installed_at, self.base
+    def arrays(self) -> Trajectory:
+        return Trajectory(self.installed_at, self.base, self.reach)
 
 
 class FaultStamps(NamedTuple):
@@ -458,10 +462,9 @@ class _Runner:
         )
         self.lost_sync += schedule.lost_sync
         self.ta_index.update(zip(devices, schedule.ta_index))
-        stamped = add_noise(local_times([clock], schedule.stamped_at[:, None]), schedule.noise[:, None])[:, 0]
-        # int64 while no stamp's floor to the grid can pass INT64_MIN, else exact ints
-        stamped = whole(stamped, 2.0**62) if plan.sib.granularity < 2**62 else stamped.astype(object)
-        reading = whole(quantize_broadcast_time(stamped, plan.sib.granularity))[schedule.landed] + schedule.ta_delay
+        stamped = broadcast_stamps(clock, schedule.stamped_at, schedule.noise, plan.sib.granularity)
+        # int64 stamps leave room for the floor and a TA estimate; exact ints need none
+        reading = quantize_broadcast_time(stamped, plan.sib.granularity)[schedule.landed] + schedule.ta_delay
         set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
@@ -545,11 +548,10 @@ class _Runner:
     def sample(self, instants: np.ndarray) -> np.ndarray:
         """The (instants x sampled) error matrix: each sampled node's reading
         minus true time at each instant."""
-        errors = local_times([self.clocks[node] for node in self.sampled], instants[:, None])
-        wrapped = np.flatnonzero(np.any(errors < INT64_MIN + instants[:, None], axis=0))   # local - t < INT64_MIN
+        errors, wrapped = clock_errors([self.clocks[node] for node in self.sampled], instants[:, None])
         if len(wrapped):
             raise TickOverflowError(f"clock error of {self.sampled[wrapped[0]]!r} outside the signed 64-bit range")
-        return np.subtract(errors, instants[:, None], out=errors)
+        return errors
 
     def deliver(self) -> np.recarray:
         """Each workload command that arrives within the run, stamped by its
@@ -560,7 +562,7 @@ class _Runner:
         the columns of (grid x target) arrays."""
         workload = self.config.workload
         if workload is None:
-            return np.recarray(0, dtype=DELIVERY_DTYPE)
+            return NO_DELIVERIES
         targets, extra_delay = workload.targets, self.config.link.extra_delay
         late = self.duration + 1   # a later arrival is not delivered
         grid = np.arange(workload.grid_phase, late, workload.command_period, dtype=np.int64)[:, None]

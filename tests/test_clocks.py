@@ -12,8 +12,11 @@ from airsync import clocks as clocks_module
 from airsync.clocks import (
     ClockParams,
     ClockState,
+    broadcast_stamps,
     clock_error,
+    clock_errors,
     ideal_clock,
+    in_tick_range,
     local_time,
     local_times,
     read_steps,
@@ -23,6 +26,7 @@ from airsync.clocks import (
 )
 from airsync.engine import derive_stream
 from airsync.errors import TickOverflowError
+from airsync.protocols import quantize_broadcast_time
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_SECOND, TICKS_PER_US
 
 
@@ -199,16 +203,24 @@ def _scalar_readings(read, instants):
         return None
 
 
+# the magnitudes around which the bulk readers' bound decisions and range checks switch
+_EDGES = st.sampled_from([sign * (2**power + d) for power in (59, 60, 61, 62) for d in (-1, 0, 1) for sign in (1, -1)])
 _PHASE = (st.integers(-(2**40), 2**40) | st.integers(INT64_MAX - 2**41, INT64_MAX)
-          | st.integers(INT64_MIN, INT64_MIN + 2**41) | st.integers(-(2**64), 2**64))
-_INSTANT = st.integers(0, 2**41) | st.integers(0, 10**4 * TICKS_PER_SECOND) | st.integers(INT64_MIN, INT64_MAX)
+          | st.integers(INT64_MIN, INT64_MIN + 2**41) | st.integers(-(2**64), 2**64) | _EDGES)
+_INSTANT = (st.integers(0, 2**41) | st.integers(0, 10**4 * TICKS_PER_SECOND) | st.integers(INT64_MIN, INT64_MAX)
+            | _EDGES)
 _SKEW = st.floats(-1e-3, 1e-3, exclude_min=True, exclude_max=True)
+# drifts whose term a/2 * t_s * t is about 2**59 at instants of 2**59 to 2**62 ticks
+_DRIFT = (st.just(0.0) | st.floats(-1e-3, 1e-3)
+          | st.sampled_from([sign * 2.0**60 * TICKS_PER_SECOND / 2.0**(2 * power) * factor
+                             for power in (59, 60, 61, 62) for factor in (0.5, 1.0, 2.0) for sign in (1, -1)]))
 
 
-_STEPS = st.lists(st.tuples(_INSTANT, st.integers(-(2**40), 2**40) | st.integers(-(2**64), 2**64)), max_size=6)
+_STEPS = st.lists(st.tuples(_INSTANT, st.integers(-(2**40), 2**40) | st.integers(-(2**64), 2**64) | _EDGES),
+                  max_size=6)
 _CLOCK = st.builds(lambda theta0, skew, drift, steps: stepped(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift),
                                                                *sorted(steps, key=lambda s: s[0])),
-                   _PHASE, _SKEW, st.just(0.0) | st.floats(-1e-3, 1e-3), _STEPS)
+                   _PHASE, _SKEW, _DRIFT, _STEPS)
 
 
 def _column_readings(read, clocks, t, where):
@@ -265,10 +277,26 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
         else:
             local = local_times(clocks, t, where)
             assert {(i, j): local[i, j] for i, j in expected} == expected
+    for installed_at, base, reach in (clock.arrays() for clock in clocks):   # the bound each read decided on
+        assert reach == max(abs(value) for value in base.tolist())
+    # the errors at the non-negative shared instants, and the clocks with one below int64
+    t = np.array([x for x in shared if x >= 0], dtype=np.int64).reshape(-1, 1)
+    marks = np.ones((len(t), len(clocks)), dtype=bool)
+    local = _column_readings(lambda clock, x, _: local_time(clock, x), clocks,
+                             np.broadcast_to(t, marks.shape).tolist(), marks.tolist())
+    if local is None:
+        with pytest.raises(TickOverflowError):
+            clock_errors(clocks, t)
+        return
+    errors, wrapped = clock_errors(clocks, t)
+    expected = {(i, j): reading - t[i, 0].item() for (i, j), reading in local.items()}
+    assert wrapped.tolist() == sorted({j for (i, j), error in expected.items() if error < INT64_MIN})
+    assert {(i, j): errors[i, j] for i, j in expected if j not in wrapped} == \
+        {key: error for key, error in expected.items() if key[1] not in wrapped}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_PHASE, _SKEW, st.just(0.0) | st.floats(-1e-3, 1e-3),
+@given(st.lists(st.tuples(_PHASE, _SKEW, _DRIFT,
                           st.lists(st.tuples(_INSTANT, st.integers(INT64_MIN, INT64_MAX)), max_size=5)), max_size=4))
 # a step of 2**64 - 1: the base goes from INT64_MAX to INT64_MIN
 @example([(INT64_MAX, 0.0, 0.0, [(0, INT64_MIN)])])
@@ -308,15 +336,17 @@ def test_a_step_past_int64_is_recorded_as_it_is_installed(theta0, at, reading, o
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_PHASE, _SKEW, st.lists(st.tuples(_INSTANT, st.integers(INT64_MIN, INT64_MAX)),
-                                                  min_size=1, max_size=4)), min_size=1, max_size=3))
+@given(st.lists(st.tuples(_PHASE, _SKEW, _DRIFT,
+                          st.lists(st.tuples(_INSTANT, st.integers(INT64_MIN, INT64_MAX) | _EDGES),
+                                   min_size=1, max_size=4)), min_size=1, max_size=3))
 def test_set_readings_records_what_successive_sets_record(clocks):
     # each step's delta and error after: exactly where one of them passes
-    # int64 does the clock record it, in bulk as one set after another
+    # int64 does the clock record it, in bulk as one set after another; and
+    # the arrays it installs are those the clock's steps give
     ones, bulks, which, at, reading = [], [], [], [], []
-    for j, (theta0, skew, sets) in enumerate(clocks):
-        ones.append(ClockState(ClockParams(theta0=theta0, skew_y=skew)))
-        bulks.append(ClockState(ClockParams(theta0=theta0, skew_y=skew)))
+    for j, (theta0, skew, drift, sets) in enumerate(clocks):
+        ones.append(ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)))
+        bulks.append(ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)))
         for t, value in sorted(sets, key=lambda s: s[0]):
             which.append(j), at.append(t), reading.append(value)
     try:
@@ -333,6 +363,9 @@ def test_set_readings_records_what_successive_sets_record(clocks):
     for j, (one, bulk) in enumerate(zip(ones, bulks)):
         assert one.overflow == bulk.overflow == set().union(*(e for i, e in zip(which, expected) if i == j))
         assert (one.installed_at, one.correction) == (bulk.installed_at, bulk.correction)
+        (one_at, one_base, one_reach), (bulk_at, bulk_base, bulk_reach) = one.arrays(), bulk.arrays()
+        assert bulk_at.dtype == np.int64 and bulk_base.dtype == one_base.dtype
+        assert (bulk_at.tolist(), bulk_base.tolist(), bulk_reach) == (one_at.tolist(), one_base.tolist(), one_reach)
 
 
 class _Drawn:
@@ -347,7 +380,8 @@ class _Drawn:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(_PHASE, _SKEW, st.sampled_from([0.0, 0.4, 308.0]) | st.floats(0, 1e30)), min_size=1, max_size=3),
+    st.lists(st.tuples(_PHASE, _SKEW, st.sampled_from([0.0, 0.4, 308.0, 2.0**57, 2.0**59]) | st.floats(0, 1e30)),
+             min_size=1, max_size=3),
     st.integers(0, 2**32),
     st.data(),
 )
@@ -368,6 +402,25 @@ def test_bulk_stamps_equal_successive_stamp_calls(params, seed, data):
         assert {(i, j): stamped[i, j] for i, j in expected} == expected
         # the same number of draws from each stream, none at sigma 0
         assert [rng.random() for rng in bulk] == [rng.random() for rng in one_by_one]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLOCK, st.lists(st.tuples(_INSTANT, st.integers(-(2**20), 2**20) | _EDGES | st.integers(-(2**64), 2**64)),
+                        max_size=8),
+       st.sampled_from([0, 1, 30_720, 2**59 - 1, 2**59, 2**62, INT64_MAX, 2**64 - 1]))
+def test_broadcast_stamps_floor_to_what_each_stamp_floors_to(clock, stamped, grid):
+    # a SIB16 BS's stamps, given their noise, floored to the grid: in int64 or
+    # exact ints, what the scalar reading plus that noise floors to
+    t = np.array([at for at, _ in stamped], dtype=np.int64)
+    noise = np.array([float(draw) for _, draw in stamped])
+    try:
+        expected = [quantize_broadcast_time(in_tick_range(local_time(clock, at) + int(draw)), grid)
+                    for at, draw in zip(t.tolist(), noise.tolist())]
+    except TickOverflowError:
+        with pytest.raises(TickOverflowError):
+            broadcast_stamps(clock, t, noise, grid)
+        return
+    assert quantize_broadcast_time(broadcast_stamps(clock, t, noise, grid), grid).tolist() == expected
 
 
 _EDGE_PHASE = (st.integers(2**61, INT64_MAX - 2**41) | st.integers(INT64_MIN + 2**41, -(2**61))

@@ -415,7 +415,8 @@ def one_record_of_each_type() -> dict:
     records = [
         cfg, node, node.clock, node.clock.theta0, cfg.link, cfg.link.extra_delay, plan, plan.sib, plan.bs_alignment,
         cfg.workload, cfg.fault_probe, parse_sweep_spec({"path": "seed", "values": [1]}), cfg.presets[0],
-        scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.corrections[0], trace.fault, report, report.verdicts[0],
+        scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.stepped[0].arrays(), trace.corrections[0],
+        trace.fault, report, report.verdicts[0],
         compute_ta_initial(100), exchange, twoway_offset(exchange),
         sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),
         cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,

@@ -1,5 +1,7 @@
 """Scenario construction, end-to-end runs, and the PMU fault probe."""
 
+import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -7,9 +9,18 @@ import numpy as np
 import pytest
 
 from airsync import clocks as clocks_module
+from airsync import protocols as protocols_module
 from airsync import scenario as scenario_module
+from airsync.cli import main
 from airsync.clocks import ClockParams, ClockState, clock_error, local_time
-from airsync.config import DelayDistribution, Role, load_config, validate_config
+from airsync.config import (
+    DelayDistribution,
+    Role,
+    load_config,
+    load_sweep_spec,
+    replace_config_value,
+    validate_config,
+)
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError
 from airsync.protocols import ExchangeRecord, StampMode, twoway_offset
@@ -499,6 +510,85 @@ def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch):
     (runner,) = runners
     assert {node: clock.arrays()[1].dtype for node, clock in runner.clocks.items()} == \
         dict.fromkeys(runner.clocks, np.dtype(np.int64))
+
+
+def _sweep_points():
+    """Every point of the bundled sweeps, as (config, spec) names and the point's validated config."""
+    points = []
+    for config_name, spec_name in [("pmu-fault.yaml", "pmu-sync-bound.yaml"),
+                                   ("single-bs.yaml", "sib-granularity.yaml")]:
+        base, spec = load_config(CONFIG_DIR / config_name), load_sweep_spec(CONFIG_DIR / "sweeps" / spec_name)
+        points += [pytest.param(validate_config(replace_config_value(base.raw, spec.path, value)),
+                                id=f"{Path(spec_name).stem}-{value}") for value in spec.values]
+    return points
+
+
+def _kept_runners(monkeypatch) -> list:
+    """The runners of the runs made after this call, as they end."""
+    runners = []
+
+    class Kept(scenario_module._Runner):
+        def run(self):
+            runners.append(self)
+            return super().run()
+
+    monkeypatch.setattr(scenario_module, "_Runner", Kept)
+    return runners
+
+
+@pytest.mark.parametrize("cfg", _sweep_points())
+def test_every_trajectory_keeps_a_reach_its_bases_stay_within(cfg, monkeypatch):
+    # the bulk readers pick int64 from each trajectory's kept reach, unscanned:
+    # a reach below some |base| would let an int64 sum wrap unseen
+    runners = _kept_runners(monkeypatch)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    (runner,) = runners
+    trajectories = [clock.arrays() for clock in runner.clocks.values()] + [s.arrays() for s in trace.stepped]
+    assert len(trace.stepped) > 0
+    for installed_at, base, reach in trajectories:
+        assert len(base) == len(installed_at) + 1
+        assert reach >= max(abs(value) for value in base.tolist())
+
+
+def test_a_sweep_point_reads_its_clocks_without_scanning_their_terms(monkeypatch, fresh_caches):
+    # a point of the SIB16 granularity sweep: the bulk reads and the SIB16 pass
+    # decide int64 from kept bounds, so no term goes through whole(), and each
+    # input array has its extremes taken once (the BS's stamp instants and their
+    # noise, the steps' instants and readings, and the sample and delivery instants)
+    base = load_config(CONFIG_DIR / "single-bs.yaml")
+    spec = load_sweep_spec(CONFIG_DIR / "sweeps" / "sib-granularity.yaml")
+    cfg = validate_config(replace_config_value(base.raw, spec.path, spec.values[1]))
+    scans, extremes = [], Counter()
+    reach = clocks_module._reach
+
+    def counted(values):
+        extremes[sys._getframe(1).f_code.co_name] += 1
+        return reach(values)
+
+    def scanned(*args, **kwargs):
+        scans.append(args)
+        raise AssertionError("a term went through whole()")
+
+    monkeypatch.setattr(clocks_module, "_reach", counted)
+    for module in (clocks_module, scenario_module, protocols_module):
+        monkeypatch.setattr(module, "whole", scanned)
+    run_scenario(build_scenario(cfg), cfg.duration)
+    assert scans == []
+    assert extremes == {"_read": 3, "broadcast_stamps": 1, "set_readings": 2}
+
+
+def test_a_run_without_a_workload_shares_one_read_only_empty_delivery_array(tmp_path):
+    # pmu-fault.yaml has no workload: its runs return the same empty array,
+    # which nothing writes to on the way to report.json and trace.json
+    cfg = load_config(CONFIG_DIR / "pmu-fault.yaml")
+    first, second = (run_scenario(build_scenario(cfg), cfg.duration) for _ in range(2))
+    assert first.deliveries is second.deliveries is scenario_module.NO_DELIVERIES
+    assert len(first.deliveries) == 0 and first.deliveries.dtype == scenario_module.DELIVERY_DTYPE
+    assert not first.deliveries.flags.writeable
+    with pytest.raises(ValueError):
+        first.deliveries.local_stamp[...] = 0
+    assert main(["run", "--config", str(CONFIG_DIR / "pmu-fault.yaml"), "--trace", "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "trace.json").read_text())["deliveries"] == []
 
 
 def test_two_way_enablers_keep_no_ta_state(monkeypatch, fresh_caches):

@@ -67,7 +67,7 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
     for stepped in trace.stepped:   # the trajectories kept for the correction log
         assert stepped.installed_at.dtype == stepped.base.dtype == np.int64
-        assert all(type(key) is int for key in stepped[3:])
+        assert all(type(key) is int for key in (stepped.reach, *stepped[4:]))   # the reach, then the log keys
     for column in columns:
         fields = column.dtype.fields
         kinds = {dtype.kind for dtype, *_ in fields.values()} if fields else {column.dtype.kind}
