@@ -12,14 +12,19 @@ skew/drift perturbation is evaluated in double precision and rounded to a
 tick (error below one tick for horizons up to ~1e4 s). Timestamp noise
 enters solely through stamp().
 
-local_times() and stamps() are the bulk readers: they read many clocks at
-once, each at its own int64 instants, and give exactly what local_time() and
-successive stamp() calls give, raising TickOverflowError on the same inputs;
+local_time() and stamp() read one clock at one instant. local_times() and
+stamps() are the bulk readers: they read many clocks at once, each at its
+own int64 instants, and give exactly what local_time() and successive
+stamp() calls give, raising TickOverflowError on the same inputs;
 clock_errors() and broadcast_stamps() are local_times for the error samples
-and for a SIB16 BS's stamps. set_readings() is ClockState.set for many steps
-of fresh clocks at once, and read_steps() its inverse; like set,
-set_readings records in ClockState.overflow a step whose delta or error
-after it falls outside the signed 64-bit range. Their arithmetic follows one
+and for stamps whose noise is drawn already (a SIB16 BS's broadcasts, a RIBS
+anchor's reference signals). set_readings() is the one way a clock steps: it
+installs every step of fresh clocks at once, each given as the reading the
+clock adopts and when, and read_steps() is its inverse. set_readings records
+in ClockState.overflow a step whose delta or error after it falls outside
+the signed 64-bit range. unstepped_readings() reads a clock before its
+steps, unchecked, for a caller that works out its steps one by one (the
+two-way exchange pass in scenario.py). Their arithmetic follows one
 rule: int64 while every term lies below _SMALL, so that no sum of the few
 here can wrap, and exact Python ints in object arrays otherwise, with the
 signed 64-bit range checked on the exact sums only. The rule is decided
@@ -66,58 +71,28 @@ class Trajectory(NamedTuple):
     reach: int
 
 
-class ClockState:
-    """One node's clock trajectory: its parameters plus every step it took.
+_NO_STEPS = np.empty(0, dtype=np.int64)   # every unstepped clock's step instants
+_NO_STEPS.flags.writeable = False
 
-    ``installed_at[i]`` is the true instant of step i (non-decreasing) and
-    ``correction[i]`` the total correction in force from then on. A clock
-    with no steps holds its drawn phase throughout. ``overflow`` names the
-    correction-log columns, "delta" and "error_after", that some step taken
-    by set or set_readings puts outside the signed 64-bit range.
+
+class ClockState:
+    """One node's clock: its drawn parameters and its trajectory, which
+    holds no step until clocks.set_readings installs them all. ``overflow``
+    names the correction-log columns, "delta" and "error_after", that some
+    step set_readings installed puts outside the signed 64-bit range.
     """
 
-    __slots__ = ("params", "installed_at", "correction", "overflow", "_arrays")
+    __slots__ = ("params", "trajectory", "overflow")
 
     def __init__(self, params: ClockParams = ClockParams()):
         self.params = params
-        self.installed_at: list[int] = []
-        self.correction: list[int] = []
+        reach = abs(params.theta0)
+        self.trajectory = Trajectory(_NO_STEPS, np.array([params.theta0], dtype=np.int64 if reach < 2**63 else object),
+                                     reach)
         self.overflow: frozenset[str] = frozenset()
-        self._arrays: Optional[Trajectory] = None
 
     def __repr__(self) -> str:
-        return f"ClockState(params={self.params!r}, installed_at={self.installed_at!r}, correction={self.correction!r})"
-
-    def step(self, at: int, delta: int) -> None:
-        """From true time ``at`` on, every reading drops by a further ``delta``."""
-        if self.installed_at and at < self.installed_at[-1]:
-            raise ValueError(f"step at {at} before the last step at {self.installed_at[-1]}")
-        self.installed_at.append(at)
-        self.correction.append((self.correction[-1] if self.correction else 0) - delta)
-        self._arrays = None
-
-    def set(self, at: int, reading: int) -> int:
-        """Step the clock so that it reads ``reading`` at true time ``at``, and
-        return the step taken (the old reading then minus ``reading``)."""
-        delta = local_time(self, at) - in_tick_range(reading)
-        self.step(at, delta)
-        if not INT64_MIN <= delta <= INT64_MAX:
-            self.overflow |= {"delta"}
-        if not INT64_MIN <= reading - at <= INT64_MAX:
-            self.overflow |= {"error_after"}
-        return delta
-
-    def arrays(self) -> Trajectory:
-        """The trajectory as arrays, built once (set_readings installs them
-        as it steps the clock): the base goes straight into int64 when its
-        reach fits, and into exact ints only when it does not."""
-        if self._arrays is None:
-            theta0 = self.params.theta0
-            base = [theta0, *(theta0 + correction for correction in self.correction)]
-            reach = max(-min(base), max(base))
-            self._arrays = Trajectory(np.array(self.installed_at, dtype=np.int64),
-                                      np.array(base, dtype=np.int64 if reach < 2**63 else object), reach)
-        return self._arrays
+        return f"{type(self).__name__}(params={self.params!r}, trajectory={self.trajectory!r})"
 
 
 def ideal_clock() -> ClockState:
@@ -132,13 +107,13 @@ def in_tick_range(local: int) -> int:
 
 
 def local_time(state: ClockState, t_true: int) -> int:
-    """Deterministic local reading (ticks, signed) at true time t_true."""
+    """Deterministic local reading (ticks, signed) at true time t_true: the
+    one-instant reader, which the bulk readers reproduce."""
     p = state.params
-    steps = bisect_right(state.installed_at, t_true)
-    correction = state.correction[steps - 1] if steps else 0
+    installed_at, base, _ = state.trajectory
     t_seconds = t_true / TICKS_PER_SECOND
     perturbation = p.skew_y * t_true + 0.5 * p.drift_a * t_seconds * t_true
-    return in_tick_range(p.theta0 + correction + t_true + round(perturbation))
+    return in_tick_range(int(base[bisect_right(installed_at, t_true)]) + t_true + round(perturbation))
 
 
 def stamp(state: ClockState, t_true: int, rng: RngStream) -> int:
@@ -254,7 +229,7 @@ def _read(clocks: Sequence[ClockState], t: np.ndarray, where: Optional[np.ndarra
     ints: some term of it (its base, an instant or its perturbation) may
     reach _SMALL. Every other column's terms lie below _SMALL, so each of
     its readings lies within +-3 * _SMALL."""
-    trajectories = [clock.arrays() for clock in clocks]
+    trajectories = [clock.trajectory for clock in clocks]
     skew, half_drift = _rates(clocks)
     reach = _reach(t)
     wide = [reach >= _SMALL or trajectory.reach >= _SMALL or not small
@@ -337,11 +312,14 @@ def broadcast_stamps(clock: ClockState, t_true: np.ndarray, noise: np.ndarray, g
 
 
 def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray, reading: np.ndarray) -> None:
-    """ClockState.set for many steps of clocks that have taken none yet: step
+    """Every step of clocks that have taken none yet, installed at once: step
     i sets ``clocks[which[i]]`` to read ``reading[i]`` at true time ``at[i]``
-    (int64). Each clock's steps are contiguous and in time order. Installs
-    them, with set's range checks on each step's read and reading, records
-    in ``overflow`` what set records, and installs each clock's arrays().
+    (int64). Each clock's steps are contiguous and in time order. Raises
+    TickOverflowError if a step's read of the clock before it (local_time's
+    value) or its reading falls outside the signed 64-bit range; records in
+    ``overflow`` a step whose delta (the read minus the reading) or error
+    after (the reading minus the instant) does; and installs each clock's
+    trajectory.
 
     With u_i the clock's unstepped reading at ``at[i]``, the correction after
     step i is c_i = reading_i - u_i, and step i reads u_i + c_{i-1} (c = 0
@@ -379,28 +357,35 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
     reaches = np.maximum.reduceat(np.abs(after), starts).tolist()
     for start, stop, reach in zip(starts, starts[1:] + [len(which)], reaches):
         clock = clocks[which[start]]
-        if clock.installed_at:
+        if len(clock.trajectory.installed_at):
             raise ValueError("set_readings steps only clocks that have taken no step")
-        clock.installed_at, clock.correction = at[start:stop].tolist(), correction[start:stop].tolist()
         if wide:
             clock.overflow = frozenset(name for name, outside in wide.items() if outside[start:stop].any())
         reach = max(abs(clock.params.theta0), reach)
         base = np.empty(stop - start + 1, dtype=np.int64 if reach < 2**63 else object)
         base[0], base[1:] = clock.params.theta0, after[start:stop]
-        clock._arrays = Trajectory(at[start:stop], base, reach)
+        clock.trajectory = Trajectory(at[start:stop], base, reach)
+
+
+def unstepped_readings(clock: ClockState, t_true: np.ndarray) -> list[int]:
+    """What ``clock`` reads at the int64 instants ``t_true`` before any step,
+    as exact Python ints and not range-checked: local_time's sum without the
+    correction, which may leave int64 where the corrected reading does not."""
+    rounded = _perturbation(*_rates([clock]), t_true, _reach(t_true))
+    return [clock.params.theta0 + t + int(r) for t, r in zip(t_true.tolist(), rounded.tolist())]
 
 
 def read_steps(clocks: Sequence[ClockState]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """set_readings inverted: every step of ``clocks``, clock by clock, as
     (which, at, delta, error). Step i took ``clocks[which[i]]``'s reading
-    down by ``delta[i]`` (the arrays() base before it minus the base after)
+    down by ``delta[i]`` (the trajectory's base before it minus the base after)
     at true time ``at[i]``, to ``at[i] + error[i]`` (the base after plus the
     rounded perturbation). In int64 while the bases' reaches and the
     perturbation bound lie below _SMALL, else in exact ints; not
-    range-checked. Reads only each clock's arrays() and params, so a
+    range-checked. Reads only each clock's trajectory and params, so a
     finished trajectory kept without its clock (scenario.SteppedClock)
     reads the same."""
-    trajectories = [clock.arrays() for clock in clocks]
+    trajectories = [clock.trajectory for clock in clocks]
     which = np.repeat(np.arange(len(clocks)), [len(installed_at) for installed_at, _, _ in trajectories])
     if not len(which):
         return which, *(np.empty(0, dtype=np.int64),) * 3

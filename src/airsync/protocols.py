@@ -9,9 +9,11 @@ signals, and the gateway relay into a wired local domain.
 
 Sign convention throughout: a clock's error is local reading minus the
 reference at the same true instant. Each enabler gives the reading its node
-adopts, and when; ClockState.set takes the step. A SIB16 device adopts the
-quantized BS stamp plus its TA one-way estimate at arrival; scenario.py
-computes that for a whole cell at once and clocks.set_readings takes the steps.
+adopts, and when: a SIB16 device the quantized BS stamp plus its TA one-way
+estimate at arrival, a RIBS listener the anchor's stamp (plus a helper's TA
+estimate) on arrival, a two-way responder its own reading at landing less
+the offset twoway_offset measures. scenario.py computes every node's
+readings, and clocks.set_readings takes the steps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clocks import ClockState, stamp, whole
+from .clocks import whole
 from .engine import RngStream
 from .errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from .timebase import TA_STEP_TICKS
@@ -213,54 +215,20 @@ def twoway_offset(rec: ExchangeRecord) -> TwowayResult:
     return TwowayResult(offset, delay, offset_half, delay_half)
 
 
-def twoway_exchange(
-    initiator: ClockState,
-    responder: ClockState,
-    at: int,
-    delay_forward: int,
-    delay_back: int,
-    turnaround: int,
-    rng: RngStream,
-) -> ExchangeRecord:
-    """Forward-simulate a two-way transfer; each stamp reads its side's clock at its instant."""
-    t_recv = at + delay_forward
-    t_reply = t_recv + turnaround
-    t_back = t_reply + delay_back
-    return ExchangeRecord(
-        t1=stamp(initiator, at, rng),
-        t2=stamp(responder, t_recv, rng),
-        t3=stamp(responder, t_reply, rng),
-        t4=stamp(initiator, t_back, rng),
-    )
-
-
 # --- inter-BS alignment -------------------------------------------------------
 
 
 class RibsMode(Enum):
+    """How BS-B aligns to the anchor BS-A. Listening, BS-B adopts A's
+    reference signal, stamped at the round's start, when it arrives one
+    propagation delay later: as-is under LISTEN_ONLY, which leaves the delay
+    as residual error, or plus a helper UE's TA-derived delay estimate under
+    LISTEN_TA (the helper co-located with BS-B). TWO_WAY is a two-way
+    exchange that A starts, and B steps when its reply reaches A (t4)."""
+
     LISTEN_ONLY = "listen_only"
     LISTEN_TA = "listen_ta"
     TWO_WAY = "two_way"
-
-
-def ribs_align(
-    bs_a: ClockState,
-    inter_bs_delay: int,
-    rng: RngStream,
-    helper_ta_index: Optional[int] = None,
-    at: int = 0,
-) -> tuple[int, int]:
-    """When BS-B, listening to BS-A's reference signal stamped at ``at``,
-    aligns to it (on arrival, ``inter_bs_delay`` later), and the reading it
-    adopts then: the stamp as-is under LISTEN_ONLY (no helper index), which
-    leaves the delay as residual error, or plus a helper UE's TA-derived
-    delay estimate under LISTEN_TA (the helper co-located with BS-B). TWO_WAY
-    alignment is a two-way exchange (twoway_exchange, twoway_offset).
-    """
-    reading = stamp(bs_a, at, rng)
-    if helper_ta_index is not None:
-        reading += delay_estimate_from_index(helper_ta_index)
-    return at + inter_bs_delay, reading
 
 
 # --- gateway relay -------------------------------------------------------------

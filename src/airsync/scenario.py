@@ -7,9 +7,10 @@ synchronization plan. Building a scenario only draws each node's clock
 parameters. Running it gives each node one clock and steps the clocks down
 the sync tree, parent first: the anchor BS, the other BSs (steered or
 RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
-whole cell in one array pass, or two-way, one exchange at a time), then each
-gateway's legacy devices. A read at instant t sees every step installed at
-or before t. Samples, deliveries and the fault probe are then read from the
+whole cell in one array pass, or two-way, each device's exchanges in one
+pass), then each gateway's legacy devices. Every site computes a clock's
+readings first and installs all its steps with one clocks.set_readings
+call. A read at instant t sees every step installed at or before t. Samples, deliveries and the fault probe are then read from the
 finished clocks, all nodes at once, into the trace records. The trace keeps
 the finished trajectories of the clocks the sync tree steps, and the
 correction log is read off them only when it is asked for (trace.json and
@@ -30,6 +31,7 @@ fresh one would be, so the cache changes no draw and no output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import OrderedDict
 from functools import cache, wraps
 from typing import NamedTuple, Optional
@@ -37,13 +39,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import (
-    ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, local_time, read_steps, set_readings, stamp,
-    stamps, whole,
+    ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, in_tick_range, local_times, read_steps,
+    set_readings, stamp, stamps, unstepped_readings, whole,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
 from .errors import CausalityViolationError, TickOverflowError
 from .protocols import (
+    ExchangeRecord,
     RibsMode,
     StampMode,
     apply_ta_command,
@@ -53,12 +56,10 @@ from .protocols import (
     gw_relay_sync,
     measure_rtt,
     quantize_broadcast_time,
-    ribs_align,
     sib16_broadcast,
-    twoway_exchange,
     twoway_offset,
 )
-from .timebase import TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
+from .timebase import INT64_MAX, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
 class Scenario(NamedTuple):
@@ -97,24 +98,17 @@ class CorrectionEvent(NamedTuple):
 
 
 class SteppedClock(NamedTuple):
-    """The finished trajectory of a clock the sync tree steps, as
-    ClockState.arrays() gives it (step instants, bases and their reach),
-    with its parameters: what read_steps reads of a clock, without the
-    clock's per-step lists. Then the keys that place its steps in the
+    """A clock the sync tree steps, as read_steps reads it: its finished
+    trajectory and its parameters. Then the keys that place its steps in the
     correction log: the node's index in ``sampled``, its group (a BS, or a
     device with its legacy devices), its place in the group, its kind."""
 
-    installed_at: np.ndarray
-    base: np.ndarray
-    reach: int
+    trajectory: Trajectory
     params: ClockParams
     node: int
     group: int
     member: int
     kind: int
-
-    def arrays(self) -> Trajectory:
-        return Trajectory(self.installed_at, self.base, self.reach)
 
 
 class FaultStamps(NamedTuple):
@@ -340,6 +334,13 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
 # --- execution -------------------------------------------------------------------
 
 
+def _stamp_noise(rng: RngStream, initiator_sigma: float, responder_sigma: float) -> tuple[int, int, int, int]:
+    """A two-way exchange's t1 to t4 stamp noise, drawn in stamp order: the
+    initiator's at t1, the responder's at t2 and t3, the initiator's at t4."""
+    return tuple(rng.gauss_ticks(sigma) for sigma in (initiator_sigma, responder_sigma, responder_sigma,
+                                                      initiator_sigma))
+
+
 class _Runner:
     """One scenario run; owns each node's clock and TA state.
 
@@ -347,8 +348,9 @@ class _Runner:
     parameters: the run's one record of its steps. The run walks the sync
     tree parent-first (the BSs, each BS's devices, each gateway's legacy
     devices), so every node's steps are computed in time order from its
-    parent's finished trajectory. The observations read the clocks, and the
-    trace keeps the stepped ones' trajectories for its correction log. A step site only
+    parent's finished trajectory and installed at once. The observations
+    read the clocks, and the trace keeps the stepped ones' trajectories for
+    its correction log. A step site only
     records a step past the 64-bit range (ClockState.overflow); run raises
     it after the sync phase, a delta before an error after, as building the
     log there would.
@@ -393,55 +395,89 @@ class _Runner:
     # -- alignment --
 
     def align_base_stations(self) -> None:
-        """Each alignment round steps the anchor (the first BS) to 0 and each
-        other BS to its offset (0 unless FIXED_ERROR), or RIBS-aligns it to the
-        anchor; the anchor goes first, since RIBS reads it."""
+        """Each alignment round steers the anchor (the first BS) to read true
+        time and each other BS true time plus its offset (0 unless
+        FIXED_ERROR), or RIBS-aligns it to the anchor; the anchor goes first,
+        since RIBS reads its finished trajectory."""
         align = self.plan.bs_alignment
-        rounds = self.rounds(align.realign_period) if align.realign_period else range(1)
-        for i, bs in enumerate(self.base_stations):
-            for round_no, at in enumerate(rounds):
-                if align.mode is BsAlignmentMode.RIBS and i > 0:
-                    self.ribs_sync(self.base_stations[0], bs, round_no, at)
-                else:
-                    self.clocks[bs].set(at, at + (align.error if i > 0 else 0))
+        rounds = np.arange(0, self.duration + 1, align.realign_period or self.duration + 1,   # or one, at 0
+                           dtype=np.int64)
+        ribs = align.mode is BsAlignmentMode.RIBS
+        steered = self.base_stations[:1] if ribs else self.base_stations
+        # a reading past int64 stays exact, for set_readings to reject
+        offset = np.array([0] + [align.error] * (len(steered) - 1),
+                          dtype=object if abs(align.error) > INT64_MAX - self.duration else np.int64)
+        set_readings([self.clocks[bs] for bs in steered], np.repeat(np.arange(len(steered)), len(rounds)),
+                     np.tile(rounds, len(steered)), (offset[:, None] + rounds).ravel())
+        for bs in self.base_stations[1:] if ribs else ():
+            self.ribs_syncs(self.base_stations[0], bs, rounds.tolist())
 
-    def ribs_sync(self, anchor: str, bs: str, round_no: int, at: int) -> None:
-        """``bs`` aligns to the anchor in the round starting at ``at``: by a
-        two-way exchange, stepped at t4, or by listening, stepped when the
-        anchor's signal arrives."""
-        mode = self.plan.bs_alignment.ribs_mode
+    def ribs_syncs(self, anchor: str, bs: str, rounds: list[int]) -> None:
+        """``bs`` aligns to the anchor in each of ``rounds`` whose step lands
+        within the run: by a two-way exchange, stepped at t4, or by listening
+        to the anchor's signal stamped at the round's start, stepped when it
+        arrives. Round k draws its stamp noise from ``ribs/{bs}/{k}``, and under
+        LISTEN_TA its helper's RTT from ``ribs_helper/{bs}/{k}``."""
+        plan, mode = self.plan, self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
-        landing = at + prop + (self.plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)
-        if landing > self.duration:
+        lag = prop + (plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)   # from a round's start to its step
+        sent = [(round_no, at) for round_no, at in enumerate(rounds) if at + lag <= self.duration]
+        if not sent:
             return
-        rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
+        streams = [derive_stream(self.seed, f"ribs/{bs}/{round_no}") for round_no, _ in sent]
         if mode is RibsMode.TWO_WAY:
-            self.twoway_step(anchor, bs, at, prop, prop, rng, landing)
+            sigmas = self.clocks[anchor].params.stamp_noise_sigma, self.clocks[bs].params.stamp_noise_sigma
+            self.exchanges(anchor, bs, [(at, prop, prop, at + lag, _stamp_noise(rng, *sigmas))
+                                        for (_, at), rng in zip(sent, streams)])
             return
-        helper_index = None
+        at = np.array([at for _, at in sent], dtype=np.int64)
+        noise = np.array([rng.gauss_ticks(self.clocks[anchor].params.stamp_noise_sigma) for rng in streams])
+        reading = broadcast_stamps(self.clocks[anchor], at, noise, 0)
         if mode is RibsMode.LISTEN_TA:
-            rtt = measure_rtt(
-                prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob,
-                derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"),
-            )
-            helper_index = compute_ta_initial(rtt).value
-        self.clocks[bs].set(*ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
+            helper = [compute_ta_initial(measure_rtt(prop, plan.ta_noise_sigma, plan.ta_wrong_bin_prob, derive_stream(
+                self.seed, f"ribs_helper/{bs}/{round_no}"))).value for round_no, _ in sent]
+            reading = reading + delay_estimate_from_index(np.array(helper, dtype=np.int64))
+        set_readings([self.clocks[bs]], np.zeros(len(at), dtype=np.intp), at + prop, reading)
 
-    def twoway_step(self, initiator: str, node: str, at: int, delay_forward: int, delay_back: int,
-                    rng: RngStream, landing: int) -> None:
-        """The two-way exchange ``initiator`` starts with ``node`` at ``at``:
-        ``node`` steps at ``landing`` by the offset it measured. One whose
-        stamps come out of order (a step inside it, or stamp noise) steps
-        nothing and counts as a lost sync."""
-        clock = self.clocks[node]
-        record = twoway_exchange(self.clocks[initiator], clock, at, delay_forward, delay_back,
-                                 self.plan.turnaround, rng)
-        try:
-            offset = twoway_offset(record).offset
-        except CausalityViolationError:
-            self.lost_sync += 1
+    def exchanges(self, initiator: str, node: str, sent: list[tuple]) -> None:
+        """Steps ``node`` by the two-way exchanges ``initiator`` starts with it,
+        each (at, delay_forward, delay_back, landing, noise) with ``noise`` the
+        t1 to t4 stamp noise drawn for it, in landing order. t1 and t4 are read
+        off the initiator's finished trajectory; t2, t3 and the landing are
+        ``node``'s unstepped readings plus the correction in force then, that
+        of the last exchange it stepped by at or before that instant (RIBS
+        rounds may overlap). Each stamp is range-checked as stamp() checks
+        it, and so are the read and the reading at each step. An exchange
+        whose stamps come out of order (a step inside it, or stamp noise)
+        steps nothing and counts as a lost sync; any other steps ``node`` at
+        its landing by the offset it measured."""
+        if not sent:
             return
-        clock.set(landing, local_time(clock, landing) - offset)
+        at, forward, back, landing, noise = zip(*sent)
+        t2 = [t + delay for t, delay in zip(at, forward)]
+        t3 = [t + self.plan.turnaround for t in t2]
+        t4 = [t + delay for t, delay in zip(t3, back)]
+        count, clock = len(sent), self.clocks[node]
+        ends = local_times([self.clocks[initiator]], np.array([*at, *t4], dtype=np.int64)[:, None])[:, 0].tolist()
+        unstepped = unstepped_readings(clock, np.array([*t2, *t3, *landing], dtype=np.int64))
+        stepped, correction, reading = [], [0], []   # the steps' landings, the correction from each on, the readings
+
+        def read(t: int, k: int) -> int:
+            return in_tick_range(unstepped[k] + correction[bisect_right(stepped, t)])
+
+        for k, (n1, n2, n3, n4) in enumerate(noise):
+            record = ExchangeRecord(in_tick_range(ends[k] + n1), in_tick_range(read(t2[k], k) + n2),
+                                    in_tick_range(read(t3[k], count + k) + n3), in_tick_range(ends[count + k] + n4))
+            try:
+                offset = twoway_offset(record).offset
+            except CausalityViolationError:
+                self.lost_sync += 1
+                continue
+            reading.append(in_tick_range(read(landing[k], 2 * count + k) - offset))
+            stepped.append(landing[k])
+            correction.append(reading[-1] - unstepped[2 * count + k])
+        set_readings([clock], np.zeros(len(stepped), dtype=np.intp), np.array(stepped, dtype=np.int64),
+                     np.array(reading, dtype=np.int64))
 
     # -- per-device OTA sync --
 
@@ -478,7 +514,8 @@ class _Runner:
         rounds = self.rounds(self.plan.resync_period)
         heard = heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)
         self.lost_sync += len(rounds) - int(np.count_nonzero(heard))
-        landing = 0   # of the last exchange sent
+        sigmas = self.clocks[bs].params.stamp_noise_sigma, self.clocks[device].params.stamp_noise_sigma
+        sent, landing = [], 0   # of the last exchange sent
         for round_no in np.flatnonzero(heard).tolist():
             at = rounds[round_no]
             if at < landing:
@@ -491,8 +528,9 @@ class _Runner:
                 delay_forward = delay_back = prop
             landing = at + delay_forward + self.plan.turnaround + delay_back + prop
             if landing > self.duration:
-                return
-            self.twoway_step(bs, device, at, delay_forward, delay_back, rng, landing)
+                break
+            sent.append((at, delay_forward, delay_back, landing, _stamp_noise(rng, *sigmas)))
+        self.exchanges(bs, device, sent)
 
     def relay(self, gateway: str) -> None:
         """Each legacy device of ``gateway`` adopts every reading the gateway
@@ -539,7 +577,7 @@ class _Runner:
         groups = [[(bs, BS_ALIGN)] for bs in self.base_stations]
         groups += [[(device, device_kind), *((legacy, GW_RELAY) for legacy in self.relays.get(device, ()))]
                    for bs in self.base_stations for device in self.attached[bs]]
-        return tuple(SteppedClock(*self.clocks[node].arrays(), self.clocks[node].params, self.node_index[node],
+        return tuple(SteppedClock(self.clocks[node].trajectory, self.clocks[node].params, self.node_index[node],
                                   group, member, kind)
                      for group, members in enumerate(groups) for member, (node, kind) in enumerate(members))
 

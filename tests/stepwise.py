@@ -1,0 +1,161 @@
+"""One-step-at-a-time references for the run's one-pass step sites.
+
+A run computes each clock's readings first and installs them all with one
+clocks.set_readings call. The references here step a clock one step at a
+time instead: SteppingClock.set reads the clock as stepped so far and takes
+one step, twoway_exchange stamps one exchange off the clocks as stepped so
+far, and OneAtATime runs BS alignment and the two-way exchanges that way.
+The tests pin the passes against them.
+"""
+
+import numpy as np
+
+from airsync.clocks import ClockState, Trajectory, in_tick_range, local_time, stamp
+from airsync.config import BsAlignmentMode, Enabler
+from airsync.engine import derive_stream
+from airsync.errors import CausalityViolationError
+from airsync.protocols import (
+    ExchangeRecord, RibsMode, compute_ta_initial, delay_estimate_from_index, measure_rtt, twoway_offset,
+)
+from airsync.scenario import _Runner, heard_rounds
+from airsync.timebase import INT64_MAX, INT64_MIN
+
+
+class SteppingClock(ClockState):
+    """A ClockState that also takes one step at a time, rebuilding its
+    trajectory at each; ``installed_at`` and ``correction`` list its steps'
+    instants and the total correction in force from each on."""
+
+    __slots__ = ()
+
+    @property
+    def installed_at(self) -> list[int]:
+        return self.trajectory.installed_at.tolist()
+
+    @property
+    def correction(self) -> list[int]:
+        return [base - self.params.theta0 for base in self.trajectory.base[1:].tolist()]
+
+    def step(self, at: int, delta: int) -> None:
+        """From true time ``at`` on, every reading drops by a further ``delta``."""
+        installed_at, base, reach = self.trajectory
+        if len(installed_at) and at < installed_at[-1]:
+            raise ValueError(f"step at {at} before the last step at {installed_at[-1]}")
+        after = int(base[-1]) - delta
+        reach = max(reach, abs(after))
+        self.trajectory = Trajectory(np.array([*installed_at.tolist(), at], dtype=np.int64),
+                                     np.array([*base.tolist(), after], dtype=np.int64 if reach < 2**63 else object),
+                                     reach)
+
+    def set(self, at: int, reading: int) -> int:
+        """Step the clock so that it reads ``reading`` at true time ``at``, and
+        return the step taken (the old reading then minus ``reading``),
+        recording in ``overflow`` a delta or error after past int64."""
+        delta = local_time(self, at) - in_tick_range(reading)
+        self.step(at, delta)
+        if not INT64_MIN <= delta <= INT64_MAX:
+            self.overflow |= {"delta"}
+        if not INT64_MIN <= reading - at <= INT64_MAX:
+            self.overflow |= {"error_after"}
+        return delta
+
+
+def steps_of(clock) -> tuple[list[int], list[int], int]:
+    """A clock's trajectory as exact values: its step instants, its bases and
+    their reach."""
+    installed_at, base, reach = clock.trajectory
+    return installed_at.tolist(), base.tolist(), reach
+
+
+def twoway_exchange(initiator, responder, at: int, delay_forward: int, delay_back: int, turnaround: int,
+                    rng) -> ExchangeRecord:
+    """One two-way transfer; each stamp reads its side's clock at its instant."""
+    t_recv = at + delay_forward
+    t_reply = t_recv + turnaround
+    t_back = t_reply + delay_back
+    return ExchangeRecord(
+        t1=stamp(initiator, at, rng),
+        t2=stamp(responder, t_recv, rng),
+        t3=stamp(responder, t_reply, rng),
+        t4=stamp(initiator, t_back, rng),
+    )
+
+
+def ribs_align(bs_a, inter_bs_delay: int, rng, helper_ta_index=None, at: int = 0) -> tuple[int, int]:
+    """When BS-B, listening to BS-A's signal stamped at ``at``, aligns to it
+    (on arrival, ``inter_bs_delay`` later), and the reading it adopts then:
+    the stamp, plus the helper's TA delay estimate if it has a helper."""
+    reading = stamp(bs_a, at, rng)
+    if helper_ta_index is not None:
+        reading += delay_estimate_from_index(helper_ta_index)
+    return at + inter_bs_delay, reading
+
+
+class OneAtATime(_Runner):
+    """A run whose BS alignment and two-way exchanges step each clock one
+    step at a time, in round order, each exchange stamped by twoway_exchange
+    off the clocks as stepped so far. Its clocks are SteppingClocks."""
+
+    def __init__(self, scenario, duration):
+        super().__init__(scenario, duration)
+        self.clocks = {node: SteppingClock(state.params) for node, state in self.clocks.items()}
+
+    def align_base_stations(self):
+        align = self.plan.bs_alignment
+        rounds = self.rounds(align.realign_period) if align.realign_period else range(1)
+        for i, bs in enumerate(self.base_stations):
+            for round_no, at in enumerate(rounds):
+                if align.mode is BsAlignmentMode.RIBS and i > 0:
+                    self.ribs_sync(self.base_stations[0], bs, round_no, at)
+                else:
+                    self.clocks[bs].set(at, at + (align.error if i > 0 else 0))
+
+    def ribs_sync(self, anchor, bs, round_no, at):
+        mode = self.plan.bs_alignment.ribs_mode
+        prop = self.prop(anchor, bs)
+        landing = at + prop + (self.plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)
+        if landing > self.duration:
+            return
+        rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
+        if mode is RibsMode.TWO_WAY:
+            self.twoway_step(anchor, bs, at, prop, prop, rng, landing)
+            return
+        helper_index = None
+        if mode is RibsMode.LISTEN_TA:
+            rtt = measure_rtt(prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob,
+                              derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"))
+            helper_index = compute_ta_initial(rtt).value
+        self.clocks[bs].set(*ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
+
+    def twoway_step(self, initiator, node, at, delay_forward, delay_back, rng, landing):
+        """``node`` steps at ``landing`` by the offset the exchange measured,
+        unless its stamps came out of order: a lost sync."""
+        clock = self.clocks[node]
+        record = twoway_exchange(self.clocks[initiator], clock, at, delay_forward, delay_back,
+                                 self.plan.turnaround, rng)
+        try:
+            offset = twoway_offset(record).offset
+        except CausalityViolationError:
+            self.lost_sync += 1
+            return
+        clock.set(landing, local_time(clock, landing) - offset)
+
+    def twoway_syncs(self, bs, device):
+        rng = derive_stream(self.seed, f"exchange/{device}")
+        prop = self.prop(bs, device)
+        rounds = self.rounds(self.plan.resync_period)
+        heard = heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)
+        self.lost_sync += len(rounds) - int(np.count_nonzero(heard))
+        landing = 0
+        for round_no in np.flatnonzero(heard).tolist():
+            at = rounds[round_no]
+            if at < landing:
+                continue
+            if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
+                delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
+            else:
+                delay_forward = delay_back = prop
+            landing = at + delay_forward + self.plan.turnaround + delay_back + prop
+            if landing > self.duration:
+                return
+            self.twoway_step(bs, device, at, delay_forward, delay_back, rng, landing)

@@ -1,22 +1,26 @@
-"""The cell-wide passes against one-at-a-time references: SIB16 landings
-and their relays against ClockState.set landing by landing, the correction
-log read off the finished clocks against the steps logged as they were set,
-and command deliveries against one delay draw and one stamp call per
-command."""
+"""The one-pass step sites against one-at-a-time references: SIB16
+landings and their relays against SteppingClock.set landing by landing, the
+correction log read off the finished clocks against the steps logged as
+they were set, two-way exchanges and RIBS alignment against one exchange at
+a time, and command deliveries against one delay draw and one stamp call
+per command."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from airsync.clocks import ClockState, stamp
+from airsync.clocks import ClockParams, stamp
 from airsync.config import Role, validate_config
 from airsync.engine import derive_stream
+from airsync.errors import TickOverflowError
 from airsync.protocols import delay_estimate_from_index, gw_relay_sync, quantize_broadcast_time, sib16_broadcast
 from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario, ta_indices
+from airsync.timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_SECOND
+from stepwise import OneAtATime, SteppingClock, steps_of
 
 
-class _Logged(ClockState):
+class _Logged(SteppingClock):
     """A clock that appends a CORRECTION_DTYPE row to ``log`` at each set, as
     the step is taken."""
 
@@ -30,10 +34,10 @@ class _Logged(ClockState):
         return delta
 
 
-class _LandingByLanding(_Runner):
+class _LandingByLanding(OneAtATime):
     """A run whose SIB16 pass sets each landing on its own: each device in
     turn draws its losses one round at a time, then lands its rounds in
-    (arrival, round) order with ClockState.set, and a gateway relays each
+    (arrival, round) order with SteppingClock.set, and a gateway relays each
     reading it adopts as it lands, one relay draw at a time. Every clock
     logs its own steps as they are set, so ``rows`` is the correction log
     as the steps were taken, BS alignment included."""
@@ -149,12 +153,162 @@ def test_the_cell_pass_equals_landing_by_landing(raw):
     config = validate_config(raw)
     cell, trace = _run(_Runner, config)
     reference, expected = _run(_LandingByLanding, config)
-    assert ({node: (c.installed_at, c.correction) for node, c in cell.clocks.items()}
-            == {node: (c.installed_at, c.correction) for node, c in reference.clocks.items()})
+    assert ({node: steps_of(c) for node, c in cell.clocks.items()}
+            == {node: steps_of(c) for node, c in reference.clocks.items()})
     assert trace.correction_log.tolist() == reference.rows
     assert trace.lost_sync == expected.lost_sync
     assert list(trace.ta_index.items()) == list(expected.ta_index.items())
     assert np.array_equal(trace.errors, expected.errors)
+
+
+# --- two-way exchanges and RIBS alignment -------------------------------------------------
+
+
+def _twoway_clock(draw, duration: int) -> dict:
+    """An ordinary clock, or one at the int64 edges a ``duration``-tick run
+    validates: its phase, skew or drift at or near the limits, so that a
+    reading, a step or an unstepped reading may leave int64."""
+    noise = draw(st.sampled_from((0, 308, "1 ms")))   # 1 ms of noise reverses many exchanges' stamps
+    if draw(st.integers(0, 2)):   # one clock in three at the edges
+        return {"theta0": f"{draw(st.integers(-10**6, 10**6))} ticks", "skew_ppm": draw(st.sampled_from((0, 3.5, -20))),
+                "drift_per_s": draw(st.sampled_from((0, 1e-7))), "stamp_noise": noise}
+    limit = INT64_MAX - 2 * duration
+    drift_limit = 2 * INT64_MAX * TICKS_PER_SECOND / duration**2
+    return {"theta0": f"{draw(st.sampled_from((limit, -limit)) | st.integers(-limit, limit))} ticks",
+            "skew_ppm": draw(st.sampled_from((999.9, -999.9, 0))),
+            "drift_per_s": draw(st.sampled_from((0.0, drift_limit, -drift_limit, drift_limit / 3))), "stamp_noise": noise}
+
+
+@st.composite
+def twoway_runs(draw):
+    """Small configs on the millisecond scale whose steps come from two-way
+    exchanges (both device enablers) or RIBS alignment, two-way or
+    listening, also beside a SIB16 cell. Exchanges take 1 ms plus two
+    propagation and any extra delays, so with realign periods down to
+    500 us RIBS rounds overlap; a node may sit at its BS (no propagation
+    delay), so that t4 shares a tick with a step of the BS."""
+    duration = draw(st.integers(6, 40)) * TICKS_PER_MS
+    alignment = dict(draw(st.sampled_from(({"mode": "ribs", "ribs_mode": "two_way"},
+                                           {"mode": "ribs", "ribs_mode": "listen_only"},
+                                           {"mode": "ribs", "ribs_mode": "listen_ta"}, {"mode": "perfect"},
+                                           {"mode": "fixed_error", "error": "0.5 us"}))),
+                     realign_period=draw(st.sampled_from(("500 us", "700 us", "1 ms", "2 ms", "5 ms"))))
+    spot = lambda: draw(st.just([0, 0]) | st.tuples(st.integers(0, 3000), st.integers(-500, 500)).map(list))
+    nodes = [{"id": "ref", "role": "reference"},
+             {"id": "bs1", "role": "base_station", "position": [0, 0], "clock": _twoway_clock(draw, duration)}]
+    bs_ids = ["bs1"]
+    if draw(st.integers(0, 3)):
+        nodes.append({"id": "bs2", "role": "base_station", "position": spot(), "clock": _twoway_clock(draw, duration)})
+        bs_ids.append("bs2")
+    for i in range(draw(st.integers(0, 3))):
+        role = draw(st.sampled_from(("ue", "pmu", "gateway")))
+        nodes.append({"id": f"d{i}", "role": role, "attach_to": draw(st.sampled_from(bs_ids)), "position": spot(),
+                      "clock": _twoway_clock(draw, duration)})
+        if role == "gateway":
+            nodes.append({"id": f"d{i}_legacy", "role": "legacy_device", "attach_to": f"d{i}",
+                          "clock": _twoway_clock(draw, duration)})
+    extra_delay = draw(st.sampled_from(({"dist": "none"}, {"dist": "uniform", "low": 0, "high": "3 ms"},
+                                        {"dist": "normal", "mean": "1 ms", "sigma": "500 us"})))
+    plan = {"enabler": draw(st.sampled_from(("dedicated_two_way", "ribs_ue", "ta_sib16"))),
+            "resync_period": draw(st.sampled_from(("1 ms", "1500 us", "2 ms", "3 ms"))),
+            "gw_relay_sigma": draw(st.sampled_from((0, 922))), "bs_alignment": alignment}
+    return {"schema_version": 1, "seed": draw(st.integers(0, 2**31)), "duration": f"{duration} ticks",
+            "sampling_grid": "1 ms", "nodes": nodes, "sync_plan": plan,
+            "link": {"loss_prob": draw(st.sampled_from((0, 0.3))), "extra_delay": extra_delay}}
+
+
+def _outcome(runner):
+    """What a run gives: its trajectories, correction log, lost syncs and
+    errors; or, if a step passes int64, which column did and each clock's
+    trajectory and overflow (every clock has stepped by then); or only that
+    a read or a reading passed int64."""
+    try:
+        trace = runner.run()
+    except TickOverflowError as error:
+        if not str(error).startswith("a correction's"):
+            return "out of range"
+        return str(error), {node: (steps_of(c), c.overflow) for node, c in runner.clocks.items()}
+    return ({node: steps_of(c) for node, c in runner.clocks.items()}, trace.correction_log.tolist(), trace.lost_sync,
+            trace.errors.tolist())
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=twoway_runs())
+def test_the_exchange_pass_equals_one_exchange_at_a_time(raw):
+    config = validate_config(raw)
+    passed = _outcome(_Runner(build_scenario(config), config.duration))
+    assert passed == _outcome(OneAtATime(build_scenario(config), config.duration))
+
+
+class _Drawn:
+    """Stands in for an exchange's stream: each stamp noise it is asked for
+    is the next of ``noise``."""
+
+    def __init__(self, noise):
+        self.noise = iter(noise)
+
+    def gauss_ticks(self, sigma):
+        return next(self.noise)
+
+
+_T = TICKS_PER_MS   # the turnaround
+# at, delay_forward, delay_back, landing: the first exchange stamps t2 at 100, t3
+# at 100 + _T, t4 at 200 + _T, and lands at 300 + _T; the second starts 1 tick later
+_SENT = ((0, 100, 100, 300 + _T), (301 + _T, 100, 100, 2 * (300 + _T) + 1))
+
+# initiator phase, responder phase, then per exchange its t1 to t4 noise
+EDGE_EXCHANGES = {
+    **{f"t{k + 1}-past-int64": (0, 0, [[INT64_MAX + 1 if i == k else 0 for i in range(4)]]) for k in range(4)},
+    # the read at the landing passes INT64_MAX, the reads at t2 and t3 do not
+    "read-at-landing": (0, INT64_MAX - (300 + _T) + 1, [[0, 0, 0, 0]]),
+    # t2 and t3 read 2**62 low, so the reading lies 2**62 above the initiator's 3 * 2**61
+    "reading": (3 * 2**61, 0, [[0, -(2**62), -(2**62), 0]]),
+    # a step of 3 * 2**62 to a reading in range: recorded, not raised
+    "delta": (-3 * 2**61, 3 * 2**61, [[0, 0, 0, 0]]),
+    # the first exchange steps the responder back from INT64_MAX; at the second
+    # its unstepped readings lie past int64 and its stepped ones far within
+    "unstepped-past-int64": (0, INT64_MAX - (300 + _T), [[0, 0, 0, 0], [0, 0, 0, 0]]),
+    # 5 ms of noise on t1 puts t4 before it: a lost sync, then a step
+    "reversed": (0, 5000, [[5 * TICKS_PER_MS, 0, 0, 0], [0, 0, 0, 0]]),
+}
+
+
+def _exchange(runner, noise: list, exchange: str):
+    """ue1's trajectory and overflow, and the lost syncs, after bs1 starts
+    an exchange with it per entry of ``noise`` (the exchange's t1 to t4
+    stamp noise), at the instants _SENT gives: in one pass, or one exchange
+    at a time; or only that a stamp, a read or a reading passed int64."""
+    sent = [(*timing, tuple(n)) for timing, n in zip(_SENT, noise)]
+    try:
+        if exchange == "pass":
+            runner.exchanges("bs1", "ue1", sent)
+        else:
+            for at, forward, back, landing, n in sent:
+                runner.twoway_step("bs1", "ue1", at, forward, back, _Drawn(n), landing)
+    except TickOverflowError:
+        return "out of range"
+    return steps_of(runner.clocks["ue1"]), runner.clocks["ue1"].overflow, runner.lost_sync
+
+
+@pytest.mark.parametrize("case", EDGE_EXCHANGES)
+def test_the_exchange_pass_checks_what_stamp_and_set_checked(case):
+    # each stamp as local_time plus its noise, and at each step the read and
+    # the reading; with the responder's unstepped reading free to leave int64
+    initiator, responder, noise = EDGE_EXCHANGES[case]
+    config = validate_config({"schema_version": 1, "seed": 1, "duration": "10 ms", "nodes": [
+        {"id": "ref", "role": "reference"}, {"id": "bs1", "role": "base_station", "position": [0, 0]},
+        {"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [0, 0]}], "sync_plan": {"enabler": "ribs_ue"}})
+    scenario = build_scenario(config)
+    scenario = scenario._replace(clocks=dict(scenario.clocks, bs1=ClockParams(theta0=initiator),
+                                             ue1=ClockParams(theta0=responder)))
+    passed = _exchange(_Runner(scenario, config.duration), noise, "pass")
+    assert passed == _exchange(OneAtATime(scenario, config.duration), noise, "one at a time")
+    assert (passed == "out of range") == (case.startswith("t") or case in ("read-at-landing", "reading"))
+    if case == "delta":
+        assert passed[1] == {"delta"}
+    if case in ("unstepped-past-int64", "reversed"):
+        (steps, _, _), _, lost = passed
+        assert (len(steps), lost) == ((1, 1) if case == "reversed" else (2, 0))
 
 
 # --- deliveries ---------------------------------------------------------------------------

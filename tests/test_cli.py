@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from airsync import cli, engine, scenario
 from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
-from airsync.clocks import ClockParams, ClockState, local_time
+from airsync.clocks import ClockParams, local_time
 from airsync.config import Workload, load_config, load_sweep_spec, replace_config_value, validate_config
 from airsync.scenario import (
     CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
 )
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
+from stepwise import SteppingClock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -269,9 +270,9 @@ def _stepped(sampled: tuple, corrections) -> tuple:
     error_after. A row's group is its index, which keeps the rows' order."""
     stepped = []
     for group, (t, node, delta, kind, error) in enumerate(corrections):
-        clock = ClockState(ClockParams(theta0=error + delta))
+        clock = SteppingClock(ClockParams(theta0=error + delta))
         clock.step(t, delta)
-        stepped.append(SteppedClock(*clock.arrays(), clock.params, sampled.index(node), group, 0,
+        stepped.append(SteppedClock(clock.trajectory, clock.params, sampled.index(node), group, 0,
                                     CORRECTION_KINDS.index(kind)))
     return tuple(stepped)
 
@@ -432,7 +433,7 @@ def test_run_phase_at_the_limit_runs(tmp_path):
     scenario_config = load_config(config)
     built = build_scenario(scenario_config)
     trace = run_scenario(built, scenario_config.duration)
-    clocks = {node: ClockState(params) for node, params in built.clocks.items()}
+    clocks = {node: SteppingClock(params) for node, params in built.clocks.items()}
     for c in trace.corrections:
         clocks[c.node].step(c.t_true, c.delta)
     assert trace.errors.tolist() == [[local_time(clocks[node], t) - t for node in trace.sampled]

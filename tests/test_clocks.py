@@ -23,11 +23,13 @@ from airsync.clocks import (
     set_readings,
     stamp,
     stamps,
+    unstepped_readings,
 )
 from airsync.engine import derive_stream
 from airsync.errors import TickOverflowError
 from airsync.protocols import quantize_broadcast_time
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_SECOND, TICKS_PER_US
+from stepwise import SteppingClock, steps_of
 
 
 def test_ideal_clock_is_identity():
@@ -80,16 +82,16 @@ def test_two_noisy_stamps_generally_differ():
     assert stamp(clock, 0, rng) != stamp(clock, 0, rng)
 
 
-def stepped(params: ClockParams, *steps: tuple[int, int]) -> ClockState:
+def stepped(params: ClockParams, *steps: tuple[int, int]) -> SteppingClock:
     """A clock with ``params`` that took each (at, delta) step in turn."""
-    clock = ClockState(params=params)
+    clock = SteppingClock(params=params)
     for at, delta in steps:
         clock.step(at, delta)
     return clock
 
 
 def test_offset_correction_fixed_point():
-    clock = ClockState(params=ClockParams(theta0=777))
+    clock = SteppingClock(params=ClockParams(theta0=777))
     offset = clock_error(clock, 5000)
     clock.step(5000, offset)
     assert clock_error(clock, 5000) == 0
@@ -97,21 +99,21 @@ def test_offset_correction_fixed_point():
 
 
 def test_set_reports_the_step_it_takes():
-    clock = ClockState(params=ClockParams(theta0=700))
+    clock = SteppingClock(params=ClockParams(theta0=700))
     assert clock.set(10, 210) == 500
     assert clock.installed_at == [10] and clock_error(clock, 10) == 200
 
 
 @pytest.mark.parametrize("reading", [INT64_MAX + 1, INT64_MIN - 1], ids=["above", "below"])
 def test_set_checks_the_reading_it_sets(reading):
-    clock = ideal_clock()
+    clock = SteppingClock()
     with pytest.raises(TickOverflowError):
         clock.set(10, reading)
     assert clock.installed_at == []
 
 
 def test_set_before_the_last_step_rejected():
-    clock = ideal_clock()
+    clock = SteppingClock()
     clock.set(100, 0)
     with pytest.raises(ValueError):
         clock.set(99, 0)
@@ -138,7 +140,7 @@ def test_set_reads_its_reading_from_then_on(theta0, skew, steps, after, reading,
 
 
 def test_zero_correction_is_identity():
-    clock = ClockState(params=ClockParams(theta0=5))
+    clock = SteppingClock(params=ClockParams(theta0=5))
     readings = [local_time(clock, t) for t in (0, 10, TICKS_PER_SECOND)]
     clock.step(0, 0)
     assert [local_time(clock, t) for t in (0, 10, TICKS_PER_SECOND)] == readings
@@ -265,7 +267,7 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
     # many clocks read together: every clock at shared instants (around each
     # one's steps too), then each at its own instants, only the marked ones
     clocks, rows = clocks_and_rows
-    shared = instants + [at + d for clock in clocks for at in clock.installed_at for d in (-1, 0)
+    shared = instants + [at + d for clock in clocks for at in clock.trajectory.installed_at.tolist() for d in (-1, 0)
                          if at + d >= INT64_MIN]
     for t, where in [(np.array(shared, dtype=np.int64).reshape(-1, 1), None), _matrix(rows, len(clocks))]:
         marks = np.ones((len(t), len(clocks)), dtype=bool) if where is None else where
@@ -277,7 +279,7 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
         else:
             local = local_times(clocks, t, where)
             assert {(i, j): local[i, j] for i, j in expected} == expected
-    for installed_at, base, reach in (clock.arrays() for clock in clocks):   # the bound each read decided on
+    for installed_at, base, reach in (clock.trajectory for clock in clocks):   # the bound each read decided on
         assert reach == max(abs(value) for value in base.tolist())
     # the errors at the non-negative shared instants, and the clocks with one below int64
     t = np.array([x for x in shared if x >= 0], dtype=np.int64).reshape(-1, 1)
@@ -301,12 +303,12 @@ def test_bulk_reader_equals_local_time(clocks_and_rows, instants):
 # a step of 2**64 - 1: the base goes from INT64_MAX to INT64_MIN
 @example([(INT64_MAX, 0.0, 0.0, [(0, INT64_MIN)])])
 def test_read_steps_gives_back_what_each_set_took(clocks):
-    # clocks stepped by ClockState.set in time order: read_steps gives each
+    # clocks stepped by SteppingClock.set in time order: read_steps gives each
     # step's instant, the delta set returned and the reading it set less the
     # instant, clock by clock, as exact values (also past int64)
     stepped_clocks, taken = [], []
     for j, (theta0, skew, drift, sets) in enumerate(clocks):
-        clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
+        clock = SteppingClock(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
         for at, reading in sorted(sets, key=lambda s: s[0]):
             try:
                 taken.append((j, at, clock.set(at, reading), reading - at))
@@ -327,12 +329,33 @@ def test_a_step_past_int64_is_recorded_as_it_is_installed(theta0, at, reading, o
     # delta is the read minus the reading and error_after the reading minus
     # the instant: set and set_readings check both, record them, and install
     # the step all the same
-    one, bulk = ClockState(ClockParams(theta0=theta0)), ClockState(ClockParams(theta0=theta0))
+    one, bulk = SteppingClock(ClockParams(theta0=theta0)), ClockState(ClockParams(theta0=theta0))
     one.set(at, reading)
     set_readings([bulk], np.zeros(1, dtype=np.int64), np.array([at]), np.array([reading]))
     assert one.overflow == bulk.overflow == overflow
-    assert one.installed_at == bulk.installed_at == [at] and one.correction == bulk.correction
+    assert steps_of(one) == steps_of(bulk) and steps_of(bulk)[0] == [at]
     assert local_time(one, at) == local_time(bulk, at) == reading
+
+
+def test_set_readings_steps_only_clocks_that_have_taken_no_step():
+    clock = ClockState(ClockParams(theta0=5))
+    set_readings([clock], np.zeros(1, dtype=np.int64), np.array([10]), np.array([10]))
+    with pytest.raises(ValueError, match="taken no step"):
+        set_readings([clock], np.zeros(1, dtype=np.int64), np.array([20]), np.array([20]))
+    assert steps_of(clock) == ([10], [5, 0], 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PHASE, _SKEW, _DRIFT, st.lists(_INSTANT, max_size=8))
+def test_unstepped_readings_are_local_times_sum_unchecked(theta0, skew, drift, instants):
+    # local_time's sum for a clock with no step, as exact ints also where it
+    # leaves int64; where it does not, local_time itself
+    clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
+    readings = unstepped_readings(clock, np.array(instants, dtype=np.int64))
+    assert readings == [theta0 + t + round(skew * t + 0.5 * drift * (t / TICKS_PER_SECOND) * t) for t in instants]
+    assert all(type(reading) is int for reading in readings)
+    assert [reading for reading in readings if INT64_MIN <= reading <= INT64_MAX] == \
+        [local_time(clock, t) for t, reading in zip(instants, readings) if INT64_MIN <= reading <= INT64_MAX]
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,7 +368,7 @@ def test_set_readings_records_what_successive_sets_record(clocks):
     # the arrays it installs are those the clock's steps give
     ones, bulks, which, at, reading = [], [], [], [], []
     for j, (theta0, skew, drift, sets) in enumerate(clocks):
-        ones.append(ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)))
+        ones.append(SteppingClock(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)))
         bulks.append(ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift)))
         for t, value in sorted(sets, key=lambda s: s[0]):
             which.append(j), at.append(t), reading.append(value)
@@ -362,10 +385,9 @@ def test_set_readings_records_what_successive_sets_record(clocks):
     set_readings(bulks, np.array(which), np.array(at, dtype=np.int64), np.array(reading, dtype=object))
     for j, (one, bulk) in enumerate(zip(ones, bulks)):
         assert one.overflow == bulk.overflow == set().union(*(e for i, e in zip(which, expected) if i == j))
-        assert (one.installed_at, one.correction) == (bulk.installed_at, bulk.correction)
-        (one_at, one_base, one_reach), (bulk_at, bulk_base, bulk_reach) = one.arrays(), bulk.arrays()
-        assert bulk_at.dtype == np.int64 and bulk_base.dtype == one_base.dtype
-        assert (bulk_at.tolist(), bulk_base.tolist(), bulk_reach) == (one_at.tolist(), one_base.tolist(), one_reach)
+        assert steps_of(one) == steps_of(bulk)
+        assert bulk.trajectory.installed_at.dtype == np.int64
+        assert bulk.trajectory.base.dtype == one.trajectory.base.dtype
 
 
 class _Drawn:
@@ -470,7 +492,7 @@ def test_mixed_blocks_sum_only_the_clocks_near_the_edge_in_exact_ints(specs, see
 
 
 def test_single_correction_permanent_without_skew_or_drift():
-    clock = ClockState(params=ClockParams(theta0=-340))
+    clock = SteppingClock(params=ClockParams(theta0=-340))
     clock.step(100, clock_error(clock, 100))
     for t in [100, 1000, 10 * TICKS_PER_SECOND]:
         assert clock_error(clock, t) == 0
@@ -480,7 +502,7 @@ def test_residual_after_correction_tracks_skew():
     # resynchronization trade-off: tau seconds after a perfect correction the
     # error is y * tau, within one tick of rounding
     y = 2e-6
-    clock = ClockState(params=ClockParams(skew_y=y, theta0=912))
+    clock = SteppingClock(params=ClockParams(skew_y=y, theta0=912))
     t0 = 3 * TICKS_PER_SECOND
     clock.step(t0, clock_error(clock, t0))
     for tau_s in [0.01, 0.5, 2.0]:

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airsync import cli, errors, timebase
-from airsync.clocks import ClockState
 from airsync.config import (
     _YAML_LOADER,
     TA_TIMER_PERIODS_MS,
@@ -29,7 +28,9 @@ from airsync.config import (
 from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.metrics import build_report
-from airsync.protocols import RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_exchange, twoway_offset
+from airsync.protocols import (
+    ExchangeRecord, RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_offset,
+)
 from airsync.scenario import build_scenario, cell_schedule, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
@@ -411,11 +412,11 @@ def one_record_of_each_type() -> dict:
     trace = run_scenario(scenario, cfg.duration)
     report = build_report(trace, cfg.workload, cfg.presets, cfg.fault_probe)
     node, plan = cfg.nodes["ue"], cfg.sync_plan
-    exchange = twoway_exchange(ClockState(), ClockState(), 0, 10, 10, MS, derive_stream(0, "exchange"))
+    exchange = ExchangeRecord(0, 10, 10 + MS, 20 + MS)
     records = [
         cfg, node, node.clock, node.clock.theta0, cfg.link, cfg.link.extra_delay, plan, plan.sib, plan.bs_alignment,
         cfg.workload, cfg.fault_probe, parse_sweep_spec({"path": "seed", "values": [1]}), cfg.presets[0],
-        scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.stepped[0].arrays(), trace.corrections[0],
+        scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.stepped[0].trajectory, trace.corrections[0],
         trace.fault, report, report.verdicts[0],
         compute_ta_initial(100), exchange, twoway_offset(exchange),
         sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),

@@ -23,9 +23,7 @@ from airsync.protocols import (
     measure_rtt,
     one_way_delay_estimate,
     quantize_broadcast_time,
-    ribs_align,
     sib16_broadcast,
-    twoway_exchange,
     twoway_offset,
 )
 from airsync.timebase import (
@@ -38,6 +36,7 @@ from airsync.timebase import (
     propagation_ticks,
     ticks_to_ns,
 )
+from stepwise import SteppingClock, ribs_align, twoway_exchange
 
 US = TICKS_PER_US
 MS = TICKS_PER_MS
@@ -218,7 +217,7 @@ def test_sib_cycle_ideal_is_exact():
     # no quantization, stamp at transmit, delay exactly on the 8*Ts grid
     tau = 3 * HALF_TA_STEP_TICKS * 2  # 3 full TA steps
     index = compute_ta_initial(2 * tau).value
-    ue = ClockState(params=ClockParams(theta0=5000))
+    ue = SteppingClock(params=ClockParams(theta0=5000))
     arrival, reading = _sib_cycle(ideal_clock(), _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS)
     assert (arrival, reading) == (10 * MS + tau, 10 * MS + tau)
     assert ue.set(arrival, reading) == 5000
@@ -435,7 +434,7 @@ def test_gw_relay_passes_error_through():
 
 
 def test_gw_relay_zero_error_zero_sigma():
-    device = ClockState(params=ClockParams(theta0=9))
+    device = SteppingClock(params=ClockParams(theta0=9))
     (reading,) = gw_relay_sync(np.array([0]), 0.0, derive_stream(0, "gw2")).tolist()
     device.set(0, reading)
     assert clock_error(device, 0) == 0

@@ -34,6 +34,7 @@ from airsync.timebase import (
     TICKS_PER_US,
     propagation_ticks,
 )
+from stepwise import SteppingClock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MS = TICKS_PER_MS
@@ -307,7 +308,7 @@ def test_ribs_step_inside_a_device_exchange_reaches_only_later_stamps():
     prop = propagation_ticks(600.0)
     t_back = 2 * prop + MS
     assert 0 < step.t_true < t_back and step.delta == TICKS_PER_US
-    bs2, ue = ClockState(scenario.clocks["bs2"]), ClockState(scenario.clocks["ue1"])
+    bs2, ue = SteppingClock(scenario.clocks["bs2"]), ClockState(scenario.clocks["ue1"])
     bs2.step(step.t_true, step.delta)
     record = ExchangeRecord(
         t1=local_time(bs2, 0),
@@ -508,7 +509,7 @@ def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch):
     cfg = load_config(path)
     run_scenario(build_scenario(cfg), cfg.duration)
     (runner,) = runners
-    assert {node: clock.arrays()[1].dtype for node, clock in runner.clocks.items()} == \
+    assert {node: clock.trajectory.base.dtype for node, clock in runner.clocks.items()} == \
         dict.fromkeys(runner.clocks, np.dtype(np.int64))
 
 
@@ -543,7 +544,7 @@ def test_every_trajectory_keeps_a_reach_its_bases_stay_within(cfg, monkeypatch):
     runners = _kept_runners(monkeypatch)
     trace = run_scenario(build_scenario(cfg), cfg.duration)
     (runner,) = runners
-    trajectories = [clock.arrays() for clock in runner.clocks.values()] + [s.arrays() for s in trace.stepped]
+    trajectories = [clock.trajectory for clock in runner.clocks.values()] + [s.trajectory for s in trace.stepped]
     assert len(trace.stepped) > 0
     for installed_at, base, reach in trajectories:
         assert len(base) == len(installed_at) + 1
@@ -554,7 +555,8 @@ def test_a_sweep_point_reads_its_clocks_without_scanning_their_terms(monkeypatch
     # a point of the SIB16 granularity sweep: the bulk reads and the SIB16 pass
     # decide int64 from kept bounds, so no term goes through whole(), and each
     # input array has its extremes taken once (the BS's stamp instants and their
-    # noise, the steps' instants and readings, and the sample and delivery instants)
+    # noise, the instants and readings of the BS's steps and of the devices', and
+    # the sample and delivery instants)
     base = load_config(CONFIG_DIR / "single-bs.yaml")
     spec = load_sweep_spec(CONFIG_DIR / "sweeps" / "sib-granularity.yaml")
     cfg = validate_config(replace_config_value(base.raw, spec.path, spec.values[1]))
@@ -574,7 +576,7 @@ def test_a_sweep_point_reads_its_clocks_without_scanning_their_terms(monkeypatch
         monkeypatch.setattr(module, "whole", scanned)
     run_scenario(build_scenario(cfg), cfg.duration)
     assert scans == []
-    assert extremes == {"_read": 3, "broadcast_stamps": 1, "set_readings": 2}
+    assert extremes == {"_read": 3, "broadcast_stamps": 1, "set_readings": 4}
 
 
 def test_a_run_without_a_workload_shares_one_read_only_empty_delivery_array(tmp_path):

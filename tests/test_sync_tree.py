@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from airsync.clocks import ClockState, local_time
+from airsync.clocks import local_time
 from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.protocols import ExchangeRecord, twoway_offset
 from airsync.scenario import _Runner, build_scenario, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
+from stepwise import SteppingClock, steps_of
 
 MS = TICKS_PER_MS
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -237,14 +238,14 @@ def test_replaying_the_correction_log_rebuilds_every_trajectory(case):
     scenario = build_scenario(cfg)
     runner = _Runner(scenario, cfg.duration)
     trace = runner.run()
-    replayed = {node: ClockState(params) for node, params in scenario.clocks.items()}
+    replayed = {node: SteppingClock(params) for node, params in scenario.clocks.items()}
     for t_true, node, delta, _, error_after in trace.correction_log.tolist():
         clock = replayed[trace.sampled[node]]
         clock.step(t_true, delta)
         assert local_time(clock, t_true) - t_true == error_after
     assert len(trace.correction_log) > 0
-    assert {node: (clock.installed_at, clock.correction) for node, clock in replayed.items()} == \
-        {node: (clock.installed_at, clock.correction) for node, clock in runner.clocks.items()}
+    assert {node: steps_of(clock) for node, clock in replayed.items()} == \
+        {node: steps_of(clock) for node, clock in runner.clocks.items()}
 
 
 def test_an_exchange_reads_its_bs_as_stepped_at_the_same_tick():
@@ -256,13 +257,13 @@ def test_an_exchange_reads_its_bs_as_stepped_at_the_same_tick():
     cfg = validate_config(raw)
     scenario = build_scenario(cfg)
     trace = run_scenario(scenario, cfg.duration)
-    bs = ClockState(scenario.clocks["bs1"])
+    bs = SteppingClock(scenario.clocks["bs1"])
     for c in trace.corrections:
         if c.node == "bs1":
             bs.step(c.t_true, c.delta)
     exchanges = [c for c in trace.corrections if c.node == "ue1"]
     assert len(exchanges) == 20 and all(c.t_true in bs.installed_at for c in exchanges)
-    ue = ClockState(scenario.clocks["ue1"])
+    ue = SteppingClock(scenario.clocks["ue1"])
     for c in exchanges:
         start = c.t_true - MS
         record = ExchangeRecord(t1=local_time(bs, start), t2=local_time(ue, start),

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from airsync.cli import main
-from airsync.clocks import ClockState, local_time
+from airsync.clocks import local_time
 from airsync.config import validate_config
 from airsync.scenario import RawTrace, build_scenario, run_scenario
 from airsync.timebase import TICKS_PER_MS
+from stepwise import SteppingClock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,8 +67,8 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)]
     assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
     for stepped in trace.stepped:   # the trajectories kept for the correction log
-        assert stepped.installed_at.dtype == stepped.base.dtype == np.int64
-        assert all(type(key) is int for key in (stepped.reach, *stepped[4:]))   # the reach, then the log keys
+        assert stepped.trajectory.installed_at.dtype == stepped.trajectory.base.dtype == np.int64
+        assert all(type(key) is int for key in (stepped.trajectory.reach, *stepped[2:]))   # the reach, then the log keys
     for column in columns:
         fields = column.dtype.fields
         kinds = {dtype.kind for dtype, *_ in fields.values()} if fields else {column.dtype.kind}
@@ -219,7 +220,7 @@ def test_views_trace_json_and_clocks_agree(raw):
                                      for node, k, arrival, stamp in trace.deliveries.tolist()]
 
     # each error is the reading of the clock replayed from the correction log
-    clocks = {node: ClockState(params) for node, params in scenario.clocks.items()}
+    clocks = {node: SteppingClock(params) for node, params in scenario.clocks.items()}
     for c in trace.corrections:
         clocks[c.node].step(c.t_true, c.delta)
     for i, t in enumerate(trace.instants.tolist()):
