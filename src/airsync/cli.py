@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import __version__
 from .config import (
@@ -48,35 +49,95 @@ def _resolve_seed(cli_seed: Optional[int], config_seed: int) -> int:
     return config_seed
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):   # a record, before its tuple reading
-        return _jsonable(obj._asdict())
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "value") and obj.__class__.__module__ != "builtins":  # Enum
-        return obj.value
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+_escape = json.encoder.encode_basestring_ascii   # a str's JSON text, as json.dumps writes it
 
 
-def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
-    rows: list[tuple[str, Any]] = []
-    if isinstance(obj, dict):
-        for key in obj:
-            rows.extend(_flatten(obj[key], f"{prefix}.{key}" if prefix else str(key)))
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            rows.extend(_flatten(item, f"{prefix}[{i}]"))
-    else:
-        rows.append((prefix, obj))
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+_PLAIN = {str: _escape, int: int.__repr__, float: _float_text}   # the JSON text of a leaf of exactly these types
+
+
+def _leaf_text(obj: Any) -> str:
+    """A leaf's JSON text: None, a bool, an int, a float or a str as json.dumps
+    writes it (a subclass as its base), an Enum as its value (a scalar), any
+    other object as its str()."""
+    if hasattr(obj, "value") and type(obj).__module__ != "builtins":   # an Enum
+        obj = obj.value
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    return _escape(obj if isinstance(obj, str) else str(obj))
+
+
+RENDER_CHUNK = 4096   # JSON pieces a rendering holds before it writes them: bounds its memory
+
+
+def _render(obj: Any, write: Callable[[str], Any]) -> list[tuple[str, str]]:
+    """One walk of ``obj``: writes its JSON text, indented by two with sorted
+    keys as ``json.dumps(indent=2, sort_keys=True)`` writes it, to ``write`` in
+    pieces of about RENDER_CHUNK, and returns its leaves as (flattened key
+    path, JSON text) rows, sorted: ``a.b``, ``a[0].b``; an empty dict or list
+    is no leaf. A record (a NamedTuple) is the dict of its fields, a dict key
+    is its str() (of keys equal as str, the last one's value is kept), a tuple
+    is a list, and a leaf's text is _leaf_text's."""
+    pieces: list[str] = []
+    rows: list[tuple[str, str]] = []
+    append, add_row = pieces.append, rows.append
+
+    def value(obj: Any, path: str, newline: str) -> None:
+        # ``newline`` is a line break and the indentation of obj's own line
+        if isinstance(obj, tuple) and hasattr(obj, "_asdict"):   # a record, before its tuple reading
+            obj = obj._asdict()
+        if isinstance(obj, dict):
+            prefix = f"{path}." if path else ""
+            items = [(f"{_escape(key)}: ", prefix + key, item)
+                     for key, item in sorted({str(key): item for key, item in obj.items()}.items())]
+            opening, close = "{", "}"
+        elif isinstance(obj, (list, tuple)):
+            items = [("", f"{path}[{i}]", item) for i, item in enumerate(obj)]
+            opening, close = "[", "]"
+        else:
+            text = _leaf_text(obj)
+            append(text)
+            add_row((path, text))
+            return
+        if not items:
+            append(opening + close)
+            return
+        inner = newline + "  "
+        separator = opening + inner
+        for label, key, item in items:
+            append(separator + label)
+            plain = _PLAIN.get(type(item))
+            if plain is None:
+                value(item, key, inner)
+            else:   # a plain leaf, written here
+                text = plain(item)
+                append(text)
+                add_row((key, text))
+            separator = "," + inner
+            if len(pieces) >= RENDER_CHUNK:
+                write("".join(pieces))
+                pieces.clear()
+        append(newline + close)
+
+    value(obj, "", "\n")
+    write("".join(pieces))
+    rows.sort()
     return rows
 
 
 def _dump_json(obj: Any) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    pieces: list[str] = []
+    _render(obj, pieces.append)
+    return "".join(pieces) + "\n"
 
 
 TRACE_CHUNK_ROWS = 1024   # rows rendered at a time: bounds the trace writer's memory
@@ -132,16 +193,6 @@ def _trace_json(trace: RawTrace) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _write_csv(obj: Any, handle) -> None:
-    """``obj``, as ``_jsonable`` gives it, as (flattened key path, JSON value)
-    rows. A leaf of ``_flatten`` is always a scalar (an empty dict or list
-    gives no row), so plain ``json.dumps`` writes it as a key-sorted dump
-    would."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    writer.writerows([key, json.dumps(value)] for key, value in sorted(_flatten(obj)))
-
-
 def _prepare_out_dir(out: str) -> Path:
     out_dir = Path(out)
     if (out_dir / "manifest.json").exists():
@@ -153,18 +204,23 @@ def _prepare_out_dir(out: str) -> Path:
 
 
 def _write_outputs(out_dir: Path, name: str, payload: dict, fmt: str) -> list[str]:
-    """Writes ``payload`` as ``name``.json and/or ``name``.csv. Both renderings
-    are streamed to their files: neither text is ever held whole."""
-    payload = _jsonable(payload)
+    """Writes ``payload`` as ``name``.json and/or ``name``.csv, from one
+    _render walk: the JSON text goes to its file in pieces as the walk makes
+    them, and the CSV holds the walk's rows (key path, the leaf's JSON text)
+    under a ``key,value`` header, so it carries the JSON's leaf text."""
     written = []
     if fmt in ("json", "both"):
         with open(out_dir / f"{name}.json", "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+            rows = _render(payload, handle.write)
             handle.write("\n")
         written.append(f"{name}.json")
+    else:
+        rows = _render(payload, lambda text: None)
     if fmt in ("csv", "both"):
         with open(out_dir / f"{name}.csv", "w", encoding="utf-8") as handle:
-            _write_csv(payload, handle)
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["key", "value"])
+            writer.writerows(rows)
         written.append(f"{name}.csv")
     return written
 

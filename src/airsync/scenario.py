@@ -10,8 +10,9 @@ RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
 whole cell in one array pass, or two-way, each device's exchanges in one
 pass), then each gateway's legacy devices. Every site computes a clock's
 readings first and installs all its steps with one clocks.set_readings
-call. A read at instant t sees every step installed at or before t. Samples, deliveries and the fault probe are then read from the
-finished clocks, all nodes at once, into the trace records. The trace keeps
+call. A read at instant t sees every step installed at or before t.
+Samples, deliveries and the fault probe are then read from the finished
+clocks, all nodes at once, into the trace records. The trace keeps
 the finished trajectories of the clocks the sync tree steps, and the
 correction log is read off them only when it is asked for (trace.json and
 tests ask; the report does not).
@@ -26,6 +27,16 @@ points of a sweep whose value leaves them unchanged (the granularity, say)
 share them. The run then only reads the BS clock at the stamp instants, in
 one bulk read, quantizes, and installs the devices' readings. A cached schedule is what a
 fresh one would be, so the cache changes no draw and no output.
+
+The BS side is kept the same way. What BS alignment leaves (each BS's
+trajectory and overflow, and the syncs its RIBS rounds lost) depends only on
+hashable config values: the duration, the BSs (id, clock parameters,
+position), the alignment plan and, under RIBS alone, which draws, the seed
+and what its rounds take. A SIB16 cell's BS stamps depend on those, the
+cell's schedule and whether the granularity lies below clocks._SMALL. Both
+are kept per process under those keys, read-only and bounded in bytes, so
+the points of a granularity sweep step a steered BS once and read its stamps
+once per repetition seed; a run with a kept key installs them instead.
 """
 
 from __future__ import annotations
@@ -39,8 +50,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import (
-    ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, in_tick_range, local_times, read_steps,
-    set_readings, stamp, stamps, unstepped_readings, whole,
+    _SMALL, ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, in_tick_range, local_times,
+    read_steps, set_readings, stamp, stamps, unstepped_readings, whole,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
@@ -254,8 +265,8 @@ class CellSchedule(NamedTuple):
     noise: np.ndarray             # float64, whole: the BS stamp noise then (a draw may pass int64)
 
 
-_SCHEDULE_CACHE_SIZE = 64         # cell schedules kept per process (README, "Randomness")
-_SCHEDULE_CACHE_BYTES = 1 << 18   # the largest schedule kept, in array bytes: 64 keep at most 16 MiB
+_SCHEDULE_CACHE_SIZE = 64         # values each memo keeps per process (README, "Randomness")
+_SCHEDULE_CACHE_BYTES = 1 << 18   # the largest value kept, in array bytes: 64 keep at most 16 MiB
 
 
 def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -264,28 +275,51 @@ def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
     return array
 
 
+def _nbytes(value) -> int:
+    """The bytes of the arrays ``value`` holds, in tuples nested at any depth."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(map(_nbytes, value)) if isinstance(value, tuple) else 0
+
+
+class _Kept:
+    """Values kept per process under their arguments, as
+    ``lru_cache(_SCHEDULE_CACHE_SIZE, typed=True)`` keeps them, except that a
+    value whose arrays pass _SCHEDULE_CACHE_BYTES is not kept. Typed: a float
+    seed names other streams than the int it equals."""
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, args: tuple):
+        key = (*args, *map(type, args))
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def keep(self, args: tuple, value):
+        if _nbytes(value) <= _SCHEDULE_CACHE_BYTES:
+            self.entries[(*args, *map(type, args))] = value
+            if len(self.entries) > _SCHEDULE_CACHE_SIZE:
+                self.entries.popitem(last=False)
+        return value
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+
+
 def _keep_small(draw):
-    """``draw``, memoized as ``lru_cache(_SCHEDULE_CACHE_SIZE, typed=True)``
-    would, except that a schedule whose arrays pass _SCHEDULE_CACHE_BYTES is
-    not kept. Typed: a float seed names other streams than the int it equals."""
-    kept: OrderedDict = OrderedDict()
+    """``draw``, memoized in a _Kept."""
+    kept = _Kept()
 
     @wraps(draw)
     def cached(*args):
-        key = (*args, *map(type, args))
-        schedule = kept.get(key)
-        if schedule is not None:
-            kept.move_to_end(key)
-            return schedule
-        schedule = draw(*args)
-        if sum(column.nbytes for column in schedule if isinstance(column, np.ndarray)) <= _SCHEDULE_CACHE_BYTES:
-            kept[key] = schedule
-            if len(kept) > _SCHEDULE_CACHE_SIZE:
-                kept.popitem(last=False)
-        return schedule
+        value = kept.get(args)
+        return kept.keep(args, draw(*args)) if value is None else value
 
-    cached.cache_clear = kept.clear
-    cached.kept = kept
+    cached.cache_clear = kept.cache_clear
+    cached.kept = kept.entries
     return cached
 
 
@@ -329,6 +363,29 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
         stamped_at=_frozen(np.array([broadcasts[r].stamped_at for r in stamped], dtype=np.int64)),
         noise=_frozen(np.array([streams[r].gauss_ticks(stamp_noise_sigma) for r in stamped], dtype=float), float),
     )
+
+
+# --- the BS side: what the BSs come to before any device syncs -----------------------
+
+
+class BaseStationSide(NamedTuple):
+    """What a run's BS alignment leaves: each BS's finished trajectory and
+    overflow, in config order, and the syncs its RIBS rounds lost. Every
+    array is read-only."""
+
+    trajectory: tuple[Trajectory, ...]
+    overflow: tuple[frozenset[str], ...]
+    lost_sync: int
+
+
+_BS_SIDES = _Kept()    # BaseStationSides, under _Runner.base_station_key
+_BS_STAMPS = _Kept()   # a SIB16 cell's BS stamps, under its BS side's key, its schedule's and the grid's size
+
+
+def _read_only(trajectory: Trajectory) -> Trajectory:
+    for array in trajectory[:2]:
+        array.flags.writeable = False
+    return trajectory
 
 
 # --- execution -------------------------------------------------------------------
@@ -387,6 +444,7 @@ class _Runner:
                 self.relays.setdefault(node.attach_to, []).append(node.id)
         nodes = self.nodes   # closing over self instead would hold the runner in a reference cycle
         self.prop = cache(lambda a, b: link_propagation(nodes[a], nodes[b]))
+        self.side_key: Optional[tuple] = None   # set when the BS side comes through _BS_SIDES
 
     def rounds(self, period: int) -> range:
         """The start of every round of a ``period`` cadence within the run."""
@@ -394,7 +452,38 @@ class _Runner:
 
     # -- alignment --
 
+    def base_station_key(self) -> tuple:
+        """What the BS side depends on, as hashable config values: the run's
+        duration; each BS in config order as its id (which names its ``ribs/``
+        streams), clock parameters (and their types) and position; the
+        alignment plan; and under RIBS, which alone draws, the seed and what
+        its rounds take (the turnaround, and the helper's TA measurement)."""
+        plan = self.plan
+        stations = tuple((bs, params, tuple(map(type, params)), self.nodes[bs].position)
+                         for bs in self.base_stations for params in [self.clocks[bs].params])
+        ribs = ((self.seed, plan.turnaround, plan.ta_noise_sigma, plan.ta_wrong_bin_prob)
+                if plan.bs_alignment.mode is BsAlignmentMode.RIBS else ())
+        return (self.duration, stations, plan.bs_alignment, *ribs)
+
     def align_base_stations(self) -> None:
+        """Steps the BSs (step_base_stations), or installs what an earlier run
+        with the same base_station_key stepped them to: the BS side is kept
+        per process in _BS_SIDES, read-only. A run that raises keeps none."""
+        key = self.base_station_key()
+        side = _BS_SIDES.get(key)
+        clocks = [self.clocks[bs] for bs in self.base_stations]
+        if side is None:
+            before = self.lost_sync
+            self.step_base_stations()
+            _BS_SIDES.keep(key, BaseStationSide(tuple(_read_only(clock.trajectory) for clock in clocks),
+                                                tuple(clock.overflow for clock in clocks), self.lost_sync - before))
+        else:
+            for clock, trajectory, overflow in zip(clocks, side.trajectory, side.overflow):
+                clock.trajectory, clock.overflow = trajectory, overflow
+            self.lost_sync += side.lost_sync
+        self.side_key = key
+
+    def step_base_stations(self) -> None:
         """Each alignment round steers the anchor (the first BS) to read true
         time and each other BS true time plus its offset (0 unless
         FIXED_ERROR), or RIBS-aligns it to the anchor; the anchor goes first,
@@ -486,19 +575,29 @@ class _Runner:
         within the run, in (arrival, round) order, with the TA index in force
         at arrival. Its cell's schedule (cell_schedule) says which, when and
         with which TA estimate; the BS stamps each landed round once, and the
-        readings are the quantized stamps plus those estimates."""
+        readings are the quantized stamps plus those estimates.
+
+        The stamps are kept per process in _BS_STAMPS, read-only, under the BS
+        side's key, the schedule's and whether the granularity lies below
+        clocks._SMALL, its one effect on them; a run whose BS side did not come
+        through _BS_SIDES reads them afresh."""
         devices = self.attached[bs]
         if not devices:
             return
         plan, clock = self.plan, self.clocks[bs]
-        schedule = cell_schedule(
-            self.seed, bs, tuple(devices), tuple(self.prop(bs, device) for device in devices), self.duration,
-            plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode, clock.params.stamp_noise_sigma,
-            self.config.link.loss_prob, plan.ta_timer_period, plan.ta_noise_sigma, plan.ta_wrong_bin_prob,
-        )
+        args = (self.seed, bs, tuple(devices), tuple(self.prop(bs, device) for device in devices), self.duration,
+                plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode, clock.params.stamp_noise_sigma,
+                self.config.link.loss_prob, plan.ta_timer_period, plan.ta_noise_sigma, plan.ta_wrong_bin_prob)
+        schedule = cell_schedule(*args)
         self.lost_sync += schedule.lost_sync
         self.ta_index.update(zip(devices, schedule.ta_index))
-        stamped = broadcast_stamps(clock, schedule.stamped_at, schedule.noise, plan.sib.granularity)
+        key = None if self.side_key is None else (*self.side_key, *args, plan.sib.granularity < _SMALL)
+        stamped = None if key is None else _BS_STAMPS.get(key)
+        if stamped is None:
+            stamped = broadcast_stamps(clock, schedule.stamped_at, schedule.noise, plan.sib.granularity)
+            stamped.flags.writeable = False
+            if key is not None:
+                _BS_STAMPS.keep(key, stamped)
         # int64 stamps leave room for the floor and a TA estimate; exact ints need none
         reading = quantize_broadcast_time(stamped, plan.sib.granularity)[schedule.landed] + schedule.ta_delay
         set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)

@@ -27,15 +27,18 @@ def traced_peak():
 
 @pytest.fixture
 def fresh_caches():
-    """Empties the per-process caches of derived streams, cell schedules and
-    parsed time strings, before the test and after it, so a test that counts
-    derivations or patches a draw sees every derivation and leaves no patched
+    """Empties the per-process caches of derived streams, cell schedules, BS
+    sides, BS stamps and parsed time strings, before the test and after it, so
+    a test that counts derivations or clock calls, or patches a draw or a clock
+    function, sees every derivation and every BS step, and leaves no patched
     draw behind."""
     from airsync import engine, scenario, timebase
 
     def clear():
         engine._pcg64_seed_words.cache_clear()
         scenario.cell_schedule.cache_clear()
+        scenario._BS_SIDES.cache_clear()
+        scenario._BS_STAMPS.cache_clear()
         timebase._parse_text.cache_clear()
 
     clear()

@@ -3,14 +3,17 @@
 import csv
 import hashlib
 import json
+import math
 from collections import Counter
+from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airsync import cli, engine, scenario
@@ -479,6 +482,71 @@ def test_csv_and_json_reports_carry_identical_values(tmp_path):
     assert from_csv == expected
 
 
+# --- the one-walk report renderer, against the generic dump --------------------------
+
+
+def _jsonable(obj):
+    """The reference: a payload as the plain data json.dumps writes."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):   # a record, before its tuple reading
+        return _jsonable(obj._asdict())
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if hasattr(obj, "value") and obj.__class__.__module__ != "builtins":  # Enum
+        return obj.value
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
+    return str(obj)
+
+
+def _flatten(obj, prefix=""):
+    """The reference: ``_jsonable``'s leaves as (flattened key path, value) rows."""
+    rows = []
+    if isinstance(obj, dict):
+        for key in obj:
+            rows.extend(_flatten(obj[key], f"{prefix}.{key}" if prefix else str(key)))
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            rows.extend(_flatten(item, f"{prefix}[{i}]"))
+    else:
+        rows.append((prefix, obj))
+    return rows
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _Kind(Enum):
+    TEXT = "text"
+    NUMBER = 7
+    RATE = 0.5
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+            | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+            | st.text(st.characters(min_codepoint=0, max_codepoint=0x2FFF), max_size=6) | st.sampled_from(_Kind))
+_KEYS = (st.text(st.characters(min_codepoint=0, max_codepoint=0x2FFF), max_size=4) | st.integers(-3, 3)
+         | st.booleans() | st.none() | st.sampled_from(_Kind) | st.floats(allow_nan=False))
+_PAYLOADS = st.recursive(_SCALARS, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, children, max_size=4) | st.builds(_Pair, children, children)), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_PAYLOADS, chunk=st.integers(1, 9))
+@example(obj={1: "one", "1": [None], None: {}, "None": _Kind.RATE}, chunk=2)   # keys equal as str: the last is kept
+def test_the_one_walk_renders_the_generic_dump_and_its_flattened_leaves(obj, chunk):
+    writes = []
+    with mock.patch.object(cli, "RENDER_CHUNK", chunk):
+        rows = cli._render(obj, writes.append)
+    reference = _jsonable(obj)
+    assert "".join(writes) == json.dumps(reference, indent=2, sort_keys=True)
+    assert rows == sorted((key, json.dumps(value)) for key, value in _flatten(reference))
+
+
 @pytest.mark.parametrize("args", [[], ["--trace"], ["--format", "csv", "--trace"]],
                          ids=["report", "trace", "csv-trace"])
 def test_manifest_lists_every_output(tmp_path, args):
@@ -749,6 +817,88 @@ def test_a_sweep_through_a_schedule_input_equals_separate_runs(path, tmp_path, f
         assert row == json.loads(json.dumps(separate))
     metrics = [{k: v for k, v in row.items() if k != "value"} for row in rows]
     assert metrics[:2] != metrics[2:]   # the two values differ, so a stale schedule would show
+
+
+def bs_side_config() -> dict:
+    """Two SIB16 cells whose BSs RIBS-align by listen_ta: every input of the
+    BS side shows in the metrics. bs2 is 600 m from bs1 and stamps its round-0
+    broadcast at 0, before the first RIBS round lands, so its phase shows."""
+    raw = small_config(duration="500 ms", sampling_grid="1 ms", workload={"targets": ["ue1"]}, sync_plan={
+        "resync_period": "20 ms", "ta_timer_ms": 500, "ta_noise_sigma": 2000, "ta_wrong_bin_prob": 0.1,
+        "sib": {"granularity": "4 ticks", "si_window": "0 ms"},
+        "bs_alignment": {"mode": "ribs", "ribs_mode": "listen_ta", "realign_period": "100 ms"},
+    })
+    raw["nodes"][1]["clock"] = {"stamp_noise": 31, "skew_ppm": 0.02}
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [600, 0], "clock": {
+        "theta0": "0.1 us", "skew_ppm": 0.05, "drift_per_s": 0, "stamp_noise": 31}})
+    raw["nodes"][4].update(attach_to="bs2", position=[650, 40])   # ue2
+    return raw
+
+
+def _renamed(raw: dict, old: str, new: str) -> list:
+    return [dict(node, **{key: new for key in ("id", "attach_to") if node.get(key) == old}) for node in raw["nodes"]]
+
+
+BS_SIDE_INPUTS = {   # each input of the BS side: (path, values that give different BS sides)
+    "theta0": ("nodes[2].clock.theta0", ["0.1 us", "40 us"]),
+    "skew_ppm": ("nodes[2].clock.skew_ppm", [0.05, 20]),
+    "drift_per_s": ("nodes[2].clock.drift_per_s", [0, 1e-4]),
+    "stamp_noise": ("nodes[1].clock.stamp_noise", [31, 5000]),
+    "position": ("nodes[2].position", [[600, 0], [1500, 0]]),
+    "id": ("nodes", [bs_side_config()["nodes"], _renamed(bs_side_config(), "bs2", "bs7")]),   # names ribs/ streams
+    "mode": ("sync_plan.bs_alignment", [{"mode": "perfect", "realign_period": "100 ms"},
+                                        bs_side_config()["sync_plan"]["bs_alignment"]]),
+    "error": ("sync_plan.bs_alignment", [{"mode": "fixed_error", "error": "0.5 us"},
+                                         {"mode": "fixed_error", "error": "2 us"}]),
+    "ribs_mode": ("sync_plan.bs_alignment.ribs_mode", ["listen_only", "listen_ta", "two_way"]),
+    "realign_period": ("sync_plan.bs_alignment.realign_period", ["100 ms", "150 ms"]),
+    "duration": ("duration", ["400 ms", "500 ms"]),
+    "ta_noise_sigma": ("sync_plan.ta_noise_sigma", [0, 2000]),
+    "ta_wrong_bin_prob": ("sync_plan.ta_wrong_bin_prob", [0, 0.5]),
+}
+BS_SIDE_NON_INPUTS = {   # not inputs: a later value's points reuse the first value's BS sides
+    "granularity": ("sync_plan.sib.granularity", ["4 ticks", "1 us"]),
+    "device-clock": ("nodes[3].clock", [{"skew_ppm": 2.0}, {"skew_ppm": -3.0, "theta0": "1 us"}]),
+}
+
+
+def _clear_run_caches() -> None:
+    for cache in (scenario.cell_schedule, scenario._BS_SIDES, scenario._BS_STAMPS):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("case", [*BS_SIDE_INPUTS, *BS_SIDE_NON_INPUTS])
+def test_a_sweep_through_a_bs_side_input_equals_separate_runs(case, tmp_path, monkeypatch, fresh_caches):
+    # a row must equal a run of its point on emptied caches; an input's values
+    # step the BSs as often as separate sweeps of each value, and a non-input's
+    # later value steps them no more than the first value alone
+    path, values = {**BS_SIDE_INPUTS, **BS_SIDE_NON_INPUTS}[case]
+    raw = bs_side_config()
+    config = write_yaml(tmp_path / "cfg.yaml", raw)
+    steps = []
+    step_base_stations = scenario._Runner.step_base_stations
+    monkeypatch.setattr(scenario._Runner, "step_base_stations", lambda self: steps.append(self) or
+                        step_base_stations(self))
+
+    def sweep(name: str, swept: list) -> list:
+        _clear_run_caches()
+        steps.clear()
+        spec = write_yaml(tmp_path / f"{name}.yaml", {"path": path, "values": swept, "repetitions": 2})
+        assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / name)]) == 0
+        return json.loads((tmp_path / name / "sweep.json").read_text())["rows"]
+
+    rows = sweep("all", values)
+    stepped = len(steps)
+    alone = [(sweep(f"value{i}", [value]), len(steps))[1] for i, value in enumerate(values)]
+    assert stepped == (sum(alone) if case in BS_SIDE_INPUTS else alone[0])
+    for row in rows:
+        _clear_run_caches()
+        report, _ = cli._execute(validate_config(replace_config_value(raw, path, row["value"])), row["seed"])
+        separate = {"value": row["value"], "repetition": row["repetition"], "seed": row["seed"],
+                    **cli._metric_summary(report.device_error, report.pairwise, report.jitter, report.fault)}
+        assert row == json.loads(json.dumps(separate))
+    metrics = [json.dumps({k: v for k, v in row.items() if k != "value"}) for row in rows]
+    assert len(set(metrics[::2])) == len(values)   # the values differ, so a stale BS side would show
 
 
 def test_sweep_empty_values_exits_2(tmp_path, capsys):

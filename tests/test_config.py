@@ -31,7 +31,7 @@ from airsync.metrics import build_report
 from airsync.protocols import (
     ExchangeRecord, RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_offset,
 )
-from airsync.scenario import build_scenario, cell_schedule, run_scenario
+from airsync.scenario import BaseStationSide, build_scenario, cell_schedule, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -422,6 +422,7 @@ def one_record_of_each_type() -> dict:
         sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),
         cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,
                       0, 0, plan.ta_timer_period, 0, 0),
+        BaseStationSide((trace.stepped[0].trajectory,), (frozenset(),), 0),
     ]
     return {type(record).__name__: record for record in records}
 

@@ -22,7 +22,7 @@ from airsync.config import (
     validate_config,
 )
 from airsync.engine import derive_stream
-from airsync.errors import InvalidConfigError
+from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.protocols import ExchangeRecord, StampMode, twoway_offset
 from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import (
@@ -449,11 +449,12 @@ def test_each_stream_label_derived_once_per_run(cfg, monkeypatch, fresh_caches):
     run_scenario(scenario, cfg.duration)
     assert labels
     assert [label for label, n in labels.items() if n > 1] == []
-    # a second run reuses each cell's schedule: it derives every other label once more
+    # a second run reuses each cell's schedule and the BS side: it derives
+    # every other label once more
     first = Counter(labels)
     run_scenario(scenario, cfg.duration)
-    cell = {label for label in first if label.startswith(("sib/", "loss/", "ta/"))}
-    assert labels == first + Counter(label for label in first if label not in cell)
+    kept = {label for label in first if label.startswith(("sib/", "loss/", "ta/", "ribs/", "ribs_helper/"))}
+    assert labels == first + Counter(label for label in first if label not in kept)
 
 
 def test_init_streams_derived_only_for_a_clock_with_a_range(monkeypatch, fresh_caches):
@@ -491,9 +492,10 @@ def test_a_fleet_sized_cell_schedule_is_compact_and_read_only(traced_peak, fresh
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
-def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch):
+def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch, fresh_caches):
     # exact Python ints are for clocks near the int64 edge: a bundled run never
-    # converts to them, and every trajectory base it leaves is int64
+    # converts to them, and every trajectory base it leaves is int64. On empty
+    # caches, so that the run steps its BSs under the patch, not installs them
     runners = []
 
     class Kept(scenario_module._Runner):
@@ -577,6 +579,161 @@ def test_a_sweep_point_reads_its_clocks_without_scanning_their_terms(monkeypatch
     run_scenario(build_scenario(cfg), cfg.duration)
     assert scans == []
     assert extremes == {"_read": 3, "broadcast_stamps": 1, "set_readings": 4}
+
+
+# --- the BS side, kept per process -------------------------------------------------
+
+
+def _two_bs(alignment: dict, **overrides) -> dict:
+    """base_config with bs2 900 m from bs1, its clock fixed, ue2 in its cell."""
+    raw = base_config(**overrides)
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [900, 0],
+                            "clock": {"theta0": "2 us", "skew_ppm": 0.05, "stamp_noise": 31}})
+    raw["nodes"][-1]["attach_to"] = "bs2"
+    raw["sync_plan"]["bs_alignment"] = alignment
+    return raw
+
+
+def _counted_bs_steps(monkeypatch) -> list:
+    """The runs after this call that step their BSs, as their seeds."""
+    seeds = []
+    step = scenario_module._Runner.step_base_stations
+
+    def counted(self):
+        seeds.append(self.seed)
+        step(self)
+
+    monkeypatch.setattr(scenario_module._Runner, "step_base_stations", counted)
+    return seeds
+
+
+def test_a_sweeps_second_point_reads_no_bs_clock(monkeypatch, fresh_caches):
+    # two points of one repetition of a granularity sweep: the second installs
+    # the kept BS side and stamps, so set_readings steps no BS and
+    # broadcast_stamps is not called
+    base = load_config(CONFIG_DIR / "single-bs.yaml")
+    spec = load_sweep_spec(CONFIG_DIR / "sweeps" / "sib-granularity.yaml")
+    points = [validate_config(replace_config_value(base.raw, spec.path, value)) for value in spec.values[:2]]
+    stepped, stamped = [], []
+    set_readings, broadcast_stamps = scenario_module.set_readings, scenario_module.broadcast_stamps
+
+    def recorded_set_readings(clocks, *args):
+        stepped.append(clocks)
+        set_readings(clocks, *args)
+
+    def recorded_broadcast_stamps(clock, *args):
+        stamped.append(clock)
+        return broadcast_stamps(clock, *args)
+
+    monkeypatch.setattr(scenario_module, "set_readings", recorded_set_readings)
+    monkeypatch.setattr(scenario_module, "broadcast_stamps", recorded_broadcast_stamps)
+    traces = []
+    for cfg in points:
+        scenario = build_scenario(cfg, root_seed=7)
+        bs = scenario.clocks["bs1"]
+        stepped.clear(), stamped.clear()
+        traces.append(run_scenario(scenario, cfg.duration))
+        bs_steps = [clocks for clocks in stepped if any(clock.params is bs for clock in clocks)]
+        assert (len(bs_steps), len(stamped)) == ((1, 1) if cfg is points[0] else (0, 0))
+    assert traces[0].stepped[0].trajectory is traces[1].stepped[0].trajectory
+
+
+@pytest.mark.parametrize("grids", [[1, "small"], ["small", 1]], ids=["int64-first", "exact-first"])
+def test_kept_stamps_are_keyed_on_whether_the_granularity_reaches_small(grids, fresh_caches):
+    # from clocks._SMALL up, broadcast_stamps reads in exact ints: a point on
+    # the other side of it reads its own stamps, and each run equals one on
+    # emptied caches
+    base = load_config(CONFIG_DIR / "single-bs.yaml")
+    grids = [clocks_module._SMALL if grid == "small" else grid for grid in grids]
+    points = [validate_config(replace_config_value(base.raw, "sync_plan.sib.granularity", f"{grid} ticks"))
+              for grid in grids]
+    traces = [run_scenario(build_scenario(cfg, root_seed=7), cfg.duration) for cfg in points]
+    dtypes = [stamps.dtype for stamps in scenario_module._BS_STAMPS.entries.values()]
+    assert dtypes == [np.dtype(object) if grid == clocks_module._SMALL else np.dtype(np.int64) for grid in grids]
+    for cfg, trace in zip(points, traces):
+        scenario_module._BS_SIDES.cache_clear()
+        scenario_module._BS_STAMPS.cache_clear()
+        assert trace.errors.tolist() == run_scenario(build_scenario(cfg, root_seed=7), cfg.duration).errors.tolist()
+
+
+@pytest.mark.parametrize("alignment, shared", [
+    ({"mode": "perfect", "realign_period": "100 ms"}, True),
+    ({"mode": "fixed_error", "error": "0.5 us"}, True),
+    ({"mode": "ribs", "ribs_mode": "listen_only", "realign_period": "100 ms"}, False),
+], ids=["perfect", "fixed-error", "ribs"])
+def test_a_steered_bs_side_is_shared_across_seeds_and_a_ribs_one_is_not(alignment, shared, monkeypatch,
+                                                                         fresh_caches):
+    # steering draws nothing: repetition seeds share it; RIBS draws its rounds' noise
+    seeds = _counted_bs_steps(monkeypatch)
+    cfg = validate_config(_two_bs(alignment))
+    traces = [run_scenario(build_scenario(cfg, root_seed=seed), cfg.duration) for seed in (1, 2, 1)]
+    assert seeds == ([1] if shared else [1, 2])
+    assert len(scenario_module._BS_SIDES.entries) == len(seeds)
+    bs2 = [trace.stepped[1].trajectory for trace in traces]
+    assert bs2[2] is bs2[0] and (bs2[1] is bs2[0]) == shared
+
+
+def test_a_kept_bs_side_and_its_stamps_are_read_only(fresh_caches):
+    cfg = validate_config(_two_bs({"mode": "ribs", "ribs_mode": "two_way", "realign_period": "100 ms"}))
+    run_scenario(build_scenario(cfg), cfg.duration)
+    (side,) = scenario_module._BS_SIDES.entries.values()
+    stamps = list(scenario_module._BS_STAMPS.entries.values())
+    assert [len(trajectory.installed_at) for trajectory in side.trajectory] == [6, 5]   # bs2's last round lands late
+    assert len(stamps) == 2
+    for array in [array for trajectory in side.trajectory for array in trajectory[:2]] + stamps:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+def test_a_kept_bs_side_keeps_its_lost_syncs_and_its_overflow(monkeypatch, fresh_caches):
+    # RIBS two-way rounds whose stamps 5 ms of noise reverses are lost syncs, of
+    # the BS side alone here; a BS step past int64 is recorded and raised after
+    # the sync phase. A run that installs the kept side counts and raises the same
+    seeds = _counted_bs_steps(monkeypatch)
+    raw = _two_bs({"mode": "ribs", "ribs_mode": "two_way", "realign_period": "4 ms"})
+    raw["nodes"][1]["clock"] = {"stamp_noise": "5 ms"}
+    raw["nodes"][2]["clock"]["stamp_noise"] = "5 ms"
+    cfg = validate_config(raw)
+    lost = [run_scenario(build_scenario(cfg), cfg.duration).lost_sync for _ in range(2)]
+    assert len(seeds) == 1 and lost[0] == lost[1] > 0
+    raw = _two_bs({"mode": "fixed_error", "error": "-9000000000000000000 ticks"})
+    raw["nodes"][2]["clock"]["theta0"] = "9000000000000000000 ticks"   # so bs2 steps down 1.8e19 ticks
+    cfg = validate_config(raw)
+    for _ in range(2):
+        with pytest.raises(TickOverflowError, match="a correction's delta"):
+            run_scenario(build_scenario(cfg), cfg.duration)
+    assert len(seeds) == 2 and len(scenario_module._BS_SIDES.entries) == 2
+
+
+def test_a_bs_side_past_the_byte_cap_is_not_kept(monkeypatch, fresh_caches):
+    # with the cap just below the BS side, no run keeps it, so each steps the
+    # BSs, with the same trace; each cell's stamps, smaller, are still kept
+    cfg = validate_config(_two_bs({"mode": "perfect", "realign_period": "100 ms"}))
+    seeds = _counted_bs_steps(monkeypatch)
+    kept = run_scenario(build_scenario(cfg), cfg.duration)
+    side = scenario_module._nbytes(next(iter(scenario_module._BS_SIDES.entries.values())))
+    scenario_module._BS_SIDES.cache_clear()
+    scenario_module._BS_STAMPS.cache_clear()
+    monkeypatch.setattr(scenario_module, "_SCHEDULE_CACHE_BYTES", side - 1)
+    capped = [run_scenario(build_scenario(cfg), cfg.duration) for _ in range(2)]
+    assert len(seeds) == 3 and len(scenario_module._BS_SIDES.entries) == 0
+    assert [stamps.nbytes for stamps in scenario_module._BS_STAMPS.entries.values()] == [40, 40]
+    for trace in capped:
+        assert trace.errors.tolist() == kept.errors.tolist()
+        assert trace.correction_log.tolist() == kept.correction_log.tolist()
+
+
+def test_a_tick_overflow_on_the_bs_side_is_raised_on_every_point(monkeypatch, fresh_caches):
+    # a steered reading past int64 raises as the BSs step; nothing is kept, so
+    # the next point steps them again and raises again
+    seeds = _counted_bs_steps(monkeypatch)
+    cfg = validate_config(_two_bs({"mode": "fixed_error", "error": f"{INT64_MAX - 10**9} ticks",
+                                   "realign_period": "100 ms"}))
+    for _ in range(2):
+        with pytest.raises(TickOverflowError):
+            run_scenario(build_scenario(cfg), cfg.duration)
+    assert len(seeds) == 2 and len(scenario_module._BS_SIDES.entries) == 0
 
 
 def test_a_run_without_a_workload_shares_one_read_only_empty_delivery_array(tmp_path):

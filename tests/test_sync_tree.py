@@ -230,10 +230,11 @@ def _replay_case(case: str):
 
 @pytest.mark.parametrize("case", [f"corpus-{index}" for index in range(CORPUS_SIZE)]
                          + sorted(path.stem for path in CONFIG_DIR.glob("*.yaml")))
-def test_replaying_the_correction_log_rebuilds_every_trajectory(case):
+def test_replaying_the_correction_log_rebuilds_every_trajectory(case, fresh_caches):
     # the log is a view of the finished clocks: stepping fresh clocks by its
     # rows, in order, gives each node's trajectory exactly, and each row's
-    # error_after is the replayed clock's error just after its step
+    # error_after is the replayed clock's error just after its step. On empty
+    # caches, so that the BS steps replayed are the ones this run took
     cfg = _replay_case(case)
     scenario = build_scenario(cfg)
     runner = _Runner(scenario, cfg.duration)
