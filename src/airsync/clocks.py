@@ -23,7 +23,7 @@ installs every step of fresh clocks at once, each given as the reading the
 clock adopts and when, and read_steps() is its inverse. set_readings records
 in ClockState.overflow a step whose delta or error after it falls outside
 the signed 64-bit range. unstepped_readings() reads a clock before its
-steps, unchecked, for a caller that works out its steps one by one (the
+steps, unchecked, for a caller that works out its steps itself (the
 two-way exchange pass in scenario.py). Their arithmetic follows one
 rule: int64 while every term lies below _SMALL, so that no sum of the few
 here can wrap, and exact Python ints in object arrays otherwise, with the
@@ -367,12 +367,17 @@ def set_readings(clocks: Sequence[ClockState], which: np.ndarray, at: np.ndarray
         clock.trajectory = Trajectory(at[start:stop], base, reach)
 
 
-def unstepped_readings(clock: ClockState, t_true: np.ndarray) -> list[int]:
+def unstepped_readings(clock: ClockState, t_true: np.ndarray) -> np.ndarray:
     """What ``clock`` reads at the int64 instants ``t_true`` before any step,
-    as exact Python ints and not range-checked: local_time's sum without the
-    correction, which may leave int64 where the corrected reading does not."""
-    rounded = _perturbation(*_rates([clock]), t_true, _reach(t_true))
-    return [clock.params.theta0 + t + int(r) for t, r in zip(t_true.tolist(), rounded.tolist())]
+    not range-checked: local_time's sum without the correction, which may
+    leave int64 where the corrected reading does not. In int64 while its
+    phase, the instants and its perturbation bound lie below _SMALL, so each
+    reading lies within +-3 * _SMALL; else in exact ints."""
+    theta0, reach = clock.params.theta0, _reach(t_true)
+    rounded = _perturbation(*_rates([clock]), t_true, reach)
+    if abs(theta0) < _SMALL and reach < _SMALL and _small_perturbation([clock], reach)[0]:
+        return theta0 + t_true + rounded.astype(np.int64)
+    return theta0 + _exact(t_true) + _exact(rounded)
 
 
 def read_steps(clocks: Sequence[ClockState]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

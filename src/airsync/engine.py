@@ -105,9 +105,16 @@ class RngStream:
         draw = self._gen.integers(low, high, size)
         return draw if size is not None else int(draw)
 
-    def gauss_ticks(self, sigma: float, size: Optional[int] = None):
+    def gauss_ticks(self, sigma, size: Optional[int] = None):
         """Zero-mean Gaussian draw rounded to the nearest tick, or a float64
-        array of ``size`` successive ones (whole numbers). σ = 0 draws nothing."""
+        array of ``size`` successive ones (whole numbers). σ = 0 draws nothing.
+        For an array ``sigma``, one such draw per entry, in C order, as a
+        float64 array of its shape: the successive scalar draws, in one call."""
+        if isinstance(sigma, np.ndarray):
+            noise = np.zeros(sigma.shape)
+            drawn = sigma != 0
+            noise[drawn] = np.rint(self._gen.normal(0.0, sigma[drawn]))
+            return noise
         if size is not None:
             return np.zeros(size) if sigma == 0 else np.rint(self._gen.normal(0.0, sigma, size))
         if sigma == 0:

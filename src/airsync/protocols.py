@@ -224,7 +224,8 @@ class RibsMode(Enum):
     propagation delay later: as-is under LISTEN_ONLY, which leaves the delay
     as residual error, or plus a helper UE's TA-derived delay estimate under
     LISTEN_TA (the helper co-located with BS-B). TWO_WAY is a two-way
-    exchange that A starts, and B steps when its reply reaches A (t4)."""
+    exchange that A starts, and B steps when the offset A measured at t4
+    reaches it, one propagation delay later."""
 
     LISTEN_ONLY = "listen_only"
     LISTEN_TA = "listen_ta"

@@ -50,14 +50,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import (
-    _SMALL, ClockParams, ClockState, Trajectory, broadcast_stamps, clock_errors, in_tick_range, local_times,
-    read_steps, set_readings, stamp, stamps, unstepped_readings, whole,
+    _SMALL, ClockParams, ClockState, Trajectory, _in_range, broadcast_stamps, clock_errors, read_steps,
+    set_readings, stamp, stamps, unstepped_readings, whole,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
-from .errors import CausalityViolationError, TickOverflowError
+from .errors import TickOverflowError
 from .protocols import (
-    ExchangeRecord,
     RibsMode,
     StampMode,
     apply_ta_command,
@@ -68,7 +67,6 @@ from .protocols import (
     measure_rtt,
     quantize_broadcast_time,
     sib16_broadcast,
-    twoway_offset,
 )
 from .timebase import INT64_MAX, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
@@ -391,11 +389,10 @@ def _read_only(trajectory: Trajectory) -> Trajectory:
 # --- execution -------------------------------------------------------------------
 
 
-def _stamp_noise(rng: RngStream, initiator_sigma: float, responder_sigma: float) -> tuple[int, int, int, int]:
-    """A two-way exchange's t1 to t4 stamp noise, drawn in stamp order: the
-    initiator's at t1, the responder's at t2 and t3, the initiator's at t4."""
-    return tuple(rng.gauss_ticks(sigma) for sigma in (initiator_sigma, responder_sigma, responder_sigma,
-                                                      initiator_sigma))
+def _stamp_sigmas(initiator_sigma: float, responder_sigma: float, count: int) -> np.ndarray:
+    """The stamp noise σ of ``count`` two-way exchanges, t1 to t4 each: the
+    initiator's at t1 and t4, the responder's at t2 and t3."""
+    return np.tile(np.array([initiator_sigma, responder_sigma, responder_sigma, initiator_sigma]), (count, 1))
 
 
 class _Runner:
@@ -413,10 +410,11 @@ class _Runner:
     log there would.
 
     Each stream label is derived at most once per run: a node's ``loss/``,
-    ``exchange/`` and ``relay/`` streams where its steps are computed, and
-    one-shot labels (a round's alignment, a target's delivery delays and
-    stamps, the fault probe) where they are used; a ``loss/``, ``delivery/``
-    or ``delivery_stamp/`` stream that would draw nothing is not derived.
+    ``exchange_delay/``, ``exchange/`` and ``relay/`` streams where its steps
+    are computed, and one-shot labels (a round's alignment, a target's
+    delivery delays and stamps, the fault probe) where they are used; a
+    ``loss/``, ``exchange_delay/``, ``exchange/``, ``delivery/`` or
+    ``delivery_stamp/`` stream that would draw nothing is not derived.
     A SIB16 cell's labels (``sib/``, and its devices' ``loss/`` and ``ta/``)
     are derived by cell_schedule, once per schedule in a process: a run
     whose cell has the same schedule as an earlier run's, such as another
@@ -503,23 +501,25 @@ class _Runner:
 
     def ribs_syncs(self, anchor: str, bs: str, rounds: list[int]) -> None:
         """``bs`` aligns to the anchor in each of ``rounds`` whose step lands
-        within the run: by a two-way exchange, stepped at t4, or by listening
-        to the anchor's signal stamped at the round's start, stepped when it
-        arrives. Round k draws its stamp noise from ``ribs/{bs}/{k}``, and under
-        LISTEN_TA its helper's RTT from ``ribs_helper/{bs}/{k}``."""
+        within the run: by a two-way exchange, stepped when the measured
+        offset has travelled back to it, one propagation delay after t4, or by
+        listening to the anchor's signal stamped at the round's start, stepped
+        when it arrives. Round k draws its stamp noise from ``ribs/{bs}/{k}``,
+        and under LISTEN_TA its helper's RTT from ``ribs_helper/{bs}/{k}``."""
         plan, mode = self.plan, self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
-        lag = prop + (plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)   # from a round's start to its step
+        # from a round's start to its step: two-way, one more propagation delay after t4
+        lag = prop + (plan.turnaround + 2 * prop if mode is RibsMode.TWO_WAY else 0)
         sent = [(round_no, at) for round_no, at in enumerate(rounds) if at + lag <= self.duration]
         if not sent:
             return
         streams = [derive_stream(self.seed, f"ribs/{bs}/{round_no}") for round_no, _ in sent]
-        if mode is RibsMode.TWO_WAY:
-            sigmas = self.clocks[anchor].params.stamp_noise_sigma, self.clocks[bs].params.stamp_noise_sigma
-            self.exchanges(anchor, bs, [(at, prop, prop, at + lag, _stamp_noise(rng, *sigmas))
-                                        for (_, at), rng in zip(sent, streams)])
-            return
         at = np.array([at for _, at in sent], dtype=np.int64)
+        if mode is RibsMode.TWO_WAY:
+            (sigma,) = _stamp_sigmas(self.clocks[anchor].params.stamp_noise_sigma,
+                                     self.clocks[bs].params.stamp_noise_sigma, 1)
+            self.exchanges(anchor, bs, at, prop, prop, at + lag, np.array([rng.gauss_ticks(sigma) for rng in streams]))
+            return
         noise = np.array([rng.gauss_ticks(self.clocks[anchor].params.stamp_noise_sigma) for rng in streams])
         reading = broadcast_stamps(self.clocks[anchor], at, noise, 0)
         if mode is RibsMode.LISTEN_TA:
@@ -528,45 +528,74 @@ class _Runner:
             reading = reading + delay_estimate_from_index(np.array(helper, dtype=np.int64))
         set_readings([self.clocks[bs]], np.zeros(len(at), dtype=np.intp), at + prop, reading)
 
-    def exchanges(self, initiator: str, node: str, sent: list[tuple]) -> None:
-        """Steps ``node`` by the two-way exchanges ``initiator`` starts with it,
-        each (at, delay_forward, delay_back, landing, noise) with ``noise`` the
-        t1 to t4 stamp noise drawn for it, in landing order. t1 and t4 are read
-        off the initiator's finished trajectory; t2, t3 and the landing are
-        ``node``'s unstepped readings plus the correction in force then, that
-        of the last exchange it stepped by at or before that instant (RIBS
-        rounds may overlap). Each stamp is range-checked as stamp() checks
-        it, and so are the read and the reading at each step. An exchange
-        whose stamps come out of order (a step inside it, or stamp noise)
-        steps nothing and counts as a lost sync; any other steps ``node`` at
-        its landing by the offset it measured."""
-        if not sent:
+    def exchanges(self, initiator: str, node: str, at: np.ndarray, forward, back, landing: np.ndarray,
+                  noise: np.ndarray) -> None:
+        """Steps ``node`` by the two-way exchanges ``initiator`` starts with it
+        at the int64 instants ``at``, in landing order: each with its forward
+        and back delays (int64 arrays, or one value for all), its int64
+        ``landing`` and its t1 to t4 stamp noise, a row of ``noise``. t1 and
+        t4 are read off the initiator's finished trajectory; t2, t3 and the
+        read at the landing are ``node``'s unstepped readings plus the
+        correction in force then, that of the last exchange it stepped by at
+        or before that instant. An exchange whose stamps come out of order (a
+        step inside it, or stamp noise) steps nothing and counts as a lost
+        sync; any other steps ``node`` at its landing by the offset it
+        measured, trunc(((t2 - t1) - (t4 - t3)) / 2). Each stamp is
+        range-checked as stamp() checks it, and so are the read and the
+        reading at each step.
+
+        With X the stamps' t2 + t3 - t1 - t4 less the corrections c2 and c3
+        in force at t2 and t3, a step's correction is the one in force at its
+        landing less trunc((c2 + c3 + X) / 2). While no exchange starts
+        before the previous one lands, all three are the last step's c, so
+        the walk is the recurrence c <- c - trunc((2c + X) / 2) and the
+        out-of-order test does not depend on c; RIBS rounds may overlap, and
+        then each is looked up by instant. All of it is in int64 while the
+        reads and the noise come in int64 (each term below clocks._SMALL) and
+        every correction lies within +-2**62, so no sum wraps or leaves the
+        signed 64-bit range; else in exact ints, range-checked."""
+        count, clock = len(at), self.clocks[node]
+        if not count:
             return
-        at, forward, back, landing, noise = zip(*sent)
-        t2 = [t + delay for t, delay in zip(at, forward)]
-        t3 = [t + self.plan.turnaround for t in t2]
-        t4 = [t + delay for t, delay in zip(t3, back)]
-        count, clock = len(sent), self.clocks[node]
-        ends = local_times([self.clocks[initiator]], np.array([*at, *t4], dtype=np.int64)[:, None])[:, 0].tolist()
-        unstepped = unstepped_readings(clock, np.array([*t2, *t3, *landing], dtype=np.int64))
-        stepped, correction, reading = [], [0], []   # the steps' landings, the correction from each on, the readings
-
-        def read(t: int, k: int) -> int:
-            return in_tick_range(unstepped[k] + correction[bisect_right(stepped, t)])
-
-        for k, (n1, n2, n3, n4) in enumerate(noise):
-            record = ExchangeRecord(in_tick_range(ends[k] + n1), in_tick_range(read(t2[k], k) + n2),
-                                    in_tick_range(read(t3[k], count + k) + n3), in_tick_range(ends[count + k] + n4))
-            try:
-                offset = twoway_offset(record).offset
-            except CausalityViolationError:
-                self.lost_sync += 1
-                continue
-            reading.append(in_tick_range(read(landing[k], 2 * count + k) - offset))
-            stepped.append(landing[k])
-            correction.append(reading[-1] - unstepped[2 * count + k])
-        set_readings([clock], np.zeros(len(stepped), dtype=np.intp), np.array(stepped, dtype=np.int64),
-                     np.array(reading, dtype=np.int64))
+        t2 = at + forward
+        t3 = t2 + self.plan.turnaround
+        ends = broadcast_stamps(self.clocks[initiator], np.concatenate((at, t3 + back)), noise[:, ::3].T.ravel(), 0)
+        first, last = ends[:count], ends[count:]   # the t1 and t4 stamps
+        unstepped = unstepped_readings(clock, np.concatenate((t2, t3, landing)))
+        u2, u3, u_landing = unstepped[:count], unstepped[count:2 * count], unstepped[2 * count:]
+        middle = whole(noise[:, 1:3])
+        a, b = u2 + middle[:, 0], u3 + middle[:, 1]   # the t2 and t3 stamps less the corrections in force
+        x = a + b - first - last
+        exact, ok = x.dtype == object, last >= first
+        if np.all(at[1:] >= landing[:-1]):   # one exchange in flight at a time
+            ok &= b >= a
+            c = 0   # each step's correction in turn: -floor(X / 2), or -ceil(X / 2) when 2c + X < 0
+            taken = [c := -((xk + (2 * c + xk < 0)) >> 1) for xk in x[ok].tolist()]
+            in_force = (np.cumsum(ok) - ok,) * 3   # at t2, t3 and the landing: the steps before
+        else:
+            ends_ok, gap, x = ok.tolist(), (b - a).tolist(), x.tolist()
+            stepped, correction, ok, in_force = [], [0], [], []   # the steps' landings; the correction from each on
+            for k, instants in enumerate(np.stack((t2, t3, landing), axis=1).tolist()):
+                in_force.append([bisect_right(stepped, t) for t in instants])
+                p, q, r = (correction[i] for i in in_force[-1])
+                ok.append(ends_ok[k] and gap[k] + q - p >= 0)
+                if ok[-1]:
+                    v = p + q + x[k]
+                    stepped.append(instants[2])
+                    correction.append(r - ((v + (v < 0)) >> 1))
+            taken, in_force = correction[1:], np.array(in_force, dtype=np.intp).reshape(-1, 3).T
+            exact = exact or max(map(abs, taken), default=0) > 2**62
+        steps = np.flatnonzero(ok)
+        self.lost_sync += count - len(steps)
+        if exact:
+            correction = np.array([0, *taken], dtype=object)
+            (c2, c3, c_landing), taken = (correction[i] for i in in_force), correction[1:]
+            _in_range(np.concatenate((u2 + c2, a + c2, u3 + c3, b + c3, (u_landing + c_landing)[steps],
+                                      u_landing[steps] + taken)))
+        else:
+            taken = np.array(taken, dtype=np.int64)
+        set_readings([clock], np.zeros(len(steps), dtype=np.intp), landing[steps],
+                     (u_landing[steps] + taken).astype(np.int64, copy=False))
 
     # -- per-device OTA sync --
 
@@ -605,31 +634,46 @@ class _Runner:
     def twoway_syncs(self, bs: str, device: str) -> None:
         """``device``'s exchanges with ``bs``, at most one in flight: a heard
         round sends one unless it starts before the previous exchange lands
-        (or the run ends first). An exchange draws its delays, then its stamp
-        noise, and steps the device when the measured offset has travelled
-        back to it: one propagation delay after t4."""
-        rng = derive_stream(self.seed, f"exchange/{device}")
+        (or the run ends first). Under DEDICATED_TWO_WAY each heard round has
+        a pair of extra delays, forward and back, all drawn at once from
+        ``exchange_delay/{device}``, and the k-th exchange sent takes pair k.
+        The stamp noise of every exchange sent, t1 to t4 each, is one draw
+        from ``exchange/{device}``. An exchange steps the device when the
+        measured offset has travelled back to it: one propagation delay after
+        t4."""
+        plan, extra = self.plan, self.config.link.extra_delay
         prop = self.prop(bs, device)
-        rounds = self.rounds(self.plan.resync_period)
-        heard = heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)
-        self.lost_sync += len(rounds) - int(np.count_nonzero(heard))
-        sigmas = self.clocks[bs].params.stamp_noise_sigma, self.clocks[device].params.stamp_noise_sigma
-        sent, landing = [], 0   # of the last exchange sent
-        for round_no in np.flatnonzero(heard).tolist():
+        rounds = self.rounds(plan.resync_period)
+        heard = np.flatnonzero(heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)).tolist()
+        self.lost_sync += len(rounds) - len(heard)
+        delays = np.zeros((len(heard), 2), dtype=np.int64)   # the k-th exchange sent takes the k-th pair
+        if plan.enabler is Enabler.DEDICATED_TWO_WAY and extra.kind != "none":
+            # dynamically scheduled signaling: an independent queueing draw in
+            # each direction, which is exactly what makes the path asymmetric.
+            # Clipped at 2**62 ticks, past any duration validate_config admits:
+            # an exchange with such a delay lands after the run
+            delays = np.minimum(extra.draw(derive_stream(self.seed, f"exchange_delay/{device}"), 2 * len(heard)),
+                                2**62).astype(np.int64, copy=False).reshape(-1, 2)
+        extra_spans = iter(delays.sum(axis=1, dtype=np.uint64).tolist())
+        span = 3 * prop + plan.turnaround   # from an exchange's start to its landing, but for the extra delays
+        sent, landing = [], 0   # the starts of the exchanges sent; the last one's landing
+        for round_no in heard:
             at = rounds[round_no]
-            if at < landing:
-                continue
-            if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
-                # dynamically scheduled signaling: an independent queueing draw in
-                # each direction, which is exactly what makes the path asymmetric
-                delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
-            else:
-                delay_forward = delay_back = prop
-            landing = at + delay_forward + self.plan.turnaround + delay_back + prop
-            if landing > self.duration:
-                break
-            sent.append((at, delay_forward, delay_back, landing, _stamp_noise(rng, *sigmas)))
-        self.exchanges(bs, device, sent)
+            if at >= landing:
+                landing = at + span + next(extra_spans)
+                if landing > self.duration:
+                    break
+                sent.append(at)
+        if not sent:
+            return
+        count, at = len(sent), np.array(sent, dtype=np.int64)
+        forward, back = prop + delays[:count, 0], prop + delays[:count, 1]
+        sigma = _stamp_sigmas(self.clocks[bs].params.stamp_noise_sigma, self.clocks[device].params.stamp_noise_sigma,
+                              count)
+        noise = np.zeros((count, 4))
+        if sigma.any():
+            noise = derive_stream(self.seed, f"exchange/{device}").gauss_ticks(sigma)
+        self.exchanges(bs, device, at, forward, back, at + forward + plan.turnaround + back + prop, noise)
 
     def relay(self, gateway: str) -> None:
         """Each legacy device of ``gateway`` adopts every reading the gateway

@@ -113,7 +113,7 @@ class OneAtATime(_Runner):
     def ribs_sync(self, anchor, bs, round_no, at):
         mode = self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
-        landing = at + prop + (self.plan.turnaround + prop if mode is RibsMode.TWO_WAY else 0)
+        landing = at + prop + (self.plan.turnaround + 2 * prop if mode is RibsMode.TWO_WAY else 0)
         if landing > self.duration:
             return
         rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
@@ -141,7 +141,13 @@ class OneAtATime(_Runner):
         clock.set(landing, local_time(clock, landing) - offset)
 
     def twoway_syncs(self, bs, device):
+        """One exchange at a time: each exchange sent draws its pair of extra
+        delays from ``exchange_delay/{device}`` (only under DEDICATED_TWO_WAY
+        with a drawn delay) and its t1 to t4 stamp noise from
+        ``exchange/{device}`` as it stamps."""
         rng = derive_stream(self.seed, f"exchange/{device}")
+        delays = derive_stream(self.seed, f"exchange_delay/{device}")
+        drawn = self.plan.enabler is Enabler.DEDICATED_TWO_WAY and self.config.link.extra_delay.kind != "none"
         prop = self.prop(bs, device)
         rounds = self.rounds(self.plan.resync_period)
         heard = heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)
@@ -151,10 +157,9 @@ class OneAtATime(_Runner):
             at = rounds[round_no]
             if at < landing:
                 continue
-            if self.plan.enabler is Enabler.DEDICATED_TWO_WAY:
-                delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(rng, 2))
-            else:
-                delay_forward = delay_back = prop
+            delay_forward = delay_back = prop
+            if drawn:
+                delay_forward, delay_back = (prop + int(d) for d in self.config.link.extra_delay.draw(delays, 2))
             landing = at + delay_forward + self.plan.turnaround + delay_back + prop
             if landing > self.duration:
                 return

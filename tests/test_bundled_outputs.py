@@ -33,7 +33,7 @@ SHA256 = {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
         "report.csv": "d66122ac7972472f32a924e3672e8a9fce46f1e208d5633762d7490fe4ad003a",
         "report.json": "aae1e36fa43be15404f9daea42532c42b43a146f8cf03d5c4a9ad557f02a3012",
-        "trace.json": "b55af5516c9b86ba299c247cc497c332c392230e0ffc6c6c3789cf6a0381a1a3",
+        "trace.json": "e2702e85bd554e1ebc702a9cdb9a0624195150612fd6716aabf48ce77b671591",
     },
     "run-pmu-fault": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
@@ -43,9 +43,9 @@ SHA256 = {
     },
     "run-heterogeneous": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "5b67ed56f772843b6b5e0c391e9a60c1237f7f149f678ccf287d71364ad9278b",
-        "report.json": "ec08810aedbb68d0e90d19742272fdce39bd543acccb87a291e9209e1108a04e",
-        "trace.json": "a61e41d8979e820a4f72f24c28a40215929f320200d6aa8d43b6932e1dee6b87",
+        "report.csv": "3e4f36717d0377f4bb6270d5cab7c2916da0c36a6a4a1fdef071174f5833a2ae",
+        "report.json": "960add4086b99195e6ba4cee990a3cdb2e5dc626b17969fe97d5849f673866c7",
+        "trace.json": "f7f57e5ff1e21ef3b064dcb5f745e32ba267c3dad73b52a4e19d4919509c102d",
     },
     "sweep-pmu": {
         "manifest.json": "f6f680c0b54d5d89308bf3fc470c9636778d0f75b176378bbd2b63e0f4facade",

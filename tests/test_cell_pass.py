@@ -281,7 +281,8 @@ def _exchange(runner, noise: list, exchange: str):
     sent = [(*timing, tuple(n)) for timing, n in zip(_SENT, noise)]
     try:
         if exchange == "pass":
-            runner.exchanges("bs1", "ue1", sent)
+            at, forward, back, landing = (np.array(column, dtype=np.int64) for column in zip(*_SENT[:len(noise)]))
+            runner.exchanges("bs1", "ue1", at, forward, back, landing, np.array(noise, dtype=float))
         else:
             for at, forward, back, landing, n in sent:
                 runner.twoway_step("bs1", "ue1", at, forward, back, _Drawn(n), landing)

@@ -228,13 +228,14 @@ def test_overlapping_exchanges_keep_one_in_flight(tmp_path):
 
 
 def test_an_exchange_with_reversed_stamps_is_a_lost_sync(tmp_path):
-    # bs2 starts 1.1 ms off and is RIBS-aligned about 1 ms in, inside ue2's
-    # first exchange, so that exchange reads t4 < t1: it steps nothing
+    # bs2 starts 1.1 ms off and is RIBS-aligned 1 ms + 9 us in (three 3 us
+    # propagation delays after its round starts), inside ue2's first exchange
+    # (5 us each way), so that exchange reads t4 < t1: it steps nothing
     raw = yaml.safe_load((CONFIG_DIR / "two-bs.yaml").read_text())
     del raw["sync_plan"]["sib"]
     raw["sync_plan"]["enabler"] = "ribs_ue"
     raw["nodes"][2]["clock"] = {"theta0": "1.1 ms"}
-    raw["nodes"][4]["position"] = [2100, 0]
+    raw["nodes"][4]["position"] = [2400, 0]
     out = tmp_path / "o"
     assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["metrics"]["lost_sync"] >= 1

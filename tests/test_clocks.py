@@ -349,9 +349,12 @@ def test_set_readings_steps_only_clocks_that_have_taken_no_step():
 @given(_PHASE, _SKEW, _DRIFT, st.lists(_INSTANT, max_size=8))
 def test_unstepped_readings_are_local_times_sum_unchecked(theta0, skew, drift, instants):
     # local_time's sum for a clock with no step, as exact ints also where it
-    # leaves int64; where it does not, local_time itself
+    # leaves int64; where it does not, local_time itself. In int64 only while
+    # every reading lies within +-3 * _SMALL, so that sums of a few cannot wrap
     clock = ClockState(ClockParams(theta0=theta0, skew_y=skew, drift_a=drift))
-    readings = unstepped_readings(clock, np.array(instants, dtype=np.int64))
+    bulk = unstepped_readings(clock, np.array(instants, dtype=np.int64))
+    readings = bulk.tolist()
+    assert bulk.dtype == object or all(abs(reading) < 3 * clocks_module._SMALL for reading in readings)
     assert readings == [theta0 + t + round(skew * t + 0.5 * drift * (t / TICKS_PER_SECOND) * t) for t in instants]
     assert all(type(reading) is int for reading in readings)
     assert [reading for reading in readings if INT64_MIN <= reading <= INT64_MAX] == \

@@ -21,7 +21,7 @@ from airsync.config import (
     replace_config_value,
     validate_config,
 )
-from airsync.engine import derive_stream
+from airsync.engine import RngStream, derive_stream
 from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.protocols import ExchangeRecord, StampMode, twoway_offset
 from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
@@ -767,6 +767,27 @@ def test_two_way_enablers_keep_no_ta_state(monkeypatch, fresh_caches):
     assert any(label.startswith("exchange/") for label in labels)
     assert [label for label in labels if label.startswith("ta/")] == []
     assert trace.ta_index == {}
+
+
+@pytest.mark.parametrize("resync_period", ("100 ms", "10 ms"))
+def test_a_device_draws_its_exchanges_in_at_most_two_calls(monkeypatch, resync_period):
+    # heterogeneous.yaml runs dedicated two-way with a uniform extra delay:
+    # each device draws every delay it may use in one call on
+    # exchange_delay/{device}, and the stamp noise of every exchange it sends
+    # in one on exchange/{device}, however many exchanges it sends
+    calls = Counter()
+    for name in ("random", "uniform", "normal", "integers", "gauss_ticks"):
+        def counting(self, *args, _draw=getattr(RngStream, name), **kwargs):
+            calls[self.label] += 1
+            return _draw(self, *args, **kwargs)
+        monkeypatch.setattr(RngStream, name, counting)
+    raw = load_config(CONFIG_DIR / "heterogeneous.yaml").raw
+    cfg = validate_config(dict(raw, sync_plan=dict(raw["sync_plan"], resync_period=resync_period)))
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    exchanges = Counter(c.node for c in trace.corrections if c.kind == "two_way")
+    assert set(exchanges) == {"ue1", "ue2", "gw1"} and min(exchanges.values()) >= 10
+    for device in exchanges:
+        assert calls[f"exchange_delay/{device}"] == calls[f"exchange/{device}"] == 1
 
 
 def test_gateway_relay_and_legacy_corrections():

@@ -14,9 +14,9 @@ from airsync.clocks import local_time
 from airsync.config import load_config, validate_config
 from airsync.engine import derive_stream
 from airsync.protocols import ExchangeRecord, twoway_offset
-from airsync.scenario import _Runner, build_scenario, run_scenario
+from airsync.scenario import _Runner, build_scenario, link_propagation, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US
-from stepwise import SteppingClock, steps_of
+from stepwise import OneAtATime, SteppingClock, steps_of
 
 MS = TICKS_PER_MS
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -33,14 +33,27 @@ PAIRS = len(ENABLERS) * len(ALIGNMENTS)
 VARIANTS = ("colocated_lossy", "overlapping_rounds", "gateway_domain_and_pmus")
 CORPUS_SIZE = PAIRS * len(VARIANTS)
 
-# sha256 of corpus_summary() over each variant's configs, computed with the
-# heap-scheduled event loop that the parent-first evaluation replaced; except
+# sha256 of corpus_summary() over each variant's configs, split in two by
+# redrawn(). The kept configs' digests were computed with the heap-scheduled
+# event loop that the parent-first evaluation replaced; except
 # overlapping_rounds, whose two-way configs keep one exchange in flight where
-# the loop let exchanges overlap (its ta_sib16 configs give the loop's values)
+# the loop let exchanges overlap (its ta_sib16 configs give the loop's values).
+# The redrawn configs' digests date from the move of the two-way extra delays
+# onto their own label and of the two-way RIBS step to t4 plus one
+# propagation delay; one exchange at a time (tests/stepwise.py) gives them too
 CORPUS_SHA256 = {
-    "colocated_lossy": "f527b181cc5a029ce987716160d14fb034956928850c94292d5d5f5fc9eb6d2c",
-    "overlapping_rounds": "cb7d844a9b02f5772fe15efe361246c51e1e2bfd6e24beb78e3b213618fa0fb8",
-    "gateway_domain_and_pmus": "a48c1c9abf3e86bc07d34ebad456867d688f24099768f38c329b8d922a6840c0",
+    "colocated_lossy": {
+        "kept": "1ed61a1d5beefbf086c3d3f8e311306f55cfa3052e2e8218d1f18ecd9135c904",
+        "redrawn": "427d425f49fc845c893a104030ae20bd315e66cea73de6272d413d9f1f89dd08",
+    },
+    "overlapping_rounds": {
+        "kept": "84d605d3536f14d77bc56f3d9a0fccd17e5c89f9985681105a94747c9cae82d7",
+        "redrawn": "7a2d6efd02a689f3f82cffa5bbdc0a5b35a028da5df75855e8c0cd5e31e1e0be",
+    },
+    "gateway_domain_and_pmus": {
+        "kept": "2aa09a370e54011fb8d28e8541de7e57db130e3400cd962f5f43637fec2209f5",
+        "redrawn": "221d6f12e20be605313b9a40bbd41867e94174737705052eca8de5210f60ed9a",
+    },
 }
 
 
@@ -134,6 +147,32 @@ def run_raw(raw: dict):
     return run_scenario(build_scenario(cfg), cfg.duration)
 
 
+def redrawn(index: int) -> bool:
+    """Whether config ``index`` of the corpus draws two-way extra delays
+    (dedicated_two_way with a delay of nonzero width) or aligns bs2 by a
+    two-way RIBS exchange across a distance: the configs whose values moved
+    when those delays left ``exchange/{device}`` for their own label and a
+    two-way RIBS step moved from t4 to t4 plus one propagation delay."""
+    raw = corpus_config(index)
+    plan, delay = raw["sync_plan"], raw["link"]["extra_delay"]
+    draws = delay["dist"] == "normal" or delay["high"] != "0 ms"
+    across = plan["bs_alignment"].get("ribs_mode") == "two_way" and raw["nodes"][2]["position"] != [0, 0]
+    return (plan["enabler"] == "dedicated_two_way" and draws) or across
+
+
+def corpus_digest(variant: str, part: str, run) -> str:
+    """sha256 of corpus_summary() of what ``run`` (a scenario and its
+    duration to a trace) gives on the ``part`` ("kept" or "redrawn") of
+    ``variant``'s configs."""
+    digest = hashlib.sha256()
+    first = VARIANTS.index(variant) * PAIRS
+    for index in range(first, first + PAIRS):
+        if redrawn(index) == (part == "redrawn"):
+            cfg = validate_config(corpus_config(index))
+            digest.update(corpus_summary(run(build_scenario(cfg), cfg.duration)))
+    return digest.hexdigest()
+
+
 def test_corpus_covers_every_enabler_alignment_and_variant():
     seen = Counter()
     for index in range(CORPUS_SIZE):
@@ -141,15 +180,23 @@ def test_corpus_covers_every_enabler_alignment_and_variant():
         align = plan["bs_alignment"]
         seen[plan["enabler"], align["mode"], align.get("ribs_mode"), index // PAIRS] += 1
     assert len(seen) == CORPUS_SIZE >= 40
+    # the kept part holds every ta_sib16 config but two-way RIBS across a
+    # distance, and every delay-free two-way one
+    kept = Counter(corpus_config(index)["sync_plan"]["enabler"] for index in range(CORPUS_SIZE) if not redrawn(index))
+    assert kept == {"ta_sib16": 13, "ribs_ue": 13, "dedicated_two_way": 4}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_corpus_runs_as_the_event_loop_ran_them(variant):
-    digest = hashlib.sha256()
-    first = VARIANTS.index(variant) * PAIRS
-    for index in range(first, first + PAIRS):
-        digest.update(corpus_summary(run_raw(corpus_config(index))))
-    assert digest.hexdigest() == CORPUS_SHA256[variant]
+    assert corpus_digest(variant, "kept", run_scenario) == CORPUS_SHA256[variant]["kept"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_redrawn_corpus_runs_as_one_exchange_at_a_time_runs_it(variant):
+    expected = CORPUS_SHA256[variant]["redrawn"]
+    assert corpus_digest(variant, "redrawn", run_scenario) == expected
+    one_at_a_time = lambda scenario, duration: OneAtATime(scenario, duration).run()
+    assert corpus_digest(variant, "redrawn", one_at_a_time) == expected
 
 
 def one_cell(bs_clock: dict, ue_clock: dict, sync_plan: dict) -> dict:
@@ -275,29 +322,63 @@ def test_an_exchange_reads_its_bs_as_stepped_at_the_same_tick():
 
 def test_a_round_that_starts_while_an_exchange_is_in_flight_sends_nothing():
     # 2 ms rounds and about 2.5 ms each way: each exchange takes about 6 ms, so
-    # the rounds starting while it is in flight send nothing, draw nothing and
-    # lose nothing. Replaying exchange/ue1 by the rule gives every landing instant
+    # the rounds starting while it is in flight send nothing, take no delays
+    # and lose nothing. exchange_delay/ue1 holds a (forward, back) pair per
+    # heard round, and the k-th exchange sent takes pair k: replaying that by
+    # the rule gives every landing instant. exchange/ue1 holds the stamp
+    # noise alone, four draws per exchange sent
     raw = one_cell({"stamp_noise": 31}, {"stamp_noise": 308}, sync_plan={
         "enabler": "dedicated_two_way", "resync_period": "2 ms"})
     raw["link"] = {"extra_delay": {"dist": "uniform", "low": "2400 us", "high": "2600 us"}}
     cfg = validate_config(raw)
-    trace = run_scenario(build_scenario(cfg), cfg.duration)
-    rng = derive_stream(cfg.seed, "exchange/ue1")
-    landing, landed, skipped = 0, [], 0
-    for start in range(0, cfg.duration + 1, 2 * MS):
+    scenario = build_scenario(cfg)
+    trace = run_scenario(scenario, cfg.duration)
+    starts = range(0, cfg.duration + 1, 2 * MS)
+    pairs = iter(cfg.link.extra_delay.draw(derive_stream(cfg.seed, "exchange_delay/ue1"), 2 * len(starts))
+                 .reshape(-1, 2).tolist())
+    landing, sent, skipped = 0, [], 0
+    for start in starts:
         if start < landing:
             skipped += 1
             continue
-        forward, back = cfg.link.extra_delay.draw(rng, 2)
-        landing = start + int(forward) + MS + int(back)
+        forward, back = next(pairs)
+        landing = start + forward + MS + back
         if landing > cfg.duration:
             break
-        for _ in range(4):   # t1 to t4 each draw stamp noise
-            rng.gauss_ticks(1.0)
-        landed.append(landing)
-    assert skipped >= len(landed) >= 2
-    assert [c.t_true for c in trace.corrections if c.node == "ue1"] == landed
+        sent.append((start, forward, back))
+    assert skipped >= len(sent) >= 2
+    steps = [c for c in trace.corrections if c.node == "ue1"]
+    assert [c.t_true for c in steps] == [start + forward + MS + back for start, forward, back in sent]
     assert trace.lost_sync == 0
+    # the stamp noise replayed from exchange/ue1 gives each step: the UE sits
+    # at the BS, and both clocks read true time but for that noise and the
+    # UE's correction so far
+    noise, correction = derive_stream(cfg.seed, "exchange/ue1"), 0
+    bs_sigma, ue_sigma = (scenario.clocks[node].stamp_noise_sigma for node in ("bs1", "ue1"))
+    for step, (start, forward, back) in zip(steps, sent):
+        n1, n2, n3, n4 = (noise.gauss_ticks(sigma) for sigma in (bs_sigma, ue_sigma, ue_sigma, bs_sigma))
+        t2 = start + forward
+        offset = twoway_offset(ExchangeRecord(start + n1, t2 + correction + n2, t2 + MS + correction + n3,
+                                              t2 + MS + back + n4)).offset
+        assert step.delta == offset
+        correction -= offset
+
+
+def test_a_two_way_ribs_step_lands_one_propagation_delay_after_t4():
+    # bs2 sits 3 km from bs1 and realigns by two-way RIBS every 4 ms: bs1
+    # stamps t1 at the round's start and t4 one turnaround and two propagation
+    # delays later, and bs2 steps when the measured offset has travelled back
+    # to it, one more propagation delay on. Neither clock drifts or is noisy,
+    # so the offset is bs2's phase and each step leaves bs2 on true time
+    raw = one_cell({}, {}, sync_plan={"enabler": "ta_sib16", "bs_alignment": {
+        "mode": "ribs", "ribs_mode": "two_way", "realign_period": "4 ms"}})
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [3000, 0], "clock": {"theta0": "3 us"}})
+    cfg = validate_config(raw)
+    prop = link_propagation(cfg.nodes["bs1"], cfg.nodes["bs2"])
+    assert prop == 10 * TICKS_PER_US
+    steps = [(c.t_true, c.error_after) for c in run_raw(raw).corrections if c.node == "bs2"]
+    assert steps == [(start + 3 * prop + MS, 0) for start in range(0, cfg.duration - 3 * prop - MS + 1, 4 * MS)]
+    assert len(steps) == 5
 
 
 def test_a_ribs_exchange_with_reversed_stamps_steps_nothing_and_the_next_round_still_steps():
