@@ -162,23 +162,6 @@ def quantize_broadcast_time(t, granularity: int):
     return (t // granularity) * granularity
 
 
-class Broadcast(NamedTuple):
-    """One SIB16-style broadcast of a cell: heard alike by every attached UE."""
-
-    sent_at: int      # true transmission instant
-    stamped_at: int   # true instant the BS clock is stamped into the message
-
-
-def sib16_broadcast(si_window: int, stamp_mode: StampMode, rng: RngStream, at: int) -> Broadcast:
-    """The broadcast scheduled at ``at``: transmitted after a uniform draw in
-    [0, si_window]. AT_SCHEDULE stamps the BS clock at creation time (the
-    scheduling delay becomes error), AT_TRANSMIT at the transmission instant.
-    """
-    sched_delay = rng.integers(0, si_window + 1) if si_window > 0 else 0
-    t_tx = at + sched_delay
-    return Broadcast(sent_at=t_tx, stamped_at=at if stamp_mode is StampMode.AT_SCHEDULE else t_tx)
-
-
 # --- two-way exchange --------------------------------------------------------
 
 

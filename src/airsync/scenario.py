@@ -6,13 +6,14 @@ base stations, UEs, gateways, legacy devices, PMUs), the link model and the
 synchronization plan. Building a scenario only draws each node's clock
 parameters. Running it gives each node one clock and steps the clocks down
 the sync tree, parent first: the anchor BS, the other BSs (steered or
-RIBS-aligned to the anchor), then each BS's devices (SIB16 with TA, the
-whole cell in one array pass, or two-way, each device's exchanges in one
-pass), then each gateway's legacy devices. Every site computes a clock's
-readings first and installs all its steps with one clocks.set_readings
-call. A read at instant t sees every step installed at or before t.
-Samples, deliveries and the fault probe are then read from the finished
-clocks, all nodes at once, into the trace records. The trace keeps
+RIBS-aligned to the anchor; a two-way RIBS BS's exchanges in one pass),
+then each BS's devices (SIB16 with TA, the whole cell in one array pass, or
+two-way, each device's exchanges in the same pass), then each gateway's
+legacy devices. Every site computes a clock's readings first and installs
+all its steps with one clocks.set_readings call. A read at instant t sees
+every step installed at or before t. Samples, deliveries and the fault
+probe are then read from the finished clocks, all nodes at once, into the
+trace records. The trace keeps
 the finished trajectories of the clocks the sync tree steps, and the
 correction log is read off them only when it is asked for (trace.json and
 tests ask; the report does not).
@@ -20,13 +21,14 @@ A step whose delta or error after it passes the signed 64-bit range is
 recorded as the clock installs it and raised once the sync phase is over.
 
 A SIB16 cell's draws read no clock: which rounds each device hears and when
-they land, its TA indices, and each broadcast's scheduling delay and BS
-stamp noise. cell_schedule computes them from the seed and the few config
-values they depend on, and keeps the last few schedules per process, so the
-points of a sweep whose value leaves them unchanged (the granularity, say)
-share them. The run then only reads the BS clock at the stamp instants, in
-one bulk read, quantizes, and installs the devices' readings. A cached schedule is what a
-fresh one would be, so the cache changes no draw and no output.
+they land, its TA indices, and the broadcasts' scheduling delays and BS
+stamp noise, each drawn in one call from the BS's one stream. cell_schedule
+computes them from the seed and the few config values they depend on, and
+keeps the last few schedules per process, so the points of a sweep whose
+value leaves them unchanged (the granularity, say) share them. The run then
+only reads the BS clock at the stamp instants, in one bulk read, quantizes,
+and installs the devices' readings. A cached schedule is what a fresh one
+would be, so the cache changes no draw and no output.
 
 The BS side is kept the same way. What BS alignment leaves (each BS's
 trajectory and overflow, and the syncs its RIBS rounds lost) depends only on
@@ -42,7 +44,6 @@ once per repetition seed; a run with a kept key installs them instead.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import OrderedDict
 from functools import cache, wraps
 from typing import NamedTuple, Optional
@@ -66,7 +67,6 @@ from .protocols import (
     gw_relay_sync,
     measure_rtt,
     quantize_broadcast_time,
-    sib16_broadcast,
 )
 from .timebase import INT64_MAX, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
@@ -331,26 +331,27 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
     _SCHEDULE_CACHE_SIZE cells a process asked for whose arrays take at
     most _SCHEDULE_CACHE_BYTES.
 
-    A round's broadcast is drawn once for the cell from ``sib/{bs}/{round}``:
-    its scheduling delay, then, if some device lands it, the BS stamp noise.
-    Each device lands the rounds in the same (sent_at, round) order, shifted
-    by its own propagation delay, so slot k of the (slot x device) arrays is
-    the k-th round of that order for all of them."""
+    The cell's broadcasts are drawn once for the cell from ``sib/{bs}``:
+    every round's scheduling delay in one call, then the BS stamp noise of
+    the rounds some device lands, in (sent_at, round) order. Each device
+    lands the rounds in that order, shifted by its own propagation delay,
+    so slot k of the (slot x device) arrays is the k-th round of that order
+    for all of them."""
     late = duration + 1
-    rounds = range(0, late, resync_period)
-    streams = [derive_stream(seed, f"sib/{bs}/{round_no}") for round_no in range(len(rounds))]
-    broadcasts = [sib16_broadcast(si_window, stamp_mode, rng, at) for rng, at in zip(streams, rounds)]
-    # a send or a delay past the run is clipped to its end: that landing is past it either way
-    sent = np.array([min(broadcast.sent_at, late) for broadcast in broadcasts], dtype=np.int64)
+    start = np.arange(0, late, resync_period, dtype=np.int64)
+    rng = derive_stream(seed, f"sib/{bs}")
+    delay = rng.integers(0, si_window + 1, len(start)) if si_window > 0 else 0
+    # a send past the run is clipped to its end: that landing is past it either way
+    sent = start + np.minimum(delay, late - start)
     order = np.argsort(sent, kind="stable")
     arrival = sent[order, None] + np.array([min(prop, late) for prop in props], dtype=np.int64)
-    lands = np.stack([heard_rounds(seed, device, len(rounds), loss_prob) for device in devices], axis=1)
+    lands = np.stack([heard_rounds(seed, device, len(start), loss_prob) for device in devices], axis=1)
     lost_sync = lands.size - int(np.count_nonzero(lands))
     lands = lands[order] & (arrival <= duration)
     ta = [ta_indices(seed, device, prop, duration, ta_timer_period, ta_noise_sigma, ta_wrong_bin_prob)
           for device, prop in zip(devices, props)]
     landed = lands.any(axis=1)   # the slots some device lands
-    stamped = order[landed].tolist()
+    stamped = order[landed]
     device, slot = np.nonzero(lands.T)   # device-major: each device's landings in order
     at = arrival[slot, device]
     return CellSchedule(
@@ -358,8 +359,8 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
         device=_frozen(device, np.min_scalar_type(len(devices) - 1)), at=_frozen(at),
         ta_delay=_frozen(delay_estimate_from_index(np.array(ta, dtype=np.int64))[device, at // ta_timer_period]),
         landed=_frozen(np.cumsum(landed)[slot] - 1, np.min_scalar_type(max(len(stamped) - 1, 0))),
-        stamped_at=_frozen(np.array([broadcasts[r].stamped_at for r in stamped], dtype=np.int64)),
-        noise=_frozen(np.array([streams[r].gauss_ticks(stamp_noise_sigma) for r in stamped], dtype=float), float),
+        stamped_at=_frozen((start if stamp_mode is StampMode.AT_SCHEDULE else sent)[stamped]),
+        noise=_frozen(rng.gauss_ticks(stamp_noise_sigma, len(stamped)), float),
     )
 
 
@@ -409,16 +410,18 @@ class _Runner:
     it after the sync phase, a delta before an error after, as building the
     log there would.
 
-    Each stream label is derived at most once per run: a node's ``loss/``,
-    ``exchange_delay/``, ``exchange/`` and ``relay/`` streams where its steps
-    are computed, and one-shot labels (a round's alignment, a target's
-    delivery delays and stamps, the fault probe) where they are used; a
-    ``loss/``, ``exchange_delay/``, ``exchange/``, ``delivery/`` or
-    ``delivery_stamp/`` stream that would draw nothing is not derived.
-    A SIB16 cell's labels (``sib/``, and its devices' ``loss/`` and ``ta/``)
-    are derived by cell_schedule, once per schedule in a process: a run
-    whose cell has the same schedule as an earlier run's, such as another
-    point of a sweep over the granularity, reuses it and derives none.
+    Every stream is one per (kind, node), ``{kind}/{node}``, derived at
+    most once per run where the node's steps (or its deliveries, or the
+    fault probe's stamps) are computed, however many rounds it draws for:
+    each distribution is drawn in one call. A ``loss/``, ``exchange_delay/``,
+    ``exchange/``, ``delivery/`` or ``delivery_stamp/`` stream that would
+    draw nothing is not derived. A SIB16 cell's labels (``sib/``, and its
+    devices' ``loss/`` and ``ta/``) are derived by cell_schedule, once per
+    schedule in a process: a run whose cell has the same schedule as an
+    earlier run's, such as another point of a sweep over the granularity,
+    reuses it and derives none. Nor does a run whose BS side comes through
+    _BS_SIDES derive a RIBS BS's ``ribs/``, ``ribs_helper/`` or
+    ``exchange/``.
     """
 
     def __init__(self, scenario: Scenario, duration: int):
@@ -452,7 +455,7 @@ class _Runner:
 
     def base_station_key(self) -> tuple:
         """What the BS side depends on, as hashable config values: the run's
-        duration; each BS in config order as its id (which names its ``ribs/``
+        duration; each BS in config order as its id (which names its RIBS
         streams), clock parameters (and their types) and position; the
         alignment plan; and under RIBS, which alone draws, the seed and what
         its rounds take (the turnaround, and the helper's TA measurement)."""
@@ -497,63 +500,89 @@ class _Runner:
         set_readings([self.clocks[bs] for bs in steered], np.repeat(np.arange(len(steered)), len(rounds)),
                      np.tile(rounds, len(steered)), (offset[:, None] + rounds).ravel())
         for bs in self.base_stations[1:] if ribs else ():
-            self.ribs_syncs(self.base_stations[0], bs, rounds.tolist())
+            self.ribs_syncs(self.base_stations[0], bs, rounds)
 
-    def ribs_syncs(self, anchor: str, bs: str, rounds: list[int]) -> None:
-        """``bs`` aligns to the anchor in each of ``rounds`` whose step lands
-        within the run: by a two-way exchange, stepped when the measured
-        offset has travelled back to it, one propagation delay after t4, or by
-        listening to the anchor's signal stamped at the round's start, stepped
-        when it arrives. Round k draws its stamp noise from ``ribs/{bs}/{k}``,
-        and under LISTEN_TA its helper's RTT from ``ribs_helper/{bs}/{k}``."""
+    def ribs_syncs(self, anchor: str, bs: str, rounds: np.ndarray) -> None:
+        """``bs`` aligns to the anchor in each of the int64 ``rounds`` whose
+        step lands within the run. Under TWO_WAY by the two-way exchanges of
+        twoway, each stepped when the measured offset has travelled back to
+        it, one propagation delay after t4; a round that starts while an
+        exchange is in flight sends nothing. Listening, by the anchor's
+        signal stamped at the round's start, stepped when it arrives: the
+        stamp noise of every such round is one draw from ``ribs/{bs}``, and
+        under LISTEN_TA the helper's RTTs are drawn in round order from
+        ``ribs_helper/{bs}``."""
         plan, mode = self.plan, self.plan.bs_alignment.ribs_mode
+        if mode is RibsMode.TWO_WAY:
+            self.twoway(anchor, bs, rounds.tolist(), np.zeros((len(rounds), 2), dtype=np.int64))
+            return
         prop = self.prop(anchor, bs)
-        # from a round's start to its step: two-way, one more propagation delay after t4
-        lag = prop + (plan.turnaround + 2 * prop if mode is RibsMode.TWO_WAY else 0)
-        sent = [(round_no, at) for round_no, at in enumerate(rounds) if at + lag <= self.duration]
+        at = rounds[rounds <= self.duration - prop]
+        if not len(at):
+            return
+        anchor_clock = self.clocks[anchor]
+        noise = derive_stream(self.seed, f"ribs/{bs}").gauss_ticks(anchor_clock.params.stamp_noise_sigma, len(at))
+        reading = broadcast_stamps(anchor_clock, at, noise, 0)
+        if mode is RibsMode.LISTEN_TA:
+            helper = derive_stream(self.seed, f"ribs_helper/{bs}")
+            index = [compute_ta_initial(measure_rtt(prop, plan.ta_noise_sigma, plan.ta_wrong_bin_prob, helper)).value
+                     for _ in range(len(at))]
+            reading = reading + delay_estimate_from_index(np.array(index, dtype=np.int64))
+        set_readings([self.clocks[bs]], np.zeros(len(at), dtype=np.intp), at + prop, reading)
+
+    def twoway(self, initiator: str, node: str, starts: list[int], delays: np.ndarray) -> None:
+        """``node``'s two-way exchanges with ``initiator``, at most one in
+        flight: of the ascending ``starts``, each sends one unless it starts
+        before the previous exchange lands (or the run ends first). The k-th
+        exchange sent takes row k of ``delays``, its extra (forward, back)
+        delays, int64. The stamp noise of every exchange sent, t1 to t4 each,
+        is one draw from ``exchange/{node}``, not derived when every σ is 0.
+        An exchange steps ``node`` when the measured offset has travelled
+        back to it: one propagation delay after t4 (exchanges)."""
+        turnaround, prop = self.plan.turnaround, self.prop(initiator, node)
+        extra_spans = iter(delays.sum(axis=1, dtype=np.uint64).tolist())
+        span = 3 * prop + turnaround   # from an exchange's start to its landing, but for the extra delays
+        sent, landing = [], 0   # the starts of the exchanges sent; the last one's landing
+        for at in starts:
+            if at >= landing:
+                landing = at + span + next(extra_spans)
+                if landing > self.duration:
+                    break
+                sent.append(at)
         if not sent:
             return
-        streams = [derive_stream(self.seed, f"ribs/{bs}/{round_no}") for round_no, _ in sent]
-        at = np.array([at for _, at in sent], dtype=np.int64)
-        if mode is RibsMode.TWO_WAY:
-            (sigma,) = _stamp_sigmas(self.clocks[anchor].params.stamp_noise_sigma,
-                                     self.clocks[bs].params.stamp_noise_sigma, 1)
-            self.exchanges(anchor, bs, at, prop, prop, at + lag, np.array([rng.gauss_ticks(sigma) for rng in streams]))
-            return
-        noise = np.array([rng.gauss_ticks(self.clocks[anchor].params.stamp_noise_sigma) for rng in streams])
-        reading = broadcast_stamps(self.clocks[anchor], at, noise, 0)
-        if mode is RibsMode.LISTEN_TA:
-            helper = [compute_ta_initial(measure_rtt(prop, plan.ta_noise_sigma, plan.ta_wrong_bin_prob, derive_stream(
-                self.seed, f"ribs_helper/{bs}/{round_no}"))).value for round_no, _ in sent]
-            reading = reading + delay_estimate_from_index(np.array(helper, dtype=np.int64))
-        set_readings([self.clocks[bs]], np.zeros(len(at), dtype=np.intp), at + prop, reading)
+        count, at = len(sent), np.array(sent, dtype=np.int64)
+        forward, back = prop + delays[:count, 0], prop + delays[:count, 1]
+        sigma = _stamp_sigmas(self.clocks[initiator].params.stamp_noise_sigma,
+                              self.clocks[node].params.stamp_noise_sigma, count)
+        noise = np.zeros((count, 4))
+        if sigma.any():
+            noise = derive_stream(self.seed, f"exchange/{node}").gauss_ticks(sigma)
+        self.exchanges(initiator, node, at, forward, back, at + forward + turnaround + back + prop, noise)
 
     def exchanges(self, initiator: str, node: str, at: np.ndarray, forward, back, landing: np.ndarray,
                   noise: np.ndarray) -> None:
         """Steps ``node`` by the two-way exchanges ``initiator`` starts with it
-        at the int64 instants ``at``, in landing order: each with its forward
-        and back delays (int64 arrays, or one value for all), its int64
-        ``landing`` and its t1 to t4 stamp noise, a row of ``noise``. t1 and
-        t4 are read off the initiator's finished trajectory; t2, t3 and the
-        read at the landing are ``node``'s unstepped readings plus the
-        correction in force then, that of the last exchange it stepped by at
-        or before that instant. An exchange whose stamps come out of order (a
-        step inside it, or stamp noise) steps nothing and counts as a lost
-        sync; any other steps ``node`` at its landing by the offset it
-        measured, trunc(((t2 - t1) - (t4 - t3)) / 2). Each stamp is
+        at the int64 instants ``at``, none before the previous one lands: each
+        with its int64 ``forward`` and ``back`` delays and ``landing``, and its
+        t1 to t4 stamp noise, a row of ``noise``. t1 and t4 are read off the
+        initiator's finished trajectory; t2, t3 and the read at the landing
+        are ``node``'s unstepped readings plus the correction in force then,
+        that of the last exchange it stepped by. An exchange whose stamps come
+        out of order (a step inside it, or stamp noise) steps nothing and
+        counts as a lost sync; any other steps ``node`` at its landing by the
+        offset it measured, trunc(((t2 - t1) - (t4 - t3)) / 2). Each stamp is
         range-checked as stamp() checks it, and so are the read and the
         reading at each step.
 
-        With X the stamps' t2 + t3 - t1 - t4 less the corrections c2 and c3
-        in force at t2 and t3, a step's correction is the one in force at its
-        landing less trunc((c2 + c3 + X) / 2). While no exchange starts
-        before the previous one lands, all three are the last step's c, so
-        the walk is the recurrence c <- c - trunc((2c + X) / 2) and the
-        out-of-order test does not depend on c; RIBS rounds may overlap, and
-        then each is looked up by instant. All of it is in int64 while the
-        reads and the noise come in int64 (each term below clocks._SMALL) and
-        every correction lies within +-2**62, so no sum wraps or leaves the
-        signed 64-bit range; else in exact ints, range-checked."""
+        With X the stamps' t2 + t3 - t1 - t4 less the correction c in force
+        (the last step's, at t2, t3 and the landing alike), a step's
+        correction is c - trunc((2c + X) / 2): the walk is that recurrence,
+        and the out-of-order test does not depend on c. All of it is in int64
+        while the reads and the noise come in int64 (each term below
+        clocks._SMALL), so that every correction lies within +-2**62 and no
+        sum wraps or leaves the signed 64-bit range; else in exact ints,
+        range-checked."""
         count, clock = len(at), self.clocks[node]
         if not count:
             return
@@ -564,33 +593,17 @@ class _Runner:
         unstepped = unstepped_readings(clock, np.concatenate((t2, t3, landing)))
         u2, u3, u_landing = unstepped[:count], unstepped[count:2 * count], unstepped[2 * count:]
         middle = whole(noise[:, 1:3])
-        a, b = u2 + middle[:, 0], u3 + middle[:, 1]   # the t2 and t3 stamps less the corrections in force
+        a, b = u2 + middle[:, 0], u3 + middle[:, 1]   # the t2 and t3 stamps less the correction in force
         x = a + b - first - last
-        exact, ok = x.dtype == object, last >= first
-        if np.all(at[1:] >= landing[:-1]):   # one exchange in flight at a time
-            ok &= b >= a
-            c = 0   # each step's correction in turn: -floor(X / 2), or -ceil(X / 2) when 2c + X < 0
-            taken = [c := -((xk + (2 * c + xk < 0)) >> 1) for xk in x[ok].tolist()]
-            in_force = (np.cumsum(ok) - ok,) * 3   # at t2, t3 and the landing: the steps before
-        else:
-            ends_ok, gap, x = ok.tolist(), (b - a).tolist(), x.tolist()
-            stepped, correction, ok, in_force = [], [0], [], []   # the steps' landings; the correction from each on
-            for k, instants in enumerate(np.stack((t2, t3, landing), axis=1).tolist()):
-                in_force.append([bisect_right(stepped, t) for t in instants])
-                p, q, r = (correction[i] for i in in_force[-1])
-                ok.append(ends_ok[k] and gap[k] + q - p >= 0)
-                if ok[-1]:
-                    v = p + q + x[k]
-                    stepped.append(instants[2])
-                    correction.append(r - ((v + (v < 0)) >> 1))
-            taken, in_force = correction[1:], np.array(in_force, dtype=np.intp).reshape(-1, 3).T
-            exact = exact or max(map(abs, taken), default=0) > 2**62
+        ok = (last >= first) & (b >= a)
+        c = 0   # each step's correction in turn: -floor(X / 2), or -ceil(X / 2) when 2c + X < 0
+        taken = [c := -((xk + (2 * c + xk < 0)) >> 1) for xk in x[ok].tolist()]
         steps = np.flatnonzero(ok)
         self.lost_sync += count - len(steps)
-        if exact:
+        if x.dtype == object:
             correction = np.array([0, *taken], dtype=object)
-            (c2, c3, c_landing), taken = (correction[i] for i in in_force), correction[1:]
-            _in_range(np.concatenate((u2 + c2, a + c2, u3 + c3, b + c3, (u_landing + c_landing)[steps],
+            before, taken = correction[np.cumsum(ok) - ok], correction[1:]   # in force at t2, t3 and the landing
+            _in_range(np.concatenate((u2 + before, a + before, u3 + before, b + before, (u_landing + before)[steps],
                                       u_landing[steps] + taken)))
         else:
             taken = np.array(taken, dtype=np.int64)
@@ -632,21 +645,15 @@ class _Runner:
         set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)
 
     def twoway_syncs(self, bs: str, device: str) -> None:
-        """``device``'s exchanges with ``bs``, at most one in flight: a heard
-        round sends one unless it starts before the previous exchange lands
-        (or the run ends first). Under DEDICATED_TWO_WAY each heard round has
-        a pair of extra delays, forward and back, all drawn at once from
-        ``exchange_delay/{device}``, and the k-th exchange sent takes pair k.
-        The stamp noise of every exchange sent, t1 to t4 each, is one draw
-        from ``exchange/{device}``. An exchange steps the device when the
-        measured offset has travelled back to it: one propagation delay after
-        t4."""
+        """``device``'s exchanges with ``bs`` (twoway), over the rounds it
+        hears. Under DEDICATED_TWO_WAY each heard round has a pair of extra
+        delays, forward and back, all drawn at once from
+        ``exchange_delay/{device}``, and the k-th exchange sent takes pair k."""
         plan, extra = self.plan, self.config.link.extra_delay
-        prop = self.prop(bs, device)
         rounds = self.rounds(plan.resync_period)
-        heard = np.flatnonzero(heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob)).tolist()
+        heard = np.flatnonzero(heard_rounds(self.seed, device, len(rounds), self.config.link.loss_prob))
         self.lost_sync += len(rounds) - len(heard)
-        delays = np.zeros((len(heard), 2), dtype=np.int64)   # the k-th exchange sent takes the k-th pair
+        delays = np.zeros((len(heard), 2), dtype=np.int64)
         if plan.enabler is Enabler.DEDICATED_TWO_WAY and extra.kind != "none":
             # dynamically scheduled signaling: an independent queueing draw in
             # each direction, which is exactly what makes the path asymmetric.
@@ -654,26 +661,7 @@ class _Runner:
             # an exchange with such a delay lands after the run
             delays = np.minimum(extra.draw(derive_stream(self.seed, f"exchange_delay/{device}"), 2 * len(heard)),
                                 2**62).astype(np.int64, copy=False).reshape(-1, 2)
-        extra_spans = iter(delays.sum(axis=1, dtype=np.uint64).tolist())
-        span = 3 * prop + plan.turnaround   # from an exchange's start to its landing, but for the extra delays
-        sent, landing = [], 0   # the starts of the exchanges sent; the last one's landing
-        for round_no in heard:
-            at = rounds[round_no]
-            if at >= landing:
-                landing = at + span + next(extra_spans)
-                if landing > self.duration:
-                    break
-                sent.append(at)
-        if not sent:
-            return
-        count, at = len(sent), np.array(sent, dtype=np.int64)
-        forward, back = prop + delays[:count, 0], prop + delays[:count, 1]
-        sigma = _stamp_sigmas(self.clocks[bs].params.stamp_noise_sigma, self.clocks[device].params.stamp_noise_sigma,
-                              count)
-        noise = np.zeros((count, 4))
-        if sigma.any():
-            noise = derive_stream(self.seed, f"exchange/{device}").gauss_ticks(sigma)
-        self.exchanges(bs, device, at, forward, back, at + forward + plan.turnaround + back + prop, noise)
+        self.twoway(bs, device, (heard * plan.resync_period).tolist(), delays)
 
     def relay(self, gateway: str) -> None:
         """Each legacy device of ``gateway`` adopts every reading the gateway

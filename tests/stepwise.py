@@ -4,7 +4,8 @@ A run computes each clock's readings first and installs them all with one
 clocks.set_readings call. The references here step a clock one step at a
 time instead: SteppingClock.set reads the clock as stepped so far and takes
 one step, twoway_exchange stamps one exchange off the clocks as stepped so
-far, and OneAtATime runs BS alignment and the two-way exchanges that way.
+far, and OneAtATime runs BS alignment, SIB16 landings and the two-way
+exchanges that way.
 The tests pin the passes against them.
 """
 
@@ -15,9 +16,10 @@ from airsync.config import BsAlignmentMode, Enabler
 from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError
 from airsync.protocols import (
-    ExchangeRecord, RibsMode, compute_ta_initial, delay_estimate_from_index, measure_rtt, twoway_offset,
+    ExchangeRecord, RibsMode, StampMode, compute_ta_initial, delay_estimate_from_index, measure_rtt,
+    quantize_broadcast_time, twoway_offset,
 )
-from airsync.scenario import _Runner, heard_rounds
+from airsync.scenario import _Runner, heard_rounds, ta_indices
 from airsync.timebase import INT64_MAX, INT64_MIN
 
 
@@ -92,9 +94,10 @@ def ribs_align(bs_a, inter_bs_delay: int, rng, helper_ta_index=None, at: int = 0
 
 
 class OneAtATime(_Runner):
-    """A run whose BS alignment and two-way exchanges step each clock one
-    step at a time, in round order, each exchange stamped by twoway_exchange
-    off the clocks as stepped so far. Its clocks are SteppingClocks."""
+    """A run whose BS alignment, SIB16 landings and two-way exchanges step
+    each clock one step at a time, in round order, each stamp read off the
+    clocks as stepped so far and each draw taken as it is used. Its clocks
+    are SteppingClocks."""
 
     def __init__(self, scenario, duration):
         super().__init__(scenario, duration)
@@ -104,28 +107,80 @@ class OneAtATime(_Runner):
         align = self.plan.bs_alignment
         rounds = self.rounds(align.realign_period) if align.realign_period else range(1)
         for i, bs in enumerate(self.base_stations):
-            for round_no, at in enumerate(rounds):
-                if align.mode is BsAlignmentMode.RIBS and i > 0:
-                    self.ribs_sync(self.base_stations[0], bs, round_no, at)
-                else:
-                    self.clocks[bs].set(at, at + (align.error if i > 0 else 0))
+            if align.mode is BsAlignmentMode.RIBS and i > 0:
+                self.ribs_sync(self.base_stations[0], bs, rounds)
+                continue
+            for at in rounds:
+                self.clocks[bs].set(at, at + (align.error if i > 0 else 0))
 
-    def ribs_sync(self, anchor, bs, round_no, at):
+    def ribs_sync(self, anchor, bs, rounds):
+        """``bs``'s RIBS rounds one at a time. A listening round stamps the
+        anchor with the next noise of ``ribs/{bs}`` and, under LISTEN_TA,
+        measures the helper's RTT with the next draws of ``ribs_helper/{bs}``.
+        A two-way round sends unless an exchange is in flight, stamping with
+        the next noise of ``exchange/{bs}``."""
         mode = self.plan.bs_alignment.ribs_mode
         prop = self.prop(anchor, bs)
-        landing = at + prop + (self.plan.turnaround + 2 * prop if mode is RibsMode.TWO_WAY else 0)
-        if landing > self.duration:
+        noise = derive_stream(self.seed, f"ribs/{bs}")
+        helper = derive_stream(self.seed, f"ribs_helper/{bs}")
+        exchange = derive_stream(self.seed, f"exchange/{bs}")
+        landing = 0
+        for at in rounds:
+            if mode is RibsMode.TWO_WAY:
+                if at < landing:
+                    continue
+                landing = at + 3 * prop + self.plan.turnaround
+                if landing > self.duration:
+                    return
+                self.twoway_step(anchor, bs, at, prop, prop, exchange, landing)
+                continue
+            if at + prop > self.duration:
+                return
+            helper_index = None
+            if mode is RibsMode.LISTEN_TA:
+                rtt = measure_rtt(prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob, helper)
+                helper_index = compute_ta_initial(rtt).value
+            self.clocks[bs].set(*ribs_align(self.clocks[anchor], prop, noise, helper_index, at))
+
+    def sib_syncs(self, bs):
+        """Landing by landing. Each round draws its scheduling delay from
+        ``sib/{bs}``, in round order. Each device draws its losses one round
+        at a time and lists the rounds it lands, in (arrival, round) order.
+        The BS then stamps each round some device lands, in (sent_at, round)
+        order, with the next noise of ``sib/{bs}``, and each device in turn
+        lands its rounds (land), each with the TA index in force then."""
+        devices = self.attached[bs]
+        if not devices:
             return
-        rng = derive_stream(self.seed, f"ribs/{bs}/{round_no}")
-        if mode is RibsMode.TWO_WAY:
-            self.twoway_step(anchor, bs, at, prop, prop, rng, landing)
-            return
-        helper_index = None
-        if mode is RibsMode.LISTEN_TA:
-            rtt = measure_rtt(prop, self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob,
-                              derive_stream(self.seed, f"ribs_helper/{bs}/{round_no}"))
-            helper_index = compute_ta_initial(rtt).value
-        self.clocks[bs].set(*ribs_align(self.clocks[anchor], prop, rng, helper_index, at))
+        plan, loss_prob = self.plan, self.config.link.loss_prob
+        rng = derive_stream(self.seed, f"sib/{bs}")
+        rounds = self.rounds(plan.resync_period)
+        window = plan.sib.si_window
+        sent = [at + (rng.integers(0, window + 1) if window else 0) for at in rounds]
+        lands = {}
+        for device in devices:
+            heard = range(len(rounds))
+            if loss_prob:
+                loss = derive_stream(self.seed, f"loss/{device}")
+                heard = [round_no for round_no in heard if loss.random() >= loss_prob]
+                self.lost_sync += len(rounds) - len(heard)
+            prop = self.prop(bs, device)
+            lands[device] = sorted((sent[r] + prop, r) for r in heard if sent[r] + prop <= self.duration)
+        landed = sorted({(sent[r], r) for landings in lands.values() for _, r in landings})
+        stamped = {r: stamp(self.clocks[bs], rounds[r] if plan.sib.stamp_mode is StampMode.AT_SCHEDULE else sent_at,
+                            rng)
+                   for sent_at, r in landed}
+        for device in devices:
+            ta = ta_indices(self.seed, device, self.prop(bs, device), self.duration, plan.ta_timer_period,
+                            plan.ta_noise_sigma, plan.ta_wrong_bin_prob)
+            self.ta_index[device] = ta[-1]
+            for arrival, r in lands[device]:
+                self.land(device, arrival, quantize_broadcast_time(stamped[r], plan.sib.granularity)
+                          + delay_estimate_from_index(ta[arrival // plan.ta_timer_period]))
+
+    def land(self, device, at, reading):
+        """``device`` adopts a broadcast's ``reading`` on landing at ``at``."""
+        self.clocks[device].set(at, reading)
 
     def twoway_step(self, initiator, node, at, delay_forward, delay_back, rng, landing):
         """``node`` steps at ``landing`` by the offset the exchange measured,

@@ -25,21 +25,21 @@ RUNS = {
 SHA256 = {
     "run-single-bs": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "36c9939539154f81b750020de50f795e2445bfe8710f7242049b508e8f37f096",
-        "report.json": "802041b154a81772b253b8ffaa95a55af7e66e921c318482e9f23ee53d346f54",
-        "trace.json": "3d4e16217aad9af8113aab3c8f73b9b960862077b91f18120d3ecd90180747d0",
+        "report.csv": "27a953c17d6894a5b0a890b6697dcf79ed0683caa79e7071c5e7e40f4dc63835",
+        "report.json": "bccc3293867f36ac977b2919ea6c352d7fb7c71ce97e883bd6a7a46294fadd97",
+        "trace.json": "4353f3866771ac063e0a0bf9d0999b0fc43e6a26529740e760c0e2dab361ca1e",
     },
     "run-two-bs": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "d66122ac7972472f32a924e3672e8a9fce46f1e208d5633762d7490fe4ad003a",
-        "report.json": "aae1e36fa43be15404f9daea42532c42b43a146f8cf03d5c4a9ad557f02a3012",
-        "trace.json": "e2702e85bd554e1ebc702a9cdb9a0624195150612fd6716aabf48ce77b671591",
+        "report.csv": "de8f8de822b9d6dc0e75928a2604e9420f01c13c95553ad82401f06c414849a5",
+        "report.json": "5fb167ee57f79702efd0a6a69a0c05a8e8a3441f8bfadf63f17391ef9e70ea8e",
+        "trace.json": "f79e9a35487fdc94a69ce796269f948f1531275d133e7e0ae66b5fae0a165e0e",
     },
     "run-pmu-fault": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "994a3a0de24f27c2d506bd3606c7107f6eac8048720806bad1b471c4686d54ca",
-        "report.json": "2d64358425dea12eed76f76ca85b62322d6481251e20941d1545b6c6d5a3329c",
-        "trace.json": "56a2930b152e6e55a487f1925c93c8f36b1a6b2df0dfc745531953b651485ed9",
+        "report.csv": "d3aa4830ef30306749be95b73865ebedc3a86c8c4d53275160714868aa8448a1",
+        "report.json": "3160a007aab5ee376ae7d20f1af9d3a4a34825871d3702beb92d0e30cbb02400",
+        "trace.json": "97337aedc891eb29990dfff8010509030ddc42e0cc1169ab2243b76e866bcba2",
     },
     "run-heterogeneous": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
@@ -49,13 +49,13 @@ SHA256 = {
     },
     "sweep-pmu": {
         "manifest.json": "f6f680c0b54d5d89308bf3fc470c9636778d0f75b176378bbd2b63e0f4facade",
-        "sweep.csv": "ef338748c458c5ec0f091422fc4c30b6b7c4fec11f7c6fbea84872cf36799b60",
-        "sweep.json": "a5bf965eb926252e13d6f18d361305f1526fc3cdedcaf17f059c3cc7667aa018",
+        "sweep.csv": "eb4d8d5c975e8bbce2be5943ff4bd216369d140efa96eeb547e9d95bc8bcd07f",
+        "sweep.json": "54d5422a1f244927597020c8a803626d80e2b247c8c90fe9340e31df58d08f45",
     },
     "sweep-sib": {
         "manifest.json": "f6f680c0b54d5d89308bf3fc470c9636778d0f75b176378bbd2b63e0f4facade",
-        "sweep.csv": "f7cb768989445a0086105fbdc5e7052820c8173b27f2ce86279bf2b57cae6098",
-        "sweep.json": "10b785aed0041b7992091d5fdf4729f947ad58bc1039594f141f3bba14a0cf0a",
+        "sweep.csv": "0da18ae91a3686b60fc3004573289acc153b62b45716c32afe8c7c7dfd72b1fe",
+        "sweep.json": "238fd7283b43c93fe85a6582adc437dc55a923cf76fb8cc533e2c27fe5f97db1",
     },
 }
 

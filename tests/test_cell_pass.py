@@ -14,8 +14,8 @@ from airsync.clocks import ClockParams, stamp
 from airsync.config import Role, validate_config
 from airsync.engine import derive_stream
 from airsync.errors import TickOverflowError
-from airsync.protocols import delay_estimate_from_index, gw_relay_sync, quantize_broadcast_time, sib16_broadcast
-from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario, ta_indices
+from airsync.protocols import gw_relay_sync
+from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario
 from airsync.timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_SECOND
 from stepwise import OneAtATime, SteppingClock, steps_of
 
@@ -35,12 +35,10 @@ class _Logged(SteppingClock):
 
 
 class _LandingByLanding(OneAtATime):
-    """A run whose SIB16 pass sets each landing on its own: each device in
-    turn draws its losses one round at a time, then lands its rounds in
-    (arrival, round) order with SteppingClock.set, and a gateway relays each
-    reading it adopts as it lands, one relay draw at a time. Every clock
-    logs its own steps as they are set, so ``rows`` is the correction log
-    as the steps were taken, BS alignment included."""
+    """A run whose SIB16 pass sets each landing on its own (OneAtATime), and
+    whose gateways relay each reading they adopt as it lands, one relay draw
+    at a time. Every clock logs its own steps as they are set, so ``rows``
+    is the correction log as the steps were taken, BS alignment included."""
 
     def __init__(self, scenario, duration):
         super().__init__(scenario, duration)
@@ -59,38 +57,12 @@ class _LandingByLanding(OneAtATime):
     def relay(self, gateway):
         pass   # done landing by landing
 
-    def sib_syncs(self, bs):
-        if not self.attached[bs]:
-            return
-        broadcasts = []
-        for round_no, at in enumerate(self.rounds(self.plan.resync_period)):
-            rng = derive_stream(self.seed, f"sib/{bs}/{round_no}")
-            broadcasts.append((sib16_broadcast(self.plan.sib.si_window, self.plan.sib.stamp_mode, rng, at), rng))
-        stamped = {}
-        loss_prob = self.config.link.loss_prob
-        for device in self.attached[bs]:
-            ta = ta_indices(self.seed, device, self.prop(bs, device), self.duration, self.plan.ta_timer_period,
-                            self.plan.ta_noise_sigma, self.plan.ta_wrong_bin_prob)
-            self.ta_index[device] = ta[-1]
-            heard = list(range(len(broadcasts)))
-            if loss_prob:
-                loss = derive_stream(self.seed, f"loss/{device}")
-                heard = [round_no for round_no in heard if loss.random() >= loss_prob]
-                self.lost_sync += len(broadcasts) - len(heard)
-            prop = self.prop(bs, device)
-            for arrival, round_no in sorted((broadcasts[r][0].sent_at + prop, r) for r in heard):
-                if arrival > self.duration:
-                    break
-                broadcast, rng = broadcasts[round_no]
-                if round_no not in stamped:
-                    stamped[round_no] = stamp(self.clocks[bs], broadcast.stamped_at, rng)
-                reading = (quantize_broadcast_time(stamped[round_no], self.plan.sib.granularity)
-                           + delay_estimate_from_index(ta[arrival // self.plan.ta_timer_period]))
-                self.clocks[device].set(arrival, reading)
-                for child in self.relays.get(device, ()):
-                    relayed = gw_relay_sync(np.array([reading], dtype=object), self.plan.gw_relay_sigma,
-                                            self.relay_streams[child])
-                    self.clocks[child].set(arrival, relayed.item())
+    def land(self, device, at, reading):
+        super().land(device, at, reading)
+        for child in self.relays.get(device, ()):
+            relayed = gw_relay_sync(np.array([reading], dtype=object), self.plan.gw_relay_sigma,
+                                    self.relay_streams[child])
+            self.clocks[child].set(at, relayed.item())
 
 
 def _clock(draw, noise):

@@ -156,7 +156,7 @@ def test_run_at_the_edge_of_the_model_range_runs(tmp_path, edit):
 
 
 MANIFEST_SHA256 = "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b"
-NO_DELIVERY_TRACE_SHA256 = "2892cf3b787c359ad3fbaa59da8ae6c89f5b558b81b5f1579cc8ea6db6fa76f8"
+NO_DELIVERY_TRACE_SHA256 = "ade37925773d59c8da3cdf21c8175fe1f563c524654c28dcdde60a74f3ff95f9"
 
 # single-bs.yaml under an extra delay: the digests are those of the files
 # written when every delay and stamp was drawn one at a time
@@ -164,26 +164,26 @@ DELAYED = {
     # no command survives these; an int64 wrap or float cast in the arrivals
     # would count them as delivered
     "uniform-int64": ({"dist": "uniform", "low": 0, "high": f"{INT64_MAX - 1} ticks"}, {
-        "report.csv": "d8e4ad506d1951fffde505ef39506e1d8d77f35aa27b8b0c7f4254512f36f806",
-        "report.json": "50ce59a323cbae65cc9f1ab194a5e5bcc7498c2d5b0a7f74b2c9a198873678c5",
+        "report.csv": "673d3255a34d5494861ade5b71932ec9c150e5b62fbe0d539119ebe8a200118a",
+        "report.json": "99bbf2f45b8b134af7048172891b5d7ebd91c3a73a8b8b55ddba1986445d6481",
         "trace.json": NO_DELIVERY_TRACE_SHA256,
     }),
     "normal-1e19": ({"dist": "normal", "mean": 1e19, "sigma": 10}, {
-        "report.csv": "70dae5768b7ef4ec2a8be12e78f5218dccae5ca3f352b8127beabee1991b0532",
-        "report.json": "bf76fb35056b22014757c4cda283df0460b20231546a3ca97e7be1a8ca5f5552",
+        "report.csv": "9b806b9611bb5e02d9352b0b75658b8fd5eaa613227f191e325dbaf97818cd6f",
+        "report.json": "43a104061f5d77d6d4cf397dcfa46db7fd13ea2b71eed4fd39b73a09148d6148",
         "trace.json": NO_DELIVERY_TRACE_SHA256,
     }),
     # delays wider than the command period reorder each target's arrivals, and
     # some land past the run's end; stamps follow each target's arrival order
     "uniform-reordering": ({"dist": "uniform", "low": "10 ms", "high": "400 ms"}, {
-        "report.csv": "ef39f5d4b9a66d60c2f5c73ff172388a38cb7a75625de4f8fd35f957b71f98f0",
-        "report.json": "8cc9f686d4b7462cc87a0e34cf193ddfb06c4783d5be06b5027897124571ce7a",
-        "trace.json": "e285a55b0b8c25735c019bcd3fbaff106ad97500ff26062c2adc6a95e7b9b79a",
+        "report.csv": "570ec8ee3fd278472912e73310f48d4c24c0cfdf3fd884972ed46a9db72a9e00",
+        "report.json": "d284fbbef6ee199c1aa6f9e08dfda323eac42eab615c49d9f21befe35f1826d5",
+        "trace.json": "eb1001a70185242f057a4389a1b2a9147b87ec32c549c37511526ac0dd6f2d3d",
     }),
     "normal-reordering": ({"dist": "normal", "mean": "3 ms", "sigma": "2 ms"}, {
-        "report.csv": "4f0e31f21dae61e6f62bb6ddec6034d931046f4d39c7a424ff984db638c6a877",
-        "report.json": "d29ca6aa3c46df9a3d87b9fdcbef522a68ce9bb1025faac976f9461951148f7a",
-        "trace.json": "004b1c61db5a6a9fdfbe974bc00fe5f87e9799a0a44d4d53a5446b86be7cada7",
+        "report.csv": "5cc32e6ae303639daddba1fceaa41d5d1702739cb4651672514bcc998930fe30",
+        "report.json": "1f47b4a997b9480a5c6ab8ba2bef540752b6d1015af107b411755ea148f20732",
+        "trace.json": "2b2f50717a870b8165474556460c2e940c65b3bccaf8c5643fcebabbfd289bad",
     }),
 }
 
@@ -765,7 +765,7 @@ def test_sweep_runs_seed_sequence_once_per_seed_and_label(tmp_path, monkeypatch,
         outputs.append((tmp_path / name / "sweep.json").read_bytes())
     counts = Counter(derived)
     cell = [n for (_, label), n in counts.items() if label.startswith(("sib/", "loss/", "ta/"))]
-    assert cell == [1] * 22   # 2 seeds x (7 rounds' sib/, 2 loss/, 2 ta/): once per schedule
+    assert cell == [1] * 10   # 2 seeds x (sib/bs1, 2 loss/, 2 ta/): once per schedule
     assert sorted(counts.values())[len(cell):] == [4] * 4   # 2 seeds x (init/ue1, delivery_stamp/ue1): once per point
     assert len(constructed) == len(counts)
     assert outputs[0] == outputs[1]

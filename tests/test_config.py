@@ -4,6 +4,7 @@ import ast
 import copy
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,10 @@ from airsync.config import (
     set_config_value,
     validate_config,
 )
-from airsync.engine import derive_stream
 from airsync.errors import InvalidConfigError, TickOverflowError
 from airsync.metrics import build_report
 from airsync.protocols import (
-    ExchangeRecord, RibsMode, StampMode, compute_ta_initial, sib16_broadcast, twoway_offset,
+    ExchangeRecord, RibsMode, StampMode, compute_ta_initial, twoway_offset,
 )
 from airsync.scenario import BaseStationSide, build_scenario, cell_schedule, run_scenario
 from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
@@ -419,7 +419,6 @@ def one_record_of_each_type() -> dict:
         scenario, scenario.clocks["ue"], trace, trace.stepped[0], trace.stepped[0].trajectory, trace.corrections[0],
         trace.fault, report, report.verdicts[0],
         compute_ta_initial(100), exchange, twoway_offset(exchange),
-        sib16_broadcast(plan.sib.si_window, plan.sib.stamp_mode, derive_stream(0, "sib"), 0),
         cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,
                       0, 0, plan.ta_timer_period, 0, 0),
         BaseStationSide((trace.stepped[0].trajectory,), (frozenset(),), 0),
@@ -464,6 +463,35 @@ def test_only_clocks_converts_to_exact_ints():
                     and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "int"):
                 converting.add(module.name)
     assert converting == {"clocks.py"}
+
+
+def _stream_labels(tree: ast.AST) -> list[str]:
+    """The label of each derive_stream call in ``tree``: an f-string's text
+    with each replacement field written as {}, any other expression as its
+    source."""
+    labels = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "derive_stream":
+            label = node.args[1]
+            labels.append("".join(part.value if isinstance(part, ast.Constant) else "{}" for part in label.values)
+                          if isinstance(label, ast.JoinedStr) else ast.unparse(label))
+    return labels
+
+
+NODE_LABEL = re.compile(r"[a-z_]+/\{\}")   # "{kind}/{node}"
+
+
+def test_every_stream_label_names_a_kind_and_a_node():
+    """A stream is derived per (kind, node), never per round or index: one
+    stream per node draws each distribution in bulk."""
+    src = Path(__file__).resolve().parent.parent / "src" / "airsync"
+    labels = [label for module in sorted(src.glob("*.py"))
+              for label in _stream_labels(ast.parse(module.read_text(encoding="utf-8")))]
+    assert len(labels) >= 10
+    assert [label for label in labels if not NODE_LABEL.fullmatch(label)] == []
+    for per_round in ('derive_stream(seed, f"sib/{bs}/{round_no}")', 'derive_stream(seed, f"ribs/{bs}" + str(k))',
+                      'engine.derive_stream(seed, "sib/bs1/0")'):
+        assert not NODE_LABEL.fullmatch(_stream_labels(ast.parse(per_round))[0]), per_round
 
 
 # --- every config that validates runs ----------------------------------------------

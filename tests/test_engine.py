@@ -80,3 +80,42 @@ def test_a_label_derived_again_after_eviction_matches_the_reference():
     for i in range(2):   # evicted, so derived from the digest again; then a hit
         assert _draws(derive_stream(5, "ue1/ta"), i) == _draws(_list_entropy_generator(5, "ue1/ta"), i)
     assert cache.cache_info().misses == misses + 1
+
+
+_PIN_SIGMA = np.array([[31.0, 0.0, 308.0], [308.0, 31.0, 0.0]])
+
+
+def _pin_stream():
+    return derive_stream(2026, "pin/bs1")
+
+
+def test_numpy_keeps_its_random_streams():
+    """The first draws of each RngStream method on one label, each form of a
+    call from a fresh stream: every seeded output rests on them."""
+    drawn = {
+        "random": [_pin_stream().random(), *_pin_stream().random(3).tolist()],
+        "uniform": [_pin_stream().uniform(-5, 5)],
+        "normal": [_pin_stream().normal(1.0, 2.0), *_pin_stream().normal(1.0, 2.0, 3).tolist()],
+        "integers": [_pin_stream().integers(0, 307201), *_pin_stream().integers(0, 307201, 3).tolist()],
+        "gauss_ticks": [_pin_stream().gauss_ticks(308), *_pin_stream().gauss_ticks(308.0, 3).tolist(),
+                        *_pin_stream().gauss_ticks(_PIN_SIGMA).ravel().tolist()],
+    }
+    assert drawn == {
+        "random": [0.4343292588047539, 0.4343292588047539, 0.3210786963212583, 0.6289018382626993],
+        "uniform": [-0.6567074119524605],
+        "normal": [-0.17604629782517023, -0.17604629782517023, 0.10996391075025125, 0.9292731415270651],
+        "integers": [80590, 80590, 133426, 43659],
+        "gauss_ticks": [-181, -181.0, -137.0, -11.0, -18.0, 0.0, -137.0, -11.0, -36.0, 0.0],
+    }, "numpy changed its random streams"
+
+
+def test_bulk_draws_are_the_successive_scalar_draws():
+    """A run draws each distribution of a node in one call; the one-at-a-time
+    references draw the same values one call each."""
+    for bulk, scalar in [
+        (lambda s: s.gauss_ticks(308.0, 5), lambda s: [s.gauss_ticks(308.0) for _ in range(5)]),
+        (lambda s: s.gauss_ticks(_PIN_SIGMA), lambda s: [s.gauss_ticks(v) for v in _PIN_SIGMA.ravel().tolist()]),
+        (lambda s: s.integers(0, 307201, 5), lambda s: [s.integers(0, 307201) for _ in range(5)]),
+        (lambda s: s.random(5), lambda s: [s.random() for _ in range(5)]),
+    ]:
+        assert bulk(_pin_stream()).ravel().tolist() == scalar(_pin_stream()), "numpy changed its random streams"

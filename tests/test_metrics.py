@@ -320,7 +320,7 @@ def _summary(stats):
     ([_REF], 0, {}, None),
     ([_REF, _BS1, {"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [300, 0],
                    "clock": {"theta0": "-70000 ticks", "skew_ppm": -3.0}}],
-     42, {"bs1": (61.0, 123.0, 21), "ue1": (70922.0, 71843.0, 21)}, (70922.0, 71843.0, 21)),
+     42, {"bs1": (61.0, 123.0, 21), "ue1": (50271312.0, 50272233.0, 21)}, (50271312.0, 50272233.0, 21)),
     ([_REF, _BS1, {"id": "bs2", "role": "base_station", "position": [900, 0],
                    "clock": {"theta0": "2000 ticks", "skew_ppm": 1.5}}],
      42, {"bs1": (61.0, 123.0, 21), "bs2": (461.0, 922.0, 21)}, None),

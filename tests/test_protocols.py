@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, stamp, whole
+from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, local_time, whole
 from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from airsync.protocols import (
@@ -23,7 +23,6 @@ from airsync.protocols import (
     measure_rtt,
     one_way_delay_estimate,
     quantize_broadcast_time,
-    sib16_broadcast,
     twoway_offset,
 )
 from airsync.timebase import (
@@ -36,6 +35,7 @@ from airsync.timebase import (
     propagation_ticks,
     ticks_to_ns,
 )
+from airsync.scenario import cell_schedule
 from stepwise import SteppingClock, ribs_align, twoway_exchange
 
 US = TICKS_PER_US
@@ -204,21 +204,40 @@ def _sib(granularity=0, si_window=0, mode=StampMode.AT_TRANSMIT, periodicity=80 
                      si_window=si_window, stamp_mode=mode)
 
 
-def _sib_cycle(bs_clock, sib, ta_index, link_delay, rng, at=0):
-    """One broadcast, stamped by the BS: when a UE adopts it, and its reading
-    then, the quantized stamp plus the TA one-way estimate."""
-    broadcast = sib16_broadcast(sib.si_window, sib.stamp_mode, rng, at)
-    bs_value = stamp(bs_clock, broadcast.stamped_at, rng)
-    return (broadcast.sent_at + link_delay,
-            quantize_broadcast_time(bs_value, sib.granularity) + delay_estimate_from_index(ta_index))
+def _sib_cycle(bs_clock, sib, link_delay, seed, at):
+    """The broadcast of a cell's round at ``at``, its second (rounds come
+    ``at`` apart), as cell_schedule draws it from ``sib/bs`` for a UE
+    ``link_delay`` away with an exact TA measurement: when the UE adopts it,
+    and its reading then, the quantized BS stamp plus the TA one-way
+    estimate."""
+    duration = at + sib.si_window + link_delay   # both rounds land
+    schedule = cell_schedule(seed, "bs", ("ue",), (link_delay,), duration, at, sib.si_window, sib.stamp_mode,
+                             bs_clock.params.stamp_noise_sigma, 0, duration + 1, 0, 0)
+    assert schedule.landed.tolist() == [0, 1]
+    bs_value = local_time(bs_clock, int(schedule.stamped_at[1])) + int(schedule.noise[1])
+    return int(schedule.at[1]), quantize_broadcast_time(bs_value, sib.granularity) + int(schedule.ta_delay[1])
+
+
+@pytest.mark.parametrize("mode", StampMode)
+def test_a_round_is_sent_within_its_si_window_and_stamped_as_its_mode_says(mode):
+    # 31 rounds 10 ms apart, each sent after a uniform delay in [0, 4 ms]:
+    # at_schedule stamps the BS clock at the round's start, at_transmit when
+    # it is sent. Every round lands (the UE sits at the BS, and the run ends
+    # one window after the last round), in the order sent
+    window, period = 4 * MS, 10 * MS
+    schedule = cell_schedule(5, "bs", ("ue",), (0,), 300 * MS + window, period, window, mode, 0, 0, 500 * MS, 0, 0)
+    delay = derive_stream(5, "sib/bs").integers(0, window + 1, 31)   # replay
+    sent = np.arange(31) * period + delay
+    assert schedule.at.tolist() == sent.tolist()
+    assert schedule.stamped_at.tolist() == (sent - delay if mode is StampMode.AT_SCHEDULE else sent).tolist()
+    assert 0 <= delay.min() and delay.max() <= window and len(set(delay.tolist())) == 31
 
 
 def test_sib_cycle_ideal_is_exact():
     # no quantization, stamp at transmit, delay exactly on the 8*Ts grid
     tau = 3 * HALF_TA_STEP_TICKS * 2  # 3 full TA steps
-    index = compute_ta_initial(2 * tau).value
     ue = SteppingClock(params=ClockParams(theta0=5000))
-    arrival, reading = _sib_cycle(ideal_clock(), _sib(), index, tau, derive_stream(0, "sib-ideal"), at=10 * MS)
+    arrival, reading = _sib_cycle(ideal_clock(), _sib(), tau, 0, at=10 * MS)
     assert (arrival, reading) == (10 * MS + tau, 10 * MS + tau)
     assert ue.set(arrival, reading) == 5000
     assert clock_error(ue, arrival) == 0
@@ -231,7 +250,7 @@ def test_sib_cycle_quantization_mean_half_granularity():
     errors = []
     for k in range(200):
         at = 100 * MS + k * (g // 200)
-        result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 0, derive_stream(0, "sib-quant"), at=at)
+        result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 0, at=at)
         errors.append(-error_after(result))
     assert all(0 <= e < g for e in errors)
     assert abs(np.mean(errors) - g / 2) / (g / 2) < 0.02
@@ -243,53 +262,46 @@ def test_sib_cycle_granularity_plus_ta_bound_exhaustive():
     bound = g + HALF_TA_STEP_TICKS
     at = 987_654_321
     for tau in range(0, TA_STEP_TICKS, 97):
-        index = compute_ta_initial(2 * tau).value
-        result = _sib_cycle(ideal_clock(), _sib(granularity=g), index, tau, derive_stream(0, "sib-bound"), at=at)
+        result = _sib_cycle(ideal_clock(), _sib(granularity=g), tau, 0, at=at)
         assert abs(error_after(result)) < bound
 
 
 def test_sib_cycle_error_decomposition():
     # each error source isolated matches its analytic value exactly, and the
-    # combined case matches the sum of the terms
+    # combined case matches the sum of the terms. The cell draws both rounds'
+    # scheduling delays from sib/bs, then both rounds' stamp noise: the
+    # round at ``at`` takes the second of each
     at = 400 * MS + 1234
     bs_sigma = 500.0
 
     # quantization only
     g = US
-    result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 0, derive_stream(0, "d1"), at=at)
+    result = _sib_cycle(ideal_clock(), _sib(granularity=g), 0, 1, at=at)
     assert error_after(result) == -(at % g)
 
     # scheduling only (stamp at schedule time, window > 0)
     window = 7 * MS
-    seed_label = (9, "d2")
-    result = _sib_cycle(
-        ideal_clock(), _sib(si_window=window, mode=StampMode.AT_SCHEDULE), 0, 0, derive_stream(*seed_label), at=at,
-    )
-    sched = derive_stream(*seed_label).integers(0, window + 1)  # replay the draw
+    result = _sib_cycle(ideal_clock(), _sib(si_window=window, mode=StampMode.AT_SCHEDULE), 0, 9, at=at)
+    sched = derive_stream(9, "sib/bs").integers(0, window + 1, 2)[1]  # replay the draw
     assert error_after(result) == -sched
 
     # TA residual only
     tau = 5 * TA_STEP_TICKS + 3000
     index = compute_ta_initial(2 * tau).value
-    result = _sib_cycle(ideal_clock(), _sib(), index, tau, derive_stream(0, "d3"), at=at)
+    result = _sib_cycle(ideal_clock(), _sib(), tau, 3, at=at)
     assert error_after(result) == -(tau - delay_estimate_from_index(index))
 
     # stamp noise only
-    seed_label = (11, "d4")
     bs = ClockState(params=ClockParams(stamp_noise_sigma=bs_sigma))
-    result = _sib_cycle(bs, _sib(), 0, 0, derive_stream(*seed_label), at=at)
-    noise = derive_stream(*seed_label).gauss_ticks(bs_sigma)
+    result = _sib_cycle(bs, _sib(), 0, 11, at=at)
+    noise = derive_stream(11, "sib/bs").gauss_ticks(bs_sigma, 2)[1]
     assert error_after(result) == noise
 
     # all sources together (AT_SCHEDULE): error = noise - sched - quant - residual
-    seed_label = (13, "d5")
-    result = _sib_cycle(
-        bs, _sib(granularity=g, si_window=window, mode=StampMode.AT_SCHEDULE),
-        index, tau, derive_stream(*seed_label), at=at,
-    )
-    replay = derive_stream(*seed_label)
-    sched = replay.integers(0, window + 1)
-    noise = replay.gauss_ticks(bs_sigma)
+    result = _sib_cycle(bs, _sib(granularity=g, si_window=window, mode=StampMode.AT_SCHEDULE), tau, 13, at=at)
+    replay = derive_stream(13, "sib/bs")
+    sched = replay.integers(0, window + 1, 2)[1]
+    noise = replay.gauss_ticks(bs_sigma, 2)[1]
     stamped = at + noise
     expected = noise - (stamped % g) - sched - (tau - delay_estimate_from_index(index))
     assert error_after(result) == expected

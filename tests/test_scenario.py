@@ -388,13 +388,14 @@ def test_overlapping_sib_rounds_each_land_their_own_broadcast():
                             sib={"granularity": 0, "si_window": "40 ms", "stamp_mode": "at_transmit"})
     cfg = validate_config(raw)
     trace = run_scenario(build_scenario(cfg), cfg.duration)
-    landings = {}
-    for k in range(cfg.duration // (5 * MS) + 1):
-        rng = derive_stream(cfg.seed, f"sib/bs1/{k}")   # replay: scheduling delay, then stamp noise
-        landing = k * 5 * MS + rng.integers(0, 40 * MS + 1) + TA_STEP_TICKS
-        landings[landing] = (k, rng.gauss_ticks(300))
+    # replay: every round's scheduling delay, then the stamp noise of the
+    # rounds that land, in the order they are sent
+    rng = derive_stream(cfg.seed, "sib/bs1")
+    sent = [k * 5 * MS + rng.integers(0, 40 * MS + 1) for k in range(cfg.duration // (5 * MS) + 1)]
+    landings = {at + TA_STEP_TICKS: (k, rng.gauss_ticks(300))
+                for at, k in sorted((at, k) for k, at in enumerate(sent)) if at + TA_STEP_TICKS <= cfg.duration}
     syncs = [c for c in trace.corrections if c.node == "ue1"]
-    assert [c.t_true for c in syncs] == sorted(t for t in landings if t <= cfg.duration)
+    assert [c.t_true for c in syncs] == sorted(landings)
     assert [c.error_after for c in syncs] == [landings[c.t_true][1] for c in syncs]
     assert [c.delta for c in syncs[1:]] == [a.error_after - b.error_after for a, b in zip(syncs, syncs[1:])]
     rounds = [landings[c.t_true][0] for c in syncs]
@@ -453,8 +454,38 @@ def test_each_stream_label_derived_once_per_run(cfg, monkeypatch, fresh_caches):
     # every other label once more
     first = Counter(labels)
     run_scenario(scenario, cfg.duration)
-    kept = {label for label in first if label.startswith(("sib/", "loss/", "ta/", "ribs/", "ribs_helper/"))}
+    base_stations = {node.id for node in cfg.nodes.values() if node.role is Role.BASE_STATION}
+    kept = {label for label in first   # a cell's schedule's, and the BS side's (exchange/ of a two-way RIBS BS)
+            if label.startswith(("sib/", "loss/", "ta/")) or label.partition("/")[2] in base_stations}
     assert labels == first + Counter(label for label in first if label not in kept)
+
+
+@pytest.mark.parametrize("ribs_mode, ribs_labels", [
+    ("listen_only", {"ribs": 1}), ("listen_ta", {"ribs": 1, "ribs_helper": 1}), ("two_way", {"exchange": 1}),
+])
+def test_stream_derivations_do_not_grow_with_the_rounds(ribs_mode, ribs_labels, monkeypatch, fresh_caches):
+    # two SIB16 cells, bs2 RIBS-aligned to bs1, at two horizons with 11 and
+    # 101 rounds of each kind: every draw site derives one stream per
+    # (kind, node), so each label kind is derived as often at both
+    derive = scenario_module.derive_stream
+    counts = []
+    for duration in ("100 ms", "1000 ms"):
+        raw = base_config(duration=duration, link={"loss_prob": 0.1})
+        raw["nodes"][1]["clock"] = {"stamp_noise": 31}
+        raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [600, 0],
+                                "clock": {"stamp_noise": 31}})
+        raw["nodes"].append({"id": "ue3", "role": "ue", "attach_to": "bs2", "position": [900, 0]})
+        raw["sync_plan"].update(resync_period="10 ms", ta_noise_sigma=200, ta_wrong_bin_prob=0.1,
+                                sib={"granularity": "1 us", "si_window": "5 ms", "stamp_mode": "at_transmit"},
+                                bs_alignment={"mode": "ribs", "ribs_mode": ribs_mode, "realign_period": "10 ms"})
+        cfg = validate_config(raw)
+        scenario = build_scenario(cfg)
+        kinds = Counter()
+        monkeypatch.setattr(scenario_module, "derive_stream",
+                            lambda seed, label: kinds.update([label.partition("/")[0]]) or derive(seed, label))
+        run_scenario(scenario, cfg.duration)
+        counts.append(kinds)
+    assert counts[0] == counts[1] == {"sib": 2, "loss": 3, "ta": 3, **ribs_labels}
 
 
 def test_init_streams_derived_only_for_a_clock_with_a_range(monkeypatch, fresh_caches):

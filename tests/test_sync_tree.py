@@ -37,22 +37,22 @@ CORPUS_SIZE = PAIRS * len(VARIANTS)
 # redrawn(). The kept configs' digests were computed with the heap-scheduled
 # event loop that the parent-first evaluation replaced; except
 # overlapping_rounds, whose two-way configs keep one exchange in flight where
-# the loop let exchanges overlap (its ta_sib16 configs give the loop's values).
-# The redrawn configs' digests date from the move of the two-way extra delays
-# onto their own label and of the two-way RIBS step to t4 plus one
-# propagation delay; one exchange at a time (tests/stepwise.py) gives them too
+# the loop let exchanges overlap. The redrawn configs' digests date from the
+# move of a SIB16 cell's broadcasts and a RIBS BS's rounds onto one stream per
+# BS, and of two-way RIBS onto one exchange in flight; one exchange (and one
+# SIB16 landing) at a time (tests/stepwise.py) gives them too
 CORPUS_SHA256 = {
     "colocated_lossy": {
-        "kept": "1ed61a1d5beefbf086c3d3f8e311306f55cfa3052e2e8218d1f18ecd9135c904",
-        "redrawn": "427d425f49fc845c893a104030ae20bd315e66cea73de6272d413d9f1f89dd08",
+        "kept": "76ff2e3ee433eeb340f84427dd4352fd64f4160507332cf237976b80a1942a4f",
+        "redrawn": "b1790f9df10d7e5cad78dda6eb5d030029fe70268e81239cbdfc575f8248fe4c",
     },
     "overlapping_rounds": {
-        "kept": "84d605d3536f14d77bc56f3d9a0fccd17e5c89f9985681105a94747c9cae82d7",
-        "redrawn": "7a2d6efd02a689f3f82cffa5bbdc0a5b35a028da5df75855e8c0cd5e31e1e0be",
+        "kept": "a61a6d50bd56faa25a0e6956ddba3c0760a5049b089180dcbbe6ce78959cf6b2",
+        "redrawn": "86a1158a7ff9cdbd27d35bad55a1b0c4d962247fb3335c56528d2e2ddbcdf572",
     },
     "gateway_domain_and_pmus": {
-        "kept": "2aa09a370e54011fb8d28e8541de7e57db130e3400cd962f5f43637fec2209f5",
-        "redrawn": "221d6f12e20be605313b9a40bbd41867e94174737705052eca8de5210f60ed9a",
+        "kept": "8568d2f9eb09501985dafe2e3a61eb8a19df3d95967a80b9234f60e0e8b5b85e",
+        "redrawn": "ef0675eee3247da27d7a1ac6c15d84ffc6f1930b682a3c9600df395631cec857",
     },
 }
 
@@ -148,16 +148,17 @@ def run_raw(raw: dict):
 
 
 def redrawn(index: int) -> bool:
-    """Whether config ``index`` of the corpus draws two-way extra delays
-    (dedicated_two_way with a delay of nonzero width) or aligns bs2 by a
-    two-way RIBS exchange across a distance: the configs whose values moved
-    when those delays left ``exchange/{device}`` for their own label and a
-    two-way RIBS step moved from t4 to t4 plus one propagation delay."""
+    """Whether config ``index`` of the corpus runs a SIB16 cell, aligns bs2
+    by RIBS, or draws two-way extra delays (dedicated_two_way with a delay of
+    nonzero width): the configs whose values moved when a cell's broadcasts
+    and a RIBS BS's rounds each came to draw from one stream (and two-way
+    RIBS to keep one exchange in flight), or earlier, when the extra delays
+    left ``exchange/{device}`` for their own label."""
     raw = corpus_config(index)
     plan, delay = raw["sync_plan"], raw["link"]["extra_delay"]
     draws = delay["dist"] == "normal" or delay["high"] != "0 ms"
-    across = plan["bs_alignment"].get("ribs_mode") == "two_way" and raw["nodes"][2]["position"] != [0, 0]
-    return (plan["enabler"] == "dedicated_two_way" and draws) or across
+    return (plan["enabler"] == "ta_sib16" or plan["bs_alignment"]["mode"] == "ribs"
+            or (plan["enabler"] == "dedicated_two_way" and draws))
 
 
 def corpus_digest(variant: str, part: str, run) -> str:
@@ -180,10 +181,11 @@ def test_corpus_covers_every_enabler_alignment_and_variant():
         align = plan["bs_alignment"]
         seen[plan["enabler"], align["mode"], align.get("ribs_mode"), index // PAIRS] += 1
     assert len(seen) == CORPUS_SIZE >= 40
-    # the kept part holds every ta_sib16 config but two-way RIBS across a
-    # distance, and every delay-free two-way one
-    kept = Counter(corpus_config(index)["sync_plan"]["enabler"] for index in range(CORPUS_SIZE) if not redrawn(index))
-    assert kept == {"ta_sib16": 13, "ribs_ue": 13, "dedicated_two_way": 4}
+    # the kept part holds the two-way configs under steered BSs that draw no
+    # extra delay, some in every variant
+    kept = Counter((corpus_config(index)["sync_plan"]["enabler"], index // PAIRS)
+                   for index in range(CORPUS_SIZE) if not redrawn(index))
+    assert kept == {("ribs_ue", 0): 2, ("ribs_ue", 1): 2, ("ribs_ue", 2): 2, ("dedicated_two_way", 2): 1}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -251,7 +253,7 @@ def test_a_gateway_landing_two_rounds_at_one_tick_relays_each_in_turn():
     # up to 6 ticks late, so two rounds may reach gw1 (at bs1) at one tick.
     # Each of gw1's steps comes just before its relays of it: with no
     # wired-domain noise a relay reads what that step set. Seed 0 lands two
-    # rounds at one tick three times
+    # rounds at one tick three times, and three rounds once
     raw = {"schema_version": 1, "seed": 0, "duration": "40 ticks", "sampling_grid": "1 ticks", "nodes": [
         {"id": "ref", "role": "reference"},
         {"id": "bs1", "role": "base_station", "position": [0, 0]},
@@ -265,8 +267,8 @@ def test_a_gateway_landing_two_rounds_at_one_tick_relays_each_in_turn():
         at_tick[c.t_true].append((c.node, c.error_after))
     twice = {tick: rows for tick, rows in at_tick.items() if len(rows) > 3}
     assert twice == {
-        tick: [("gw1", first), ("ld1", first), ("ld2", first), ("gw1", second), ("ld1", second), ("ld2", second)]
-        for tick, first, second in ((2, -2, 0), (14, -2, 0), (31, -5, -1))
+        tick: [(node, error) for error in errors for node in ("gw1", "ld1", "ld2")]
+        for tick, errors in ((5, (-3, -1)), (14, (-4, -2)), (32, (-6, -4, -2)), (37, (-3, -1)))
     }
 
 
@@ -381,14 +383,36 @@ def test_a_two_way_ribs_step_lands_one_propagation_delay_after_t4():
     assert len(steps) == 5
 
 
+def test_two_way_ribs_rounds_shorter_than_an_exchange_remove_the_offset_once():
+    # bs2 sits at bs1, 10 us ahead, and realigns by two-way RIBS every
+    # 500 us, half an exchange (the 1 ms turnaround). A round that starts
+    # while an exchange is in flight sends nothing and is no lost sync, so
+    # each exchange measures what the one before left: bs2 steps every 1 ms
+    # and reads true time from the first landing on. Two exchanges in flight
+    # would both remove the 10 us, and bs2 would swing around true time
+    raw = one_cell({}, {}, sync_plan={"enabler": "ta_sib16", "bs_alignment": {
+        "mode": "ribs", "ribs_mode": "two_way", "realign_period": "500 us"}})
+    raw["sampling_grid"] = "100 us"
+    raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [0, 0], "clock": {"theta0": "10 us"}})
+    cfg = validate_config(raw)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
+    bs2 = trace.errors[:, trace.sampled.index("bs2")]
+    assert bs2[trace.instants < MS].tolist() == [10 * TICKS_PER_US] * 10
+    assert bs2[trace.instants >= MS].tolist() == [0] * 191
+    assert [c.t_true for c in trace.corrections if c.node == "bs2"] == list(range(MS, cfg.duration + 1, MS))
+    assert trace.lost_sync == 0
+
+
 def test_a_ribs_exchange_with_reversed_stamps_steps_nothing_and_the_next_round_still_steps():
     # bs2 sits at bs1 and realigns by two-way RIBS every 4 ms. Both BSs read
     # exactly true time plus their phase, so a round's stamps are out of order
     # only by its stamp noise: t4 - t1 = 1 ms + n4 - n1, t3 - t2 = 1 ms + n3 - n2.
     # With 5 ms of noise many rounds are; each steps nothing and is a lost sync,
-    # and the rounds after it still step bs2 when their exchange completes
+    # and the rounds after it still step bs2 when their exchange completes.
+    # Seed 7 reverses the first, third and fourth of its five rounds
     raw = one_cell({"stamp_noise": "5 ms"}, {}, sync_plan={"enabler": "ta_sib16", "bs_alignment": {
         "mode": "ribs", "ribs_mode": "two_way", "realign_period": "4 ms"}})
+    raw["seed"] = 7
     raw["nodes"].insert(2, {"id": "bs2", "role": "base_station", "position": [0, 0],
                             "clock": {"theta0": "3 us", "stamp_noise": "5 ms"}})
     cfg = validate_config(raw)
@@ -396,11 +420,10 @@ def test_a_ribs_exchange_with_reversed_stamps_steps_nothing_and_the_next_round_s
     trace = run_scenario(scenario, cfg.duration)
     sigma = scenario.clocks["bs2"].stamp_noise_sigma
     starts = range(0, cfg.duration - MS + 1, 4 * MS)
-    in_order = []
-    for round_no in range(len(starts)):
-        rng = derive_stream(cfg.seed, f"ribs/bs2/{round_no}")
-        n1, n2, n3, n4 = (rng.gauss_ticks(sigma) for _ in range(4))
-        in_order.append(MS + n4 - n1 >= 0 and MS + n3 - n2 >= 0)
+    # replay: the t1 to t4 noise of every round, one draw from exchange/bs2
+    # (both BSs' stamp noise is 5 ms)
+    noise = derive_stream(cfg.seed, "exchange/bs2").gauss_ticks(sigma, (len(starts), 4))
+    in_order = [MS + n4 - n1 >= 0 and MS + n3 - n2 >= 0 for n1, n2, n3, n4 in noise.tolist()]
     assert any(not this and following for this, following in zip(in_order, in_order[1:]))
     steps = [c for c in trace.corrections if c.node == "bs2"]
     assert [c.t_true for c in steps] == [at + MS for at, ok in zip(starts, in_order) if ok]
