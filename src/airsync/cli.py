@@ -414,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     presets = sub.add_parser("presets", help="list built-in requirement presets")
-    presets.add_argument("action", nargs="?", default="list", choices=["list"])
     presets.add_argument("--json", action="store_true", help="machine-readable output")
     presets.set_defaults(func=cmd_presets)
 

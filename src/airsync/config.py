@@ -29,7 +29,7 @@ from .engine import RngStream
 from .errors import InvalidConfigError, TickOverflowError
 from .metrics import BUILTIN_PRESETS, RequirementPreset
 from .protocols import RibsMode, SibConfig, StampMode
-from .timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_SECOND, parse_ticks
+from .timebase import INT64_MAX, MAX_TICKS, TICKS_PER_MS, TICKS_PER_SECOND, parse_ticks
 
 SCHEMA_VERSION = 1
 
@@ -114,19 +114,30 @@ def _bounded(parse: Callable, bound: int, unit: str = "ticks") -> Callable:
     return parse_bounded
 
 
-def _nonnegative_ticks(value: Any, path: str) -> float:
-    """A mean or std dev: bare numbers are ticks (fractional ok), strings exact."""
+def _nonnegative_ticks(value: Any, path: str, bound: float = math.inf) -> float:
+    """A mean or std dev of at most ``bound``: bare numbers are ticks
+    (fractional ok), strings exact. The bound is checked on the value as
+    given, before the float it becomes could round it onto the bound."""
     if isinstance(value, bool):
         raise InvalidConfigError(path, "expected a number or time quantity")
     if isinstance(value, (int, float)):
-        sigma = _number(value, path)
-        if sigma < 0:
+        _number(value, path)   # finite
+        ticks = value
+        if ticks < 0:
             raise InvalidConfigError(path, "must be >= 0")
-        return sigma
-    return float(_time(value, path))
+    else:
+        ticks = _time(value, path)
+    if ticks > bound:
+        raise InvalidConfigError(path, f"must be <= {bound} ticks")
+    return float(ticks)
 
 
-_sigma = _bounded(_nonnegative_ticks, INT64_MAX)   # a normal draw with such a std dev is finite, whatever its mean
+def _sigma(value: Any, path: str) -> float:
+    return _nonnegative_ticks(value, path, INT64_MAX)   # a normal draw with such a std dev is finite, whatever its mean
+
+
+def _noise_sigma(value: Any, path: str) -> float:
+    return _nonnegative_ticks(value, path, MAX_TICKS)   # noise a reading sums (clocks.py)
 
 
 def _probability(value: Any, path: str) -> float:
@@ -295,7 +306,7 @@ _CLOCK = {
     "theta0": (0, _scalar_or_dist(_phase_offset, integer=True)),
     "skew_ppm": (0.0, _scalar_or_dist(_ppm)),
     "drift_per_s": (0.0, _scalar_or_dist(_number)),
-    "stamp_noise": (0, _sigma),
+    "stamp_noise": (0, _noise_sigma),
 }
 
 
@@ -432,13 +443,16 @@ class DelayDistribution(NamedTuple):
     sigma: float
 
     def draw(self, rng: RngStream, size: int) -> np.ndarray:
-        """``size`` successive delays in ticks: int64, or for normal float64
-        whole numbers, which may lie past the int64 range."""
+        """``size`` successive delays in ticks, as int64, each clipped at
+        2**62: past any instant a run reads, so such a delay moves its
+        arrival past the run either way."""
         if self.kind == "uniform":
-            return rng.integers(self.low, self.high + 1, size)
-        if self.kind == "normal":
-            return np.maximum(0.0, np.rint(rng.normal(self.mean, self.sigma, size)))
-        return np.zeros(size, dtype=np.int64)
+            delay = rng.integers(self.low, self.high + 1, size)
+        elif self.kind == "normal":
+            delay = np.maximum(0.0, np.rint(rng.normal(self.mean, self.sigma, size)))
+        else:
+            return np.zeros(size, dtype=np.int64)
+        return np.minimum(delay, 2**62).astype(np.int64, copy=False)
 
 
 _DELAY = {
@@ -478,7 +492,7 @@ def _parse_link(raw: Any, path: str) -> LinkModel:
 
 _SIB = {
     "stamp_mode": (StampMode.AT_TRANSMIT.value, _choice(_by_value(StampMode), "mode")),
-    "granularity": ("10 ms", _time),
+    "granularity": ("10 ms", _bounded(_time, MAX_TICKS)),
     "periodicity": ("80 ms", _time),
     "si_window": ("40 ms", _bounded(_time, INT64_MAX)),   # drawn as integers(0, si_window + 1)
 }
@@ -506,7 +520,7 @@ class BsAlignment(NamedTuple):
 
 _ALIGN = {
     "mode": ("perfect", _choice(_by_value(BsAlignmentMode), "mode", listed=False)),
-    "error": (0, lambda value, path: _time(value, path, allow_negative=True)),
+    "error": (0, _bounded(lambda value, path: _time(value, path, allow_negative=True), MAX_TICKS)),
     "ribs_mode": ("two_way", _choice(_by_value(RibsMode), "RIBS mode", listed=False)),
     "realign_period": (None, _optional(_time)),
 }
@@ -557,7 +571,7 @@ _PLAN = {
     "ta_wrong_bin_prob": (0.0, _probability),
     "sib": ({}, _parse_sib),
     "bs_alignment": ({}, _parse_alignment),
-    "gw_relay_sigma": (0, _sigma),
+    "gw_relay_sigma": (0, _noise_sigma),
 }
 
 
@@ -625,10 +639,6 @@ def _parse_probe(raw: Any, path: str) -> FaultProbe:
         raise InvalidConfigError(
             path, "need 0 <= fault_position_m <= line_length_m and positive speed"
         )
-    # the probe fires at or before duration <= INT64_MAX // 2, so each wave arrival fits int64
-    if length / speed * TICKS_PER_SECOND > INT64_MAX // 2:
-        raise InvalidConfigError(f"{path}.wave_speed_mps",
-                                 "crossing the line must take at most INT64_MAX // 2 ticks (about 4.75 years)")
     return FaultProbe(
         line_length_m=length,
         fault_position_m=position,
@@ -637,6 +647,20 @@ def _parse_probe(raw: Any, path: str) -> FaultProbe:
         at=s["at"],
         pmu_ids=s["pmu"],
     )
+
+
+def _last_wave_arrival(probe: FaultProbe, duration: int) -> int:
+    """When the fault wave reaches the farther line end, as
+    scenario.fault_wave_stamps rounds it: rejected past MAX_TICKS."""
+    if probe.at is not None and probe.at > duration:
+        raise InvalidConfigError("fault_probe.at", "must be within the run duration")
+    at = duration if probe.at is None else probe.at
+    farther = max(probe.fault_position_m, probe.line_length_m - probe.fault_position_m)
+    crossing = farther / probe.wave_speed_mps * TICKS_PER_SECOND
+    if not crossing < 2 * MAX_TICKS or at + round(crossing) > MAX_TICKS:   # inf or NaN first, then exactly
+        raise InvalidConfigError("fault_probe.wave_speed_mps",
+                                 f"the wave must reach both line ends by MAX_TICKS = {MAX_TICKS} ticks (about 81.4 h)")
+    return at + round(crossing)
 
 
 def _resolve_pmus(probe: FaultProbe, nodes: dict[str, Node]) -> FaultProbe:
@@ -724,29 +748,30 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     duration = top["duration"]
     sampling_grid = top["sampling_grid"]
-    if duration > INT64_MAX // 2:
-        raise InvalidConfigError("duration", "must not exceed INT64_MAX // 2 ticks (about 4.75 years)")
+    if duration > MAX_TICKS:
+        raise InvalidConfigError("duration", f"must not exceed MAX_TICKS = {MAX_TICKS} ticks (about 81.4 h)")
     if sampling_grid > duration:
         raise InvalidConfigError("sampling_grid", "must not exceed duration")
     seed = top["seed"]
     default_clocks = top["clock_defaults"]
     nodes = _parse_nodes(top["nodes"], "nodes", default_clocks)
-    limit = INT64_MAX - 2 * duration   # a phase within it keeps every reading of the run in int64
-    # a drift within it keeps its term of a reading, a/2 * t_s * t, in int64 up to t = duration
-    drift_limit = 2 * INT64_MAX * TICKS_PER_SECOND / duration**2
-    clocks = [(f"clock_defaults.{role}", spec) for role, spec in default_clocks.items()]
-    for path, clock in clocks + [(f"nodes[{i}].clock", node.clock) for i, node in enumerate(nodes)]:
-        theta0, drift = clock.theta0, clock.drift_a   # a fixed value leaves low = high = 0, a range leaves value = 0
-        if max(abs(theta0.value), abs(theta0.low), abs(theta0.high)) > limit:
-            raise InvalidConfigError(f"{path}.theta0", f"|theta0| must be <= INT64_MAX - 2 * duration = {limit}")
-        if max(abs(drift.value), abs(drift.low), abs(drift.high)) > drift_limit:
-            raise InvalidConfigError(f"{path}.drift_per_s", "|drift_per_s| must be <= 2 * INT64_MAX * "
-                                     f"TICKS_PER_SECOND / duration**2 = {drift_limit:.6g}")
     presets = top["presets"]
     workload = top["workload"]
     fault_probe = top["fault_probe"]
-    if fault_probe is not None and fault_probe.at is not None and fault_probe.at > duration:
-        raise InvalidConfigError("fault_probe.at", "must be within the run duration")
+    latest = duration   # the latest instant a clock is read
+    if fault_probe is not None:
+        latest = max(duration, _last_wave_arrival(fault_probe, duration))
+    # a drift within it keeps its term of a reading, a/2 * t_s * t, within MAX_TICKS up to t = latest
+    drift_limit = 2 * MAX_TICKS * TICKS_PER_SECOND / latest**2
+    clocks = [(f"clock_defaults.{role}", spec) for role, spec in default_clocks.items()]
+    for path, clock in clocks + [(f"nodes[{i}].clock", node.clock) for i, node in enumerate(nodes)]:
+        theta0, drift = clock.theta0, clock.drift_a   # a fixed value leaves low = high = 0, a range leaves value = 0
+        if max(abs(theta0.value), abs(theta0.low), abs(theta0.high)) > MAX_TICKS:
+            raise InvalidConfigError(f"{path}.theta0", f"|theta0| must be <= MAX_TICKS = {MAX_TICKS} ticks")
+        if max(abs(drift.value), abs(drift.low), abs(drift.high)) > drift_limit:
+            raise InvalidConfigError(f"{path}.drift_per_s", "|drift_per_s| must be <= 2 * MAX_TICKS * "
+                                     f"TICKS_PER_SECOND / T**2 = {drift_limit:.6g}, with T = {latest} ticks, "
+                                     "the latest instant a clock is read")
     link = top["link"]
     sync_plan = top["sync_plan"]
 

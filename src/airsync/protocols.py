@@ -23,7 +23,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .clocks import whole
 from .engine import RngStream
 from .errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from .timebase import TA_STEP_TICKS
@@ -220,7 +219,7 @@ class RibsMode(Enum):
 
 def gw_relay_sync(gw_readings: np.ndarray, local_domain_error_sigma: float, rng: RngStream) -> np.ndarray:
     """The readings a legacy device adopts as its gateway, just synced over
-    the air to read each of ``gw_readings`` (as whole() gives them) in turn,
-    relays its time into the wired domain: the gateway's own error plus a
-    Gaussian local-domain term, one draw after another from ``rng``."""
-    return gw_readings + whole(rng.gauss_ticks(local_domain_error_sigma, len(gw_readings)))
+    the air to read each of the int64 ``gw_readings`` in turn, relays its
+    time into the wired domain: the gateway's own error plus a Gaussian
+    local-domain term, one draw after another from ``rng``."""
+    return gw_readings + rng.gauss_ticks(local_domain_error_sigma, len(gw_readings)).astype(np.int64)

@@ -16,47 +16,44 @@ probe are then read from the finished clocks, all nodes at once, into the
 trace records. The trace keeps
 the finished trajectories of the clocks the sync tree steps, and the
 correction log is read off them only when it is asked for (trace.json and
-tests ask; the report does not).
-A step whose delta or error after it passes the signed 64-bit range is
-recorded as the clock installs it and raised once the sync phase is over.
+tests ask; the report does not). Every sum here is in int64: clocks.py says
+why none can wrap.
 
 A SIB16 cell's draws read no clock: which rounds each device hears and when
 they land, its TA indices, and the broadcasts' scheduling delays and BS
 stamp noise, each drawn in one call from the BS's one stream. cell_schedule
 computes them from the seed and the few config values they depend on, and
-keeps the last few schedules per process, so the points of a sweep whose
+the last few schedules are kept per process, so the points of a sweep whose
 value leaves them unchanged (the granularity, say) share them. The run then
 only reads the BS clock at the stamp instants, in one bulk read, quantizes,
 and installs the devices' readings. A cached schedule is what a fresh one
 would be, so the cache changes no draw and no output.
 
 The BS side is kept the same way. What BS alignment leaves (each BS's
-trajectory and overflow, and the syncs its RIBS rounds lost) depends only on
-hashable config values: the duration, the BSs (id, clock parameters,
-position), the alignment plan and, under RIBS alone, which draws, the seed
-and what its rounds take. A SIB16 cell's BS stamps depend on those, the
-cell's schedule and whether the granularity lies below clocks._SMALL. Both
-are kept per process under those keys, read-only and bounded in bytes, so
-the points of a granularity sweep step a steered BS once and read its stamps
-once per repetition seed; a run with a kept key installs them instead.
+trajectory, and the syncs its RIBS rounds lost) depends only on hashable
+config values: the duration, the BSs (id, clock parameters, position), the
+alignment plan and, under RIBS alone, which draws, the seed and what its
+rounds take. A SIB16 cell's BS stamps depend on those and the cell's
+schedule. Both are kept per process under those keys, read-only and bounded
+in bytes, so the points of a granularity sweep step a steered BS once and
+read its stamps once per repetition seed; a run with a kept key installs
+them instead.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from functools import cache, wraps
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .clocks import (
-    _SMALL, ClockParams, ClockState, Trajectory, _in_range, broadcast_stamps, clock_errors, read_steps,
-    set_readings, stamp, stamps, unstepped_readings, whole,
+    ClockParams, ClockState, Trajectory, clock_errors, read_steps, set_readings, stamp, stamps, unstepped_readings,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
-from .errors import TickOverflowError
 from .protocols import (
     RibsMode,
     StampMode,
@@ -68,7 +65,7 @@ from .protocols import (
     measure_rtt,
     quantize_broadcast_time,
 )
-from .timebase import INT64_MAX, TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
+from .timebase import TA_STEP_TICKS, TICKS_PER_SECOND, propagation_ticks
 
 
 class Scenario(NamedTuple):
@@ -260,11 +257,19 @@ class CellSchedule(NamedTuple):
     ta_delay: np.ndarray          # int64: the device's TA one-way estimate then
     landed: np.ndarray            # the index of its round among the landed rounds
     stamped_at: np.ndarray        # int64, per landed round: the true instant the BS stamps it
-    noise: np.ndarray             # float64, whole: the BS stamp noise then (a draw may pass int64)
+    noise: np.ndarray             # float64, whole: the BS stamp noise then
 
 
 _SCHEDULE_CACHE_SIZE = 64         # values each memo keeps per process (README, "Randomness")
 _SCHEDULE_CACHE_BYTES = 1 << 18   # the largest value kept, in array bytes: 64 keep at most 16 MiB
+
+
+def _grid(start: int, stop: int, step: int) -> np.ndarray:
+    """range(start, stop, step) as int64. np.arange would count its points
+    in float64, which drops the last one when it lies near 2**53. A step past
+    ``stop``, which may pass int64, leaves one point."""
+    count = len(range(start, stop, step))
+    return np.arange(count, dtype=np.int64) * min(step, stop) + start if count else np.empty(0, dtype=np.int64)
 
 
 def _frozen(array: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -307,29 +312,16 @@ class _Kept:
         self.entries.clear()
 
 
-def _keep_small(draw):
-    """``draw``, memoized in a _Kept."""
-    kept = _Kept()
-
-    @wraps(draw)
-    def cached(*args):
-        value = kept.get(args)
-        return kept.keep(args, draw(*args)) if value is None else value
-
-    cached.cache_clear = kept.cache_clear
-    cached.kept = kept.entries
-    return cached
+_SCHEDULES = _Kept()   # CellSchedules, under cell_schedule's arguments
 
 
-@_keep_small
 def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int, ...], duration: int,
                   resync_period: int, si_window: int, stamp_mode: StampMode, stamp_noise_sigma: float,
                   loss_prob: float, ta_timer_period: int, ta_noise_sigma: float,
                   ta_wrong_bin_prob: float) -> CellSchedule:
     """The schedule of ``bs``'s cell, whose ``devices`` lie ``props`` ticks
-    away: a pure function of its arguments, kept for the last
-    _SCHEDULE_CACHE_SIZE cells a process asked for whose arrays take at
-    most _SCHEDULE_CACHE_BYTES.
+    away: a pure function of its arguments, which _Runner.sib_syncs keeps in
+    _SCHEDULES.
 
     The cell's broadcasts are drawn once for the cell from ``sib/{bs}``:
     every round's scheduling delay in one call, then the BS stamp noise of
@@ -338,7 +330,7 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
     so slot k of the (slot x device) arrays is the k-th round of that order
     for all of them."""
     late = duration + 1
-    start = np.arange(0, late, resync_period, dtype=np.int64)
+    start = _grid(0, late, resync_period)
     rng = derive_stream(seed, f"sib/{bs}")
     delay = rng.integers(0, si_window + 1, len(start)) if si_window > 0 else 0
     # a send past the run is clipped to its end: that landing is past it either way
@@ -368,17 +360,16 @@ def cell_schedule(seed: int, bs: str, devices: tuple[str, ...], props: tuple[int
 
 
 class BaseStationSide(NamedTuple):
-    """What a run's BS alignment leaves: each BS's finished trajectory and
-    overflow, in config order, and the syncs its RIBS rounds lost. Every
-    array is read-only."""
+    """What a run's BS alignment leaves: each BS's finished trajectory, in
+    config order, and the syncs its RIBS rounds lost. Every array is
+    read-only."""
 
     trajectory: tuple[Trajectory, ...]
-    overflow: tuple[frozenset[str], ...]
     lost_sync: int
 
 
 _BS_SIDES = _Kept()    # BaseStationSides, under _Runner.base_station_key
-_BS_STAMPS = _Kept()   # a SIB16 cell's BS stamps, under its BS side's key, its schedule's and the grid's size
+_BS_STAMPS = _Kept()   # a SIB16 cell's BS stamps, under its BS side's key and its schedule's
 
 
 def _read_only(trajectory: Trajectory) -> Trajectory:
@@ -405,10 +396,7 @@ class _Runner:
     devices), so every node's steps are computed in time order from its
     parent's finished trajectory and installed at once. The observations
     read the clocks, and the trace keeps the stepped ones' trajectories for
-    its correction log. A step site only
-    records a step past the 64-bit range (ClockState.overflow); run raises
-    it after the sync phase, a delta before an error after, as building the
-    log there would.
+    its correction log.
 
     Every stream is one per (kind, node), ``{kind}/{node}``, derived at
     most once per run where the node's steps (or its deliveries, or the
@@ -417,7 +405,7 @@ class _Runner:
     ``exchange/``, ``delivery/`` or ``delivery_stamp/`` stream that would
     draw nothing is not derived. A SIB16 cell's labels (``sib/``, and its
     devices' ``loss/`` and ``ta/``) are derived by cell_schedule, once per
-    schedule in a process: a run whose cell has the same schedule as an
+    schedule kept in _SCHEDULES: a run whose cell has the same schedule as an
     earlier run's, such as another point of a sweep over the granularity,
     reuses it and derives none. Nor does a run whose BS side comes through
     _BS_SIDES derive a RIBS BS's ``ribs/``, ``ribs_helper/`` or
@@ -477,10 +465,10 @@ class _Runner:
             before = self.lost_sync
             self.step_base_stations()
             _BS_SIDES.keep(key, BaseStationSide(tuple(_read_only(clock.trajectory) for clock in clocks),
-                                                tuple(clock.overflow for clock in clocks), self.lost_sync - before))
+                                                self.lost_sync - before))
         else:
-            for clock, trajectory, overflow in zip(clocks, side.trajectory, side.overflow):
-                clock.trajectory, clock.overflow = trajectory, overflow
+            for clock, trajectory in zip(clocks, side.trajectory):
+                clock.trajectory = trajectory
             self.lost_sync += side.lost_sync
         self.side_key = key
 
@@ -490,13 +478,10 @@ class _Runner:
         FIXED_ERROR), or RIBS-aligns it to the anchor; the anchor goes first,
         since RIBS reads its finished trajectory."""
         align = self.plan.bs_alignment
-        rounds = np.arange(0, self.duration + 1, align.realign_period or self.duration + 1,   # or one, at 0
-                           dtype=np.int64)
+        rounds = _grid(0, self.duration + 1, align.realign_period or self.duration + 1)   # or one, at 0
         ribs = align.mode is BsAlignmentMode.RIBS
         steered = self.base_stations[:1] if ribs else self.base_stations
-        # a reading past int64 stays exact, for set_readings to reject
-        offset = np.array([0] + [align.error] * (len(steered) - 1),
-                          dtype=object if abs(align.error) > INT64_MAX - self.duration else np.int64)
+        offset = np.array([0] + [align.error] * (len(steered) - 1), dtype=np.int64)
         set_readings([self.clocks[bs] for bs in steered], np.repeat(np.arange(len(steered)), len(rounds)),
                      np.tile(rounds, len(steered)), (offset[:, None] + rounds).ravel())
         for bs in self.base_stations[1:] if ribs else ():
@@ -522,7 +507,7 @@ class _Runner:
             return
         anchor_clock = self.clocks[anchor]
         noise = derive_stream(self.seed, f"ribs/{bs}").gauss_ticks(anchor_clock.params.stamp_noise_sigma, len(at))
-        reading = broadcast_stamps(anchor_clock, at, noise, 0)
+        reading = stamps([anchor_clock], at[:, None], noise[:, None])[:, 0]
         if mode is RibsMode.LISTEN_TA:
             helper = derive_stream(self.seed, f"ribs_helper/{bs}")
             index = [compute_ta_initial(measure_rtt(prop, plan.ta_noise_sigma, plan.ta_wrong_bin_prob, helper)).value
@@ -571,44 +556,31 @@ class _Runner:
         that of the last exchange it stepped by. An exchange whose stamps come
         out of order (a step inside it, or stamp noise) steps nothing and
         counts as a lost sync; any other steps ``node`` at its landing by the
-        offset it measured, trunc(((t2 - t1) - (t4 - t3)) / 2). Each stamp is
-        range-checked as stamp() checks it, and so are the read and the
-        reading at each step.
+        offset it measured, trunc(((t2 - t1) - (t4 - t3)) / 2).
 
         With X the stamps' t2 + t3 - t1 - t4 less the correction c in force
         (the last step's, at t2, t3 and the landing alike), a step's
         correction is c - trunc((2c + X) / 2): the walk is that recurrence,
-        and the out-of-order test does not depend on c. All of it is in int64
-        while the reads and the noise come in int64 (each term below
-        clocks._SMALL), so that every correction lies within +-2**62 and no
-        sum wraps or leaves the signed 64-bit range; else in exact ints,
-        range-checked."""
+        and the out-of-order test does not depend on c."""
         count, clock = len(at), self.clocks[node]
         if not count:
             return
         t2 = at + forward
         t3 = t2 + self.plan.turnaround
-        ends = broadcast_stamps(self.clocks[initiator], np.concatenate((at, t3 + back)), noise[:, ::3].T.ravel(), 0)
-        first, last = ends[:count], ends[count:]   # the t1 and t4 stamps
+        ends = stamps([self.clocks[initiator]], np.concatenate((at, t3 + back))[:, None],
+                      noise[:, ::3].T.reshape(-1, 1))
+        first, last = ends[:count, 0], ends[count:, 0]   # the t1 and t4 stamps
         unstepped = unstepped_readings(clock, np.concatenate((t2, t3, landing)))
         u2, u3, u_landing = unstepped[:count], unstepped[count:2 * count], unstepped[2 * count:]
-        middle = whole(noise[:, 1:3])
+        middle = noise[:, 1:3].astype(np.int64)
         a, b = u2 + middle[:, 0], u3 + middle[:, 1]   # the t2 and t3 stamps less the correction in force
         x = a + b - first - last
         ok = (last >= first) & (b >= a)
         c = 0   # each step's correction in turn: -floor(X / 2), or -ceil(X / 2) when 2c + X < 0
-        taken = [c := -((xk + (2 * c + xk < 0)) >> 1) for xk in x[ok].tolist()]
+        taken = np.array([c := -((xk + (2 * c + xk < 0)) >> 1) for xk in x[ok].tolist()], dtype=np.int64)
         steps = np.flatnonzero(ok)
         self.lost_sync += count - len(steps)
-        if x.dtype == object:
-            correction = np.array([0, *taken], dtype=object)
-            before, taken = correction[np.cumsum(ok) - ok], correction[1:]   # in force at t2, t3 and the landing
-            _in_range(np.concatenate((u2 + before, a + before, u3 + before, b + before, (u_landing + before)[steps],
-                                      u_landing[steps] + taken)))
-        else:
-            taken = np.array(taken, dtype=np.int64)
-        set_readings([clock], np.zeros(len(steps), dtype=np.intp), landing[steps],
-                     (u_landing[steps] + taken).astype(np.int64, copy=False))
+        set_readings([clock], np.zeros(len(steps), dtype=np.intp), landing[steps], u_landing[steps] + taken)
 
     # -- per-device OTA sync --
 
@@ -619,10 +591,10 @@ class _Runner:
         with which TA estimate; the BS stamps each landed round once, and the
         readings are the quantized stamps plus those estimates.
 
-        The stamps are kept per process in _BS_STAMPS, read-only, under the BS
-        side's key, the schedule's and whether the granularity lies below
-        clocks._SMALL, its one effect on them; a run whose BS side did not come
-        through _BS_SIDES reads them afresh."""
+        The schedule is kept per process in _SCHEDULES under its arguments, and
+        the stamps in _BS_STAMPS, read-only, under the BS side's key and the
+        schedule's; a run whose BS side did not come through _BS_SIDES reads
+        them afresh."""
         devices = self.attached[bs]
         if not devices:
             return
@@ -630,17 +602,18 @@ class _Runner:
         args = (self.seed, bs, tuple(devices), tuple(self.prop(bs, device) for device in devices), self.duration,
                 plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode, clock.params.stamp_noise_sigma,
                 self.config.link.loss_prob, plan.ta_timer_period, plan.ta_noise_sigma, plan.ta_wrong_bin_prob)
-        schedule = cell_schedule(*args)
+        schedule = _SCHEDULES.get(args)
+        if schedule is None:
+            schedule = _SCHEDULES.keep(args, cell_schedule(*args))
         self.lost_sync += schedule.lost_sync
         self.ta_index.update(zip(devices, schedule.ta_index))
-        key = None if self.side_key is None else (*self.side_key, *args, plan.sib.granularity < _SMALL)
+        key = None if self.side_key is None else (*self.side_key, *args)
         stamped = None if key is None else _BS_STAMPS.get(key)
         if stamped is None:
-            stamped = broadcast_stamps(clock, schedule.stamped_at, schedule.noise, plan.sib.granularity)
+            stamped = stamps([clock], schedule.stamped_at[:, None], schedule.noise[:, None])[:, 0]
             stamped.flags.writeable = False
             if key is not None:
                 _BS_STAMPS.keep(key, stamped)
-        # int64 stamps leave room for the floor and a TA estimate; exact ints need none
         reading = quantize_broadcast_time(stamped, plan.sib.granularity)[schedule.landed] + schedule.ta_delay
         set_readings([self.clocks[node] for node in devices], schedule.device, schedule.at, reading)
 
@@ -656,12 +629,10 @@ class _Runner:
         delays = np.zeros((len(heard), 2), dtype=np.int64)
         if plan.enabler is Enabler.DEDICATED_TWO_WAY and extra.kind != "none":
             # dynamically scheduled signaling: an independent queueing draw in
-            # each direction, which is exactly what makes the path asymmetric.
-            # Clipped at 2**62 ticks, past any duration validate_config admits:
-            # an exchange with such a delay lands after the run
-            delays = np.minimum(extra.draw(derive_stream(self.seed, f"exchange_delay/{device}"), 2 * len(heard)),
-                                2**62).astype(np.int64, copy=False).reshape(-1, 2)
-        self.twoway(bs, device, (heard * plan.resync_period).tolist(), delays)
+            # each direction, which is exactly what makes the path asymmetric
+            delays = extra.draw(derive_stream(self.seed, f"exchange_delay/{device}"), 2 * len(heard)).reshape(-1, 2)
+        # a period past the run, which may pass int64, has one round, at 0
+        self.twoway(bs, device, (heard * min(plan.resync_period, self.duration + 1)).tolist(), delays)
 
     def relay(self, gateway: str) -> None:
         """Each legacy device of ``gateway`` adopts every reading the gateway
@@ -670,7 +641,7 @@ class _Runner:
         if not children:
             return
         _, at, _, error = read_steps([self.clocks[gateway]])
-        reading = whole(at) + error
+        reading = at + error
         relayed = [gw_relay_sync(reading, self.plan.gw_relay_sigma, derive_stream(self.seed, f"relay/{child}"))
                    for child in children]
         set_readings([self.clocks[child] for child in children], np.repeat(np.arange(len(children)), len(at)),
@@ -688,10 +659,7 @@ class _Runner:
                     self.twoway_syncs(bs, device)
             for device in self.attached[bs]:
                 self.relay(device)
-        for name in ("delta", "error_after"):
-            if any(name in clock.overflow for clock in self.clocks.values()):
-                raise TickOverflowError(f"a correction's {name} falls outside the signed 64-bit range")
-        instants = np.arange(0, self.duration + 1, self.config.sampling_grid, dtype=np.int64)
+        instants = _grid(0, self.duration + 1, self.config.sampling_grid)
         return RawTrace(
             sampled=self.sampled, instants=instants, errors=self.sample(instants),
             workload=self.config.workload, deliveries=self.deliver(), stepped=self.stepped(),
@@ -717,36 +685,31 @@ class _Runner:
     def sample(self, instants: np.ndarray) -> np.ndarray:
         """The (instants x sampled) error matrix: each sampled node's reading
         minus true time at each instant."""
-        errors, wrapped = clock_errors([self.clocks[node] for node in self.sampled], instants[:, None])
-        if len(wrapped):
-            raise TickOverflowError(f"clock error of {self.sampled[wrapped[0]]!r} outside the signed 64-bit range")
-        return errors
+        return clock_errors([self.clocks[node] for node in self.sampled], instants[:, None])
 
     def deliver(self) -> np.recarray:
         """Each workload command that arrives within the run, stamped by its
         target's clock on arrival; ordered by arrival, target, grid index.
 
         Each target's delays come from its own stream in grid order, and its
-        stamps from its own stream in its own arrival order. The targets are
-        the columns of (grid x target) arrays."""
+        stamp noise from its own stream in its own arrival order. The targets
+        are the columns of (grid x target) arrays; a command that is not
+        delivered is read at ``late`` and dropped."""
         workload = self.config.workload
         if workload is None:
             return NO_DELIVERIES
         targets, extra_delay = workload.targets, self.config.link.extra_delay
         late = self.duration + 1   # a later arrival is not delivered
-        grid = np.arange(workload.grid_phase, late, workload.command_period, dtype=np.int64)[:, None]
+        grid = _grid(workload.grid_phase, late, workload.command_period)[:, None]
         lead = np.array([min(self.prop(self.nodes[target].attach_to, target) if self.nodes[target].attach_to else 0,
                              late) for target in targets], dtype=np.int64)
         delay = 0
         if extra_delay.kind != "none":   # otherwise a delivery/ stream would draw nothing
             delay = np.empty((len(grid), len(targets)), dtype=np.int64)
             for j, target in enumerate(targets):
-                delay[:, j] = np.minimum(extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid)),
-                                         2**62)
+                delay[:, j] = extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid))
         # the propagation delay is clipped at the run's end and the extra delay at
-        # 2**62 ticks (past any duration validate_config admits), then at the room
-        # left, so a command arriving after the run lands at `late` and no int64 sum
-        # or cast can wrap
+        # the room left, so a command arriving after the run lands at `late`
         arrival = grid + lead + np.minimum(delay, self.duration - lead - grid + 1)
         del delay
         count = np.count_nonzero(arrival < late, axis=0)
@@ -757,9 +720,13 @@ class _Runner:
             arrival = np.take_along_axis(arrival, order, axis=0)
         stamped = np.arange(len(grid))[:, None] < count
         clocks = [self.clocks[target] for target in targets]
-        rngs = [derive_stream(self.seed, f"delivery_stamp/{target}") if n and clock.params.stamp_noise_sigma else None
-                for target, clock, n in zip(targets, clocks, count.tolist())]
-        local_stamp = stamps(clocks, arrival, rngs, where=stamped)
+        noise = np.zeros(arrival.shape)
+        for j, (target, clock, n) in enumerate(zip(targets, clocks, count.tolist())):
+            if n and clock.params.stamp_noise_sigma:
+                noise[:n, j] = derive_stream(self.seed, f"delivery_stamp/{target}").gauss_ticks(
+                    clock.params.stamp_noise_sigma, n)
+        local_stamp = stamps(clocks, arrival, noise)
+        del noise
         index, k = np.nonzero(stamped.T)   # in (target, arrival) order, which a stable sort keeps among ties
         del stamped
         cell = k * len(targets) + index   # flat index into the (grid x target) arrays

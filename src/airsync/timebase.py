@@ -25,6 +25,9 @@ HALF_TA_STEP_TICKS = TA_STEP_TICKS // 2
 UINT64_MAX = 2**64 - 1
 INT64_MAX = 2**63 - 1
 INT64_MIN = -(2**63)
+# the largest tick quantity a reading sums (about 81.4 h): validate_config bounds
+# each by it, so that the bulk readers' int64 sums cannot wrap (clocks.py)
+MAX_TICKS = 2**53
 
 LIGHT_SPEED_MPS = 3.0e8
 

@@ -36,7 +36,7 @@ def fresh_caches():
 
     def clear():
         engine._pcg64_seed_words.cache_clear()
-        scenario.cell_schedule.cache_clear()
+        scenario._SCHEDULES.cache_clear()
         scenario._BS_SIDES.cache_clear()
         scenario._BS_STAMPS.cache_clear()
         timebase._parse_text.cache_clear()

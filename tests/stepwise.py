@@ -11,7 +11,7 @@ The tests pin the passes against them.
 
 import numpy as np
 
-from airsync.clocks import ClockState, Trajectory, in_tick_range, local_time, stamp
+from airsync.clocks import ClockParams, ClockState, Trajectory, in_tick_range, local_time, stamp
 from airsync.config import BsAlignmentMode, Enabler
 from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError
@@ -20,15 +20,20 @@ from airsync.protocols import (
     quantize_broadcast_time, twoway_offset,
 )
 from airsync.scenario import _Runner, heard_rounds, ta_indices
-from airsync.timebase import INT64_MAX, INT64_MIN
 
 
 class SteppingClock(ClockState):
     """A ClockState that also takes one step at a time, rebuilding its
-    trajectory at each; ``installed_at`` and ``correction`` list its steps'
-    instants and the total correction in force from each on."""
+    trajectory at each, with its bases as exact Python ints (an object
+    array), so that no reference sum can wrap; ``installed_at`` and
+    ``correction`` list its steps' instants and the total correction in
+    force from each on."""
 
     __slots__ = ()
+
+    def __init__(self, params=ClockParams()):
+        self.params = params
+        self.trajectory = Trajectory(np.empty(0, dtype=np.int64), np.array([params.theta0], dtype=object))
 
     @property
     def installed_at(self) -> list[int]:
@@ -40,33 +45,24 @@ class SteppingClock(ClockState):
 
     def step(self, at: int, delta: int) -> None:
         """From true time ``at`` on, every reading drops by a further ``delta``."""
-        installed_at, base, reach = self.trajectory
+        installed_at, base = self.trajectory
         if len(installed_at) and at < installed_at[-1]:
             raise ValueError(f"step at {at} before the last step at {installed_at[-1]}")
-        after = int(base[-1]) - delta
-        reach = max(reach, abs(after))
         self.trajectory = Trajectory(np.array([*installed_at.tolist(), at], dtype=np.int64),
-                                     np.array([*base.tolist(), after], dtype=np.int64 if reach < 2**63 else object),
-                                     reach)
+                                     np.array([*base.tolist(), int(base[-1]) - delta], dtype=object))
 
     def set(self, at: int, reading: int) -> int:
         """Step the clock so that it reads ``reading`` at true time ``at``, and
-        return the step taken (the old reading then minus ``reading``),
-        recording in ``overflow`` a delta or error after past int64."""
+        return the step taken (the old reading then minus ``reading``)."""
         delta = local_time(self, at) - in_tick_range(reading)
         self.step(at, delta)
-        if not INT64_MIN <= delta <= INT64_MAX:
-            self.overflow |= {"delta"}
-        if not INT64_MIN <= reading - at <= INT64_MAX:
-            self.overflow |= {"error_after"}
         return delta
 
 
-def steps_of(clock) -> tuple[list[int], list[int], int]:
-    """A clock's trajectory as exact values: its step instants, its bases and
-    their reach."""
-    installed_at, base, reach = clock.trajectory
-    return installed_at.tolist(), base.tolist(), reach
+def steps_of(clock) -> tuple[list[int], list[int]]:
+    """A clock's trajectory as exact values: its step instants and its bases."""
+    installed_at, base = clock.trajectory
+    return installed_at.tolist(), base.tolist()
 
 
 def twoway_exchange(initiator, responder, at: int, delay_forward: int, delay_back: int, turnaround: int,

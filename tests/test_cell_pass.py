@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 from airsync.clocks import ClockParams, stamp
 from airsync.config import Role, validate_config
 from airsync.engine import derive_stream
-from airsync.errors import TickOverflowError
 from airsync.protocols import gw_relay_sync
 from airsync.scenario import BS_ALIGN, DELIVERY_DTYPE, GW_RELAY, SIB16, _Runner, build_scenario
-from airsync.timebase import INT64_MAX, TICKS_PER_MS, TICKS_PER_SECOND
+from airsync.timebase import MAX_TICKS, TICKS_PER_MS, TICKS_PER_SECOND
 from stepwise import OneAtATime, SteppingClock, steps_of
 
 
@@ -137,18 +136,19 @@ def test_the_cell_pass_equals_landing_by_landing(raw):
 
 
 def _twoway_clock(draw, duration: int) -> dict:
-    """An ordinary clock, or one at the int64 edges a ``duration``-tick run
-    validates: its phase, skew or drift at or near the limits, so that a
-    reading, a step or an unstepped reading may leave int64."""
-    noise = draw(st.sampled_from((0, 308, "1 ms")))   # 1 ms of noise reverses many exchanges' stamps
+    """An ordinary clock, or one at the edges a ``duration``-tick run
+    validates: its phase, skew, drift or stamp noise at or near the limits,
+    so that its readings, stamps and steps reach the bounds of the int64
+    sums (clocks.py)."""
     if draw(st.integers(0, 2)):   # one clock in three at the edges
         return {"theta0": f"{draw(st.integers(-10**6, 10**6))} ticks", "skew_ppm": draw(st.sampled_from((0, 3.5, -20))),
-                "drift_per_s": draw(st.sampled_from((0, 1e-7))), "stamp_noise": noise}
-    limit = INT64_MAX - 2 * duration
-    drift_limit = 2 * INT64_MAX * TICKS_PER_SECOND / duration**2
-    return {"theta0": f"{draw(st.sampled_from((limit, -limit)) | st.integers(-limit, limit))} ticks",
+                "drift_per_s": draw(st.sampled_from((0, 1e-7))),
+                "stamp_noise": draw(st.sampled_from((0, 308, "1 ms")))}   # 1 ms reverses many exchanges' stamps
+    drift_limit = 2 * MAX_TICKS * TICKS_PER_SECOND / duration**2
+    return {"theta0": f"{draw(st.sampled_from((MAX_TICKS, -MAX_TICKS)) | st.integers(-MAX_TICKS, MAX_TICKS))} ticks",
             "skew_ppm": draw(st.sampled_from((999.9, -999.9, 0))),
-            "drift_per_s": draw(st.sampled_from((0.0, drift_limit, -drift_limit, drift_limit / 3))), "stamp_noise": noise}
+            "drift_per_s": draw(st.sampled_from((0.0, drift_limit, -drift_limit, drift_limit / 3))),
+            "stamp_noise": f"{draw(st.sampled_from((0, MAX_TICKS)) | st.integers(0, MAX_TICKS))} ticks"}
 
 
 @st.composite
@@ -160,10 +160,11 @@ def twoway_runs(draw):
     500 us RIBS rounds overlap; a node may sit at its BS (no propagation
     delay), so that t4 shares a tick with a step of the BS."""
     duration = draw(st.integers(6, 40)) * TICKS_PER_MS
+    error = draw(st.sampled_from(("0.5 us", f"{MAX_TICKS} ticks", f"-{MAX_TICKS} ticks")))
     alignment = dict(draw(st.sampled_from(({"mode": "ribs", "ribs_mode": "two_way"},
                                            {"mode": "ribs", "ribs_mode": "listen_only"},
                                            {"mode": "ribs", "ribs_mode": "listen_ta"}, {"mode": "perfect"},
-                                           {"mode": "fixed_error", "error": "0.5 us"}))),
+                                           {"mode": "fixed_error", "error": error}))),
                      realign_period=draw(st.sampled_from(("500 us", "700 us", "1 ms", "2 ms", "5 ms"))))
     spot = lambda: draw(st.just([0, 0]) | st.tuples(st.integers(0, 3000), st.integers(-500, 500)).map(list))
     nodes = [{"id": "ref", "role": "reference"},
@@ -183,7 +184,7 @@ def twoway_runs(draw):
                                         {"dist": "normal", "mean": "1 ms", "sigma": "500 us"})))
     plan = {"enabler": draw(st.sampled_from(("dedicated_two_way", "ribs_ue", "ta_sib16"))),
             "resync_period": draw(st.sampled_from(("1 ms", "1500 us", "2 ms", "3 ms"))),
-            "gw_relay_sigma": draw(st.sampled_from((0, 922))), "bs_alignment": alignment}
+            "gw_relay_sigma": draw(st.sampled_from((0, 922, f"{MAX_TICKS} ticks"))), "bs_alignment": alignment}
     return {"schema_version": 1, "seed": draw(st.integers(0, 2**31)), "duration": f"{duration} ticks",
             "sampling_grid": "1 ms", "nodes": nodes, "sync_plan": plan,
             "link": {"loss_prob": draw(st.sampled_from((0, 0.3))), "extra_delay": extra_delay}}
@@ -191,15 +192,8 @@ def twoway_runs(draw):
 
 def _outcome(runner):
     """What a run gives: its trajectories, correction log, lost syncs and
-    errors; or, if a step passes int64, which column did and each clock's
-    trajectory and overflow (every clock has stepped by then); or only that
-    a read or a reading passed int64."""
-    try:
-        trace = runner.run()
-    except TickOverflowError as error:
-        if not str(error).startswith("a correction's"):
-            return "out of range"
-        return str(error), {node: (steps_of(c), c.overflow) for node, c in runner.clocks.items()}
+    errors."""
+    trace = runner.run()
     return ({node: steps_of(c) for node, c in runner.clocks.items()}, trace.correction_log.tolist(), trace.lost_sync,
             trace.errors.tolist())
 
@@ -228,45 +222,40 @@ _T = TICKS_PER_MS   # the turnaround
 # at 100 + _T, t4 at 200 + _T, and lands at 300 + _T; the second starts 1 tick later
 _SENT = ((0, 100, 100, 300 + _T), (301 + _T, 100, 100, 2 * (300 + _T) + 1))
 
+_NOISE = 14 * MAX_TICKS   # about the largest stamp noise a validated sigma draws (clocks.py)
+
 # initiator phase, responder phase, then per exchange its t1 to t4 noise
 EDGE_EXCHANGES = {
-    **{f"t{k + 1}-past-int64": (0, 0, [[INT64_MAX + 1 if i == k else 0 for i in range(4)]]) for k in range(4)},
-    # the read at the landing passes INT64_MAX, the reads at t2 and t3 do not
-    "read-at-landing": (0, INT64_MAX - (300 + _T) + 1, [[0, 0, 0, 0]]),
-    # t2 and t3 read 2**62 low, so the reading lies 2**62 above the initiator's 3 * 2**61
-    "reading": (3 * 2**61, 0, [[0, -(2**62), -(2**62), 0]]),
-    # a step of 3 * 2**62 to a reading in range: recorded, not raised
-    "delta": (-3 * 2**61, 3 * 2**61, [[0, 0, 0, 0]]),
-    # the first exchange steps the responder back from INT64_MAX; at the second
-    # its unstepped readings lie past int64 and its stepped ones far within
-    "unstepped-past-int64": (0, INT64_MAX - (300 + _T), [[0, 0, 0, 0], [0, 0, 0, 0]]),
+    # the responder's phase at its bound: its reads at t2, t3 and the landing the largest
+    "read-at-landing": (0, MAX_TICKS, [[0, 0, 0, 0]]),
+    # t2 and t3 read the largest noise low, t1 and t4 high, off a phase at its bound
+    "reading": (MAX_TICKS, 0, [[_NOISE, -_NOISE, -_NOISE, _NOISE]]),
+    # a step of 2 * MAX_TICKS, each phase at its bound
+    "delta": (-MAX_TICKS, MAX_TICKS, [[0, 0, 0, 0]]),
     # 5 ms of noise on t1 puts t4 before it: a lost sync, then a step
     "reversed": (0, 5000, [[5 * TICKS_PER_MS, 0, 0, 0], [0, 0, 0, 0]]),
 }
 
 
 def _exchange(runner, noise: list, exchange: str):
-    """ue1's trajectory and overflow, and the lost syncs, after bs1 starts
-    an exchange with it per entry of ``noise`` (the exchange's t1 to t4
-    stamp noise), at the instants _SENT gives: in one pass, or one exchange
-    at a time; or only that a stamp, a read or a reading passed int64."""
+    """ue1's trajectory, and the lost syncs, after bs1 starts an exchange
+    with it per entry of ``noise`` (the exchange's t1 to t4 stamp noise), at
+    the instants _SENT gives: in one pass, or one exchange at a time."""
     sent = [(*timing, tuple(n)) for timing, n in zip(_SENT, noise)]
-    try:
-        if exchange == "pass":
-            at, forward, back, landing = (np.array(column, dtype=np.int64) for column in zip(*_SENT[:len(noise)]))
-            runner.exchanges("bs1", "ue1", at, forward, back, landing, np.array(noise, dtype=float))
-        else:
-            for at, forward, back, landing, n in sent:
-                runner.twoway_step("bs1", "ue1", at, forward, back, _Drawn(n), landing)
-    except TickOverflowError:
-        return "out of range"
-    return steps_of(runner.clocks["ue1"]), runner.clocks["ue1"].overflow, runner.lost_sync
+    if exchange == "pass":
+        at, forward, back, landing = (np.array(column, dtype=np.int64) for column in zip(*_SENT[:len(noise)]))
+        runner.exchanges("bs1", "ue1", at, forward, back, landing, np.array(noise, dtype=float))
+    else:
+        for at, forward, back, landing, n in sent:
+            runner.twoway_step("bs1", "ue1", at, forward, back, _Drawn(n), landing)
+    return steps_of(runner.clocks["ue1"]), runner.lost_sync
 
 
 @pytest.mark.parametrize("case", EDGE_EXCHANGES)
 def test_the_exchange_pass_checks_what_stamp_and_set_checked(case):
     # each stamp as local_time plus its noise, and at each step the read and
-    # the reading; with the responder's unstepped reading free to leave int64
+    # the reading, at the edges of the validated range: the int64 pass gives
+    # what exact one-at-a-time stamps and sets give
     initiator, responder, noise = EDGE_EXCHANGES[case]
     config = validate_config({"schema_version": 1, "seed": 1, "duration": "10 ms", "nodes": [
         {"id": "ref", "role": "reference"}, {"id": "bs1", "role": "base_station", "position": [0, 0]},
@@ -276,12 +265,8 @@ def test_the_exchange_pass_checks_what_stamp_and_set_checked(case):
                                              ue1=ClockParams(theta0=responder)))
     passed = _exchange(_Runner(scenario, config.duration), noise, "pass")
     assert passed == _exchange(OneAtATime(scenario, config.duration), noise, "one at a time")
-    assert (passed == "out of range") == (case.startswith("t") or case in ("read-at-landing", "reading"))
-    if case == "delta":
-        assert passed[1] == {"delta"}
-    if case in ("unstepped-past-int64", "reversed"):
-        (steps, _, _), _, lost = passed
-        assert (len(steps), lost) == ((1, 1) if case == "reversed" else (2, 0))
+    (steps, _), lost = passed
+    assert (len(steps), lost) == ((1, 1) if case == "reversed" else (1, 0))
 
 
 # --- deliveries ---------------------------------------------------------------------------

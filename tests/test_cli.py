@@ -23,7 +23,7 @@ from airsync.config import Workload, load_config, load_sweep_spec, replace_confi
 from airsync.scenario import (
     CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
 )
-from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
+from airsync.timebase import INT64_MAX, INT64_MIN, MAX_TICKS, TICKS_PER_MS, TICKS_PER_US
 from stepwise import SteppingClock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -209,6 +209,18 @@ def test_exchanges_past_the_tick_counter_never_land(tmp_path):
     trace = json.loads((out / "trace.json").read_text())
     assert trace["corrections"] and {c[3] for c in trace["corrections"]} == {"bs_align"}
     assert trace["deliveries"] == []
+
+
+def test_a_resync_period_past_the_tick_counter_sends_one_exchange(tmp_path):
+    # a period of 2**63 ticks leaves one round, at 0: each device's one
+    # exchange steps it once, and no round start is taken past int64
+    raw = yaml.safe_load((CONFIG_DIR / "single-bs.yaml").read_text())
+    del raw["sync_plan"]["sib"]
+    raw["sync_plan"].update(enabler="dedicated_two_way", resync_period=f"{2**63} ticks")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", raw)), "--out", str(out), "--trace"]) == 0
+    two_way = Counter(c[1] for c in json.loads((out / "trace.json").read_text())["corrections"] if c[3] == "two_way")
+    assert two_way and set(two_way.values()) == {1}
 
 
 def test_overlapping_exchanges_keep_one_in_flight(tmp_path):
@@ -406,7 +418,7 @@ def test_trace_json_of_odd_node_ids_matches_the_reference_dump(tmp_path):
     assert (out / "trace.json").read_text(encoding="utf-8") == _reference_trace_json(trace)
 
 
-PAST_THE_TICK_RANGE = "9223372036854775000 ticks"   # within the run's span of INT64_MAX
+PAST_THE_TICK_RANGE = "9223372036854775000 ticks"   # past MAX_TICKS, within the int64 range
 
 
 @pytest.mark.parametrize("clock_defaults, clock, path", [
@@ -426,11 +438,10 @@ def test_run_phase_that_would_leave_the_tick_range_exits_2(tmp_path, capsys, clo
 
 
 def test_run_phase_at_the_limit_runs(tmp_path):
-    # |theta0| = INT64_MAX - 2 * duration, both signs: every reading stays in range
-    limit = INT64_MAX - 2 * 300 * TICKS_PER_MS
+    # |theta0| = MAX_TICKS, both signs: every reading stays in range
     raw = small_config()
-    raw["nodes"][2]["clock"]["theta0"] = f"{limit} ticks"
-    raw["nodes"][3]["clock"]["theta0"] = f"{-limit} ticks"
+    raw["nodes"][2]["clock"]["theta0"] = f"{MAX_TICKS} ticks"
+    raw["nodes"][3]["clock"]["theta0"] = f"{-MAX_TICKS} ticks"
     config = write_yaml(tmp_path / "edge.yaml", raw)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o"), "--trace"]) == 0
     # and every sampled error is the scalar reading of the clock replayed from the correction log
@@ -712,12 +723,12 @@ def test_the_schedule_cache_keeps_no_schedule_past_its_byte_cap(tmp_path, monkey
         return (tmp_path / name / "sweep.json").read_bytes()
 
     full = sweep("full")
-    sizes = sorted(nbytes(schedule) for schedule in scenario.cell_schedule.kept.values())
+    sizes = sorted(nbytes(schedule) for schedule in scenario._SCHEDULES.entries.values())
     assert len(sizes) == 4 and sizes[1] < sizes[2]   # two short-run schedules, two long-run ones
-    scenario.cell_schedule.cache_clear()
+    scenario._SCHEDULES.cache_clear()
     monkeypatch.setattr(scenario, "_SCHEDULE_CACHE_BYTES", sizes[1])
     assert sweep("capped") == full
-    kept = [nbytes(schedule) for schedule in scenario.cell_schedule.kept.values()]
+    kept = [nbytes(schedule) for schedule in scenario._SCHEDULES.entries.values()]
     assert kept == sizes[:2] and sum(kept) <= scenario._SCHEDULE_CACHE_SIZE * sizes[1]
 
 
@@ -811,7 +822,7 @@ def test_a_sweep_through_a_schedule_input_equals_separate_runs(path, tmp_path, f
     assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 0
     rows = json.loads((tmp_path / "o" / "sweep.json").read_text())["rows"]
     for row in rows:
-        scenario.cell_schedule.cache_clear()
+        scenario._SCHEDULES.cache_clear()
         report, _ = cli._execute(validate_config(replace_config_value(raw, path, row["value"])), row["seed"])
         separate = {"value": row["value"], "repetition": row["repetition"], "seed": row["seed"],
                     **cli._metric_summary(report.device_error, report.pairwise, report.jitter, report.fault)}
@@ -864,7 +875,7 @@ BS_SIDE_NON_INPUTS = {   # not inputs: a later value's points reuse the first va
 
 
 def _clear_run_caches() -> None:
-    for cache in (scenario.cell_schedule, scenario._BS_SIDES, scenario._BS_STAMPS):
+    for cache in (scenario._SCHEDULES, scenario._BS_SIDES, scenario._BS_STAMPS):
         cache.cache_clear()
 
 

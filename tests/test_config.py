@@ -26,13 +26,14 @@ from airsync.config import (
     set_config_value,
     validate_config,
 )
-from airsync.errors import InvalidConfigError, TickOverflowError
+from airsync.errors import InvalidConfigError
 from airsync.metrics import build_report
 from airsync.protocols import (
     ExchangeRecord, RibsMode, StampMode, compute_ta_initial, twoway_offset,
 )
-from airsync.scenario import BaseStationSide, build_scenario, cell_schedule, run_scenario
-from airsync.timebase import TICKS_PER_MS, TICKS_PER_US, parse_ticks
+from airsync.scenario import BaseStationSide, _Runner, build_scenario, cell_schedule, run_scenario
+from airsync.timebase import MAX_TICKS, TICKS_PER_MS, TICKS_PER_SECOND, TICKS_PER_US, parse_ticks
+from stepwise import OneAtATime, steps_of
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MS = TICKS_PER_MS
@@ -214,10 +215,13 @@ def test_reference_takes_no_clock_or_position(edit, path):
     "9007199254740993 ticks",
     {"dist": "uniform", "low": "9007199254740993 ticks", "high": "9007199254740993 ticks"},
 ], ids=["fixed", "uniform"])
-def test_phase_offset_beyond_2_53_ticks_kept_exact(theta0):
+def test_phase_offset_beyond_max_ticks_rejected(theta0):
+    # 2**53 + 1 ticks: one past the bound on every tick quantity a reading sums
     raw = minimal()
     raw["nodes"][2]["clock"] = {"theta0": theta0}
-    assert build_scenario(validate_config(raw)).clocks["ue"].theta0 == 2**53 + 1
+    with pytest.raises(InvalidConfigError) as info:
+        validate_config(raw)
+    assert info.value.path == "nodes[2].clock.theta0"
 
 
 def test_resolved_raw_contains_defaults():
@@ -421,7 +425,7 @@ def one_record_of_each_type() -> dict:
         compute_ta_initial(100), exchange, twoway_offset(exchange),
         cell_schedule(0, "bs", ("ue",), (0,), cfg.duration, plan.resync_period, plan.sib.si_window, plan.sib.stamp_mode,
                       0, 0, plan.ta_timer_period, 0, 0),
-        BaseStationSide((trace.stepped[0].trajectory,), (frozenset(),), 0),
+        BaseStationSide((trace.stepped[0].trajectory,), 0),
     ]
     return {type(record).__name__: record for record in records}
 
@@ -452,17 +456,41 @@ def test_every_error_type_is_raised():
     assert {t.__name__ for t in types} - live == set()
 
 
-def test_only_clocks_converts_to_exact_ints():
-    """The int64-or-exact-ints decision lives in clocks.py: no other module
-    under src/airsync/ builds its own np.frompyfunc(int, ...) converter."""
+def _object_builders(tree: ast.AST) -> list[str]:
+    """The function enclosing each call in ``tree`` that builds Python
+    objects: np.frompyfunc(int, ...), or ``object`` among its arguments (a
+    dtype=object, or an object field of a dtype list)."""
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    builders = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        converts = getattr(node.func, "attr", None) == "frompyfunc" and getattr(node.args[0], "id", None) == "int"
+        if converts or any(getattr(name, "id", None) == "object" for arg in arguments for name in ast.walk(arg)):
+            scope = node
+            while scope in parent and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent[scope]
+            builders.append(getattr(scope, "name", "<module>"))
+    return builders
+
+
+def test_no_module_imports_a_private_name_or_builds_ticks_as_objects():
+    """No module under src/airsync/ imports a private (_-prefixed) name from
+    another airsync module: each keeps its own rules. And ticks stay int64:
+    no module builds Python objects in an array, but for the id column of
+    RawTrace.samples."""
     src = Path(__file__).resolve().parent.parent / "src" / "airsync"
-    converting = set()
-    for module in src.glob("*.py"):
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "frompyfunc"
-                    and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "int"):
-                converting.add(module.name)
-    assert converting == {"clocks.py"}
+    private, builders = [], []
+    for module in sorted(src.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        private += [f"{module.name}: {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level   # relative: from another airsync module
+                    for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")]
+        builders += [f"{module.name}: {name}" for name in _object_builders(tree)]
+    assert private == []
+    assert set(builders) == {"scenario.py: samples"}
+    assert _object_builders(ast.parse("def f(x):\n    return np.frompyfunc(int, 1, 1)(x).astype(object)")) == ["f", "f"]
 
 
 def _stream_labels(tree: ast.AST) -> list[str]:
@@ -501,8 +529,9 @@ BUNDLED = {path.name: yaml.safe_load(path.read_text(encoding="utf-8"))
 
 
 def _ticks(low: int = 0):
-    """Tick counts in [low, 2**64 - 1], the int64 and uint64 edges drawn often."""
-    return st.sampled_from([low, 2**62, 2**63 - 1, 2**63, 2**64 - 1]) | st.integers(low, 2**64 - 1)
+    """Tick counts in [low, 2**64 - 1], the model's, int64 and uint64 edges drawn often."""
+    return (st.sampled_from([low, MAX_TICKS, MAX_TICKS + 1, 2**62, 2**63 - 1, 2**63, 2**64 - 1])
+            | st.integers(low, 2**64 - 1))
 
 
 TICKS = _ticks()
@@ -590,19 +619,116 @@ def mutated_bundled_configs(draw) -> dict:
 @given(mutated_bundled_configs())
 def test_every_config_that_validates_runs_to_the_end(raw):
     """validate_config is the only gate: a config it accepts runs, reports and
-    writes its trace, or stops with a TickOverflowError (a value past the
-    signed 64-bit range that no config rule can rule out), never with
-    another exception."""
+    writes its trace, with no exception at all."""
     try:
         config = validate_config(raw)
     except InvalidConfigError:
         return
-    try:
-        _report, trace = cli._execute(config, config.seed)
-        for _chunk in cli._trace_json(trace):
-            pass
-    except TickOverflowError:
+    _report, trace = cli._execute(config, config.seed)
+    for _chunk in cli._trace_json(trace):
         pass
+
+
+# --- the model range: MAX_TICKS ----------------------------------------------------
+
+_DRIFT_AT_MAX_TICKS = 2 * MAX_TICKS * TICKS_PER_SECOND / MAX_TICKS**2   # validate_config's limit at T = MAX_TICKS
+
+
+def at_max_ticks(enabler: str, alignment: dict) -> dict:
+    """A config with MAX_TICKS, or -MAX_TICKS, in every field validate_config
+    bounds by it: the duration, each phase (fixed, both ends of a range, a
+    role's default), the BS error, the granularity, the stamp and relay
+    noise, and a fault wave that reaches its farther PMU at MAX_TICKS. The
+    skew and the drift sit at their limits too."""
+    edge = {"theta0": f"{MAX_TICKS} ticks", "skew_ppm": 999.9, "drift_per_s": _DRIFT_AT_MAX_TICKS,
+            "stamp_noise": f"{MAX_TICKS} ticks"}
+    negative = dict(edge, theta0=f"-{MAX_TICKS} ticks", skew_ppm=-999.9, drift_per_s=-_DRIFT_AT_MAX_TICKS)
+    nodes = [
+        {"id": "ref", "role": "reference"},
+        {"id": "bs1", "role": "base_station", "position": [0, 0], "clock": dict(edge)},
+        {"id": "bs2", "role": "base_station", "position": [900, 0], "clock": negative},
+        {"id": "ue1", "role": "ue", "attach_to": "bs1", "position": [150, 0],
+         "clock": dict(edge, theta0={"dist": "uniform", "low": f"-{MAX_TICKS} ticks", "high": f"{MAX_TICKS} ticks"})},
+        {"id": "gw1", "role": "gateway", "attach_to": "bs2", "position": [1000, 30], "clock": dict(negative)},
+        {"id": "ld1", "role": "legacy_device", "attach_to": "gw1"},   # on the legacy defaults
+        {"id": "pa", "role": "pmu", "attach_to": "bs1", "position": [0, 50], "clock": dict(negative)},
+        {"id": "pb", "role": "pmu", "attach_to": "bs2", "position": [900, 50], "clock": dict(edge)},
+    ]
+    plan = {"enabler": enabler, "resync_period": f"{MAX_TICKS // 5} ticks", "gw_relay_sigma": f"{MAX_TICKS} ticks",
+            "bs_alignment": dict(alignment)}
+    if enabler == Enabler.TA_SIB16.value:
+        plan["sib"] = {"granularity": f"{MAX_TICKS} ticks", "periodicity": f"{MAX_TICKS // 5} ticks",
+                       "si_window": f"{MAX_TICKS // 7} ticks"}
+    # the wave crosses the 300 m line in 30,720 ticks (1 us)
+    probe = {"line_length_m": 300, "fault_position_m": 0, "at": f"{MAX_TICKS - 30_720} ticks"}
+    return {"schema_version": 1, "seed": 11, "duration": f"{MAX_TICKS} ticks",
+            "sampling_grid": f"{MAX_TICKS // 8} ticks",
+            "clock_defaults": {"legacy_device": dict(edge)}, "nodes": nodes, "sync_plan": plan,
+            "workload": {"command_period": f"{MAX_TICKS // 3} ticks", "targets": ["ue1", "ld1"]},
+            "link": {"extra_delay": {"dist": "uniform", "low": 0, "high": f"{MAX_TICKS // 10} ticks"}},
+            "fault_probe": probe}
+
+
+AT_MAX_TICKS = {
+    "sib16-fixed-error": (Enabler.TA_SIB16.value, {"mode": "fixed_error", "error": f"{MAX_TICKS} ticks"}),
+    "sib16-negative-error": (Enabler.TA_SIB16.value, {"mode": "fixed_error", "error": f"-{MAX_TICKS} ticks",
+                                                      "realign_period": f"{MAX_TICKS // 3} ticks"}),
+    "two-way-ribs-two-way": (Enabler.DEDICATED_TWO_WAY.value, {"mode": "ribs", "ribs_mode": "two_way",
+                                                               "realign_period": f"{MAX_TICKS // 4} ticks"}),
+    "ribs-ue-listen-ta": (Enabler.RIBS_UE.value, {"mode": "ribs", "ribs_mode": "listen_ta"}),
+}
+
+
+@pytest.mark.parametrize("case", AT_MAX_TICKS)
+def test_a_config_at_max_ticks_runs_as_one_step_at_a_time(case):
+    # the int64 run equals the reference that steps its clocks one at a time,
+    # with exact bases: its trajectories, correction log, lost syncs, errors,
+    # deliveries and fault stamps
+    config = validate_config(at_max_ticks(*AT_MAX_TICKS[case]))
+    outcomes = []
+    for runner_type in (_Runner, OneAtATime):
+        runner = runner_type(build_scenario(config), config.duration)
+        trace = runner.run()
+        outcomes.append(({node: steps_of(clock) for node, clock in runner.clocks.items()},
+                         trace.correction_log.tolist(), trace.lost_sync, trace.errors.tolist(),
+                         trace.deliveries.tolist(), trace.fault))
+    assert outcomes[0] == outcomes[1]
+    steps, log, _lost, errors, deliveries, fault = outcomes[0]
+    assert len(log) and len(deliveries) and fault.t_fault == MAX_TICKS - 30_720
+    assert max(abs(error) for row in errors for error in row) > MAX_TICKS
+
+
+PAST_MAX_TICKS = {   # one field one tick past MAX_TICKS, and its path
+    "duration": (lambda raw: raw.update(duration=f"{MAX_TICKS + 1} ticks"), "duration"),
+    "theta0": (lambda raw: raw["nodes"][1]["clock"].update(theta0=f"{MAX_TICKS + 1} ticks"), "nodes[1].clock.theta0"),
+    "theta0-low": (lambda raw: raw["nodes"][3]["clock"]["theta0"].update(low=f"-{MAX_TICKS + 1} ticks"),
+                   "nodes[3].clock.theta0"),
+    "theta0-high": (lambda raw: raw["nodes"][3]["clock"]["theta0"].update(high=f"{MAX_TICKS + 1} ticks"),
+                    "nodes[3].clock.theta0"),
+    "clock-defaults": (lambda raw: raw["clock_defaults"]["legacy_device"].update(theta0=f"-{MAX_TICKS + 1} ticks"),
+                       "clock_defaults.legacy_device.theta0"),
+    "bs-error": (lambda raw: raw["sync_plan"]["bs_alignment"].update(error=f"-{MAX_TICKS + 1} ticks"),
+                 "sync_plan.bs_alignment.error"),
+    "granularity": (lambda raw: raw["sync_plan"]["sib"].update(granularity=f"{MAX_TICKS + 1} ticks"),
+                    "sync_plan.sib.granularity"),
+    "stamp-noise": (lambda raw: raw["nodes"][2]["clock"].update(stamp_noise=f"{MAX_TICKS + 1} ticks"),
+                    "nodes[2].clock.stamp_noise"),
+    "relay-sigma": (lambda raw: raw["sync_plan"].update(gw_relay_sigma=f"{MAX_TICKS + 1} ticks"),
+                    "sync_plan.gw_relay_sigma"),
+    "fault-wave": (lambda raw: raw["fault_probe"].update(at=f"{MAX_TICKS - 30_719} ticks"),
+                   "fault_probe.wave_speed_mps"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_MAX_TICKS)
+def test_one_tick_past_max_ticks_exits_2_at_its_path(case, tmp_path, capsys):
+    raw = at_max_ticks(*AT_MAX_TICKS["sib16-fixed-error"])
+    edit, path = PAST_MAX_TICKS[case]
+    edit(raw)
+    config = tmp_path / "past.yaml"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
 
 
 @settings(max_examples=150, deadline=None)

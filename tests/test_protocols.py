@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, local_time, whole
+from airsync.clocks import ClockParams, ClockState, clock_error, ideal_clock, local_time
 from airsync.engine import derive_stream
 from airsync.errors import CausalityViolationError, NegativeTaStateError, NoTaStateError
 from airsync.protocols import (
@@ -27,8 +27,7 @@ from airsync.protocols import (
 )
 from airsync.timebase import (
     HALF_TA_STEP_TICKS,
-    INT64_MAX,
-    INT64_MIN,
+    MAX_TICKS,
     TA_STEP_TICKS,
     TICKS_PER_MS,
     TICKS_PER_US,
@@ -474,11 +473,12 @@ def test_gw_relay_bulk_draws_equal_one_at_a_time():
 
 
 def test_gw_relay_of_exact_readings_stays_exact():
-    # readings at the int64 edge, as exact ints: a relayed reading past the
-    # range is exact, for set_readings to reject, rather than wrapped
-    readings = whole(np.array([INT64_MAX - 5, INT64_MIN + 5], dtype=object))
-    relayed = gw_relay_sync(readings, 922.0, derive_stream(3, "gw5")).tolist()
+    # readings as far out as a gateway's (within 2**61 of true time, clocks.py)
+    # and the largest relay noise a config admits: the int64 sum is the exact one
+    readings = np.array([2**61 + MAX_TICKS, -(2**61)], dtype=np.int64)
+    relayed = gw_relay_sync(readings, float(MAX_TICKS), derive_stream(3, "gw5"))
     rng = derive_stream(3, "gw5")
-    noise = [rng.gauss_ticks(922.0) for _ in range(2)]
-    assert relayed == [INT64_MAX - 5 + noise[0], INT64_MIN + 5 + noise[1]]
-    assert relayed[0] > INT64_MAX or relayed[1] < INT64_MIN
+    noise = [rng.gauss_ticks(float(MAX_TICKS)) for _ in range(2)]
+    assert relayed.dtype == np.int64
+    assert relayed.tolist() == [2**61 + MAX_TICKS + noise[0], -(2**61) + noise[1]]
+    assert max(map(abs, noise)) > 2**52   # the noise reaches the magnitude of its sigma

@@ -1,15 +1,12 @@
 """Scenario construction, end-to-end runs, and the PMU fault probe."""
 
 import json
-import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airsync import clocks as clocks_module
-from airsync import protocols as protocols_module
 from airsync import scenario as scenario_module
 from airsync.cli import main
 from airsync.clocks import ClockParams, ClockState, clock_error, local_time
@@ -22,7 +19,7 @@ from airsync.config import (
     validate_config,
 )
 from airsync.engine import RngStream, derive_stream
-from airsync.errors import InvalidConfigError, TickOverflowError
+from airsync.errors import InvalidConfigError
 from airsync.protocols import ExchangeRecord, StampMode, twoway_offset
 from airsync.scenario import build_scenario, fault_wave_stamps, run_scenario
 from airsync.timebase import (
@@ -173,7 +170,8 @@ def test_delays_drawn_in_bulk_follow_the_one_at_a_time_rule(dist):
         "uniform": lambda: one.integers(dist.low, dist.high + 1),
         "normal": lambda: max(0, round(one.normal(dist.mean, dist.sigma))),
     }[dist.kind]
-    assert [int(d) for d in dist.draw(bulk, 50)] == [next_delay() for _ in range(50)]
+    drawn = dist.draw(bulk, 50)
+    assert drawn.dtype == np.int64 and drawn.tolist() == [min(next_delay(), 2**62) for _ in range(50)]
 
 
 def test_run_is_deterministic():
@@ -509,8 +507,7 @@ def test_a_fleet_sized_cell_schedule_is_compact_and_read_only(traced_peak, fresh
     props = tuple(propagation_ticks(50 + 15 * i) for i in range(100))
     devices = tuple(f"ue{i:03d}" for i in range(100))
     args = (1, "bs1", devices, props, 400 * MS, 10 * MS, 10 * MS, StampMode.AT_TRANSMIT, 31.0, 0.0, 500 * MS, 100.0, 0.0)
-    scenario_module.cell_schedule(*args)
-    scenario_module.cell_schedule.cache_clear()   # the seed words stay cached: the peak is the schedule's own
+    scenario_module.cell_schedule(*args)   # the seed words stay cached: the peak is the schedule's own
     kept = []
     peak = traced_peak(lambda: kept.append(scenario_module.cell_schedule(*args)))
     (schedule,) = kept
@@ -524,37 +521,18 @@ def test_a_fleet_sized_cell_schedule_is_compact_and_read_only(traced_peak, fresh
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
 def test_bundled_runs_read_every_clock_in_int64(path, monkeypatch, fresh_caches):
-    # exact Python ints are for clocks near the int64 edge: a bundled run never
-    # converts to them, and every trajectory base it leaves is int64. On empty
-    # caches, so that the run steps its BSs under the patch, not installs them
-    runners = []
-
-    class Kept(scenario_module._Runner):
-        def run(self):
-            runners.append(self)
-            return super().run()
-
-    def exact(values):
-        raise AssertionError(f"a bulk sum left int64 for exact ints: {values!r}")
-
-    monkeypatch.setattr(scenario_module, "_Runner", Kept)
-    monkeypatch.setattr(clocks_module, "_exact", exact)
+    # every trajectory a bundled run leaves is int64, and its bases and errors
+    # lie within the bounds clocks.py proves for every config that validates.
+    # On empty caches, so that the run steps its BSs, not installs them
+    runners = _kept_runners(monkeypatch)
     cfg = load_config(path)
-    run_scenario(build_scenario(cfg), cfg.duration)
+    trace = run_scenario(build_scenario(cfg), cfg.duration)
     (runner,) = runners
     assert {node: clock.trajectory.base.dtype for node, clock in runner.clocks.items()} == \
         dict.fromkeys(runner.clocks, np.dtype(np.int64))
-
-
-def _sweep_points():
-    """Every point of the bundled sweeps, as (config, spec) names and the point's validated config."""
-    points = []
-    for config_name, spec_name in [("pmu-fault.yaml", "pmu-sync-bound.yaml"),
-                                   ("single-bs.yaml", "sib-granularity.yaml")]:
-        base, spec = load_config(CONFIG_DIR / config_name), load_sweep_spec(CONFIG_DIR / "sweeps" / spec_name)
-        points += [pytest.param(validate_config(replace_config_value(base.raw, spec.path, value)),
-                                id=f"{Path(spec_name).stem}-{value}") for value in spec.values]
-    return points
+    assert max(abs(base) for clock in runner.clocks.values() for base in clock.trajectory.base.tolist()) \
+        <= 2**61 + 2**54
+    assert trace.errors.dtype == np.int64 and np.abs(trace.errors).max() < 2**61
 
 
 def _kept_runners(monkeypatch) -> list:
@@ -568,48 +546,6 @@ def _kept_runners(monkeypatch) -> list:
 
     monkeypatch.setattr(scenario_module, "_Runner", Kept)
     return runners
-
-
-@pytest.mark.parametrize("cfg", _sweep_points())
-def test_every_trajectory_keeps_a_reach_its_bases_stay_within(cfg, monkeypatch):
-    # the bulk readers pick int64 from each trajectory's kept reach, unscanned:
-    # a reach below some |base| would let an int64 sum wrap unseen
-    runners = _kept_runners(monkeypatch)
-    trace = run_scenario(build_scenario(cfg), cfg.duration)
-    (runner,) = runners
-    trajectories = [clock.trajectory for clock in runner.clocks.values()] + [s.trajectory for s in trace.stepped]
-    assert len(trace.stepped) > 0
-    for installed_at, base, reach in trajectories:
-        assert len(base) == len(installed_at) + 1
-        assert reach >= max(abs(value) for value in base.tolist())
-
-
-def test_a_sweep_point_reads_its_clocks_without_scanning_their_terms(monkeypatch, fresh_caches):
-    # a point of the SIB16 granularity sweep: the bulk reads and the SIB16 pass
-    # decide int64 from kept bounds, so no term goes through whole(), and each
-    # input array has its extremes taken once (the BS's stamp instants and their
-    # noise, the instants and readings of the BS's steps and of the devices', and
-    # the sample and delivery instants)
-    base = load_config(CONFIG_DIR / "single-bs.yaml")
-    spec = load_sweep_spec(CONFIG_DIR / "sweeps" / "sib-granularity.yaml")
-    cfg = validate_config(replace_config_value(base.raw, spec.path, spec.values[1]))
-    scans, extremes = [], Counter()
-    reach = clocks_module._reach
-
-    def counted(values):
-        extremes[sys._getframe(1).f_code.co_name] += 1
-        return reach(values)
-
-    def scanned(*args, **kwargs):
-        scans.append(args)
-        raise AssertionError("a term went through whole()")
-
-    monkeypatch.setattr(clocks_module, "_reach", counted)
-    for module in (clocks_module, scenario_module, protocols_module):
-        monkeypatch.setattr(module, "whole", scanned)
-    run_scenario(build_scenario(cfg), cfg.duration)
-    assert scans == []
-    assert extremes == {"_read": 3, "broadcast_stamps": 1, "set_readings": 4}
 
 
 # --- the BS side, kept per process -------------------------------------------------
@@ -640,51 +576,34 @@ def _counted_bs_steps(monkeypatch) -> list:
 
 def test_a_sweeps_second_point_reads_no_bs_clock(monkeypatch, fresh_caches):
     # two points of one repetition of a granularity sweep: the second installs
-    # the kept BS side and stamps, so set_readings steps no BS and
-    # broadcast_stamps is not called
+    # the kept BS side and stamps, so set_readings steps no BS and stamps
+    # reads no BS clock
     base = load_config(CONFIG_DIR / "single-bs.yaml")
     spec = load_sweep_spec(CONFIG_DIR / "sweeps" / "sib-granularity.yaml")
     points = [validate_config(replace_config_value(base.raw, spec.path, value)) for value in spec.values[:2]]
     stepped, stamped = [], []
-    set_readings, broadcast_stamps = scenario_module.set_readings, scenario_module.broadcast_stamps
+    set_readings, stamps = scenario_module.set_readings, scenario_module.stamps
 
     def recorded_set_readings(clocks, *args):
         stepped.append(clocks)
         set_readings(clocks, *args)
 
-    def recorded_broadcast_stamps(clock, *args):
-        stamped.append(clock)
-        return broadcast_stamps(clock, *args)
+    def recorded_stamps(clocks, *args):
+        stamped.append(clocks)
+        return stamps(clocks, *args)
 
     monkeypatch.setattr(scenario_module, "set_readings", recorded_set_readings)
-    monkeypatch.setattr(scenario_module, "broadcast_stamps", recorded_broadcast_stamps)
+    monkeypatch.setattr(scenario_module, "stamps", recorded_stamps)
     traces = []
     for cfg in points:
         scenario = build_scenario(cfg, root_seed=7)
         bs = scenario.clocks["bs1"]
         stepped.clear(), stamped.clear()
         traces.append(run_scenario(scenario, cfg.duration))
-        bs_steps = [clocks for clocks in stepped if any(clock.params is bs for clock in clocks)]
-        assert (len(bs_steps), len(stamped)) == ((1, 1) if cfg is points[0] else (0, 0))
+        bs_steps, bs_stamps = ([clocks for clocks in calls if any(clock.params is bs for clock in clocks)]
+                               for calls in (stepped, stamped))
+        assert (len(bs_steps), len(bs_stamps)) == ((1, 1) if cfg is points[0] else (0, 0))
     assert traces[0].stepped[0].trajectory is traces[1].stepped[0].trajectory
-
-
-@pytest.mark.parametrize("grids", [[1, "small"], ["small", 1]], ids=["int64-first", "exact-first"])
-def test_kept_stamps_are_keyed_on_whether_the_granularity_reaches_small(grids, fresh_caches):
-    # from clocks._SMALL up, broadcast_stamps reads in exact ints: a point on
-    # the other side of it reads its own stamps, and each run equals one on
-    # emptied caches
-    base = load_config(CONFIG_DIR / "single-bs.yaml")
-    grids = [clocks_module._SMALL if grid == "small" else grid for grid in grids]
-    points = [validate_config(replace_config_value(base.raw, "sync_plan.sib.granularity", f"{grid} ticks"))
-              for grid in grids]
-    traces = [run_scenario(build_scenario(cfg, root_seed=7), cfg.duration) for cfg in points]
-    dtypes = [stamps.dtype for stamps in scenario_module._BS_STAMPS.entries.values()]
-    assert dtypes == [np.dtype(object) if grid == clocks_module._SMALL else np.dtype(np.int64) for grid in grids]
-    for cfg, trace in zip(points, traces):
-        scenario_module._BS_SIDES.cache_clear()
-        scenario_module._BS_STAMPS.cache_clear()
-        assert trace.errors.tolist() == run_scenario(build_scenario(cfg, root_seed=7), cfg.duration).errors.tolist()
 
 
 @pytest.mark.parametrize("alignment, shared", [
@@ -717,10 +636,9 @@ def test_a_kept_bs_side_and_its_stamps_are_read_only(fresh_caches):
             array[...] = 0
 
 
-def test_a_kept_bs_side_keeps_its_lost_syncs_and_its_overflow(monkeypatch, fresh_caches):
+def test_a_kept_bs_side_keeps_its_lost_syncs(monkeypatch, fresh_caches):
     # RIBS two-way rounds whose stamps 5 ms of noise reverses are lost syncs, of
-    # the BS side alone here; a BS step past int64 is recorded and raised after
-    # the sync phase. A run that installs the kept side counts and raises the same
+    # the BS side alone here. A run that installs the kept side counts the same
     seeds = _counted_bs_steps(monkeypatch)
     raw = _two_bs({"mode": "ribs", "ribs_mode": "two_way", "realign_period": "4 ms"})
     raw["nodes"][1]["clock"] = {"stamp_noise": "5 ms"}
@@ -728,13 +646,6 @@ def test_a_kept_bs_side_keeps_its_lost_syncs_and_its_overflow(monkeypatch, fresh
     cfg = validate_config(raw)
     lost = [run_scenario(build_scenario(cfg), cfg.duration).lost_sync for _ in range(2)]
     assert len(seeds) == 1 and lost[0] == lost[1] > 0
-    raw = _two_bs({"mode": "fixed_error", "error": "-9000000000000000000 ticks"})
-    raw["nodes"][2]["clock"]["theta0"] = "9000000000000000000 ticks"   # so bs2 steps down 1.8e19 ticks
-    cfg = validate_config(raw)
-    for _ in range(2):
-        with pytest.raises(TickOverflowError, match="a correction's delta"):
-            run_scenario(build_scenario(cfg), cfg.duration)
-    assert len(seeds) == 2 and len(scenario_module._BS_SIDES.entries) == 2
 
 
 def test_a_bs_side_past_the_byte_cap_is_not_kept(monkeypatch, fresh_caches):
@@ -753,18 +664,6 @@ def test_a_bs_side_past_the_byte_cap_is_not_kept(monkeypatch, fresh_caches):
     for trace in capped:
         assert trace.errors.tolist() == kept.errors.tolist()
         assert trace.correction_log.tolist() == kept.correction_log.tolist()
-
-
-def test_a_tick_overflow_on_the_bs_side_is_raised_on_every_point(monkeypatch, fresh_caches):
-    # a steered reading past int64 raises as the BSs step; nothing is kept, so
-    # the next point steps them again and raises again
-    seeds = _counted_bs_steps(monkeypatch)
-    cfg = validate_config(_two_bs({"mode": "fixed_error", "error": f"{INT64_MAX - 10**9} ticks",
-                                   "realign_period": "100 ms"}))
-    for _ in range(2):
-        with pytest.raises(TickOverflowError):
-            run_scenario(build_scenario(cfg), cfg.duration)
-    assert len(seeds) == 2 and len(scenario_module._BS_SIDES.entries) == 0
 
 
 def test_a_run_without_a_workload_shares_one_read_only_empty_delivery_array(tmp_path):

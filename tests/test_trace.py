@@ -6,7 +6,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -68,7 +67,7 @@ def test_a_run_stores_integer_columns_only(tmp_path):
     assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
     for stepped in trace.stepped:   # the trajectories kept for the correction log
         assert stepped.trajectory.installed_at.dtype == stepped.trajectory.base.dtype == np.int64
-        assert all(type(key) is int for key in (stepped.trajectory.reach, *stepped[2:]))   # the reach, then the log keys
+        assert all(type(key) is int for key in stepped[2:])   # the log keys
     for column in columns:
         fields = column.dtype.fields
         kinds = {dtype.kind for dtype, *_ in fields.values()} if fields else {column.dtype.kind}
@@ -96,30 +95,25 @@ def test_run_and_sweep_never_build_the_row_views(tmp_path, monkeypatch):
     assert len(logs) == 1 and len(logs[0]) > 0
 
 
-def delta_past_int64() -> dict:
-    # bs2 is set 9e18 ticks behind the reference and ue2 starts 9e18 ahead, so
-    # ue2's first SIB16 step is about -1.8e19 ticks: it fails, it does not wrap
+def bs_error_past_max_ticks() -> dict:
+    # bs2 set 9e18 ticks behind the reference, far past MAX_TICKS
     raw = yaml.safe_load((CONFIG_DIR / "two-bs.yaml").read_text())
     raw["duration"] = "300 ms"
     raw["sync_plan"]["bs_alignment"] = {"mode": "fixed_error", "error": "-9000000000000000000 ticks"}
-    ue2 = next(node for node in raw["nodes"] if node["id"] == "ue2")
-    ue2["clock"] = {"theta0": "9000000000000000000 ticks"}
     return raw
 
 
-def test_a_correction_delta_past_int64_exits_1(tmp_path, capsys):
-    config = write_yaml(tmp_path / "cfg.yaml", delta_past_int64())
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-    assert "a correction's delta falls outside the signed 64-bit range" in capsys.readouterr().err
+def test_a_bs_alignment_error_past_max_ticks_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "cfg.yaml", bs_error_past_max_ticks())
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: sync_plan.bs_alignment.error: " in capsys.readouterr().err
 
 
-def test_a_sweep_with_a_correction_delta_past_int64_exits_1(tmp_path, capsys, monkeypatch):
-    # the step site records it and the run raises it: no log is built to find it
-    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: pytest.fail("the log was built")))
-    config = write_yaml(tmp_path / "cfg.yaml", delta_past_int64())
+def test_a_sweep_with_a_bs_alignment_error_past_max_ticks_exits_2(tmp_path, capsys):
+    config = write_yaml(tmp_path / "cfg.yaml", bs_error_past_max_ticks())
     spec = write_yaml(tmp_path / "spec.yaml", {"path": "sync_plan.sib.granularity", "values": ["1 us", "2 us"]})
-    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 1
-    assert "a correction's delta falls outside the signed 64-bit range" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: sync_plan.bs_alignment.error: " in capsys.readouterr().err
 
 
 def test_an_id_ending_in_nul_stays_its_own_node(tmp_path):
