@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -143,54 +146,137 @@ def _dump_json(obj: Any) -> str:
 TRACE_CHUNK_ROWS = 1024   # rows rendered at a time: bounds the trace writer's memory
 
 
-def _trace_json(trace: RawTrace) -> Iterator[str]:
-    """trace.json in pieces, rendered straight from the trace's columns: the
-    text of ``_dump_json`` of {"samples", "deliveries", "corrections"}, each a
-    list of rows, without building the rows as Python lists first.
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The trace kernel's tables, built on the first trace write: by index
+    ``r``, the ASCII text of a 4-digit group, 0-padded; by ``10_000 + r``,
+    the text of ``r`` as a number's leading group, its leading zeros 0 bytes
+    (and none at all for 0, above the leading group); and by a number's
+    sign, its lead cell: ``0`` for zero, a minus sign for a negative."""
+    r = np.arange(10_000, dtype=np.uint16)
+    text = np.zeros((2, 10_000, 4), dtype=np.uint8)
+    for i, power in enumerate((1000, 100, 10, 1)):
+        text[0, :, i] = r // power % 10 + ord("0")
+        text[1, :, i] = np.where(r >= power, text[0, :, i], 0)
+    return text.view(np.uint32).ravel(), np.array([ord("0"), 0, ord("-")], dtype=np.uint32)
 
-    A chunk's cells, ints or JSON text, are interleaved into one flat list and
-    filled into one ``%`` template, so a cell's text is never parsed. An id or
-    a kind is JSON-encoded once, and its index column picks the text. A
-    samples row is an instant and a sampled node, so a samples chunk holds
-    whole instants, one at least: its template holds one instant's rows with
-    the node ids written in (``%`` escaped), and each instant is formatted
-    once, its text shared by the instant's rows."""
+
+def _cells(low: int, high: int) -> int:
+    """4-byte cells that hold the decimal text of any int from ``low`` to
+    ``high``: a lead cell, then its digits."""
+    return 1 + (len(str(max(-low, high))) + 3) // 4
+
+
+def _decimal(values: np.ndarray, out: np.ndarray) -> None:
+    """Fills ``out``, (len(values), cells) uint32 with at least _cells of the
+    values' extremes, with the decimal text of int64 ``values``: a row's
+    bytes, 0 bytes dropped, are its value's text. The first cell holds a
+    minus sign or a lone zero, and the digits are right-aligned in 4-digit
+    groups."""
+    groups, leads = _decimal_tables()
+    leads.take(np.sign(values), out=out[:, 0], mode="wrap")
+    magnitude = np.abs(values).view(np.uint64)   # INT64_MIN's too: 2**63
+    group, top = np.empty_like(magnitude), np.empty(len(values), dtype=bool)
+    for cell in range(out.shape[1] - 1, 0, -1):
+        np.divmod(magnitude, 10_000, out=(magnitude, group))
+        np.add(group, 10_000, out=group, where=np.equal(magnitude, 0, out=top))   # the leading group or above
+        groups.take(group, out=out[:, cell], mode="clip")
+
+
+def _table_rows(columns: list, units: int, per_unit: int, step: int) -> Iterator[bytes]:
+    """One trace.json table's rows as ASCII bytes, in chunks of ``step``
+    units of ``per_unit`` rows: each row ``,\\n    [\\n      ``, its cells
+    joined by ``,\\n      ``, then ``\\n    ]``, but the first row, which has
+    no comma. A column is (source, texts). Int64 cells, when ``texts`` is
+    None or a non-decreasing function that maps them: ``source`` holds one
+    a row, (units, per_unit), or one a unit, shared by its rows. Otherwise
+    JSON texts, picked by ``source``, one a row, or by the row's place in
+    its unit when ``source`` is None.
+
+    A row's layout is fixed once: each cell's slot, in 4-byte cells, is as
+    wide as its column's widest text, found from the column's extremes, and
+    the row's constant text is laid once into a (step, per_unit, row)
+    buffer that every chunk reuses. A chunk fills the slots, then drops the
+    0 bytes that pad them. No text holds a 0 byte: JSON escapes it. A
+    shared column is rendered ``step * per_unit`` units at a time."""
+    def padded(text: bytes) -> np.ndarray:
+        return np.frombuffer(text + bytes(-len(text) % 4), dtype=np.uint32)
+
+    head, between, tail = padded(b",\n    [\n      "), padded(b",\n      "), padded(b"\n    ]")
+    rows = [[head] for _ in range(per_unit)]
+    slots = []   # offset, width, source, and texts or mapping of each slot a chunk fills
+    for i, (source, texts) in enumerate(columns):
+        for row in rows:
+            row += [between] if i else []
+        offset = sum(map(len, rows[0]))
+        if isinstance(texts, (list, tuple)):
+            longest = max(len(text) for text in texts)
+            table = np.stack([padded(text.encode("ascii").ljust(longest, b"\0")) for text in texts])
+            width = table.shape[1]
+        else:
+            ends = [int(source.min()), int(source.max())]
+            table, width = texts, _cells(*(ends if texts is None else map(texts, ends)))
+        for j, row in enumerate(rows):
+            row.append(table[j] if source is None else np.zeros(width, dtype=np.uint32))
+        if source is not None:
+            slots.append((offset, width, source, table))
+    template = np.stack([np.concatenate(row + [tail]) for row in rows])
+    buffer = bytearray(min(step, units) * template.nbytes)
+    view = np.frombuffer(buffer, dtype=np.uint32).reshape(-1, *template.shape)
+    view[:] = template
+    buffer[0] = 0   # the first row's comma, dropped with the padding
+    block = step * per_unit   # a shared column's units rendered at once, as many as a chunk's rows
+    rendered = {offset: np.empty((min(block, units), width), dtype=np.uint32)
+                for offset, width, source, _ in slots if per_unit > 1 and source.ndim == 1}
+    for start in range(0, units, step):
+        out = view[:units - start]
+        for offset, width, source, table in slots:
+            cells = out[:, :, offset:offset + width]
+            if offset in rendered:   # one a unit, shared by its rows
+                if start % block == 0:
+                    values = source[start:start + block]
+                    _decimal(values if table is None else table(values), rendered[offset][:len(values)])
+                cells[:] = rendered[offset][start % block:][:len(out), None]
+            elif isinstance(table, np.ndarray):
+                np.take(table, source[start:start + len(out)], axis=0, out=cells.reshape(-1, width))
+            else:
+                values = source[start:start + len(out)].reshape(-1)
+                _decimal(values if table is None else table(values), cells.reshape(-1, width))
+        view[len(out):] = 0   # rows past the last one: dropped with the padding
+        yield buffer.translate(None, b"\0")
+        buffer[0] = ord(",")
+
+
+def _trace_json(trace: RawTrace) -> Iterator[bytes]:
+    """trace.json in ASCII pieces, rendered straight from the trace's
+    columns: the text of ``_dump_json`` of {"samples", "deliveries",
+    "corrections"}, each a list of rows, without building the rows as Python
+    objects. Each table goes through _table_rows: an id or a kind is
+    JSON-encoded once, and its index column picks the text. A samples row is
+    an instant and a sampled node, so a samples chunk holds whole instants,
+    one at least; a node's id is laid into the buffer once, and each
+    instant's text is rendered once and shared by its rows."""
     workload = trace.workload
     sampled, targets, kinds = ([json.dumps(name) for name in names] for names in (
         trace.sampled, workload.targets if workload is not None else (), CORRECTION_KINDS))
     log, deliveries, errors = trace.correction_log, trace.deliveries, trace.errors
-    row = "    [\n" + ",\n".join(["      %s"] * 5) + "\n    ]"
-    instant = ",\n".join("    [\n      %s,\n      " + node.replace("%", "%%") + ",\n      %s\n    ]"
-                         for node in sampled)
-
-    def sample_cells(chunk: slice) -> list[list]:
-        times = [str(t) for t in trace.instants[chunk].tolist()]
-        return [cells for column in errors[chunk].T.tolist() for cells in (times, column)]
-
-    tables = (   # name, length and chunk size (in rows, or instants for samples), template, a chunk's cell columns
-        ("corrections", len(log), TRACE_CHUNK_ROWS, row, lambda chunk: [
-            log["t_true"][chunk].tolist(), [sampled[i] for i in log["node"][chunk].tolist()],
-            log["delta"][chunk].tolist(), [kinds[i] for i in log["kind"][chunk].tolist()],
-            log["error_after"][chunk].tolist()]),
-        ("deliveries", len(deliveries), TRACE_CHUNK_ROWS, row, lambda chunk: [
-            [targets[i] for i in deliveries.node[chunk].tolist()], deliveries.grid_index[chunk].tolist(),
-            workload.grid_point(deliveries.grid_index[chunk]).tolist(), deliveries.true_arrival[chunk].tolist(),
-            deliveries.local_stamp[chunk].tolist()]),
-        ("samples", len(errors) if sampled else 0, max(TRACE_CHUNK_ROWS // max(len(sampled), 1), 1),
-         instant, sample_cells),
+    tables = (   # name, units, rows a unit, columns
+        ("corrections", len(log), 1, [(log["t_true"], None), (log["node"], sampled), (log["delta"], None),
+                                      (log["kind"], kinds), (log["error_after"], None)]),
+        ("deliveries", len(deliveries), 1, [
+            (deliveries.node, targets), (deliveries.grid_index, None),
+            (deliveries.grid_index, workload.grid_point if workload is not None else None),
+            (deliveries.true_arrival, None), (deliveries.local_stamp, None)]),
+        ("samples", len(errors) if sampled else 0, len(sampled),
+         [(trace.instants, None), (None, sampled), (errors, None)]),
     )
-    yield "{\n"
-    for i, (name, length, step, template, cells) in enumerate(tables):
-        yield (",\n" if i else "") + f'  "{name}": ['
-        for start in range(0, length, step):
-            columns = cells(slice(start, start + step))
-            width, rows = len(columns), len(columns[0])
-            flat = [None] * (width * rows)
-            for j, column in enumerate(columns):
-                flat[j::width] = column
-            yield (",\n" if start else "\n") + ",\n".join([template] * rows) % tuple(flat)
-        yield "\n  ]" if length else "]"
-    yield "\n}\n"
+    yield b"{\n"
+    for i, (name, units, per_unit, columns) in enumerate(tables):
+        yield (b",\n" if i else b"") + f'  "{name}": ['.encode()
+        if units:
+            yield from _table_rows(columns, units, per_unit, max(TRACE_CHUNK_ROWS // per_unit, 1))
+        yield b"\n  ]" if units else b"]"
+    yield b"\n}\n"
 
 
 def _prepare_out_dir(out: str) -> Path:
@@ -199,7 +285,10 @@ def _prepare_out_dir(out: str) -> Path:
         raise InvalidConfigError(
             "out", f"{out_dir} already holds results; refusing to overwrite"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in its way, say
+        raise InvalidConfigError("out", f"cannot create {out_dir}: {exc.strerror}") from None
     return out_dir
 
 
@@ -303,7 +392,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     written = _write_outputs(out_dir, "report", payload, args.format)
     if args.trace:
-        with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
+        with open(out_dir / "trace.json", "wb") as handle:
             handle.writelines(_trace_json(trace))
         written.append("trace.json")
     _write_manifest(out_dir, "run", written)
@@ -430,9 +519,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except InvalidConfigError as exc:
         print(f"airsync: config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"airsync: {exc}", file=sys.stderr)
         return 2
     except AirsyncError as exc:
         print(f"airsync: {exc}", file=sys.stderr)

@@ -797,8 +797,17 @@ def validate_config(raw: dict) -> ScenarioConfig:
     )
 
 
+def _read_text(path: str | Path, field: str) -> str:
+    """The UTF-8 text of the file at ``path``: an input path that names no
+    readable UTF-8 file is rejected at ``field``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(field, f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "config")
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -906,7 +915,7 @@ def parse_sweep_spec(raw: Any) -> SweepSpec:
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path, "sweep")
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:

@@ -341,6 +341,8 @@ def build_report(
         pairwise=pairwise,
         jitter=jitter,
         fault=fault_report(trace, fault_probe),
+        # the jitter's ceiling: against an integer bound it passes as the
+        # exact value does, where truncation would drop a centred half tick
         verdicts=check_requirements(int(pairwise["max"]) if pairwise else None,
-                                    int(jitter["peak_to_peak"]) if jitter else None, presets),
+                                    math.ceil(jitter["peak_to_peak"]) if jitter else None, presets),
     )

@@ -25,8 +25,8 @@ RUNS = {
 SHA256 = {
     "run-single-bs": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "27a953c17d6894a5b0a890b6697dcf79ed0683caa79e7071c5e7e40f4dc63835",
-        "report.json": "bccc3293867f36ac977b2919ea6c352d7fb7c71ce97e883bd6a7a46294fadd97",
+        "report.csv": "c8da4d670fbef97bbf4fdd092e0086fc824967ee12c5d1e27aa76c4b7fbe8919",
+        "report.json": "01f8c1d11d68684aa619c8a7f723f3448ab5ca16f9da816c654843962add9fe9",
         "trace.json": "4353f3866771ac063e0a0bf9d0999b0fc43e6a26529740e760c0e2dab361ca1e",
     },
     "run-two-bs": {
@@ -43,8 +43,8 @@ SHA256 = {
     },
     "run-heterogeneous": {
         "manifest.json": "0716d8c06d4270da0b5d5bfd42f97b5856e0d248b6606b1d6547428a6905a88b",
-        "report.csv": "3e4f36717d0377f4bb6270d5cab7c2916da0c36a6a4a1fdef071174f5833a2ae",
-        "report.json": "960add4086b99195e6ba4cee990a3cdb2e5dc626b17969fe97d5849f673866c7",
+        "report.csv": "48aa96a72062c4c89dcb1b96d0fd1b07f99da6708ee9b84c52b73f7e8ab31715",
+        "report.json": "87fc94c666f8c0c849321ebd3e5a28054c754a1f7ed2392d1968cd9fe71e693d",
         "trace.json": "f7f57e5ff1e21ef3b064dcb5f745e32ba267c3dad73b52a4e19d4919509c102d",
     },
     "sweep-pmu": {

@@ -21,7 +21,7 @@ from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
 from airsync.clocks import ClockParams, local_time
 from airsync.config import Workload, load_config, load_sweep_spec, replace_config_value, validate_config
 from airsync.scenario import (
-    CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
+    CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
 )
 from airsync.timebase import INT64_MAX, INT64_MIN, MAX_TICKS, TICKS_PER_MS, TICKS_PER_US
 from stepwise import SteppingClock
@@ -176,13 +176,13 @@ DELAYED = {
     # delays wider than the command period reorder each target's arrivals, and
     # some land past the run's end; stamps follow each target's arrival order
     "uniform-reordering": ({"dist": "uniform", "low": "10 ms", "high": "400 ms"}, {
-        "report.csv": "570ec8ee3fd278472912e73310f48d4c24c0cfdf3fd884972ed46a9db72a9e00",
-        "report.json": "d284fbbef6ee199c1aa6f9e08dfda323eac42eab615c49d9f21befe35f1826d5",
+        "report.csv": "45f97c8b8fe20618ef153583ff30a3bfb14881111aec310b62b10c38db937d9e",
+        "report.json": "aefaeb0f3875f07bec474b05856ad09e4915d8aedc940fc006069d667ca9d384",
         "trace.json": "eb1001a70185242f057a4389a1b2a9147b87ec32c549c37511526ac0dd6f2d3d",
     }),
     "normal-reordering": ({"dist": "normal", "mean": "3 ms", "sigma": "2 ms"}, {
-        "report.csv": "5cc32e6ae303639daddba1fceaa41d5d1702739cb4651672514bcc998930fe30",
-        "report.json": "1f47b4a997b9480a5c6ab8ba2bef540752b6d1015af107b411755ea148f20732",
+        "report.csv": "235c787fdf426c946919e5b88866a9435c20fc97b7b4314c176c2e9a5d3c4992",
+        "report.json": "698e3ced5d5a305adbbfdb725adb304c5c688a6e4f582a0ed8406b2eb6cb0df2",
         "trace.json": "2b2f50717a870b8165474556460c2e940c65b3bccaf8c5643fcebabbfd289bad",
     }),
 }
@@ -338,7 +338,7 @@ TRACES = {
 @pytest.mark.parametrize("case", TRACES)
 def test_trace_writer_matches_the_reference_dump(case):
     trace = TRACES[case]
-    assert "".join(_trace_json(trace)) == _reference_trace_json(trace)
+    assert b"".join(_trace_json(trace)).decode() == _reference_trace_json(trace)
 
 
 def _layout_trace(nodes: int, instants: int, deliveries: int, corrections: int) -> RawTrace:
@@ -358,24 +358,34 @@ def test_trace_writer_chunk_edges(monkeypatch, sizes, chunk_rows, nodes):
     monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", chunk_rows)
     trace = _layout_trace(nodes, *sizes)
     pieces = list(_trace_json(trace))
-    assert "".join(pieces) == _reference_trace_json(trace)
-    assert max(piece.count("    [\n") for piece in pieces) <= max(chunk_rows, nodes)
+    assert b"".join(pieces).decode() == _reference_trace_json(trace)
+    assert max(piece.count(b"    [\n") for piece in pieces) <= max(chunk_rows, nodes)
 
 
-def test_trace_writer_working_set_does_not_grow_with_the_trace(traced_peak):
-    # 100,000 instants x 4 nodes, about 6 MB of text: rendering it holds one
-    # chunk's cells and text at a time, under a bound set for any length
-    instants, sampled = 100_000, ("ue1", "ue2", "ue3", "ue4")
+def test_trace_writer_working_set_does_not_grow_with_the_trace(traced_peak, monkeypatch):
+    # 100,000 instants x 4 nodes, 100,000 deliveries and 100,000 corrections,
+    # about 45 MB of text: rendering it holds one chunk's buffer and text at a
+    # time, under a bound set for any length
+    rows, sampled = 100_000, ("ue1", "ue2", "ue3", "ue4")
+    draw = engine.derive_stream(5, "errors").integers
+    log = np.empty(rows, dtype=CORRECTION_DTYPE)
+    for name in ("t_true", "delta", "error_after"):
+        log[name] = draw(-10**12, 10**12, size=rows)
+    log["node"], log["kind"] = np.arange(rows) % len(sampled), np.arange(rows) % len(CORRECTION_KINDS)
+    # the log is built on access, from the trajectories: built here, before the writer runs
+    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: log))
+    deliveries = np.empty(rows, dtype=DELIVERY_DTYPE).view(np.recarray)
+    deliveries.node, deliveries.grid_index = np.arange(rows) % len(sampled), np.arange(rows)
+    deliveries.true_arrival, deliveries.local_stamp = draw(0, 10**13, size=(2, rows))
     trace = RawTrace(
-        sampled=sampled, instants=np.arange(instants, dtype=np.int64) * TICKS_PER_MS,
-        errors=engine.derive_stream(5, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
-        workload=None, deliveries=np.empty(0, dtype=DELIVERY_DTYPE).view(np.recarray),
-        stepped=(), devices=frozenset(sampled),
-        ta_index={}, lost_sync=0, fault=None,
+        sampled=sampled, instants=np.arange(rows, dtype=np.int64) * TICKS_PER_MS,
+        errors=draw(-10**9, 10**9, size=(rows, len(sampled))),
+        workload=Workload(command_period=TICKS_PER_MS, targets=sampled, grid_phase=0, phase_mode="median"),
+        deliveries=deliveries, stepped=(), devices=frozenset(sampled), ta_index={}, lost_sync=0, fault=None,
     )
     written = []
     assert traced_peak(lambda: written.extend(len(piece) for piece in _trace_json(trace))) <= 2**19
-    assert sum(written) > 6 * 10**6
+    assert sum(written) > 45 * 10**6
 
 
 INT64 = st.integers(INT64_MIN, INT64_MAX)
@@ -401,7 +411,21 @@ def _layout_traces(draw) -> RawTrace:
 @given(trace=_layout_traces(), chunk_rows=st.integers(1, 9))
 def test_trace_writer_matches_the_reference_dump_on_random_traces(trace, chunk_rows):
     with mock.patch.object(cli, "TRACE_CHUNK_ROWS", chunk_rows):
-        assert "".join(_trace_json(trace)) == _reference_trace_json(trace)
+        assert b"".join(_trace_json(trace)).decode() == _reference_trace_json(trace)
+
+
+# the digit-count edges random int64 draws rarely hit
+DIGIT_EDGES = st.sampled_from(sorted({0, INT64_MIN, INT64_MAX} | {sign * (10**k - less) for k in range(19)
+                                                                   for less in (0, 1) for sign in (1, -1)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(DIGIT_EDGES | INT64, min_size=1, max_size=24), wider=st.integers(0, 2))
+def test_an_int64_columns_text_is_its_str_at_any_width_that_holds_it(values, wider):
+    cells = cli._cells(min(values), max(values)) + wider
+    out = np.full((len(values), cells), 0x41414141, dtype=np.uint32)   # "AAAA" wherever nothing is written
+    cli._decimal(np.array(values, dtype=np.int64), out)
+    assert [row.tobytes().replace(b"\0", b"").decode() for row in out] == [str(value) for value in values]
 
 
 def test_trace_json_of_odd_node_ids_matches_the_reference_dump(tmp_path):
@@ -571,7 +595,7 @@ def test_manifest_lists_every_output(tmp_path, args):
 
 def test_a_failed_trace_write_leaves_no_manifest(tmp_path, monkeypatch):
     def failing_trace_json(trace):
-        yield "{\n"
+        yield b"{\n"
         raise OSError("No space left on device")
 
     monkeypatch.setattr(cli, "_trace_json", failing_trace_json)
@@ -589,6 +613,30 @@ def test_refuses_to_overwrite_results(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+
+
+# each of these ended in a traceback with exit 1
+@pytest.mark.parametrize("command, bad, field, reason", [
+    ("run", "directory", "config", "Is a directory"),
+    ("run", "latin-1", "config", "can't decode byte 0xfc"),
+    ("run", "missing", "config", "No such file or directory"),
+    ("sweep", "directory", "sweep", "Is a directory"),
+    ("sweep", "latin-1", "sweep", "can't decode byte 0xfc"),
+    ("run", "file", "out", "File exists"),
+    ("sweep", "file", "out", "File exists"),
+], ids=["run-directory", "run-not-utf8", "run-missing", "sweep-directory", "sweep-not-utf8", "run-out-a-file",
+        "sweep-out-a-file"])
+def test_an_unreadable_input_path_exits_2(tmp_path, capsys, command, bad, field, reason):
+    (tmp_path / "latin-1.yaml").write_bytes("duration: 1 s  # Zürich\n".encode("latin-1"))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    paths = {"config": write_yaml(tmp_path / "cfg.yaml", small_config()), "out": tmp_path / "o",
+             "sweep": write_yaml(tmp_path / "spec.yaml", {"path": "duration", "values": ["100 ms"]})}
+    paths[field] = {"directory": tmp_path, "latin-1": tmp_path / "latin-1.yaml", "missing": tmp_path / "none.yaml",
+                    "file": tmp_path / "file"}[bad]
+    argv = [command, "--config", str(paths["config"]), "--out", str(paths["out"])]
+    assert main(argv + (["--sweep", str(paths["sweep"])] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"airsync: config error: {field}: cannot ") and reason in err
 
 
 def test_seed_precedence_flag_over_env_over_config(tmp_path, monkeypatch):

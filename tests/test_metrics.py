@@ -444,3 +444,21 @@ def test_verdict_empty_presets():
 def test_verdict_incomplete_measurement():
     verdicts = check_requirements(100, None, [BUILTIN_PRESETS["tsn-factory"]])
     assert verdicts[0].passed is None
+
+
+@pytest.mark.parametrize("bound, passed", [(US, False), (US + 1, True)])
+def test_a_jitter_half_a_tick_over_its_bound_fails(bound, passed):
+    # ue1's stamps sit 0 and 1 tick off the grid, centred on 0.5; ue2's 0, 0
+    # and US, centred on 0: the peak-to-peak is US + 0.5, over a bound of US
+    offsets = [("ue1", 0), ("ue1", 1), ("ue2", 0), ("ue2", 0), ("ue2", US)]
+    workload = Workload(command_period=MS, targets=("ue1", "ue2"), grid_phase=0, phase_mode="median")
+    trace = RawTrace(
+        sampled=("ue1", "ue2"), instants=np.zeros(1, dtype=np.int64), errors=np.zeros((1, 2), dtype=np.int64),
+        workload=workload, stepped=(), devices=frozenset(("ue1", "ue2")), ta_index={}, lost_sync=0, fault=None,
+        deliveries=_deliveries_of([(node, k, k * MS, k * MS + offset) for k, (node, offset) in enumerate(offsets)],
+                                  ("ue1", "ue2")),
+    )
+    preset = BUILTIN_PRESETS["tsn-factory"]._replace(jitter_bound=bound)
+    report = build_report(trace, workload, presets=[preset])
+    assert report.jitter["peak_to_peak"] == US + 0.5
+    assert report.verdicts[0].measured_jitter == US + 1 and report.verdicts[0].passed is passed

@@ -2,6 +2,9 @@
 views built from it, and trace.json, checked against each other."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,6 +96,26 @@ def test_run_and_sweep_never_build_the_row_views(tmp_path, monkeypatch):
     assert logs == []
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "traced"), "--trace"]) == 0
     assert len(logs) == 1 and len(logs[0]) > 0
+
+
+def test_only_a_trace_write_builds_the_trace_kernels_tables(tmp_path):
+    # in a fresh process: importing the CLI, a run without --trace and a
+    # sweep build none of them, so neither pays for them
+    config = write_yaml(tmp_path / "cfg.yaml", fleet(3))
+    spec = write_yaml(tmp_path / "spec.yaml", {"path": "sync_plan.resync_period", "values": ["5 ms", "20 ms"]})
+    runs = [["run", "--config", str(config), "--out", str(tmp_path / "run")],
+            ["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "sweep")],
+            ["run", "--config", str(config), "--out", str(tmp_path / "traced"), "--trace"]]
+    code = ("import contextlib, io\nfrom airsync import cli\nbuilt = [cli._decimal_tables.cache_info().currsize]\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0\n"
+            "    built.append(cli._decimal_tables.cache_info().currsize)\n"
+            "print(built)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[0, 0, 0, 1]"
 
 
 def bs_error_past_max_ticks() -> dict:
