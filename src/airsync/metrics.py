@@ -27,7 +27,7 @@ from .timebase import TICKS_PER_US, ticks_to_seconds
 
 if TYPE_CHECKING:   # annotations only: config imports this module, scenario imports config
     from .config import Workload
-    from .scenario import RawTrace
+    from .scenario import DeliveryColumns, RawTrace
 
 US = TICKS_PER_US
 
@@ -171,40 +171,39 @@ def pairwise_offset_stats(errors: np.ndarray, columns: Optional[Sequence[int]] =
     return _percentiles_in_place(magnitude)
 
 
-def jitter_stats(deliveries: np.recarray, workload: Workload) -> dict:
+def jitter_stats(delivered: DeliveryColumns, workload: Workload) -> dict:
     """Deviation of each delivery stamp from its commanded grid point.
 
-    ``deliveries`` holds a run's delivery columns (``RawTrace.deliveries``):
-    ``node`` indexes ``workload.targets``.
+    ``delivered`` holds a run's delivery columns (``RawTrace.delivered``),
+    read target by target into one float64 buffer.
 
     Deviations are centered per target node on that node's median deviation
     (robust grid-phase estimate, absorbing constant path offsets) unless the
     workload pins the phase; percentiles are of absolute centered deviation,
     and peak-to-peak is their full spread. Constant offsets are not jitter.
     """
-    if len(deliveries) < 2:
+    _, local_stamp, grid_index, count = delivered
+    deviation = np.empty(int(count.sum()))
+    if len(deviation) < 2:
         raise InsufficientSamplesError("jitter statistics need >=2 deliveries")
-    deviation = workload.grid_point(deliveries.grid_index)
-    np.subtract(deliveries.local_stamp, deviation, out=deviation)
-    deviation = deviation.astype(float)
-    if workload.phase_mode == "median":
-        # the deviations grouped by target, which changes no statistic below
-        # (a stable sort of target indices this small is a radix sort); each
-        # group is centred on its middle order statistics, found by a partial
-        # sort of its own: an even group takes (lo + hi) / 2, as np.median does
-        counts = np.bincount(deliveries.node).tolist()
-        target = deliveries.node.astype(np.min_scalar_type(len(counts) - 1))
-        deviation = deviation[np.argsort(target, kind="stable")]
-        stop = 0
-        for count in counts:
-            group = deviation[stop:stop + count]
-            stop += count
-            if count:
-                lo, hi = (count - 1) // 2, count // 2
-                group.partition(sorted({lo, hi}))
-                group -= (group[lo] + group[hi]) / 2
-    stats = _percentiles_in_place(np.abs(deviation))
-    stats["peak_to_peak"] = float(deviation.max() - deviation.min())
+    points = workload.grid_point(np.arange(len(local_stamp))) if grid_index is None else None   # row k: command k
+    stop = 0
+    for j, n in enumerate(count.tolist()):
+        group = deviation[stop:stop + n]
+        stop += n
+        if not n:
+            continue
+        commanded = points[:n] if points is not None else workload.grid_point(grid_index[:n, j])
+        np.subtract(local_stamp[:n, j], commanded, out=group)   # in int64, then cast
+        if workload.phase_mode == "median":
+            # centred on its middle order statistics, found by a partial
+            # sort: an even group takes (lo + hi) / 2, as np.median does
+            lo, hi = (n - 1) // 2, n // 2
+            group.partition(sorted({lo, hi}))
+            group -= (group[lo] + group[hi]) / 2
+    peak_to_peak = float(deviation.max() - deviation.min())
+    stats = _percentiles_in_place(np.abs(deviation, out=deviation))
+    stats["peak_to_peak"] = peak_to_peak
     return stats
 
 
@@ -292,9 +291,10 @@ def pairwise_report(trace: RawTrace) -> Optional[dict]:
 def jitter_report(trace: RawTrace, workload: Optional[Workload]) -> Optional[dict]:
     """jitter_stats of the run's deliveries, or None without a workload or
     two deliveries."""
-    if workload is None or len(trace.deliveries) < 2:
+    delivered = trace.delivered
+    if workload is None or delivered is None or delivered.count.sum() < 2:
         return None
-    return jitter_stats(trace.deliveries, workload)
+    return jitter_stats(delivered, workload)
 
 
 def fault_report(trace: RawTrace, fault_probe) -> Optional[dict]:

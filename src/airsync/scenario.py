@@ -50,7 +50,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .clocks import (
-    ClockParams, ClockState, Trajectory, clock_errors, read_steps, set_readings, stamp, stamps, unstepped_readings,
+    ClockParams, ClockState, Trajectory, clock_errors, local_times, read_steps, set_readings, stamp, stamps,
+    unstepped_readings,
 )
 from .config import ATTACHED_ROLES, DEVICE_ROLES, BsAlignmentMode, Enabler, Node, Role, ScenarioConfig, Workload
 from .engine import RngStream, derive_stream
@@ -125,30 +126,40 @@ class FaultStamps(NamedTuple):
     stamp_b: int
 
 
+class DeliveryColumns(NamedTuple):
+    """Deliveries as (grid x target) int64 matrices: column j holds
+    ``workload.targets[j]``'s commands by arrival (ties in grid order), the
+    first ``count[j]`` delivered; ``grid_index`` is None if row k is command k."""
+
+    arrival: np.ndarray
+    local_stamp: np.ndarray
+    grid_index: Optional[np.ndarray]
+    count: np.ndarray
+
+
 class RawTrace(NamedTuple):
     """What one run leaves for analysis, as integer columns: no row holds a
     string or a Python object.
 
     ``errors[i, j]`` is node ``sampled[j]`` (the non-reference nodes, in
     config order) at sampling instant ``instants[i]``: its local reading
-    minus reference time, in ticks. ``deliveries`` has one row per delivered
-    command, in stamp order, and none without a workload: ``node`` indexes
-    ``workload.targets``, and the command's grid point is
-    ``workload.grid_point(grid_index)``. ``stepped`` holds the finished
-    trajectories of the clocks the sync tree steps (every BS, device and
-    legacy device), in log order. ``devices`` holds the device node ids and
-    ``ta_index`` each SIB16 device's final TA index.
+    minus reference time, in ticks. ``delivered`` holds the deliveries, and
+    is None without a workload. ``stepped`` holds the finished trajectories
+    of the clocks the sync tree steps (every BS, device and legacy device),
+    in log order. ``devices`` holds the device node ids and ``ta_index``
+    each SIB16 device's final TA index.
 
-    ``correction_log`` is built on each access, from ``stepped``; the
-    statistics never read it. ``samples`` and ``corrections`` are row views
-    of the same data, built on each access, with ids as Python strings.
+    ``correction_log`` and ``deliveries`` are built on each access, from
+    ``stepped`` and ``delivered``; the statistics read neither. ``samples``
+    and ``corrections`` are row views of the same data, built on each
+    access, with ids as Python strings.
     """
 
     sampled: tuple[str, ...]
     instants: np.ndarray        # int64
     errors: np.ndarray          # int64, instants x sampled
     workload: Optional[Workload]
-    deliveries: np.recarray     # DELIVERY_DTYPE
+    delivered: Optional[DeliveryColumns]
     stepped: tuple[SteppedClock, ...]
     devices: frozenset[str]
     ta_index: dict[str, int]
@@ -164,6 +175,24 @@ class RawTrace(NamedTuple):
         rows.node = np.array(self.sampled, dtype=object)
         rows.error = self.errors
         return rows.ravel()
+
+    @property
+    def deliveries(self) -> np.recarray:
+        """DELIVERY_DTYPE rows of the deliveries, by arrival, target, grid index."""
+        if self.delivered is None:
+            return NO_DELIVERIES
+        arrival, local_stamp, grid_index, count = self.delivered
+        targets = arrival.shape[1]
+        index, k = np.nonzero(np.arange(len(arrival)) < count[:, None])   # a stable sort keeps this order in ties
+        cell = k * targets + index   # flat index
+        del index, k
+        cell = cell[np.argsort(arrival.ravel()[cell], kind="stable")]
+        rows = np.recarray(len(cell), dtype=DELIVERY_DTYPE)
+        rows.node = cell % targets   # one column at a time: a single temporary is alive
+        rows.grid_index = cell // targets if grid_index is None else grid_index.ravel()[cell]
+        rows.true_arrival = arrival.ravel()[cell]
+        rows.local_stamp = local_stamp.ravel()[cell]
+        return rows
 
     @property
     def correction_log(self) -> np.ndarray:
@@ -662,7 +691,7 @@ class _Runner:
         instants = _grid(0, self.duration + 1, self.config.sampling_grid)
         return RawTrace(
             sampled=self.sampled, instants=instants, errors=self.sample(instants),
-            workload=self.config.workload, deliveries=self.deliver(), stepped=self.stepped(),
+            workload=self.config.workload, delivered=self.deliver(), stepped=self.stepped(),
             devices=frozenset(n.id for n in self.nodes.values() if n.role in DEVICE_ROLES),
             ta_index=self.ta_index, lost_sync=self.lost_sync,
             fault=self.probe_fault() if self.config.fault_probe is not None else None,
@@ -687,57 +716,41 @@ class _Runner:
         minus true time at each instant."""
         return clock_errors([self.clocks[node] for node in self.sampled], instants[:, None])
 
-    def deliver(self) -> np.recarray:
-        """Each workload command that arrives within the run, stamped by its
-        target's clock on arrival; ordered by arrival, target, grid index.
+    def deliver(self) -> Optional[DeliveryColumns]:
+        """Each workload command, stamped by its target's clock on arrival, in
+        per-target columns.
 
         Each target's delays come from its own stream in grid order, and its
-        stamp noise from its own stream in its own arrival order. The targets
-        are the columns of (grid x target) arrays; a command that is not
-        delivered is read at ``late`` and dropped."""
+        stamp noise from its own stream in its own arrival order. A command
+        that is not delivered is read at ``late`` and not counted."""
         workload = self.config.workload
         if workload is None:
-            return NO_DELIVERIES
+            return None
         targets, extra_delay = workload.targets, self.config.link.extra_delay
         late = self.duration + 1   # a later arrival is not delivered
         grid = _grid(workload.grid_phase, late, workload.command_period)[:, None]
         lead = np.array([min(self.prop(self.nodes[target].attach_to, target) if self.nodes[target].attach_to else 0,
                              late) for target in targets], dtype=np.int64)
-        delay = 0
+        arrival = np.zeros((len(grid), len(targets)), dtype=np.int64)
         if extra_delay.kind != "none":   # otherwise a delivery/ stream would draw nothing
-            delay = np.empty((len(grid), len(targets)), dtype=np.int64)
             for j, target in enumerate(targets):
-                delay[:, j] = extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid))
-        # the propagation delay is clipped at the run's end and the extra delay at
-        # the room left, so a command arriving after the run lands at `late`
-        arrival = grid + lead + np.minimum(delay, self.duration - lead - grid + 1)
-        del delay
+                arrival[:, j] = extra_delay.draw(derive_stream(self.seed, f"delivery/{target}"), len(grid))
+        # a command arriving after the run lands at `late`; no sum wraps: delays < 2**62, the rest < 2**55
+        arrival += grid
+        arrival += lead
+        np.minimum(arrival, late, out=arrival)
         count = np.count_nonzero(arrival < late, axis=0)
-        # each target's arrivals first in its column, in arrival order, ties in grid order
-        order = None
+        grid_index = None
         if np.any(arrival[1:] < arrival[:-1]):   # some delay reorders a target's commands
-            order = np.argsort(arrival, axis=0, kind="stable")
-            arrival = np.take_along_axis(arrival, order, axis=0)
-        stamped = np.arange(len(grid))[:, None] < count
+            grid_index = np.argsort(arrival, axis=0, kind="stable")
+            arrival = np.take_along_axis(arrival, grid_index, axis=0)
         clocks = [self.clocks[target] for target in targets]
-        noise = np.zeros(arrival.shape)
+        local_stamp = local_times(clocks, arrival)
         for j, (target, clock, n) in enumerate(zip(targets, clocks, count.tolist())):
             if n and clock.params.stamp_noise_sigma:
-                noise[:n, j] = derive_stream(self.seed, f"delivery_stamp/{target}").gauss_ticks(
-                    clock.params.stamp_noise_sigma, n)
-        local_stamp = stamps(clocks, arrival, noise)
-        del noise
-        index, k = np.nonzero(stamped.T)   # in (target, arrival) order, which a stable sort keeps among ties
-        del stamped
-        cell = k * len(targets) + index   # flat index into the (grid x target) arrays
-        del index, k
-        cell = cell[np.argsort(arrival.ravel()[cell], kind="stable")]
-        deliveries = np.recarray(len(cell), dtype=DELIVERY_DTYPE)
-        deliveries.node = cell % len(targets)   # one column at a time: a single temporary is alive
-        deliveries.grid_index = cell // len(targets) if order is None else order.ravel()[cell]
-        deliveries.true_arrival = arrival.ravel()[cell]
-        deliveries.local_stamp = local_stamp.ravel()[cell]
-        return deliveries
+                local_stamp[:n, j] += derive_stream(self.seed, f"delivery_stamp/{target}").gauss_ticks(
+                    clock.params.stamp_noise_sigma, n).astype(np.int64)
+        return DeliveryColumns(arrival, local_stamp, grid_index, count)
 
     def probe_fault(self) -> FaultStamps:
         probe = self.config.fault_probe

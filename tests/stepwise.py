@@ -6,7 +6,8 @@ time instead: SteppingClock.set reads the clock as stepped so far and takes
 one step, twoway_exchange stamps one exchange off the clocks as stepped so
 far, and OneAtATime runs BS alignment, SIB16 landings and the two-way
 exchanges that way.
-The tests pin the passes against them.
+The tests pin the passes against them. delivery_columns lays delivery rows
+out as the per-target columns a run keeps, for traces built from rows.
 """
 
 import numpy as np
@@ -19,7 +20,20 @@ from airsync.protocols import (
     ExchangeRecord, RibsMode, StampMode, compute_ta_initial, delay_estimate_from_index, measure_rtt,
     quantize_broadcast_time, twoway_offset,
 )
-from airsync.scenario import _Runner, heard_rounds, ta_indices
+from airsync.scenario import DeliveryColumns, _Runner, heard_rounds, ta_indices
+
+
+def delivery_columns(rows, targets) -> DeliveryColumns:
+    """The per-target columns of (node, grid_index, true_arrival,
+    local_stamp) delivery rows, each node an id of ``targets``: each
+    target's rows in arrival order, ties in the rows' order. A column's cells
+    past its count are zeros, which no reader reads."""
+    columns = [sorted((row[1:] for row in rows if row[0] == target), key=lambda row: row[1]) for target in targets]
+    cells = np.zeros((3, max(map(len, columns), default=0), len(targets)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        cells[:, :len(column), j] = np.array(column, dtype=np.int64).reshape(-1, 3).T
+    grid_index, arrival, local_stamp = cells
+    return DeliveryColumns(arrival, local_stamp, grid_index, np.array([len(c) for c in columns], dtype=np.int64))
 
 
 class SteppingClock(ClockState):

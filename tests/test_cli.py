@@ -21,10 +21,10 @@ from airsync.cli import TRACE_CHUNK_ROWS, _trace_json, main
 from airsync.clocks import ClockParams, local_time
 from airsync.config import Workload, load_config, load_sweep_spec, replace_config_value, validate_config
 from airsync.scenario import (
-    CORRECTION_DTYPE, CORRECTION_KINDS, DELIVERY_DTYPE, RawTrace, SteppedClock, build_scenario, run_scenario,
+    CORRECTION_DTYPE, CORRECTION_KINDS, DeliveryColumns, RawTrace, SteppedClock, build_scenario, run_scenario,
 )
 from airsync.timebase import INT64_MAX, INT64_MIN, MAX_TICKS, TICKS_PER_MS, TICKS_PER_US
-from stepwise import SteppingClock
+from stepwise import SteppingClock, delivery_columns
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -308,8 +308,7 @@ def _trace(samples=(), deliveries=(), corrections=(), grid=range(0)) -> RawTrace
         errors=np.array([e for _, _, e in samples], dtype=np.int64).reshape(len(instants), len(sampled)),
         workload=Workload(command_period=grid.step, targets=targets, grid_phase=grid.start,
                           phase_mode="median") if targets else None,
-        deliveries=np.array([(targets.index(node), *rest) for node, *rest in deliveries],
-                            dtype=DELIVERY_DTYPE).view(np.recarray),
+        delivered=delivery_columns(deliveries, targets) if targets else None,
         stepped=_stepped(sampled, corrections),
         devices=frozenset(), ta_index={}, lost_sync=0, fault=None,
     )
@@ -372,17 +371,20 @@ def test_trace_writer_working_set_does_not_grow_with_the_trace(traced_peak, monk
     for name in ("t_true", "delta", "error_after"):
         log[name] = draw(-10**12, 10**12, size=rows)
     log["node"], log["kind"] = np.arange(rows) % len(sampled), np.arange(rows) % len(CORRECTION_KINDS)
-    # the log is built on access, from the trajectories: built here, before the writer runs
-    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: log))
-    deliveries = np.empty(rows, dtype=DELIVERY_DTYPE).view(np.recarray)
-    deliveries.node, deliveries.grid_index = np.arange(rows) % len(sampled), np.arange(rows)
-    deliveries.true_arrival, deliveries.local_stamp = draw(0, 10**13, size=(2, rows))
+    arrival, local_stamp = draw(0, 10**13, size=(2, rows // len(sampled), len(sampled)))
+    arrival.sort(axis=0)   # each target's deliveries in arrival order
     trace = RawTrace(
         sampled=sampled, instants=np.arange(rows, dtype=np.int64) * TICKS_PER_MS,
         errors=draw(-10**9, 10**9, size=(rows, len(sampled))),
         workload=Workload(command_period=TICKS_PER_MS, targets=sampled, grid_phase=0, phase_mode="median"),
-        deliveries=deliveries, stepped=(), devices=frozenset(sampled), ta_index={}, lost_sync=0, fault=None,
+        delivered=DeliveryColumns(arrival, local_stamp, None, np.full(len(sampled), len(arrival))),
+        stepped=(), devices=frozenset(sampled), ta_index={}, lost_sync=0, fault=None,
     )
+    # the log and the delivery rows are built on access, from the trajectories
+    # and the columns: built here, before the writer runs
+    deliveries = trace.deliveries
+    monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: log))
+    monkeypatch.setattr(RawTrace, "deliveries", property(lambda self: deliveries))
     written = []
     assert traced_peak(lambda: written.extend(len(piece) for piece in _trace_json(trace))) <= 2**19
     assert sum(written) > 45 * 10**6

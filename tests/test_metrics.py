@@ -16,12 +16,16 @@ from airsync.metrics import (
     build_report,
     check_requirements,
     fault_location_estimate,
+    jitter_report,
     jitter_stats,
     localization_uncertainty,
     pairwise_offset_stats,
 )
-from airsync.scenario import DELIVERY_DTYPE, RawTrace, build_scenario, fault_wave_stamps, run_scenario
+from airsync.scenario import (
+    DELIVERY_DTYPE, DeliveryColumns, RawTrace, build_scenario, fault_wave_stamps, run_scenario,
+)
 from airsync.timebase import INT64_MAX, INT64_MIN, TICKS_PER_MS, TICKS_PER_US
+from stepwise import delivery_columns
 
 MS = TICKS_PER_MS
 US = TICKS_PER_US
@@ -32,9 +36,9 @@ def _samples(errors_by_node: dict[str, int], instants=(0, 1000, 2000)):
     return np.array([list(errors_by_node.values()) for _ in instants], dtype=np.int64)
 
 
-def _deliveries_of(rows, targets=("ue1",)):
-    """Delivery columns from (node, grid_index, true_arrival, local_stamp) rows,
-    each node an id of ``targets``."""
+def _delivery_rows(rows, targets):
+    """DELIVERY_DTYPE rows from (node, grid_index, true_arrival, local_stamp)
+    rows, each node an id of ``targets``, in the rows' order."""
     rows = [(targets.index(node), *rest) for node, *rest in rows]
     return np.array(rows, dtype=DELIVERY_DTYPE).view(np.recarray)
 
@@ -114,7 +118,7 @@ def _workload(period=MS, phase=0, mode="median", targets=("ue1",)):
 
 
 def _deliveries(stamps):
-    return _deliveries_of([("ue1", k, stamp, stamp) for k, stamp in enumerate(stamps)])
+    return delivery_columns([("ue1", k, stamp, stamp) for k, stamp in enumerate(stamps)], ("ue1",))
 
 
 def test_jitter_on_grid_is_zero():
@@ -152,7 +156,7 @@ def test_jitter_absorbs_per_node_constant_paths():
     # offset (visible in pairwise stats), not jitter
     near = [("a", k, k * MS + 100, k * MS + 100) for k in range(20)]
     far = [("b", k, k * MS + 9000, k * MS + 9000) for k in range(20)]
-    stats = jitter_stats(_deliveries_of(near + far, ("a", "b")), _workload(targets=("a", "b")))
+    stats = jitter_stats(delivery_columns(near + far, ("a", "b")), _workload(targets=("a", "b")))
     assert stats["peak_to_peak"] == 0 and stats["max"] == 0
 
 
@@ -196,9 +200,9 @@ def test_grouped_jitter_equals_the_per_node_median_loop(groups, mode, shuffle):
         return
     if shuffle is not None:
         shuffle.shuffle(rows)
-    deliveries = _deliveries_of(rows, targets)
     workload = _workload(mode=mode, targets=targets)
-    assert jitter_stats(deliveries, workload) == _jitter_by_node_loop(deliveries, workload)
+    assert jitter_stats(delivery_columns(rows, targets), workload) == _jitter_by_node_loop(
+        _delivery_rows(rows, targets), workload)
 
 
 def test_jitter_needs_two_deliveries():
@@ -276,7 +280,7 @@ def test_report_equals_the_row_grouping_reference(run):
         sampled=sampled,
         instants=np.array(instants, dtype=np.int64),
         errors=np.array(errors, dtype=np.int64).reshape(len(instants), len(sampled)),
-        workload=workload, deliveries=_deliveries_of(delivery_rows, sampled),
+        workload=workload, delivered=delivery_columns(delivery_rows, sampled),
         stepped=(), devices=devices, ta_index={}, lost_sync=0, fault=None,
     )
     report = build_report(trace, workload)
@@ -301,10 +305,28 @@ def test_the_report_holds_one_float_buffer_of_the_device_columns(traced_peak):
     trace = RawTrace(
         sampled=sampled, instants=np.arange(instants, dtype=np.int64) * MS,
         errors=derive_stream(3, "errors").integers(-10**9, 10**9, size=(instants, len(sampled))),
-        workload=None, deliveries=_deliveries_of([]), stepped=(),
+        workload=None, delivered=None, stepped=(),
         devices=devices, ta_index={}, lost_sync=0, fault=None,
     )
     assert traced_peak(lambda: build_report(trace)) <= len(devices) * instants * 8 + 2**17
+
+
+def test_the_jitter_report_holds_one_float_buffer_of_the_delivered_count(traced_peak):
+    # 200 targets x 1,000 commands in a reordered grid, 900 of each delivered:
+    # beyond the trace, the jitter report holds one float64 buffer of the
+    # delivered count and a constant (a target's grid points among it)
+    commands, targets, delivered = 1000, tuple(f"ue{j}" for j in range(200)), 900
+    draw = derive_stream(4, "deliveries")
+    arrival = np.sort(draw.integers(0, 10**9, size=(commands, len(targets))), axis=0)
+    grid_index = np.argsort(draw.integers(0, 10**9, size=arrival.shape), axis=0)
+    workload = Workload(command_period=MS, targets=targets, grid_phase=0, phase_mode="median")
+    trace = RawTrace(
+        sampled=targets, instants=np.zeros(0, dtype=np.int64), errors=np.zeros((0, len(targets)), dtype=np.int64),
+        workload=workload, stepped=(), devices=frozenset(targets), ta_index={}, lost_sync=0, fault=None,
+        delivered=DeliveryColumns(arrival, arrival + draw.integers(0, 10**6, size=arrival.shape), grid_index,
+                                  np.full(len(targets), delivered)),
+    )
+    assert traced_peak(lambda: jitter_report(trace, workload)) <= len(targets) * delivered * 8 + 2**17
 
 
 _REF = {"id": "ref", "role": "reference"}
@@ -455,8 +477,8 @@ def test_a_jitter_half_a_tick_over_its_bound_fails(bound, passed):
     trace = RawTrace(
         sampled=("ue1", "ue2"), instants=np.zeros(1, dtype=np.int64), errors=np.zeros((1, 2), dtype=np.int64),
         workload=workload, stepped=(), devices=frozenset(("ue1", "ue2")), ta_index={}, lost_sync=0, fault=None,
-        deliveries=_deliveries_of([(node, k, k * MS, k * MS + offset) for k, (node, offset) in enumerate(offsets)],
-                                  ("ue1", "ue2")),
+        delivered=delivery_columns([(node, k, k * MS, k * MS + offset) for k, (node, offset) in enumerate(offsets)],
+                                 ("ue1", "ue2")),
     )
     preset = BUILTIN_PRESETS["tsn-factory"]._replace(jitter_bound=bound)
     report = build_report(trace, workload, presets=[preset])

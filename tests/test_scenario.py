@@ -153,7 +153,7 @@ def test_deliveries_follow_grid_plus_propagation():
         assert d.true_arrival == cfg.workload.grid_point(d.grid_index) + prop
     # zero extra delay and ideal clocks: the jitter is exactly zero
     from airsync.metrics import jitter_stats
-    assert jitter_stats(trace.deliveries, cfg.workload)["peak_to_peak"] == 0
+    assert jitter_stats(trace.delivered, cfg.workload)["peak_to_peak"] == 0
 
 
 @pytest.mark.parametrize("dist", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from airsync.cli import main
 from airsync.clocks import local_time
 from airsync.config import validate_config
-from airsync.scenario import RawTrace, build_scenario, run_scenario
+from airsync.scenario import RawTrace, _Runner, build_scenario, run_scenario
 from airsync.timebase import TICKS_PER_MS
 from stepwise import SteppingClock
 
@@ -59,15 +59,22 @@ def fleet(ues: int) -> dict:
 
 
 def test_a_run_stores_integer_columns_only(tmp_path):
-    # 8 bytes a sample error, 28 a delivery, and no string or object in any
-    # stored column, so the trace cannot grow a string per row again
+    # 8 bytes a sample error, 16 a (grid x target) delivery cell (its arrival
+    # and stamp: no delay reorders a target, so no grid index), and no string
+    # or object in any stored column, so the trace cannot grow a string per
+    # row again
     raw = fleet(6)
     report, _ = run_cli(tmp_path, raw)
     _, trace = run_raw(raw)
     assert trace.errors.dtype == np.int64 and trace.errors.nbytes == 8 * report["metrics"]["samples"]
-    assert trace.deliveries.dtype.itemsize == 28 and len(trace.deliveries) == 6 * 100
-    columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)]
-    assert len(columns) == 3   # instants, errors, deliveries; the correction log is built on access
+    delivered = trace.delivered
+    assert delivered.arrival.shape == (101, 6) and delivered.count.tolist() == [100] * 6
+    cells = [column for column in delivered if column is not None]
+    assert sum(column.nbytes for column in cells) == 16 * delivered.arrival.size + 8 * 6
+    columns = [value for value in trace._asdict().values() if isinstance(value, np.ndarray)] + cells
+    # instants, errors and the delivery columns; the correction log and the
+    # delivery rows are built on access
+    assert len(columns) == 5
     for stepped in trace.stepped:   # the trajectories kept for the correction log
         assert stepped.trajectory.installed_at.dtype == stepped.trajectory.base.dtype == np.int64
         assert all(type(key) is int for key in stepped[2:])   # the log keys
@@ -78,24 +85,45 @@ def test_a_run_stores_integer_columns_only(tmp_path):
 
 
 def test_run_and_sweep_never_build_the_row_views(tmp_path, monkeypatch):
-    # nor the correction log, but for trace.json, which builds it once
+    # nor the correction log or the delivery rows, but for trace.json, which
+    # builds each once
     def built(self):
         raise AssertionError("a row view was built")
 
-    logs = []
-    correction_log = RawTrace.correction_log
+    logs, rows = [], []
+    correction_log, deliveries = RawTrace.correction_log, RawTrace.deliveries
     monkeypatch.setattr(RawTrace, "samples", property(built))
     monkeypatch.setattr(RawTrace, "corrections", property(built))
     monkeypatch.setattr(RawTrace, "correction_log", property(lambda self: logs.append(correction_log.fget(self))
                                                              or logs[-1]))
+    monkeypatch.setattr(RawTrace, "deliveries", property(lambda self: rows.append(deliveries.fget(self))
+                                                         or rows[-1]))
     config = write_yaml(tmp_path / "cfg.yaml", fleet(3))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     spec = write_yaml(tmp_path / "spec.yaml", {"path": "sync_plan.resync_period",
                                                "values": ["5 ms", "20 ms"], "repetitions": 2})
     assert main(["sweep", "--config", str(config), "--sweep", str(spec), "--out", str(tmp_path / "sweep")]) == 0
-    assert logs == []
+    assert logs == [] and rows == []
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "traced"), "--trace"]) == 0
     assert len(logs) == 1 and len(logs[0]) > 0
+    assert len(rows) == 1 and len(rows[0]) == 3 * 100
+
+
+def test_deliver_holds_one_matrix_above_the_columns_it_keeps(traced_peak):
+    # 100 UEs x 2 s of 1 ms commands, reordered by their delays and stamped
+    # with noise: beyond the columns it returns, deliver holds at most one
+    # (grid x target) int64 matrix and a constant at once
+    raw = {**fleet(100), "duration": "2 s", "sampling_grid": "100 ms",
+           "link": {"extra_delay": {"dist": "uniform", "low": 0, "high": "3 ms"}}}
+    config = validate_config(raw)
+    runner = _Runner(build_scenario(config), config.duration)
+    runner.run()
+    kept = []
+    peak = traced_peak(lambda: kept.append(runner.deliver()))
+    delivered = kept[0]
+    assert delivered.grid_index is not None and delivered.arrival.shape == (2001, 100)
+    columns = sum(column.nbytes for column in delivered)
+    assert peak <= columns + delivered.arrival.nbytes + 2**19
 
 
 def test_only_a_trace_write_builds_the_trace_kernels_tables(tmp_path):
